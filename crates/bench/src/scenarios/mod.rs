@@ -41,14 +41,13 @@ pub use fig18_opportunistic::Fig18Opportunistic;
 pub use session_matrix::SessionMatrix;
 pub use sweep_wait_residual::SweepWaitResidual;
 pub use table_overhead::TableOverhead;
-pub use testbed_city::{CitySweep, TestbedCity};
+pub use testbed_city::TestbedCity;
 pub use testbed_fault::TestbedFault;
 pub use testbed_multihop::TestbedMultihop;
 
 use rand::rngs::StdRng;
 use rand::Rng;
 use ssync_channel::Position;
-use ssync_exp::service::{UnitRegistry, UnitScenario, WholeJob};
 use ssync_exp::Scenario;
 use ssync_obs::Observable;
 
@@ -114,26 +113,6 @@ pub fn find_observable(name: &str) -> Option<&'static dyn Observable> {
     observable().iter().copied().find(|s| s.name() == name)
 }
 
-/// The experiment service's view of the registry: every scenario is
-/// servable, preferring a real unit decomposition where one exists
-/// (`testbed_city` checkpoints per city) and falling back to
-/// [`WholeJob`] (one all-or-nothing unit) otherwise.
-pub struct LabRegistry;
-
-impl UnitRegistry for LabRegistry {
-    fn resolve(&self, name: &str) -> Option<&dyn UnitScenario> {
-        if name == "testbed_city" {
-            return Some(testbed_city::avenue_units());
-        }
-        static WHOLE: std::sync::OnceLock<Vec<WholeJob<'static>>> = std::sync::OnceLock::new();
-        let whole = WHOLE.get_or_init(|| all().iter().map(|s| WholeJob(*s)).collect());
-        all()
-            .iter()
-            .position(|s| s.name() == name)
-            .map(|i| &whole[i] as &dyn UnitScenario)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,22 +146,5 @@ mod tests {
         assert!(find_observable("testbed_fault").is_some());
         assert!(find_observable("testbed_city").is_some());
         assert!(find_observable("fig08_wait_lp").is_none());
-    }
-
-    #[test]
-    fn lab_registry_serves_every_scenario_and_decomposes_the_city() {
-        use ssync_exp::{Ctx, RunConfig};
-        let ctx = Ctx::new(RunConfig {
-            trials_scale: 3,
-            ..Default::default()
-        });
-        for s in all() {
-            let units = LabRegistry
-                .resolve(s.name())
-                .unwrap_or_else(|| panic!("{} not servable", s.name()));
-            let expect = if s.name() == "testbed_city" { 3 } else { 1 };
-            assert_eq!(units.unit_count(&ctx), expect, "{}", s.name());
-        }
-        assert!(LabRegistry.resolve("no_such_scenario").is_none());
     }
 }

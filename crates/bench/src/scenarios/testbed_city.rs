@@ -15,18 +15,9 @@
 //!
 //! Output: one row per region (size, backhaul depth, local and sink
 //! deliveries, frame accounting) plus city totals.
-//!
-//! The whole scenario is expressed over [`CitySweep`], a parameterized
-//! sweep that doubles as the experiment service's unit decomposition:
-//! each *city* is one checkpointable unit (`prologue ++ city 0 ++ … ++
-//! city n-1` is exactly the serial byte stream), so a city-scale service
-//! job killed at city *k* resumes from the checkpoint and renders the
-//! same bytes an uninterrupted run would. Tests drive the identical code
-//! on a debug-fast small plan.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use ssync_exp::service::{UnitOutput, UnitScenario};
 use ssync_exp::{Ctx, Output, Scenario, Value};
 use ssync_obs::{Obs, Observable};
 use ssync_phy::{OfdmParams, RateId};
@@ -53,184 +44,105 @@ fn avenue() -> ssync_channel::CityPlan {
 /// Interference range the city is built at, metres.
 const RANGE_M: f64 = 215.0;
 
-/// A sweep of independently seeded cities over one plan: the shared body
-/// of the [`TestbedCity`] scenario (serial and observed paths) and its
-/// service unit decomposition. Constructible with any plan so tests can
-/// exercise the exact production decomposition on a small, debug-fast
-/// city.
-pub struct CitySweep {
-    plan: ssync_channel::CityPlan,
-    range_m: f64,
-    transfer: TestbedConfig,
-}
+/// See the module docs.
+pub struct TestbedCity;
 
-impl CitySweep {
-    /// A sweep over an arbitrary plan (tests); the scenario itself uses
-    /// [`CitySweep::avenue`].
-    pub fn new(plan: ssync_channel::CityPlan, range_m: f64, transfer: TestbedConfig) -> CitySweep {
-        CitySweep {
-            plan,
-            range_m,
-            transfer,
-        }
-    }
-
-    /// The pinned 504-node avenue the `testbed_city` goldens are built on.
-    pub fn avenue() -> CitySweep {
-        CitySweep::new(
-            avenue(),
-            RANGE_M,
-            TestbedConfig {
-                batch_size: 4,
-                payload_len: 64,
-                ..TestbedConfig::new(RateId::R12, RoutingMode::ExorSourceSync)
-            },
-        )
-    }
-
-    /// The two header comments every render starts with.
-    fn emit_prologue(&self, out: &mut Output) {
+impl TestbedCity {
+    /// One body for both the plain and observed paths. Each region's
+    /// recorder/registry comes back from [`run_city_observed`] in region
+    /// order and is folded into `obs` as a `city{c}/region{k}` track.
+    fn run_with_obs(&self, ctx: &Ctx, out: &mut Output, obs: &mut Obs) {
+        let params = OfdmParams::dot11a();
+        let plan = avenue();
+        let transfer = TestbedConfig {
+            batch_size: 4,
+            payload_len: 64,
+            ..TestbedConfig::new(RateId::R12, RoutingMode::ExorSourceSync)
+        };
+        let cities = ctx.trials(1);
         out.comment(format!(
             "City-scale testbed: {} nodes in {} interference-closed regions \
-             (avenue of {}x{} blocks, {} radios each, {:.0} m range)",
-            self.plan.node_count(),
-            self.plan.blocks_x * self.plan.blocks_y,
-            self.plan.blocks_x,
-            self.plan.blocks_y,
-            self.plan.nodes_per_block,
-            self.range_m,
+             (avenue of {}x{} blocks, {} radios each, {RANGE_M:.0} m range)",
+            plan.node_count(),
+            plan.blocks_x * plan.blocks_y,
+            plan.blocks_x,
+            plan.blocks_y,
+            plan.nodes_per_block,
         ));
         out.comment(
             "(waveform PHY inside each region, regions in parallel; analytic \
              directional backhaul between region centroids to the city sink)",
         );
-    }
 
-    /// Builds and runs city `c` (self-contained: blank separator, region
-    /// table, totals comment) and returns its per-city statistics —
-    /// `[delivered_local, delivered_sink, data, joint, joins, collisions]`
-    /// — for the service's streamed fold. Pure in `(c, threads)` up to
-    /// byte identity: `threads` only shapes wall-clock time.
-    fn emit_city(&self, c: usize, threads: usize, obs: &mut Obs, out: &mut Output) -> Vec<f64> {
-        let params = OfdmParams::dot11a();
-        let seed = 880_000 + 17 * c as u64;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let city = CityNetwork::build(
-            &mut rng,
-            &params,
-            &self.plan,
-            &ChannelModels::testbed(&params),
-            self.range_m,
-        );
-        let cfg = CityConfig {
-            threads,
-            ..CityConfig::new(self.transfer.clone())
-        };
-        let (outcome, artifacts) = run_city_observed(&city, seed ^ 0xC17, &cfg, obs.is_enabled());
-        for (k, (rec, reg)) in artifacts.into_iter().enumerate() {
-            obs.add_track(format!("city{c}/region{k}"), rec);
-            obs.merge_metrics(&reg);
-        }
+        for c in 0..cities {
+            let seed = 880_000 + 17 * c as u64;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let city = CityNetwork::build(
+                &mut rng,
+                &params,
+                &plan,
+                &ChannelModels::testbed(&params),
+                RANGE_M,
+            );
+            let cfg = CityConfig {
+                threads: ctx.threads(),
+                ..CityConfig::new(transfer.clone())
+            };
+            let (outcome, artifacts) =
+                run_city_observed(&city, seed ^ 0xC17, &cfg, obs.is_enabled());
+            for (k, (rec, reg)) in artifacts.into_iter().enumerate() {
+                obs.add_track(format!("city{c}/region{k}"), rec);
+                obs.merge_metrics(&reg);
+            }
 
-        out.blank();
-        out.comment(format!(
-            "city {c}: {} nodes, {} regions",
-            outcome.nodes,
-            outcome.regions.len()
-        ));
-        out.columns(&[
-            "region",
-            "nodes",
-            "backhaul_hops",
-            "delivered",
-            "sink_delivered",
-            "data_frames",
-            "joint_frames",
-            "joins",
-        ]);
-        for r in &outcome.regions {
-            let (delivered, data, joint, joins) = r
-                .outcome
-                .as_ref()
-                .map(|o| (o.delivered, o.data_frames, o.joint_frames, o.joins.joined))
-                .unwrap_or((0, 0, 0, 0));
-            out.row(vec![
-                Value::Int(r.region as i64),
-                Value::Int(r.nodes as i64),
-                Value::Int(r.backhaul_hops as i64),
-                Value::Int(delivered as i64),
-                Value::Int(r.sink_delivered as i64),
-                Value::Int(data as i64),
-                Value::Int(joint as i64),
-                Value::Int(joins as i64),
+            out.blank();
+            out.comment(format!(
+                "city {c}: {} nodes, {} regions",
+                outcome.nodes,
+                outcome.regions.len()
+            ));
+            out.columns(&[
+                "region",
+                "nodes",
+                "backhaul_hops",
+                "delivered",
+                "sink_delivered",
+                "data_frames",
+                "joint_frames",
+                "joins",
             ]);
-        }
-        let attempts: u64 = outcome.regions.iter().map(|r| r.backhaul_attempts).sum();
-        out.comment(format!(
-            "city {c} totals: {} delivered locally, {} reached the sink \
-             ({attempts} backhaul attempts), {} data frames, {} joint frames \
-             ({} joins), {} collisions",
-            outcome.delivered_local(),
-            outcome.delivered_sink(),
-            outcome.data_frames(),
-            outcome.joint_frames(),
-            outcome.joins_joined(),
-            outcome.collisions(),
-        ));
-        vec![
-            outcome.delivered_local() as f64,
-            outcome.delivered_sink() as f64,
-            outcome.data_frames() as f64,
-            outcome.joint_frames() as f64,
-            outcome.joins_joined() as f64,
-            outcome.collisions() as f64,
-        ]
-    }
-
-    /// The serial body (also the observed path): prologue, then every
-    /// city in index order.
-    fn run_serial(&self, ctx: &Ctx, out: &mut Output, obs: &mut Obs) {
-        self.emit_prologue(out);
-        for c in 0..ctx.trials(1) {
-            self.emit_city(c, ctx.threads(), obs, out);
-        }
-    }
-
-    /// The serial reference bytes (exactly what [`TestbedCity::run`]
-    /// emits for the avenue sweep) — the fixed point the unit
-    /// decomposition and the service path are conformance-tested against.
-    pub fn render_serial(&self, name: &str, cfg: &ssync_exp::RunConfig) -> String {
-        let ctx = Ctx::new(cfg.clone());
-        let mut out = Output::new();
-        self.run_serial(&ctx, &mut out, &mut Obs::disabled());
-        match cfg.format {
-            ssync_exp::Format::Tsv => ssync_exp::sink::render_tsv(&out),
-            ssync_exp::Format::Json => ssync_exp::sink::render_json(name, &out),
+            for r in &outcome.regions {
+                let (delivered, data, joint, joins) = r
+                    .outcome
+                    .as_ref()
+                    .map(|o| (o.delivered, o.data_frames, o.joint_frames, o.joins.joined))
+                    .unwrap_or((0, 0, 0, 0));
+                out.row(vec![
+                    Value::Int(r.region as i64),
+                    Value::Int(r.nodes as i64),
+                    Value::Int(r.backhaul_hops as i64),
+                    Value::Int(delivered as i64),
+                    Value::Int(r.sink_delivered as i64),
+                    Value::Int(data as i64),
+                    Value::Int(joint as i64),
+                    Value::Int(joins as i64),
+                ]);
+            }
+            let attempts: u64 = outcome.regions.iter().map(|r| r.backhaul_attempts).sum();
+            out.comment(format!(
+                "city {c} totals: {} delivered locally, {} reached the sink \
+                 ({attempts} backhaul attempts), {} data frames, {} joint frames \
+                 ({} joins), {} collisions",
+                outcome.delivered_local(),
+                outcome.delivered_sink(),
+                outcome.data_frames(),
+                outcome.joint_frames(),
+                outcome.joins_joined(),
+                outcome.collisions(),
+            ));
         }
     }
 }
-
-/// Service decomposition: one city per unit. Observability stays on the
-/// serial [`Observable`] path — unit fragments run with obs disabled,
-/// which cannot change the bytes (the recorder is side-band by contract).
-impl UnitScenario for CitySweep {
-    fn unit_count(&self, ctx: &Ctx) -> usize {
-        ctx.trials(1)
-    }
-
-    fn prologue(&self, _ctx: &Ctx, out: &mut Output) {
-        self.emit_prologue(out);
-    }
-
-    fn run_unit(&self, ctx: &Ctx, unit: usize) -> UnitOutput {
-        let mut output = Output::new();
-        let stats = self.emit_city(unit, ctx.threads(), &mut Obs::disabled(), &mut output);
-        UnitOutput { output, stats }
-    }
-}
-
-/// See the module docs.
-pub struct TestbedCity;
 
 impl Scenario for TestbedCity {
     fn name(&self) -> &'static str {
@@ -246,20 +158,12 @@ impl Scenario for TestbedCity {
     }
 
     fn run(&self, ctx: &Ctx, out: &mut Output) {
-        CitySweep::avenue().run_serial(ctx, out, &mut Obs::disabled());
+        self.run_with_obs(ctx, out, &mut Obs::disabled());
     }
 }
 
 impl Observable for TestbedCity {
     fn run_observed(&self, ctx: &Ctx, out: &mut Output, obs: &mut Obs) {
-        CitySweep::avenue().run_serial(ctx, out, obs);
+        self.run_with_obs(ctx, out, obs);
     }
-}
-
-/// The avenue decomposition behind the registry's `testbed_city` service
-/// entry (a `OnceLock` because [`CitySweep`] builds its `TestbedConfig`
-/// at runtime).
-pub(crate) fn avenue_units() -> &'static CitySweep {
-    static UNITS: std::sync::OnceLock<CitySweep> = std::sync::OnceLock::new();
-    UNITS.get_or_init(CitySweep::avenue)
 }

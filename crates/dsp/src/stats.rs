@@ -31,6 +31,30 @@ pub fn std_dev(xs: &[f64]) -> f64 {
     (xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / xs.len() as f64).sqrt()
 }
 
+/// Smallest non-NaN value of `xs`, or `empty` when there is none.
+///
+/// Bit-defined, unlike a fold over `f64::min`, which leaves the sign of a
+/// zero result unspecified: a value replaces the running minimum only if
+/// it compares strictly less, so among equal values (`0.0` and `-0.0`
+/// included) the first one seen wins. NaNs are skipped.
+pub fn min_or(xs: &[f64], empty: f64) -> f64 {
+    first_extremum(xs, empty, |x, best| x < best)
+}
+
+/// Largest non-NaN value of `xs`, or `empty` when there is none; ties
+/// and NaNs are handled as in [`min_or`].
+pub fn max_or(xs: &[f64], empty: f64) -> f64 {
+    first_extremum(xs, empty, |x, best| x > best)
+}
+
+fn first_extremum(xs: &[f64], empty: f64, beats: impl Fn(f64, f64) -> bool) -> f64 {
+    xs.iter()
+        .copied()
+        .filter(|x| !x.is_nan())
+        .reduce(|best, x| if beats(x, best) { x } else { best })
+        .unwrap_or(empty)
+}
+
 /// The `p`-th percentile (0–100) with linear interpolation between order
 /// statistics, matching the common "linear" (type 7) definition.
 ///
@@ -210,6 +234,35 @@ mod tests {
     fn evm_snr() {
         assert!((snr_db_from_evm(1.0, 0.1) - 10.0).abs() < 1e-12);
         assert_eq!(snr_db_from_evm(1.0, 0.0), f64::INFINITY);
+    }
+
+    #[test]
+    fn extrema_keep_the_first_of_equal_values_bit_for_bit() {
+        let bits = |xs: &[f64]| {
+            (
+                min_or(xs, f64::NAN).to_bits(),
+                max_or(xs, f64::NAN).to_bits(),
+            )
+        };
+        let (pos, neg) = (0.0f64.to_bits(), (-0.0f64).to_bits());
+        assert_eq!(bits(&[0.0, -0.0]), (pos, pos));
+        assert_eq!(bits(&[-0.0, 0.0]), (neg, neg));
+        let nan = f64::NAN;
+        assert_eq!(bits(&[nan, -0.0, nan, 0.0, nan]), (neg, neg));
+        assert_eq!(
+            bits(&[nan, 2.0, nan, 0.0, -1.0, nan, -0.0, 3.0, nan]),
+            ((-1.0f64).to_bits(), 3.0f64.to_bits())
+        );
+    }
+
+    #[test]
+    fn extrema_of_no_values_fall_back_to_the_empty_value() {
+        assert_eq!(min_or(&[], f64::INFINITY), f64::INFINITY);
+        assert_eq!(
+            max_or(&[f64::NAN, f64::NAN], f64::NEG_INFINITY),
+            f64::NEG_INFINITY
+        );
+        assert!(min_or(&[f64::NAN], f64::NAN).is_nan());
     }
 
     #[test]

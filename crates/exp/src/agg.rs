@@ -5,20 +5,10 @@
 //! mean (normal approximation or bootstrap). Everything is deterministic —
 //! the bootstrap takes an explicit seed — so aggregated output stays a
 //! pure function of the trial values.
-//!
-//! Since the experiment service landed, every helper here is a thin
-//! wrapper over the streaming [`crate::stream::OnlineSketch`]: the batch
-//! API feeds the sample through the sketch and queries it once. That
-//! routes **all** scenario aggregation — including every golden-checked
-//! figure — through the streamed path, so the goldens themselves enforce
-//! that streaming equals collect-then-summarise bit for bit (the
-//! conformance property tests in `tests/stream_conformance.rs` pin the
-//! same equality against `ssync_dsp::stats` directly).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-use crate::stream::OnlineSketch;
+use ssync_dsp::stats;
 
 /// Five-number-style summary of a sample.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,44 +26,39 @@ pub struct Summary {
 }
 
 impl Summary {
-    /// Summarises `xs` (streamed through an [`OnlineSketch`]).
+    /// Summarises `xs`.
     pub fn of(xs: &[f64]) -> Summary {
-        let mut sk = OnlineSketch::new();
-        sk.extend(xs);
-        sk.summary()
+        Summary {
+            n: xs.len(),
+            mean: stats::mean(xs),
+            std_dev: stats::std_dev(xs),
+            min: stats::min_or(xs, f64::NAN),
+            max: stats::max_or(xs, f64::NAN),
+        }
     }
 }
 
-/// The `p`-th percentile (0–100, linear interpolation), equal to
-/// `ssync_dsp::stats::percentile` and streamed through an
-/// [`OnlineSketch`].
+/// The `p`-th percentile (0–100, linear interpolation); re-exported from
+/// `ssync_dsp::stats` so scenarios only import the aggregation layer.
 ///
 /// # Panics
 /// Panics if `xs` is empty or `p` is outside `[0, 100]`.
 pub fn percentile(xs: &[f64], p: f64) -> f64 {
-    let mut sk = OnlineSketch::new();
-    sk.extend(xs);
-    sk.percentile(p)
+    stats::percentile(xs, p)
 }
 
-/// Several percentiles at once, in the order requested (one sketch, one
-/// sort amortised across all of them).
+/// Several percentiles at once, in the order requested.
 ///
 /// # Panics
 /// Panics if `xs` is empty or any `p` is outside `[0, 100]`.
 pub fn percentiles(xs: &[f64], ps: &[f64]) -> Vec<f64> {
-    let mut sk = OnlineSketch::new();
-    sk.extend(xs);
-    sk.percentiles(ps)
+    ps.iter().map(|&p| stats::percentile(xs, p)).collect()
 }
 
-/// Empirical CDF `(value, cumulative fraction)` pairs, equal to
-/// `ssync_dsp::stats::empirical_cdf` and streamed through an
-/// [`OnlineSketch`].
+/// Empirical CDF `(value, cumulative fraction)` pairs; re-exported from
+/// `ssync_dsp::stats`.
 pub fn empirical_cdf(xs: &[f64]) -> Vec<(f64, f64)> {
-    let mut sk = OnlineSketch::new();
-    sk.extend(xs);
-    sk.empirical_cdf()
+    stats::empirical_cdf(xs)
 }
 
 /// A two-sided confidence interval for the mean.
@@ -96,7 +81,7 @@ impl Ci {
 /// levels; intermediate levels interpolate linearly (plenty for error
 /// bars on Monte-Carlo sweeps). Levels above 0.999 are rejected rather
 /// than silently clamped to the table's last anchor.
-pub fn z_for(confidence: f64) -> f64 {
+fn z_for(confidence: f64) -> f64 {
     assert!(
         (0.5..=0.999).contains(&confidence),
         "confidence {confidence} must be in [0.5, 0.999]"
@@ -119,15 +104,18 @@ pub fn z_for(confidence: f64) -> f64 {
     TABLE[TABLE.len() - 1].1
 }
 
-/// Normal-approximation CI for the mean: `mean ± z · s/√n`, streamed
-/// through an [`OnlineSketch`].
+/// Normal-approximation CI for the mean: `mean ± z · s/√n`.
 ///
 /// # Panics
 /// Panics on an empty sample or a confidence outside `[0.5, 0.999]`.
 pub fn mean_ci_normal(xs: &[f64], confidence: f64) -> Ci {
-    let mut sk = OnlineSketch::new();
-    sk.extend(xs);
-    sk.mean_ci_normal(confidence)
+    assert!(!xs.is_empty(), "confidence interval of empty sample");
+    let m = stats::mean(xs);
+    let half = z_for(confidence) * stats::std_dev(xs) / (xs.len() as f64).sqrt();
+    Ci {
+        lo: m - half,
+        hi: m + half,
+    }
 }
 
 /// Bootstrap percentile CI for the mean: resamples `xs` with replacement
@@ -153,12 +141,10 @@ pub fn mean_ci_bootstrap(xs: &[f64], confidence: f64, resamples: usize, seed: u6
         }
         means.push(sum / xs.len() as f64);
     }
-    let mut sk = OnlineSketch::new();
-    sk.extend(&means);
     let tail = (1.0 - confidence) / 2.0 * 100.0;
     Ci {
-        lo: sk.percentile(tail),
-        hi: sk.percentile(100.0 - tail),
+        lo: stats::percentile(&means, tail),
+        hi: stats::percentile(&means, 100.0 - tail),
     }
 }
 

@@ -61,16 +61,11 @@ pub fn parse_threads(value: Option<&str>) -> usize {
 ///
 /// **The command line wins.** When `cli` is present it must be a positive
 /// integer — anything else is a hard error (a typed flag deserves a loud
-/// failure, and silently falling back to the environment here is exactly
-/// how an enqueue-time and a run-time trial count would diverge). Only
-/// when no flag was given does the forgiving [`parse_trials`] reading of
-/// the environment apply.
+/// failure, and silently falling back to the environment would run a
+/// trial count nobody asked for). Only when no flag was given does the
+/// forgiving [`parse_trials`] reading of the environment apply.
 ///
-/// `ssync-lab run` and `ssync-lab enqueue` both resolve through this
-/// function, and `enqueue` bakes the result into the job spec — the
-/// service executes the spec's count verbatim and never consults the
-/// environment, so the trials a job was enqueued with are the trials it
-/// runs with.
+/// `ssync-lab run` resolves its trial count through this function.
 pub fn resolve_trials(cli: Option<&str>, env: Option<&str>) -> Result<usize, String> {
     match cli {
         Some(flag) => match flag.parse::<usize>() {
@@ -157,8 +152,7 @@ mod tests {
 
     #[test]
     fn resolve_trials_rejects_bad_flags_loudly() {
-        // A typed flag must never fall back to the environment — that is
-        // the divergence the service contract forbids.
+        // A typed flag must never fall back to the environment.
         for bad in ["0", "-2", "many", ""] {
             let err = resolve_trials(Some(bad), Some("9")).unwrap_err();
             assert!(err.contains("positive integer"), "flag {bad:?}: {err}");

@@ -52,58 +52,6 @@ where
     indexed.into_iter().map(|(_, v)| v).collect()
 }
 
-/// [`par_map`] with a per-completion callback: `on_done(i, &result)` runs
-/// under a shared lock as each job finishes, **in completion order**, and
-/// the full result vector still comes back in index order.
-///
-/// This is the executor under the experiment service's checkpoint/resume:
-/// the callback appends a checkpoint record the moment a unit completes,
-/// so a killed run loses at most the in-flight units. One lock per job
-/// (unlike [`par_map`]'s one lock per worker) — the callback itself is
-/// the point, so the serialization is inherent; use [`par_map`] when no
-/// completion hook is needed.
-///
-/// The callback must not assume anything about arrival order: downstream
-/// determinism comes from reordering by index (see
-/// [`crate::stream::ReorderBuffer`]), never from completion order.
-pub fn par_map_streamed<T, F, S>(threads: usize, n: usize, f: F, mut on_done: S) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-    S: FnMut(usize, &T) + Send,
-{
-    if threads <= 1 || n <= 1 {
-        return (0..n)
-            .map(|i| {
-                let v = f(i);
-                on_done(i, &v);
-                v
-            })
-            .collect();
-    }
-    let next = AtomicUsize::new(0);
-    let state = Mutex::new((Vec::with_capacity(n), on_done));
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(n) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let v = f(i);
-                let mut guard = state.lock().unwrap();
-                let (done, on_done) = &mut *guard;
-                on_done(i, &v);
-                done.push((i, v));
-            });
-        }
-    });
-    let (mut indexed, _) = state.into_inner().unwrap();
-    indexed.sort_unstable_by_key(|(i, _)| *i);
-    debug_assert_eq!(indexed.len(), n);
-    indexed.into_iter().map(|(_, v)| v).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,35 +80,6 @@ mod tests {
             i
         });
         assert_eq!(out, (0..n).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn streamed_callback_sees_every_index_once_and_results_stay_ordered() {
-        for threads in [1, 2, 8] {
-            let seen = Mutex::new(Vec::new());
-            let out = par_map_streamed(
-                threads,
-                23,
-                |i| i * 3,
-                |i, v| {
-                    assert_eq!(*v, i * 3);
-                    seen.lock().unwrap().push(i);
-                },
-            );
-            assert_eq!(out, (0..23).map(|i| i * 3).collect::<Vec<_>>());
-            let mut seen = seen.into_inner().unwrap();
-            // Completion order is arbitrary; coverage must be exact.
-            seen.sort_unstable();
-            assert_eq!(seen, (0..23).collect::<Vec<_>>(), "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn streamed_serial_path_calls_back_in_index_order() {
-        let mut seen = Vec::new();
-        let out = par_map_streamed(1, 5, |i| i, |i, _| seen.push(i));
-        assert_eq!(out, vec![0, 1, 2, 3, 4]);
-        assert_eq!(seen, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]

@@ -20,19 +20,10 @@
 //!   original figure binaries, plus a structured JSON format;
 //! * [`golden`] — a golden-result regression mode comparing rendered
 //!   output against checked-in expectations, with first-divergence
-//!   diagnostics;
-//! * [`stream`] — exact streaming aggregation ([`stream::OnlineSketch`],
-//!   [`stream::ReorderBuffer`]): every [`agg`] helper is a wrapper over
-//!   it, so all scenario aggregation runs through the streamed path,
-//!   bit-identical to collect-then-summarise;
-//! * [`service`] — the resident experiment service: a spool-directory
-//!   job queue, a content-hashed result cache keyed by
-//!   `(scenario, params, seed)`, and per-unit checkpoint/resume, all
-//!   under the same byte-identity contract.
+//!   diagnostics.
 //!
-//! Every figure binary in `ssync_bench` is a thin wrapper over
-//! [`scenario::bin_main`], and the `ssync-lab` runner lists and runs any
-//! scenario by name with `--threads`, `--trials`, and `--format` flags.
+//! The `ssync-lab` runner in `ssync_bench` lists and runs any scenario
+//! by name with `--threads`, `--trials`, and `--format` flags.
 //!
 //! ## Determinism contract
 //!
@@ -56,13 +47,10 @@ pub mod grid;
 pub mod record;
 pub mod scenario;
 pub mod seed;
-pub mod service;
 pub mod sink;
-pub mod stream;
 
 pub use config::{parse_threads, parse_trials, resolve_trials, Format, RunConfig};
 pub use grid::{Axis, GridPoint, Job, Sweep};
 pub use record::{Output, Record, Value};
-pub use scenario::{bin_main, run_rendered, Ctx, Scenario};
+pub use scenario::{run_rendered, Ctx, Scenario};
 pub use seed::{splitmix64, trial_seed};
-pub use stream::{OnlineSketch, ReorderBuffer};

@@ -2,8 +2,8 @@
 //!
 //! A scenario is a named, self-describing experiment: it receives a
 //! [`Ctx`] (thread budget + trial scaling) and emits structured records
-//! into an [`Output`]. Everything else — binary `main`s, the `ssync-lab`
-//! runner, golden tests, determinism tests — goes through
+//! into an [`Output`]. Everything else — the `ssync-lab` runner, golden
+//! tests, determinism tests — goes through
 //! [`run_rendered`], so there is exactly one code path from a scenario
 //! definition to bytes.
 
@@ -89,13 +89,6 @@ pub fn run_rendered(scenario: &dyn Scenario, cfg: &RunConfig) -> String {
         Format::Tsv => crate::sink::render_tsv(&out),
         Format::Json => crate::sink::render_json(scenario.name(), &out),
     }
-}
-
-/// The whole `main` of a thin figure binary: configuration from the
-/// environment (`SSYNC_TRIALS`, `SSYNC_THREADS`), TSV to stdout — the
-/// exact observable behaviour of the pre-harness binaries.
-pub fn bin_main(scenario: &dyn Scenario) {
-    print!("{}", run_rendered(scenario, &RunConfig::from_env()));
 }
 
 #[cfg(test)]

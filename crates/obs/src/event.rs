@@ -203,46 +203,6 @@ pub enum TraceEventKind {
         /// Which lookup.
         what: &'static str,
     },
-    /// An experiment-service job lifecycle edge (started / completed /
-    /// interrupted). Stamped with *logical* service time — the event
-    /// ordinal, not wall-clock — so service traces are deterministic at
-    /// any worker count.
-    ServiceJob {
-        /// `"started"`, `"completed"`, or `"interrupted"`.
-        what: &'static str,
-        /// Units done at this edge (0 at start, total at completion).
-        done: u32,
-        /// Total units in the job.
-        units: u32,
-    },
-    /// A result-cache interaction of a service job.
-    ServiceCache {
-        /// `"hit"`, `"miss"`, or `"stored"`.
-        what: &'static str,
-        /// The spec's cache key.
-        key: u64,
-        /// Stored payload size (0 for hit/miss).
-        bytes: u32,
-    },
-    /// A checkpoint restored previously completed units into a job.
-    ServiceCheckpoint {
-        /// Units restored.
-        restored: u32,
-        /// Whether a torn/corrupt tail was discarded (and recomputed).
-        dropped_tail: bool,
-    },
-    /// One service unit finished, in index order (restored units replay
-    /// through this too, flagged).
-    ServiceUnit {
-        /// Unit index.
-        unit: u32,
-        /// Units done so far, including this one.
-        done: u32,
-        /// Total units.
-        total: u32,
-        /// True when served by the checkpoint rather than computed.
-        from_checkpoint: bool,
-    },
 }
 
 impl TraceEventKind {
@@ -261,10 +221,6 @@ impl TraceEventKind {
             TraceEventKind::JointDecode { .. } => "joint_decode",
             TraceEventKind::Delivered { .. } => "delivered",
             TraceEventKind::LookupMiss { .. } => "lookup_miss",
-            TraceEventKind::ServiceJob { .. } => "service_job",
-            TraceEventKind::ServiceCache { .. } => "service_cache",
-            TraceEventKind::ServiceCheckpoint { .. } => "service_checkpoint",
-            TraceEventKind::ServiceUnit { .. } => "service_unit",
         }
     }
 
@@ -363,34 +319,6 @@ impl TraceEventKind {
             }
             TraceEventKind::LookupMiss { what } => {
                 a.push(("what", Value::s(*what)));
-            }
-            TraceEventKind::ServiceJob { what, done, units } => {
-                a.push(("what", Value::s(*what)));
-                a.push(("done", Value::Int(*done as i64)));
-                a.push(("units", Value::Int(*units as i64)));
-            }
-            TraceEventKind::ServiceCache { what, key, bytes } => {
-                a.push(("what", Value::s(*what)));
-                a.push(("key", Value::s(format!("{key:016x}"))));
-                a.push(("bytes", Value::Int(*bytes as i64)));
-            }
-            TraceEventKind::ServiceCheckpoint {
-                restored,
-                dropped_tail,
-            } => {
-                a.push(("restored", Value::Int(*restored as i64)));
-                a.push(("dropped_tail", Value::Int(*dropped_tail as i64)));
-            }
-            TraceEventKind::ServiceUnit {
-                unit,
-                done,
-                total,
-                from_checkpoint,
-            } => {
-                a.push(("unit", Value::Int(*unit as i64)));
-                a.push(("done", Value::Int(*done as i64)));
-                a.push(("total", Value::Int(*total as i64)));
-                a.push(("from_checkpoint", Value::Int(*from_checkpoint as i64)));
             }
         }
         a

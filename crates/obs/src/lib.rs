@@ -56,7 +56,6 @@ pub mod chrome;
 pub mod event;
 pub mod metrics;
 pub mod observe;
-pub mod service;
 pub mod snapshot;
 pub mod trace;
 
@@ -70,6 +69,5 @@ pub use ssync_exp::sink::{render_json, render_tsv};
 pub use event::{FrameClass, JoinFailureClass, JoinResult, RxDiagSummary, TraceEventKind};
 pub use metrics::{Counter, Gauge, Histogram, MetricRegistry, Scope};
 pub use observe::{run_observed_rendered, Obs, Observable};
-pub use service::ServiceObs;
 pub use snapshot::{snapshot_output, ObsSnapshot};
 pub use trace::{TraceEvent, TraceRecorder, TraceSet};

@@ -263,13 +263,11 @@ impl MetricRegistry {
                     if xs.is_empty() {
                         row.extend([na(), na(), na(), na(), na()]);
                     } else {
-                        let min = xs.iter().cloned().fold(f64::INFINITY, f64::min);
-                        let max = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
                         row.push(Value::F(stats::mean(&xs), 6));
-                        row.push(Value::F(min, 6));
+                        row.push(Value::F(stats::min_or(&xs, f64::INFINITY), 6));
                         row.push(Value::F(stats::percentile(&xs, 50.0), 6));
                         row.push(Value::F(stats::percentile(&xs, 95.0), 6));
-                        row.push(Value::F(max, 6));
+                        row.push(Value::F(stats::max_or(&xs, f64::NEG_INFINITY), 6));
                     }
                 }
             }

@@ -22,7 +22,7 @@
 //!   (CSMA/CA, ARQ, ExOR, joint frames) over the sample-level medium
 //! * [`lasthop`] — multi-AP last-hop diversity with SampleRate
 //! * [`exp`] — the declarative, parallel experiment harness behind the
-//!   `ssync-lab` runner and every figure binary
+//!   `ssync-lab` runner
 //! * [`obs`] — deterministic observability: structured sim-time tracing,
 //!   the metric registry, and the Perfetto/Chrome trace exporter
 //!
