@@ -377,7 +377,10 @@ pub fn ground_truth_misalign_s(
 
 /// The planned per-frame machinery and scratch every stage shares: the
 /// numerology, FFT tables, the modem transmitter, the detector-equipped
-/// receiver, and the reusable TX/RX/combine workspaces.
+/// receiver, and the reusable TX/RX/combine workspaces. The RX workspace's
+/// CFO-corrected capture serves both the header receive and the joint
+/// decode that follows it, so the decode stage keeps no capture copy of
+/// its own.
 ///
 /// Built once per [`JointSession::run`]; a stage invoked through its
 /// allocating entry point builds a throwaway one. Callers driving many
@@ -397,8 +400,6 @@ pub struct SessionWorkspace {
     rx_ws: RxWorkspace,
     /// Joint data-section scratch (space-time coding and combining).
     combine_ws: CombineWorkspace,
-    /// CFO-corrected capture copy of the receiver-decode stage.
-    capture_scratch: Vec<Complex64>,
 }
 
 impl SessionWorkspace {
@@ -411,7 +412,6 @@ impl SessionWorkspace {
             tx_ws: TxWorkspace::new(&params),
             rx_ws: RxWorkspace::new(&params),
             combine_ws: CombineWorkspace::new(&params),
-            capture_scratch: Vec::new(),
             params,
         }
     }
@@ -817,6 +817,12 @@ impl ReceiverDecode<'_> {
 }
 
 /// Joint-frame reception from an already-captured buffer.
+///
+/// The header is received through `ws.rx_ws`, which CFO-corrects a copy of
+/// `buf` over the span the phy receiver reads; the training slots and the
+/// data section are then read from that same copy, completed by
+/// [`RxWorkspace::corrected_capture`], so every captured sample is copied
+/// once and rotated once.
 fn decode_capture(
     ws: &mut SessionWorkspace,
     buf: &[Complex64],
@@ -830,7 +836,6 @@ fn decode_capture(
         rx,
         rx_ws,
         combine_ws,
-        capture_scratch,
         ..
     } = ws;
     // The receiver's common early-window offset (same convention as the
@@ -867,18 +872,9 @@ fn decode_capture(
     };
     let period = params.sample_period_fs();
 
-    // CFO-correct a copy referenced to sample 0 (same convention as the
-    // phy receiver, so the lead channel estimate stays consistent).
-    capture_scratch.clear();
-    capture_scratch.extend_from_slice(buf);
-    let corrected: &[Complex64] = {
-        ssync_dsp::mixer::apply_cfo(
-            capture_scratch,
-            -res.diag.detection.cfo_hz,
-            params.sample_rate_hz,
-        );
-        capture_scratch
-    };
+    // One correction, referenced to sample 0, for the lead channel estimate
+    // and every co-sender slot.
+    let corrected = rx_ws.corrected_capture();
 
     // Noise floor from the SIFS silence (time domain), for presence checks.
     let sifs_lo = base + timeline.header_len + timeline.sifs_len / 4;

@@ -54,44 +54,34 @@ fn blackman(i: usize, n: usize) -> f64 {
     0.42 - 0.5 * (2.0 * PI * x).cos() + 0.08 * (4.0 * PI * x).cos()
 }
 
+/// Number of taps in the windowed-sinc interpolation kernel.
+const TAPS: usize = 2 * SINC_HALF_WIDTH;
+
+/// Outputs per block of the gather convolution: one independent accumulator
+/// each, so the per-output additions of consecutive taps do not chain.
+const BLOCK: usize = 8;
+
 /// The windowed-sinc kernel for a fractional delay `mu` in `[0, 1)`.
 ///
 /// The kernel has `2·SINC_HALF_WIDTH` taps; convolving with it delays the
 /// signal by `SINC_HALF_WIDTH - 1 + mu` samples total (the integer part is a
 /// filter-latency constant the caller compensates).
 pub fn fractional_kernel(mu: f64) -> Vec<f64> {
-    let mut kernel = Vec::new();
-    fractional_kernel_into(mu, &mut kernel);
-    kernel
-}
-
-/// [`fractional_kernel`] into a caller-owned buffer (cleared and refilled;
-/// capacity reused across calls).
-pub fn fractional_kernel_into(mu: f64, kernel: &mut Vec<f64>) {
-    assert!((0.0..1.0).contains(&mu), "mu must be in [0,1), got {mu}");
-    let n = 2 * SINC_HALF_WIDTH;
-    kernel.clear();
-    for i in 0..n {
-        let k = i as f64 - (SINC_HALF_WIDTH - 1) as f64;
-        let x = k - mu;
-        kernel.push(sinc(x) * blackman(i, n));
-    }
-    // Normalise to unit DC gain so delays don't change signal power.
-    let s: f64 = kernel.iter().sum();
-    if s.abs() > 1e-12 {
-        for v in kernel.iter_mut() {
-            *v /= s;
-        }
-    }
+    let mut ws = DelayWorkspace::new();
+    ws.load_kernel(mu);
+    ws.kernel.to_vec()
 }
 
 /// Delays a waveform by an arbitrary non-negative real number of samples.
 ///
 /// The integer part is realised by zero-prefixing; the fractional part by
-/// windowed-sinc interpolation. The returned waveform is longer than the
-/// input by `ceil(delay) + 2·SINC_HALF_WIDTH` samples of filter spill, but
-/// sample `i` of the *input* appears (band-limited-interpolated) at output
-/// index `i + delay` exactly, so callers can reason in input coordinates.
+/// windowed-sinc interpolation. For an integer `delay` the returned waveform
+/// is exactly `delay` samples longer than the input; otherwise it is
+/// `ceil(delay) + SINC_HALF_WIDTH − 1` samples longer (the kernel's
+/// `SINC_HALF_WIDTH` taps of spill past the last input sample, plus the
+/// integer shift). Either way sample `i` of the *input* appears
+/// (band-limited-interpolated) at output index `i + delay` exactly, so
+/// callers can reason in input coordinates.
 pub fn fractional_delay(signal: &[Complex64], delay: f64) -> Vec<Complex64> {
     let mut ws = DelayWorkspace::new();
     let mut out = Vec::new();
@@ -99,24 +89,52 @@ pub fn fractional_delay(signal: &[Complex64], delay: f64) -> Vec<Complex64> {
     out
 }
 
-/// Reusable scratch for [`fractional_delay_into`]: holds the interpolation
-/// kernel between calls so the steady-state delay path does not allocate.
-#[derive(Debug, Clone, Default)]
+/// Reusable scratch for [`fractional_delay_into`]: the µ-independent
+/// Blackman window, computed once at construction, and the interpolation
+/// kernel of the latest call, so the delay path neither allocates nor
+/// re-evaluates the window's cosines per call.
+#[derive(Debug, Clone)]
 pub struct DelayWorkspace {
-    kernel: Vec<f64>,
+    window: [f64; TAPS],
+    kernel: [f64; TAPS],
 }
 
 impl DelayWorkspace {
-    /// An empty workspace; buffers grow on first use and are then reused.
+    /// A workspace with the window filled in.
     pub fn new() -> Self {
-        DelayWorkspace::default()
+        DelayWorkspace {
+            window: std::array::from_fn(|i| blackman(i, TAPS)),
+            kernel: [0.0; TAPS],
+        }
+    }
+
+    /// Fills `self.kernel` with the windowed-sinc kernel for `mu`.
+    fn load_kernel(&mut self, mu: f64) {
+        assert!((0.0..1.0).contains(&mu), "mu must be in [0,1), got {mu}");
+        for (i, (v, w)) in self.kernel.iter_mut().zip(&self.window).enumerate() {
+            let k = i as f64 - (SINC_HALF_WIDTH - 1) as f64;
+            let x = k - mu;
+            *v = sinc(x) * w;
+        }
+        // Normalise to unit DC gain so delays don't change signal power.
+        let s: f64 = self.kernel.iter().sum();
+        if s.abs() > 1e-12 {
+            for v in self.kernel.iter_mut() {
+                *v /= s;
+            }
+        }
+    }
+}
+
+impl Default for DelayWorkspace {
+    fn default() -> Self {
+        DelayWorkspace::new()
     }
 }
 
 /// [`fractional_delay`] into a caller-owned buffer: `out` is cleared and
-/// refilled and `ws` holds the kernel scratch, so after the first call at a
-/// given working size the path performs no heap allocation. Produces
-/// bit-identical output to [`fractional_delay`] (same accumulation order).
+/// refilled and `ws` holds the window and kernel, so after the first call
+/// at a given working size the path performs no heap allocation.
 pub fn fractional_delay_into(
     signal: &[Complex64],
     delay: f64,
@@ -133,15 +151,14 @@ pub fn fractional_delay_into(
         integer_delay_into(signal, int_part, out);
         return;
     }
-    fractional_kernel_into(mu, &mut ws.kernel);
-    let kernel = &ws.kernel;
+    ws.load_kernel(mu);
     // Convolve; kernel latency is SINC_HALF_WIDTH - 1 samples which we absorb
     // into the integer shift. The wanted total shift is int_part + mu and the
     // convolution already delays by latency + mu, so the output is the
     // convolution placed (int_part - latency) samples in — or trimmed by the
     // difference when that is negative.
     let latency = SINC_HALF_WIDTH - 1;
-    let conv_len = signal.len() + kernel.len() - 1;
+    let conv_len = signal.len() + TAPS - 1;
     let (lead, trim) = if int_part >= latency {
         (int_part - latency, 0)
     } else {
@@ -149,13 +166,50 @@ pub fn fractional_delay_into(
     };
     out.clear();
     out.resize(lead + conv_len - trim, Complex64::ZERO);
-    for (i, s) in signal.iter().enumerate() {
-        for (j, k) in kernel.iter().enumerate() {
-            let t = i + j;
-            if t >= trim {
-                out[lead + t - trim] += s.scale(*k);
+    convolve_gather(signal, &ws.kernel, trim, &mut out[lead..]);
+}
+
+/// Writes convolution outputs `trim..` of `signal ∗ kernel` into `out`.
+///
+/// Each output sums `signal[t − j]·kernel[j]` over descending tap `j`
+/// (ascending input index) starting from `Complex64::ZERO`. That order is
+/// part of the bit-identity contract: every pinned capture was produced by
+/// summing in it (`tests::scatter_oracle` keeps the per-input loop as the
+/// reference). Outputs with all taps inside the signal run in blocks of
+/// [`BLOCK`] independent accumulators in the native (re, im) layout; the
+/// edges take a plain loop in the same order.
+fn convolve_gather(signal: &[Complex64], kernel: &[f64; TAPS], trim: usize, out: &mut [Complex64]) {
+    let edge = |t: usize| {
+        let lo = (t + 1).saturating_sub(TAPS);
+        let hi = (t + 1).min(signal.len());
+        let mut acc = Complex64::ZERO;
+        for (i, s) in signal.iter().enumerate().take(hi).skip(lo) {
+            acc += s.scale(kernel[t - i]);
+        }
+        acc
+    };
+    // Full-tap outputs are t in [TAPS - 1, signal.len()); trim < TAPS - 1.
+    let full_lo = TAPS - 1;
+    let full_hi = signal.len().max(full_lo);
+    for t in trim..full_lo.min(trim + out.len()) {
+        out[t - trim] = edge(t);
+    }
+    let mut t = full_lo;
+    while t + BLOCK <= full_hi {
+        let mut acc = [Complex64::ZERO; BLOCK];
+        for (j, &k) in kernel.iter().enumerate().rev() {
+            let src: &[Complex64; BLOCK] = signal[t - j..t - j + BLOCK]
+                .try_into()
+                .expect("block of BLOCK samples");
+            for (a, s) in acc.iter_mut().zip(src) {
+                *a += s.scale(k);
             }
         }
+        out[t - trim..t - trim + BLOCK].copy_from_slice(&acc);
+        t += BLOCK;
+    }
+    for t in t..trim + out.len() {
+        out[t - trim] = edge(t);
     }
 }
 
@@ -313,9 +367,100 @@ mod tests {
         let mut idelay = Vec::new();
         integer_delay_into(&sig, 7, &mut idelay);
         assert_eq!(idelay, integer_delay(&sig, 7));
-        let mut kernel = Vec::new();
-        fractional_kernel_into(0.3, &mut kernel);
-        assert_eq!(kernel, fractional_kernel(0.3));
+        // A workspace whose window was filled by an earlier µ loads the same
+        // kernel bits as a fresh one.
+        ws.load_kernel(0.3);
+        assert_eq!(ws.kernel.to_vec(), fractional_kernel(0.3));
+    }
+
+    /// The per-input scatter convolution the gather kernel replaced, kept
+    /// as the bit-exact oracle: each input adds its scaled taps into the
+    /// outputs it reaches, in ascending input order.
+    fn scatter_oracle(signal: &[Complex64], delay: f64) -> Vec<Complex64> {
+        let int_part = delay.floor() as usize;
+        let mu = delay - int_part as f64;
+        let kernel = fractional_kernel(mu);
+        let latency = SINC_HALF_WIDTH - 1;
+        let conv_len = signal.len() + kernel.len() - 1;
+        let (lead, trim) = if int_part >= latency {
+            (int_part - latency, 0)
+        } else {
+            (0, latency - int_part)
+        };
+        let mut out = vec![Complex64::ZERO; lead + conv_len - trim];
+        for (i, s) in signal.iter().enumerate() {
+            for (j, k) in kernel.iter().enumerate() {
+                let t = i + j;
+                if t >= trim {
+                    out[lead + t - trim] += s.scale(*k);
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn gather_convolution_bitwise_matches_scatter_oracle() {
+        // Lengths around the kernel size and one long enough for many
+        // blocks plus a ragged tail; delays whose integer part sits below,
+        // at and above the kernel latency (trimmed vs zero-led output).
+        let mut rng = StdRng::seed_from_u64(31);
+        let gauss = ComplexGaussian::unit();
+        let latency = (SINC_HALF_WIDTH - 1) as f64;
+        let delays = [
+            0.37,
+            3.5,
+            latency - 0.1,
+            latency + 0.25,
+            latency + 1.6,
+            40.7,
+        ];
+        let mut ws = DelayWorkspace::new();
+        let mut out = Vec::new();
+        for &n in &[1usize, 2, 31, 32, 33, 4001] {
+            let mut sig: Vec<Complex64> = (0..n).map(|_| gauss.sample(&mut rng)).collect();
+            // Signed zeros: a -0.0 product added to the +0.0 start must
+            // come out the same way in both loops.
+            for s in sig.iter_mut().step_by(5) {
+                *s = Complex64::new(-0.0, s.im);
+            }
+            sig[n - 1] = Complex64::new(-0.0, -0.0);
+            for &d in &delays {
+                fractional_delay_into(&sig, d, &mut ws, &mut out);
+                let want = scatter_oracle(&sig, d);
+                assert_eq!(out.len(), want.len(), "n {n} delay {d}");
+                for (t, (a, b)) in out.iter().zip(&want).enumerate() {
+                    assert_eq!(a.re.to_bits(), b.re.to_bits(), "n {n} delay {d} t {t}");
+                    assert_eq!(a.im.to_bits(), b.im.to_bits(), "n {n} delay {d} t {t}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn output_length_matches_documented_extent() {
+        // Integer delays grow the waveform by exactly `delay`; any other
+        // delay by ceil(delay) + SINC_HALF_WIDTH - 1. For 0 < delay < 1
+        // (the only fractional delays `Link::propagate` applies) that is
+        // the SINC_HALF_WIDTH tail `Link::delivered_span` adds.
+        let sig = bandlimited_signal(32, 64);
+        for d in [0usize, 1, 5, SINC_HALF_WIDTH - 1, SINC_HALF_WIDTH, 40] {
+            assert_eq!(
+                fractional_delay(&sig, d as f64).len(),
+                sig.len() + d,
+                "delay {d}"
+            );
+        }
+        for d in [0.01_f64, 0.5, 0.99, 2.37, 14.9, 15.1, 40.25] {
+            let want = sig.len() + d.ceil() as usize + SINC_HALF_WIDTH - 1;
+            assert_eq!(fractional_delay(&sig, d).len(), want, "delay {d}");
+        }
+        for mu in [0.01, 0.5, 0.99] {
+            assert_eq!(
+                fractional_delay(&sig, mu).len(),
+                sig.len() + SINC_HALF_WIDTH
+            );
+        }
     }
 
     #[test]

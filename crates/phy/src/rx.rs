@@ -10,7 +10,7 @@
 
 use crate::chanest::{self, ChannelEstimate};
 use crate::crc;
-use crate::detect::{apply_cfo, Detection, Detector, DetectorConfig};
+use crate::detect::{Detection, Detector, DetectorConfig};
 use crate::frame::{self, SignalField};
 use crate::modulation::{self, DemapTable};
 use crate::ofdm;
@@ -188,7 +188,8 @@ impl Receiver {
     /// [`Receiver::receive`] through a reusable [`RxWorkspace`]: all
     /// per-symbol scratch (demod grid, LLR pool, demap tables, detector
     /// metrics, the CFO-corrected capture copy) lives in `ws` and is reused
-    /// across calls. Bit-identical to the allocating path.
+    /// across calls. Bit-identical to the allocating path. The corrected
+    /// capture stays readable through [`RxWorkspace::corrected_capture`].
     pub fn receive_with(
         &self,
         samples: &[Complex64],
@@ -204,10 +205,13 @@ impl Receiver {
         from: usize,
         ws: &mut RxWorkspace,
     ) -> Result<RxResult, RxError> {
-        let det = self
+        let Some(det) = self
             .detector
             .detect_with(&self.params, samples, from, &mut ws.detect)
-            .ok_or(RxError::NoPacket)?;
+        else {
+            ws.corrected.clear();
+            return Err(RxError::NoPacket);
+        };
         self.receive_at_with(samples, det, ws)
     }
 
@@ -251,25 +255,25 @@ impl Receiver {
             decode,
             ..
         } = ws;
-        // CFO-correct a working copy. Rotation is referenced to sample 0 so
-        // all later windows share the same reference.
-        corrected.clear();
-        corrected.extend_from_slice(samples);
-        let buf: &[Complex64] = {
-            apply_cfo(corrected, -det.cfo_hz, self.params.sample_rate_hz);
-            corrected
-        };
+        // CFO-correct a working copy, referenced to sample 0 so all later
+        // windows share the same reference. Only the samples read below are
+        // rotated: from the first LTS window to the end of the SIGNAL field,
+        // then on through the DATA field once its length is known.
+        let b = self.window_backoff.min(det.lts_start);
+        let sig_start = det.lts_start + LTS_REPS * n;
+        let n_sig = frame::n_signal_symbols(&self.params);
+        let sym_len = self.params.symbol_len();
+        let data_start = sig_start + n_sig * sym_len;
+        let fs = self.params.sample_rate_hz;
+        corrected.load(samples, -det.cfo_hz, fs, det.lts_start - b);
+        let buf = corrected.rotate_to(data_start);
 
         // Channel estimate with the common window backoff.
-        let b = self.window_backoff.min(det.lts_start);
         let est = chanest::estimate_from_lts(&self.params, &self.fft, buf, det.lts_start - b);
         let timing_offset = chanest::detection_delay_samples(&self.params, &est, 3e6) - b as f64;
 
         // SIGNAL field.
-        let sig_start = det.lts_start + LTS_REPS * n;
-        let n_sig = frame::n_signal_symbols(&self.params);
-        let sym_len = self.params.symbol_len();
-        if buf.len() < sig_start + n_sig * sym_len {
+        if buf.len() < data_start {
             return Err(RxError::Truncated(det));
         }
         let sig_span = SymbolSpan {
@@ -284,11 +288,12 @@ impl Receiver {
             .ok_or(RxError::BadSignal(det))?;
 
         // DATA field.
-        let data_start = sig_start + n_sig * sym_len;
         let n_data = frame::n_data_symbols(&self.params, signal.length as usize, signal.rate);
-        if buf.len() < data_start + n_data * sym_len {
+        let data_end = data_start + n_data * sym_len;
+        if samples.len() < data_end {
             return Err(RxError::Truncated(det));
         }
+        let buf = corrected.rotate_to(data_end);
         let m = signal.rate.modulation();
         let data_span = SymbolSpan {
             start: data_start,
@@ -438,6 +443,7 @@ impl Receiver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::detect::apply_cfo;
     use crate::params::{OfdmParams, RateId};
     use crate::tx::Transmitter;
     use rand::rngs::StdRng;
@@ -514,6 +520,45 @@ mod tests {
         let got = rx.receive(&buf).expect("decode failed under CFO");
         assert_eq!(got.payload, payload);
         assert!((got.diag.detection.cfo_hz - 73e3).abs() < 2e3);
+    }
+
+    #[test]
+    fn corrected_capture_bitwise_matches_whole_buffer_cfo() {
+        // The receive chain rotates [lts_start − backoff, end of DATA) in two
+        // spans; the rest is rotated on demand. The assembled buffer must
+        // carry the bits of one whole-capture rotation. Lead pads are chosen
+        // so the first rotated index is odd and not a multiple of 4, i.e.
+        // the spans start off the 4-lane grid of the vector mixer.
+        let params = OfdmParams::dot11a();
+        let tx = Transmitter::new(params.clone());
+        let rx = Receiver::new(params.clone());
+        let payload = vec![0x3C; 150];
+        let mut wave = tx.frame_waveform(&payload, RateId::R18, 0);
+        apply_cfo(&mut wave, -41e3, params.sample_rate_hz);
+        let mut ws = RxWorkspace::new(&params);
+        let mut odd_starts = 0;
+        for pad in 200..208 {
+            let buf = on_air(&wave, pad, 30.0, 15 + pad as u64);
+            let got = rx.receive_with(&buf, &mut ws).expect("decode");
+            assert_eq!(got.payload, payload);
+            let det = got.diag.detection;
+            let lo = det.lts_start - rx.window_backoff.min(det.lts_start);
+            if lo % 2 == 1 {
+                odd_starts += 1;
+            }
+            let mut want = buf.clone();
+            apply_cfo(&mut want, -det.cfo_hz, params.sample_rate_hz);
+            let have = ws.corrected_capture();
+            assert_eq!(have.len(), want.len());
+            for (i, (a, b)) in have.iter().zip(&want).enumerate() {
+                assert_eq!(a.re.to_bits(), b.re.to_bits(), "pad {pad} lo {lo} i {i}");
+                assert_eq!(a.im.to_bits(), b.im.to_bits(), "pad {pad} lo {lo} i {i}");
+            }
+        }
+        assert!(odd_starts >= 2, "only {odd_starts} odd rotation starts");
+        // A failed detection leaves no stale capture behind.
+        assert!(rx.receive_with(&[], &mut ws).is_err());
+        assert!(ws.corrected_capture().is_empty());
     }
 
     #[test]

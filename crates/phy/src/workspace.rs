@@ -25,6 +25,7 @@
 use crate::frame::DecodeScratch;
 use crate::modulation::DemapTable;
 use crate::params::{Modulation, OfdmParams};
+use ssync_dsp::mixer::apply_cfo_from;
 use ssync_dsp::Complex64;
 use std::sync::Mutex;
 
@@ -171,13 +172,87 @@ impl DetectScratch {
     }
 }
 
+/// The receiver's CFO-corrected copy of a capture, rotated span by span.
+///
+/// The correction is referenced to sample 0, so sample `i` is rotated by
+/// `step·(i as f64)` whichever span it is rotated with: a span `[lo, hi)`
+/// goes through [`apply_cfo_from`] with phase origin `lo as f64`, and
+/// `(lo + k) as f64 == k as f64 + lo as f64` exactly (integer sums below
+/// 2^53). Any partition of the buffer therefore gives the bits of one
+/// whole-buffer [`ssync_dsp::mixer::apply_cfo`].
+#[derive(Debug, Clone, Default)]
+pub(crate) struct CorrectedCapture {
+    samples: Vec<Complex64>,
+    cfo_hz: f64,
+    sample_rate_hz: f64,
+    /// `samples[lo..hi]` are rotated; the samples outside are still raw.
+    lo: usize,
+    hi: usize,
+}
+
+impl CorrectedCapture {
+    /// Copies `capture`, to be rotated by `cfo_hz` from index `lo` on.
+    /// Nothing is rotated yet.
+    pub(crate) fn load(
+        &mut self,
+        capture: &[Complex64],
+        cfo_hz: f64,
+        sample_rate_hz: f64,
+        lo: usize,
+    ) {
+        self.samples.clear();
+        self.samples.extend_from_slice(capture);
+        self.cfo_hz = cfo_hz;
+        self.sample_rate_hz = sample_rate_hz;
+        self.lo = lo.min(capture.len());
+        self.hi = self.lo;
+    }
+
+    /// Forgets the capture (the next [`CorrectedCapture::rotate_all`]
+    /// returns an empty buffer).
+    pub(crate) fn clear(&mut self) {
+        self.samples.clear();
+        self.lo = 0;
+        self.hi = 0;
+    }
+
+    /// Extends the rotated span to `hi` (clamped to the capture) and
+    /// returns the buffer; only `samples[lo..hi]` are corrected.
+    pub(crate) fn rotate_to(&mut self, hi: usize) -> &[Complex64] {
+        let hi = hi.min(self.samples.len());
+        if hi > self.hi {
+            self.rotate(self.hi, hi);
+            self.hi = hi;
+        }
+        &self.samples
+    }
+
+    /// Rotates every sample not rotated yet and returns the whole
+    /// corrected buffer.
+    pub(crate) fn rotate_all(&mut self) -> &[Complex64] {
+        self.rotate(0, self.lo);
+        self.rotate(self.hi, self.samples.len());
+        self.lo = 0;
+        self.hi = self.samples.len();
+        &self.samples
+    }
+
+    fn rotate(&mut self, lo: usize, hi: usize) {
+        if lo < hi {
+            let span = &mut self.samples[lo..hi];
+            apply_cfo_from(span, self.cfo_hz, self.sample_rate_hz, lo as f64);
+        }
+    }
+}
+
 /// Receive-side scratch: everything `Receiver::receive_with` needs to run
 /// the detection → channel-estimation → equalisation → soft-bit chain
 /// without per-symbol allocation.
 #[derive(Debug, Clone)]
 pub struct RxWorkspace {
-    /// CFO-corrected working copy of the capture.
-    pub(crate) corrected: Vec<Complex64>,
+    /// CFO-corrected working copy of the capture (rotated only where the
+    /// receive chain reads, until [`RxWorkspace::corrected_capture`]).
+    pub(crate) corrected: CorrectedCapture,
     /// Per-symbol demodulated subcarrier grid.
     pub(crate) grid: Vec<Complex64>,
     /// Per-symbol LLR pool (SIGNAL and DATA spans reuse it in turn).
@@ -196,13 +271,24 @@ impl RxWorkspace {
     /// size; all other buffers grow to their working sizes on first use).
     pub fn new(params: &OfdmParams) -> Self {
         RxWorkspace {
-            corrected: Vec::new(),
+            corrected: CorrectedCapture::default(),
             grid: Vec::with_capacity(params.fft_size),
             llrs: SymbolLlrs::new(),
             tables: DemapTables::new(),
             detect: DetectScratch::new(),
             decode: DecodeScratch::new(),
         }
+    }
+
+    /// The capture of the last receive through this workspace,
+    /// CFO-corrected over its whole length: bit-identical to
+    /// [`ssync_dsp::mixer::apply_cfo`] with the detected offset's negative
+    /// on a copy of the capture. The receive chain rotates only the samples
+    /// it reads (LTS to end of DATA); the first call here rotates the rest,
+    /// so each sample is rotated once. Empty when the last receive detected
+    /// no packet.
+    pub fn corrected_capture(&mut self) -> &[Complex64] {
+        self.corrected.rotate_all()
     }
 }
 
