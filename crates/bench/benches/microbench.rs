@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ssync_dsp::rng::ComplexGaussian;
-use ssync_dsp::{Complex64, Fft};
+use ssync_dsp::{Complex64, FftPlan};
 use ssync_linprog::MisalignmentProblem;
 use ssync_phy::{OfdmParams, RateId, Receiver, Transmitter};
 
@@ -13,7 +13,7 @@ fn bench_fft(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(1);
     let gauss = ComplexGaussian::unit();
     for n in [64usize, 128] {
-        let fft = Fft::new(n);
+        let fft = FftPlan::new(n);
         let input = gauss.sample_vec(&mut rng, n);
         c.bench_function(&format!("fft_forward_{n}"), |b| {
             b.iter_batched(
@@ -65,7 +65,7 @@ fn bench_full_frame(c: &mut Criterion) {
 
 fn bench_detection(c: &mut Criterion) {
     let params = OfdmParams::dot11a();
-    let fft = Fft::new(params.fft_size);
+    let fft = FftPlan::new(params.fft_size);
     let det = ssync_phy::Detector::new(&params, &fft);
     let pre = ssync_phy::preamble::preamble_waveform(&params, &fft);
     let mut rng = StdRng::seed_from_u64(4);

@@ -98,8 +98,8 @@ pub fn converged_joint(
 }
 
 /// Runs one joint transmission with an explicit wait, through the staged
-/// [`JointSession`] (identical in every byte to the historical
-/// `run_joint_transmission` path — the golden tests pin this).
+/// [`JointSession`] (identical in every byte to the historical monolithic
+/// driver — the golden tests pin this).
 pub fn run_once(
     net: &mut Network,
     rng: &mut StdRng,

@@ -9,7 +9,7 @@
 
 use ssync_dsp::delay::fractional_delay;
 use ssync_dsp::stats::unwrap_phases;
-use ssync_dsp::Fft;
+use ssync_dsp::FftPlan;
 use ssync_exp::{Ctx, Output, Scenario, Value};
 use ssync_phy::chanest::estimate_from_lts;
 use ssync_phy::preamble::{preamble_waveform, PreambleLayout};
@@ -33,7 +33,7 @@ impl Scenario for Fig05PhaseSlope {
 
     fn run(&self, _ctx: &Ctx, out: &mut Output) {
         let params = OfdmParams::dot11a();
-        let fft = Fft::new(params.fft_size);
+        let fft = FftPlan::new(params.fft_size);
         let pre = preamble_waveform(&params, &fft);
         let layout = PreambleLayout::of(&params);
         let delta = 4.0; // induced detection offset, samples

@@ -6,7 +6,7 @@
 //! multi-receiver min-max LP, then one joint frame decoded at *two*
 //! receivers. Reported per cell: how many co-senders joined, the decode
 //! rate across both receivers, and the typed join-failure breakdown that
-//! the staged API surfaces (`run_joint_transmission`'s silent `continue`s
+//! the staged API surfaces (the monolithic driver's silent `continue`s
 //! made these counts unmeasurable).
 //!
 //! Output: TSV

@@ -34,7 +34,7 @@ const PAYLOAD_LEN: usize = 384;
 /// rounds (the paper's own link-selection method, §8).
 fn measured_delivery(
     net: &mut Network,
-    modem: &Modem,
+    modem: &mut Modem,
     seed: u64,
     tx: usize,
     rx: usize,
@@ -65,7 +65,7 @@ fn measured_delivery(
 /// the effective operating point by several dB either way.
 fn shape_link(
     net: &mut Network,
-    modem: &Modem,
+    modem: &mut Modem,
     seed: u64,
     a: usize,
     b: usize,
@@ -91,13 +91,21 @@ fn shape_link(
 /// healthy first hop, ≈50 %-lossy final hop (the Fig. 10 regime where
 /// sender diversity pays), clustered relays, dead direct link.
 fn pin_topology(rng: &mut StdRng, net: &mut Network) {
-    let modem = Modem::new(net.params.clone());
+    let mut modem = Modem::new(net.params.clone());
     let seed = rng.gen::<u64>();
     for r in 1..=3usize {
         let a = rng.gen_range(7.5..9.0);
-        shape_link(net, &modem, seed ^ (r as u64), 0, r, a, (0.75, 1.0));
+        shape_link(net, &mut modem, seed ^ (r as u64), 0, r, a, (0.75, 1.0));
         let b = rng.gen_range(5.0..6.5);
-        shape_link(net, &modem, seed ^ (0x40 + r as u64), r, 4, b, (0.1, 0.4));
+        shape_link(
+            net,
+            &mut modem,
+            seed ^ (0x40 + r as u64),
+            r,
+            4,
+            b,
+            (0.1, 0.4),
+        );
     }
     for i in 1..=3usize {
         for j in i + 1..=3usize {

@@ -51,8 +51,7 @@ fn table_overhead_matches_prerefactor_output() {
 }
 
 /// The two scenarios that drive the most joint transmissions, pinned when
-/// `run_joint_transmission` became a wrapper over the staged
-/// `JointSession`. They are checked at one multi-threaded worker count
+/// the monolithic joint driver was replaced by the staged `JointSession`. They are checked at one multi-threaded worker count
 /// here (they are the suite's slowest scenarios in the debug profile;
 /// thread-count determinism is covered by `determinism.rs`), and CI's
 /// `ssync-lab --check` step re-verifies both in release on every push.

@@ -89,8 +89,8 @@ impl Link {
     /// grid, the fractional-delay interpolator's `SINC_HALF_WIDTH` tail.
     ///
     /// This is the extent check that lets a capture skip transmissions that
-    /// cannot overlap its window, and the retirement rule for transmissions
-    /// whose delivered extent has fully passed.
+    /// cannot overlap its window, and the check that a testbed exchange's
+    /// frame ends inside its capture window.
     pub fn delivered_span(
         &self,
         waveform_len: usize,

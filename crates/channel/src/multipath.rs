@@ -14,7 +14,7 @@
 
 use rand::Rng;
 use ssync_dsp::rng::ComplexGaussian;
-use ssync_dsp::{Complex64, Fft};
+use ssync_dsp::{Complex64, FftPlan};
 
 /// Parameters from which per-link channel realisations are drawn.
 #[derive(Debug, Clone, Copy)]
@@ -135,7 +135,7 @@ impl Multipath {
 
     /// Frequency response over `n` FFT bins.
     pub fn frequency_response(&self, n: usize) -> Vec<Complex64> {
-        let fft = Fft::new(n);
+        let fft = FftPlan::new(n);
         let mut buf = vec![Complex64::ZERO; n];
         for (i, t) in self.taps.iter().enumerate() {
             buf[i % n] += *t;

@@ -348,7 +348,6 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use ssync_dsp::rng::ComplexGaussian;
-    use ssync_dsp::Fft;
     use ssync_phy::chanest::ChannelEstimate;
     use ssync_phy::OfdmParams;
 
@@ -403,7 +402,7 @@ mod tests {
     #[test]
     fn joint_roundtrip_flat_channels() {
         let params = OfdmParams::dot11a();
-        let fft = Fft::new(params.fft_size);
+        let fft = FftPlan::new(params.fft_size);
         let mut rng = StdRng::seed_from_u64(1);
         let psdu: Vec<u8> = (0..200).map(|_| rng.gen()).collect();
         let cp = params.cp_len;
@@ -438,7 +437,7 @@ mod tests {
         // The §6 story end-to-end: h_B = −h_A nulls naive transmission but
         // not the Alamouti-coded one.
         let params = OfdmParams::dot11a();
-        let fft = Fft::new(params.fft_size);
+        let fft = FftPlan::new(params.fft_size);
         let mut rng = StdRng::seed_from_u64(3);
         let psdu: Vec<u8> = (0..100).map(|_| rng.gen()).collect();
         let cp = params.cp_len;
@@ -473,7 +472,7 @@ mod tests {
     fn lone_lead_still_decodes() {
         // Subset decodability: role B absent entirely.
         let params = OfdmParams::dot11a();
-        let fft = Fft::new(params.fft_size);
+        let fft = FftPlan::new(params.fft_size);
         let mut rng = StdRng::seed_from_u64(6);
         let psdu: Vec<u8> = (0..80).map(|_| rng.gen()).collect();
         let cp = params.cp_len;
@@ -508,7 +507,7 @@ mod tests {
         // Give role B a slow continuous rotation (residual CFO after
         // pre-correction) and check the pilots keep the decode alive.
         let params = OfdmParams::dot11a();
-        let fft = Fft::new(params.fft_size);
+        let fft = FftPlan::new(params.fft_size);
         let mut rng = StdRng::seed_from_u64(7);
         let psdu: Vec<u8> = (0..150).map(|_| rng.gen()).collect();
         let cp = params.cp_len;
@@ -544,7 +543,7 @@ mod tests {
     #[test]
     fn short_buffer_returns_none() {
         let params = OfdmParams::dot11a();
-        let fft = Fft::new(params.fft_size);
+        let fft = FftPlan::new(params.fft_size);
         let roles = const_roles(&params, Complex64::ONE, Complex64::ONE, 1e-3);
         let buf = vec![Complex64::ZERO; 10];
         let window = JointDataWindow {

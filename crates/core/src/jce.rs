@@ -184,14 +184,13 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use ssync_dsp::rng::ComplexGaussian;
-    use ssync_dsp::Fft;
     use ssync_phy::preamble::cosender_training;
     use ssync_phy::OfdmParams;
 
     #[test]
     fn training_slot_estimate_recovers_unit_channel() {
         let params = OfdmParams::dot11a();
-        let fft = Fft::new(params.fft_size);
+        let fft = FftPlan::new(params.fft_size);
         let cp = 20;
         let slot = cosender_training(&params, &fft, cp);
         let mut buf = vec![Complex64::ZERO; 40];
@@ -209,7 +208,7 @@ mod tests {
     #[test]
     fn training_slot_estimate_with_noise() {
         let params = OfdmParams::dot11a();
-        let fft = Fft::new(params.fft_size);
+        let fft = FftPlan::new(params.fft_size);
         let cp = 20;
         let slot = cosender_training(&params, &fft, cp);
         let mut rng = StdRng::seed_from_u64(1);
@@ -228,7 +227,7 @@ mod tests {
     #[test]
     fn energy_ratio_discriminates_presence() {
         let params = OfdmParams::dot11a();
-        let fft = Fft::new(params.fft_size);
+        let fft = FftPlan::new(params.fft_size);
         let cp = 16;
         let slot = cosender_training(&params, &fft, cp);
         let mut rng = StdRng::seed_from_u64(2);

@@ -1,19 +1,14 @@
-//! The joint-transmission protocol types and the one-call compatibility
-//! driver (paper §4.4, Figs. 6–7).
+//! The joint-transmission protocol types (paper §4.4, Figs. 6–7).
 //!
 //! The protocol itself lives in [`crate::session`] as the staged
-//! [`JointSession`] API — per-role stages
+//! [`JointSession`](crate::session::JointSession) API — per-role stages
 //! (`LeadTx`, `CosenderJoin`, `ReceiverDecode`) that can be invoked
-//! separately over the sample-level medium. This module keeps:
+//! separately over the sample-level medium. This module keeps the shared
+//! vocabulary — [`JointConfig`], [`CosenderPlan`], [`ReceiverReport`],
+//! [`JointOutcome`].
 //!
-//! * the shared vocabulary — [`JointConfig`], [`CosenderPlan`],
-//!   [`ReceiverReport`], [`JointOutcome`];
-//! * [`run_joint_transmission`], a thin wrapper that builds a session and
-//!   runs all stages in protocol order. Its outputs are byte-identical to
-//!   the historical monolithic driver, which is what the figure
-//!   reproductions and golden tests pin.
-//!
-//! One call to [`run_joint_transmission`] plays out an entire joint frame:
+//! One [`JointSession::run`](crate::session::JointSession::run) plays out
+//! an entire joint frame:
 //!
 //! 1. the lead sender transmits the sync header, then goes silent for a
 //!    SIFS plus the co-sender training slots, then transmits its
@@ -30,17 +25,14 @@
 //!
 //! The returned [`JointOutcome`] carries the receivers' *measured*
 //! misalignments, the simulator's exact ground truth (what the Fig. 12
-//! synchronization-error experiment compares), and — through the session
-//! redesign — a typed per-co-sender join diagnostic
-//! ([`CosenderOutcome`]).
+//! synchronization-error experiment compares), and a typed per-co-sender
+//! join diagnostic ([`CosenderOutcome`]).
 
 use crate::combiner::{CombinerStats, DataSectionSpec};
-use crate::session::{CosenderOutcome, JointSession};
-use crate::sls::DelayDatabase;
-use rand::Rng;
+use crate::session::CosenderOutcome;
 use ssync_phy::chanest::ChannelEstimate;
 use ssync_phy::RateId;
-use ssync_sim::{Network, NodeId, Time};
+use ssync_sim::{NodeId, Time};
 
 /// Knobs of a joint transmission (the `false` settings are the ablation
 /// baselines the paper argues against).
@@ -96,7 +88,8 @@ pub struct CosenderPlan {
     /// The co-sender node.
     pub node: NodeId,
     /// Its wait time `wᵢ` relative to the global reference, seconds
-    /// (from [`DelayDatabase::wait_solution`] or §4.5 tracking).
+    /// (from [`DelayDatabase::wait_solution`](crate::sls::DelayDatabase::wait_solution)
+    /// or §4.5 tracking).
     pub wait_s: f64,
 }
 
@@ -156,37 +149,16 @@ impl JointOutcome {
     }
 }
 
-/// Runs one complete joint transmission — a thin compatibility wrapper
-/// that assembles a [`JointSession`] and drives all of its stages in
-/// protocol order. See the module docs for the walkthrough; see
-/// [`crate::session`] to drive the stages individually.
-#[allow(clippy::too_many_arguments)] // historical signature, kept byte-compatible
-pub fn run_joint_transmission<R: Rng + ?Sized>(
-    net: &mut Network,
-    rng: &mut R,
-    lead: NodeId,
-    plans: &[CosenderPlan],
-    receivers: &[NodeId],
-    payload: &[u8],
-    db: &DelayDatabase,
-    cfg: &JointConfig,
-) -> JointOutcome {
-    JointSession::new(lead)
-        .cosenders(plans.iter().copied())
-        .receivers(receivers.iter().copied())
-        .payload(payload)
-        .config(*cfg)
-        .run(net, rng, db)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::JointSession;
+    use crate::sls::DelayDatabase;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use ssync_channel::Position;
     use ssync_phy::OfdmParams;
-    use ssync_sim::ChannelModels;
+    use ssync_sim::{ChannelModels, Network};
 
     /// Lead at origin, co-sender 12 m east, receiver 10 m north-east-ish.
     fn test_network(seed: u64) -> Network {
@@ -222,19 +194,15 @@ mod tests {
             .unwrap();
         let mut rng = StdRng::seed_from_u64(3);
         let payload: Vec<u8> = (0..200u16).map(|i| (i % 251) as u8).collect();
-        let out = run_joint_transmission(
-            &mut net,
-            &mut rng,
-            NodeId(0),
-            &[CosenderPlan {
+        let out = JointSession::new(NodeId(0))
+            .cosender(CosenderPlan {
                 node: NodeId(1),
                 wait_s: sol.waits[0],
-            }],
-            &[NodeId(2)],
-            &payload,
-            &db,
-            &JointConfig::default(),
-        );
+            })
+            .receiver(NodeId(2))
+            .payload(&payload[..])
+            .config(JointConfig::default())
+            .run(&mut net, &mut rng, &db);
         let report = &out.reports[0];
         assert!(report.header_ok, "header failed");
         assert!(report.co_channels[0].is_some(), "co-sender not seen");
@@ -267,40 +235,32 @@ mod tests {
         let sol = db
             .wait_solution(NodeId(0), &[NodeId(1)], &[NodeId(2)])
             .unwrap();
-        let payload = vec![0x42u8; 100];
+        let payload = [0x42u8; 100];
 
         let mut rng = StdRng::seed_from_u64(6);
-        let sync_out = run_joint_transmission(
-            &mut net,
-            &mut rng,
-            NodeId(0),
-            &[CosenderPlan {
+        let sync_out = JointSession::new(NodeId(0))
+            .cosender(CosenderPlan {
                 node: NodeId(1),
                 wait_s: sol.waits[0],
-            }],
-            &[NodeId(2)],
-            &payload,
-            &db,
-            &JointConfig::default(),
-        );
+            })
+            .receiver(NodeId(2))
+            .payload(&payload[..])
+            .config(JointConfig::default())
+            .run(&mut net, &mut rng, &db);
         let mut rng = StdRng::seed_from_u64(6);
         let base_cfg = JointConfig {
             delay_compensation: false,
             ..Default::default()
         };
-        let base_out = run_joint_transmission(
-            &mut net,
-            &mut rng,
-            NodeId(0),
-            &[CosenderPlan {
+        let base_out = JointSession::new(NodeId(0))
+            .cosender(CosenderPlan {
                 node: NodeId(1),
                 wait_s: 0.0,
-            }],
-            &[NodeId(2)],
-            &payload,
-            &db,
-            &base_cfg,
-        );
+            })
+            .receiver(NodeId(2))
+            .payload(&payload[..])
+            .config(base_cfg)
+            .run(&mut net, &mut rng, &db);
         let sync_mis = sync_out.true_misalign_s[0][0].abs();
         let base_mis = base_out.true_misalign_s[0][0].abs();
         assert!(
@@ -328,20 +288,16 @@ mod tests {
             &ChannelModels::clean(&params),
         );
         let db = DelayDatabase::new(); // empty: co never joins anyway
-        let payload = vec![0x77u8; 150];
-        let out = run_joint_transmission(
-            &mut net,
-            &mut rng,
-            NodeId(0),
-            &[CosenderPlan {
+        let payload = [0x77u8; 150];
+        let out = JointSession::new(NodeId(0))
+            .cosender(CosenderPlan {
                 node: NodeId(1),
                 wait_s: 0.0,
-            }],
-            &[NodeId(2)],
-            &payload,
-            &db,
-            &JointConfig::default(),
-        );
+            })
+            .receiver(NodeId(2))
+            .payload(&payload[..])
+            .config(JointConfig::default())
+            .run(&mut net, &mut rng, &db);
         let report = &out.reports[0];
         assert!(report.header_ok);
         assert!(report.co_channels[0].is_none(), "ghost co-sender");
@@ -368,19 +324,15 @@ mod tests {
             .wait_solution(NodeId(0), &[NodeId(1)], &[NodeId(2)])
             .unwrap();
         let mut rng = StdRng::seed_from_u64(10);
-        let out = run_joint_transmission(
-            &mut net,
-            &mut rng,
-            NodeId(0),
-            &[CosenderPlan {
+        let out = JointSession::new(NodeId(0))
+            .cosender(CosenderPlan {
                 node: NodeId(1),
                 wait_s: sol.waits[0],
-            }],
-            &[NodeId(2)],
-            &[1, 2, 3, 4],
-            &db,
-            &JointConfig::default(),
-        );
+            })
+            .receiver(NodeId(2))
+            .payload([1u8, 2, 3, 4])
+            .config(JointConfig::default())
+            .run(&mut net, &mut rng, &db);
         let report = &out.reports[0];
         assert_eq!(report.effective_snr_db.len(), 48);
         assert!(report.stats.mean_effective_gain > 0.0);

@@ -24,8 +24,8 @@
 //! * [`session`] — the staged, per-role [`JointSession`] protocol driver
 //!   over the sample-level medium (`LeadTx` → `CosenderJoin` →
 //!   `ReceiverDecode`, with typed [`JoinFailure`] join diagnostics),
-//! * [`joint`] — the protocol vocabulary plus the one-call
-//!   [`run_joint_transmission`] compatibility wrapper over the session.
+//! * [`joint`] — the protocol vocabulary the session speaks
+//!   ([`JointConfig`], [`CosenderPlan`], [`JointOutcome`]).
 
 // No unsafe anywhere in this crate: the determinism contract is easier
 // to audit when the only unsafe in the workspace is ssync_phy's fenced
@@ -45,7 +45,7 @@ pub use combiner::{
     CombineWorkspace, CombinerStats, DataSectionSpec, JointDataWindow,
 };
 pub use jce::RoleChannels;
-pub use joint::{run_joint_transmission, CosenderPlan, JointConfig, JointOutcome, ReceiverReport};
+pub use joint::{CosenderPlan, JointConfig, JointOutcome, ReceiverReport};
 pub use session::{
     CosenderJoin, CosenderOutcome, CosenderTx, JoinFailure, JointSession, LeadFrame, LeadTx,
     ReceiverDecode, SessionWorkspace,

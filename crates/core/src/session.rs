@@ -1,11 +1,10 @@
 //! The staged joint-transmission API: one [`JointSession`] per joint
 //! frame, driven role by role.
 //!
-//! [`run_joint_transmission`](crate::joint::run_joint_transmission) plays
-//! the whole §4.4 protocol in one opaque call; this module exposes the
-//! same protocol as *explicit, separately-invocable stages*, each a
-//! per-node struct with its own inputs and outputs, all sharing the
-//! medium through [`ssync_sim::Network`]:
+//! This module exposes the §4.4 protocol as *explicit,
+//! separately-invocable stages*, each a per-node struct with its own
+//! inputs and outputs, all sharing the medium through
+//! [`ssync_sim::Network`]:
 //!
 //! * [`LeadTx`] — the lead sender's role: lays out the frame geometry
 //!   ([`LeadFrame`]), schedules the sync header, and schedules the lead's
@@ -19,12 +18,13 @@
 //! * [`ReceiverDecode`] — one receiver's role: joint channel estimation,
 //!   space-time combining, and the §4.5 misalignment report.
 //!
-//! [`JointSession::run`] drives all three stages in protocol order and is
-//! what the compatibility wrapper delegates to — its outputs are
-//! byte-identical to the historical monolith. Driving the stages yourself
-//! is what the monolith could never do: joining a co-sender against a
-//! *different* session's frame (stale-packet experiments), skipping the
-//! lead entirely, or decoding at receivers the senders never planned for.
+//! [`JointSession::run`] drives all three stages in protocol order; its
+//! outputs are byte-identical to the historical monolithic driver, which
+//! is what the figure reproductions and golden tests pin. Driving the
+//! stages yourself is what the monolith could never do: joining a
+//! co-sender against a *different* session's frame (stale-packet
+//! experiments), skipping the lead entirely, or decoding at receivers the
+//! senders never planned for.
 //!
 //! ```no_run
 //! # use ssync_core::session::JointSession;
@@ -996,47 +996,6 @@ mod tests {
             .receiver(NodeId(2))
             .payload(payload.to_vec())
             .config(JointConfig::default())
-    }
-
-    #[test]
-    fn staged_run_matches_monolith_wrapper() {
-        // Same seeds through the staged driver and the compatibility
-        // wrapper must give bit-identical outcomes.
-        let payload: Vec<u8> = (0..180u16).map(|i| (i * 7 % 256) as u8).collect();
-        let mut net_a = test_network(21);
-        let db_a = measured_db(&mut net_a, 22);
-        let sol = db_a
-            .wait_solution(NodeId(0), &[NodeId(1)], &[NodeId(2)])
-            .unwrap();
-        let mut rng = StdRng::seed_from_u64(23);
-        let staged = session(&payload, sol.waits[0]).run(&mut net_a, &mut rng, &db_a);
-
-        let mut net_b = test_network(21);
-        let db_b = measured_db(&mut net_b, 22);
-        let mut rng = StdRng::seed_from_u64(23);
-        let wrapped = crate::joint::run_joint_transmission(
-            &mut net_b,
-            &mut rng,
-            NodeId(0),
-            &[CosenderPlan {
-                node: NodeId(1),
-                wait_s: sol.waits[0],
-            }],
-            &[NodeId(2)],
-            &payload,
-            &db_b,
-            &JointConfig::default(),
-        );
-        assert_eq!(
-            staged.reports[0].payload, wrapped.reports[0].payload,
-            "payloads diverged"
-        );
-        assert_eq!(staged.true_misalign_s, wrapped.true_misalign_s);
-        assert_eq!(staged.co_tx_times, wrapped.co_tx_times);
-        assert_eq!(
-            staged.reports[0].measured_misalign_s,
-            wrapped.reports[0].measured_misalign_s
-        );
     }
 
     #[test]

@@ -236,7 +236,7 @@ pub fn spectrum_delay(spectrum: &mut [Complex64], delay: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fft::Fft;
+    use crate::fft::FftPlan;
     use crate::rng::ComplexGaussian;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -246,7 +246,7 @@ mod tests {
     fn bandlimited_signal(seed: u64, n: usize) -> Vec<Complex64> {
         let mut rng = StdRng::seed_from_u64(seed);
         let gauss = ComplexGaussian::unit();
-        let fft = Fft::new(n);
+        let fft = FftPlan::new(n);
         let mut spec = vec![Complex64::ZERO; n];
         // Occupy bins within ±N/4 of DC.
         for (k, bin) in spec.iter_mut().enumerate() {
@@ -279,7 +279,7 @@ mod tests {
         let delayed = fractional_delay(&sig, 0.5);
         // Oracle: circular spectral shift. Compare on the interior where the
         // linear and circular versions agree.
-        let fft = Fft::new(n);
+        let fft = FftPlan::new(n);
         let mut spec = fft.forward_to_vec(&sig);
         spectrum_delay(&mut spec, 0.5);
         let oracle = fft.inverse_to_vec(&spec);
@@ -337,7 +337,7 @@ mod tests {
     fn spectrum_delay_integer_matches_rotation() {
         let n = 64;
         let sig = bandlimited_signal(24, n);
-        let fft = Fft::new(n);
+        let fft = FftPlan::new(n);
         let mut spec = fft.forward_to_vec(&sig);
         spectrum_delay(&mut spec, 3.0);
         let rotated = fft.inverse_to_vec(&spec);

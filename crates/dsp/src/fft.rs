@@ -12,8 +12,7 @@
 //! through one shared table. The per-stage values are copied from the same
 //! base table the original single-table implementation indexed, and the
 //! butterfly arithmetic is unchanged, so the planned transform is
-//! bit-identical to its predecessor. [`Fft`] survives as a thin wrapper that
-//! derefs to its plan, keeping every legacy signature and call site intact.
+//! bit-identical to its predecessor.
 //!
 //! Sizes must be powers of two (64 and 128 in this workspace). The
 //! convention is the signal-processing one:
@@ -31,7 +30,6 @@
 
 use crate::complex::Complex64;
 use std::f64::consts::PI;
-use std::ops::Deref;
 
 /// Auxiliary tables for the real-input split: the half-size complex plan and
 /// the recombination twiddles `e^{-j2πk/N}`.
@@ -313,49 +311,6 @@ impl FftPlan {
     }
 }
 
-/// The legacy planned-FFT handle: a thin wrapper around [`FftPlan`].
-///
-/// Every pre-existing signature keeps working — the wrapper derefs to its
-/// plan, so `fft.forward(..)` and passing `&Fft` where `&FftPlan` is expected
-/// both resolve without code changes. New code should hold [`FftPlan`]
-/// directly.
-#[derive(Debug, Clone)]
-pub struct Fft {
-    plan: FftPlan,
-}
-
-impl Fft {
-    /// Plans an FFT of size `n`.
-    ///
-    /// # Panics
-    /// Panics if `n` is not a power of two or is smaller than 2.
-    pub fn new(n: usize) -> Self {
-        Fft {
-            plan: FftPlan::new(n),
-        }
-    }
-
-    /// The underlying plan.
-    #[inline]
-    pub fn plan(&self) -> &FftPlan {
-        &self.plan
-    }
-}
-
-impl Deref for Fft {
-    type Target = FftPlan;
-    #[inline]
-    fn deref(&self) -> &FftPlan {
-        &self.plan
-    }
-}
-
-impl From<FftPlan> for Fft {
-    fn from(plan: FftPlan) -> Self {
-        Fft { plan }
-    }
-}
-
 /// Direct O(N²) DFT, used as a test oracle for the fast transform.
 pub fn dft_naive(input: &[Complex64]) -> Vec<Complex64> {
     let n = input.len();
@@ -416,7 +371,7 @@ mod tests {
 
     #[test]
     fn impulse_transforms_to_constant() {
-        let fft = Fft::new(64);
+        let fft = FftPlan::new(64);
         let mut x = vec![Complex64::ZERO; 64];
         x[0] = Complex64::ONE;
         let y = fft.forward_to_vec(&x);
@@ -428,7 +383,7 @@ mod tests {
     #[test]
     fn single_tone_lands_in_one_bin() {
         let n = 64;
-        let fft = Fft::new(n);
+        let fft = FftPlan::new(n);
         let k0 = 5;
         let x: Vec<Complex64> = (0..n)
             .map(|t| Complex64::cis(2.0 * PI * (k0 * t) as f64 / n as f64))
@@ -449,7 +404,7 @@ mod tests {
         let gauss = ComplexGaussian::unit();
         let n = 128;
         let x: Vec<Complex64> = (0..n).map(|_| gauss.sample(&mut rng)).collect();
-        let y = Fft::new(n).forward_to_vec(&x);
+        let y = FftPlan::new(n).forward_to_vec(&x);
         let ex: f64 = x.iter().map(|v| v.norm_sqr()).sum();
         let ey: f64 = y.iter().map(|v| v.norm_sqr()).sum::<f64>() / n as f64;
         assert!((ex - ey).abs() < 1e-9 * ex);
@@ -461,7 +416,7 @@ mod tests {
         // (paper Eq. 1): delaying by d samples multiplies bin k by
         // e^{-j2πkd/N}.
         let n = 64;
-        let fft = Fft::new(n);
+        let fft = FftPlan::new(n);
         let mut rng = StdRng::seed_from_u64(10);
         let gauss = ComplexGaussian::unit();
         let x: Vec<Complex64> = (0..n).map(|_| gauss.sample(&mut rng)).collect();
@@ -499,7 +454,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "power of two")]
     fn rejects_non_power_of_two() {
-        let _ = Fft::new(48);
+        let _ = FftPlan::new(48);
     }
 
     #[test]
@@ -508,7 +463,7 @@ mod tests {
         // bit-identical to the allocating convenience paths.
         let mut rng = StdRng::seed_from_u64(12);
         let gauss = ComplexGaussian::unit();
-        let fft = Fft::new(128);
+        let fft = FftPlan::new(128);
         let mut out = vec![Complex64::ZERO; 128];
         for _ in 0..8 {
             let x: Vec<Complex64> = (0..128).map(|_| gauss.sample(&mut rng)).collect();
@@ -522,28 +477,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "input length")]
     fn forward_into_rejects_wrong_size() {
-        let fft = Fft::new(64);
+        let fft = FftPlan::new(64);
         let mut out = vec![Complex64::ZERO; 64];
         fft.forward_into(&[Complex64::ONE; 32], &mut out);
-    }
-
-    #[test]
-    fn legacy_wrapper_matches_plan_exactly() {
-        // The API-redesign contract: `Fft` is a pure wrapper, so its
-        // transforms are the plan's transforms, bit for bit.
-        let mut rng = StdRng::seed_from_u64(13);
-        let gauss = ComplexGaussian::unit();
-        for &n in &[64usize, 128] {
-            let plan = FftPlan::new(n);
-            let legacy = Fft::new(n);
-            let x: Vec<Complex64> = (0..n).map(|_| gauss.sample(&mut rng)).collect();
-            let a = plan.forward_to_vec(&x);
-            let b = legacy.forward_to_vec(&x);
-            assert_eq!(a, b);
-            let ai = plan.inverse_to_vec(&x);
-            let bi = legacy.inverse_to_vec(&x);
-            assert_eq!(ai, bi);
-        }
     }
 
     #[test]

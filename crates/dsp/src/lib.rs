@@ -34,4 +34,4 @@ pub mod simd;
 pub mod stats;
 
 pub use complex::Complex64;
-pub use fft::{Fft, FftPlan};
+pub use fft::FftPlan;

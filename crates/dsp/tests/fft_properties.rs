@@ -3,7 +3,7 @@
 //! must behave like a linear unitary transform at every supported size.
 
 use proptest::prelude::*;
-use ssync_dsp::{Complex64, Fft, FftPlan};
+use ssync_dsp::{Complex64, FftPlan};
 
 const SIZES: [usize; 7] = [4, 8, 16, 32, 64, 128, 256];
 
@@ -70,34 +70,6 @@ proptest! {
         let back = plan.inverse_to_vec(&plan.forward_to_vec(&x));
         let err = max_dist(&back, &x);
         prop_assert!(err < 1e-10 * n as f64, "n={n} err={err}");
-    }
-
-    // The legacy `Fft` facade and the plan it wraps produce identical bits —
-    // call-site migration from `Fft::new` to `FftPlan::new` can never change
-    // a capture.
-    #[test]
-    fn legacy_fft_facade_is_bit_identical(
-        n in prop::sample::select(SIZES.to_vec()),
-        raw in prop::collection::vec(-1e2f64..1e2, 512),
-    ) {
-        let x: Vec<Complex64> = raw[..2 * n]
-            .chunks(2)
-            .map(|p| Complex64::new(p[0], p[1]))
-            .collect();
-        let plan = FftPlan::new(n);
-        let legacy = Fft::new(n);
-        let a = plan.forward_to_vec(&x);
-        let b = legacy.forward_to_vec(&x);
-        for (va, vb) in a.iter().zip(&b) {
-            prop_assert_eq!(va.re.to_bits(), vb.re.to_bits());
-            prop_assert_eq!(va.im.to_bits(), vb.im.to_bits());
-        }
-        let ai = plan.inverse_to_vec(&x);
-        let bi = legacy.inverse_to_vec(&x);
-        for (va, vb) in ai.iter().zip(&bi) {
-            prop_assert_eq!(va.re.to_bits(), vb.re.to_bits());
-            prop_assert_eq!(va.im.to_bits(), vb.im.to_bits());
-        }
     }
 
     // Real-path linearity: FFT(a·x + b·y) ≈ a·FFT(x) + b·FFT(y) through the

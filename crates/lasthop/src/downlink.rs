@@ -9,7 +9,7 @@
 //! only if *every* associated AP misses it (MRD/SOFT-style, paper §7.1).
 //!
 //! The closed-form model (linear AP powers add at the client) is
-//! cross-validated at the sample level by [`joint_session_downlink`],
+//! cross-validated at the sample level by [`joint_session_downlink_with`],
 //! which drives one *actual* joint AP transmission through the staged
 //! [`JointSession`] over the waveform medium and compares the client's
 //! measured composite SNR against [`ClientScenario::joint_downlink_snr_db`].
@@ -205,25 +205,10 @@ pub struct SampleLevelJoint {
 /// composite SNR with the closed-form `joint_downlink_snr_db` model that
 /// [`run_session`] prices packets with — the cross-validation the AWGN
 /// table alone could never provide.
-pub fn joint_session_downlink<R: Rng + ?Sized>(
-    rng: &mut R,
-    params: &Params,
-    scenario: &ClientScenario,
-    payload: &[u8],
-) -> SampleLevelJoint {
-    joint_session_downlink_with(
-        rng,
-        params,
-        scenario,
-        payload,
-        &mut SessionWorkspace::new(params.clone()),
-    )
-}
-
-/// [`joint_session_downlink`] through a reusable [`SessionWorkspace`]: a
-/// controller validating many clients (or a bench sweeping SNR grids)
-/// reuses all modem machinery and scratch across sessions. Bit-identical
-/// to the allocating path.
+///
+/// All modem machinery and scratch live in the reusable
+/// [`SessionWorkspace`], so a controller validating many clients (or a
+/// bench sweeping SNR grids) reuses them across sessions.
 pub fn joint_session_downlink_with<R: Rng + ?Sized>(
     rng: &mut R,
     params: &Params,
@@ -441,7 +426,8 @@ mod tests {
         let params = OfdmParams::dot11a();
         let s = scenario(14.0, 12.0);
         let mut rng = StdRng::seed_from_u64(11);
-        let check = joint_session_downlink(&mut rng, &params, &s, &[0x5Au8; 200]);
+        let mut ws = SessionWorkspace::new(params.clone());
+        let check = joint_session_downlink_with(&mut rng, &params, &s, &[0x5Au8; 200], &mut ws);
         assert!(check.delivered, "joint AP frame failed to decode");
         assert_eq!(check.cosenders.len(), 1);
         assert!(
@@ -473,7 +459,9 @@ mod tests {
         for (i, s) in scenarios.iter().enumerate() {
             let reused =
                 joint_session_downlink_with(&mut rng_a, &params, s, &[0x77u8; 120], &mut ws);
-            let fresh = joint_session_downlink(&mut rng_b, &params, s, &[0x77u8; 120]);
+            let mut fresh_ws = SessionWorkspace::new(params.clone());
+            let fresh =
+                joint_session_downlink_with(&mut rng_b, &params, s, &[0x77u8; 120], &mut fresh_ws);
             assert_eq!(reused.delivered, fresh.delivered, "session {i}");
             assert_eq!(
                 reused.measured_snr_db.to_bits(),
@@ -492,7 +480,8 @@ mod tests {
             uplink_snr_db: vec![13.0, 12.0, 11.0],
         };
         let mut rng = StdRng::seed_from_u64(21);
-        let check = joint_session_downlink(&mut rng, &params, &s, &[0xC3u8; 150]);
+        let mut ws = SessionWorkspace::new(params.clone());
+        let check = joint_session_downlink_with(&mut rng, &params, &s, &[0xC3u8; 150], &mut ws);
         assert!(check.delivered, "3-AP joint frame failed");
         let joined = check.cosenders.iter().filter(|c| c.joined()).count();
         assert_eq!(joined, 2, "co-AP failures: {:?}", check.cosenders);

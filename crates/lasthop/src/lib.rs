@@ -22,7 +22,7 @@ pub mod samplerate;
 
 pub use controller::{Association, Controller};
 pub use downlink::{
-    joint_session_downlink, run_session, ClientScenario, Mode, SampleLevelJoint, SessionOutcome,
-    SessionSpec,
+    joint_session_downlink_with, run_session, ClientScenario, Mode, SampleLevelJoint,
+    SessionOutcome, SessionSpec,
 };
 pub use samplerate::SampleRate;

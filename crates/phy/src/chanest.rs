@@ -182,7 +182,6 @@ mod tests {
     use rand::SeedableRng;
     use ssync_dsp::delay::fractional_delay;
     use ssync_dsp::rng::ComplexGaussian;
-    use ssync_dsp::Fft;
 
     fn flat_channel_estimate(
         params: &OfdmParams,
@@ -191,7 +190,7 @@ mod tests {
         seed: u64,
     ) -> ChannelEstimate {
         // Build a preamble, delay it, add noise, estimate from the LTS.
-        let fft = Fft::new(params.fft_size);
+        let fft = FftPlan::new(params.fft_size);
         let pre = preamble_waveform(params, &fft);
         let mut rx = fractional_delay(&pre, delay + 8.0); // +8 guard samples
         let mut rng = StdRng::seed_from_u64(seed);
@@ -296,7 +295,7 @@ mod tests {
         // With a multipath channel whose energy is at tap 0, the slope-based
         // delay should stay near zero even though phases vary per subcarrier.
         let params = OfdmParams::dot11a();
-        let fft = Fft::new(params.fft_size);
+        let fft = FftPlan::new(params.fft_size);
         let pre = preamble_waveform(&params, &fft);
         // Convolve with a 2-tap channel: h = [1, 0.3j] (most energy at tap 0).
         let mut rx = vec![Complex64::ZERO; pre.len() + 1];
@@ -317,7 +316,7 @@ mod tests {
         // Guards the procedural LTS: occupied carriers all non-zero so the
         // division in estimate_from_lts is well-conditioned.
         let params = OfdmParams::wiglan();
-        let fft = Fft::new(params.fft_size);
+        let fft = FftPlan::new(params.fft_size);
         let lts = lts_symbol(&params, &fft);
         let spec = fft.forward_to_vec(&lts);
         for (k, x) in lts_values(&params) {

@@ -243,7 +243,6 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use ssync_dsp::rng::ComplexGaussian;
-    use ssync_dsp::Fft;
 
     /// Noise, then a preamble embedded at `offset`, then padding.
     fn scene(
@@ -253,7 +252,7 @@ mod tests {
         cfo_hz: f64,
         seed: u64,
     ) -> Vec<Complex64> {
-        let fft = Fft::new(params.fft_size);
+        let fft = FftPlan::new(params.fft_size);
         let mut pre = preamble_waveform(params, &fft);
         apply_cfo(&mut pre, cfo_hz, params.sample_rate_hz);
         let noise_p = ssync_dsp::stats::linear_from_db(-snr_db);
@@ -269,7 +268,7 @@ mod tests {
     #[test]
     fn detects_at_high_snr_with_exact_timing() {
         let params = OfdmParams::dot11a();
-        let fft = Fft::new(params.fft_size);
+        let fft = FftPlan::new(params.fft_size);
         let det = Detector::new(&params, &fft);
         let offset = 300;
         let buf = scene(&params, offset, 30.0, 0.0, 1);
@@ -284,7 +283,7 @@ mod tests {
     #[test]
     fn detection_instant_is_later_at_low_snr() {
         let params = OfdmParams::dot11a();
-        let fft = Fft::new(params.fft_size);
+        let fft = FftPlan::new(params.fft_size);
         let det = Detector::new(&params, &fft);
         let offset = 300;
         let mut delays_hi = Vec::new();
@@ -310,7 +309,7 @@ mod tests {
     #[test]
     fn no_detection_on_pure_noise() {
         let params = OfdmParams::dot11a();
-        let fft = Fft::new(params.fft_size);
+        let fft = FftPlan::new(params.fft_size);
         let det = Detector::new(&params, &fft);
         let mut rng = StdRng::seed_from_u64(3);
         let buf = ComplexGaussian::with_power(1.0).sample_vec(&mut rng, 4000);
@@ -320,7 +319,7 @@ mod tests {
     #[test]
     fn cfo_estimated_accurately() {
         let params = OfdmParams::dot11a();
-        let fft = Fft::new(params.fft_size);
+        let fft = FftPlan::new(params.fft_size);
         let det = Detector::new(&params, &fft);
         // 802.11 allows ±20 ppm at 5.8 GHz ≈ ±116 kHz; test a large offset.
         for &cfo in &[-80e3, -10e3, 15e3, 95e3] {
@@ -337,7 +336,7 @@ mod tests {
     #[test]
     fn fine_timing_within_one_sample_down_to_moderate_snr() {
         let params = OfdmParams::wiglan();
-        let fft = Fft::new(params.fft_size);
+        let fft = FftPlan::new(params.fft_size);
         let det = Detector::new(&params, &fft);
         let layout = PreambleLayout::of(&params);
         let offset = 500;
@@ -360,7 +359,7 @@ mod tests {
     #[test]
     fn detect_from_skips_early_samples() {
         let params = OfdmParams::dot11a();
-        let fft = Fft::new(params.fft_size);
+        let fft = FftPlan::new(params.fft_size);
         let det = Detector::new(&params, &fft);
         let buf = scene(&params, 300, 25.0, 0.0, 5);
         // Starting the scan after the packet start but before its end should
@@ -376,7 +375,7 @@ mod tests {
     #[test]
     fn detect_with_reused_scratch_matches_allocating_path() {
         let params = OfdmParams::dot11a();
-        let fft = Fft::new(params.fft_size);
+        let fft = FftPlan::new(params.fft_size);
         let det = Detector::new(&params, &fft);
         let mut ws = DetectScratch::new();
         for seed in 0..6 {

@@ -146,14 +146,8 @@ impl DecodeScratch {
     }
 }
 
-/// Decodes SIGNAL-field LLRs (concatenated over its OFDM symbols, already
-/// de-interleaved? — no: raw per-symbol LLRs in subcarrier order).
-pub fn decode_signal(params: &OfdmParams, llrs_per_symbol: &[Vec<f64>]) -> Option<SignalField> {
-    decode_signal_with(params, llrs_per_symbol, &mut DecodeScratch::new())
-}
-
-/// [`decode_signal`] through caller-owned scratch: identical output, zero
-/// steady-state allocation.
+/// Decodes SIGNAL-field LLRs (raw per-symbol LLRs in subcarrier order)
+/// through caller-owned scratch, with zero steady-state allocation.
 pub fn decode_signal_with(
     params: &OfdmParams,
     llrs_per_symbol: &[Vec<f64>],
@@ -370,7 +364,12 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            assert_eq!(decode_signal(&params, &llrs), Some(sig), "{}", params.name);
+            assert_eq!(
+                decode_signal_with(&params, &llrs, &mut DecodeScratch::new()),
+                Some(sig),
+                "{}",
+                params.name
+            );
         }
     }
 

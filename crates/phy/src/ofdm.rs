@@ -176,14 +176,8 @@ pub fn extract_data_into(params: &OfdmParams, grid: &[Complex64], out: &mut Vec<
     out.extend(params.data_carriers.iter().map(|&k| grid[params.bin(k)]));
 }
 
-/// Reads the pilot subcarriers (in `pilot_carriers` order) out of a grid.
-pub fn extract_pilots(params: &OfdmParams, grid: &[Complex64]) -> Vec<Complex64> {
-    let mut out = Vec::with_capacity(params.pilot_carriers.len());
-    extract_pilots_into(params, grid, &mut out);
-    out
-}
-
-/// [`extract_pilots`] into a caller-owned buffer (cleared and refilled).
+/// Reads the pilot subcarriers (in `pilot_carriers` order) out of a grid
+/// into a caller-owned buffer (cleared and refilled).
 pub fn extract_pilots_into(params: &OfdmParams, grid: &[Complex64], out: &mut Vec<Complex64>) {
     out.clear();
     out.extend(params.pilot_carriers.iter().map(|&k| grid[params.bin(k)]));
@@ -195,7 +189,6 @@ mod tests {
     use crate::modulation::{map_bits, Modulation};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use ssync_dsp::Fft;
 
     #[test]
     fn loopback_recovers_constellation_points() {
@@ -203,7 +196,7 @@ mod tests {
             crate::params::OfdmParams::dot11a(),
             crate::params::OfdmParams::wiglan(),
         ] {
-            let fft = Fft::new(params.fft_size);
+            let fft = FftPlan::new(params.fft_size);
             let mut rng = StdRng::seed_from_u64(1);
             let bits: Vec<u8> = (0..params.n_data() * 2)
                 .map(|_| rng.gen_range(0..2u8))
@@ -222,7 +215,7 @@ mod tests {
     #[test]
     fn unit_mean_power_on_air() {
         let params = crate::params::OfdmParams::dot11a();
-        let fft = Fft::new(params.fft_size);
+        let fft = FftPlan::new(params.fft_size);
         let mut rng = StdRng::seed_from_u64(2);
         let mut total = 0.0;
         let n_sym = 50;
@@ -245,7 +238,7 @@ mod tests {
         // channel estimator absorbs; here there is no channel so offsets
         // rotate subcarriers — verify magnitude only).
         let params = crate::params::OfdmParams::dot11a();
-        let fft = Fft::new(params.fft_size);
+        let fft = FftPlan::new(params.fft_size);
         let mut rng = StdRng::seed_from_u64(3);
         let bits: Vec<u8> = (0..params.n_data() * 2)
             .map(|_| rng.gen_range(0..2u8))
@@ -267,7 +260,7 @@ mod tests {
     #[test]
     fn cp_is_cyclic() {
         let params = crate::params::OfdmParams::wiglan();
-        let fft = Fft::new(params.fft_size);
+        let fft = FftPlan::new(params.fft_size);
         let mut rng = StdRng::seed_from_u64(4);
         let bits: Vec<u8> = (0..params.n_data() * 2)
             .map(|_| rng.gen_range(0..2u8))
@@ -283,12 +276,13 @@ mod tests {
     #[test]
     fn pilots_carry_polarity() {
         let params = crate::params::OfdmParams::dot11a();
-        let fft = Fft::new(params.fft_size);
+        let fft = FftPlan::new(params.fft_size);
         let data = vec![Complex64::ZERO; params.n_data()];
         for sym_idx in [0usize, 4, 7] {
             let sym = modulate_symbol(&params, &fft, &data, sym_idx, params.cp_len);
             let grid = demodulate_window(&params, &fft, &sym, params.cp_len);
-            let pilots = extract_pilots(&params, &grid);
+            let mut pilots = Vec::new();
+            extract_pilots_into(&params, &grid, &mut pilots);
             let pol = pilot_polarity(sym_idx);
             for p in pilots {
                 assert!((p.re - pol).abs() < 1e-9 && p.im.abs() < 1e-9);
@@ -300,7 +294,7 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn window_out_of_range_panics() {
         let params = crate::params::OfdmParams::dot11a();
-        let fft = Fft::new(params.fft_size);
+        let fft = FftPlan::new(params.fft_size);
         let _ = demodulate_window(&params, &fft, &vec![Complex64::ZERO; 60], 0);
     }
 }

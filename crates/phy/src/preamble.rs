@@ -170,12 +170,11 @@ pub fn cosender_training_len(params: &OfdmParams, cp_len: usize) -> usize {
 mod tests {
     use super::*;
     use crate::params::OfdmParams;
-    use ssync_dsp::Fft;
 
     #[test]
     fn sts_is_periodic() {
         for params in [OfdmParams::dot11a(), OfdmParams::wiglan()] {
-            let fft = Fft::new(params.fft_size);
+            let fft = FftPlan::new(params.fft_size);
             let pre = preamble_waveform(&params, &fft);
             let period = params.fft_size / 4;
             let layout = PreambleLayout::of(&params);
@@ -192,7 +191,7 @@ mod tests {
     #[test]
     fn lts_repetitions_identical() {
         let params = OfdmParams::dot11a();
-        let fft = Fft::new(params.fft_size);
+        let fft = FftPlan::new(params.fft_size);
         let pre = preamble_waveform(&params, &fft);
         let layout = PreambleLayout::of(&params);
         let l0 = layout.lts_start();
@@ -204,7 +203,7 @@ mod tests {
     #[test]
     fn lts_guard_is_cyclic_extension() {
         let params = OfdmParams::dot11a();
-        let fft = Fft::new(params.fft_size);
+        let fft = FftPlan::new(params.fft_size);
         let pre = preamble_waveform(&params, &fft);
         let layout = PreambleLayout::of(&params);
         let guard_start = layout.sts_len;
@@ -220,7 +219,7 @@ mod tests {
     #[test]
     fn preamble_has_unit_power() {
         for params in [OfdmParams::dot11a(), OfdmParams::wiglan()] {
-            let fft = Fft::new(params.fft_size);
+            let fft = FftPlan::new(params.fft_size);
             let pre = preamble_waveform(&params, &fft);
             let p = ssync_dsp::complex::mean_power(&pre);
             assert!(
@@ -234,7 +233,7 @@ mod tests {
     #[test]
     fn lts_occupies_all_occupied_carriers() {
         let params = OfdmParams::dot11a();
-        let fft = Fft::new(params.fft_size);
+        let fft = FftPlan::new(params.fft_size);
         let lts = lts_symbol(&params, &fft);
         let spec = fft.forward_to_vec(&lts);
         for k in params.occupied_carriers() {
@@ -247,7 +246,7 @@ mod tests {
     #[test]
     fn deterministic_across_calls() {
         let params = OfdmParams::wiglan();
-        let fft = Fft::new(params.fft_size);
+        let fft = FftPlan::new(params.fft_size);
         let a = preamble_waveform(&params, &fft);
         let b = preamble_waveform(&params, &fft);
         assert_eq!(a.len(), b.len());
@@ -270,7 +269,7 @@ mod tests {
     #[test]
     fn cosender_training_is_two_cp_prefixed_lts() {
         let params = OfdmParams::dot11a();
-        let fft = Fft::new(params.fft_size);
+        let fft = FftPlan::new(params.fft_size);
         let cp = 20;
         let tr = cosender_training(&params, &fft, cp);
         let lts = lts_symbol(&params, &fft);

@@ -16,7 +16,7 @@ use crate::modulation::{self, DemapTable};
 use crate::ofdm;
 use crate::params::Params;
 use crate::preamble::LTS_REPS;
-use crate::workspace::{RxWorkspace, SymbolLlrs, WorkspacePool};
+use crate::workspace::{RxWorkspace, SymbolLlrs};
 use ssync_dsp::stats;
 use ssync_dsp::{Complex64, FftPlan};
 
@@ -171,18 +171,7 @@ impl Receiver {
 
     /// Receives the first frame found in `samples`, scanning from index 0.
     pub fn receive(&self, samples: &[Complex64]) -> Result<RxResult, RxError> {
-        self.receive_from(samples, 0)
-    }
-
-    /// Receives the first frame found scanning from `from`.
-    pub fn receive_from(&self, samples: &[Complex64], from: usize) -> Result<RxResult, RxError> {
-        self.receive_from_with(samples, from, &mut RxWorkspace::new(&self.params))
-    }
-
-    /// Decodes a frame given an existing detection (used by the joint-frame
-    /// receiver in `ssync-core`, which shares one detection across senders).
-    pub fn receive_at(&self, samples: &[Complex64], det: Detection) -> Result<RxResult, RxError> {
-        self.receive_at_with(samples, det, &mut RxWorkspace::new(&self.params))
+        self.receive_with(samples, &mut RxWorkspace::new(&self.params))
     }
 
     /// [`Receiver::receive`] through a reusable [`RxWorkspace`]: all
@@ -195,19 +184,9 @@ impl Receiver {
         samples: &[Complex64],
         ws: &mut RxWorkspace,
     ) -> Result<RxResult, RxError> {
-        self.receive_from_with(samples, 0, ws)
-    }
-
-    /// [`Receiver::receive_from`] through a reusable [`RxWorkspace`].
-    pub fn receive_from_with(
-        &self,
-        samples: &[Complex64],
-        from: usize,
-        ws: &mut RxWorkspace,
-    ) -> Result<RxResult, RxError> {
         let Some(det) = self
             .detector
-            .detect_with(&self.params, samples, from, &mut ws.detect)
+            .detect_with(&self.params, samples, 0, &mut ws.detect)
         else {
             ws.corrected.clear();
             return Err(RxError::NoPacket);
@@ -215,31 +194,8 @@ impl Receiver {
         self.receive_at_with(samples, det, ws)
     }
 
-    /// Receives one frame from each capture in `captures`, spread over
-    /// `threads` worker threads, with per-frame scratch checked out of a
-    /// shared [`WorkspacePool`].
-    ///
-    /// Results come back in capture order, each exactly what
-    /// [`Receiver::receive`] would return for that capture (the per-frame
-    /// pipeline is single-threaded and workspace paths are bit-identical to
-    /// the allocating ones, so batching changes neither values nor order —
-    /// only wall-clock). `threads <= 1` runs inline on the caller's thread;
-    /// the pool then holds at most one workspace. Work is distributed by
-    /// atomic work-stealing via [`ssync_exp::exec::par_map`], so unequal
-    /// frame lengths don't idle workers.
-    pub fn receive_batch<C: AsRef<[Complex64]> + Sync>(
-        &self,
-        captures: &[C],
-        pool: &WorkspacePool,
-        threads: usize,
-    ) -> Vec<Result<RxResult, RxError>> {
-        ssync_exp::exec::par_map(threads, captures.len(), |i| {
-            let mut ws = pool.checkout();
-            self.receive_with(captures[i].as_ref(), &mut ws)
-        })
-    }
-
-    /// [`Receiver::receive_at`] through a reusable [`RxWorkspace`].
+    /// Decodes a frame given an existing detection, through a reusable
+    /// [`RxWorkspace`].
     pub fn receive_at_with(
         &self,
         samples: &[Complex64],

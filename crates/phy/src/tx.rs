@@ -74,29 +74,8 @@ impl Transmitter {
         };
         out.clear();
         out.extend_from_slice(&self.preamble);
-        self.signal_waveform_append(&sig, ws, out);
-        // Data pilot polarities continue the sequence after the SIGNAL
-        // symbols — the receiver indexes pilots the same way.
-        let n_sig = frame::n_signal_symbols(&self.params);
-        self.data_waveform_append(&psdu, rate, self.params.cp_len, n_sig, ws, out);
-    }
-
-    /// The SIGNAL-field portion of a frame (BPSK 1/2, base CP).
-    pub fn signal_waveform(&self, sig: &SignalField) -> Vec<Complex64> {
-        let mut wave = Vec::new();
-        self.signal_waveform_append(sig, &mut TxWorkspace::new(&self.params), &mut wave);
-        wave
-    }
-
-    /// [`Transmitter::signal_waveform`], appending to `out` through a
-    /// reusable workspace.
-    pub fn signal_waveform_append(
-        &self,
-        sig: &SignalField,
-        ws: &mut TxWorkspace,
-        out: &mut Vec<Complex64>,
-    ) {
-        for (i, points) in frame::encode_signal(&self.params, sig).iter().enumerate() {
+        // SIGNAL field: BPSK 1/2 at the base CP.
+        for (i, points) in frame::encode_signal(&self.params, &sig).iter().enumerate() {
             ofdm::modulate_symbol_append(
                 &self.params,
                 &self.fft,
@@ -108,36 +87,18 @@ impl Transmitter {
                 out,
             );
         }
+        // Data pilot polarities continue the sequence after the SIGNAL
+        // symbols — the receiver indexes pilots the same way.
+        let n_sig = frame::n_signal_symbols(&self.params);
+        self.data_waveform_append(&psdu, rate, self.params.cp_len, n_sig, ws, out);
     }
 
-    /// The DATA-field portion of a frame at an explicit cyclic-prefix length
-    /// and starting pilot symbol index.
+    /// Appends the DATA-field portion of a frame at an explicit
+    /// cyclic-prefix length and starting pilot symbol index to `out`
+    /// through a reusable workspace.
     ///
-    /// SourceSync joint frames use this directly: every concurrent sender
-    /// generates the identical data waveform (same PSDU, same rate, same
-    /// extended CP), possibly transformed by a space-time code, and the
-    /// symbol index offset keeps pilot polarities aligned across the frame.
-    pub fn data_waveform(
-        &self,
-        psdu: &[u8],
-        rate: RateId,
-        cp_len: usize,
-        first_symbol_index: usize,
-    ) -> Vec<Complex64> {
-        let mut wave = Vec::new();
-        self.data_waveform_append(
-            psdu,
-            rate,
-            cp_len,
-            first_symbol_index,
-            &mut TxWorkspace::new(&self.params),
-            &mut wave,
-        );
-        wave
-    }
-
-    /// [`Transmitter::data_waveform`], appending to `out` through a
-    /// reusable workspace.
+    /// The symbol index offset keeps pilot polarities aligned across the
+    /// frame, continuing the sequence after the SIGNAL symbols.
     pub fn data_waveform_append(
         &self,
         psdu: &[u8],
@@ -223,8 +184,13 @@ mod tests {
     fn data_waveform_cp_override() {
         let tx = Transmitter::new(OfdmParams::wiglan());
         let psdu = vec![1u8; 50];
-        let base = tx.data_waveform(&psdu, RateId::R6, 32, 0);
-        let ext = tx.data_waveform(&psdu, RateId::R6, 60, 0);
+        let data_waveform = |cp_len| {
+            let mut wave = Vec::new();
+            let mut ws = TxWorkspace::new(tx.params());
+            tx.data_waveform_append(&psdu, RateId::R6, cp_len, 0, &mut ws, &mut wave);
+            wave
+        };
+        let (base, ext) = (data_waveform(32), data_waveform(60));
         let n_syms = frame::n_data_symbols(tx.params(), 50, RateId::R6);
         assert_eq!(base.len(), n_syms * (128 + 32));
         assert_eq!(ext.len(), n_syms * (128 + 60));

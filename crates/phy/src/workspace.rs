@@ -18,16 +18,16 @@
 //!   re-plans (resizes the keyed buffers) on the spot. Re-planning is the
 //!   only allocating transition; steady state on a fixed numerology is
 //!   allocation-free.
-//! * The legacy allocating signatures all remain, as thin wrappers that
-//!   build a throwaway workspace — every workspace path is bit-identical
-//!   to its allocating twin (enforced by the differential test suite).
+//! * The few allocating signatures that remain ([`crate::Receiver::receive`],
+//!   [`crate::Transmitter::frame_waveform`], …) are thin wrappers that
+//!   build a throwaway workspace, and a reused workspace decodes exactly
+//!   like a fresh one (enforced by the differential test suite).
 
 use crate::frame::DecodeScratch;
 use crate::modulation::DemapTable;
 use crate::params::{Modulation, OfdmParams};
 use ssync_dsp::mixer::apply_cfo_from;
 use ssync_dsp::Complex64;
-use std::sync::Mutex;
 
 /// Transmit-side scratch: the subcarrier grid and time-domain symbol
 /// buffers behind [`crate::ofdm::modulate_symbol_append`].
@@ -289,98 +289,6 @@ impl RxWorkspace {
     /// no packet.
     pub fn corrected_capture(&mut self) -> &[Complex64] {
         self.corrected.rotate_all()
-    }
-}
-
-/// A thread-safe pool of [`RxWorkspace`]s for batched receives.
-///
-/// The pool is the sharing boundary the workspace ownership model otherwise
-/// forbids: workspaces themselves stay plain mutable state, and the pool
-/// hands out *exclusive* ownership of one at a time behind a [`Mutex`]ed
-/// free list. Checking out ([`WorkspacePool::checkout`]) pops a warm
-/// workspace or builds a fresh one when the pool runs dry (so a pool never
-/// blocks; peak live workspaces = peak concurrent checkouts); dropping the
-/// returned [`PooledWorkspace`] guard pushes it back with all its grown
-/// buffers intact. Lock hold time is a `Vec` push/pop — the pool adds no
-/// contention to the per-frame work itself.
-#[derive(Debug)]
-pub struct WorkspacePool {
-    params: OfdmParams,
-    free: Mutex<Vec<RxWorkspace>>,
-}
-
-impl WorkspacePool {
-    /// An empty pool keyed to `params` (workspaces are built lazily on
-    /// checkout miss).
-    pub fn new(params: &OfdmParams) -> Self {
-        WorkspacePool {
-            params: params.clone(),
-            free: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// A pool pre-warmed with `n` workspaces (e.g. one per worker thread).
-    pub fn with_capacity(params: &OfdmParams, n: usize) -> Self {
-        let pool = WorkspacePool::new(params);
-        {
-            let mut free = pool.free.lock().expect("workspace pool poisoned");
-            free.extend((0..n).map(|_| RxWorkspace::new(params)));
-        }
-        pool
-    }
-
-    /// Checks out a workspace, building one if the pool is empty. The guard
-    /// derefs to [`RxWorkspace`] and returns it to the pool on drop.
-    pub fn checkout(&self) -> PooledWorkspace<'_> {
-        let ws = self
-            .free
-            .lock()
-            .expect("workspace pool poisoned")
-            .pop()
-            .unwrap_or_else(|| RxWorkspace::new(&self.params));
-        PooledWorkspace {
-            pool: self,
-            ws: Some(ws),
-        }
-    }
-
-    /// Number of workspaces currently idle in the pool.
-    pub fn idle(&self) -> usize {
-        self.free.lock().expect("workspace pool poisoned").len()
-    }
-}
-
-/// RAII checkout guard from a [`WorkspacePool`]; derefs to the workspace
-/// and returns it to the pool when dropped.
-#[derive(Debug)]
-pub struct PooledWorkspace<'a> {
-    pool: &'a WorkspacePool,
-    ws: Option<RxWorkspace>,
-}
-
-impl std::ops::Deref for PooledWorkspace<'_> {
-    type Target = RxWorkspace;
-
-    fn deref(&self) -> &RxWorkspace {
-        self.ws.as_ref().expect("workspace present until drop")
-    }
-}
-
-impl std::ops::DerefMut for PooledWorkspace<'_> {
-    fn deref_mut(&mut self) -> &mut RxWorkspace {
-        self.ws.as_mut().expect("workspace present until drop")
-    }
-}
-
-impl Drop for PooledWorkspace<'_> {
-    fn drop(&mut self) {
-        if let Some(ws) = self.ws.take() {
-            // A poisoned pool means another checkout panicked mid-frame;
-            // drop the workspace rather than propagating from Drop.
-            if let Ok(mut free) = self.pool.free.lock() {
-                free.push(ws);
-            }
-        }
     }
 }
 

@@ -48,10 +48,8 @@ pub struct WaveformMedium {
     scratch: PropagationScratch,
     // Lifetime accounting: how many times a capture actually ran a link
     // propagation (the regression hook proving non-overlapping
-    // transmissions are skipped), and how many transmissions have been
-    // retired by extent.
+    // transmissions are skipped).
     propagate_calls: u64,
-    retired: u64,
 }
 
 impl WaveformMedium {
@@ -64,7 +62,6 @@ impl WaveformMedium {
             noise_power: 1.0,
             scratch: PropagationScratch::default(),
             propagate_calls: 0,
-            retired: 0,
         }
     }
 
@@ -116,43 +113,6 @@ impl WaveformMedium {
     /// All transmissions currently on the ether.
     pub fn transmissions(&self) -> &[Transmission] {
         &self.transmissions
-    }
-
-    /// Retires every transmission whose delivered extent has fully ended
-    /// before `cutoff` on *all* of its outgoing links — once the last echo
-    /// (multipath spill and interpolator tail included) has passed every
-    /// receiver, no future capture can hear it, so the event loop can drop
-    /// it instead of letting the live set grow with trial history. A
-    /// transmission from a node with no outgoing links is inaudible and
-    /// retires immediately.
-    pub fn retire_before(&mut self, cutoff: Time) {
-        let WaveformMedium {
-            sample_period_fs,
-            links,
-            transmissions,
-            retired,
-            ..
-        } = self;
-        let period = *sample_period_fs;
-        transmissions.retain(|t| {
-            let audible = links
-                .range((t.tx, NodeId(0))..=(t.tx, NodeId(usize::MAX)))
-                .any(|(_, link)| {
-                    let (base, len) = link.delivered_span(t.waveform.len(), t.start.0, period);
-                    // Extent end in femtoseconds, one past the last sample.
-                    (base + len as u64).saturating_mul(period) > cutoff.0
-                });
-            if !audible {
-                *retired += 1;
-            }
-            audible
-        });
-    }
-
-    /// Number of transmissions retired by [`WaveformMedium::retire_before`]
-    /// over this medium's lifetime.
-    pub fn retired_count(&self) -> u64 {
-        self.retired
     }
 
     /// Lifetime count of actual link propagations run by captures. The
@@ -408,61 +368,6 @@ mod tests {
             assert_eq!(a.re.to_bits(), b.re.to_bits());
             assert_eq!(a.im.to_bits(), b.im.to_bits());
         }
-    }
-
-    #[test]
-    fn retire_before_drops_passed_extents_only() {
-        let mut m = quiet_medium();
-        let mut link = Link::ideal();
-        link.delay_fs = 2 * PERIOD;
-        m.set_link(NodeId(0), NodeId(1), link);
-        m.transmit(NodeId(0), Time::ZERO, vec![Complex64::ONE; 4]); // ends at sample 6
-        m.transmit(NodeId(0), Time(100 * PERIOD), vec![Complex64::ONE; 4]); // ends at 106
-                                                                            // Cutoff inside the first extent: nothing retires.
-        m.retire_before(Time(5 * PERIOD));
-        assert_eq!(m.transmissions().len(), 2);
-        assert_eq!(m.retired_count(), 0);
-        // Cutoff past the first extent (delay 2 + len 4 = sample 6).
-        m.retire_before(Time(6 * PERIOD));
-        assert_eq!(m.transmissions().len(), 1);
-        assert_eq!(m.retired_count(), 1);
-        assert_eq!(m.transmissions()[0].start, Time(100 * PERIOD));
-        // The survivor is still audible where it should be.
-        let buf = m.capture(
-            &mut StdRng::seed_from_u64(23),
-            NodeId(1),
-            Time(102 * PERIOD),
-            2,
-        );
-        assert!(buf[0].dist(Complex64::ONE) < 1e-12);
-    }
-
-    #[test]
-    fn retire_before_drops_linkless_transmissions() {
-        // A transmitter with no outgoing links is inaudible forever: its
-        // transmissions retire at any cutoff instead of pinning the live
-        // set.
-        let mut m = quiet_medium();
-        m.transmit(NodeId(7), Time(1_000 * PERIOD), vec![Complex64::ONE; 4]);
-        m.retire_before(Time::ZERO);
-        assert!(m.transmissions().is_empty());
-        assert_eq!(m.retired_count(), 1);
-    }
-
-    #[test]
-    fn retire_waits_for_slowest_receiver() {
-        // Two receivers at different delays: the transmission stays live
-        // until the *last* extent has passed.
-        let mut m = quiet_medium();
-        m.set_link(NodeId(0), NodeId(1), Link::ideal()); // ends at sample 2
-        let mut slow = Link::ideal();
-        slow.delay_fs = 10 * PERIOD; // ends at sample 12
-        m.set_link(NodeId(0), NodeId(2), slow);
-        m.transmit(NodeId(0), Time::ZERO, vec![Complex64::ONE; 2]);
-        m.retire_before(Time(5 * PERIOD));
-        assert_eq!(m.transmissions().len(), 1, "slow receiver still listening");
-        m.retire_before(Time(12 * PERIOD));
-        assert!(m.transmissions().is_empty());
     }
 
     #[test]

@@ -12,7 +12,7 @@ use rand::Rng;
 use ssync_dsp::Complex64;
 use ssync_mac::MacFrame;
 use ssync_obs::{Counter, RxDiagSummary};
-use ssync_phy::workspace::WorkspacePool;
+use ssync_phy::workspace::RxWorkspace;
 use ssync_phy::{crc, Params, RateId, Receiver, Transmitter};
 use ssync_sim::{Duration, Network, NodeId, Time};
 
@@ -24,18 +24,15 @@ pub const CAPTURE_MARGIN: usize = 400;
 
 /// The planned modem machinery one testbed run reuses for every frame.
 ///
-/// All receive-side scratch lives in a shared [`WorkspacePool`], so every
-/// decode — the per-listener decodes of [`Modem::exchange`], one-off
-/// [`Modem::decode_mac`] calls, multi-capture [`Modem::decode_mac_batch`]
-/// fan-outs — reuses warm buffers instead of re-allocating the modem
-/// workspace per frame.
+/// All receive-side scratch lives in one owned [`RxWorkspace`], so every
+/// decode — the per-listener decodes of [`Modem::exchange`] and one-off
+/// [`Modem::decode_mac`] calls — reuses warm buffers instead of
+/// re-allocating the modem workspace per frame.
 pub struct Modem {
     params: Params,
     tx: Transmitter,
     rx: Receiver,
-    pool: WorkspacePool,
-    /// Worker threads for batched decodes (1 = decode inline).
-    decode_threads: usize,
+    ws: RxWorkspace,
     /// Counts [`Modem::exchange`] calls with an empty transmission set —
     /// an upstream scheduling bug this layer used to zero out silently.
     empty_tx_batches: Counter,
@@ -47,19 +44,10 @@ impl Modem {
         Modem {
             tx: Transmitter::new(params.clone()),
             rx: Receiver::new(params.clone()),
-            pool: WorkspacePool::new(&params),
+            ws: RxWorkspace::new(&params),
             params,
-            decode_threads: 1,
             empty_tx_batches: Counter::default(),
         }
-    }
-
-    /// Spreads batched decodes ([`Modem::exchange`],
-    /// [`Modem::decode_mac_batch`]) over `threads` workers. Decoded outputs
-    /// are identical for any thread count — only wall-clock changes.
-    pub fn with_decode_threads(mut self, threads: usize) -> Self {
-        self.decode_threads = threads.max(1);
-        self
     }
 
     /// The numerology.
@@ -79,11 +67,6 @@ impl Modem {
         self.empty_tx_batches.get()
     }
 
-    /// The shared receive-workspace pool.
-    pub fn pool(&self) -> &WorkspacePool {
-        &self.pool
-    }
-
     /// Serialises a MAC frame into a CRC-protected PHY waveform.
     pub fn mac_waveform(&self, frame: &MacFrame, rate: RateId) -> Vec<Complex64> {
         self.tx
@@ -97,43 +80,17 @@ impl Modem {
 
     /// Attempts to recover one MAC frame from a capture: detection, the
     /// full receive chain, CRC, MAC parse. `None` on any failure.
-    pub fn decode_mac(&self, capture: &[Complex64]) -> Option<MacFrame> {
-        let mut ws = self.pool.checkout();
-        let res = self.rx.receive_with(capture, &mut ws).ok()?;
+    pub fn decode_mac(&mut self, capture: &[Complex64]) -> Option<MacFrame> {
+        self.decode_mac_diag(capture).map(|(frame, _)| frame)
+    }
+
+    /// [`Modem::decode_mac`] keeping the receive-chain diagnostics summary
+    /// the chain measured alongside the recovered frame.
+    fn decode_mac_diag(&mut self, capture: &[Complex64]) -> Option<(MacFrame, RxDiagSummary)> {
+        let res = self.rx.receive_with(capture, &mut self.ws).ok()?;
+        let diag = res.diag.summary();
         let bytes = crc::check_crc(&res.payload)?;
-        MacFrame::from_bytes(bytes)
-    }
-
-    /// [`Modem::decode_mac`] over many captures at once through
-    /// [`Receiver::receive_batch`] and the shared pool, spread over the
-    /// modem's decode threads. Results are in capture order and identical
-    /// to per-capture [`Modem::decode_mac`] calls.
-    pub fn decode_mac_batch<C: AsRef<[Complex64]> + Sync>(
-        &self,
-        captures: &[C],
-    ) -> Vec<Option<MacFrame>> {
-        self.decode_mac_batch_diag(captures)
-            .into_iter()
-            .map(|d| d.map(|(frame, _)| frame))
-            .collect()
-    }
-
-    /// [`Modem::decode_mac_batch`] keeping the receive-chain diagnostics
-    /// summary the chain measured alongside each recovered frame.
-    pub fn decode_mac_batch_diag<C: AsRef<[Complex64]> + Sync>(
-        &self,
-        captures: &[C],
-    ) -> Vec<Option<(MacFrame, RxDiagSummary)>> {
-        self.rx
-            .receive_batch(captures, &self.pool, self.decode_threads)
-            .into_iter()
-            .map(|res| {
-                let res = res.ok()?;
-                let diag = res.diag.summary();
-                let bytes = crc::check_crc(&res.payload)?;
-                Some((MacFrame::from_bytes(bytes)?, diag))
-            })
-            .collect()
+        Some((MacFrame::from_bytes(bytes)?, diag))
     }
 
     /// One broadcast air instance: clears the medium, places every
@@ -143,7 +100,7 @@ impl Modem {
     /// and decode the superposition. Returns, per listener, the decoded
     /// frame if its receive chain recovered one.
     pub fn exchange<R: Rng + ?Sized>(
-        &self,
+        &mut self,
         net: &mut Network,
         rng: &mut R,
         transmissions: &[(NodeId, Vec<Complex64>)],
@@ -159,7 +116,7 @@ impl Modem {
     /// Captures, noise draws and decodes are identical to `exchange` —
     /// only the diagnostics summary rides along.
     pub fn exchange_with_diag<R: Rng + ?Sized>(
-        &self,
+        &mut self,
         net: &mut Network,
         rng: &mut R,
         transmissions: &[(NodeId, Vec<Complex64>)],
@@ -182,28 +139,34 @@ impl Modem {
             net.medium.transmit(*tx, t0, wave.clone());
         }
         let window = CAPTURE_MARGIN * 2 + longest + 200;
-        // Capture sequentially (the medium draws listener noise from `rng`,
-        // so capture order is part of the deterministic scenario), then
-        // decode the noise-free-of-rng batch through the workspace pool.
-        let captures: Vec<Vec<Complex64>> = listeners
-            .iter()
-            .map(|&l| net.medium.capture(rng, l, Time::ZERO, window))
-            .collect();
-        // The exchange epoch is over: every extent (t0 + frame + multipath
-        // and interpolator spill) ends inside the capture window, so
-        // extent-based retirement empties the ether and the live set stays
-        // bounded by the epoch's concurrent senders instead of growing with
-        // trial history.
-        net.medium.retire_before(Time((window as u64) * period));
+        // Every delivered extent (t0 + frame + multipath and interpolator
+        // spill) must end inside the capture window, or a listener would
+        // decode a truncated frame.
         debug_assert!(
-            net.medium.transmissions().is_empty(),
+            transmissions.iter().all(|(tx, wave)| {
+                listeners.iter().all(|&l| {
+                    net.medium.link(*tx, l).is_none_or(|link| {
+                        let (base, len) = link.delivered_span(wave.len(), t0.0, period);
+                        base + len as u64 <= window as u64
+                    })
+                })
+            }),
             "transmission extent outlived its exchange window"
         );
-        listeners
+        // Capture in listener order (the medium draws listener noise from
+        // `rng`, so capture order is part of the deterministic scenario)
+        // and decode each capture through the one owned workspace.
+        let decoded = listeners
             .iter()
-            .copied()
-            .zip(self.decode_mac_batch_diag(&captures))
-            .collect()
+            .map(|&l| {
+                let capture = net.medium.capture(rng, l, Time::ZERO, window);
+                (l, self.decode_mac_diag(&capture))
+            })
+            .collect();
+        // The exchange epoch is over: the next one starts from an empty
+        // ether.
+        net.medium.clear_transmissions();
+        decoded
     }
 }
 
@@ -249,7 +212,7 @@ mod tests {
     fn clean_link_delivers_mac_frame() {
         let mut n = net(1);
         n.pin_snr_db(NodeId(0), NodeId(1), 25.0);
-        let modem = Modem::new(n.params.clone());
+        let mut modem = Modem::new(n.params.clone());
         let frame = data_frame(0, 7);
         let wave = modem.mac_waveform(&frame, RateId::R12);
         let mut rng = StdRng::seed_from_u64(2);
@@ -262,7 +225,7 @@ mod tests {
     fn dead_link_delivers_nothing() {
         let mut n = net(3);
         n.pin_snr_db(NodeId(0), NodeId(1), -25.0);
-        let modem = Modem::new(n.params.clone());
+        let mut modem = Modem::new(n.params.clone());
         let wave = modem.mac_waveform(&data_frame(0, 1), RateId::R12);
         let mut rng = StdRng::seed_from_u64(4);
         let out = modem.exchange(&mut n, &mut rng, &[(NodeId(0), wave)], &[NodeId(1)]);
@@ -274,7 +237,7 @@ mod tests {
         // Two simultaneous senders: the much stronger one captures the
         // receiver; with near-equal powers the collision destroys both.
         let mut n = net(5);
-        let modem = Modem::new(n.params.clone());
+        let mut modem = Modem::new(n.params.clone());
         let f0 = data_frame(0, 1);
         let f1 = data_frame(1, 2);
         let mut rng = StdRng::seed_from_u64(6);
@@ -310,7 +273,7 @@ mod tests {
     fn exchange_with_diag_reports_link_quality() {
         let mut n = net(7);
         n.pin_snr_db(NodeId(0), NodeId(1), 25.0);
-        let modem = Modem::new(n.params.clone());
+        let mut modem = Modem::new(n.params.clone());
         let frame = data_frame(0, 3);
         let wave = modem.mac_waveform(&frame, RateId::R12);
         let mut rng = StdRng::seed_from_u64(8);
@@ -324,7 +287,7 @@ mod tests {
     #[test]
     fn empty_transmission_set_is_counted_not_zeroed() {
         let mut n = net(11);
-        let modem = Modem::new(n.params.clone());
+        let mut modem = Modem::new(n.params.clone());
         let mut rng = StdRng::seed_from_u64(12);
         assert_eq!(modem.empty_exchange_count(), 0);
         let out = modem.exchange(&mut n, &mut rng, &[], &[NodeId(0), NodeId(1)]);
@@ -332,9 +295,26 @@ mod tests {
         assert!(out.iter().all(|(_, d)| d.is_none()));
     }
 
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "transmission extent outlived its exchange window")]
+    fn frame_ending_past_the_window_trips_the_span_check() {
+        // The exchange clears the ether after its captures, which is sound
+        // only if every delivered extent ends inside the capture window: a
+        // listener link delayed past the window must trip the check.
+        let mut n = net(13);
+        let mut modem = Modem::new(n.params.clone());
+        let wave = modem.mac_waveform(&data_frame(0, 1), RateId::R12);
+        let window = (CAPTURE_MARGIN * 2 + wave.len() + 200) as u64;
+        let link = n.medium.link_mut(NodeId(0), NodeId(1)).expect("link");
+        link.delay_fs += window * n.params.sample_period_fs();
+        let mut rng = StdRng::seed_from_u64(14);
+        modem.exchange(&mut n, &mut rng, &[(NodeId(0), wave)], &[NodeId(1)]);
+    }
+
     #[test]
     fn corrupted_capture_fails_crc_not_parse() {
-        let modem = Modem::new(OfdmParams::dot11a());
+        let mut modem = Modem::new(OfdmParams::dot11a());
         // A buffer of pure noise must never yield a MAC frame.
         let mut rng = StdRng::seed_from_u64(9);
         let noise: Vec<Complex64> = (0..4000)

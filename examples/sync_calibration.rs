@@ -12,14 +12,14 @@ use rand::SeedableRng;
 use sourcesync::channel::Position;
 use sourcesync::core::probe_pair;
 use sourcesync::dsp::rng::ComplexGaussian;
-use sourcesync::dsp::Fft;
+use sourcesync::dsp::FftPlan;
 use sourcesync::phy::preamble::{preamble_waveform, PreambleLayout};
 use sourcesync::phy::{Detector, OfdmParams};
 use sourcesync::sim::{ChannelModels, Network, NodeId};
 
 fn main() {
     let params = OfdmParams::wiglan();
-    let fft = Fft::new(params.fft_size);
+    let fft = FftPlan::new(params.fft_size);
     let det = Detector::new(&params, &fft);
     let layout = PreambleLayout::of(&params);
     let pre = preamble_waveform(&params, &fft);

@@ -24,7 +24,7 @@ use sourcesync::core::{
     DataSectionSpec, JointDataWindow, RoleChannels,
 };
 use sourcesync::dsp::rng::ComplexGaussian;
-use sourcesync::dsp::{Complex64, Fft};
+use sourcesync::dsp::{Complex64, FftPlan};
 use sourcesync::phy::chanest::ChannelEstimate;
 use sourcesync::phy::modulation::DemapTable;
 use sourcesync::phy::{
@@ -96,7 +96,7 @@ fn per_symbol_rx_loop_is_allocation_free_after_warmup() {
     // `Receiver::receive_with` runs it per OFDM symbol — driven through
     // the public workspace entry points on a real transmitted frame.
     let params = OfdmParams::dot11a();
-    let fft = Fft::new(params.fft_size);
+    let fft = FftPlan::new(params.fft_size);
     let tx = Transmitter::new(params.clone());
     let mut rng = StdRng::seed_from_u64(1);
     let payload: Vec<u8> = (0..800).map(|_| rng.gen()).collect();
@@ -137,7 +137,7 @@ fn per_symbol_rx_loop_is_allocation_free_after_warmup() {
 #[test]
 fn per_symbol_tx_loop_is_allocation_free_after_warmup() {
     let params = OfdmParams::dot11a();
-    let fft = Fft::new(params.fft_size);
+    let fft = FftPlan::new(params.fft_size);
     let mut rng = StdRng::seed_from_u64(2);
     let data: Vec<Complex64> = (0..params.n_data())
         .map(|_| ComplexGaussian::unit().sample(&mut rng))
@@ -216,7 +216,7 @@ fn warmed_receive_with_allocates_an_order_less_than_legacy() {
 #[test]
 fn warmed_combiner_allocates_an_order_less_than_legacy() {
     let params = OfdmParams::dot11a();
-    let fft = Fft::new(params.fft_size);
+    let fft = FftPlan::new(params.fft_size);
     let mut rng = StdRng::seed_from_u64(4);
     let psdu: Vec<u8> = (0..300).map(|_| rng.gen()).collect();
     let spec = DataSectionSpec {

@@ -1,14 +1,13 @@
 //! Cross-crate integration tests: the full SourceSync pipeline through the
 //! facade crate, exactly as a downstream user would drive it — both the
-//! one-call `run_joint_transmission` wrapper and the staged `JointSession`
-//! per-role API.
+//! one-call `JointSession::run` and the per-role stages.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sourcesync::channel::Position;
 use sourcesync::core::{
-    run_joint_transmission, tracking_update, CosenderPlan, DelayDatabase, JoinFailure, JointConfig,
-    JointSession, HEADER_RATE,
+    tracking_update, CosenderPlan, DelayDatabase, JoinFailure, JointConfig, JointSession,
+    HEADER_RATE,
 };
 use sourcesync::phy::{frame, OfdmParams, RateId, Transmitter};
 use sourcesync::sim::{ChannelModels, Network, NodeId};
@@ -49,19 +48,15 @@ fn joint_frame_through_multipath_fading() {
             cp_extension: 16,
             ..Default::default()
         };
-        let out = run_joint_transmission(
-            &mut net,
-            &mut rng,
-            NodeId(0),
-            &[CosenderPlan {
+        let out = JointSession::new(NodeId(0))
+            .cosender(CosenderPlan {
                 node: NodeId(1),
                 wait_s: sol.waits[0],
-            }],
-            &[NodeId(2)],
-            &payload,
-            &db,
-            &cfg,
-        );
+            })
+            .receiver(NodeId(2))
+            .payload(&payload[..])
+            .config(cfg)
+            .run(&mut net, &mut rng, &db);
         if out.reports[0].payload.as_deref() == Some(&payload[..]) {
             delivered += 1;
         }
@@ -85,23 +80,19 @@ fn tracking_loop_converges() {
         .unwrap()
         .waits[0]
         + 150e-9;
-    let payload = vec![1u8; 60];
+    let payload = [1u8; 60];
     let cfg = JointConfig::default();
     let mut history = Vec::new();
     for _ in 0..6 {
-        let out = run_joint_transmission(
-            &mut net,
-            &mut rng,
-            NodeId(0),
-            &[CosenderPlan {
+        let out = JointSession::new(NodeId(0))
+            .cosender(CosenderPlan {
                 node: NodeId(1),
                 wait_s: wait,
-            }],
-            &[NodeId(2)],
-            &payload,
-            &db,
-            &cfg,
-        );
+            })
+            .receiver(NodeId(2))
+            .payload(&payload[..])
+            .config(cfg)
+            .run(&mut net, &mut rng, &db);
         let Some(m) = out.reports[0].measured_misalign_s[0] else {
             panic!("no misalignment measurement");
         };
@@ -145,17 +136,13 @@ fn three_cosenders_replicated_alamouti() {
         .zip(&sol.waits)
         .map(|(&node, &wait_s)| CosenderPlan { node, wait_s })
         .collect();
-    let payload = vec![0x5C; 200];
-    let out = run_joint_transmission(
-        &mut net,
-        &mut rng,
-        NodeId(0),
-        &plans,
-        &[NodeId(4)],
-        &payload,
-        &db,
-        &JointConfig::default(),
-    );
+    let payload = [0x5Cu8; 200];
+    let out = JointSession::new(NodeId(0))
+        .cosenders(plans.iter().copied())
+        .receiver(NodeId(4))
+        .payload(&payload[..])
+        .config(JointConfig::default())
+        .run(&mut net, &mut rng, &db);
     let report = &out.reports[0];
     assert!(report.header_ok);
     let joined = report.co_channels.iter().filter(|c| c.is_some()).count();
@@ -197,19 +184,15 @@ fn multi_receiver_lp_reduces_worst_misalignment() {
             cp_extension: 12,
             ..Default::default()
         };
-        let out = run_joint_transmission(
-            net,
-            rng,
-            NodeId(0),
-            &[CosenderPlan {
+        let out = JointSession::new(NodeId(0))
+            .cosender(CosenderPlan {
                 node: NodeId(1),
                 wait_s: wait,
-            }],
-            &receivers,
-            &[9u8; 80],
-            &db,
-            &cfg,
-        );
+            })
+            .receivers(receivers)
+            .payload([9u8; 80])
+            .config(cfg)
+            .run(net, rng, &db);
         out.true_misalign_s
             .iter()
             .flatten()
@@ -505,24 +488,20 @@ fn rates_sweep_through_joint_path() {
         .wait_solution(NodeId(0), &[NodeId(1)], &[NodeId(2)])
         .unwrap();
     for rate in [RateId::R6, RateId::R12, RateId::R24, RateId::R36] {
-        let payload = vec![rate.to_index(); 150];
+        let payload = [rate.to_index(); 150];
         let cfg = JointConfig {
             rate,
             ..Default::default()
         };
-        let out = run_joint_transmission(
-            &mut net,
-            &mut rng,
-            NodeId(0),
-            &[CosenderPlan {
+        let out = JointSession::new(NodeId(0))
+            .cosender(CosenderPlan {
                 node: NodeId(1),
                 wait_s: sol.waits[0],
-            }],
-            &[NodeId(2)],
-            &payload,
-            &db,
-            &cfg,
-        );
+            })
+            .receiver(NodeId(2))
+            .payload(&payload[..])
+            .config(cfg)
+            .run(&mut net, &mut rng, &db);
         assert_eq!(
             out.reports[0].payload.as_deref(),
             Some(&payload[..]),

@@ -1,7 +1,7 @@
 //! Differential tests for the zero-allocation modem workspaces: every
-//! workspace-ified function is driven through BOTH the in-place path and
-//! the legacy allocating path on identical seeded inputs, asserting
-//! byte-identical output.
+//! workspace-ified function is driven through BOTH a reused workspace and
+//! the allocating path (or a fresh buffer where no allocating path is
+//! left) on identical seeded inputs, asserting byte-identical output.
 //!
 //! The workspaces are deliberately *reused* across iterations inside each
 //! test — matching a fresh workspace is trivial (the allocating wrappers
@@ -16,7 +16,7 @@ use sourcesync::core::{
     RoleChannels, SessionWorkspace,
 };
 use sourcesync::dsp::rng::ComplexGaussian;
-use sourcesync::dsp::{Complex64, Fft};
+use sourcesync::dsp::{Complex64, FftPlan};
 use sourcesync::phy::chanest::ChannelEstimate;
 use sourcesync::phy::{
     frame, ofdm, OfdmParams, RateId, Receiver, RxWorkspace, Transmitter, TxWorkspace,
@@ -39,7 +39,7 @@ fn ofdm_modulate_and_demodulate_match_legacy() {
     // One reused workspace across both numerologies: the re-keying path is
     // part of what is under test.
     for params in [OfdmParams::dot11a(), OfdmParams::wiglan()] {
-        let fft = Fft::new(params.fft_size);
+        let fft = FftPlan::new(params.fft_size);
         for sym_idx in 0..4 {
             let data: Vec<Complex64> = (0..params.n_data())
                 .map(|_| ComplexGaussian::unit().sample(&mut rng))
@@ -81,10 +81,9 @@ fn ofdm_modulate_and_demodulate_match_legacy() {
                     bits_of(&ofdm::extract_data(&params, &legacy_grid))
                 );
                 ofdm::extract_pilots_into(&params, &grid_buf, &mut pilot_buf);
-                assert_eq!(
-                    bits_of(&pilot_buf),
-                    bits_of(&ofdm::extract_pilots(&params, &legacy_grid))
-                );
+                let mut fresh_pilots = Vec::new();
+                ofdm::extract_pilots_into(&params, &legacy_grid, &mut fresh_pilots);
+                assert_eq!(bits_of(&pilot_buf), bits_of(&fresh_pilots));
             }
         }
     }
@@ -181,7 +180,7 @@ fn const_roles(
 #[test]
 fn combiner_workspace_paths_match_legacy() {
     let params = OfdmParams::dot11a();
-    let fft = Fft::new(params.fft_size);
+    let fft = FftPlan::new(params.fft_size);
     let mut rng = StdRng::seed_from_u64(4);
     let mut ws = CombineWorkspace::new(&params);
     let h_a = Complex64::from_polar(1.0, 0.7);

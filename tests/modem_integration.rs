@@ -4,6 +4,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sourcesync::channel::{add_awgn, Link, Multipath, MultipathProfile, Oscillator};
+use sourcesync::dsp::rng::ComplexGaussian;
 use sourcesync::dsp::Complex64;
 use sourcesync::phy::{OfdmParams, RateId, Receiver, RxError, Transmitter};
 
@@ -129,3 +130,51 @@ fn truncation_and_garbage_do_not_panic() {
         let _ = rx.receive(&buf[..cut]);
     }
 }
+
+/// The full receive chain pinned to exact bits: this test compiles in every
+/// feature mode, so the `simd` and scalar builds (and the runtime AVX2 tier
+/// on hosts that have it) must all reproduce these constants for the suite
+/// to pass in both CI jobs — a cross-build differential test without
+/// cross-build plumbing.
+#[test]
+fn full_chain_bits_are_build_invariant() {
+    let params = OfdmParams::dot11a();
+    let tx = Transmitter::new(params.clone());
+    let rx = Receiver::new(params.clone());
+    let mut rng = StdRng::seed_from_u64(2024);
+    let payload: Vec<u8> = (0..700).map(|_| rng.gen()).collect();
+    let wave = tx.frame_waveform(&payload, RateId::R24, 0);
+    let noise = ComplexGaussian::with_power(1e-3);
+    let mut buf = noise.sample_vec(&mut rng, 200);
+    buf.extend(wave);
+    buf.extend(noise.sample_vec(&mut rng, 200));
+
+    let res = rx.receive(&buf).expect("seeded frame decodes");
+    assert_eq!(res.payload, payload);
+
+    // FNV-1a over the diagnostic bits: any cross-kernel divergence anywhere
+    // in the chain (correlator, FFT, demap, Viterbi, EVM) changes this hash.
+    let mut hash = 0xcbf29ce484222325u64;
+    let mut feed = |v: u64| {
+        for byte in v.to_le_bytes() {
+            hash ^= byte as u64;
+            hash = hash.wrapping_mul(0x100000001b3);
+        }
+    };
+    feed(res.diag.evm_snr_db.to_bits());
+    feed(res.diag.mean_snr_db.to_bits());
+    feed(res.diag.timing_offset_samples.to_bits());
+    for v in &res.diag.per_carrier_snr_db {
+        feed(v.to_bits());
+    }
+    assert_eq!(
+        hash, PINNED_DIAG_HASH,
+        "receive-chain bits diverged from the pinned capture \
+         (evm={:.12}, mean={:.12})",
+        res.diag.evm_snr_db, res.diag.mean_snr_db
+    );
+}
+
+/// Pinned by running the seeded capture above on the scalar build; the simd
+/// build must reproduce it exactly.
+const PINNED_DIAG_HASH: u64 = 12792249986871947276;

@@ -2,8 +2,10 @@
 //! invariants of the workspace.
 
 use proptest::prelude::*;
-use sourcesync::dsp::{Complex64, Fft};
+use sourcesync::core::SyncHeader;
+use sourcesync::dsp::{Complex64, FftPlan};
 use sourcesync::linprog::MisalignmentProblem;
+use sourcesync::mac::{AckFrame, DataFrame, MacFrame};
 use sourcesync::phy::modulation::DemapTable;
 use sourcesync::phy::params::CodeRate;
 use sourcesync::phy::scramble::Scrambler;
@@ -17,12 +19,60 @@ fn arb_complex() -> impl Strategy<Value = Complex64> {
     (-10.0f64..10.0, -10.0f64..10.0).prop_map(|(re, im)| Complex64::new(re, im))
 }
 
+/// Any well-formed DATA or ACK frame (finite feedback values, so frames
+/// compare equal after a round trip).
+fn arb_mac_frame() -> impl Strategy<Value = MacFrame> {
+    (
+        any::<bool>(),
+        (any::<u16>(), any::<u16>(), any::<u16>(), any::<bool>()),
+        proptest::collection::vec(any::<u8>(), 0..64),
+        proptest::collection::vec(any::<f64>(), 0..8),
+    )
+        .prop_map(|(is_data, (src, dst, seq, retry), payload, feedback)| {
+            if is_data {
+                MacFrame::Data(DataFrame {
+                    src,
+                    dst,
+                    seq,
+                    retry,
+                    payload,
+                })
+            } else {
+                MacFrame::Ack(AckFrame {
+                    dst,
+                    seq,
+                    misalign_feedback_s: feedback,
+                })
+            }
+        })
+}
+
+fn arb_sync_header() -> impl Strategy<Value = SyncHeader> {
+    (
+        (any::<u16>(), any::<u16>()),
+        0u8..8,
+        any::<u16>(),
+        any::<u8>(),
+        any::<u8>(),
+    )
+        .prop_map(
+            |((lead, packet_id), rate_idx, psdu_len, cp_extension, n_cosenders)| SyncHeader {
+                lead,
+                packet_id,
+                rate: RateId::from_index(rate_idx).unwrap(),
+                psdu_len,
+                cp_extension,
+                n_cosenders,
+            },
+        )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn fft_roundtrip_any_signal(values in proptest::collection::vec(arb_complex(), 64)) {
-        let fft = Fft::new(64);
+        let fft = FftPlan::new(64);
         let back = fft.inverse_to_vec(&fft.forward_to_vec(&values));
         for (a, b) in values.iter().zip(&back) {
             prop_assert!(a.dist(*b) < 1e-9);
@@ -32,7 +82,7 @@ proptest! {
     #[test]
     fn fft_linearity(a in proptest::collection::vec(arb_complex(), 64),
                      b in proptest::collection::vec(arb_complex(), 64)) {
-        let fft = Fft::new(64);
+        let fft = FftPlan::new(64);
         let fa = fft.forward_to_vec(&a);
         let fb = fft.forward_to_vec(&b);
         let sum: Vec<Complex64> = a.iter().zip(&b).map(|(x, y)| *x + *y).collect();
@@ -351,5 +401,44 @@ proptest! {
         prop_assert!(up.0 >= time.0 && up.0 - time.0 < period);
         let err = near.0.abs_diff(time.0);
         prop_assert!(err * 2 <= period);
+    }
+}
+
+// The parsers that see bytes off the air: a corrupted or foreign frame
+// must come back as `None`, never as a panic.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn parsers_never_panic_on_arbitrary_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        if let Some(frame) = MacFrame::from_bytes(&bytes) {
+            // Whatever parses re-encodes to bytes that parse to the same
+            // encoding (byte comparison: feedback may decode to NaN).
+            let again = MacFrame::from_bytes(&frame.to_bytes()).expect("re-encoding parses");
+            prop_assert_eq!(again.to_bytes(), frame.to_bytes());
+        }
+        if let Some(header) = SyncHeader::from_bytes(&bytes) {
+            prop_assert_eq!(&header.to_bytes()[..], &bytes[..9]);
+        }
+    }
+
+    #[test]
+    fn mac_frame_roundtrips_and_rejects_every_prefix(frame in arb_mac_frame()) {
+        let bytes = frame.to_bytes();
+        prop_assert_eq!(MacFrame::from_bytes(&bytes), Some(frame));
+        for len in 0..bytes.len() {
+            prop_assert_eq!(MacFrame::from_bytes(&bytes[..len]), None, "prefix {}", len);
+        }
+    }
+
+    #[test]
+    fn sync_header_roundtrips_and_rejects_every_prefix(header in arb_sync_header()) {
+        let bytes = header.to_bytes();
+        prop_assert_eq!(SyncHeader::from_bytes(&bytes), Some(header));
+        for len in 0..bytes.len() {
+            prop_assert_eq!(SyncHeader::from_bytes(&bytes[..len]), None, "prefix {}", len);
+        }
     }
 }
