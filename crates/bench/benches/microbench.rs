@@ -7,7 +7,7 @@ use rand::{Rng, SeedableRng};
 use ssync_dsp::rng::ComplexGaussian;
 use ssync_dsp::{Complex64, FftPlan};
 use ssync_linprog::MisalignmentProblem;
-use ssync_phy::{OfdmParams, RateId, Receiver, Transmitter};
+use ssync_phy::{DetectScratch, OfdmParams, RateId, Receiver, Transmitter};
 
 fn bench_fft(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(1);
@@ -33,7 +33,13 @@ fn bench_viterbi(c: &mut Criterion) {
     let coded = ssync_phy::convcode::encode_half(&bits);
     let llrs = ssync_phy::viterbi::llrs_from_bits(&coded);
     c.bench_function("viterbi_decode_1000bits", |b| {
-        b.iter(|| ssync_phy::viterbi::decode_terminated(&llrs).unwrap())
+        b.iter(|| {
+            let mut out = Vec::new();
+            assert!(
+                ssync_phy::viterbi::ViterbiDecoder::new().decode_terminated_into(&llrs, &mut out)
+            );
+            out
+        })
     });
 }
 
@@ -74,7 +80,10 @@ fn bench_detection(c: &mut Criterion) {
         buf[1000 + i] += *s;
     }
     c.bench_function("packet_detect_4k_samples", |b| {
-        b.iter(|| det.detect(&params, &buf, 0).expect("detects"))
+        b.iter(|| {
+            det.detect_with(&params, &buf, 0, &mut DetectScratch::new())
+                .expect("detects")
+        })
     });
 }
 

@@ -22,7 +22,9 @@ pub mod scenarios;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ssync_channel::{FloorPlan, Position};
-use ssync_core::{CosenderPlan, DelayDatabase, JointConfig, JointOutcome, JointSession};
+use ssync_core::{
+    CosenderPlan, DelayDatabase, JointConfig, JointOutcome, JointSession, SessionWorkspace,
+};
 use ssync_phy::Params;
 use ssync_sim::{ChannelModels, Network, NodeId};
 
@@ -108,6 +110,7 @@ pub fn run_once(
     db: &DelayDatabase,
     wait_s: f64,
 ) -> JointOutcome {
+    let mut ws = SessionWorkspace::new(net.params.clone());
     JointSession::new(LEAD)
         .cosender(CosenderPlan {
             node: COSENDER,
@@ -116,7 +119,7 @@ pub fn run_once(
         .receiver(RECEIVER)
         .payload(payload)
         .config(*cfg)
-        .run(net, rng, db)
+        .run_with(net, rng, db, &mut ws)
 }
 
 /// A random payload of `len` bytes.

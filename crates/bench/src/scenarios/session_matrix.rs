@@ -16,7 +16,9 @@ use crate::random_payload;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use ssync_channel::{FloorPlan, Position};
-use ssync_core::{CosenderPlan, DelayDatabase, JoinFailure, JointConfig, JointSession};
+use ssync_core::{
+    CosenderPlan, DelayDatabase, JoinFailure, JointConfig, JointSession, SessionWorkspace,
+};
 use ssync_dsp::stats::mean;
 use ssync_exp::{Ctx, Output, Scenario, Value};
 use ssync_phy::{OfdmParams, RateId};
@@ -54,6 +56,7 @@ fn one_placement(params: &ssync_phy::Params, n_co: usize, snr_db: f64, seed: u64
     let sol = db.wait_solution(NodeId(0), &cos, &receivers)?;
 
     let payload = random_payload(&mut rng, 120);
+    let mut ws = SessionWorkspace::new(net.params.clone());
     let out = JointSession::new(NodeId(0))
         .cosenders(
             cos.iter()
@@ -67,7 +70,7 @@ fn one_placement(params: &ssync_phy::Params, n_co: usize, snr_db: f64, seed: u64
             cp_extension: 32,
             ..Default::default()
         })
-        .run(&mut net, &mut rng, &db);
+        .run_with(&mut net, &mut rng, &db, &mut ws);
 
     let decodes = out
         .reports

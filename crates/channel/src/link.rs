@@ -83,7 +83,7 @@ impl Link {
 
     /// Predicts, without propagating, where a waveform's received copy
     /// lands: the receiver sample index of its first sample and the exact
-    /// output length [`Link::propagate`] would produce. The length mirrors
+    /// output length [`Link::propagate_into`] would produce. The length mirrors
     /// the propagation pipeline — multipath convolution spill
     /// (`taps − 1` samples) plus, when the arrival falls off the sample
     /// grid, the fractional-delay interpolator's `SINC_HALF_WIDTH` tail.
@@ -119,24 +119,12 @@ impl Link {
     ///
     /// CFO rotation is phase-referenced to ether time 0 so that concurrent
     /// transmissions from different senders stay mutually consistent.
-    pub fn propagate(
-        &self,
-        waveform: &[Complex64],
-        tx_start_fs: u64,
-        sample_period_fs: u64,
-    ) -> (Vec<Complex64>, u64) {
-        let mut scratch = PropagationScratch::default();
-        let (out, base_sample) =
-            self.propagate_into(waveform, tx_start_fs, sample_period_fs, &mut scratch);
-        (out.to_vec(), base_sample)
-    }
-
-    /// [`Link::propagate`] through caller-owned scratch: the convolution,
-    /// interpolation kernel and delayed buffer live in `scratch`, so a
-    /// reused scratch makes the steady-state medium capture path
-    /// allocation-free. Returns a slice borrowed from `scratch` plus the
-    /// receiver sample index; output bits are identical to
-    /// [`Link::propagate`] (same operations in the same order).
+    ///
+    /// The convolution, interpolation kernel and delayed buffer live in
+    /// caller-owned `scratch`, so a reused scratch makes the steady-state
+    /// medium capture path allocation-free; the returned waveform is a
+    /// slice borrowed from it. A reused scratch gives the same bits as a
+    /// fresh one.
     pub fn propagate_into<'a>(
         &self,
         waveform: &[Complex64],
@@ -200,11 +188,23 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// One propagation through a fresh scratch.
+    fn propagate_fresh(
+        link: &Link,
+        wave: &[Complex64],
+        tx_start_fs: u64,
+        period: u64,
+    ) -> (Vec<Complex64>, u64) {
+        let mut scratch = PropagationScratch::default();
+        let (out, base) = link.propagate_into(wave, tx_start_fs, period, &mut scratch);
+        (out.to_vec(), base)
+    }
+
     #[test]
     fn ideal_link_is_transparent() {
         let link = Link::ideal();
         let wave = vec![Complex64::ONE, Complex64::J];
-        let (out, start) = link.propagate(&wave, 0, 50_000_000);
+        let (out, start) = propagate_fresh(&link, &wave, 0, 50_000_000);
         assert_eq!(start, 0);
         assert_eq!(out.len(), 2);
         assert!(out[0].dist(Complex64::ONE) < 1e-12);
@@ -215,7 +215,7 @@ mod tests {
         let mut link = Link::ideal();
         link.delay_fs = 150_000_000; // exactly 3 samples at 20 Msps
         let wave = vec![Complex64::ONE; 4];
-        let (out, start) = link.propagate(&wave, 0, 50_000_000);
+        let (out, start) = propagate_fresh(&link, &wave, 0, 50_000_000);
         assert_eq!(start, 3);
         assert!(out[0].dist(Complex64::ONE) < 1e-12);
     }
@@ -225,7 +225,7 @@ mod tests {
         let mut link = Link::ideal();
         link.delay_fs = 25_000_000; // half a sample at 20 Msps
         let wave = vec![Complex64::ONE; 64];
-        let (out, start) = link.propagate(&wave, 0, 50_000_000);
+        let (out, start) = propagate_fresh(&link, &wave, 0, 50_000_000);
         assert_eq!(start, 0);
         // Mid-waveform samples should interpolate near 1 (plateau of ones).
         assert!(out[32].dist(Complex64::ONE) < 0.05, "{:?}", out[32]);
@@ -236,7 +236,7 @@ mod tests {
         let mut link = Link::ideal();
         link.amplitude_gain = 2.0;
         let wave = vec![Complex64::ONE; 8];
-        let (out, _) = link.propagate(&wave, 0, 50_000_000);
+        let (out, _) = propagate_fresh(&link, &wave, 0, 50_000_000);
         assert!((ssync_dsp::complex::mean_power(&out[..8]) - 4.0).abs() < 1e-9);
         assert!((link.mean_snr_db() - 6.02).abs() < 0.1);
     }
@@ -250,8 +250,8 @@ mod tests {
         link.cfo_hz = 100e3;
         let wave = vec![Complex64::ONE; 16];
         let period = 50_000_000u64;
-        let (out_a, start_a) = link.propagate(&wave, 0, period);
-        let (out_b, start_b) = link.propagate(&wave, 10 * period, period);
+        let (out_a, start_a) = propagate_fresh(&link, &wave, 0, period);
+        let (out_b, start_b) = propagate_fresh(&link, &wave, 10 * period, period);
         assert_eq!(start_a, 0);
         assert_eq!(start_b, 10);
         // Ether sample 12 is out_a[12] and out_b[2]; both should carry the
@@ -279,7 +279,7 @@ mod tests {
                     cfo_hz: 40e3,
                 };
                 let wave = vec![Complex64::ONE; 48];
-                let (out, base) = link.propagate(&wave, 2 * period, period);
+                let (out, base) = propagate_fresh(&link, &wave, 2 * period, period);
                 let (span_base, span_len) = link.delivered_span(wave.len(), 2 * period, period);
                 assert_eq!(span_base, base, "base for delay {delay_fs}");
                 assert_eq!(span_len, out.len(), "len for delay {delay_fs}");
@@ -301,7 +301,7 @@ mod tests {
         let wave: Vec<Complex64> = (0..96)
             .map(|i| Complex64::new((0.3 * i as f64).cos(), (0.3 * i as f64).sin()))
             .collect();
-        let (fresh, base_fresh) = link.propagate(&wave, 4 * period, period);
+        let (fresh, base_fresh) = propagate_fresh(&link, &wave, 4 * period, period);
         // Pre-dirty the scratch with a different link and waveform.
         let mut scratch = PropagationScratch::default();
         let _ = Link::ideal().propagate_into(&[Complex64::J; 300], 0, period, &mut scratch);

@@ -77,35 +77,14 @@ pub struct DataSectionSpec {
 }
 
 /// Builds the joint data waveform one sender transmits for `psdu` under
-/// codeword `role`, coded per `spec`.
+/// codeword `role`, coded per `spec`, through a reusable
+/// [`CombineWorkspace`]: `out` is cleared and refilled and the per-pair
+/// space-time-coded symbols live in workspace scratch.
 ///
 /// With `spec.smart_combiner = false` the space-time code is bypassed and
 /// every sender transmits identical symbols — the naive strategy the
 /// paper's §6 shows suffers destructive combining (kept for the ablation
 /// bench).
-pub fn joint_data_waveform(
-    params: &Params,
-    fft: &FftPlan,
-    psdu: &[u8],
-    role: Codeword,
-    spec: &DataSectionSpec,
-) -> Vec<Complex64> {
-    let mut wave = Vec::new();
-    joint_data_waveform_into(
-        params,
-        fft,
-        psdu,
-        role,
-        spec,
-        &mut CombineWorkspace::new(params),
-        &mut wave,
-    );
-    wave
-}
-
-/// [`joint_data_waveform`] through a reusable [`CombineWorkspace`]: `out`
-/// is cleared and refilled and the per-pair space-time-coded symbols live
-/// in workspace scratch. Bit-identical to the allocating path.
 pub fn joint_data_waveform_into(
     params: &Params,
     fft: &FftPlan,
@@ -207,33 +186,12 @@ pub struct JointDataWindow {
 
 /// Decodes the joint data section from a receiver buffer: `window` says
 /// where the data sits, `spec` how it was coded, `roles` the per-role
-/// channels from the JCE.
+/// channels from the JCE. The per-pair grids, LLR pool, and demap scratch
+/// live in the reusable [`CombineWorkspace`] `ws`, so the symbol-pair loop
+/// is allocation-free at steady state.
 ///
 /// Returns the PSDU candidate (before CRC checking) and combiner stats, or
 /// `None` if the buffer is too short.
-pub fn decode_joint_data(
-    params: &Params,
-    fft: &FftPlan,
-    buf: &[Complex64],
-    window: &JointDataWindow,
-    spec: &DataSectionSpec,
-    roles: &RoleChannels,
-) -> Option<(Option<Vec<u8>>, CombinerStats)> {
-    decode_joint_data_with(
-        params,
-        fft,
-        buf,
-        window,
-        spec,
-        roles,
-        &mut CombineWorkspace::new(params),
-    )
-}
-
-/// [`decode_joint_data`] through a reusable [`CombineWorkspace`]: the
-/// per-pair grids, LLR pool, and demap scratch live in `ws`, so the
-/// symbol-pair loop is allocation-free at steady state. Bit-identical to
-/// the allocating path.
 pub fn decode_joint_data_with(
     params: &Params,
     fft: &FftPlan,
@@ -351,6 +309,33 @@ mod tests {
     use ssync_phy::chanest::ChannelEstimate;
     use ssync_phy::OfdmParams;
 
+    /// One sender's data waveform through a fresh workspace.
+    fn waveform_fresh(
+        params: &ssync_phy::Params,
+        fft: &FftPlan,
+        psdu: &[u8],
+        role: Codeword,
+        spec: &DataSectionSpec,
+    ) -> Vec<Complex64> {
+        let mut wave = Vec::new();
+        let mut ws = CombineWorkspace::new(params);
+        joint_data_waveform_into(params, fft, psdu, role, spec, &mut ws, &mut wave);
+        wave
+    }
+
+    /// One joint decode through a fresh workspace.
+    fn decode_fresh(
+        params: &ssync_phy::Params,
+        fft: &FftPlan,
+        buf: &[Complex64],
+        window: &JointDataWindow,
+        spec: &DataSectionSpec,
+        roles: &RoleChannels,
+    ) -> Option<(Option<Vec<u8>>, CombinerStats)> {
+        let mut ws = CombineWorkspace::new(params);
+        decode_joint_data_with(params, fft, buf, window, spec, roles, &mut ws)
+    }
+
     /// Builds role channels with constant per-sender gains.
     fn const_roles(
         params: &ssync_phy::Params,
@@ -379,8 +364,8 @@ mod tests {
         (h_a, h_b): (Complex64, Complex64),
         awgn: (f64, u64),
     ) -> Vec<Complex64> {
-        let wa = joint_data_waveform(params, fft, psdu, Codeword::A, spec);
-        let wb = joint_data_waveform(params, fft, psdu, Codeword::B, spec);
+        let wa = waveform_fresh(params, fft, psdu, Codeword::A, spec);
+        let wb = waveform_fresh(params, fft, psdu, Codeword::B, spec);
         let mut rng = StdRng::seed_from_u64(awgn.1);
         let noise = ComplexGaussian::with_power(awgn.0);
         wa.iter()
@@ -425,7 +410,7 @@ mod tests {
             backoff: 0,
         };
         let (decoded, stats) =
-            decode_joint_data(&params, &fft, &buf, &window, &spec(RateId::R12, cp), &roles)
+            decode_fresh(&params, &fft, &buf, &window, &spec(RateId::R12, cp), &roles)
                 .expect("buffer length");
         assert_eq!(decoded.as_deref(), Some(&psdu[..]));
         assert!(stats.evm_snr_db > 20.0, "EVM {}", stats.evm_snr_db);
@@ -455,7 +440,7 @@ mod tests {
         let smart_spec = spec(RateId::R12, cp);
         let smart_buf = joint_on_air(&params, &fft, &psdu, &smart_spec, (h_a, h_b), (1e-3, 4));
         let (smart, _) =
-            decode_joint_data(&params, &fft, &smart_buf, &window, &smart_spec, &roles).unwrap();
+            decode_fresh(&params, &fft, &smart_buf, &window, &smart_spec, &roles).unwrap();
         assert_eq!(smart.as_deref(), Some(&psdu[..]), "smart combiner failed");
 
         let naive_spec = DataSectionSpec {
@@ -464,7 +449,7 @@ mod tests {
         };
         let naive_buf = joint_on_air(&params, &fft, &psdu, &naive_spec, (h_a, h_b), (1e-3, 5));
         let (naive, _) =
-            decode_joint_data(&params, &fft, &naive_buf, &window, &naive_spec, &roles).unwrap();
+            decode_fresh(&params, &fft, &naive_buf, &window, &naive_spec, &roles).unwrap();
         assert_ne!(naive.as_deref(), Some(&psdu[..]), "naive should null out");
     }
 
@@ -477,7 +462,7 @@ mod tests {
         let psdu: Vec<u8> = (0..80).map(|_| rng.gen()).collect();
         let cp = params.cp_len;
         let h_a = Complex64::from_polar(0.9, 0.3);
-        let wa = joint_data_waveform(&params, &fft, &psdu, Codeword::A, &spec(RateId::R6, cp));
+        let wa = waveform_fresh(&params, &fft, &psdu, Codeword::A, &spec(RateId::R6, cp));
         let noise = ComplexGaussian::with_power(1e-4);
         let buf: Vec<Complex64> = wa
             .iter()
@@ -498,7 +483,7 @@ mod tests {
             backoff: 0,
         };
         let (decoded, _) =
-            decode_joint_data(&params, &fft, &buf, &window, &spec(RateId::R6, cp), &roles).unwrap();
+            decode_fresh(&params, &fft, &buf, &window, &spec(RateId::R6, cp), &roles).unwrap();
         assert_eq!(decoded.as_deref(), Some(&psdu[..]));
     }
 
@@ -513,8 +498,8 @@ mod tests {
         let cp = params.cp_len;
         let h_a = Complex64::from_polar(1.0, 0.2);
         let h_b = Complex64::from_polar(1.0, -0.9);
-        let wa = joint_data_waveform(&params, &fft, &psdu, Codeword::A, &spec(RateId::R12, cp));
-        let wb = joint_data_waveform(&params, &fft, &psdu, Codeword::B, &spec(RateId::R12, cp));
+        let wa = waveform_fresh(&params, &fft, &psdu, Codeword::A, &spec(RateId::R12, cp));
+        let wb = waveform_fresh(&params, &fft, &psdu, Codeword::B, &spec(RateId::R12, cp));
         // 300 Hz residual on role B at 20 Msps.
         let noise = ComplexGaussian::with_power(1e-4);
         let step = 2.0 * std::f64::consts::PI * 300.0 / params.sample_rate_hz;
@@ -535,8 +520,7 @@ mod tests {
             backoff: 0,
         };
         let (decoded, _) =
-            decode_joint_data(&params, &fft, &buf, &window, &spec(RateId::R12, cp), &roles)
-                .unwrap();
+            decode_fresh(&params, &fft, &buf, &window, &spec(RateId::R12, cp), &roles).unwrap();
         assert_eq!(decoded.as_deref(), Some(&psdu[..]), "pilot tracking failed");
     }
 
@@ -552,7 +536,7 @@ mod tests {
             psdu_len: 10,
             backoff: 0,
         };
-        assert!(decode_joint_data(
+        assert!(decode_fresh(
             &params,
             &fft,
             &buf,

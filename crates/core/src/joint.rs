@@ -7,7 +7,7 @@
 //! vocabulary — [`JointConfig`], [`CosenderPlan`], [`ReceiverReport`],
 //! [`JointOutcome`].
 //!
-//! One [`JointSession::run`](crate::session::JointSession::run) plays out
+//! One [`JointSession::run_with`](crate::session::JointSession::run_with) plays out
 //! an entire joint frame:
 //!
 //! 1. the lead sender transmits the sync header, then goes silent for a
@@ -152,13 +152,18 @@ impl JointOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::JointSession;
+    use crate::session::{JointSession, SessionWorkspace};
     use crate::sls::DelayDatabase;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use ssync_channel::Position;
     use ssync_phy::OfdmParams;
     use ssync_sim::{ChannelModels, Network};
+
+    /// A fresh workspace for one call (every network here is dot11a).
+    fn fresh_ws() -> SessionWorkspace {
+        SessionWorkspace::new(OfdmParams::dot11a())
+    }
 
     /// Lead at origin, co-sender 12 m east, receiver 10 m north-east-ish.
     fn test_network(seed: u64) -> Network {
@@ -202,7 +207,7 @@ mod tests {
             .receiver(NodeId(2))
             .payload(&payload[..])
             .config(JointConfig::default())
-            .run(&mut net, &mut rng, &db);
+            .run_with(&mut net, &mut rng, &db, &mut fresh_ws());
         let report = &out.reports[0];
         assert!(report.header_ok, "header failed");
         assert!(report.co_channels[0].is_some(), "co-sender not seen");
@@ -246,7 +251,7 @@ mod tests {
             .receiver(NodeId(2))
             .payload(&payload[..])
             .config(JointConfig::default())
-            .run(&mut net, &mut rng, &db);
+            .run_with(&mut net, &mut rng, &db, &mut fresh_ws());
         let mut rng = StdRng::seed_from_u64(6);
         let base_cfg = JointConfig {
             delay_compensation: false,
@@ -260,7 +265,7 @@ mod tests {
             .receiver(NodeId(2))
             .payload(&payload[..])
             .config(base_cfg)
-            .run(&mut net, &mut rng, &db);
+            .run_with(&mut net, &mut rng, &db, &mut fresh_ws());
         let sync_mis = sync_out.true_misalign_s[0][0].abs();
         let base_mis = base_out.true_misalign_s[0][0].abs();
         assert!(
@@ -297,7 +302,7 @@ mod tests {
             .receiver(NodeId(2))
             .payload(&payload[..])
             .config(JointConfig::default())
-            .run(&mut net, &mut rng, &db);
+            .run_with(&mut net, &mut rng, &db, &mut fresh_ws());
         let report = &out.reports[0];
         assert!(report.header_ok);
         assert!(report.co_channels[0].is_none(), "ghost co-sender");
@@ -332,7 +337,7 @@ mod tests {
             .receiver(NodeId(2))
             .payload([1u8, 2, 3, 4])
             .config(JointConfig::default())
-            .run(&mut net, &mut rng, &db);
+            .run_with(&mut net, &mut rng, &db, &mut fresh_ws());
         let report = &out.reports[0];
         assert_eq!(report.effective_snr_db.len(), 48);
         assert!(report.stats.mean_effective_gain > 0.0);

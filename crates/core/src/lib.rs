@@ -41,8 +41,8 @@ pub mod timeline;
 pub mod wire;
 
 pub use combiner::{
-    decode_joint_data, decode_joint_data_with, joint_data_waveform, joint_data_waveform_into,
-    CombineWorkspace, CombinerStats, DataSectionSpec, JointDataWindow,
+    decode_joint_data_with, joint_data_waveform_into, CombineWorkspace, CombinerStats,
+    DataSectionSpec, JointDataWindow,
 };
 pub use jce::RoleChannels;
 pub use joint::{CosenderPlan, JointConfig, JointOutcome, ReceiverReport};

@@ -18,7 +18,7 @@
 //! * [`ReceiverDecode`] — one receiver's role: joint channel estimation,
 //!   space-time combining, and the §4.5 misalignment report.
 //!
-//! [`JointSession::run`] drives all three stages in protocol order; its
+//! [`JointSession::run_with`] drives all three stages in protocol order; its
 //! outputs are byte-identical to the historical monolithic driver, which
 //! is what the figure reproductions and golden tests pin. Driving the
 //! stages yourself is what the monolith could never do: joining a
@@ -27,7 +27,7 @@
 //! senders never planned for.
 //!
 //! ```no_run
-//! # use ssync_core::session::JointSession;
+//! # use ssync_core::session::{JointSession, SessionWorkspace};
 //! # use ssync_core::{CosenderPlan, DelayDatabase, JointConfig};
 //! # use ssync_sim::{Network, NodeId};
 //! # use rand::rngs::StdRng;
@@ -39,10 +39,11 @@
 //!     .receiver(NodeId(2))
 //!     .payload(b"hello".to_vec())
 //!     .config(JointConfig::default());
-//! // Staged: every role separately.
-//! let frame = session.lead_tx().transmit(net);
-//! let join = session.cosender_join(0, &frame).join(net, &mut rng, db);
-//! let report = session.receiver_decode(NodeId(2), &frame).decode(net, &mut rng);
+//! // Staged: every role separately, sharing one workspace.
+//! let mut ws = SessionWorkspace::new(net.params.clone());
+//! let frame = session.lead_tx().transmit_with(net, &mut ws);
+//! let join = session.cosender_join(0, &frame).join_with(net, &mut rng, db, &mut ws);
+//! let report = session.receiver_decode(NodeId(2), &frame).decode_with(net, &mut rng, &mut ws);
 //! # let _ = (join, report);
 //! # }
 //! ```
@@ -190,7 +191,7 @@ pub struct LeadFrame {
 /// One joint transmission, described once and driven stage by stage.
 ///
 /// Build with [`JointSession::new`] + the chained setters, then either
-/// call [`run`](JointSession::run) (the whole protocol, in order) or
+/// call [`run_with`](JointSession::run_with) (the whole protocol, in order) or
 /// invoke the per-role stages yourself via [`lead_tx`](JointSession::lead_tx),
 /// [`cosender_join`](JointSession::cosender_join) and
 /// [`receiver_decode`](JointSession::receiver_decode).
@@ -300,22 +301,10 @@ impl JointSession {
     /// Runs the complete protocol: lead transmission, every co-sender's
     /// join attempt (in slot order), then every receiver's decode — the
     /// exact stage order (and RNG consumption order) of the historical
-    /// monolith, so the compatibility wrapper stays byte-identical.
-    pub fn run<R: Rng + ?Sized>(
-        &self,
-        net: &mut Network,
-        rng: &mut R,
-        db: &DelayDatabase,
-    ) -> JointOutcome {
-        // One set of planned machinery (FFT tables, detector, modem,
-        // scratch buffers) for the whole frame; the stage wrappers build
-        // their own when invoked standalone.
-        self.run_with(net, rng, db, &mut SessionWorkspace::new(net.params.clone()))
-    }
-
-    /// [`JointSession::run`] through a reusable [`SessionWorkspace`]:
-    /// callers driving many sessions reuse all planned machinery and
-    /// scratch across frames. Bit-identical to [`JointSession::run`].
+    /// monolith, so the outputs stay byte-identical to it. One
+    /// [`SessionWorkspace`] serves the whole frame; callers driving many
+    /// sessions reuse all planned machinery and scratch across frames, and
+    /// a reused workspace gives the same bytes as a fresh one.
     pub fn run_with<R: Rng + ?Sized>(
         &self,
         net: &mut Network,
@@ -382,13 +371,12 @@ pub fn ground_truth_misalign_s(
 /// decode that follows it, so the decode stage keeps no capture copy of
 /// its own.
 ///
-/// Built once per [`JointSession::run`]; a stage invoked through its
-/// allocating entry point builds a throwaway one. Callers driving many
-/// sessions (sweeps, benches, the last-hop downlink) hold one
-/// `SessionWorkspace` per thread and pass it to the `_with` stage variants
-/// — each stage then runs its per-symbol hot loops without heap
-/// allocation, and the outputs stay byte-identical to the allocating
-/// paths.
+/// Built once per [`JointSession::run_with`] call or once per staged
+/// drive. Callers driving many sessions (sweeps, benches, the last-hop
+/// downlink) hold one `SessionWorkspace` per thread and pass it to every
+/// stage — each stage then runs its per-symbol hot loops without heap
+/// allocation, and the outputs stay byte-identical to a fresh
+/// workspace's.
 pub struct SessionWorkspace {
     params: Params,
     fft: FftPlan,
@@ -466,11 +454,6 @@ impl LeadTx<'_> {
     /// Clears the medium, schedules the sync header at `t0` and the lead's
     /// space-time-coded data after the SIFS + training slots, and returns
     /// the frame the other stages key off.
-    pub fn transmit(&self, net: &mut Network) -> LeadFrame {
-        self.transmit_with(net, &mut SessionWorkspace::new(net.params.clone()))
-    }
-
-    /// [`LeadTx::transmit`] through a reusable [`SessionWorkspace`].
     pub fn transmit_with(&self, net: &mut Network, ws: &mut SessionWorkspace) -> LeadFrame {
         let s = self.session;
         let frame_sched = self.schedule(&ws.params);
@@ -568,16 +551,6 @@ impl CosenderJoin<'_> {
     /// Attempts the join. On success the co-sender's training and data are
     /// on the medium and the returned [`CosenderTx`] records its timing;
     /// on failure nothing was transmitted and the reason is typed.
-    pub fn join<R: Rng + ?Sized>(
-        &self,
-        net: &mut Network,
-        rng: &mut R,
-        db: &DelayDatabase,
-    ) -> Result<CosenderTx, JoinFailure> {
-        self.join_with(net, rng, db, &mut SessionWorkspace::new(net.params.clone()))
-    }
-
-    /// [`CosenderJoin::join`] through a reusable [`SessionWorkspace`].
     pub fn join_with<R: Rng + ?Sized>(
         &self,
         net: &mut Network,
@@ -769,11 +742,6 @@ impl ReceiverDecode<'_> {
     }
 
     /// Captures this receiver's view of the joint frame and decodes it.
-    pub fn decode<R: Rng + ?Sized>(&self, net: &mut Network, rng: &mut R) -> ReceiverReport {
-        self.decode_with(net, rng, &mut SessionWorkspace::new(net.params.clone()))
-    }
-
-    /// [`ReceiverDecode::decode`] through a reusable [`SessionWorkspace`].
     pub fn decode_with<R: Rng + ?Sized>(
         &self,
         net: &mut Network,
@@ -963,6 +931,11 @@ mod tests {
     use ssync_phy::OfdmParams;
     use ssync_sim::ChannelModels;
 
+    /// A fresh workspace for one call (every network here is dot11a).
+    fn fresh_ws() -> SessionWorkspace {
+        SessionWorkspace::new(OfdmParams::dot11a())
+    }
+
     fn test_network(seed: u64) -> Network {
         let params = OfdmParams::dot11a();
         let positions = vec![
@@ -1008,12 +981,14 @@ mod tests {
             .unwrap();
         let s = session(&payload, sol.waits[0]);
         let mut rng = StdRng::seed_from_u64(33);
-        let frame = s.lead_tx().transmit(&mut net);
-        let join = s.cosender_join(0, &frame).join(&mut net, &mut rng, &db);
+        let frame = s.lead_tx().transmit_with(&mut net, &mut fresh_ws());
+        let join = s
+            .cosender_join(0, &frame)
+            .join_with(&mut net, &mut rng, &db, &mut fresh_ws());
         assert!(join.is_ok(), "join failed: {join:?}");
-        let report = s
-            .receiver_decode(NodeId(2), &frame)
-            .decode(&mut net, &mut rng);
+        let report =
+            s.receiver_decode(NodeId(2), &frame)
+                .decode_with(&mut net, &mut rng, &mut fresh_ws());
         assert!(report.header_ok);
         assert_eq!(report.payload.as_deref(), Some(&payload[..]));
     }
@@ -1041,10 +1016,10 @@ mod tests {
         let s = session(&payload, 0.0);
         let empty_db = DelayDatabase::new();
         let mut rng = StdRng::seed_from_u64(52);
-        let frame = s.lead_tx().transmit(&mut net);
-        let join = s
-            .cosender_join(0, &frame)
-            .join(&mut net, &mut rng, &empty_db);
+        let frame = s.lead_tx().transmit_with(&mut net, &mut fresh_ws());
+        let join =
+            s.cosender_join(0, &frame)
+                .join_with(&mut net, &mut rng, &empty_db, &mut fresh_ws());
         assert_eq!(
             join.unwrap_err(),
             JoinFailure::MissingDelay {
@@ -1063,7 +1038,8 @@ mod tests {
             .wait_solution(NodeId(0), &[NodeId(1)], &[NodeId(2)])
             .unwrap();
         let mut rng = StdRng::seed_from_u64(63);
-        let out = session(&payload, sol.waits[0]).run(&mut net, &mut rng, &db);
+        let out =
+            session(&payload, sol.waits[0]).run_with(&mut net, &mut rng, &db, &mut fresh_ws());
         assert_eq!(out.cosenders.len(), 1);
         assert_eq!(out.cosenders[0].node, NodeId(1));
         let tx = out.cosenders[0].join.as_ref().expect("co-sender joined");

@@ -35,58 +35,19 @@ fn lag_correlation_x4(
     [acc.lane(0), acc.lane(1), acc.lane(2), acc.lane(3)]
 }
 
-/// Cross-correlates `signal` against a known `template` at every lag where the
-/// template fully overlaps, returning `signal.len() - template.len() + 1`
-/// values: `c[t] = Σ_m signal[t+m]·conj(template[m])`.
-///
-/// Returns an empty vector if the template is longer than the signal or empty.
-pub fn cross_correlate(signal: &[Complex64], template: &[Complex64]) -> Vec<Complex64> {
-    let mut out = Vec::new();
-    cross_correlate_into(signal, template, &mut out);
-    out
-}
-
-/// [`cross_correlate`] into a caller-owned buffer (cleared and refilled;
-/// capacity reused across calls, so the steady-state path is allocation-free).
-pub fn cross_correlate_into(
-    signal: &[Complex64],
-    template: &[Complex64],
-    out: &mut Vec<Complex64>,
-) {
-    out.clear();
-    if template.is_empty() || signal.len() < template.len() {
-        return;
-    }
-    let lags = signal.len() - template.len() + 1;
-    let mut t = 0usize;
-    if SIMD_ENABLED {
-        while t + LANES <= lags {
-            out.extend_from_slice(&lag_correlation_x4(signal, template, t));
-            t += LANES;
-        }
-    }
-    while t < lags {
-        out.push(lag_correlation(signal, template, t));
-        t += 1;
-    }
-}
-
 /// Normalised cross-correlation magnitude in `[0, 1]`:
 /// `|c[t]| / (‖signal window‖ · ‖template‖)`.
 ///
 /// A value near 1 means the window is a scaled copy of the template, which
-/// makes thresholds SNR-independent.
-pub fn normalized_cross_correlate(signal: &[Complex64], template: &[Complex64]) -> Vec<f64> {
-    let mut out = Vec::new();
-    normalized_cross_correlate_into(signal, template, &mut out);
-    out
-}
-
-/// [`normalized_cross_correlate`] into a caller-owned buffer. The raw
-/// correlation magnitudes are computed first (four lags per step on the SIMD
-/// path), then a sequential pass applies the sliding-window-energy
-/// normalisation — the same divisions on the same operands as the original
-/// interleaved loop, so the output is bit-identical to the allocating path
+/// makes thresholds SNR-independent. One value per lag where the template
+/// fully overlaps (`signal.len() - template.len() + 1`); none if the template
+/// is empty or longer than the signal.
+///
+/// `out` is a caller-owned buffer, cleared and refilled. The raw correlation
+/// magnitudes `|Σ_m signal[t+m]·conj(template[m])|` are computed first (four
+/// lags per step on the SIMD path), then a sequential pass applies the
+/// sliding-window-energy normalisation — the same divisions on the same
+/// operands as the original interleaved loop, so the output is bit-identical
 /// in both builds.
 pub fn normalized_cross_correlate_into(
     signal: &[Complex64],
@@ -133,14 +94,8 @@ pub fn normalized_cross_correlate_into(
 /// `P[t] = Σ_{m<period} signal[t+m]·conj(signal[t+m+period])` and the window
 /// energy `R[t] = Σ_{m<period} |signal[t+m+period]|²`, returning the timing
 /// metric `|P[t]|²/R[t]²` which plateaus near 1 over the repeated region.
-pub fn autocorrelation_metric(signal: &[Complex64], period: usize) -> Vec<f64> {
-    let mut out = Vec::new();
-    autocorrelation_metric_into(signal, period, &mut out);
-    out
-}
-
-/// [`autocorrelation_metric`] into a caller-owned buffer (cleared and
-/// refilled; capacity reused across calls).
+/// `out` is a caller-owned buffer (cleared and refilled; capacity reused
+/// across calls).
 pub fn autocorrelation_metric_into(signal: &[Complex64], period: usize, out: &mut Vec<f64>) {
     out.clear();
     if period == 0 || signal.len() < 2 * period {
@@ -172,14 +127,8 @@ pub fn autocorrelation_metric_into(signal: &[Complex64], period: usize, out: &mu
 /// A sharp rise in this ratio marks the arrival of signal energy above the
 /// noise floor — the coarse trigger of the packet detector. The ratio is
 /// clamped to `1e6` to stay finite over perfectly silent leading windows.
-pub fn energy_ratio(signal: &[Complex64], window: usize) -> Vec<f64> {
-    let mut out = Vec::new();
-    energy_ratio_into(signal, window, &mut out);
-    out
-}
-
-/// [`energy_ratio`] into a caller-owned buffer (cleared and refilled;
-/// capacity reused across calls).
+/// `out` is a caller-owned buffer (cleared and refilled; capacity reused
+/// across calls).
 pub fn energy_ratio_into(signal: &[Complex64], window: usize, out: &mut Vec<f64>) {
     out.clear();
     if window == 0 || signal.len() < 2 * window {
@@ -223,6 +172,24 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    fn ncc_fresh(signal: &[Complex64], template: &[Complex64]) -> Vec<f64> {
+        let mut out = Vec::new();
+        normalized_cross_correlate_into(signal, template, &mut out);
+        out
+    }
+
+    fn autocorr_fresh(signal: &[Complex64], period: usize) -> Vec<f64> {
+        let mut out = Vec::new();
+        autocorrelation_metric_into(signal, period, &mut out);
+        out
+    }
+
+    fn energy_ratio_fresh(signal: &[Complex64], window: usize) -> Vec<f64> {
+        let mut out = Vec::new();
+        energy_ratio_into(signal, window, &mut out);
+        out
+    }
+
     #[test]
     fn cross_correlation_peaks_at_embedded_offset() {
         let mut rng = StdRng::seed_from_u64(1);
@@ -233,7 +200,7 @@ mod tests {
         for (m, t) in template.iter().enumerate() {
             signal[offset + m] += *t;
         }
-        let c = normalized_cross_correlate(&signal, &template);
+        let c = ncc_fresh(&signal, &template);
         assert_eq!(argmax(&c), Some(offset));
         assert!(c[offset] > 0.9);
     }
@@ -244,7 +211,7 @@ mod tests {
         let gauss = ComplexGaussian::unit();
         let template = gauss.sample_vec(&mut rng, 8);
         let signal: Vec<Complex64> = template.iter().map(|v| v.scale(123.0)).collect();
-        let c = normalized_cross_correlate(&signal, &template);
+        let c = ncc_fresh(&signal, &template);
         assert_eq!(c.len(), 1);
         assert!((c[0] - 1.0).abs() < 1e-12);
     }
@@ -259,7 +226,7 @@ mod tests {
         for _ in 0..4 {
             signal.extend_from_slice(&one);
         }
-        let m = autocorrelation_metric(&signal, period);
+        let m = autocorr_fresh(&signal, period);
         // Every full window over the repetition should be ~1.
         for (i, v) in m.iter().enumerate() {
             assert!(*v > 0.999, "index {i}: {v}");
@@ -270,7 +237,7 @@ mod tests {
     fn autocorrelation_metric_low_on_noise() {
         let mut rng = StdRng::seed_from_u64(4);
         let noise = ComplexGaussian::unit().sample_vec(&mut rng, 256);
-        let m = autocorrelation_metric(&noise, 16);
+        let m = autocorr_fresh(&noise, 16);
         let mean = m.iter().sum::<f64>() / m.len() as f64;
         assert!(mean < 0.3, "mean metric over noise {mean}");
     }
@@ -280,7 +247,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let mut signal = ComplexGaussian::with_power(0.01).sample_vec(&mut rng, 64);
         signal.extend(ComplexGaussian::with_power(1.0).sample_vec(&mut rng, 64));
-        let r = energy_ratio(&signal, 16);
+        let r = energy_ratio_fresh(&signal, 16);
         let peak = argmax(&r).unwrap();
         // Boundary position = peak + window.
         let edge = peak + 16;
@@ -290,11 +257,11 @@ mod tests {
 
     #[test]
     fn empty_and_degenerate_inputs() {
-        assert!(cross_correlate(&[], &[]).is_empty());
-        assert!(cross_correlate(&[Complex64::ONE], &[]).is_empty());
-        assert!(normalized_cross_correlate(&[Complex64::ONE], &[Complex64::ONE; 2]).is_empty());
-        assert!(autocorrelation_metric(&[Complex64::ONE; 8], 0).is_empty());
-        assert!(energy_ratio(&[Complex64::ONE; 8], 0).is_empty());
+        assert!(ncc_fresh(&[], &[]).is_empty());
+        assert!(ncc_fresh(&[Complex64::ONE], &[]).is_empty());
+        assert!(ncc_fresh(&[Complex64::ONE], &[Complex64::ONE; 2]).is_empty());
+        assert!(autocorr_fresh(&[Complex64::ONE; 8], 0).is_empty());
+        assert!(energy_ratio_fresh(&[Complex64::ONE; 8], 0).is_empty());
         assert_eq!(argmax(&[]), None);
         assert_eq!(argmax(&[1.0, 3.0, 3.0]), Some(1));
     }
@@ -305,25 +272,22 @@ mod tests {
         let gauss = ComplexGaussian::unit();
         let signal = gauss.sample_vec(&mut rng, 300);
         let template = gauss.sample_vec(&mut rng, 16);
-        let mut cc = Vec::new();
         let mut ncc = Vec::new();
         let mut ac = Vec::new();
         let mut er = Vec::new();
-        // Two passes through one set of reused buffers: the second pass must
-        // still match (no state leaks between calls).
+        // Two passes through one set of reused buffers must match fresh
+        // buffers (no state leaks between calls).
         for _ in 0..2 {
-            cross_correlate_into(&signal, &template, &mut cc);
-            assert_eq!(cc, cross_correlate(&signal, &template));
             normalized_cross_correlate_into(&signal, &template, &mut ncc);
-            assert_eq!(ncc, normalized_cross_correlate(&signal, &template));
+            assert_eq!(ncc, ncc_fresh(&signal, &template));
             autocorrelation_metric_into(&signal, 16, &mut ac);
-            assert_eq!(ac, autocorrelation_metric(&signal, 16));
+            assert_eq!(ac, autocorr_fresh(&signal, 16));
             energy_ratio_into(&signal, 16, &mut er);
-            assert_eq!(er, energy_ratio(&signal, 16));
+            assert_eq!(er, energy_ratio_fresh(&signal, 16));
         }
         // Degenerate inputs clear the buffer rather than leaving stale data.
-        cross_correlate_into(&signal[..4], &template, &mut cc);
-        assert!(cc.is_empty());
+        normalized_cross_correlate_into(&signal[..4], &template, &mut ncc);
+        assert!(ncc.is_empty());
     }
 
     #[test]
@@ -350,7 +314,7 @@ mod tests {
     #[test]
     fn energy_ratio_handles_silence() {
         let signal = vec![Complex64::ZERO; 64];
-        let r = energy_ratio(&signal, 8);
+        let r = energy_ratio_fresh(&signal, 8);
         assert!(r.iter().all(|v| v.is_finite()));
     }
 }

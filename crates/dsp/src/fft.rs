@@ -21,23 +21,9 @@
 //! * `inverse`:  `x[n] = (1/N)·Σ_k X[k]·e^{+j2πkn/N}`
 //!
 //! so `inverse(forward(x)) == x` to floating-point precision.
-//!
-//! For all-real inputs (IF captures, channel taps) [`FftPlan::forward_real_into`]
-//! runs the classic pack-into-N/2-complex split, doing half the complex
-//! butterfly work and untangling the spectrum afterwards; it matches the
-//! complex transform to floating-point precision (not bitwise — the butterfly
-//! schedule differs by construction).
 
 use crate::complex::Complex64;
 use std::f64::consts::PI;
-
-/// Auxiliary tables for the real-input split: the half-size complex plan and
-/// the recombination twiddles `e^{-j2πk/N}`.
-#[derive(Debug, Clone)]
-struct RealAux {
-    half: FftPlan,
-    w: Vec<Complex64>,
-}
 
 /// A planned FFT of a fixed power-of-two size: the cached twiddle/permutation
 /// handle the whole workspace shares.
@@ -59,7 +45,6 @@ pub struct FftPlan {
     // per butterfly).
     stages_inv: Vec<Complex64>,
     bitrev: Vec<u32>,
-    real: Option<Box<RealAux>>,
 }
 
 impl FftPlan {
@@ -68,22 +53,6 @@ impl FftPlan {
     /// # Panics
     /// Panics if `n` is not a power of two or is smaller than 2.
     pub fn new(n: usize) -> Self {
-        let mut plan = FftPlan::bare(n);
-        if n >= 4 {
-            let w = (0..n / 2)
-                .map(|k| Complex64::cis(-2.0 * PI * k as f64 / n as f64))
-                .collect();
-            plan.real = Some(Box::new(RealAux {
-                half: FftPlan::bare(n / 2),
-                w,
-            }));
-        }
-        plan
-    }
-
-    /// The plan without real-input support (used for the internal half-size
-    /// plan, so construction doesn't recurse).
-    fn bare(n: usize) -> Self {
         assert!(
             n.is_power_of_two() && n >= 2,
             "FFT size must be a power of two >= 2, got {n}"
@@ -112,7 +81,6 @@ impl FftPlan {
             stages,
             stages_inv,
             bitrev,
-            real: None,
         }
     }
 
@@ -184,24 +152,6 @@ impl FftPlan {
         self.transform(buf, true);
     }
 
-    /// Forward transform of `input` into a caller-provided buffer, without
-    /// allocating: the zero-allocation entry point the modem workspaces
-    /// (`ssync_phy`'s `TxWorkspace`/`RxWorkspace`) are built on.
-    ///
-    /// # Panics
-    /// Panics if `input` or `out` is not exactly the FFT size.
-    pub fn forward_into(&self, input: &[Complex64], out: &mut [Complex64]) {
-        assert_eq!(
-            input.len(),
-            self.n,
-            "input length {} != FFT size {}",
-            input.len(),
-            self.n
-        );
-        out.copy_from_slice(input);
-        self.forward(out);
-    }
-
     /// Inverse transform (including the 1/N scaling) of `input` into a
     /// caller-provided buffer, without allocating.
     ///
@@ -231,83 +181,6 @@ impl FftPlan {
         let mut buf = input.to_vec();
         self.inverse(&mut buf);
         buf
-    }
-
-    /// Forward DFT of an all-real signal via one complex FFT of half the
-    /// size: even samples pack into real parts, odd into imaginary, and the
-    /// half-size spectrum is untangled into the full `N`-point spectrum
-    /// (whose upper half is the conjugate mirror of the lower, as for any
-    /// real signal).
-    ///
-    /// Matches [`FftPlan::forward`] on the equivalent complex input to
-    /// floating-point precision; it is *not* bitwise-identical, which is why
-    /// the modem's bit-exact paths keep the complex transform and this entry
-    /// point serves the genuinely-real front ends (IF captures, real channel
-    /// taps, spectral diagnostics) at half the butterfly cost.
-    ///
-    /// # Panics
-    /// Panics if `input` or `out` is not exactly the FFT size.
-    pub fn forward_real_into(&self, input: &[f64], out: &mut [Complex64]) {
-        assert_eq!(
-            input.len(),
-            self.n,
-            "input length {} != FFT size {}",
-            input.len(),
-            self.n
-        );
-        assert_eq!(
-            out.len(),
-            self.n,
-            "output length {} != FFT size {}",
-            out.len(),
-            self.n
-        );
-        let n = self.n;
-        if n == 2 {
-            out[0] = Complex64::real(input[0] + input[1]);
-            out[1] = Complex64::real(input[0] - input[1]);
-            return;
-        }
-        let aux = self
-            .real
-            .as_ref()
-            .expect("plans of size >= 4 carry real-input tables");
-        let h = n / 2;
-        // Pack x[2m] + j·x[2m+1] into the front half of `out` and transform
-        // it in place with the half-size plan.
-        for m in 0..h {
-            out[m] = Complex64::new(input[2 * m], input[2 * m + 1]);
-        }
-        aux.half.forward(&mut out[..h]);
-        // Untangle: with Z the half-size spectrum, E/O the even/odd-sample
-        // spectra, E[k] = (Z[k] + conj(Z[h−k]))/2, O[k] = −j(Z[k] − conj(Z[h−k]))/2,
-        // X[k] = E[k] + W_N^k·O[k]. Pairs (k, h−k) are read before either is
-        // overwritten; the upper half is the conjugate mirror.
-        let z0 = out[0];
-        for k in 1..h / 2 {
-            let kp = h - k;
-            let a = out[k];
-            let b = out[kp];
-            let e_k = (a + b.conj()).scale(0.5);
-            let t = a - b.conj();
-            let o_k = Complex64::new(t.im, -t.re).scale(0.5);
-            let x_k = e_k + aux.w[k] * o_k;
-            let e_kp = (b + a.conj()).scale(0.5);
-            let t2 = b - a.conj();
-            let o_kp = Complex64::new(t2.im, -t2.re).scale(0.5);
-            let x_kp = e_kp + aux.w[kp] * o_kp;
-            out[k] = x_k;
-            out[kp] = x_kp;
-            out[n - k] = x_k.conj();
-            out[n - kp] = x_kp.conj();
-        }
-        // k = h/2 pairs with itself: W_N^{h/2} = −j collapses the formula to
-        // a conjugation.
-        let zq = out[h / 2];
-        out[h / 2] = zq.conj();
-        out[n - h / 2] = zq;
-        out[h] = Complex64::real(z0.re - z0.im);
-        out[0] = Complex64::real(z0.re + z0.im);
     }
 }
 
@@ -341,7 +214,7 @@ mod tests {
     use super::*;
     use crate::rng::ComplexGaussian;
     use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use rand::SeedableRng;
 
     fn max_err(a: &[Complex64], b: &[Complex64]) -> f64 {
         a.iter().zip(b).map(|(x, y)| x.dist(*y)).fold(0.0, f64::max)
@@ -459,67 +332,17 @@ mod tests {
 
     #[test]
     fn into_variants_match_to_vec_exactly() {
-        // The workspace refactor's contract: the `_into` entry points are
-        // bit-identical to the allocating convenience paths.
+        // The workspace refactor's contract: the `_into` entry point is
+        // bit-identical to the allocating convenience path.
         let mut rng = StdRng::seed_from_u64(12);
         let gauss = ComplexGaussian::unit();
         let fft = FftPlan::new(128);
         let mut out = vec![Complex64::ZERO; 128];
         for _ in 0..8 {
             let x: Vec<Complex64> = (0..128).map(|_| gauss.sample(&mut rng)).collect();
-            fft.forward_into(&x, &mut out);
-            assert_eq!(out, fft.forward_to_vec(&x));
             fft.inverse_into(&x, &mut out);
             assert_eq!(out, fft.inverse_to_vec(&x));
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "input length")]
-    fn forward_into_rejects_wrong_size() {
-        let fft = FftPlan::new(64);
-        let mut out = vec![Complex64::ZERO; 64];
-        fft.forward_into(&[Complex64::ONE; 32], &mut out);
-    }
-
-    #[test]
-    fn real_forward_matches_complex_on_real_inputs() {
-        let mut rng = StdRng::seed_from_u64(14);
-        for &n in &[2usize, 4, 8, 16, 64, 128, 256] {
-            let plan = FftPlan::new(n);
-            let x: Vec<f64> = (0..n).map(|_| rng.gen_range(-3.0..3.0)).collect();
-            let complex_in: Vec<Complex64> = x.iter().map(|&v| Complex64::real(v)).collect();
-            let reference = plan.forward_to_vec(&complex_in);
-            let mut real_out = vec![Complex64::ZERO; n];
-            plan.forward_real_into(&x, &mut real_out);
-            assert!(
-                max_err(&real_out, &reference) < 1e-10 * n as f64,
-                "size {n}"
-            );
-        }
-    }
-
-    #[test]
-    fn real_forward_spectrum_is_conjugate_symmetric() {
-        let mut rng = StdRng::seed_from_u64(15);
-        let n = 64;
-        let plan = FftPlan::new(n);
-        let x: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let mut out = vec![Complex64::ZERO; n];
-        plan.forward_real_into(&x, &mut out);
-        assert!(out[0].im.abs() < 1e-12);
-        assert!(out[n / 2].im.abs() < 1e-12);
-        for k in 1..n / 2 {
-            assert!(out[n - k].dist(out[k].conj()) < 1e-12, "bin {k}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "input length")]
-    fn real_forward_rejects_wrong_size() {
-        let plan = FftPlan::new(64);
-        let mut out = vec![Complex64::ZERO; 64];
-        plan.forward_real_into(&[0.0; 32], &mut out);
     }
 
     use std::f64::consts::PI;

@@ -250,4 +250,96 @@ mod tests {
         assert_eq!(parse("").unwrap().entries.len(), 0);
         assert_eq!(parse("# nothing here\n").unwrap().entries.len(), 0);
     }
+
+    /// SplitMix64: a seeded generator for the robustness test below (this
+    /// crate takes no dependencies, not even the workspace's rand shim).
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// Parses `src` and checks that every error is located as
+    /// `lint.toml:<line>:` with a line that exists in `src`.
+    fn assert_errors_are_located(src: &str) {
+        let n_lines = src.lines().count();
+        let Err(errs) = parse(src) else {
+            return;
+        };
+        for e in errs {
+            let line = e
+                .strip_prefix("lint.toml:")
+                .and_then(|rest| rest.split_once(':'))
+                .and_then(|(line, _)| line.parse::<usize>().ok());
+            assert!(
+                line.is_some_and(|l| (1..=n_lines).contains(&l)),
+                "error not located in a line of {n_lines}: {e:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn parse_never_panics_on_mutated_or_arbitrary_input() {
+        let committed = include_str!("../../../lint.toml");
+        assert!(parse(committed).is_ok(), "the committed lint.toml parses");
+        let mut rng = SplitMix(0x11A7_0F11E);
+        // Byte-level mutations of the committed file; invalid UTF-8 is
+        // replaced, as a lossy read of a corrupted file would.
+        for _ in 0..3000 {
+            let mut bytes = committed.as_bytes().to_vec();
+            for _ in 0..1 + rng.below(8) {
+                let at = rng.below(bytes.len() + 1);
+                match rng.below(5) {
+                    0 if at < bytes.len() => bytes[at] ^= 1 << rng.below(8),
+                    1 => bytes.insert(at, rng.next() as u8),
+                    2 if at < bytes.len() => {
+                        bytes.remove(at);
+                    }
+                    3 => bytes.insert(at, b"[]=\"#\n\\ "[rng.below(8)]),
+                    _ => bytes.truncate(at),
+                }
+            }
+            assert_errors_are_located(&String::from_utf8_lossy(&bytes));
+        }
+        // Arbitrary UTF-8 lines, biased toward the reader's own syntax.
+        const PIECES: [&str; 12] = [
+            "[[allow]]",
+            "[",
+            "]",
+            "=",
+            "\"",
+            "#",
+            " ",
+            "rule",
+            "path",
+            "reason",
+            "wall-clock",
+            "é☃\u{10FFFF}",
+        ];
+        for _ in 0..2000 {
+            let mut src = String::new();
+            for _ in 0..rng.below(12) {
+                for _ in 0..rng.below(10) {
+                    if rng.below(3) == 0 {
+                        let c = char::from_u32(rng.below(0x11_0000) as u32);
+                        src.push(c.unwrap_or(char::REPLACEMENT_CHARACTER));
+                    } else {
+                        src.push_str(PIECES[rng.below(PIECES.len())]);
+                    }
+                }
+                src.push_str(if rng.below(4) == 0 { "\r\n" } else { "\n" });
+            }
+            assert_errors_are_located(&src);
+        }
+    }
 }

@@ -26,16 +26,8 @@ fn parity(x: u8) -> u8 {
 /// the order (g0, g1) per input bit. The caller is responsible for appending
 /// [`TAIL_BITS`] zero bits if a terminated trellis is wanted.
 pub fn encode_half(bits: &[u8]) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_half_into(bits, &mut out);
-    out
-}
-
-/// [`encode_half`] into a caller-owned buffer (cleared and refilled;
-/// capacity reused across calls).
-pub fn encode_half_into(bits: &[u8], out: &mut Vec<u8>) {
     let mut state: u8 = 0; // 6 previous bits
-    out.clear();
+    let mut out = Vec::new();
     for &b in bits {
         debug_assert!(b <= 1, "bits must be 0/1");
         let reg = (b << 6) | state; // current bit is the newest (MSB of the 7-bit window)
@@ -43,6 +35,7 @@ pub fn encode_half_into(bits: &[u8], out: &mut Vec<u8>) {
         out.push(parity(reg & G1));
         state = ((state >> 1) | (b << 5)) & 0x3F;
     }
+    out
 }
 
 /// The puncturing pattern for a code rate: `true` = transmit, `false` = drop.
@@ -59,40 +52,19 @@ pub fn puncture_pattern(rate: CodeRate) -> &'static [bool] {
 
 /// Punctures a rate-1/2 coded stream to the target rate.
 pub fn puncture(coded: &[u8], rate: CodeRate) -> Vec<u8> {
-    let mut out = Vec::new();
-    puncture_into(coded, rate, &mut out);
-    out
-}
-
-/// [`puncture`] into a caller-owned buffer (cleared and refilled; capacity
-/// reused across calls).
-pub fn puncture_into(coded: &[u8], rate: CodeRate, out: &mut Vec<u8>) {
     let pat = puncture_pattern(rate);
-    out.clear();
-    out.extend(
-        coded
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| pat[i % pat.len()])
-            .map(|(_, b)| *b),
-    );
+    coded
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| pat[i % pat.len()])
+        .map(|(_, b)| *b)
+        .collect()
 }
 
 /// Expands a punctured *LLR* stream back to the mother-code positions,
 /// inserting `0.0` (erasure) where bits were dropped. `mother_len` is the
-/// length of the original rate-1/2 stream.
-///
-/// # Panics
-/// Panics if the punctured stream length does not match what the pattern
-/// yields for `mother_len`.
-pub fn depuncture_llr(llrs: &[f64], rate: CodeRate, mother_len: usize) -> Vec<f64> {
-    let mut out = Vec::new();
-    depuncture_llr_into(llrs, rate, mother_len, &mut out);
-    out
-}
-
-/// [`depuncture_llr`] into a caller-owned buffer (cleared and refilled;
-/// capacity reused across calls).
+/// length of the original rate-1/2 stream; `out` is a caller-owned buffer
+/// (cleared and refilled; capacity reused across calls).
 ///
 /// # Panics
 /// Panics if the punctured stream length does not match what the pattern
@@ -176,7 +148,8 @@ mod tests {
             .iter()
             .map(|b| if *b == 1 { -1.0 } else { 1.0 })
             .collect();
-        let restored = depuncture_llr(&llrs, CodeRate::ThreeQuarters, 24);
+        let mut restored = Vec::new();
+        depuncture_llr_into(&llrs, CodeRate::ThreeQuarters, 24, &mut restored);
         assert_eq!(restored.len(), 24);
         let pat = puncture_pattern(CodeRate::ThreeQuarters);
         let mut k = 0;
@@ -199,6 +172,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "punctured stream length")]
     fn depuncture_length_mismatch_panics() {
-        let _ = depuncture_llr(&[1.0; 5], CodeRate::Half, 24);
+        depuncture_llr_into(&[1.0; 5], CodeRate::Half, 24, &mut Vec::new());
     }
 }

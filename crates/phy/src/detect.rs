@@ -97,19 +97,11 @@ impl Detector {
 
     /// Scans `samples` from `from` for a packet. Returns the first detection,
     /// or `None` if no trigger fires or verification fails everywhere.
-    pub fn detect(
-        &self,
-        params: &OfdmParams,
-        samples: &[Complex64],
-        from: usize,
-    ) -> Option<Detection> {
-        self.detect_with(params, samples, from, &mut DetectScratch::new())
-    }
-
-    /// [`Detector::detect`] through reusable [`DetectScratch`] buffers: the
-    /// energy/autocorrelation metrics and the CFO-corrected fine-timing
-    /// window live in `ws`, so repeated detections do not allocate at
-    /// steady state. Bit-identical to the allocating path.
+    ///
+    /// The energy/autocorrelation metrics and the CFO-corrected fine-timing
+    /// window live in the reusable [`DetectScratch`] `ws`, so repeated
+    /// detections do not allocate at steady state. A reused scratch gives
+    /// the same result as a fresh one.
     pub fn detect_with(
         &self,
         params: &OfdmParams,
@@ -244,6 +236,16 @@ mod tests {
     use rand::SeedableRng;
     use ssync_dsp::rng::ComplexGaussian;
 
+    /// One detection through a fresh scratch.
+    fn detect_fresh(
+        det: &Detector,
+        params: &OfdmParams,
+        samples: &[Complex64],
+        from: usize,
+    ) -> Option<Detection> {
+        det.detect_with(params, samples, from, &mut DetectScratch::new())
+    }
+
     /// Noise, then a preamble embedded at `offset`, then padding.
     fn scene(
         params: &OfdmParams,
@@ -272,7 +274,7 @@ mod tests {
         let det = Detector::new(&params, &fft);
         let offset = 300;
         let buf = scene(&params, offset, 30.0, 0.0, 1);
-        let d = det.detect(&params, &buf, 0).expect("no detection");
+        let d = detect_fresh(&det, &params, &buf, 0).expect("no detection");
         let layout = PreambleLayout::of(&params);
         assert_eq!(d.lts_start, offset + layout.lts_start(), "fine timing off");
         assert!(d.detect_idx >= offset && d.detect_idx < offset + layout.sts_len);
@@ -289,10 +291,17 @@ mod tests {
         let mut delays_hi = Vec::new();
         let mut delays_lo = Vec::new();
         for seed in 0..20 {
-            if let Some(d) = det.detect(&params, &scene(&params, offset, 25.0, 0.0, seed), 0) {
+            if let Some(d) =
+                detect_fresh(&det, &params, &scene(&params, offset, 25.0, 0.0, seed), 0)
+            {
                 delays_hi.push(d.detect_idx as f64 - offset as f64);
             }
-            if let Some(d) = det.detect(&params, &scene(&params, offset, 6.0, 0.0, 100 + seed), 0) {
+            if let Some(d) = detect_fresh(
+                &det,
+                &params,
+                &scene(&params, offset, 6.0, 0.0, 100 + seed),
+                0,
+            ) {
                 delays_lo.push(d.detect_idx as f64 - offset as f64);
             }
         }
@@ -313,7 +322,7 @@ mod tests {
         let det = Detector::new(&params, &fft);
         let mut rng = StdRng::seed_from_u64(3);
         let buf = ComplexGaussian::with_power(1.0).sample_vec(&mut rng, 4000);
-        assert!(det.detect(&params, &buf, 0).is_none());
+        assert!(detect_fresh(&det, &params, &buf, 0).is_none());
     }
 
     #[test]
@@ -324,7 +333,7 @@ mod tests {
         // 802.11 allows ±20 ppm at 5.8 GHz ≈ ±116 kHz; test a large offset.
         for &cfo in &[-80e3, -10e3, 15e3, 95e3] {
             let buf = scene(&params, 300, 25.0, cfo, 4);
-            let d = det.detect(&params, &buf, 0).expect("no detection");
+            let d = detect_fresh(&det, &params, &buf, 0).expect("no detection");
             assert!(
                 (d.cfo_hz - cfo).abs() < 1500.0,
                 "cfo {cfo}: estimated {}",
@@ -343,7 +352,7 @@ mod tests {
         let mut hits = 0;
         for seed in 0..20 {
             let buf = scene(&params, offset, 12.0, 0.0, 200 + seed);
-            if let Some(d) = det.detect(&params, &buf, 0) {
+            if let Some(d) = detect_fresh(&det, &params, &buf, 0) {
                 let err = d.lts_start as i64 - (offset + layout.lts_start()) as i64;
                 if err.abs() <= 1 {
                     hits += 1;
@@ -364,12 +373,16 @@ mod tests {
         let buf = scene(&params, 300, 25.0, 0.0, 5);
         // Starting the scan after the packet start but before its end should
         // fail or detect nothing (packet truncated from detector's view).
-        let d = det.detect(&params, &buf, 0).unwrap();
+        let d = detect_fresh(&det, &params, &buf, 0).unwrap();
         assert!(d.detect_idx >= 300);
         // Scanning from beyond the preamble finds nothing.
-        assert!(det
-            .detect(&params, &buf, 300 + PreambleLayout::of(&params).total_len())
-            .is_none());
+        assert!(detect_fresh(
+            &det,
+            &params,
+            &buf,
+            300 + PreambleLayout::of(&params).total_len()
+        )
+        .is_none());
     }
 
     #[test]
@@ -380,7 +393,7 @@ mod tests {
         let mut ws = DetectScratch::new();
         for seed in 0..6 {
             let buf = scene(&params, 250 + 13 * seed as usize, 18.0, 20e3, 40 + seed);
-            let a = det.detect(&params, &buf, 0);
+            let a = detect_fresh(&det, &params, &buf, 0);
             let b = det.detect_with(&params, &buf, 0, &mut ws);
             assert_eq!(a, b, "seed {seed}");
         }
@@ -388,7 +401,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(99);
         let noise = ComplexGaussian::with_power(1.0).sample_vec(&mut rng, 2000);
         assert_eq!(
-            det.detect(&params, &noise, 0),
+            detect_fresh(&det, &params, &noise, 0),
             det.detect_with(&params, &noise, 0, &mut ws)
         );
     }

@@ -210,24 +210,9 @@ pub fn n_data_symbols(params: &OfdmParams, len: usize, rate: RateId) -> usize {
 
 /// Receive side of the DATA pipeline: takes per-symbol LLR vectors (subcarrier
 /// order), de-interleaves, de-punctures, Viterbi-decodes, descrambles, and
-/// returns the PSDU bytes (length from the SIGNAL field).
-pub fn decode_data(
-    params: &OfdmParams,
-    llrs_per_symbol: &[Vec<f64>],
-    rate: RateId,
-    psdu_len: usize,
-) -> Option<Vec<u8>> {
-    decode_data_with(
-        params,
-        llrs_per_symbol,
-        rate,
-        psdu_len,
-        &mut DecodeScratch::new(),
-    )
-}
-
-/// [`decode_data`] through caller-owned scratch: identical output, zero
-/// steady-state allocation beyond the returned PSDU bytes.
+/// returns the PSDU bytes (length from the SIGNAL field). Runs through
+/// caller-owned scratch, with zero steady-state allocation beyond the
+/// returned PSDU bytes.
 pub fn decode_data_with(
     params: &OfdmParams,
     llrs_per_symbol: &[Vec<f64>],
@@ -390,7 +375,8 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            let decoded = decode_data(&params, &llrs, rate, psdu.len());
+            let decoded =
+                decode_data_with(&params, &llrs, rate, psdu.len(), &mut DecodeScratch::new());
             assert_eq!(decoded.as_deref(), Some(&psdu[..]), "rate {rate:?}");
         }
     }
@@ -412,7 +398,8 @@ mod tests {
                 })
                 .collect();
             assert_eq!(
-                decode_data(&params, &llrs, rate, psdu.len()).as_deref(),
+                decode_data_with(&params, &llrs, rate, psdu.len(), &mut DecodeScratch::new())
+                    .as_deref(),
                 Some(&psdu[..])
             );
         }
@@ -432,7 +419,7 @@ mod tests {
             })
             .collect();
         assert_eq!(
-            decode_data(&params, &llrs, RateId::R6, 0).as_deref(),
+            decode_data_with(&params, &llrs, RateId::R6, 0, &mut DecodeScratch::new()).as_deref(),
             Some(&[][..])
         );
     }

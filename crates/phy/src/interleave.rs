@@ -82,55 +82,13 @@ impl Interleaver {
         out
     }
 
-    /// De-interleaves one block of LLRs (receiver side).
+    /// De-interleaves one block of LLRs (receiver side), *appending* the
+    /// de-interleaved block to `out` (the frame decoder concatenates
+    /// per-symbol blocks into one punctured-stream vector, so append is the
+    /// composable shape).
     ///
     /// # Panics
     /// Panics if `llrs.len() != block_len()`.
-    pub fn deinterleave_llrs(&self, llrs: &[f64]) -> Vec<f64> {
-        assert_eq!(
-            llrs.len(),
-            self.block_len(),
-            "deinterleaver block size mismatch"
-        );
-        let mut out = vec![0.0; llrs.len()];
-        for (k, &l) in llrs.iter().enumerate() {
-            out[self.inv[k]] = l;
-        }
-        out
-    }
-
-    /// De-interleaves one block of hard bits (used by tests).
-    pub fn deinterleave_bits(&self, bits: &[u8]) -> Vec<u8> {
-        assert_eq!(
-            bits.len(),
-            self.block_len(),
-            "deinterleaver block size mismatch"
-        );
-        let mut out = vec![0u8; bits.len()];
-        for (k, &b) in bits.iter().enumerate() {
-            out[self.inv[k]] = b;
-        }
-        out
-    }
-
-    /// [`Interleaver::interleave`] into a caller-owned buffer (cleared and
-    /// refilled; capacity reused across calls).
-    pub fn interleave_into(&self, bits: &[u8], out: &mut Vec<u8>) {
-        assert_eq!(
-            bits.len(),
-            self.block_len(),
-            "interleaver block size mismatch"
-        );
-        out.clear();
-        out.resize(bits.len(), 0);
-        for (k, &b) in bits.iter().enumerate() {
-            out[self.perm[k]] = b;
-        }
-    }
-
-    /// [`Interleaver::deinterleave_llrs`], *appending* the de-interleaved
-    /// block to `out` (the frame decoder concatenates per-symbol blocks into
-    /// one punctured-stream vector, so append is the composable shape).
     pub fn deinterleave_llrs_append(&self, llrs: &[f64], out: &mut Vec<f64>) {
         assert_eq!(
             llrs.len(),
@@ -141,21 +99,6 @@ impl Interleaver {
         out.resize(base + llrs.len(), 0.0);
         for (k, &l) in llrs.iter().enumerate() {
             out[base + self.inv[k]] = l;
-        }
-    }
-
-    /// [`Interleaver::deinterleave_bits`] into a caller-owned buffer
-    /// (cleared and refilled; capacity reused across calls).
-    pub fn deinterleave_bits_into(&self, bits: &[u8], out: &mut Vec<u8>) {
-        assert_eq!(
-            bits.len(),
-            self.block_len(),
-            "deinterleaver block size mismatch"
-        );
-        out.clear();
-        out.resize(bits.len(), 0);
-        for (k, &b) in bits.iter().enumerate() {
-            out[self.inv[k]] = b;
         }
     }
 }
@@ -196,15 +139,15 @@ mod tests {
         ] {
             let il = Interleaver::new(&params, m);
             let bits: Vec<u8> = (0..il.block_len()).map(|i| (i % 2) as u8).collect();
-            let inter = il.interleave(&bits);
-            assert_eq!(il.deinterleave_bits(&inter), bits);
             let llrs: Vec<f64> = bits.iter().map(|b| *b as f64 - 0.5).collect();
             let llr_inter: Vec<f64> = il
                 .interleave(&bits)
                 .iter()
                 .map(|b| *b as f64 - 0.5)
                 .collect();
-            assert_eq!(il.deinterleave_llrs(&llr_inter), llrs);
+            let mut back = Vec::new();
+            il.deinterleave_llrs_append(&llr_inter, &mut back);
+            assert_eq!(back, llrs);
         }
     }
 

@@ -21,8 +21,9 @@
 //! * [`ber`] — Monte-Carlo PER calibration through the real modem, backing
 //!   the fast path of the network simulator,
 //! * [`workspace`] — reusable TX/RX scratch buffers so the per-symbol hot
-//!   loops run without heap allocation (every allocating signature keeps a
-//!   bit-identical thin wrapper).
+//!   loops run without heap allocation (each operation has one entry point;
+//!   an allocating twin survives only where production calls it, e.g.
+//!   [`Receiver::receive`] and [`Transmitter::frame_waveform`]).
 
 pub mod ber;
 pub mod chanest;

@@ -122,19 +122,6 @@ pub fn demap_hard(m: Modulation, y: Complex64, h: Complex64) -> Vec<u8> {
         .expect("constellation not empty")
 }
 
-/// [`map_bits`] into a caller-owned buffer (cleared and refilled; capacity
-/// reused across calls).
-pub fn map_bits_into(m: Modulation, bits: &[u8], out: &mut Vec<Complex64>) {
-    let bps = m.bits_per_symbol();
-    assert_eq!(
-        bits.len() % bps,
-        0,
-        "bit stream not a multiple of bits/symbol"
-    );
-    out.clear();
-    out.extend(bits.chunks(bps).map(|g| map_symbol(m, g)));
-}
-
 /// A precomputed constellation plus demap scratch: the allocation-free
 /// counterpart of [`demap_llrs`] / [`demap_hard`].
 ///
@@ -612,16 +599,6 @@ mod tests {
             #[cfg(not(target_arch = "x86_64"))]
             let avx2 = "n/a";
             println!("rep {rep}: lanes {lanes:?} scalar {scalar:?} avx2 {avx2}");
-        }
-    }
-
-    #[test]
-    fn map_bits_into_matches_map_bits() {
-        let bits = [0u8, 1, 1, 0, 0, 0, 1, 1];
-        let mut out = Vec::new();
-        for m in [Modulation::Bpsk, Modulation::Qpsk, Modulation::Qam16] {
-            map_bits_into(m, &bits, &mut out);
-            assert_eq!(out, map_bits(m, &bits), "{m:?}");
         }
     }
 }

@@ -14,24 +14,13 @@ use ssync_dsp::{Complex64, FftPlan};
 
 /// Builds one OFDM symbol: maps `data` onto the data subcarriers (in the
 /// order of `params.data_carriers`), inserts pilots with the polarity of
-/// `symbol_index`, IFFTs, and prepends a cyclic prefix of `cp_len` samples.
+/// `symbol_index`, IFFTs through the reusable [`TxWorkspace`], and
+/// *appends* the symbol with a cyclic prefix of `cp_len` samples to `out`
+/// (the transmitter concatenates symbols into one frame waveform, so append
+/// is the composable shape).
 ///
 /// The output is scaled so that mean *occupied-subcarrier* power maps to a
 /// time-domain mean power of ~1 regardless of FFT size.
-///
-/// # Panics
-/// Panics if `data.len() != params.n_data()` or `cp_len >= fft_size`.
-pub fn modulate_symbol(
-    params: &OfdmParams,
-    fft: &FftPlan,
-    data: &[Complex64],
-    symbol_index: usize,
-    cp_len: usize,
-) -> Vec<Complex64> {
-    modulate_symbol_with_pilots(params, fft, data, symbol_index, cp_len, true)
-}
-
-/// [`modulate_symbol`] with explicit pilot gating.
 ///
 /// SourceSync senders *share* the pilot subcarriers across OFDM symbols
 /// (paper §5): in a joint frame the role-A senders drive pilots only on
@@ -39,34 +28,10 @@ pub fn modulate_symbol(
 /// can track each role's residual frequency offset separately. A sender
 /// whose turn it is not transmits zero on the pilot carriers
 /// (`pilots_enabled = false`).
-pub fn modulate_symbol_with_pilots(
-    params: &OfdmParams,
-    fft: &FftPlan,
-    data: &[Complex64],
-    symbol_index: usize,
-    cp_len: usize,
-    pilots_enabled: bool,
-) -> Vec<Complex64> {
-    let mut ws = TxWorkspace::new(params);
-    let mut out = Vec::with_capacity(cp_len + params.fft_size);
-    modulate_symbol_append(
-        params,
-        fft,
-        data,
-        symbol_index,
-        cp_len,
-        pilots_enabled,
-        &mut ws,
-        &mut out,
-    );
-    out
-}
-
-/// [`modulate_symbol_with_pilots`] through a reusable [`TxWorkspace`],
-/// *appending* the CP-prefixed symbol to `out` (the transmitter concatenates
-/// symbols into one frame waveform, so append is the composable shape).
-/// Bit-identical to the allocating path.
-#[allow(clippy::too_many_arguments)] // mirror of modulate_symbol_with_pilots + (workspace, sink)
+///
+/// # Panics
+/// Panics if `data.len() != params.n_data()` or `cp_len >= fft_size`.
+#[allow(clippy::too_many_arguments)] // symbol spec + (workspace, sink)
 pub fn modulate_symbol_append(
     params: &OfdmParams,
     fft: &FftPlan,
@@ -110,7 +75,7 @@ pub fn modulate_symbol_append(
     out.extend_from_slice(time);
 }
 
-/// The time-domain gain applied by [`modulate_symbol`] (`N/√n_occ`); the
+/// The time-domain gain applied by [`modulate_symbol_append`] (`N/√n_occ`); the
 /// receiver divides by the same factor to restore constellation coordinates.
 pub fn symbol_scale(params: &OfdmParams) -> f64 {
     let n_occ = params.data_carriers.len() + params.pilot_carriers.len();
@@ -162,33 +127,40 @@ pub fn demodulate_window_into(
     }
 }
 
-/// Reads the data subcarriers (in `data_carriers` order) out of a grid
-/// returned by [`demodulate_window`].
-pub fn extract_data(params: &OfdmParams, grid: &[Complex64]) -> Vec<Complex64> {
-    let mut out = Vec::with_capacity(params.n_data());
-    extract_data_into(params, grid, &mut out);
-    out
-}
-
-/// [`extract_data`] into a caller-owned buffer (cleared and refilled).
-pub fn extract_data_into(params: &OfdmParams, grid: &[Complex64], out: &mut Vec<Complex64>) {
-    out.clear();
-    out.extend(params.data_carriers.iter().map(|&k| grid[params.bin(k)]));
-}
-
-/// Reads the pilot subcarriers (in `pilot_carriers` order) out of a grid
-/// into a caller-owned buffer (cleared and refilled).
-pub fn extract_pilots_into(params: &OfdmParams, grid: &[Complex64], out: &mut Vec<Complex64>) {
-    out.clear();
-    out.extend(params.pilot_carriers.iter().map(|&k| grid[params.bin(k)]));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::modulation::{map_bits, Modulation};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// One symbol through a fresh workspace, pilots on.
+    fn modulate(
+        params: &OfdmParams,
+        fft: &FftPlan,
+        data: &[Complex64],
+        symbol_index: usize,
+        cp_len: usize,
+    ) -> Vec<Complex64> {
+        let mut out = Vec::new();
+        let mut ws = TxWorkspace::new(params);
+        modulate_symbol_append(
+            params,
+            fft,
+            data,
+            symbol_index,
+            cp_len,
+            true,
+            &mut ws,
+            &mut out,
+        );
+        out
+    }
+
+    /// The grid values on `carriers`, in order.
+    fn carriers_of(params: &OfdmParams, grid: &[Complex64], carriers: &[i32]) -> Vec<Complex64> {
+        carriers.iter().map(|&k| grid[params.bin(k)]).collect()
+    }
 
     #[test]
     fn loopback_recovers_constellation_points() {
@@ -202,10 +174,10 @@ mod tests {
                 .map(|_| rng.gen_range(0..2u8))
                 .collect();
             let data = map_bits(Modulation::Qpsk, &bits);
-            let sym = modulate_symbol(&params, &fft, &data, 0, params.cp_len);
+            let sym = modulate(&params, &fft, &data, 0, params.cp_len);
             assert_eq!(sym.len(), params.symbol_len());
             let grid = demodulate_window(&params, &fft, &sym, params.cp_len);
-            let rx = extract_data(&params, &grid);
+            let rx = carriers_of(&params, &grid, &params.data_carriers);
             for (a, b) in rx.iter().zip(&data) {
                 assert!(a.dist(*b) < 1e-9, "{}: {a:?} vs {b:?}", params.name);
             }
@@ -224,7 +196,7 @@ mod tests {
                 .map(|_| rng.gen_range(0..2u8))
                 .collect();
             let data = map_bits(Modulation::Qpsk, &bits);
-            let sym = modulate_symbol(&params, &fft, &data, s, params.cp_len);
+            let sym = modulate(&params, &fft, &data, s, params.cp_len);
             total += ssync_dsp::complex::mean_power(&sym);
         }
         let mean = total / n_sym as f64;
@@ -244,10 +216,10 @@ mod tests {
             .map(|_| rng.gen_range(0..2u8))
             .collect();
         let data = map_bits(Modulation::Qpsk, &bits);
-        let sym = modulate_symbol(&params, &fft, &data, 0, params.cp_len);
+        let sym = modulate(&params, &fft, &data, 0, params.cp_len);
         for offset in 0..=params.cp_len {
             let grid = demodulate_window(&params, &fft, &sym, offset);
-            let rx = extract_data(&params, &grid);
+            let rx = carriers_of(&params, &grid, &params.data_carriers);
             for (a, b) in rx.iter().zip(&data) {
                 assert!(
                     (a.abs() - b.abs()).abs() < 1e-9,
@@ -267,7 +239,7 @@ mod tests {
             .collect();
         let data = map_bits(Modulation::Qpsk, &bits);
         let cp = 20;
-        let sym = modulate_symbol(&params, &fft, &data, 0, cp);
+        let sym = modulate(&params, &fft, &data, 0, cp);
         for i in 0..cp {
             assert!(sym[i].dist(sym[i + params.fft_size]) < 1e-12);
         }
@@ -279,10 +251,9 @@ mod tests {
         let fft = FftPlan::new(params.fft_size);
         let data = vec![Complex64::ZERO; params.n_data()];
         for sym_idx in [0usize, 4, 7] {
-            let sym = modulate_symbol(&params, &fft, &data, sym_idx, params.cp_len);
+            let sym = modulate(&params, &fft, &data, sym_idx, params.cp_len);
             let grid = demodulate_window(&params, &fft, &sym, params.cp_len);
-            let mut pilots = Vec::new();
-            extract_pilots_into(&params, &grid, &mut pilots);
+            let pilots = carriers_of(&params, &grid, &params.pilot_carriers);
             let pol = pilot_polarity(sym_idx);
             for p in pilots {
                 assert!((p.re - pol).abs() < 1e-9 && p.im.abs() < 1e-9);

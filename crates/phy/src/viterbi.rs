@@ -294,9 +294,11 @@ impl ViterbiDecoder {
         word
     }
 
-    /// Decodes a terminated mother-code LLR stream into `bits` (cleared and
-    /// refilled, tail included). Returns `false` for empty or odd-length
-    /// input, leaving `bits` empty.
+    /// Decodes a terminated mother-code LLR stream (`2` LLRs per trellis
+    /// step, erasures as `0.0`) into `bits` (cleared and refilled), the
+    /// information bits *including* the tail — callers strip the final
+    /// [`crate::convcode::TAIL_BITS`]. Returns `false` for empty or
+    /// odd-length input, leaving `bits` empty.
     pub fn decode_terminated_into(&mut self, llrs: &[f64], bits: &mut Vec<u8>) -> bool {
         bits.clear();
         if llrs.is_empty() || llrs.len() % 2 != 0 {
@@ -317,27 +319,6 @@ impl ViterbiDecoder {
         }
         true
     }
-
-    /// Allocating convenience over [`ViterbiDecoder::decode_terminated_into`].
-    pub fn decode_terminated(&mut self, llrs: &[f64]) -> Option<Vec<u8>> {
-        let mut bits = Vec::new();
-        if self.decode_terminated_into(llrs, &mut bits) {
-            Some(bits)
-        } else {
-            None
-        }
-    }
-}
-
-/// Decodes a terminated mother-code LLR stream (`2` LLRs per trellis step,
-/// erasures as `0.0`) into information bits *including* the tail — callers
-/// strip the final [`crate::convcode::TAIL_BITS`].
-///
-/// Legacy convenience over [`ViterbiDecoder`] (bit-identical); hot paths
-/// hold a decoder and use [`ViterbiDecoder::decode_terminated_into`].
-/// Returns `None` for empty or odd-length input.
-pub fn decode_terminated(llrs: &[f64]) -> Option<Vec<u8>> {
-    ViterbiDecoder::new().decode_terminated(llrs)
 }
 
 /// The pre-optimisation reference decoder: full `(predecessor, input)`
@@ -417,6 +398,14 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    /// One decode through a fresh decoder.
+    fn decode_fresh(llrs: &[f64]) -> Option<Vec<u8>> {
+        let mut bits = Vec::new();
+        ViterbiDecoder::new()
+            .decode_terminated_into(llrs, &mut bits)
+            .then_some(bits)
+    }
+
     fn encode_with_tail(info: &[u8]) -> Vec<u8> {
         let mut bits = info.to_vec();
         bits.extend(std::iter::repeat_n(0, TAIL_BITS));
@@ -429,7 +418,7 @@ mod tests {
         for len in [1usize, 8, 24, 100, 1000] {
             let info: Vec<u8> = (0..len).map(|_| rng.gen_range(0..2u8)).collect();
             let coded = encode_with_tail(&info);
-            let decoded = decode_terminated(&llrs_from_bits(&coded)).unwrap();
+            let decoded = decode_fresh(&llrs_from_bits(&coded)).unwrap();
             assert_eq!(&decoded[..len], &info[..], "len {len}");
             assert!(decoded[len..].iter().all(|b| *b == 0), "tail not zero");
         }
@@ -446,7 +435,7 @@ mod tests {
             coded[i] ^= 1;
             i += 25;
         }
-        let decoded = decode_terminated(&llrs_from_bits(&coded)).unwrap();
+        let decoded = decode_fresh(&llrs_from_bits(&coded)).unwrap();
         assert_eq!(&decoded[..200], &info[..]);
     }
 
@@ -460,7 +449,7 @@ mod tests {
         for l in llrs.iter_mut().step_by(4) {
             *l = 0.0;
         }
-        let decoded = decode_terminated(&llrs).unwrap();
+        let decoded = decode_fresh(&llrs).unwrap();
         assert_eq!(&decoded[..100], &info[..]);
     }
 
@@ -481,7 +470,7 @@ mod tests {
                 2.0 * noisy / (sigma * sigma)
             })
             .collect();
-        let decoded = decode_terminated(&llrs).unwrap();
+        let decoded = decode_fresh(&llrs).unwrap();
         assert_eq!(&decoded[..500], &info[..]);
     }
 
@@ -490,16 +479,16 @@ mod tests {
         for bit in [0u8, 1u8] {
             let info = vec![bit; 64];
             let coded = encode_with_tail(&info);
-            let decoded = decode_terminated(&llrs_from_bits(&coded)).unwrap();
+            let decoded = decode_fresh(&llrs_from_bits(&coded)).unwrap();
             assert_eq!(&decoded[..64], &info[..]);
         }
     }
 
     #[test]
     fn malformed_inputs() {
-        assert!(decode_terminated(&[]).is_none());
-        assert!(decode_terminated(&[1.0]).is_none());
-        assert!(decode_terminated(&[1.0, 1.0, 1.0]).is_none());
+        assert!(decode_fresh(&[]).is_none());
+        assert!(decode_fresh(&[1.0]).is_none());
+        assert!(decode_fresh(&[1.0, 1.0, 1.0]).is_none());
         let mut dec = ViterbiDecoder::new();
         let mut bits = vec![7u8; 3];
         assert!(!dec.decode_terminated_into(&[], &mut bits));
@@ -523,7 +512,7 @@ mod tests {
                 "trial {trial}"
             );
             assert_eq!(bits, reference, "trial {trial}");
-            assert_eq!(decode_terminated(&llrs).unwrap(), reference);
+            assert_eq!(decode_fresh(&llrs).unwrap(), reference);
         }
     }
 

@@ -831,7 +831,10 @@ impl<'a, R: Rng + ?Sized> Engine<'a, R> {
                 .inc();
             received.push((l.0, d.src as usize, d.seq as usize));
             if !single_path {
-                self.merge_map(l.0, &d.payload[..self.map_len]);
+                // The map is the payload's prefix; merge_map bounds-checks
+                // each byte, so a frame shorter than the map merges what it
+                // carries instead of panicking.
+                self.merge_map(l.0, &d.payload);
             }
         }
 
@@ -1756,5 +1759,40 @@ mod tests {
         assert_eq!(o.joins.missing_delay, o.joins.attempted, "{o:?}");
         // ExOR fallback: the lead's own signal still carries packets.
         assert!(o.delivered > 0, "{o:?}");
+    }
+
+    #[test]
+    fn batch_map_merge_tolerates_short_payloads_and_ignores_trailing_bytes() {
+        let mut net = diamond(9, 25.0, 25.0);
+        let mut rng = StdRng::seed_from_u64(10);
+        let mut trace = TraceRecorder::disabled();
+        let mut metrics = MetricRegistry::new();
+        let cfg = small_cfg(RoutingMode::Exor);
+        let mut engine = Engine::new(
+            &mut net,
+            &mut rng,
+            0,
+            3,
+            &[1, 2],
+            &cfg,
+            &mut trace,
+            &mut metrics,
+        )
+        .expect("diamond has forwarders");
+        // 4 nodes × 4 packets = 16 map bits = 2 bytes.
+        assert_eq!(engine.map_len, 2);
+
+        // A one-byte payload carries bits 0..8 (nodes 0 and 1) only.
+        let mut want = engine.know[1].clone();
+        engine.merge_map(1, &[0xFF]);
+        for row in &mut want[..2] {
+            row.fill(true);
+        }
+        assert_eq!(engine.know[1], want);
+
+        // An empty map prefix followed by packet bytes teaches nothing.
+        let before = engine.know[2].clone();
+        engine.merge_map(2, &[0x00, 0x00, 0xFF, 0xFF, 0xFF]);
+        assert_eq!(engine.know[2], before);
     }
 }

@@ -14,7 +14,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sourcesync::channel::Position;
-use sourcesync::core::{CosenderPlan, DelayDatabase, JointConfig, JointSession};
+use sourcesync::core::{CosenderPlan, DelayDatabase, JointConfig, JointSession, SessionWorkspace};
 use sourcesync::phy::OfdmParams;
 use sourcesync::sim::{ChannelModels, Network, NodeId};
 
@@ -67,17 +67,22 @@ fn main() {
         .payload(payload.clone())
         .config(JointConfig::default());
 
-    // ...then drive each role's stage explicitly.
-    let frame = session.lead_tx().transmit(&mut net);
+    // ...then drive each role's stage explicitly, each through a fresh
+    // workspace (a caller driving many frames would reuse one).
+    let frame = session
+        .lead_tx()
+        .transmit_with(&mut net, &mut SessionWorkspace::new(params.clone()));
     println!(
         "\nlead {lead}: sync header at t0, {} data symbols after SIFS + 1 training slot",
         frame.timeline.n_data_symbols
     );
 
-    match session
-        .cosender_join(0, &frame)
-        .join(&mut net, &mut rng, &db)
-    {
+    match session.cosender_join(0, &frame).join_with(
+        &mut net,
+        &mut rng,
+        &db,
+        &mut SessionWorkspace::new(params.clone()),
+    ) {
         Ok(tx) => println!(
             "co-sender {cosender}: joined (training at {:.3} µs, measured lead CFO {:+.0} Hz)",
             tx.training_time.as_secs_f64() * 1e6,
@@ -86,9 +91,11 @@ fn main() {
         Err(reason) => println!("co-sender {cosender}: DID NOT JOIN — {reason}"),
     }
 
-    let report = session
-        .receiver_decode(receiver, &frame)
-        .decode(&mut net, &mut rng);
+    let report = session.receiver_decode(receiver, &frame).decode_with(
+        &mut net,
+        &mut rng,
+        &mut SessionWorkspace::new(params.clone()),
+    );
 
     println!("\nreceiver report:");
     println!("  header decoded : {}", report.header_ok);

@@ -14,7 +14,7 @@ use sourcesync::core::probe_pair;
 use sourcesync::dsp::rng::ComplexGaussian;
 use sourcesync::dsp::FftPlan;
 use sourcesync::phy::preamble::{preamble_waveform, PreambleLayout};
-use sourcesync::phy::{Detector, OfdmParams};
+use sourcesync::phy::{DetectScratch, Detector, OfdmParams};
 use sourcesync::sim::{ChannelModels, Network, NodeId};
 
 fn main() {
@@ -39,7 +39,7 @@ fn main() {
             for (i, s) in pre.iter().enumerate() {
                 buf[offset + i] += *s;
             }
-            if let Some(d) = det.detect(&params, &buf, 0) {
+            if let Some(d) = det.detect_with(&params, &buf, 0, &mut DetectScratch::new()) {
                 delays.push((d.detect_idx as f64 - offset as f64) * ns_per_sample);
             }
         }
@@ -65,7 +65,7 @@ fn main() {
             for (i, s) in delayed.iter().enumerate() {
                 buf[offset + i] += *s;
             }
-            if let Some(d) = det.detect(&params, &buf, 0) {
+            if let Some(d) = det.detect_with(&params, &buf, 0, &mut DetectScratch::new()) {
                 // Build the arrival estimate the SLS uses.
                 let _ = &rx;
                 let est =

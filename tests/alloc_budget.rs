@@ -11,8 +11,9 @@
 //! * so does the per-symbol transmit loop,
 //! * a warmed full-frame `receive_with` allocates only per-frame
 //!   bookkeeping — the count does not scale with the symbol count,
-//! * and the workspace-threaded frame/combiner entry points allocate
-//!   several times less than their legacy allocating twins.
+//! * and the warmed workspace-threaded frame/combiner entry points
+//!   allocate several times less than the same calls through a fresh
+//!   workspace (the receiver's allocating twin builds one per call).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -20,8 +21,8 @@ use std::cell::Cell;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sourcesync::core::{
-    decode_joint_data, decode_joint_data_with, joint_data_waveform, CombineWorkspace,
-    DataSectionSpec, JointDataWindow, RoleChannels,
+    decode_joint_data_with, joint_data_waveform_into, CombineWorkspace, DataSectionSpec,
+    JointDataWindow, RoleChannels,
 };
 use sourcesync::dsp::rng::ComplexGaussian;
 use sourcesync::dsp::{Complex64, FftPlan};
@@ -227,8 +228,12 @@ fn warmed_combiner_allocates_an_order_less_than_legacy() {
     };
     let h_a = Complex64::from_polar(1.0, 0.4);
     let h_b = Complex64::from_polar(0.8, -1.2);
-    let wa = joint_data_waveform(&params, &fft, &psdu, sourcesync::stbc::Codeword::A, &spec);
-    let wb = joint_data_waveform(&params, &fft, &psdu, sourcesync::stbc::Codeword::B, &spec);
+    let mut ws = CombineWorkspace::new(&params);
+    let (mut wa, mut wb) = (Vec::new(), Vec::new());
+    let role_a = sourcesync::stbc::Codeword::A;
+    joint_data_waveform_into(&params, &fft, &psdu, role_a, &spec, &mut ws, &mut wa);
+    let role_b = sourcesync::stbc::Codeword::B;
+    joint_data_waveform_into(&params, &fft, &psdu, role_b, &spec, &mut ws, &mut wb);
     let noise = ComplexGaussian::with_power(1e-4);
     let buf: Vec<Complex64> = wa
         .iter()
@@ -250,14 +255,17 @@ fn warmed_combiner_allocates_an_order_less_than_legacy() {
         backoff: 0,
     };
 
-    let mut ws = CombineWorkspace::new(&params);
     let _ = decode_joint_data_with(&params, &fft, &buf, &window, &spec, &roles, &mut ws)
         .expect("warmup decode");
     let (n_ws, pooled) = allocations(|| {
         decode_joint_data_with(&params, &fft, &buf, &window, &spec, &roles, &mut ws)
     });
-    let (n_legacy, legacy) =
-        allocations(|| decode_joint_data(&params, &fft, &buf, &window, &spec, &roles));
+    // The fresh-workspace side builds its workspace inside the count, as
+    // a one-shot caller must.
+    let (n_legacy, legacy) = allocations(|| {
+        let mut fresh = CombineWorkspace::new(&params);
+        decode_joint_data_with(&params, &fft, &buf, &window, &spec, &roles, &mut fresh)
+    });
     assert_eq!(
         pooled.expect("pooled").0,
         legacy.expect("legacy").0,

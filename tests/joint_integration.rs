@@ -1,16 +1,21 @@
 //! Cross-crate integration tests: the full SourceSync pipeline through the
 //! facade crate, exactly as a downstream user would drive it — both the
-//! one-call `JointSession::run` and the per-role stages.
+//! one-call `JointSession::run_with` and the per-role stages.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sourcesync::channel::Position;
 use sourcesync::core::{
     tracking_update, CosenderPlan, DelayDatabase, JoinFailure, JointConfig, JointSession,
-    HEADER_RATE,
+    SessionWorkspace, HEADER_RATE,
 };
 use sourcesync::phy::{frame, OfdmParams, RateId, Transmitter};
 use sourcesync::sim::{ChannelModels, Network, NodeId};
+
+/// A fresh workspace for one call (every network here is dot11a).
+fn fresh_ws() -> SessionWorkspace {
+    SessionWorkspace::new(OfdmParams::dot11a())
+}
 
 fn three_node_net(seed: u64, multipath: bool) -> Network {
     let params = OfdmParams::dot11a();
@@ -56,7 +61,7 @@ fn joint_frame_through_multipath_fading() {
             .receiver(NodeId(2))
             .payload(&payload[..])
             .config(cfg)
-            .run(&mut net, &mut rng, &db);
+            .run_with(&mut net, &mut rng, &db, &mut fresh_ws());
         if out.reports[0].payload.as_deref() == Some(&payload[..]) {
             delivered += 1;
         }
@@ -92,7 +97,7 @@ fn tracking_loop_converges() {
             .receiver(NodeId(2))
             .payload(&payload[..])
             .config(cfg)
-            .run(&mut net, &mut rng, &db);
+            .run_with(&mut net, &mut rng, &db, &mut fresh_ws());
         let Some(m) = out.reports[0].measured_misalign_s[0] else {
             panic!("no misalignment measurement");
         };
@@ -142,7 +147,7 @@ fn three_cosenders_replicated_alamouti() {
         .receiver(NodeId(4))
         .payload(&payload[..])
         .config(JointConfig::default())
-        .run(&mut net, &mut rng, &db);
+        .run_with(&mut net, &mut rng, &db, &mut fresh_ws());
     let report = &out.reports[0];
     assert!(report.header_ok);
     let joined = report.co_channels.iter().filter(|c| c.is_some()).count();
@@ -192,7 +197,7 @@ fn multi_receiver_lp_reduces_worst_misalignment() {
             .receivers(receivers)
             .payload([9u8; 80])
             .config(cfg)
-            .run(net, rng, &db);
+            .run_with(net, rng, &db, &mut fresh_ws());
         out.true_misalign_s
             .iter()
             .flatten()
@@ -257,21 +262,22 @@ fn staged_session_three_cosenders_two_receivers() {
         });
 
     // Drive every stage by hand, in protocol order.
-    let frame = session.lead_tx().transmit(&mut net);
+    let frame = session.lead_tx().transmit_with(&mut net, &mut fresh_ws());
     let joins: Vec<_> = (0..cos.len())
         .map(|i| {
             session
                 .cosender_join(i, &frame)
-                .join(&mut net, &mut rng, &db)
+                .join_with(&mut net, &mut rng, &db, &mut fresh_ws())
         })
         .collect();
     let joined = joins.iter().filter(|j| j.is_ok()).count();
     assert!(joined >= 2, "only {joined}/3 co-senders joined: {joins:?}");
 
     for &rcv in &receivers {
-        let report = session
-            .receiver_decode(rcv, &frame)
-            .decode(&mut net, &mut rng);
+        let report =
+            session
+                .receiver_decode(rcv, &frame)
+                .decode_with(&mut net, &mut rng, &mut fresh_ws());
         assert!(report.header_ok, "{rcv} header failed");
         assert_eq!(
             report.payload.as_deref(),
@@ -305,7 +311,7 @@ fn session_run_reports_every_join_outcome() {
         .receivers(receivers)
         .payload(vec![0x9Du8; 180])
         .config(JointConfig::default())
-        .run(&mut net, &mut rng, &db);
+        .run_with(&mut net, &mut rng, &db, &mut fresh_ws());
     assert_eq!(out.reports.len(), 2);
     assert_eq!(out.cosenders.len(), 3);
     assert_eq!(out.true_misalign_s.len(), 2);
@@ -341,10 +347,13 @@ fn join_failure_no_detect_when_cosender_out_of_range() {
         })
         .receiver(NodeId(2))
         .payload(vec![0x01u8; 80]);
-    let frame = session.lead_tx().transmit(&mut net);
-    let join = session
-        .cosender_join(0, &frame)
-        .join(&mut net, &mut rng, &DelayDatabase::new());
+    let frame = session.lead_tx().transmit_with(&mut net, &mut fresh_ws());
+    let join = session.cosender_join(0, &frame).join_with(
+        &mut net,
+        &mut rng,
+        &DelayDatabase::new(),
+        &mut fresh_ws(),
+    );
     assert_eq!(join.unwrap_err(), JoinFailure::NoDetect);
 }
 
@@ -362,10 +371,13 @@ fn join_failure_missing_delay_on_empty_database() {
         })
         .receiver(NodeId(2))
         .payload(vec![0x02u8; 80]);
-    let frame = session.lead_tx().transmit(&mut net);
-    let join = session
-        .cosender_join(0, &frame)
-        .join(&mut net, &mut rng, &DelayDatabase::new());
+    let frame = session.lead_tx().transmit_with(&mut net, &mut fresh_ws());
+    let join = session.cosender_join(0, &frame).join_with(
+        &mut net,
+        &mut rng,
+        &DelayDatabase::new(),
+        &mut fresh_ws(),
+    );
     assert_eq!(
         join.unwrap_err(),
         JoinFailure::MissingDelay {
@@ -385,10 +397,13 @@ fn join_failure_missing_delay_on_empty_database() {
             delay_compensation: false,
             ..Default::default()
         });
-    let frame = baseline.lead_tx().transmit(&mut net);
-    let join = baseline
-        .cosender_join(0, &frame)
-        .join(&mut net, &mut rng, &DelayDatabase::new());
+    let frame = baseline.lead_tx().transmit_with(&mut net, &mut fresh_ws());
+    let join = baseline.cosender_join(0, &frame).join_with(
+        &mut net,
+        &mut rng,
+        &DelayDatabase::new(),
+        &mut fresh_ws(),
+    );
     assert!(join.is_ok(), "baseline join failed: {join:?}");
 }
 
@@ -414,11 +429,12 @@ fn join_failure_wrong_packet_on_stale_queue() {
         .clone()
         .payload(b"stale packet the co-sender holds".to_vec());
 
-    let _ = on_air.lead_tx().transmit(&mut net); // packet A on the air
+    let _ = on_air.lead_tx().transmit_with(&mut net, &mut fresh_ws()); // packet A on the air
     let stale_frame = stale.lead_tx().schedule(&net.params); // packet B, never sent
-    let join = stale
-        .cosender_join(0, &stale_frame)
-        .join(&mut net, &mut rng, &db);
+    let join =
+        stale
+            .cosender_join(0, &stale_frame)
+            .join_with(&mut net, &mut rng, &db, &mut fresh_ws());
     let expected = sourcesync::core::packet_id(b"stale packet the co-sender holds");
     let heard = sourcesync::core::packet_id(b"fresh packet the lead announces");
     assert_eq!(
@@ -445,10 +461,12 @@ fn join_failure_not_joint_flagged_on_plain_traffic() {
     let plain = tx.frame_waveform(&[0xAAu8; 16], HEADER_RATE, 0); // flags = 0
     net.medium.clear_transmissions();
     net.medium.transmit(NodeId(0), frame_sched.t0, plain);
-    let join =
-        session
-            .cosender_join(0, &frame_sched)
-            .join(&mut net, &mut rng, &DelayDatabase::new());
+    let join = session.cosender_join(0, &frame_sched).join_with(
+        &mut net,
+        &mut rng,
+        &DelayDatabase::new(),
+        &mut fresh_ws(),
+    );
     assert_eq!(join.unwrap_err(), JoinFailure::NotJointFlagged);
 }
 
@@ -469,10 +487,12 @@ fn join_failure_malformed_header_on_truncated_payload() {
     let runt = tx.frame_waveform(&[1u8, 2, 3], HEADER_RATE, frame::FLAG_JOINT);
     net.medium.clear_transmissions();
     net.medium.transmit(NodeId(0), frame_sched.t0, runt);
-    let join =
-        session
-            .cosender_join(0, &frame_sched)
-            .join(&mut net, &mut rng, &DelayDatabase::new());
+    let join = session.cosender_join(0, &frame_sched).join_with(
+        &mut net,
+        &mut rng,
+        &DelayDatabase::new(),
+        &mut fresh_ws(),
+    );
     assert_eq!(join.unwrap_err(), JoinFailure::MalformedHeader);
 }
 
@@ -501,7 +521,7 @@ fn rates_sweep_through_joint_path() {
             .receiver(NodeId(2))
             .payload(&payload[..])
             .config(cfg)
-            .run(&mut net, &mut rng, &db);
+            .run_with(&mut net, &mut rng, &db, &mut fresh_ws());
         assert_eq!(
             out.reports[0].payload.as_deref(),
             Some(&payload[..]),

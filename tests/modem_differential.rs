@@ -1,19 +1,17 @@
 //! Differential tests for the zero-allocation modem workspaces: every
 //! workspace-ified function is driven through BOTH a reused workspace and
-//! the allocating path (or a fresh buffer where no allocating path is
-//! left) on identical seeded inputs, asserting byte-identical output.
+//! a fresh one (or the allocating path where production keeps one) on
+//! identical seeded inputs, asserting byte-identical output.
 //!
 //! The workspaces are deliberately *reused* across iterations inside each
-//! test — matching a fresh workspace is trivial (the allocating wrappers
-//! delegate), so the interesting property is that no state leaks from one
-//! frame into the next.
+//! test — matching a fresh workspace is trivial, so the interesting
+//! property is that no state leaks from one frame into the next.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sourcesync::core::{
-    decode_joint_data, decode_joint_data_with, joint_data_waveform, joint_data_waveform_into,
-    CombineWorkspace, CosenderPlan, DataSectionSpec, JointConfig, JointDataWindow, JointSession,
-    RoleChannels, SessionWorkspace,
+    decode_joint_data_with, joint_data_waveform_into, CombineWorkspace, CosenderPlan,
+    DataSectionSpec, JointConfig, JointDataWindow, JointSession, RoleChannels, SessionWorkspace,
 };
 use sourcesync::dsp::rng::ComplexGaussian;
 use sourcesync::dsp::{Complex64, FftPlan};
@@ -34,8 +32,6 @@ fn ofdm_modulate_and_demodulate_match_legacy() {
     let mut tx_ws = TxWorkspace::new(&OfdmParams::dot11a());
     let mut wave = Vec::new();
     let mut grid_buf = Vec::new();
-    let mut data_buf = Vec::new();
-    let mut pilot_buf = Vec::new();
     // One reused workspace across both numerologies: the re-keying path is
     // part of what is under test.
     for params in [OfdmParams::dot11a(), OfdmParams::wiglan()] {
@@ -45,13 +41,16 @@ fn ofdm_modulate_and_demodulate_match_legacy() {
                 .map(|_| ComplexGaussian::unit().sample(&mut rng))
                 .collect();
             for pilots in [true, false] {
-                let legacy = ofdm::modulate_symbol_with_pilots(
+                let mut legacy = Vec::new();
+                ofdm::modulate_symbol_append(
                     &params,
                     &fft,
                     &data,
                     sym_idx,
                     params.cp_len,
                     pilots,
+                    &mut TxWorkspace::new(&params),
+                    &mut legacy,
                 );
                 wave.clear();
                 ofdm::modulate_symbol_append(
@@ -74,16 +73,6 @@ fn ofdm_modulate_and_demodulate_match_legacy() {
                 let legacy_grid = ofdm::demodulate_window(&params, &fft, &legacy, params.cp_len);
                 ofdm::demodulate_window_into(&params, &fft, &wave, params.cp_len, &mut grid_buf);
                 assert_eq!(bits_of(&grid_buf), bits_of(&legacy_grid));
-
-                ofdm::extract_data_into(&params, &grid_buf, &mut data_buf);
-                assert_eq!(
-                    bits_of(&data_buf),
-                    bits_of(&ofdm::extract_data(&params, &legacy_grid))
-                );
-                ofdm::extract_pilots_into(&params, &grid_buf, &mut pilot_buf);
-                let mut fresh_pilots = Vec::new();
-                ofdm::extract_pilots_into(&params, &legacy_grid, &mut fresh_pilots);
-                assert_eq!(bits_of(&pilot_buf), bits_of(&fresh_pilots));
             }
         }
     }
@@ -204,15 +193,21 @@ fn combiner_workspace_paths_match_legacy() {
             smart_combiner: smart,
             pilot_sharing: sharing,
         };
+        let fresh_wave = |role| {
+            let mut out = Vec::new();
+            let mut fresh = CombineWorkspace::new(&params);
+            joint_data_waveform_into(&params, &fft, &psdu, role, &spec, &mut fresh, &mut out);
+            out
+        };
         for role in [Codeword::A, Codeword::B] {
-            let legacy = joint_data_waveform(&params, &fft, &psdu, role, &spec);
+            let legacy = fresh_wave(role);
             joint_data_waveform_into(&params, &fft, &psdu, role, &spec, &mut ws, &mut wave);
             assert_eq!(bits_of(&wave), bits_of(&legacy), "case {i} role {role:?}");
         }
 
-        // Joint on-air sum + decode, legacy vs workspace.
-        let wa = joint_data_waveform(&params, &fft, &psdu, Codeword::A, &spec);
-        let wb = joint_data_waveform(&params, &fft, &psdu, Codeword::B, &spec);
+        // Joint on-air sum + decode, fresh vs reused workspace.
+        let wa = fresh_wave(Codeword::A);
+        let wb = fresh_wave(Codeword::B);
         let noise = ComplexGaussian::with_power(1e-4);
         let buf: Vec<Complex64> = wa
             .iter()
@@ -227,8 +222,10 @@ fn combiner_workspace_paths_match_legacy() {
             psdu_len: psdu.len(),
             backoff: 0,
         };
+        let mut fresh = CombineWorkspace::new(&params);
         let (legacy_psdu, legacy_stats) =
-            decode_joint_data(&params, &fft, &buf, &window, &spec, &roles).expect("length");
+            decode_joint_data_with(&params, &fft, &buf, &window, &spec, &roles, &mut fresh)
+                .expect("length");
         let (ws_psdu, ws_stats) =
             decode_joint_data_with(&params, &fft, &buf, &window, &spec, &roles, &mut ws)
                 .expect("length");
@@ -286,7 +283,7 @@ fn joint_session_workspace_run_matches_legacy_run() {
         .config(JointConfig::default());
 
     let mut ws = SessionWorkspace::new(OfdmParams::dot11a());
-    // Two sessions back-to-back through ONE workspace vs fresh machinery:
+    // Two sessions back-to-back through ONE workspace vs a fresh one:
     // identical seeds must give bit-identical outcomes both times.
     for round in 0..2u64 {
         let mut net_a = test_network(70 + round);
@@ -297,7 +294,8 @@ fn joint_session_workspace_run_matches_legacy_run() {
         let mut net_b = test_network(70 + round);
         let db_b = oracle_db(&net_b, &[NodeId(0), NodeId(1), NodeId(2)]);
         let mut rng_b = StdRng::seed_from_u64(80 + round);
-        let legacy = session.run(&mut net_b, &mut rng_b, &db_b);
+        let mut fresh = SessionWorkspace::new(OfdmParams::dot11a());
+        let legacy = session.run_with(&mut net_b, &mut rng_b, &db_b, &mut fresh);
 
         assert_eq!(
             pooled.reports[0].payload, legacy.reports[0].payload,
@@ -325,7 +323,7 @@ fn joint_session_workspace_run_matches_legacy_run() {
 fn joint_session_stages_with_shared_workspace_deliver() {
     // Drive the three stages separately, every stage through the SAME
     // reused workspace (each stage "owns" it in turn), and check the
-    // outcome against the all-in-one legacy driver.
+    // outcome against the same stages each run through a fresh workspace.
     let payload = vec![0x9Au8; 140];
     let session = JointSession::new(NodeId(0))
         .cosender(CosenderPlan {
@@ -351,16 +349,20 @@ fn joint_session_stages_with_shared_workspace_deliver() {
     assert!(report.header_ok);
     assert_eq!(report.payload.as_deref(), Some(&payload[..]));
 
-    // Same seeds through the legacy staged entry points.
+    // Same seeds through a fresh workspace per stage.
     let mut net_b = test_network(90);
     let mut rng_b = StdRng::seed_from_u64(91);
-    let frame_b = session.lead_tx().transmit(&mut net_b);
-    let join_b = session
-        .cosender_join(0, &frame_b)
-        .join(&mut net_b, &mut rng_b, &db);
-    let report_b = session
-        .receiver_decode(NodeId(2), &frame_b)
-        .decode(&mut net_b, &mut rng_b);
+    let fresh = || SessionWorkspace::new(OfdmParams::dot11a());
+    let frame_b = session.lead_tx().transmit_with(&mut net_b, &mut fresh());
+    let join_b =
+        session
+            .cosender_join(0, &frame_b)
+            .join_with(&mut net_b, &mut rng_b, &db, &mut fresh());
+    let report_b = session.receiver_decode(NodeId(2), &frame_b).decode_with(
+        &mut net_b,
+        &mut rng_b,
+        &mut fresh(),
+    );
     assert_eq!(format!("{join:?}"), format!("{join_b:?}"));
     assert_eq!(report.payload, report_b.payload);
     assert_eq!(report.measured_misalign_s, report_b.measured_misalign_s);

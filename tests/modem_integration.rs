@@ -3,7 +3,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sourcesync::channel::{add_awgn, Link, Multipath, MultipathProfile, Oscillator};
+use sourcesync::channel::{
+    add_awgn, Link, Multipath, MultipathProfile, Oscillator, PropagationScratch,
+};
 use sourcesync::dsp::rng::ComplexGaussian;
 use sourcesync::dsp::Complex64;
 use sourcesync::phy::{OfdmParams, RateId, Receiver, RxError, Transmitter};
@@ -34,14 +36,15 @@ fn one_packet(
         delay_fs: (delay_frac * params.sample_period_fs() as f64) as u64,
         cfo_hz,
     };
-    let (mut rxwave, start) = link.propagate(
+    let mut scratch = PropagationScratch::default();
+    let (rxwave, start) = link.propagate_into(
         &wave,
         300 * params.sample_period_fs(),
         params.sample_period_fs(),
+        &mut scratch,
     );
     let mut buf = vec![Complex64::ZERO; start as usize + rxwave.len() + 400];
-    buf[start as usize..start as usize + rxwave.len()].copy_from_slice(&rxwave);
-    rxwave.clear();
+    buf[start as usize..start as usize + rxwave.len()].copy_from_slice(rxwave);
     add_awgn(&mut rng, &mut buf, 1.0);
     match rx.receive(&buf) {
         Ok(res) => res.payload == payload,

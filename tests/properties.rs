@@ -114,12 +114,22 @@ proptest! {
         wiglan in any::<bool>(),
         seed in any::<u64>(),
     ) {
+        // Interleave, then de-interleave the block as hard-decision LLRs
+        // (bit 0 -> +1, bit 1 -> -1) and slice them back to bits.
         let params = if wiglan { OfdmParams::wiglan() } else { OfdmParams::dot11a() };
         let il = Interleaver::new(&params, modulation);
         let bits: Vec<u8> = (0..il.block_len())
             .map(|i| ((seed >> (i % 64)) & 1) as u8)
             .collect();
-        prop_assert_eq!(il.deinterleave_bits(&il.interleave(&bits)), bits);
+        let llrs: Vec<f64> = il
+            .interleave(&bits)
+            .iter()
+            .map(|b| if *b == 0 { 1.0 } else { -1.0 })
+            .collect();
+        let mut back = Vec::new();
+        il.deinterleave_llrs_append(&llrs, &mut back);
+        let sliced: Vec<u8> = back.iter().map(|l| u8::from(*l < 0.0)).collect();
+        prop_assert_eq!(sliced, bits);
     }
 
     #[test]
@@ -175,7 +185,8 @@ proptest! {
                     .collect()
             })
             .collect();
-        let decoded = frame::decode_data(&params, &llrs, rate, payload.len());
+        let mut scratch = frame::DecodeScratch::new();
+        let decoded = frame::decode_data_with(&params, &llrs, rate, payload.len(), &mut scratch);
         prop_assert_eq!(decoded.as_deref(), Some(&payload[..]));
     }
 
@@ -199,9 +210,9 @@ proptest! {
         prop_assert!(sol.max_misalignment <= p.misalignment_of(&zeros) + 1e-9);
     }
 
-    // ---- Workspace-API round trips: the same invariants the legacy-path
-    // tests above rely on, driven through the `_into`/workspace entry
-    // points with buffers deliberately reused across strategy cases. ----
+    // ---- Workspace-API round trips: the same invariants the allocating
+    // paths above rely on, driven through the `_into`/`_append`/workspace
+    // entry points with deliberately stale buffers. ----
 
     #[test]
     fn interleaver_into_roundtrip_and_matches_legacy(
@@ -216,18 +227,15 @@ proptest! {
         let bits: Vec<u8> = (0..il.block_len())
             .map(|i| ((seed >> (i % 64)) & 1) as u8)
             .collect();
-        let mut inter = vec![0xFFu8; 3]; // stale content must be cleared
-        let mut back = vec![0xFFu8; 99];
-        il.interleave_into(&bits, &mut inter);
-        prop_assert_eq!(&inter, &il.interleave(&bits));
-        il.deinterleave_bits_into(&inter, &mut back);
-        prop_assert_eq!(&back, &bits);
-        // LLR append path: appended block equals the legacy per-block vector.
+        // Bijective round trip: interleave, then de-interleave the block as
+        // LLRs through the append path.
+        let inter = il.interleave(&bits);
         let llrs: Vec<f64> = inter.iter().map(|b| *b as f64 - 0.5).collect();
         let mut appended = vec![7.0f64; 2]; // pre-existing prefix is kept
         il.deinterleave_llrs_append(&llrs, &mut appended);
         prop_assert_eq!(&appended[..2], &[7.0, 7.0][..]);
-        prop_assert_eq!(&appended[2..], &il.deinterleave_llrs(&llrs)[..]);
+        let want: Vec<f64> = bits.iter().map(|b| *b as f64 - 0.5).collect();
+        prop_assert_eq!(&appended[2..], &want[..]);
     }
 
     #[test]
@@ -254,25 +262,25 @@ proptest! {
         ]),
     ) {
         // Pad to a puncturing-period multiple (as the frame layer does),
-        // append the tail, then run encode→puncture→depuncture→viterbi
-        // entirely through the reused-buffer APIs.
+        // append the tail, then run encode→puncture→depuncture→viterbi,
+        // the receive side through stale reused buffers.
         let (num, _) = rate.ratio();
         let mut bits = info.clone();
         while (bits.len() + convcode::TAIL_BITS) % (num * 2) != 0 {
             bits.push(0);
         }
         bits.extend(std::iter::repeat_n(0, convcode::TAIL_BITS));
-        let mut coded = Vec::new();
-        let mut punct = Vec::new();
-        let mut mother = Vec::new();
-        convcode::encode_half_into(&bits, &mut coded);
-        prop_assert_eq!(&coded, &convcode::encode_half(&bits));
-        convcode::puncture_into(&coded, rate, &mut punct);
-        prop_assert_eq!(&punct, &convcode::puncture(&coded, rate));
+        let coded = convcode::encode_half(&bits);
+        let punct = convcode::puncture(&coded, rate);
         let llrs: Vec<f64> = punct.iter().map(|b| if *b == 0 { 1.0 } else { -1.0 }).collect();
+        let mut mother = vec![9.0f64; 5]; // stale content must be cleared
         convcode::depuncture_llr_into(&llrs, rate, coded.len(), &mut mother);
-        prop_assert_eq!(&mother, &convcode::depuncture_llr(&llrs, rate, coded.len()));
-        let decoded = viterbi::decode_terminated(&mother).expect("terminated trellis");
+        let mut fresh = Vec::new();
+        convcode::depuncture_llr_into(&llrs, rate, coded.len(), &mut fresh);
+        prop_assert_eq!(&mother, &fresh);
+        let mut decoded = vec![1u8; 7];
+        let mut dec = viterbi::ViterbiDecoder::new();
+        prop_assert!(dec.decode_terminated_into(&mother, &mut decoded), "terminated trellis");
         prop_assert_eq!(&decoded[..info.len()], &info[..]);
     }
 
@@ -287,9 +295,7 @@ proptest! {
         prop_assume!(h.norm_sqr() > 1e-4);
         let bps = modulation.bits_per_symbol();
         let bits: Vec<u8> = (0..bps * 8).map(|i| ((seed >> (i % 64)) & 1) as u8).collect();
-        let mut points = Vec::new();
-        sourcesync::phy::modulation::map_bits_into(modulation, &bits, &mut points);
-        prop_assert_eq!(&points, &sourcesync::phy::modulation::map_bits(modulation, &bits));
+        let points = sourcesync::phy::modulation::map_bits(modulation, &bits);
         // Hard demap through the channel recovers every bit group, and the
         // table agrees with the allocating demappers bit for bit.
         let mut table = DemapTable::new(modulation);
