@@ -7,7 +7,8 @@ use rand::{Rng, SeedableRng};
 use ssync_dsp::rng::ComplexGaussian;
 use ssync_dsp::{Complex64, FftPlan};
 use ssync_linprog::MisalignmentProblem;
-use ssync_phy::{DetectScratch, OfdmParams, RateId, Receiver, Transmitter};
+use ssync_phy::modulation::DemapTable;
+use ssync_phy::{DetectScratch, Modulation, OfdmParams, RateId, Receiver, Transmitter};
 
 fn bench_fft(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(1);
@@ -66,6 +67,66 @@ fn bench_full_frame(c: &mut Criterion) {
     }
     c.bench_function("rx_frame_1460B_r24", |b| {
         b.iter(|| rx.receive(&buf).expect("decodes"))
+    });
+
+    let wave = tx.frame_waveform(&payload, RateId::R54, 0);
+    let quiet = ComplexGaussian::with_power(1e-4);
+    let mut buf: Vec<Complex64> = quiet.sample_vec(&mut rng, 200);
+    buf.extend(wave);
+    buf.extend(quiet.sample_vec(&mut rng, 200));
+    for s in buf.iter_mut().skip(200) {
+        *s += quiet.sample(&mut rng);
+    }
+    c.bench_function("rx_frame_1460B_r54", |b| {
+        b.iter(|| rx.receive(&buf).expect("decodes"))
+    });
+}
+
+/// Noisy received symbols over random channels: one OFDM symbol's worth
+/// of `(y, h)` pairs (48 data carriers).
+fn demap_inputs(m: Modulation, rng: &mut StdRng) -> Vec<(Complex64, Complex64)> {
+    let noise = ComplexGaussian::with_power(0.05);
+    let points = ssync_phy::modulation::constellation(m);
+    (0..48)
+        .map(|_| {
+            let h = Complex64::from_polar(rng.gen_range(0.3..2.0), rng.gen_range(-3.1..3.1));
+            let x = points[rng.gen_range(0..points.len())].1;
+            (h * x + noise.sample(rng), h)
+        })
+        .collect()
+}
+
+fn bench_demap(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(8);
+    for (m, name) in [
+        (Modulation::Bpsk, "bpsk"),
+        (Modulation::Qpsk, "qpsk"),
+        (Modulation::Qam16, "qam16"),
+        (Modulation::Qam64, "qam64"),
+    ] {
+        let inputs = demap_inputs(m, &mut rng);
+        let mut table = DemapTable::new(m);
+        let mut llrs = Vec::with_capacity(inputs.len() * m.bits_per_symbol());
+        c.bench_function(&format!("demap_llrs_{name}"), |b| {
+            b.iter(|| {
+                llrs.clear();
+                for &(y, h) in &inputs {
+                    table.demap_llrs_into(y, h, 0.05, &mut llrs);
+                }
+                llrs.len()
+            })
+        });
+    }
+    let inputs = demap_inputs(Modulation::Qam64, &mut rng);
+    let mut table = DemapTable::new(Modulation::Qam64);
+    c.bench_function("evm_nearest_qam64", |b| {
+        b.iter(|| {
+            let mut acc = Complex64::ZERO;
+            for &(y, h) in &inputs {
+                acc += table.nearest(y / h, Complex64::ONE);
+            }
+            acc
+        })
     });
 }
 
@@ -127,6 +188,6 @@ fn bench_fractional_delay(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).warm_up_time(std::time::Duration::from_millis(300)).measurement_time(std::time::Duration::from_secs(2));
-    targets = bench_fft, bench_viterbi, bench_full_frame, bench_detection, bench_alamouti, bench_wait_lp, bench_fractional_delay
+    targets = bench_fft, bench_viterbi, bench_full_frame, bench_demap, bench_detection, bench_alamouti, bench_wait_lp, bench_fractional_delay
 }
 criterion_main!(benches);
