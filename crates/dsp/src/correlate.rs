@@ -119,36 +119,96 @@ pub fn autocorrelation_metric_into(signal: &[Complex64], period: usize, out: &mu
     }
 }
 
-/// Double sliding window energy ratio: for each boundary position `t`
-/// (from `window` to `len - window`), the ratio of the energy in
-/// `[t, t+window)` to the energy in `[t-window, t)`, with the output at
-/// index `t - window`.
+/// Double sliding window energy ratio, produced on demand: for each
+/// boundary position `t + window` (from `window` to `len - window`), the
+/// ratio of the energy in `[t + window, t + 2·window)` to the energy in
+/// `[t, t + window)`, as ratio `t`.
 ///
 /// A sharp rise in this ratio marks the arrival of signal energy above the
 /// noise floor — the coarse trigger of the packet detector. The ratio is
 /// clamped to `1e6` to stay finite over perfectly silent leading windows.
-/// `out` is a caller-owned buffer (cleared and refilled; capacity reused
-/// across calls).
-pub fn energy_ratio_into(signal: &[Complex64], window: usize, out: &mut Vec<f64>) {
-    out.clear();
-    if window == 0 || signal.len() < 2 * window {
-        return;
-    }
-    let mut lead: f64 = signal[..window].iter().map(|v| v.norm_sqr()).sum();
-    let mut trail: f64 = signal[window..2 * window]
-        .iter()
-        .map(|v| v.norm_sqr())
-        .sum();
-    let n = signal.len() - 2 * window + 1;
-    for t in 0..n {
-        let ratio = if lead > 0.0 { trail / lead } else { 1e6 };
-        out.push(ratio.min(1e6));
-        if t + 1 < n {
-            lead += signal[t + window].norm_sqr() - signal[t].norm_sqr();
-            trail += signal[t + 2 * window].norm_sqr() - signal[t + window].norm_sqr();
-            lead = lead.max(0.0);
-            trail = trail.max(0.0);
+///
+/// The two window energies are running sums that slide one sample per
+/// ratio, so [`EnergyRatioScan::at`] only ever moves forward: a detector
+/// that stops at its first trigger never pays for the rest of the capture,
+/// and one that resumes after a false alarm continues from the same sums.
+/// Every ratio has the same bits whichever indices were read before it.
+#[derive(Debug, Clone)]
+pub struct EnergyRatioScan<'a> {
+    signal: &'a [Complex64],
+    window: usize,
+    len: usize,
+    /// The ratio index the running sums currently describe.
+    t: usize,
+    lead: f64,
+    trail: f64,
+}
+
+impl<'a> EnergyRatioScan<'a> {
+    /// Starts a scan of `signal` with windows of `window` samples.
+    pub fn new(signal: &'a [Complex64], window: usize) -> Self {
+        let (len, lead, trail) = if window == 0 || signal.len() < 2 * window {
+            (0, 0.0, 0.0)
+        } else {
+            (
+                signal.len() - 2 * window + 1,
+                signal[..window].iter().map(|v| v.norm_sqr()).sum(),
+                signal[window..2 * window]
+                    .iter()
+                    .map(|v| v.norm_sqr())
+                    .sum(),
+            )
+        };
+        EnergyRatioScan {
+            signal,
+            window,
+            len,
+            t: 0,
+            lead,
+            trail,
         }
+    }
+
+    /// The number of ratios: `len - 2·window + 1`, or 0 when the signal is
+    /// shorter than both windows (or `window` is 0).
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` when the scan has no ratios.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Ratio `t`, sliding both windows forward to it.
+    ///
+    /// # Panics
+    /// Panics if `t` is past the last ratio or before a ratio already
+    /// read: the scan only moves forward.
+    pub fn at(&mut self, t: usize) -> f64 {
+        assert!(
+            self.t <= t && t < self.len,
+            "energy ratio {t} out of reach (at {}, {} ratios)",
+            self.t,
+            self.len
+        );
+        let (s, w) = (self.signal, self.window);
+        while self.t < t {
+            let u = self.t;
+            self.lead += s[u + w].norm_sqr() - s[u].norm_sqr();
+            self.trail += s[u + 2 * w].norm_sqr() - s[u + w].norm_sqr();
+            self.lead = self.lead.max(0.0);
+            self.trail = self.trail.max(0.0);
+            self.t += 1;
+        }
+        let ratio = if self.lead > 0.0 {
+            self.trail / self.lead
+        } else {
+            1e6
+        };
+        ratio.min(1e6)
     }
 }
 
@@ -170,7 +230,7 @@ mod tests {
     use super::*;
     use crate::rng::ComplexGaussian;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn ncc_fresh(signal: &[Complex64], template: &[Complex64]) -> Vec<f64> {
         let mut out = Vec::new();
@@ -184,10 +244,36 @@ mod tests {
         out
     }
 
+    /// The whole-capture energy ratio the streaming scan replaced, kept
+    /// as its oracle: every ratio computed eagerly, the sums updated after
+    /// each one.
+    fn energy_ratio_into(signal: &[Complex64], window: usize, out: &mut Vec<f64>) {
+        out.clear();
+        if window == 0 || signal.len() < 2 * window {
+            return;
+        }
+        let mut lead: f64 = signal[..window].iter().map(|v| v.norm_sqr()).sum();
+        let mut trail: f64 = signal[window..2 * window]
+            .iter()
+            .map(|v| v.norm_sqr())
+            .sum();
+        let n = signal.len() - 2 * window + 1;
+        for t in 0..n {
+            let ratio = if lead > 0.0 { trail / lead } else { 1e6 };
+            out.push(ratio.min(1e6));
+            if t + 1 < n {
+                lead += signal[t + window].norm_sqr() - signal[t].norm_sqr();
+                trail += signal[t + 2 * window].norm_sqr() - signal[t + window].norm_sqr();
+                lead = lead.max(0.0);
+                trail = trail.max(0.0);
+            }
+        }
+    }
+
+    /// Every ratio of a fresh streaming scan.
     fn energy_ratio_fresh(signal: &[Complex64], window: usize) -> Vec<f64> {
-        let mut out = Vec::new();
-        energy_ratio_into(signal, window, &mut out);
-        out
+        let mut scan = EnergyRatioScan::new(signal, window);
+        (0..scan.len()).map(|t| scan.at(t)).collect()
     }
 
     #[test]
@@ -283,7 +369,7 @@ mod tests {
             autocorrelation_metric_into(&signal, 16, &mut ac);
             assert_eq!(ac, autocorr_fresh(&signal, 16));
             energy_ratio_into(&signal, 16, &mut er);
-            assert_eq!(er, energy_ratio_fresh(&signal, 16));
+            assert_eq!(bits(&er), bits(&energy_ratio_fresh(&signal, 16)));
         }
         // Degenerate inputs clear the buffer rather than leaving stale data.
         normalized_cross_correlate_into(&signal[..4], &template, &mut ncc);
@@ -309,6 +395,51 @@ mod tests {
             }
             t += 4;
         }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn streaming_energy_ratio_matches_eager_vector() {
+        // Element for element, whatever the read pattern: every index,
+        // forward jumps of random length (as the detector's block rounding
+        // and false-alarm skips make), and silent or tiny inputs.
+        let mut rng = StdRng::seed_from_u64(10);
+        let mut signal = ComplexGaussian::with_power(1e-3).sample_vec(&mut rng, 200);
+        signal.extend(vec![Complex64::ZERO; 40]);
+        signal.extend(ComplexGaussian::with_power(4.0).sample_vec(&mut rng, 300));
+        signal.push(Complex64::new(f64::MIN_POSITIVE / 4.0, 0.0));
+        let mut eager = Vec::new();
+        for window in [1usize, 3, 16, 64, 270, 271, 600] {
+            energy_ratio_into(&signal, window, &mut eager);
+            assert_eq!(
+                bits(&energy_ratio_fresh(&signal, window)),
+                bits(&eager),
+                "window {window}"
+            );
+            for _ in 0..20 {
+                let mut scan = EnergyRatioScan::new(&signal, window);
+                assert_eq!(scan.len(), eager.len());
+                let mut t = rng.gen_range(0..40usize);
+                while t < scan.len() {
+                    assert_eq!(scan.at(t).to_bits(), eager[t].to_bits(), "window {window}");
+                    // Re-reading the current ratio is allowed and stable.
+                    assert_eq!(scan.at(t).to_bits(), eager[t].to_bits());
+                    t += rng.gen_range(1..50usize);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of reach")]
+    fn streaming_energy_ratio_never_moves_back() {
+        let signal = vec![Complex64::ONE; 64];
+        let mut scan = EnergyRatioScan::new(&signal, 8);
+        let _ = scan.at(10);
+        let _ = scan.at(9);
     }
 
     #[test]

@@ -34,7 +34,6 @@ use std::f64::consts::PI;
 #[derive(Debug, Clone)]
 pub struct FftPlan {
     n: usize,
-    log2n: u32,
     // Per-stage twiddles, stages concatenated smallest-first: for the stage
     // with butterfly span `len`, the slice holds w[k] = e^{-j2πk·(N/len)/N}
     // for k in 0..len/2 — exactly the values the legacy single-table code
@@ -77,7 +76,6 @@ impl FftPlan {
             .collect();
         FftPlan {
             n,
-            log2n,
             stages,
             stages_inv,
             bitrev,
@@ -105,33 +103,36 @@ impl FftPlan {
             self.n
         );
         // Bit-reversal permutation.
-        for i in 0..self.n {
-            let j = self.bitrev[i] as usize;
+        for (i, &j) in self.bitrev.iter().enumerate() {
+            let j = j as usize;
             if i < j {
                 buf.swap(i, j);
             }
         }
-        // Butterflies, reading each stage's twiddles sequentially.
+        // Butterflies, reading each stage's twiddles sequentially. Each
+        // span of `2·half` samples splits into its lower and upper halves,
+        // zipped with the stage's twiddles, so the inner loop carries no
+        // index arithmetic and no bounds checks.
         let tab = if inverse {
             &self.stages_inv
         } else {
             &self.stages
         };
         let mut off = 0usize;
-        let mut len = 2usize;
-        while len <= self.n {
-            let half = len / 2;
+        let mut half = 1usize;
+        while half < self.n {
             let stage = &tab[off..off + half];
-            for start in (0..self.n).step_by(len) {
-                for (k, &w) in stage.iter().enumerate() {
-                    let a = buf[start + k];
-                    let b = buf[start + k + half] * w;
-                    buf[start + k] = a + b;
-                    buf[start + k + half] = a - b;
+            for span in buf.chunks_exact_mut(2 * half) {
+                let (lo, hi) = span.split_at_mut(half);
+                for ((a, b), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(stage) {
+                    let u = *a;
+                    let t = *b * w;
+                    *a = u + t;
+                    *b = u - t;
                 }
             }
             off += half;
-            len <<= 1;
+            half <<= 1;
         }
         if inverse {
             let inv_n = 1.0 / self.n as f64;
@@ -139,7 +140,6 @@ impl FftPlan {
                 *s = s.scale(inv_n);
             }
         }
-        let _ = self.log2n;
     }
 
     /// In-place forward DFT.

@@ -90,18 +90,6 @@ impl F64x4 {
         ])
     }
 
-    /// Element-wise square root (the IEEE-754 correctly-rounded sqrt, same
-    /// as scalar `f64::sqrt`).
-    #[inline(always)]
-    pub fn sqrt(self) -> Self {
-        F64x4([
-            self.0[0].sqrt(),
-            self.0[1].sqrt(),
-            self.0[2].sqrt(),
-            self.0[3].sqrt(),
-        ])
-    }
-
     /// Per-lane strict greater-than comparison.
     #[inline(always)]
     pub fn gt(self, rhs: Self) -> [bool; LANES] {
@@ -259,10 +247,6 @@ mod tests {
                 assert_eq!(va.add(vb).0[i].to_bits(), (a[i] + b[i]).to_bits());
                 assert_eq!(va.sub(vb).0[i].to_bits(), (a[i] - b[i]).to_bits());
                 assert_eq!(va.mul(vb).0[i].to_bits(), (a[i] * b[i]).to_bits());
-                assert_eq!(
-                    va.mul(va).sqrt().0[i].to_bits(),
-                    (a[i] * a[i]).sqrt().to_bits()
-                );
                 assert_eq!(va.gt(vb)[i], a[i] > b[i]);
             }
         }

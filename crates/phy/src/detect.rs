@@ -12,7 +12,7 @@ use crate::params::OfdmParams;
 use crate::preamble::{lts_symbol, PreambleLayout, STS_REPS};
 use crate::workspace::DetectScratch;
 use ssync_dsp::correlate::{
-    argmax, autocorrelation_metric_into, energy_ratio_into, normalized_cross_correlate_into,
+    argmax, autocorrelation_metric_into, normalized_cross_correlate_into, EnergyRatioScan,
 };
 use ssync_dsp::{Complex64, FftPlan};
 use std::f64::consts::PI;
@@ -98,10 +98,11 @@ impl Detector {
     /// Scans `samples` from `from` for a packet. Returns the first detection,
     /// or `None` if no trigger fires or verification fails everywhere.
     ///
-    /// The energy/autocorrelation metrics and the CFO-corrected fine-timing
-    /// window live in the reusable [`DetectScratch`] `ws`, so repeated
-    /// detections do not allocate at steady state. A reused scratch gives
-    /// the same result as a fresh one.
+    /// The energy ratio is produced on demand, only as far as the scan
+    /// reads it. The autocorrelation metric and the CFO-corrected
+    /// fine-timing window live in the reusable [`DetectScratch`] `ws`, so
+    /// repeated detections do not allocate at steady state. A reused
+    /// scratch gives the same result as a fresh one.
     pub fn detect_with(
         &self,
         params: &OfdmParams,
@@ -116,17 +117,16 @@ impl Detector {
             return None;
         }
 
-        // 1. Coarse energy trigger.
-        let region = &samples[from..];
-        energy_ratio_into(region, period, &mut ws.ratios);
-        let ratios = &ws.ratios;
+        // 1. Coarse energy trigger. The scan only moves forward: `t` never
+        // decreases below.
+        let mut ratios = EnergyRatioScan::new(&samples[from..], period);
         let decim = self.config.decimation.max(1);
         let mut t = 0usize;
         loop {
             // Find the next threshold crossing at sample resolution, then
             // round the *firing instant* up to the pipeline's block grid:
             // hardware integrates continuously but reports per block.
-            while t < ratios.len() && ratios[t] < self.config.energy_threshold {
+            while t < ratios.len() && ratios.at(t) < self.config.energy_threshold {
                 t += 1;
             }
             if t >= ratios.len() {

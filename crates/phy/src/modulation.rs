@@ -2,9 +2,11 @@
 //!
 //! Gray-coded BPSK/QPSK/16-QAM/64-QAM with the 802.11 normalisation factors
 //! (1, 1/√2, 1/√10, 1/√42) so every constellation has unit average power.
-//! Demapping produces exact max-log per-bit LLRs by scanning the
-//! constellation — O(M) per symbol, simple and correct, and fast enough for
-//! a simulator.
+//! Demapping produces exact max-log per-bit LLRs. The free [`demap_llrs`] /
+//! [`demap_hard`] scans compare `|y − h·x|` over the whole labelled
+//! constellation and are the reference; the receive chain runs
+//! [`DemapTable`], which reaches the same bits from row and column minima
+//! of the squared distances with one square root per bit minimum.
 
 pub use crate::params::Modulation;
 use ssync_dsp::simd::{F64x4, LANES, SIMD_ENABLED};
@@ -122,73 +124,122 @@ pub fn demap_hard(m: Modulation, y: Complex64, h: Complex64) -> Vec<u8> {
         .expect("constellation not empty")
 }
 
-/// A precomputed constellation plus demap scratch: the allocation-free
-/// counterpart of [`demap_llrs`] / [`demap_hard`].
+/// Largest label width: 64-QAM's six bits.
+const MAX_BPS: usize = 6;
+
+/// `(√m)²`: the squared distance the legacy scan compared, rebuilt from a
+/// squared distance `m`. Correctly-rounded `sqrt` and `·` are monotone
+/// non-decreasing, so for any set of squared distances
+/// `min f(s) = f(min s)` — the sqrt-free demap applies `f` to the
+/// minima alone and gets the legacy minima bit for bit.
+#[inline(always)]
+fn resquare(m: f64) -> f64 {
+    let d = m.sqrt();
+    d * d
+}
+
+/// One bit's partition of the constellation grid: its 0-set and 1-set are
+/// unions of whole rows (an I bit) or whole columns (a Q bit).
+#[derive(Debug, Clone, Copy, Default)]
+struct BitSplit {
+    /// `true` when the bit is constant along each row.
+    rows: bool,
+    /// The lines (rows or columns) whose points carry bit 0.
+    zero: [u8; 4],
+    /// The lines whose points carry bit 1.
+    one: [u8; 4],
+}
+
+/// A precomputed constellation plus demap scratch: the allocation-free,
+/// sqrt-free counterpart of [`demap_llrs`] / [`demap_hard`].
 ///
-/// [`demap_llrs`] rebuilds the whole labelled constellation on every call —
-/// one `Vec<(Vec<u8>, Complex64)>` per data subcarrier per OFDM symbol, the
-/// single largest source of buffer churn in the receive chain. A
-/// `DemapTable` builds it once per modulation and produces bit-identical
-/// LLRs and hard decisions from a restructured two-phase scan:
+/// The points are stored I-major on a `rows × cols` grid (the 802.11
+/// label is the I bits followed by the Q bits), so each bit's 0-set and
+/// 1-set is a union of whole rows or whole columns. [`DemapTable::new`]
+/// derives those partitions from the labels and asserts them. One call
+/// then runs three phases, all producing [`demap_llrs`]'s exact bits:
 ///
-/// 1. **Metric phase.** `|y − h·x|²` for all `M` points into a flat scratch
-///    array, four points per step through [`ssync_dsp::simd`] lanes (each
-///    lane evaluates exactly the scalar expression `d = dist(y, h·x); d·d`,
-///    so the metrics are bitwise equal to the scalar fallback's).
-/// 2. **Reduction phase.** Per-bit minima over precomputed index partitions
-///    (the point indices whose label has that bit 0 / 1), replacing the
-///    per-point label walk and its data-dependent branches. Metrics are
-///    finite and non-negative, so the partition minimum is independent of
-///    scan order and matches the legacy ascending scan exactly.
+/// 1. **Squared distances.** `s = |y − h·x|²` per point into a flat
+///    scratch array, four points per step through [`ssync_dsp::simd`]
+///    lanes — the operations of `y.dist(h·x)` in the same order, minus its
+///    `sqrt`.
+/// 2. **Row and column minima.** Each row's and each column's minimum `s`,
+///    then each bit's two minima from its lines. Every minimum is a strict
+///    `<` scan from `+∞`, so NaN is skipped as in the legacy scan, and
+///    `s` is never `−0`, so the minimum's bits do not depend on the scan
+///    order.
+/// 3. **One square root per minimum.** The legacy scan compared
+///    `d·d` with `d = √s`; [`resquare`] applies that map to the `2·bps`
+///    minima only, which is exact because it is monotone.
 ///
-/// The hard decision keeps the *unsquared* distance and a first-index
-/// ascending argmin: squaring can merge distinct distances at the ulp level,
-/// so comparing `d·d` could break ties differently than [`demap_hard`].
+/// [`DemapTable::nearest`] keeps the legacy *unsquared* first-index argmin:
+/// squaring can merge distinct distances at the ulp level, so it takes the
+/// first point whose `√s` equals `√(min s)`, and only points with
+/// `s ≤ 2·min s` can qualify, so only those pay for a `sqrt`.
 #[derive(Debug, Clone)]
 pub struct DemapTable {
     m: Modulation,
-    points: Vec<(Vec<u8>, Complex64)>,
-    /// Flat copy of the constellation points (scalar tail + lookups).
+    /// The constellation points, I-major (point `r·cols + c`).
     xs: Vec<Complex64>,
     /// The points again in split re/im form, so the lane path loads four
     /// consecutive reals instead of deinterleaving on every call.
     xs_re: Vec<f64>,
     xs_im: Vec<f64>,
-    /// Per bit position: point indices whose label has that bit = 0.
-    zeros: Vec<Vec<u16>>,
-    /// Per bit position: point indices whose label has that bit = 1.
-    ones: Vec<Vec<u16>>,
-    /// Metric scratch, one slot per constellation point.
-    metrics: Vec<f64>,
+    /// Per bit position, its row or column partition.
+    splits: [BitSplit; MAX_BPS],
+    /// Squared-distance scratch, one slot per constellation point.
+    sq: Vec<f64>,
 }
 
 impl DemapTable {
     /// Builds the table for one modulation.
+    ///
+    /// # Panics
+    /// Panics if a bit's label sets are not unions of whole rows or whole
+    /// columns of the I-major grid (they are for every 802.11 mapping).
     pub fn new(m: Modulation) -> Self {
         let points = constellation(m);
         let bps = m.bits_per_symbol();
-        let xs: Vec<Complex64> = points.iter().map(|(_, x)| *x).collect();
-        let mut zeros = vec![Vec::new(); bps];
-        let mut ones = vec![Vec::new(); bps];
-        for (idx, (bits, _)) in points.iter().enumerate() {
-            for (i, &b) in bits.iter().enumerate() {
+        let cols = 1usize << (bps / 2);
+        let rows = points.len() / cols;
+        let label = |r: usize, c: usize, i: usize| points[r * cols + c].0[i];
+        let mut splits = [BitSplit::default(); MAX_BPS];
+        for (i, split) in splits.iter_mut().enumerate().take(bps) {
+            let along_rows = (0..rows).all(|r| (0..cols).all(|c| label(r, c, i) == label(r, 0, i)));
+            let along_cols = (0..cols).all(|c| (0..rows).all(|r| label(r, c, i) == label(0, c, i)));
+            assert!(
+                along_rows || along_cols,
+                "{m:?} bit {i}: label sets are not whole rows or columns"
+            );
+            split.rows = along_rows;
+            let line_bits: Vec<u8> = if along_rows {
+                (0..rows).map(|r| label(r, 0, i)).collect()
+            } else {
+                (0..cols).map(|c| label(0, c, i)).collect()
+            };
+            let (mut n0, mut n1) = (0, 0);
+            for (line, &b) in line_bits.iter().enumerate() {
                 if b == 0 {
-                    zeros[i].push(idx as u16);
+                    split.zero[n0] = line as u8;
+                    n0 += 1;
                 } else {
-                    ones[i].push(idx as u16);
+                    split.one[n1] = line as u8;
+                    n1 += 1;
                 }
             }
+            assert!(
+                n0 == line_bits.len() / 2 && n1 == n0,
+                "{m:?} bit {i}: unbalanced label sets"
+            );
         }
-        let n = xs.len();
+        let xs: Vec<Complex64> = points.iter().map(|(_, x)| *x).collect();
         DemapTable {
             m,
-            points,
             xs_re: xs.iter().map(|x| x.re).collect(),
             xs_im: xs.iter().map(|x| x.im).collect(),
+            sq: vec![0.0; xs.len()],
             xs,
-            zeros,
-            ones,
-            metrics: vec![0.0; n],
+            splits,
         }
     }
 
@@ -198,39 +249,38 @@ impl DemapTable {
         self.m
     }
 
-    /// Fills `self.metrics` with `f(dist(y, h·x))` per point: the squared
-    /// distance for soft demapping (`square = true`) or the raw distance for
-    /// the hard argmin. Lane and scalar paths are bitwise identical.
+    /// Fills `self.sq` with `|y − h·x|²` per point. All three tiers are
+    /// bitwise identical.
     #[inline]
-    fn fill_metrics(&mut self, y: Complex64, h: Complex64, square: bool) {
+    fn fill_sq(&mut self, y: Complex64, h: Complex64) {
         #[cfg(target_arch = "x86_64")]
         if SIMD_ENABLED && std::arch::is_x86_feature_detected!("avx2") {
             // SAFETY: AVX2 support was just verified at runtime.
-            unsafe { self.fill_metrics_avx2(y, h, square) };
+            unsafe { self.fill_sq_avx2(y, h) };
             return;
         }
         if SIMD_ENABLED {
-            self.fill_metrics_lanes(y, h, square);
+            self.fill_sq_lanes(y, h);
         } else {
-            self.fill_metrics_scalar(y, h, square);
+            self.fill_sq_scalar(y, h);
         }
     }
 
-    /// [`DemapTable::fill_metrics_lanes`] as explicit 256-bit intrinsics —
-    /// the same IEEE operations in the same order (`vsqrtpd` is the
-    /// correctly-rounded sqrt, no multiply-add fusion anywhere), so the
-    /// metrics are bit-identical to both portable kernels.
+    /// [`DemapTable::fill_sq_lanes`] as explicit 256-bit intrinsics — the
+    /// same IEEE operations in the same order (no multiply-add fusion
+    /// anywhere), so the squared distances are bit-identical to both
+    /// portable kernels.
     ///
     /// # Safety
     /// The host CPU must support AVX2.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    unsafe fn fill_metrics_avx2(&mut self, y: Complex64, h: Complex64, square: bool) {
+    unsafe fn fill_sq_avx2(&mut self, y: Complex64, h: Complex64) {
         use std::arch::x86_64::*;
         let n = self.xs.len();
         let mut p = 0usize;
         // SAFETY (for all intrinsics below): p ≤ n−4 inside the loop, and
-        // xs_re/xs_im/metrics all hold exactly n elements.
+        // xs_re/xs_im/sq all hold exactly n elements.
         unsafe {
             let vyre = _mm256_set1_pd(y.re);
             let vyim = _mm256_set1_pd(y.im);
@@ -247,25 +297,20 @@ impl DemapTable {
                     vyim,
                     _mm256_add_pd(_mm256_mul_pd(vhre, xim), _mm256_mul_pd(vhim, xre)),
                 );
-                let d = _mm256_sqrt_pd(_mm256_add_pd(
-                    _mm256_mul_pd(dre, dre),
-                    _mm256_mul_pd(dim, dim),
-                ));
-                let m = if square { _mm256_mul_pd(d, d) } else { d };
-                _mm256_storeu_pd(self.metrics.as_mut_ptr().add(p), m);
+                let s = _mm256_add_pd(_mm256_mul_pd(dre, dre), _mm256_mul_pd(dim, dim));
+                _mm256_storeu_pd(self.sq.as_mut_ptr().add(p), s);
                 p += LANES;
             }
         }
         for q in p..n {
-            let d = y.dist(h * self.xs[q]);
-            self.metrics[q] = if square { d * d } else { d };
+            self.sq[q] = (y - h * self.xs[q]).norm_sqr();
         }
     }
 
-    /// Lane kernel of [`DemapTable::fill_metrics`]: four points per step from
+    /// Lane kernel of [`DemapTable::fill_sq`]: four points per step from
     /// the split-form constellation.
     #[inline]
-    fn fill_metrics_lanes(&mut self, y: Complex64, h: Complex64, square: bool) {
+    fn fill_sq_lanes(&mut self, y: Complex64, h: Complex64) {
         let n = self.xs.len();
         let mut p = 0usize;
         let vyre = F64x4::splat(y.re);
@@ -275,26 +320,22 @@ impl DemapTable {
         while p + LANES <= n {
             let xre = F64x4::load(&self.xs_re, p);
             let xim = F64x4::load(&self.xs_im, p);
-            // h·x term-for-term as `Complex64::mul`, then |y − h·x|.
+            // h·x term-for-term as `Complex64::mul`, then |y − h·x|².
             let dre = vyre.sub(vhre.mul(xre).sub(vhim.mul(xim)));
             let dim = vyim.sub(vhre.mul(xim).add(vhim.mul(xre)));
-            let d = dre.mul(dre).add(dim.mul(dim)).sqrt();
-            let m = if square { d.mul(d) } else { d };
-            m.store(&mut self.metrics, p);
+            dre.mul(dre).add(dim.mul(dim)).store(&mut self.sq, p);
             p += LANES;
         }
         for q in p..n {
-            let d = y.dist(h * self.xs[q]);
-            self.metrics[q] = if square { d * d } else { d };
+            self.sq[q] = (y - h * self.xs[q]).norm_sqr();
         }
     }
 
-    /// Scalar kernel of [`DemapTable::fill_metrics`].
+    /// Scalar kernel of [`DemapTable::fill_sq`].
     #[inline]
-    fn fill_metrics_scalar(&mut self, y: Complex64, h: Complex64, square: bool) {
-        for (q, x) in self.xs.iter().enumerate() {
-            let d = y.dist(h * *x);
-            self.metrics[q] = if square { d * d } else { d };
+    fn fill_sq_scalar(&mut self, y: Complex64, h: Complex64) {
+        for (s, x) in self.sq.iter_mut().zip(&self.xs) {
+            *s = (y - h * *x).norm_sqr();
         }
     }
 
@@ -302,59 +343,102 @@ impl DemapTable {
     /// receive chain accumulates per-carrier LLRs into one per-symbol
     /// vector, so append — not clear-and-fill — is the composable shape).
     pub fn demap_llrs_into(&mut self, y: Complex64, h: Complex64, n0: f64, out: &mut Vec<f64>) {
-        self.fill_metrics(y, h, true);
+        self.fill_sq(y, h);
         let scale = 1.0 / n0.max(1e-12);
-        for (zs, os) in self.zeros.iter().zip(&self.ones) {
-            let mut min0 = f64::INFINITY;
-            for &p in zs {
-                let v = self.metrics[p as usize];
-                if v < min0 {
-                    min0 = v;
-                }
-            }
-            let mut min1 = f64::INFINITY;
-            for &p in os {
-                let v = self.metrics[p as usize];
-                if v < min1 {
-                    min1 = v;
-                }
-            }
-            out.push((min1 - min0) * scale);
+        // One monomorphised reduction per grid shape, so the line loops
+        // unroll and the small constellations pay no generic overhead.
+        match self.m {
+            Modulation::Bpsk => self.llrs_from_sq::<2, 1>(scale, out),
+            Modulation::Qpsk => self.llrs_from_sq::<2, 2>(scale, out),
+            Modulation::Qam16 => self.llrs_from_sq::<4, 4>(scale, out),
+            Modulation::Qam64 => self.llrs_from_sq::<8, 8>(scale, out),
         }
     }
 
-    /// [`demap_hard`] into a caller-owned buffer (cleared and refilled).
-    /// Ties break toward the constellation point scanned first, matching
-    /// the `Iterator::min_by` convention of the allocating path.
-    pub fn demap_hard_into(&mut self, y: Complex64, h: Complex64, out: &mut Vec<u8>) {
-        let best_idx = self.argmin_dist(y, h);
-        out.clear();
-        out.extend_from_slice(&self.points[best_idx].0);
+    /// Phases 2 and 3 of the demap on the `R × C` grid in `self.sq`.
+    #[inline(always)]
+    fn llrs_from_sq<const R: usize, const C: usize>(&self, scale: f64, out: &mut Vec<f64>) {
+        let mut row_min = [f64::INFINITY; R];
+        let mut col_min = [f64::INFINITY; C];
+        for (row, rm) in self.sq.chunks_exact(C).zip(row_min.iter_mut()) {
+            for (&v, cm) in row.iter().zip(col_min.iter_mut()) {
+                if v < *rm {
+                    *rm = v;
+                }
+                if v < *cm {
+                    *cm = v;
+                }
+            }
+        }
+        let bps = self.m.bits_per_symbol();
+        let mut mins = [0.0f64; 2 * MAX_BPS];
+        for (i, split) in self.splits[..bps].iter().enumerate() {
+            let (lines, half): (&[f64], usize) = if split.rows {
+                (&row_min, R / 2)
+            } else {
+                (&col_min, C / 2)
+            };
+            let mut min0 = f64::INFINITY;
+            let mut min1 = f64::INFINITY;
+            for k in 0..half {
+                let v0 = lines[split.zero[k] as usize];
+                if v0 < min0 {
+                    min0 = v0;
+                }
+                let v1 = lines[split.one[k] as usize];
+                if v1 < min1 {
+                    min1 = v1;
+                }
+            }
+            mins[2 * i] = min0;
+            mins[2 * i + 1] = min1;
+        }
+        for v in mins[..2 * bps].iter_mut() {
+            *v = resquare(*v);
+        }
+        for pair in mins[..2 * bps].chunks_exact(2) {
+            out.push((pair[1] - pair[0]) * scale);
+        }
     }
 
-    /// The nearest constellation point itself (the value
-    /// [`map_symbol`] would rebuild from [`DemapTable::demap_hard_into`]'s
-    /// bits — the table stores exactly those mapped points, so this is the
-    /// identical `Complex64` without the bit round-trip). The decision-
+    /// The nearest constellation point to `y` after equalising with `h`:
+    /// the point whose label [`demap_hard`] returns, without the bit
+    /// round-trip. Ties break toward the point scanned first, matching
+    /// [`demap_hard`]'s `Iterator::min_by` convention. The decision-
     /// directed EVM loops want the point, not its label.
     pub fn nearest(&mut self, y: Complex64, h: Complex64) -> Complex64 {
-        let best_idx = self.argmin_dist(y, h);
-        self.points[best_idx].1
-    }
-
-    /// First-index argmin of `dist(y, h·x)` over the constellation.
-    #[inline]
-    fn argmin_dist(&mut self, y: Complex64, h: Complex64) -> usize {
-        self.fill_metrics(y, h, false);
-        let mut best_idx = 0usize;
-        let mut best = f64::INFINITY;
-        for (idx, &d) in self.metrics.iter().enumerate() {
-            if d < best {
-                best = d;
-                best_idx = idx;
+        self.fill_sq(y, h);
+        // Four independent running minima (the minimum's bits do not
+        // depend on the scan order), folded at the end.
+        let mut acc = [f64::INFINITY; LANES];
+        let chunks = self.sq.chunks_exact(LANES);
+        let tail = chunks.remainder();
+        for chunk in chunks {
+            for (a, &v) in acc.iter_mut().zip(chunk) {
+                if v < *a {
+                    *a = v;
+                }
             }
         }
-        best_idx
+        let mut min = f64::INFINITY;
+        for &v in acc.iter().chain(tail) {
+            if v < min {
+                min = v;
+            }
+        }
+        // No finite distance: the legacy strict scan never moved off the
+        // first point.
+        if min == f64::INFINITY {
+            return self.xs[0];
+        }
+        let d = min.sqrt();
+        let limit = 2.0 * min;
+        for (x, &v) in self.xs.iter().zip(&self.sq) {
+            if v <= limit && v.sqrt() == d {
+                return *x;
+            }
+        }
+        unreachable!("the minimum's own point qualifies")
     }
 }
 
@@ -497,6 +581,26 @@ mod tests {
         let _ = map_bits(Modulation::Qam16, &[0u8; 7]);
     }
 
+    /// The legacy `DemapTable` argmin: the first point with the smallest
+    /// `dist(y, h·x)` under a strict `<` scan from `+∞` (NaN skipped, the
+    /// first point when nothing is finite). Unlike [`demap_hard`], it
+    /// accepts non-finite inputs.
+    fn legacy_nearest(m: Modulation, y: Complex64, h: Complex64) -> Complex64 {
+        let points = constellation(m);
+        let mut best = (0, f64::INFINITY);
+        for (idx, (_, x)) in points.iter().enumerate() {
+            let d = y.dist(h * *x);
+            if d < best.1 {
+                best = (idx, d);
+            }
+        }
+        points[best.0].1
+    }
+
+    fn same_bits(a: Complex64, b: Complex64) -> bool {
+        a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits()
+    }
+
     #[test]
     fn demap_table_bitwise_matches_allocating_demappers() {
         let mut rng = StdRng::seed_from_u64(8);
@@ -504,7 +608,6 @@ mod tests {
         for m in ALL {
             let mut table = DemapTable::new(m);
             let mut llrs = Vec::new();
-            let mut hard = Vec::new();
             for _ in 0..40 {
                 let bits: Vec<u8> = (0..m.bits_per_symbol())
                     .map(|_| rng.gen_range(0..2u8))
@@ -517,47 +620,146 @@ mod tests {
                 llrs.clear();
                 table.demap_llrs_into(y, h, 0.1, &mut llrs);
                 assert_eq!(llrs, demap_llrs(m, y, h, 0.1), "{m:?}");
-                table.demap_hard_into(y, h, &mut hard);
-                assert_eq!(hard, demap_hard(m, y, h), "{m:?}");
+                // The nearest point is exactly the point of demap_hard's label.
                 let near = table.nearest(y, h);
-                let rebuilt = map_symbol(m, &hard);
-                assert_eq!(near.re.to_bits(), rebuilt.re.to_bits(), "{m:?}");
-                assert_eq!(near.im.to_bits(), rebuilt.im.to_bits(), "{m:?}");
+                assert!(
+                    same_bits(near, map_symbol(m, &demap_hard(m, y, h))),
+                    "{m:?}"
+                );
             }
             // Tie case (y at the origin): both paths must break identically.
-            table.demap_hard_into(Complex64::ZERO, Complex64::ONE, &mut hard);
-            assert_eq!(hard, demap_hard(m, Complex64::ZERO, Complex64::ONE));
+            let near = table.nearest(Complex64::ZERO, Complex64::ONE);
+            let hard = demap_hard(m, Complex64::ZERO, Complex64::ONE);
+            assert!(same_bits(near, map_symbol(m, &hard)), "{m:?}");
+        }
+    }
+
+    /// Inputs that stress the sqrt-free reductions: signed zeros,
+    /// subnormals, infinities and NaN in `y` or `h`, a zero channel, and
+    /// received symbols exactly midway between two points (and at a
+    /// corner between four).
+    fn adversarial_inputs(m: Modulation) -> Vec<(Complex64, Complex64)> {
+        let k = normalization(m);
+        let sub = f64::MIN_POSITIVE / 8.0;
+        let c = Complex64::new;
+        let mut ys = vec![
+            c(0.0, 0.0),
+            c(-0.0, -0.0),
+            c(0.0, -0.0),
+            c(sub, -sub),
+            c(-sub, 0.0),
+            c(2.0 * k, 0.0),
+            c(0.0, 2.0 * k),
+            c(2.0 * k, 2.0 * k),
+            c(-4.0 * k, 2.0 * k),
+            c(6.0 * k, -4.0 * k),
+            c(1e300, -1e300),
+            c(f64::INFINITY, 0.0),
+            c(f64::NEG_INFINITY, f64::INFINITY),
+            c(f64::NAN, 0.0),
+            c(0.3, f64::NAN),
+            c(f64::MAX, f64::MAX),
+        ];
+        // Exactly midway between two adjacent points of the constellation.
+        let points = constellation(m);
+        for w in points.windows(2) {
+            ys.push((w[0].1 + w[1].1).scale(0.5));
+        }
+        let hs = [
+            Complex64::ONE,
+            c(-0.0, 0.0),
+            Complex64::ZERO,
+            c(sub, 0.0),
+            c(0.0, -1.0),
+            c(0.7, 0.7),
+            c(f64::INFINITY, 0.0),
+            c(f64::NAN, 1.0),
+            c(1e-160, 1e-160),
+        ];
+        let mut out = Vec::new();
+        for &y in &ys {
+            for &h in &hs {
+                out.push((y, h));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn demap_table_matches_scans_on_adversarial_inputs() {
+        for m in ALL {
+            let mut table = DemapTable::new(m);
+            let mut llrs = Vec::new();
+            for (y, h) in adversarial_inputs(m) {
+                for n0 in [0.1, 0.0, 1e-300] {
+                    llrs.clear();
+                    table.demap_llrs_into(y, h, n0, &mut llrs);
+                    let oracle = demap_llrs(m, y, h, n0);
+                    let got: Vec<u64> = llrs.iter().map(|v| v.to_bits()).collect();
+                    let want: Vec<u64> = oracle.iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(got, want, "{m:?} y={y:?} h={h:?} n0={n0}");
+                }
+                let near = table.nearest(y, h);
+                assert!(
+                    same_bits(near, legacy_nearest(m, y, h)),
+                    "{m:?} y={y:?} h={h:?}: nearest {near:?}"
+                );
+                let dists_finite = constellation(m)
+                    .iter()
+                    .all(|(_, x)| y.dist(h * *x).is_finite());
+                if dists_finite {
+                    let hard = demap_hard(m, y, h);
+                    assert!(same_bits(near, map_symbol(m, &hard)), "{m:?} y={y:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn demap_partitions_are_rows_then_columns() {
+        // I bits split the grid by rows, Q bits by columns.
+        for m in ALL {
+            let table = DemapTable::new(m);
+            let bps = m.bits_per_symbol();
+            for (i, split) in table.splits[..bps].iter().enumerate() {
+                assert_eq!(split.rows, i < bps - bps / 2, "{m:?} bit {i}");
+            }
         }
     }
 
     #[test]
     fn metric_kernels_bitwise_match() {
-        // Both fill_metrics kernels are always compiled; whichever one the
-        // build dispatches, the other must produce the same bits.
+        // All three squared-distance tiers are always compiled (avx2 when
+        // the host has it); whichever one the build dispatches, the others
+        // must produce the same bits. A NaN only has to stay a NaN: Rust
+        // leaves NaN payloads unspecified, and every reduction skips NaN
+        // whatever its bits.
+        let same = |a: &f64, b: &f64| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
         let mut rng = StdRng::seed_from_u64(21);
         let noise = ComplexGaussian::with_power(0.1);
         for m in ALL {
             let mut lanes = DemapTable::new(m);
             let mut scalar = DemapTable::new(m);
+            let mut inputs = adversarial_inputs(m);
             for _ in 0..50 {
                 let h = Complex64::from_polar(
                     rng.gen_range(0.2..2.0),
                     rng.gen_range(0.0..std::f64::consts::TAU),
                 );
-                let y = h * noise.sample(&mut rng);
-                for square in [true, false] {
-                    lanes.fill_metrics_lanes(y, h, square);
-                    scalar.fill_metrics_scalar(y, h, square);
-                    for (a, b) in lanes.metrics.iter().zip(&scalar.metrics) {
-                        assert_eq!(a.to_bits(), b.to_bits(), "{m:?} square={square}");
-                    }
-                    #[cfg(target_arch = "x86_64")]
-                    if std::arch::is_x86_feature_detected!("avx2") {
-                        // SAFETY: AVX2 detected above.
-                        unsafe { lanes.fill_metrics_avx2(y, h, square) };
-                        for (a, b) in lanes.metrics.iter().zip(&scalar.metrics) {
-                            assert_eq!(a.to_bits(), b.to_bits(), "avx2 {m:?} square={square}");
-                        }
+                inputs.push((h * noise.sample(&mut rng), h));
+            }
+            for (y, h) in inputs {
+                lanes.fill_sq_lanes(y, h);
+                scalar.fill_sq_scalar(y, h);
+                for (a, b) in lanes.sq.iter().zip(&scalar.sq) {
+                    assert!(same(a, b), "{m:?} y={y:?} h={h:?}: {a} vs {b}");
+                }
+                #[cfg(target_arch = "x86_64")]
+                if std::arch::is_x86_feature_detected!("avx2") {
+                    // SAFETY: AVX2 detected above.
+                    unsafe { lanes.fill_sq_avx2(y, h) };
+                    for (a, b) in lanes.sq.iter().zip(&scalar.sq) {
+                        assert!(same(a, b), "avx2 {m:?} y={y:?} h={h:?}: {a} vs {b}");
                     }
                 }
             }
@@ -565,40 +767,27 @@ mod tests {
     }
 
     #[test]
-    #[ignore] // timing probe: cargo test -p ssync_phy --release profile_metric_kernels -- --ignored --nocapture
-    fn profile_metric_kernels() {
-        let mut table = DemapTable::new(Modulation::Qam16);
+    #[ignore] // timing probe: cargo test -p ssync_phy --release profile_demap -- --ignored --nocapture
+    fn profile_demap() {
         let y = Complex64::new(0.3, -0.2);
         let h = Complex64::new(0.9, 0.1);
         let iters = 400_000;
-        for rep in 0..3 {
+        for m in ALL {
+            let mut table = DemapTable::new(m);
+            let mut llrs = Vec::with_capacity(8);
             let t0 = std::time::Instant::now();
             for _ in 0..iters {
-                table.fill_metrics_lanes(y, h, true);
-                std::hint::black_box(&table.metrics);
+                llrs.clear();
+                table.demap_llrs_into(std::hint::black_box(y), h, 0.1, &mut llrs);
+                std::hint::black_box(&llrs);
             }
-            let lanes = t0.elapsed();
+            let demap = t0.elapsed() / iters;
             let t0 = std::time::Instant::now();
             for _ in 0..iters {
-                table.fill_metrics_scalar(y, h, true);
-                std::hint::black_box(&table.metrics);
+                std::hint::black_box(table.nearest(std::hint::black_box(y), h));
             }
-            let scalar = t0.elapsed();
-            #[cfg(target_arch = "x86_64")]
-            let avx2 = if std::arch::is_x86_feature_detected!("avx2") {
-                let t0 = std::time::Instant::now();
-                for _ in 0..iters {
-                    // SAFETY: AVX2 detected above.
-                    unsafe { table.fill_metrics_avx2(y, h, true) };
-                    std::hint::black_box(&table.metrics);
-                }
-                format!("{:?}", t0.elapsed())
-            } else {
-                "n/a".into()
-            };
-            #[cfg(not(target_arch = "x86_64"))]
-            let avx2 = "n/a";
-            println!("rep {rep}: lanes {lanes:?} scalar {scalar:?} avx2 {avx2}");
+            let nearest = t0.elapsed() / iters;
+            println!("{m:?}: demap_llrs_into {demap:?} nearest {nearest:?}");
         }
     }
 }

@@ -6,8 +6,9 @@
 //! [`crate::convcode::TAIL_BITS`] zeros) and performs full traceback, which
 //! is fine for packet-sized messages.
 //!
-//! This is the modem's single hottest loop (~70% of a long-frame receive),
-//! so the add-compare-select is organised for throughput while staying
+//! Viterbi decoding is about a quarter of the benchmark's receive-chain
+//! time (the `rx` workload: all rates, 14–1500 B frames), so the
+//! add-compare-select is organised for throughput while staying
 //! bit-identical to the straightforward reference recursion
 //! ([`decode_terminated_reference`], kept as the differential-test oracle):
 //!
@@ -23,6 +24,8 @@
 //!   butterfly lanes of identical arithmetic, dispatched through
 //!   [`ssync_dsp::simd`] lanes (or the scalar twin without the `simd`
 //!   feature; both paths compute the same bits).
+//! * **Ping-pong metrics.** Two path-metric buffers alternate as source
+//!   and destination, so a step never copies a metric array.
 //! * **Bit-parallel survivors.** A survivor decision is one bit
 //!   (even/odd predecessor), so a whole step packs into a single `u64`
 //!   instead of 64 `(state, input)` records — 16× less survivor memory and
@@ -98,13 +101,19 @@ const BE_IDX: [usize; HALF] = {
     t
 };
 
-/// A reusable planned decoder: path-metric arrays plus the bit-parallel
-/// survivor store, so steady-state decoding (one frame after another through
-/// an `RxWorkspace`) allocates nothing.
+/// One trellis column of path metrics, indexed by state.
+type Metrics = [f64; N_STATES];
+
+/// A reusable planned decoder: two path-metric buffers plus the
+/// bit-parallel survivor store, so steady-state decoding (one frame after
+/// another through an `RxWorkspace`) allocates nothing.
+///
+/// The two buffers ping-pong: each step reads one and writes every state
+/// of the other, then the two swap roles by swapping references, so no
+/// step copies a metric array.
 #[derive(Debug, Clone)]
 pub struct ViterbiDecoder {
-    metric: [f64; N_STATES],
-    next: [f64; N_STATES],
+    metrics: [Metrics; 2],
     /// One survivor word per trellis step; bit `ns` set ⇒ state `ns` took
     /// its odd predecessor.
     survivors: Vec<u64>,
@@ -120,34 +129,34 @@ impl ViterbiDecoder {
     /// Creates a decoder (survivor capacity grows on first use).
     pub fn new() -> Self {
         ViterbiDecoder {
-            metric: [NEG_INF; N_STATES],
-            next: [NEG_INF; N_STATES],
+            metrics: [[NEG_INF; N_STATES]; 2],
             survivors: Vec::new(),
         }
     }
 
-    /// One add-compare-select step, scalar kernel. Returns the survivor word.
+    /// One add-compare-select step from `metric` into `next`, scalar
+    /// kernel. Returns the survivor word.
     #[inline]
-    fn step_scalar(&mut self, l0: f64, l1: f64) -> u64 {
+    fn step_scalar(metric: &Metrics, next: &mut Metrics, l0: f64, l1: f64) -> u64 {
         let s = l0 + l1;
         let t = l0 - l1;
         let vals = [s, t, -t, -s];
         let mut word = 0u64;
         for lo in 0..HALF {
-            let me = self.metric[2 * lo];
-            let mo = self.metric[2 * lo + 1];
+            let me = metric[2 * lo];
+            let mo = metric[2 * lo + 1];
             let be = vals[BE_IDX[lo]];
             // Input 0 target: ns = lo (odd predecessor's metric is −be).
             let c0 = me + be;
             let c1 = mo - be;
             let odd = c1 > c0;
-            self.next[lo] = if odd { c1 } else { c0 };
+            next[lo] = if odd { c1 } else { c0 };
             word |= (odd as u64) << lo;
             // Input 1 target: ns = lo + 32, branch metric negated.
             let d0 = me - be;
             let d1 = mo + be;
             let odd1 = d1 > d0;
-            self.next[lo + HALF] = if odd1 { d1 } else { d0 };
+            next[lo + HALF] = if odd1 { d1 } else { d0 };
             word |= (odd1 as u64) << (lo + HALF);
         }
         word
@@ -157,7 +166,7 @@ impl ViterbiDecoder {
     /// lane runs exactly the scalar kernel's expressions, so the survivor
     /// word and metrics are bit-identical to [`ViterbiDecoder::step_scalar`].
     #[inline]
-    fn step_lanes(&mut self, l0: f64, l1: f64) -> u64 {
+    fn step_lanes(metric: &Metrics, next: &mut Metrics, l0: f64, l1: f64) -> u64 {
         let s = l0 + l1;
         let t = l0 - l1;
         let vals = [s, t, -t, -s];
@@ -169,26 +178,26 @@ impl ViterbiDecoder {
         let mut lo = 0usize;
         while lo < HALF {
             let me = F64x4([
-                self.metric[2 * lo],
-                self.metric[2 * lo + 2],
-                self.metric[2 * lo + 4],
-                self.metric[2 * lo + 6],
+                metric[2 * lo],
+                metric[2 * lo + 2],
+                metric[2 * lo + 4],
+                metric[2 * lo + 6],
             ]);
             let mo = F64x4([
-                self.metric[2 * lo + 1],
-                self.metric[2 * lo + 3],
-                self.metric[2 * lo + 5],
-                self.metric[2 * lo + 7],
+                metric[2 * lo + 1],
+                metric[2 * lo + 3],
+                metric[2 * lo + 5],
+                metric[2 * lo + 7],
             ]);
             let be = F64x4::load(&bes, lo);
             let c0 = me.add(be);
             let c1 = mo.sub(be);
             let odd = c1.gt(c0);
-            F64x4::select(odd, c1, c0).store(&mut self.next, lo);
+            F64x4::select(odd, c1, c0).store(next, lo);
             let d0 = me.sub(be);
             let d1 = mo.add(be);
             let odd1 = d1.gt(d0);
-            F64x4::select(odd1, d1, d0).store(&mut self.next, lo + HALF);
+            F64x4::select(odd1, d1, d0).store(next, lo + HALF);
             for j in 0..LANES {
                 word |= (odd[j] as u64) << (lo + j);
                 word |= (odd1[j] as u64) << (lo + j + HALF);
@@ -198,7 +207,8 @@ impl ViterbiDecoder {
         word
     }
 
-    /// Runs every trellis step, pushing one survivor word per step.
+    /// Runs every trellis step from `self.metrics[0]`, pushing one
+    /// survivor word per step.
     ///
     /// The `simd` build adds a third tier above the portable lanes: on
     /// x86-64 hosts whose CPU reports AVX2 at runtime, the step runs through
@@ -216,14 +226,16 @@ impl ViterbiDecoder {
             unsafe { self.run_steps_avx2(llrs) };
             return;
         }
+        let [a, b] = &mut self.metrics;
+        let (mut cur, mut next) = (a, b);
         for pair in llrs.chunks_exact(2) {
             let word = if SIMD_ENABLED {
-                self.step_lanes(pair[0], pair[1])
+                Self::step_lanes(cur, next, pair[0], pair[1])
             } else {
-                self.step_scalar(pair[0], pair[1])
+                Self::step_scalar(cur, next, pair[0], pair[1])
             };
             self.survivors.push(word);
-            std::mem::swap(&mut self.metric, &mut self.next);
+            std::mem::swap(&mut cur, &mut next);
         }
     }
 
@@ -234,11 +246,13 @@ impl ViterbiDecoder {
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     unsafe fn run_steps_avx2(&mut self, llrs: &[f64]) {
+        let [a, b] = &mut self.metrics;
+        let (mut cur, mut next) = (a, b);
         for pair in llrs.chunks_exact(2) {
             // SAFETY: caller guarantees AVX2.
-            let word = unsafe { self.step_avx2(pair[0], pair[1]) };
+            let word = unsafe { Self::step_avx2(cur, next, pair[0], pair[1]) };
             self.survivors.push(word);
-            std::mem::swap(&mut self.metric, &mut self.next);
+            std::mem::swap(&mut cur, &mut next);
         }
     }
 
@@ -256,7 +270,7 @@ impl ViterbiDecoder {
     /// The host CPU must support AVX2.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    unsafe fn step_avx2(&mut self, l0: f64, l1: f64) -> u64 {
+    unsafe fn step_avx2(metric: &Metrics, next: &mut Metrics, l0: f64, l1: f64) -> u64 {
         use std::arch::x86_64::*;
         let vl0 = _mm256_set1_pd(l0);
         let vl1 = _mm256_set1_pd(l1);
@@ -266,8 +280,8 @@ impl ViterbiDecoder {
             // SAFETY: lo ≤ HALF−4, so every load/store below stays inside
             // the fixed-size metric/next/sign-table arrays.
             unsafe {
-                let a = _mm256_loadu_pd(self.metric.as_ptr().add(2 * lo));
-                let b = _mm256_loadu_pd(self.metric.as_ptr().add(2 * lo + 4));
+                let a = _mm256_loadu_pd(metric.as_ptr().add(2 * lo));
+                let b = _mm256_loadu_pd(metric.as_ptr().add(2 * lo + 4));
                 // Deinterleave four (even, odd) predecessor metric pairs.
                 let t0 = _mm256_unpacklo_pd(a, b); // m0 m4 m2 m6
                 let t1 = _mm256_unpackhi_pd(a, b); // m1 m5 m3 m7
@@ -280,7 +294,7 @@ impl ViterbiDecoder {
                 let c0 = _mm256_add_pd(me, be);
                 let c1 = _mm256_sub_pd(mo, be);
                 let gt = _mm256_cmp_pd::<_CMP_GT_OQ>(c1, c0);
-                let next = self.next.as_mut_ptr();
+                let next = next.as_mut_ptr();
                 _mm256_storeu_pd(next.add(lo), _mm256_blendv_pd(c0, c1, gt));
                 word |= (_mm256_movemask_pd(gt) as u64) << lo;
                 let d0 = _mm256_sub_pd(me, be);
@@ -305,8 +319,10 @@ impl ViterbiDecoder {
             return false;
         }
         let n_steps = llrs.len() / 2;
-        self.metric = [NEG_INF; N_STATES];
-        self.metric[0] = 0.0; // encoder starts in state 0
+        // The first step overwrites every state of the other buffer, so
+        // only the starting one needs resetting.
+        self.metrics[0] = [NEG_INF; N_STATES];
+        self.metrics[0][0] = 0.0; // encoder starts in state 0
         self.survivors.clear();
         self.survivors.reserve(n_steps);
         self.run_steps(llrs);
@@ -540,50 +556,79 @@ mod tests {
     #[test]
     fn lane_and_scalar_steps_bitwise_match() {
         // Drive every compiled kernel over the same metric evolution and
-        // compare survivor words and metric arrays exactly.
+        // compare survivor words and metric arrays exactly. Each kernel
+        // ping-pongs its own pair of buffers, as the decoder does.
         let mut rng = StdRng::seed_from_u64(7);
-        let mut a = ViterbiDecoder::new();
-        let mut b = ViterbiDecoder::new();
-        let mut c = ViterbiDecoder::new();
-        a.metric = [NEG_INF; N_STATES];
-        a.metric[0] = 0.0;
-        b.metric = a.metric;
-        c.metric = a.metric;
+        let mut start = [NEG_INF; N_STATES];
+        start[0] = 0.0;
+        let mut a = [start, [NEG_INF; N_STATES]];
+        let mut b = a;
         #[cfg(target_arch = "x86_64")]
-        let avx2 = std::arch::is_x86_feature_detected!("avx2");
-        #[cfg(not(target_arch = "x86_64"))]
-        let avx2 = false;
+        let (avx2, mut c) = (std::arch::is_x86_feature_detected!("avx2"), a);
         for step in 0..200 {
             let l0 = rng.gen_range(-3.0..3.0);
             let l1 = rng.gen_range(-3.0..3.0);
-            let wa = a.step_lanes(l0, l1);
-            let wb = b.step_scalar(l0, l1);
+            let (src, dst) = (step % 2, 1 - step % 2);
+            let [a0, a1] = &mut a;
+            let [b0, b1] = &mut b;
+            let (wa, wb) = if src == 0 {
+                (
+                    ViterbiDecoder::step_lanes(a0, a1, l0, l1),
+                    ViterbiDecoder::step_scalar(b0, b1, l0, l1),
+                )
+            } else {
+                (
+                    ViterbiDecoder::step_lanes(a1, a0, l0, l1),
+                    ViterbiDecoder::step_scalar(b1, b0, l0, l1),
+                )
+            };
             assert_eq!(wa, wb, "survivor word, step {step}");
             for s in 0..N_STATES {
                 assert_eq!(
-                    a.next[s].to_bits(),
-                    b.next[s].to_bits(),
+                    a[dst][s].to_bits(),
+                    b[dst][s].to_bits(),
                     "metric {s}, step {step}"
                 );
             }
+            #[cfg(target_arch = "x86_64")]
             if avx2 {
-                #[cfg(target_arch = "x86_64")]
-                {
-                    // SAFETY: AVX2 detected above.
-                    let wc = unsafe { c.step_avx2(l0, l1) };
-                    assert_eq!(wc, wb, "avx2 survivor word, step {step}");
-                    for s in 0..N_STATES {
-                        assert_eq!(
-                            c.next[s].to_bits(),
-                            b.next[s].to_bits(),
-                            "avx2 metric {s}, step {step}"
-                        );
+                let [c0, c1] = &mut c;
+                // SAFETY: AVX2 detected above.
+                let wc = unsafe {
+                    if src == 0 {
+                        ViterbiDecoder::step_avx2(c0, c1, l0, l1)
+                    } else {
+                        ViterbiDecoder::step_avx2(c1, c0, l0, l1)
                     }
+                };
+                assert_eq!(wc, wb, "avx2 survivor word, step {step}");
+                for s in 0..N_STATES {
+                    assert_eq!(
+                        c[dst][s].to_bits(),
+                        b[dst][s].to_bits(),
+                        "avx2 metric {s}, step {step}"
+                    );
                 }
-                std::mem::swap(&mut c.metric, &mut c.next);
             }
-            std::mem::swap(&mut a.metric, &mut a.next);
-            std::mem::swap(&mut b.metric, &mut b.next);
+        }
+    }
+
+    #[test]
+    fn reused_decoder_matches_reference_across_step_parities() {
+        // The ping-pong ends on either buffer depending on the step
+        // count's parity; a decoder reused across odd and even frames
+        // (and across tiers' dispatch) must still match the reference.
+        let mut rng = StdRng::seed_from_u64(10);
+        let mut dec = ViterbiDecoder::new();
+        let mut bits = Vec::new();
+        for n_steps in [1usize, 2, 7, 8, 33, 64, 3, 120, 121, 1, 6] {
+            let llrs: Vec<f64> = (0..2 * n_steps).map(|_| rng.gen_range(-4.0..4.0)).collect();
+            assert!(dec.decode_terminated_into(&llrs, &mut bits));
+            assert_eq!(
+                bits,
+                decode_terminated_reference(&llrs).unwrap(),
+                "{n_steps} steps"
+            );
         }
     }
 
@@ -591,34 +636,32 @@ mod tests {
     #[ignore] // timing probe: cargo test -p ssync_phy --release profile_step_kernels -- --ignored --nocapture
     fn profile_step_kernels() {
         let mut rng = StdRng::seed_from_u64(9);
-        let mut dec = ViterbiDecoder::new();
-        dec.metric = [NEG_INF; N_STATES];
-        dec.metric[0] = 0.0;
+        let mut metrics = [[NEG_INF; N_STATES]; 2];
+        metrics[0][0] = 0.0;
         let steps: Vec<(f64, f64)> = (0..12_000)
             .map(|_| (rng.gen_range(-3.0..3.0), rng.gen_range(-3.0..3.0)))
             .collect();
+        type Step = fn(&Metrics, &mut Metrics, f64, f64) -> u64;
+        let mut time = |step: Step| {
+            let t0 = std::time::Instant::now();
+            let [a, b] = &mut metrics;
+            let (mut cur, mut next) = (a, b);
+            for &(l0, l1) in &steps {
+                std::hint::black_box(step(cur, next, l0, l1));
+                std::mem::swap(&mut cur, &mut next);
+            }
+            t0.elapsed()
+        };
         for rep in 0..3 {
-            let t0 = std::time::Instant::now();
-            for &(l0, l1) in &steps {
-                std::hint::black_box(dec.step_scalar(l0, l1));
-                std::mem::swap(&mut dec.metric, &mut dec.next);
-            }
-            let scalar = t0.elapsed();
-            let t0 = std::time::Instant::now();
-            for &(l0, l1) in &steps {
-                std::hint::black_box(dec.step_lanes(l0, l1));
-                std::mem::swap(&mut dec.metric, &mut dec.next);
-            }
-            let lanes = t0.elapsed();
+            let scalar = time(ViterbiDecoder::step_scalar);
+            let lanes = time(ViterbiDecoder::step_lanes);
             #[cfg(target_arch = "x86_64")]
             let avx2 = if std::arch::is_x86_feature_detected!("avx2") {
-                let t0 = std::time::Instant::now();
-                for &(l0, l1) in &steps {
+                let step: Step = |m, n, l0, l1| {
                     // SAFETY: AVX2 detected above.
-                    std::hint::black_box(unsafe { dec.step_avx2(l0, l1) });
-                    std::mem::swap(&mut dec.metric, &mut dec.next);
-                }
-                format!("{:?}", t0.elapsed())
+                    unsafe { ViterbiDecoder::step_avx2(m, n, l0, l1) }
+                };
+                format!("{:?}", time(step))
             } else {
                 "n/a".into()
             };

@@ -155,11 +155,11 @@ impl Default for DemapTables {
     }
 }
 
-/// Packet-detector scratch: the correlation/energy metric vectors and the
-/// CFO-corrected search window behind `Detector::detect_with`.
+/// Packet-detector scratch: the autocorrelation and cross-correlation
+/// vectors and the CFO-corrected search window behind
+/// `Detector::detect_with`.
 #[derive(Debug, Clone, Default)]
 pub struct DetectScratch {
-    pub(crate) ratios: Vec<f64>,
     pub(crate) metric: Vec<f64>,
     pub(crate) local: Vec<Complex64>,
     pub(crate) xc: Vec<f64>,

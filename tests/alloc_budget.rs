@@ -10,7 +10,8 @@
 //!   LLR demap) performs **zero** heap allocations after warm-up,
 //! * so does the per-symbol transmit loop,
 //! * a warmed full-frame `receive_with` allocates only per-frame
-//!   bookkeeping — the count does not scale with the symbol count,
+//!   bookkeeping — the count does not scale with the symbol count, and at
+//!   R54 (64-QAM) it does not change at all,
 //! * and the warmed workspace-threaded frame/combiner entry points
 //!   allocate several times less than the same calls through a fresh
 //!   workspace (the receiver's allocating twin builds one per call).
@@ -133,6 +134,45 @@ fn per_symbol_rx_loop_is_allocation_free_after_warmup() {
         "steady-state per-symbol rx loop performed {n} heap allocations"
     );
     assert_eq!(warm.to_bits(), steady.to_bits(), "passes diverged");
+}
+
+#[test]
+fn warmed_r54_receive_has_no_per_symbol_allocations() {
+    // The 64-QAM demap has its own grid layout (8 × 8 rows and columns),
+    // so the R54 chain gets its own budget: once warmed, a frame with 4x
+    // the data symbols allocates exactly as often as the short one, so
+    // nothing in the per-symbol path (demod, demap, EVM nearest point,
+    // deinterleave, Viterbi) touches the heap.
+    let params = OfdmParams::dot11a();
+    let tx = Transmitter::new(params.clone());
+    let rx = Receiver::new(params.clone());
+    let mut rng = StdRng::seed_from_u64(5);
+    let noise = ComplexGaussian::with_power(sourcesync::dsp::stats::linear_from_db(-35.0));
+    let mut capture = |len: usize| {
+        let payload: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+        let wave = tx.frame_waveform(&payload, RateId::R54, 0);
+        let mut buf = noise.sample_vec(&mut rng, wave.len() + 600);
+        for (i, s) in wave.iter().enumerate() {
+            buf[200 + i] += *s;
+        }
+        (buf, payload)
+    };
+    let (buf, payload) = capture(400);
+    let (buf_long, payload_long) = capture(1600);
+
+    let mut ws = RxWorkspace::new(&params);
+    let _ = rx
+        .receive_with(&buf_long, &mut ws)
+        .expect("warmup decode long");
+    let _ = rx.receive_with(&buf, &mut ws).expect("warmup decode");
+    let (n, res) = allocations(|| rx.receive_with(&buf, &mut ws));
+    let (n_long, res_long) = allocations(|| rx.receive_with(&buf_long, &mut ws));
+    assert_eq!(res.expect("decode").payload, payload);
+    assert_eq!(res_long.expect("decode long").payload, payload_long);
+    assert_eq!(
+        n, n_long,
+        "R54 receive allocations scale with the symbol count: {n} -> {n_long}"
+    );
 }
 
 #[test]
