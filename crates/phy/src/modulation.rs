@@ -138,6 +138,17 @@ fn resquare(m: f64) -> f64 {
     d * d
 }
 
+/// `v < acc ? v : acc`: one step of a strict running minimum from `+∞`,
+/// which never takes a NaN.
+#[inline(always)]
+fn strict_min(acc: f64, v: f64) -> f64 {
+    if v < acc {
+        v
+    } else {
+        acc
+    }
+}
+
 /// One bit's partition of the constellation grid: its 0-set and 1-set are
 /// unions of whole rows (an I bit) or whole columns (a Q bit).
 #[derive(Debug, Clone, Copy, Default)]
@@ -169,8 +180,8 @@ struct BitSplit {
 ///    `s` is never `−0`, so the minimum's bits do not depend on the scan
 ///    order.
 /// 3. **One square root per minimum.** The legacy scan compared
-///    `d·d` with `d = √s`; [`resquare`] applies that map to the `2·bps`
-///    minima only, which is exact because it is monotone.
+///    `d·d` with `d = √s`; the demap applies that map, `(√m)²`, to the
+///    `2·bps` minima only, which is exact because it is monotone.
 ///
 /// [`DemapTable::nearest`] keeps the legacy *unsquared* first-index argmin:
 /// squaring can merge distinct distances at the ulp level, so it takes the
@@ -249,39 +260,42 @@ impl DemapTable {
         self.m
     }
 
-    /// Fills `self.sq` with `|y − h·x|²` per point. All three tiers are
-    /// bitwise identical.
+    /// Fills `self.sq` with `|y − h·x|²` per point and returns their
+    /// minimum (a strict `<` from `+∞`, so NaN is skipped). All three
+    /// tiers are bitwise identical.
     #[inline]
-    fn fill_sq(&mut self, y: Complex64, h: Complex64) {
+    fn fill_sq(&mut self, y: Complex64, h: Complex64) -> f64 {
         #[cfg(target_arch = "x86_64")]
         if SIMD_ENABLED && std::arch::is_x86_feature_detected!("avx2") {
             // SAFETY: AVX2 support was just verified at runtime.
-            unsafe { self.fill_sq_avx2(y, h) };
-            return;
+            return unsafe { self.fill_sq_avx2(y, h) };
         }
         if SIMD_ENABLED {
-            self.fill_sq_lanes(y, h);
+            self.fill_sq_lanes(y, h)
         } else {
-            self.fill_sq_scalar(y, h);
+            self.fill_sq_scalar(y, h)
         }
     }
 
     /// [`DemapTable::fill_sq_lanes`] as explicit 256-bit intrinsics — the
     /// same IEEE operations in the same order (no multiply-add fusion
     /// anywhere), so the squared distances are bit-identical to both
-    /// portable kernels.
+    /// portable kernels. `vminpd(s, m)` is `s < m ? s : m`, the strict
+    /// running minimum.
     ///
     /// # Safety
     /// The host CPU must support AVX2.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    unsafe fn fill_sq_avx2(&mut self, y: Complex64, h: Complex64) {
+    unsafe fn fill_sq_avx2(&mut self, y: Complex64, h: Complex64) -> f64 {
         use std::arch::x86_64::*;
         let n = self.xs.len();
         let mut p = 0usize;
+        let mut lanes = [f64::INFINITY; LANES];
         // SAFETY (for all intrinsics below): p ≤ n−4 inside the loop, and
         // xs_re/xs_im/sq all hold exactly n elements.
         unsafe {
+            let mut vmin = _mm256_set1_pd(f64::INFINITY);
             let vyre = _mm256_set1_pd(y.re);
             let vyim = _mm256_set1_pd(y.im);
             let vhre = _mm256_set1_pd(h.re);
@@ -299,20 +313,36 @@ impl DemapTable {
                 );
                 let s = _mm256_add_pd(_mm256_mul_pd(dre, dre), _mm256_mul_pd(dim, dim));
                 _mm256_storeu_pd(self.sq.as_mut_ptr().add(p), s);
+                vmin = _mm256_min_pd(s, vmin);
                 p += LANES;
             }
+            _mm256_storeu_pd(lanes.as_mut_ptr(), vmin);
         }
-        for q in p..n {
-            self.sq[q] = (y - h * self.xs[q]).norm_sqr();
+        self.fill_sq_tail(y, h, p, lanes)
+    }
+
+    /// The points from `p` on, one at a time, folded into the per-lane
+    /// running minima `lanes`: the shared tail of every tier.
+    #[inline(always)]
+    fn fill_sq_tail(&mut self, y: Complex64, h: Complex64, p: usize, lanes: [f64; LANES]) -> f64 {
+        let mut min = f64::INFINITY;
+        for v in lanes {
+            min = strict_min(min, v);
         }
+        for (s, x) in self.sq[p..].iter_mut().zip(&self.xs[p..]) {
+            *s = (y - h * *x).norm_sqr();
+            min = strict_min(min, *s);
+        }
+        min
     }
 
     /// Lane kernel of [`DemapTable::fill_sq`]: four points per step from
     /// the split-form constellation.
     #[inline]
-    fn fill_sq_lanes(&mut self, y: Complex64, h: Complex64) {
+    fn fill_sq_lanes(&mut self, y: Complex64, h: Complex64) -> f64 {
         let n = self.xs.len();
         let mut p = 0usize;
+        let mut vmin = F64x4::splat(f64::INFINITY);
         let vyre = F64x4::splat(y.re);
         let vyim = F64x4::splat(y.im);
         let vhre = F64x4::splat(h.re);
@@ -323,20 +353,18 @@ impl DemapTable {
             // h·x term-for-term as `Complex64::mul`, then |y − h·x|².
             let dre = vyre.sub(vhre.mul(xre).sub(vhim.mul(xim)));
             let dim = vyim.sub(vhre.mul(xim).add(vhim.mul(xre)));
-            dre.mul(dre).add(dim.mul(dim)).store(&mut self.sq, p);
+            let s = dre.mul(dre).add(dim.mul(dim));
+            s.store(&mut self.sq, p);
+            vmin = F64x4::select(vmin.gt(s), s, vmin);
             p += LANES;
         }
-        for q in p..n {
-            self.sq[q] = (y - h * self.xs[q]).norm_sqr();
-        }
+        self.fill_sq_tail(y, h, p, vmin.0)
     }
 
     /// Scalar kernel of [`DemapTable::fill_sq`].
     #[inline]
-    fn fill_sq_scalar(&mut self, y: Complex64, h: Complex64) {
-        for (s, x) in self.sq.iter_mut().zip(&self.xs) {
-            *s = (y - h * *x).norm_sqr();
-        }
+    fn fill_sq_scalar(&mut self, y: Complex64, h: Complex64) -> f64 {
+        self.fill_sq_tail(y, h, 0, [f64::INFINITY; LANES])
     }
 
     /// [`demap_llrs`], *appending* `bits_per_symbol` LLRs to `out` (the
@@ -348,57 +376,45 @@ impl DemapTable {
         // One monomorphised reduction per grid shape, so the line loops
         // unroll and the small constellations pay no generic overhead.
         match self.m {
-            Modulation::Bpsk => self.llrs_from_sq::<2, 1>(scale, out),
-            Modulation::Qpsk => self.llrs_from_sq::<2, 2>(scale, out),
-            Modulation::Qam16 => self.llrs_from_sq::<4, 4>(scale, out),
-            Modulation::Qam64 => self.llrs_from_sq::<8, 8>(scale, out),
+            Modulation::Bpsk => self.llrs_from_sq::<2, 1, 1>(scale, out),
+            Modulation::Qpsk => self.llrs_from_sq::<2, 2, 2>(scale, out),
+            Modulation::Qam16 => self.llrs_from_sq::<4, 4, 4>(scale, out),
+            Modulation::Qam64 => self.llrs_from_sq::<8, 8, 6>(scale, out),
         }
     }
 
-    /// Phases 2 and 3 of the demap on the `R × C` grid in `self.sq`.
+    /// Phases 2 and 3 of the demap on the `R × C` grid in `self.sq`, for
+    /// `B` bits per symbol.
     #[inline(always)]
-    fn llrs_from_sq<const R: usize, const C: usize>(&self, scale: f64, out: &mut Vec<f64>) {
+    fn llrs_from_sq<const R: usize, const C: usize, const B: usize>(
+        &self,
+        scale: f64,
+        out: &mut Vec<f64>,
+    ) {
         let mut row_min = [f64::INFINITY; R];
         let mut col_min = [f64::INFINITY; C];
         for (row, rm) in self.sq.chunks_exact(C).zip(row_min.iter_mut()) {
-            for (&v, cm) in row.iter().zip(col_min.iter_mut()) {
-                if v < *rm {
-                    *rm = v;
-                }
-                if v < *cm {
-                    *cm = v;
-                }
+            for (cm, &v) in col_min.iter_mut().zip(row) {
+                *cm = strict_min(*cm, v);
             }
+            *rm = row.iter().fold(f64::INFINITY, |m, &v| strict_min(m, v));
         }
-        let bps = self.m.bits_per_symbol();
-        let mut mins = [0.0f64; 2 * MAX_BPS];
-        for (i, split) in self.splits[..bps].iter().enumerate() {
+        // Per bit, the (√m)² of its 0-set and 1-set minima.
+        let mut mins = [[0.0f64; 2]; B];
+        for (bit, split) in mins.iter_mut().zip(&self.splits) {
             let (lines, half): (&[f64], usize) = if split.rows {
                 (&row_min, R / 2)
             } else {
                 (&col_min, C / 2)
             };
-            let mut min0 = f64::INFINITY;
-            let mut min1 = f64::INFINITY;
-            for k in 0..half {
-                let v0 = lines[split.zero[k] as usize];
-                if v0 < min0 {
-                    min0 = v0;
-                }
-                let v1 = lines[split.one[k] as usize];
-                if v1 < min1 {
-                    min1 = v1;
-                }
+            for (m, set) in bit.iter_mut().zip([&split.zero, &split.one]) {
+                let min = set[..half]
+                    .iter()
+                    .fold(f64::INFINITY, |acc, &l| strict_min(acc, lines[l as usize]));
+                *m = resquare(min);
             }
-            mins[2 * i] = min0;
-            mins[2 * i + 1] = min1;
         }
-        for v in mins[..2 * bps].iter_mut() {
-            *v = resquare(*v);
-        }
-        for pair in mins[..2 * bps].chunks_exact(2) {
-            out.push((pair[1] - pair[0]) * scale);
-        }
+        out.extend(mins.iter().map(|[m0, m1]| (m1 - m0) * scale));
     }
 
     /// The nearest constellation point to `y` after equalising with `h`:
@@ -407,38 +423,65 @@ impl DemapTable {
     /// [`demap_hard`]'s `Iterator::min_by` convention. The decision-
     /// directed EVM loops want the point, not its label.
     pub fn nearest(&mut self, y: Complex64, h: Complex64) -> Complex64 {
-        self.fill_sq(y, h);
-        // Four independent running minima (the minimum's bits do not
-        // depend on the scan order), folded at the end.
-        let mut acc = [f64::INFINITY; LANES];
-        let chunks = self.sq.chunks_exact(LANES);
-        let tail = chunks.remainder();
-        for chunk in chunks {
-            for (a, &v) in acc.iter_mut().zip(chunk) {
-                if v < *a {
-                    *a = v;
-                }
-            }
-        }
-        let mut min = f64::INFINITY;
-        for &v in acc.iter().chain(tail) {
-            if v < min {
-                min = v;
-            }
-        }
+        let min = self.fill_sq(y, h);
         // No finite distance: the legacy strict scan never moved off the
         // first point.
         if min == f64::INFINITY {
             return self.xs[0];
         }
-        let d = min.sqrt();
-        let limit = 2.0 * min;
-        for (x, &v) in self.xs.iter().zip(&self.sq) {
-            if v <= limit && v.sqrt() == d {
-                return *x;
-            }
+        #[cfg(target_arch = "x86_64")]
+        if SIMD_ENABLED && std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 support was just verified at runtime.
+            return self.xs[unsafe { self.first_at_min_avx2(min) }];
         }
-        unreachable!("the minimum's own point qualifies")
+        self.xs[self.first_at_min(min, 0)]
+    }
+
+    /// The first point from `from` on whose distance `√s` equals `√min`:
+    /// `s == min` settles it without a sqrt, and a larger `s` can only
+    /// round to the same distance when `s ≤ 2·min`.
+    #[inline]
+    fn first_at_min(&self, min: f64, from: usize) -> usize {
+        let limit = 2.0 * min;
+        let at_min = |v: f64| v == min || (v <= limit && v.sqrt() == min.sqrt());
+        match self.sq[from..].iter().position(|&v| at_min(v)) {
+            Some(k) => from + k,
+            None => unreachable!("the minimum's own point qualifies"),
+        }
+    }
+
+    /// [`DemapTable::first_at_min`] four points per compare: a
+    /// `vcmppd`/`vmovmskpd` pass keeps only the points with `s ≤ 2·min`,
+    /// which are then tested in index order exactly as the scalar scan
+    /// tests them.
+    ///
+    /// # Safety
+    /// The host CPU must support AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn first_at_min_avx2(&self, min: f64) -> usize {
+        use std::arch::x86_64::*;
+        let n = self.sq.len();
+        let limit = 2.0 * min;
+        let mut p = 0usize;
+        let vlimit = _mm256_set1_pd(limit);
+        while p + LANES <= n {
+            // SAFETY: p ≤ n−4 inside the loop and `sq` holds n elements.
+            let mut mask = unsafe {
+                let s = _mm256_loadu_pd(self.sq.as_ptr().add(p));
+                _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LE_OQ>(s, vlimit))
+            };
+            while mask != 0 {
+                let q = p + mask.trailing_zeros() as usize;
+                let v = self.sq[q];
+                if v == min || v.sqrt() == min.sqrt() {
+                    return q;
+                }
+                mask &= mask - 1;
+            }
+            p += LANES;
+        }
+        self.first_at_min(min, p)
     }
 }
 
@@ -729,9 +772,10 @@ mod tests {
 
     #[test]
     fn metric_kernels_bitwise_match() {
-        // All three squared-distance tiers are always compiled (avx2 when
-        // the host has it); whichever one the build dispatches, the others
-        // must produce the same bits. A NaN only has to stay a NaN: Rust
+        // All three squared-distance tiers (and both nearest-point
+        // searches) are always compiled, avx2 when the host has it;
+        // whichever one the build dispatches, the others must produce the
+        // same bits, minima and indices. A NaN only has to stay a NaN: Rust
         // leaves NaN payloads unspecified, and every reduction skips NaN
         // whatever its bits.
         let same = |a: &f64, b: &f64| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
@@ -749,17 +793,29 @@ mod tests {
                 inputs.push((h * noise.sample(&mut rng), h));
             }
             for (y, h) in inputs {
-                lanes.fill_sq_lanes(y, h);
-                scalar.fill_sq_scalar(y, h);
+                let min_lanes = lanes.fill_sq_lanes(y, h);
+                let min = scalar.fill_sq_scalar(y, h);
+                assert_eq!(min_lanes.to_bits(), min.to_bits(), "{m:?} y={y:?} h={h:?}");
                 for (a, b) in lanes.sq.iter().zip(&scalar.sq) {
                     assert!(same(a, b), "{m:?} y={y:?} h={h:?}: {a} vs {b}");
                 }
+                let first = (min != f64::INFINITY).then(|| scalar.first_at_min(min, 0));
                 #[cfg(target_arch = "x86_64")]
                 if std::arch::is_x86_feature_detected!("avx2") {
                     // SAFETY: AVX2 detected above.
-                    unsafe { lanes.fill_sq_avx2(y, h) };
+                    let min_avx2 = unsafe { lanes.fill_sq_avx2(y, h) };
+                    assert_eq!(
+                        min_avx2.to_bits(),
+                        min.to_bits(),
+                        "avx2 {m:?} y={y:?} h={h:?}"
+                    );
                     for (a, b) in lanes.sq.iter().zip(&scalar.sq) {
                         assert!(same(a, b), "avx2 {m:?} y={y:?} h={h:?}: {a} vs {b}");
+                    }
+                    if let Some(first) = first {
+                        // SAFETY: AVX2 detected above.
+                        let first_avx2 = unsafe { lanes.first_at_min_avx2(min) };
+                        assert_eq!(first_avx2, first, "avx2 {m:?} y={y:?} h={h:?}");
                     }
                 }
             }
@@ -771,22 +827,26 @@ mod tests {
     fn profile_demap() {
         let y = Complex64::new(0.3, -0.2);
         let h = Complex64::new(0.9, 0.1);
-        let iters = 400_000;
+        let iters = 100_000;
         for m in ALL {
             let mut table = DemapTable::new(m);
             let mut llrs = Vec::with_capacity(8);
-            let t0 = std::time::Instant::now();
-            for _ in 0..iters {
-                llrs.clear();
-                table.demap_llrs_into(std::hint::black_box(y), h, 0.1, &mut llrs);
-                std::hint::black_box(&llrs);
+            let mut demap = std::time::Duration::MAX;
+            let mut nearest = std::time::Duration::MAX;
+            for _ in 0..7 {
+                let t0 = std::time::Instant::now();
+                for _ in 0..iters {
+                    llrs.clear();
+                    table.demap_llrs_into(std::hint::black_box(y), h, 0.1, &mut llrs);
+                    std::hint::black_box(&llrs);
+                }
+                demap = demap.min(t0.elapsed() / iters);
+                let t0 = std::time::Instant::now();
+                for _ in 0..iters {
+                    std::hint::black_box(table.nearest(std::hint::black_box(y), h));
+                }
+                nearest = nearest.min(t0.elapsed() / iters);
             }
-            let demap = t0.elapsed() / iters;
-            let t0 = std::time::Instant::now();
-            for _ in 0..iters {
-                std::hint::black_box(table.nearest(std::hint::black_box(y), h));
-            }
-            let nearest = t0.elapsed() / iters;
             println!("{m:?}: demap_llrs_into {demap:?} nearest {nearest:?}");
         }
     }
