@@ -330,6 +330,83 @@ mod tests {
         let _ = FftPlan::new(48);
     }
 
+    /// The indexed butterfly loop the span-zipped one replaced, kept as
+    /// its oracle: same twiddle tables, same operations, `buf[start + k]`
+    /// indexing.
+    fn transform_indexed(plan: &FftPlan, buf: &mut [Complex64], inverse: bool) {
+        for i in 0..plan.n {
+            let j = plan.bitrev[i] as usize;
+            if i < j {
+                buf.swap(i, j);
+            }
+        }
+        let tab = if inverse {
+            &plan.stages_inv
+        } else {
+            &plan.stages
+        };
+        let mut off = 0usize;
+        let mut len = 2usize;
+        while len <= plan.n {
+            let half = len / 2;
+            let stage = &tab[off..off + half];
+            for start in (0..plan.n).step_by(len) {
+                for (k, &w) in stage.iter().enumerate() {
+                    let a = buf[start + k];
+                    let b = buf[start + k + half] * w;
+                    buf[start + k] = a + b;
+                    buf[start + k + half] = a - b;
+                }
+            }
+            off += half;
+            len <<= 1;
+        }
+        if inverse {
+            let inv_n = 1.0 / plan.n as f64;
+            for s in buf.iter_mut() {
+                *s = s.scale(inv_n);
+            }
+        }
+    }
+
+    #[test]
+    fn butterflies_match_indexed_loop_bitwise() {
+        // Random inputs at every size, plus signed zeros, subnormals and
+        // huge values that overflow to ±∞ inside the butterflies (NaN
+        // only has to stay NaN: Rust leaves its payload unspecified).
+        let same = |a: f64, b: f64| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+        let mut rng = StdRng::seed_from_u64(13);
+        let gauss = ComplexGaussian::unit();
+        let edge = [
+            Complex64::new(0.0, -0.0),
+            Complex64::new(-0.0, -0.0),
+            Complex64::new(f64::MIN_POSITIVE / 16.0, -f64::MIN_POSITIVE),
+            Complex64::new(f64::MAX, -f64::MAX),
+            Complex64::new(1e300, 1e-300),
+        ];
+        let mut n = 2usize;
+        while n <= 1024 {
+            let plan = FftPlan::new(n);
+            let mut inputs = vec![gauss.sample_vec(&mut rng, n)];
+            inputs.push((0..n).map(|i| edge[i % edge.len()]).collect());
+            for x in inputs {
+                for inverse in [false, true] {
+                    let mut fast = x.clone();
+                    plan.transform(&mut fast, inverse);
+                    let mut slow = x.clone();
+                    transform_indexed(&plan, &mut slow, inverse);
+                    for (a, b) in fast.iter().zip(&slow) {
+                        assert!(
+                            same(a.re, b.re) && same(a.im, b.im),
+                            "n={n} inverse={inverse}: {a:?} vs {b:?}"
+                        );
+                    }
+                }
+            }
+            n <<= 1;
+        }
+    }
+
     #[test]
     fn into_variants_match_to_vec_exactly() {
         // The workspace refactor's contract: the `_into` entry point is

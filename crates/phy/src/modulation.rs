@@ -127,11 +127,11 @@ pub fn demap_hard(m: Modulation, y: Complex64, h: Complex64) -> Vec<u8> {
 /// Largest label width: 64-QAM's six bits.
 const MAX_BPS: usize = 6;
 
-/// `(√m)²`: the squared distance the legacy scan compared, rebuilt from a
-/// squared distance `m`. Correctly-rounded `sqrt` and `·` are monotone
-/// non-decreasing, so for any set of squared distances
+/// `(√m)²`: the metric [`demap_llrs`] compares (`d·d` with `d = √m`),
+/// rebuilt from a squared distance `m`. Correctly-rounded `sqrt` and `·`
+/// are monotone non-decreasing, so for any set of squared distances
 /// `min f(s) = f(min s)` — the sqrt-free demap applies `f` to the
-/// minima alone and gets the legacy minima bit for bit.
+/// minima alone and gets [`demap_llrs`]'s minima bit for bit.
 #[inline(always)]
 fn resquare(m: f64) -> f64 {
     let d = m.sqrt();
@@ -176,17 +176,17 @@ struct BitSplit {
 ///    `sqrt`.
 /// 2. **Row and column minima.** Each row's and each column's minimum `s`,
 ///    then each bit's two minima from its lines. Every minimum is a strict
-///    `<` scan from `+∞`, so NaN is skipped as in the legacy scan, and
+///    `<` scan from `+∞`, so NaN is skipped as in [`demap_llrs`], and
 ///    `s` is never `−0`, so the minimum's bits do not depend on the scan
 ///    order.
-/// 3. **One square root per minimum.** The legacy scan compared
-///    `d·d` with `d = √s`; the demap applies that map, `(√m)²`, to the
-///    `2·bps` minima only, which is exact because it is monotone.
+/// 3. **One square root per minimum.** [`demap_llrs`] compares `d·d`
+///    with `d = √s`; the demap applies that map, `(√m)²`, to the `2·bps`
+///    minima only, which is exact because it is monotone.
 ///
-/// [`DemapTable::nearest`] keeps the legacy *unsquared* first-index argmin:
-/// squaring can merge distinct distances at the ulp level, so it takes the
-/// first point whose `√s` equals `√(min s)`, and only points with
-/// `s ≤ 2·min s` can qualify, so only those pay for a `sqrt`.
+/// [`DemapTable::nearest`] keeps [`demap_hard`]'s *unsquared* first-index
+/// argmin: squaring can merge distinct distances at the ulp level, so it
+/// takes the first point whose `√s` equals `√(min s)`, and only points
+/// with `s ≤ 2·min s` can qualify, so only those pay for a `sqrt`.
 #[derive(Debug, Clone)]
 pub struct DemapTable {
     m: Modulation,
@@ -260,20 +260,21 @@ impl DemapTable {
         self.m
     }
 
-    /// Fills `self.sq` with `|y − h·x|²` per point and returns their
-    /// minimum (a strict `<` from `+∞`, so NaN is skipped). All three
-    /// tiers are bitwise identical.
+    /// Fills `self.sq` with `|y − h·x|²` per point. With `MIN`, also
+    /// returns their minimum (a strict `<` from `+∞`, so NaN is skipped);
+    /// without, returns `+∞` and spends nothing on it. All three tiers are
+    /// bitwise identical.
     #[inline]
-    fn fill_sq(&mut self, y: Complex64, h: Complex64) -> f64 {
+    fn fill_sq<const MIN: bool>(&mut self, y: Complex64, h: Complex64) -> f64 {
         #[cfg(target_arch = "x86_64")]
         if SIMD_ENABLED && std::arch::is_x86_feature_detected!("avx2") {
             // SAFETY: AVX2 support was just verified at runtime.
-            return unsafe { self.fill_sq_avx2(y, h) };
+            return unsafe { self.fill_sq_avx2::<MIN>(y, h) };
         }
         if SIMD_ENABLED {
-            self.fill_sq_lanes(y, h)
+            self.fill_sq_lanes::<MIN>(y, h)
         } else {
-            self.fill_sq_scalar(y, h)
+            self.fill_sq_scalar::<MIN>(y, h)
         }
     }
 
@@ -287,7 +288,7 @@ impl DemapTable {
     /// The host CPU must support AVX2.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    unsafe fn fill_sq_avx2(&mut self, y: Complex64, h: Complex64) -> f64 {
+    unsafe fn fill_sq_avx2<const MIN: bool>(&mut self, y: Complex64, h: Complex64) -> f64 {
         use std::arch::x86_64::*;
         let n = self.xs.len();
         let mut p = 0usize;
@@ -313,25 +314,37 @@ impl DemapTable {
                 );
                 let s = _mm256_add_pd(_mm256_mul_pd(dre, dre), _mm256_mul_pd(dim, dim));
                 _mm256_storeu_pd(self.sq.as_mut_ptr().add(p), s);
-                vmin = _mm256_min_pd(s, vmin);
+                if MIN {
+                    vmin = _mm256_min_pd(s, vmin);
+                }
                 p += LANES;
             }
             _mm256_storeu_pd(lanes.as_mut_ptr(), vmin);
         }
-        self.fill_sq_tail(y, h, p, lanes)
+        self.fill_sq_tail::<MIN>(y, h, p, lanes)
     }
 
     /// The points from `p` on, one at a time, folded into the per-lane
     /// running minima `lanes`: the shared tail of every tier.
     #[inline(always)]
-    fn fill_sq_tail(&mut self, y: Complex64, h: Complex64, p: usize, lanes: [f64; LANES]) -> f64 {
+    fn fill_sq_tail<const MIN: bool>(
+        &mut self,
+        y: Complex64,
+        h: Complex64,
+        p: usize,
+        lanes: [f64; LANES],
+    ) -> f64 {
         let mut min = f64::INFINITY;
-        for v in lanes {
-            min = strict_min(min, v);
-        }
         for (s, x) in self.sq[p..].iter_mut().zip(&self.xs[p..]) {
             *s = (y - h * *x).norm_sqr();
-            min = strict_min(min, *s);
+            if MIN {
+                min = strict_min(min, *s);
+            }
+        }
+        if MIN {
+            for v in lanes {
+                min = strict_min(min, v);
+            }
         }
         min
     }
@@ -339,7 +352,7 @@ impl DemapTable {
     /// Lane kernel of [`DemapTable::fill_sq`]: four points per step from
     /// the split-form constellation.
     #[inline]
-    fn fill_sq_lanes(&mut self, y: Complex64, h: Complex64) -> f64 {
+    fn fill_sq_lanes<const MIN: bool>(&mut self, y: Complex64, h: Complex64) -> f64 {
         let n = self.xs.len();
         let mut p = 0usize;
         let mut vmin = F64x4::splat(f64::INFINITY);
@@ -355,23 +368,25 @@ impl DemapTable {
             let dim = vyim.sub(vhre.mul(xim).add(vhim.mul(xre)));
             let s = dre.mul(dre).add(dim.mul(dim));
             s.store(&mut self.sq, p);
-            vmin = F64x4::select(vmin.gt(s), s, vmin);
+            if MIN {
+                vmin = F64x4::select(vmin.gt(s), s, vmin);
+            }
             p += LANES;
         }
-        self.fill_sq_tail(y, h, p, vmin.0)
+        self.fill_sq_tail::<MIN>(y, h, p, vmin.0)
     }
 
     /// Scalar kernel of [`DemapTable::fill_sq`].
     #[inline]
-    fn fill_sq_scalar(&mut self, y: Complex64, h: Complex64) -> f64 {
-        self.fill_sq_tail(y, h, 0, [f64::INFINITY; LANES])
+    fn fill_sq_scalar<const MIN: bool>(&mut self, y: Complex64, h: Complex64) -> f64 {
+        self.fill_sq_tail::<MIN>(y, h, 0, [f64::INFINITY; LANES])
     }
 
     /// [`demap_llrs`], *appending* `bits_per_symbol` LLRs to `out` (the
     /// receive chain accumulates per-carrier LLRs into one per-symbol
     /// vector, so append — not clear-and-fill — is the composable shape).
     pub fn demap_llrs_into(&mut self, y: Complex64, h: Complex64, n0: f64, out: &mut Vec<f64>) {
-        self.fill_sq(y, h);
+        self.fill_sq::<false>(y, h);
         let scale = 1.0 / n0.max(1e-12);
         // One monomorphised reduction per grid shape, so the line loops
         // unroll and the small constellations pay no generic overhead.
@@ -423,9 +438,9 @@ impl DemapTable {
     /// [`demap_hard`]'s `Iterator::min_by` convention. The decision-
     /// directed EVM loops want the point, not its label.
     pub fn nearest(&mut self, y: Complex64, h: Complex64) -> Complex64 {
-        let min = self.fill_sq(y, h);
-        // No finite distance: the legacy strict scan never moved off the
-        // first point.
+        let min = self.fill_sq::<true>(y, h);
+        // No finite distance: a strict `<` scan from `+∞` never moves off
+        // the first point.
         if min == f64::INFINITY {
             return self.xs[0];
         }
@@ -624,11 +639,11 @@ mod tests {
         let _ = map_bits(Modulation::Qam16, &[0u8; 7]);
     }
 
-    /// The legacy `DemapTable` argmin: the first point with the smallest
+    /// The reference argmin: the first point with the smallest
     /// `dist(y, h·x)` under a strict `<` scan from `+∞` (NaN skipped, the
     /// first point when nothing is finite). Unlike [`demap_hard`], it
     /// accepts non-finite inputs.
-    fn legacy_nearest(m: Modulation, y: Complex64, h: Complex64) -> Complex64 {
+    fn reference_nearest(m: Modulation, y: Complex64, h: Complex64) -> Complex64 {
         let points = constellation(m);
         let mut best = (0, f64::INFINITY);
         for (idx, (_, x)) in points.iter().enumerate() {
@@ -744,7 +759,7 @@ mod tests {
                 }
                 let near = table.nearest(y, h);
                 assert!(
-                    same_bits(near, legacy_nearest(m, y, h)),
+                    same_bits(near, reference_nearest(m, y, h)),
                     "{m:?} y={y:?} h={h:?}: nearest {near:?}"
                 );
                 let dists_finite = constellation(m)
@@ -754,18 +769,6 @@ mod tests {
                     let hard = demap_hard(m, y, h);
                     assert!(same_bits(near, map_symbol(m, &hard)), "{m:?} y={y:?}");
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn demap_partitions_are_rows_then_columns() {
-        // I bits split the grid by rows, Q bits by columns.
-        for m in ALL {
-            let table = DemapTable::new(m);
-            let bps = m.bits_per_symbol();
-            for (i, split) in table.splits[..bps].iter().enumerate() {
-                assert_eq!(split.rows, i < bps - bps / 2, "{m:?} bit {i}");
             }
         }
     }
@@ -793,8 +796,8 @@ mod tests {
                 inputs.push((h * noise.sample(&mut rng), h));
             }
             for (y, h) in inputs {
-                let min_lanes = lanes.fill_sq_lanes(y, h);
-                let min = scalar.fill_sq_scalar(y, h);
+                let min_lanes = lanes.fill_sq_lanes::<true>(y, h);
+                let min = scalar.fill_sq_scalar::<true>(y, h);
                 assert_eq!(min_lanes.to_bits(), min.to_bits(), "{m:?} y={y:?} h={h:?}");
                 for (a, b) in lanes.sq.iter().zip(&scalar.sq) {
                     assert!(same(a, b), "{m:?} y={y:?} h={h:?}: {a} vs {b}");
@@ -803,7 +806,7 @@ mod tests {
                 #[cfg(target_arch = "x86_64")]
                 if std::arch::is_x86_feature_detected!("avx2") {
                     // SAFETY: AVX2 detected above.
-                    let min_avx2 = unsafe { lanes.fill_sq_avx2(y, h) };
+                    let min_avx2 = unsafe { lanes.fill_sq_avx2::<true>(y, h) };
                     assert_eq!(
                         min_avx2.to_bits(),
                         min.to_bits(),
@@ -825,27 +828,42 @@ mod tests {
     #[test]
     #[ignore] // timing probe: cargo test -p ssync_phy --release profile_demap -- --ignored --nocapture
     fn profile_demap() {
-        let y = Complex64::new(0.3, -0.2);
-        let h = Complex64::new(0.9, 0.1);
-        let iters = 100_000;
+        // One OFDM symbol's worth of noisy carriers over random channels,
+        // so the timings include the data-dependent branches.
+        let mut rng = StdRng::seed_from_u64(30);
+        let noise = ComplexGaussian::with_power(0.05);
+        let iters = 2_000;
         for m in ALL {
             let mut table = DemapTable::new(m);
-            let mut llrs = Vec::with_capacity(8);
+            let points = constellation(m);
+            let inputs: Vec<(Complex64, Complex64)> = (0..48)
+                .map(|_| {
+                    let h =
+                        Complex64::from_polar(rng.gen_range(0.3..2.0), rng.gen_range(-3.1..3.1));
+                    let x = points[rng.gen_range(0..points.len())].1;
+                    (h * x + noise.sample(&mut rng), h)
+                })
+                .collect();
+            let mut llrs = Vec::with_capacity(6 * inputs.len());
             let mut demap = std::time::Duration::MAX;
             let mut nearest = std::time::Duration::MAX;
             for _ in 0..7 {
                 let t0 = std::time::Instant::now();
                 for _ in 0..iters {
                     llrs.clear();
-                    table.demap_llrs_into(std::hint::black_box(y), h, 0.1, &mut llrs);
+                    for &(y, h) in std::hint::black_box(&inputs) {
+                        table.demap_llrs_into(y, h, 0.1, &mut llrs);
+                    }
                     std::hint::black_box(&llrs);
                 }
-                demap = demap.min(t0.elapsed() / iters);
+                demap = demap.min(t0.elapsed() / (iters * 48));
                 let t0 = std::time::Instant::now();
                 for _ in 0..iters {
-                    std::hint::black_box(table.nearest(std::hint::black_box(y), h));
+                    for &(y, h) in std::hint::black_box(&inputs) {
+                        std::hint::black_box(table.nearest(y / h, Complex64::ONE));
+                    }
                 }
-                nearest = nearest.min(t0.elapsed() / iters);
+                nearest = nearest.min(t0.elapsed() / (iters * 48));
             }
             println!("{m:?}: demap_llrs_into {demap:?} nearest {nearest:?}");
         }

@@ -516,12 +516,14 @@ mod tests {
         // The restructuring contract: butterfly order, batched ±branch
         // metrics, and bit-parallel survivors reproduce the reference
         // decoder's output exactly, including on noise too strong to decode.
+        // One decoder serves every trial, and the step counts alternate
+        // odd and even, so the ping-pong ends on either metric buffer.
         let mut rng = StdRng::seed_from_u64(5);
         let mut dec = ViterbiDecoder::new();
         let mut bits = Vec::new();
         for trial in 0..40 {
-            let n_steps = rng.gen_range(1..200) * 2;
-            let llrs: Vec<f64> = (0..n_steps).map(|_| rng.gen_range(-4.0..4.0)).collect();
+            let n_steps = 2 * rng.gen_range(1..100) + trial % 2;
+            let llrs: Vec<f64> = (0..2 * n_steps).map(|_| rng.gen_range(-4.0..4.0)).collect();
             let reference = decode_terminated_reference(&llrs).unwrap();
             assert!(
                 dec.decode_terminated_into(&llrs, &mut bits),
@@ -610,25 +612,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn reused_decoder_matches_reference_across_step_parities() {
-        // The ping-pong ends on either buffer depending on the step
-        // count's parity; a decoder reused across odd and even frames
-        // (and across tiers' dispatch) must still match the reference.
-        let mut rng = StdRng::seed_from_u64(10);
-        let mut dec = ViterbiDecoder::new();
-        let mut bits = Vec::new();
-        for n_steps in [1usize, 2, 7, 8, 33, 64, 3, 120, 121, 1, 6] {
-            let llrs: Vec<f64> = (0..2 * n_steps).map(|_| rng.gen_range(-4.0..4.0)).collect();
-            assert!(dec.decode_terminated_into(&llrs, &mut bits));
-            assert_eq!(
-                bits,
-                decode_terminated_reference(&llrs).unwrap(),
-                "{n_steps} steps"
-            );
         }
     }
 
