@@ -136,3 +136,34 @@ fn ablation_combiner_matches_preworkspace_output() {
         &run_rendered(scenario, &cfg),
     );
 }
+
+/// The §4.5 tracking ablation: one `JointSession` per frame under drifting
+/// link delays, each co-sender header capture holding only the start of
+/// the lead's data section. Fast enough to replay at one and at several
+/// worker counts.
+#[test]
+fn ablation_tracking_matches_pinned_output() {
+    check(
+        "ablation_tracking",
+        include_str!("golden/ablation_tracking.tsv"),
+    );
+}
+
+/// N co-senders × 2 receivers with typed join-failure accounting: every
+/// co-sender's header capture overlaps the start of the lead's data
+/// section. Checked at one multi-threaded worker count for the same
+/// reason as fig12/fig13 above; CI's `ssync-lab --check` step replays it
+/// in release.
+#[test]
+fn session_matrix_matches_pinned_output() {
+    let scenario = scenarios::find("session_matrix").expect("scenario registered");
+    let cfg = RunConfig {
+        threads: 4,
+        ..Default::default()
+    };
+    golden::assert_matches(
+        "session_matrix (threads=4)",
+        include_str!("golden/session_matrix.tsv"),
+        &run_rendered(scenario, &cfg),
+    );
+}

@@ -370,6 +370,89 @@ mod tests {
         }
     }
 
+    /// FNV-1a over the bits of every sample, folded into `hash`.
+    fn fnv_samples(hash: &mut u64, buf: &[Complex64]) {
+        for s in buf {
+            for word in [s.re.to_bits(), s.im.to_bits()] {
+                for byte in word.to_le_bytes() {
+                    *hash ^= byte as u64;
+                    *hash = hash.wrapping_mul(0x100000001b3);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn capture_bits_pinned_over_window_grid() {
+        // Windows that clip a transmission at its start, at its end and on
+        // both sides, windows narrower than the interpolator kernel, and
+        // windows that hold every transmission whole — across on- and
+        // off-grid delays, 1 and 5 taps, unit and non-unit gain, zero and
+        // nonzero CFO, and noise power 0 and 1. A second sender overlaps
+        // the first, so the superposition order is pinned too.
+        use ssync_channel::Multipath;
+        use ssync_dsp::rng::ComplexGaussian;
+        let mut rng = StdRng::seed_from_u64(40);
+        let gauss = ComplexGaussian::unit();
+        let wave_a = gauss.sample_vec(&mut rng, 160);
+        let wave_b = gauss.sample_vec(&mut rng, 96);
+        let five = Multipath::from_taps(gauss.sample_vec(&mut rng, 5));
+        let other = Link {
+            amplitude_gain: 0.8,
+            multipath: five.clone(),
+            delay_fs: 7 * PERIOD + 9_000_000,
+            cfo_hz: -21e3,
+        };
+        // Sender 0 lands from sample 103 (to 263..283 by taps and grid),
+        // sender 1 on [187, 303).
+        let windows: [(u64, usize); 8] = [
+            (0, 50),
+            (90, 40),
+            (103, 1),
+            (150, 20),
+            (120, 120),
+            (250, 60),
+            (262, 3),
+            (80, 260),
+        ];
+        let mut hash = 0xcbf29ce484222325u64;
+        for noise_power in [0.0, 1.0] {
+            for delay_fs in [3 * PERIOD, 3 * PERIOD + 18_500_000] {
+                for multipath in [Multipath::identity(), five.clone()] {
+                    for amplitude_gain in [1.0, 0.6] {
+                        for cfo_hz in [0.0, 37e3] {
+                            let mut m = WaveformMedium::new(PERIOD);
+                            m.noise_power = noise_power;
+                            let link = Link {
+                                amplitude_gain,
+                                multipath: multipath.clone(),
+                                delay_fs,
+                                cfo_hz,
+                            };
+                            m.set_link(NodeId(0), NodeId(2), link);
+                            m.set_link(NodeId(1), NodeId(2), other.clone());
+                            m.transmit(NodeId(0), Time(100 * PERIOD), wave_a.clone());
+                            m.transmit(NodeId(1), Time(180 * PERIOD), wave_b.clone());
+                            for (from, n) in windows {
+                                let mut noise = StdRng::seed_from_u64(from);
+                                let buf = m.capture(&mut noise, NodeId(2), Time(from * PERIOD), n);
+                                assert_eq!(buf.len(), n);
+                                fnv_samples(&mut hash, &buf);
+                            }
+                            hash ^= m.propagate_count();
+                            hash = hash.wrapping_mul(0x100000001b3);
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(hash, PINNED_CAPTURE_HASH, "capture bits diverged: {hash}");
+    }
+
+    /// Pinned on the propagate-then-clip capture, before windowed
+    /// propagation; identical on the simd and scalar builds.
+    const PINNED_CAPTURE_HASH: u64 = 3952607347038763601;
+
     #[test]
     fn clear_transmissions_resets() {
         let mut m = quiet_medium();
