@@ -10,10 +10,11 @@ use crate::multipath::{Multipath, MultipathProfile};
 use crate::oscillator::Oscillator;
 use crate::pathloss::{PathLossModel, PowerBudget};
 use rand::Rng;
-use ssync_dsp::delay::{fractional_delay_into, DelayWorkspace, SINC_HALF_WIDTH};
+use ssync_dsp::delay::{fractional_delay_span, DelayWorkspace, SINC_HALF_WIDTH};
 use ssync_dsp::mixer::apply_cfo_from;
 use ssync_dsp::rng::ComplexGaussian;
 use ssync_dsp::Complex64;
+use std::ops::Range;
 
 /// The two placed endpoints a link is drawn between: transmitter and
 /// receiver positions plus their oscillators (CFO comes from the pair).
@@ -83,7 +84,7 @@ impl Link {
 
     /// Predicts, without propagating, where a waveform's received copy
     /// lands: the receiver sample index of its first sample and the exact
-    /// output length [`Link::propagate_into`] would produce. The length mirrors
+    /// length of the whole received copy. The length mirrors
     /// the propagation pipeline — multipath convolution spill
     /// (`taps − 1` samples) plus, when the arrival falls off the sample
     /// grid, the fractional-delay interpolator's `SINC_HALF_WIDTH` tail.
@@ -109,16 +110,29 @@ impl Link {
         (base_sample, out_len)
     }
 
-    /// Propagates a waveform through the link.
+    /// Propagates a waveform through the link, computing only the received
+    /// samples that land in `window`.
     ///
     /// `tx_start_fs` is the ether time of the waveform's first sample;
-    /// `sample_period_fs` the receiver's sample period. Returns the received
-    /// waveform and the *receiver sample index* (relative to ether time 0)
-    /// at which its first sample lands; the sub-sample remainder of the
-    /// arrival time is realised by windowed-sinc fractional delay.
+    /// `sample_period_fs` the receiver's sample period; `window` a range of
+    /// *receiver sample indices* (relative to ether time 0). Returns the
+    /// received samples inside `window ∩ delivered_span` and the receiver
+    /// sample index of the first of them; pass the whole
+    /// [`Link::delivered_span`] as `window` to get every sample. The
+    /// sub-sample remainder of the arrival time is realised by
+    /// windowed-sinc fractional delay.
     ///
     /// CFO rotation is phase-referenced to ether time 0 so that concurrent
     /// transmissions from different senders stay mutually consistent.
+    ///
+    /// Only the multipath outputs the window reads are convolved, rotated
+    /// and interpolated: the window itself on the sample grid, widened by
+    /// the interpolator's reach off it. Each of those samples is computed
+    /// by the same operations in the same order as in a whole propagation
+    /// — the convolution sums its products in input order, the mixer takes
+    /// the phase of the sample's absolute index, the interpolator reads the
+    /// same inputs — so the returned bits are the whole propagation's,
+    /// sliced to the window.
     ///
     /// The convolution, interpolation kernel and delayed buffer live in
     /// caller-owned `scratch`, so a reused scratch makes the steady-state
@@ -130,33 +144,59 @@ impl Link {
         waveform: &[Complex64],
         tx_start_fs: u64,
         sample_period_fs: u64,
+        window: Range<u64>,
         scratch: &'a mut PropagationScratch,
     ) -> (&'a [Complex64], u64) {
         let arrival_fs = tx_start_fs + self.delay_fs;
-        let base_sample = arrival_fs / sample_period_fs;
+        let (base_sample, out_len) =
+            self.delivered_span(waveform.len(), tx_start_fs, sample_period_fs);
         let frac = (arrival_fs % sample_period_fs) as f64 / sample_period_fs as f64;
-        // Multipath convolution at unit gain, then amplitude gain.
+        // The output span inside the window, relative to the arrival.
+        let lo = window.start.max(base_sample);
+        let hi = window.end.min(base_sample + out_len as u64);
         let conv = &mut scratch.conv;
-        self.multipath.apply_into(waveform, conv);
+        if lo >= hi {
+            conv.clear();
+            return (conv, lo);
+        }
+        let (o_lo, o_hi) = ((lo - base_sample) as usize, (hi - base_sample) as usize);
+        // The multipath outputs those samples read: themselves on the grid;
+        // off it, the interpolator's reach [o − W, o + W − 1] of each.
+        let (c_lo, c_hi) = if frac > 0.0 {
+            let conv_len = waveform.len() + self.multipath.taps.len() - 1;
+            (
+                o_lo.saturating_sub(SINC_HALF_WIDTH),
+                (o_hi + SINC_HALF_WIDTH - 1).min(conv_len),
+            )
+        } else {
+            (o_lo, o_hi)
+        };
+        // Multipath convolution at unit gain, then amplitude gain.
+        self.multipath.apply_into(waveform, c_lo..c_hi, conv);
         if (self.amplitude_gain - 1.0).abs() > 1e-15 {
             for s in conv.iter_mut() {
                 *s = s.scale(self.amplitude_gain);
             }
         }
-        // CFO referenced to ether time 0 (phase origin = arrival in samples).
+        // CFO referenced to ether time 0 (phase origin = arrival in samples),
+        // each sample at its absolute convolution index.
         if self.cfo_hz != 0.0 {
             let sample_rate_hz = 1e15 / sample_period_fs as f64;
             let origin = base_sample as f64 + frac;
-            apply_cfo_from(conv, self.cfo_hz, sample_rate_hz, origin);
+            apply_cfo_from(conv, self.cfo_hz, sample_rate_hz, origin, c_lo);
         }
         // Sub-sample arrival.
         let out: &[Complex64] = if frac > 0.0 {
-            fractional_delay_into(conv, frac, &mut scratch.delay_ws, &mut scratch.delayed);
-            &scratch.delayed
+            let delayed = &mut scratch.delayed;
+            delayed.clear();
+            delayed.resize(o_hi - o_lo, Complex64::ZERO);
+            let trim = o_lo + SINC_HALF_WIDTH - 1 - c_lo;
+            fractional_delay_span(conv, frac, trim, &mut scratch.delay_ws, delayed);
+            delayed
         } else {
             conv
         };
-        (out, base_sample)
+        (out, lo)
     }
 }
 
@@ -196,8 +236,10 @@ mod tests {
         period: u64,
     ) -> (Vec<Complex64>, u64) {
         let mut scratch = PropagationScratch::default();
-        let (out, base) = link.propagate_into(wave, tx_start_fs, period, &mut scratch);
-        (out.to_vec(), base)
+        let (base, len) = link.delivered_span(wave.len(), tx_start_fs, period);
+        let window = base..base + len as u64;
+        let (out, start) = link.propagate_into(wave, tx_start_fs, period, window, &mut scratch);
+        (out.to_vec(), start)
     }
 
     #[test]
@@ -304,13 +346,114 @@ mod tests {
         let (fresh, base_fresh) = propagate_fresh(&link, &wave, 4 * period, period);
         // Pre-dirty the scratch with a different link and waveform.
         let mut scratch = PropagationScratch::default();
-        let _ = Link::ideal().propagate_into(&[Complex64::J; 300], 0, period, &mut scratch);
-        let (pooled, base_pooled) = link.propagate_into(&wave, 4 * period, period, &mut scratch);
+        let _ = Link::ideal().propagate_into(&[Complex64::J; 300], 0, period, 0..300, &mut scratch);
+        let (pooled, base_pooled) =
+            link.propagate_into(&wave, 4 * period, period, 0..u64::MAX, &mut scratch);
         assert_eq!(base_fresh, base_pooled);
         assert_eq!(fresh.len(), pooled.len());
         for (a, b) in fresh.iter().zip(pooled) {
             assert_eq!(a.re.to_bits(), b.re.to_bits());
             assert_eq!(a.im.to_bits(), b.im.to_bits());
+        }
+    }
+
+    /// The whole-waveform pipeline windowed propagation replaced, kept as
+    /// the reference: convolve everything, scale, rotate from index 0,
+    /// interpolate everything.
+    fn propagate_reference(
+        link: &Link,
+        wave: &[Complex64],
+        tx_start_fs: u64,
+        period: u64,
+    ) -> (Vec<Complex64>, u64) {
+        let arrival_fs = tx_start_fs + link.delay_fs;
+        let base = arrival_fs / period;
+        let frac = (arrival_fs % period) as f64 / period as f64;
+        let mut conv = Vec::new();
+        link.multipath.apply_into(
+            wave,
+            0..wave.len() + link.multipath.taps.len() - 1,
+            &mut conv,
+        );
+        if (link.amplitude_gain - 1.0).abs() > 1e-15 {
+            for s in conv.iter_mut() {
+                *s = s.scale(link.amplitude_gain);
+            }
+        }
+        if link.cfo_hz != 0.0 {
+            let origin = base as f64 + frac;
+            apply_cfo_from(&mut conv, link.cfo_hz, 1e15 / period as f64, origin, 0);
+        }
+        if frac > 0.0 {
+            conv = ssync_dsp::delay::fractional_delay(&conv, frac);
+        }
+        (conv, base)
+    }
+
+    #[test]
+    fn windowed_propagation_bitwise_matches_full_propagation() {
+        // Every window — random ones, ones narrower than the interpolator
+        // kernel, ones at and past both edges of the arrival, empty ones —
+        // returns exactly the full propagation's samples inside it, bit for
+        // bit, for on- and off-grid arrivals, flat and multi-tap channels,
+        // unit and non-unit gain, zero and nonzero CFO.
+        let mut rng = StdRng::seed_from_u64(13);
+        let gauss = ssync_dsp::rng::ComplexGaussian::unit();
+        let period = 50_000_000u64;
+        let wave = gauss.sample_vec(&mut rng, 211);
+        let channels = [
+            Multipath::identity(),
+            Multipath::from_taps(gauss.sample_vec(&mut rng, 5)),
+            MultipathProfile::testbed(20e6).draw(&mut rng),
+        ];
+        let mut scratch = PropagationScratch::default();
+        for multipath in &channels {
+            for delay_fs in [6 * period, 6 * period + 1, 6 * period + 31_250_000] {
+                for (amplitude_gain, cfo_hz) in [(1.0, 0.0), (0.43, 0.0), (1.0, 37e3), (0.8, -9e3)]
+                {
+                    let link = Link {
+                        amplitude_gain,
+                        multipath: multipath.clone(),
+                        delay_fs,
+                        cfo_hz,
+                    };
+                    let tx_start = 3 * period;
+                    let (full, base) = propagate_reference(&link, &wave, tx_start, period);
+                    let end = base + full.len() as u64;
+                    let mut windows = vec![
+                        (0, u64::MAX),
+                        (base, end),
+                        (0, base + 1),
+                        (end - 1, end + 40),
+                        (base + 5, base + 12),
+                        (end - 20, end - 3),
+                        (0, base),
+                        (end, end + 9),
+                        (base + 50, base + 50),
+                    ];
+                    for _ in 0..12 {
+                        let a = rng.gen_range(base - 4..end + 4);
+                        windows.push((a, a + rng.gen_range(1..90)));
+                    }
+                    for (w_lo, w_hi) in windows {
+                        let (got, lo) =
+                            link.propagate_into(&wave, tx_start, period, w_lo..w_hi, &mut scratch);
+                        let (want_lo, want_hi) = (w_lo.max(base), w_hi.min(end));
+                        let at = format!("delay {delay_fs} window [{w_lo}, {w_hi})");
+                        if want_lo >= want_hi {
+                            assert!(got.is_empty(), "{at}");
+                            continue;
+                        }
+                        assert_eq!(lo, want_lo, "{at}");
+                        let want = &full[(want_lo - base) as usize..(want_hi - base) as usize];
+                        assert_eq!(got.len(), want.len(), "{at}");
+                        for (k, (a, b)) in got.iter().zip(want).enumerate() {
+                            assert_eq!(a.re.to_bits(), b.re.to_bits(), "{at} k {k}");
+                            assert_eq!(a.im.to_bits(), b.im.to_bits(), "{at} k {k}");
+                        }
+                    }
+                }
+            }
         }
     }
 

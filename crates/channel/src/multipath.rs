@@ -15,6 +15,12 @@
 use rand::Rng;
 use ssync_dsp::rng::ComplexGaussian;
 use ssync_dsp::{Complex64, FftPlan};
+use std::ops::Range;
+
+/// Outputs per block of the gather convolution: one independent
+/// accumulator each, so the per-output additions of consecutive taps do
+/// not chain.
+const BLOCK: usize = 8;
 
 /// Parameters from which per-link channel realisations are drawn.
 #[derive(Debug, Clone, Copy)]
@@ -111,18 +117,58 @@ impl Multipath {
         Multipath { taps }
     }
 
-    /// Linear convolution of a waveform with the channel. Output length is
-    /// `input.len() + taps.len() − 1`. `out` is cleared and refilled, so a
-    /// reused buffer makes the steady-state convolution allocation-free and
-    /// gives the same bits as a fresh one.
-    pub fn apply_into(&self, input: &[Complex64], out: &mut Vec<Complex64>) {
-        out.clear();
-        out.resize(input.len() + self.taps.len() - 1, Complex64::ZERO);
-        for (i, x) in input.iter().enumerate() {
-            for (j, h) in self.taps.iter().enumerate() {
-                out[i + j] += *x * *h;
+    /// Outputs `span` of the linear convolution of a waveform with the
+    /// channel, whose full length is `input.len() + taps.len() − 1` (pass
+    /// `0..` that length for all of it). `out` is cleared and refilled with
+    /// `span.len()` samples, so a reused buffer makes the steady-state
+    /// convolution allocation-free and gives the same bits as a fresh one.
+    ///
+    /// Output `c` sums `input[i]·taps[c − i]` over ascending `i`, starting
+    /// from `Complex64::ZERO`: the order of the per-input scatter loop
+    /// this gather replaced (`tests::scatter_oracle` keeps it as the
+    /// reference), so every pinned capture keeps its bits. Outputs with
+    /// every tap inside the input run in blocks of eight independent
+    /// accumulators; the edges take a plain loop in the same order.
+    ///
+    /// # Panics
+    /// Panics if `span` reaches past the full convolution.
+    pub fn apply_into(&self, input: &[Complex64], span: Range<usize>, out: &mut Vec<Complex64>) {
+        let taps = &self.taps[..];
+        assert!(
+            span.start <= span.end && span.end < input.len() + taps.len(),
+            "span {span:?} outside the {}-sample convolution",
+            input.len() + taps.len() - 1
+        );
+        let edge = |c: usize| {
+            let lo = (c + 1).saturating_sub(taps.len());
+            let hi = (c + 1).min(input.len());
+            let mut acc = Complex64::ZERO;
+            for (i, x) in input.iter().enumerate().take(hi).skip(lo) {
+                acc += *x * taps[c - i];
             }
+            acc
+        };
+        // Full-tap outputs are c in [taps − 1, input.len()).
+        let full_lo = (taps.len() - 1).clamp(span.start, span.end);
+        let full_hi = input.len().clamp(full_lo, span.end);
+        out.clear();
+        out.reserve(span.len());
+        out.extend((span.start..full_lo).map(edge));
+        let mut c = full_lo;
+        while c + BLOCK <= full_hi {
+            let mut acc = [Complex64::ZERO; BLOCK];
+            for (j, h) in taps.iter().enumerate().rev() {
+                let src: &[Complex64; BLOCK] = input[c - j..c - j + BLOCK]
+                    .try_into()
+                    .expect("block of BLOCK samples");
+                for (a, x) in acc.iter_mut().zip(src) {
+                    *a += *x * *h;
+                }
+            }
+            out.extend_from_slice(&acc);
+            c += BLOCK;
         }
+        out.extend((c..span.end).map(edge));
     }
 
     /// Frequency response over `n` FFT bins.
@@ -163,13 +209,66 @@ impl Multipath {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
-    /// One convolution into a fresh buffer.
+    /// The whole convolution into a fresh buffer.
     fn apply_fresh(ch: &Multipath, x: &[Complex64]) -> Vec<Complex64> {
         let mut out = Vec::new();
-        ch.apply_into(x, &mut out);
+        ch.apply_into(x, 0..x.len() + ch.taps.len() - 1, &mut out);
         out
+    }
+
+    /// The per-input scatter convolution the gather kernel replaced, kept
+    /// as the bit-exact oracle: each input adds its tap products into the
+    /// outputs it reaches, in ascending input order.
+    fn scatter_oracle(ch: &Multipath, input: &[Complex64]) -> Vec<Complex64> {
+        let mut out = vec![Complex64::ZERO; input.len() + ch.taps.len() - 1];
+        for (i, x) in input.iter().enumerate() {
+            for (j, h) in ch.taps.iter().enumerate() {
+                out[i + j] += *x * *h;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn gather_convolution_bitwise_matches_scatter_oracle() {
+        // Whole convolutions and random spans of them, for 1, 5 and 9 taps
+        // and inputs shorter than the channel, around one block, and long
+        // enough for many blocks plus a ragged tail. Signed zeros: a −0.0
+        // product added to the +0.0 start must come out the same way in
+        // both loops.
+        let mut rng = StdRng::seed_from_u64(7);
+        let gauss = ComplexGaussian::unit();
+        let mut out = vec![Complex64::J; 900];
+        for n_taps in [1usize, 5, 9] {
+            let mut taps = gauss.sample_vec(&mut rng, n_taps);
+            taps[n_taps / 2] = Complex64::new(-0.0, taps[n_taps / 2].im);
+            let ch = Multipath::from_taps(taps);
+            for n in [1usize, 3, 8, 13, 64, 517] {
+                let mut x = gauss.sample_vec(&mut rng, n);
+                for s in x.iter_mut().step_by(3) {
+                    *s = Complex64::new(s.re, -0.0);
+                }
+                x[n - 1] = Complex64::new(-0.0, -0.0);
+                let want = scatter_oracle(&ch, &x);
+                let len = want.len();
+                let mut spans = vec![(0, len), (0, 1), (len - 1, len), (len, len)];
+                for _ in 0..10 {
+                    let a = rng.gen_range(0..len);
+                    spans.push((a, rng.gen_range(a..=len)));
+                }
+                for (lo, hi) in spans {
+                    ch.apply_into(&x, lo..hi, &mut out);
+                    assert_eq!(out.len(), hi - lo);
+                    for (c, (a, b)) in out.iter().zip(&want[lo..hi]).enumerate() {
+                        let at = format!("taps {n_taps} n {n} span [{lo}, {hi}) c {c}");
+                        assert_eq!(a.re.to_bits(), b.re.to_bits(), "{at}");
+                        assert_eq!(a.im.to_bits(), b.im.to_bits(), "{at}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -235,7 +334,7 @@ mod tests {
         let fresh = apply_fresh(&ch, &x);
         // A dirty, over-sized reused buffer must produce the same bits.
         let mut out = vec![Complex64::ONE; 500];
-        ch.apply_into(&x, &mut out);
+        ch.apply_into(&x, 0..fresh.len(), &mut out);
         assert_eq!(out.len(), fresh.len());
         for (a, b) in out.iter().zip(&fresh) {
             assert_eq!(a.re.to_bits(), b.re.to_bits());

@@ -15,6 +15,7 @@ use ssync_phy::frame::DecodeScratch;
 use ssync_phy::workspace::{DemapTables, SymbolLlrs, TxWorkspace};
 use ssync_phy::{frame, ofdm, Params, RateId};
 use ssync_stbc::{encode_pair, Codeword};
+use std::sync::Arc;
 
 /// Reusable scratch for the joint data section, transmit and receive side:
 /// the space-time-coded symbol pair, the two demodulated grids, the
@@ -22,13 +23,20 @@ use ssync_stbc::{encode_pair, Codeword};
 /// loop (a `JointSession` stage, a bench iteration); buffers are reused
 /// across frames so the per-symbol-pair loop is allocation-free at steady
 /// state.
+///
+/// The transmit side also keeps the data section of the last frame built
+/// through it: every sender of a joint frame codes the same PSDU, and
+/// Alamouti gives them only two roles, so a frame needs one encoding and
+/// two distinct waveforms however many senders join. They are keyed by
+/// the PSDU bytes, the [`DataSectionSpec`] and the numerology handle
+/// (the `Params` pointer, so clones of one handle share the section), and
+/// rebuilt when any of them changes, so a reused workspace gives a fresh
+/// workspace's bits for any sequence of frames. It holds at most one
+/// encoding and two waveforms.
 #[derive(Debug, Clone)]
 pub struct CombineWorkspace {
-    /// OFDM modulator scratch for the transmit side.
-    pub(crate) tx: TxWorkspace,
-    /// Space-time-coded even/odd symbol of the current pair.
-    s0: Vec<Complex64>,
-    s1: Vec<Complex64>,
+    /// Transmit side: the last frame's data section and its modulator.
+    section: DataSection,
     /// Demodulated grids of the current pair.
     g0: Vec<Complex64>,
     g1: Vec<Complex64>,
@@ -46,9 +54,7 @@ impl CombineWorkspace {
     /// A workspace keyed to `params`.
     pub fn new(params: &Params) -> Self {
         CombineWorkspace {
-            tx: TxWorkspace::new(params),
-            s0: Vec::with_capacity(params.n_data()),
-            s1: Vec::with_capacity(params.n_data()),
+            section: DataSection::new(params),
             g0: Vec::with_capacity(params.fft_size),
             g1: Vec::with_capacity(params.fft_size),
             composite: Vec::with_capacity(params.pilot_carriers.len()),
@@ -59,11 +65,138 @@ impl CombineWorkspace {
     }
 }
 
+/// The transmit side of a [`CombineWorkspace`]: the frame the section was
+/// built for, its encoding (padded to whole Alamouti pairs), each role's
+/// waveform once built, and the modulator scratch that builds them.
+#[derive(Debug, Clone)]
+struct DataSection {
+    /// `None` until the first frame.
+    key: Option<(Params, DataSectionSpec)>,
+    psdu: Vec<u8>,
+    symbols: Vec<Vec<Complex64>>,
+    /// Waveforms of roles A and B; `built[r]` says whether `waves[r]`
+    /// belongs to the keyed frame.
+    waves: [Vec<Complex64>; 2],
+    built: [bool; 2],
+    /// OFDM modulator scratch.
+    tx: TxWorkspace,
+    /// Space-time-coded even/odd symbol of the current pair.
+    s0: Vec<Complex64>,
+    s1: Vec<Complex64>,
+}
+
+impl DataSection {
+    fn new(params: &Params) -> Self {
+        DataSection {
+            key: None,
+            psdu: Vec::new(),
+            symbols: Vec::new(),
+            waves: [Vec::new(), Vec::new()],
+            built: [false; 2],
+            tx: TxWorkspace::new(params),
+            s0: Vec::with_capacity(params.n_data()),
+            s1: Vec::with_capacity(params.n_data()),
+        }
+    }
+
+    /// `role`'s waveform of the frame, encoding the frame first if the
+    /// section holds another one and modulating the role on first request.
+    fn waveform(
+        &mut self,
+        params: &Params,
+        fft: &FftPlan,
+        psdu: &[u8],
+        role: Codeword,
+        spec: &DataSectionSpec,
+    ) -> &[Complex64] {
+        let held = self
+            .key
+            .as_ref()
+            .is_some_and(|(p, s)| Arc::ptr_eq(p, params) && s == spec && self.psdu == psdu);
+        if !held {
+            self.key = Some((Arc::clone(params), *spec));
+            self.psdu.clear();
+            self.psdu.extend_from_slice(psdu);
+            self.symbols = frame::encode_data(params, psdu, spec.rate);
+            if self.symbols.len() % 2 == 1 {
+                self.symbols.push(vec![Complex64::ZERO; params.n_data()]);
+            }
+            self.built = [false; 2];
+        }
+        let r = match role {
+            Codeword::A => 0,
+            Codeword::B => 1,
+        };
+        if !self.built[r] {
+            self.modulate(params, fft, role, spec, r);
+            self.built[r] = true;
+        }
+        &self.waves[r]
+    }
+
+    /// Space-time codes and modulates the encoding for `role` into
+    /// `waves[r]`.
+    fn modulate(
+        &mut self,
+        params: &Params,
+        fft: &FftPlan,
+        role: Codeword,
+        spec: &DataSectionSpec,
+        r: usize,
+    ) {
+        let DataSection {
+            symbols,
+            waves,
+            tx,
+            s0,
+            s1,
+            ..
+        } = self;
+        let DataSectionSpec {
+            cp_len,
+            smart_combiner,
+            pilot_sharing,
+            ..
+        } = *spec;
+        let out = &mut waves[r];
+        out.clear();
+        for (pair_idx, pair) in symbols.chunks(2).enumerate() {
+            let (x0, x1) = (&pair[0], &pair[1]);
+            s0.clear();
+            s1.clear();
+            if smart_combiner {
+                for k in 0..params.n_data() {
+                    let (a, b) = encode_pair(role, x0[k], x1[k]);
+                    s0.push(a);
+                    s1.push(b);
+                }
+            } else {
+                s0.extend_from_slice(x0);
+                s1.extend_from_slice(x1);
+            }
+            let even_idx = 2 * pair_idx;
+            let odd_idx = 2 * pair_idx + 1;
+            // Shared pilots: role A on even symbols, role B on odd. Without
+            // pilot sharing (ablation), every sender drives every pilot.
+            let (pilots_even, pilots_odd) = if pilot_sharing {
+                match role {
+                    Codeword::A => (true, false),
+                    Codeword::B => (false, true),
+                }
+            } else {
+                (true, true)
+            };
+            ofdm::modulate_symbol_append(params, fft, s0, even_idx, cp_len, pilots_even, tx, out);
+            ofdm::modulate_symbol_append(params, fft, s1, odd_idx, cp_len, pilots_odd, tx, out);
+        }
+    }
+}
+
 /// How the joint data section is coded on the air — the knobs every
 /// sender of one joint frame shares (derived from
 /// [`JointConfig`](crate::joint::JointConfig) plus the frame's extended
 /// CP by [`JointConfig::data_section`](crate::joint::JointConfig::data_section)).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DataSectionSpec {
     /// Data-section rate.
     pub rate: RateId,
@@ -78,8 +211,9 @@ pub struct DataSectionSpec {
 
 /// Builds the joint data waveform one sender transmits for `psdu` under
 /// codeword `role`, coded per `spec`, through a reusable
-/// [`CombineWorkspace`]: `out` is cleared and refilled and the per-pair
-/// space-time-coded symbols live in workspace scratch.
+/// [`CombineWorkspace`]: `out` is cleared and refilled with a copy of the
+/// role's waveform, which the workspace builds once per frame (see its
+/// docs) with the per-pair space-time-coded symbols in workspace scratch.
 ///
 /// With `spec.smart_combiner = false` the space-time code is bypassed and
 /// every sender transmits identical symbols — the naive strategy the
@@ -94,57 +228,9 @@ pub fn joint_data_waveform_into(
     ws: &mut CombineWorkspace,
     out: &mut Vec<Complex64>,
 ) {
-    let DataSectionSpec {
-        rate,
-        cp_len,
-        smart_combiner,
-        pilot_sharing,
-    } = *spec;
-    let mut symbols = frame::encode_data(params, psdu, rate);
-    if symbols.len() % 2 == 1 {
-        symbols.push(vec![Complex64::ZERO; params.n_data()]);
-    }
+    let wave = ws.section.waveform(params, fft, psdu, role, spec);
     out.clear();
-    for (pair_idx, pair) in symbols.chunks(2).enumerate() {
-        let (x0, x1) = (&pair[0], &pair[1]);
-        ws.s0.clear();
-        ws.s1.clear();
-        if smart_combiner {
-            for k in 0..params.n_data() {
-                let (a, b) = encode_pair(role, x0[k], x1[k]);
-                ws.s0.push(a);
-                ws.s1.push(b);
-            }
-        } else {
-            ws.s0.extend_from_slice(x0);
-            ws.s1.extend_from_slice(x1);
-        }
-        let even_idx = 2 * pair_idx;
-        let odd_idx = 2 * pair_idx + 1;
-        // Shared pilots: role A on even symbols, role B on odd. Without
-        // pilot sharing (ablation), every sender drives every pilot.
-        let (pilots_even, pilots_odd) = if pilot_sharing {
-            match role {
-                Codeword::A => (true, false),
-                Codeword::B => (false, true),
-            }
-        } else {
-            (true, true)
-        };
-        ofdm::modulate_symbol_append(
-            params,
-            fft,
-            &ws.s0,
-            even_idx,
-            cp_len,
-            pilots_even,
-            &mut ws.tx,
-            out,
-        );
-        ofdm::modulate_symbol_append(
-            params, fft, &ws.s1, odd_idx, cp_len, pilots_odd, &mut ws.tx, out,
-        );
-    }
+    out.extend_from_slice(wave);
 }
 
 /// Per-frame statistics the joint decoder gathers.
@@ -184,6 +270,15 @@ pub struct JointDataWindow {
     pub backoff: usize,
 }
 
+impl JointDataWindow {
+    /// The buffer index one past the last data sample on the air (the STBC
+    /// pad included) for symbols of `sym_len` samples: the length
+    /// [`decode_joint_data_with`] requires of its buffer.
+    pub fn end(&self, sym_len: usize) -> usize {
+        self.data_start + (self.n_syms + self.n_syms % 2) * sym_len
+    }
+}
+
 /// Decodes the joint data section from a receiver buffer: `window` says
 /// where the data sits, `spec` how it was coded, `roles` the per-role
 /// channels from the JCE. The per-pair grids, LLR pool, and demap scratch
@@ -217,7 +312,7 @@ pub fn decode_joint_data_with(
     let sym_len = n + cp_len;
     let n_on_air = n_syms + n_syms % 2;
     let b = backoff.min(cp_len);
-    if buf.len() < data_start + n_on_air * sym_len {
+    if buf.len() < window.end(sym_len) {
         return None;
     }
     let m = rate.modulation();
@@ -382,6 +477,91 @@ mod tests {
             smart_combiner: true,
             pilot_sharing: true,
         }
+    }
+
+    #[test]
+    fn reused_workspace_builds_every_frame_like_a_fresh_one() {
+        // A sequence of frames through one workspace: repeated roles of
+        // one frame, a frame coming back after another, a PSDU that is a
+        // prefix of the last one, one changed byte, and each knob of the
+        // section spec changed alone, then a second numerology. Every
+        // waveform must carry a fresh workspace's bits.
+        let params = OfdmParams::dot11a();
+        let fft = FftPlan::new(params.fft_size);
+        let mut rng = StdRng::seed_from_u64(21);
+        let p1: Vec<u8> = (0..120).map(|_| rng.gen()).collect();
+        let p2: Vec<u8> = (0..61).map(|_| rng.gen()).collect();
+        let prefix = p1[..119].to_vec();
+        let mut flipped = p1.clone();
+        flipped[60] ^= 0x10;
+        let base = DataSectionSpec {
+            rate: RateId::R12,
+            cp_len: params.cp_len,
+            smart_combiner: true,
+            pilot_sharing: true,
+        };
+        let (a, b) = (Codeword::A, Codeword::B);
+        let steps: Vec<(&[u8], DataSectionSpec, Codeword)> = vec![
+            (&p1, base, a),
+            (&p1, base, b),
+            (&p1, base, a),
+            (&p2, base, b),
+            (&p1, base, b),
+            (&prefix, base, b),
+            (&flipped, base, b),
+            (
+                &p1,
+                DataSectionSpec {
+                    rate: RateId::R24,
+                    ..base
+                },
+                a,
+            ),
+            (
+                &p1,
+                DataSectionSpec {
+                    cp_len: params.cp_len + 8,
+                    ..base
+                },
+                a,
+            ),
+            (
+                &p1,
+                DataSectionSpec {
+                    smart_combiner: false,
+                    ..base
+                },
+                b,
+            ),
+            (
+                &p1,
+                DataSectionSpec {
+                    pilot_sharing: false,
+                    ..base
+                },
+                b,
+            ),
+            (&p1, base, a),
+        ];
+        let mut ws = CombineWorkspace::new(&params);
+        let mut out = Vec::new();
+        let bits = |w: &[Complex64]| -> Vec<(u64, u64)> {
+            w.iter().map(|s| (s.re.to_bits(), s.im.to_bits())).collect()
+        };
+        for (i, (psdu, spec, role)) in steps.into_iter().enumerate() {
+            joint_data_waveform_into(&params, &fft, psdu, role, &spec, &mut ws, &mut out);
+            let want = waveform_fresh(&params, &fft, psdu, role, &spec);
+            assert_eq!(bits(&out), bits(&want), "step {i}");
+        }
+        let wiglan = OfdmParams::wiglan();
+        let wiglan_fft = FftPlan::new(wiglan.fft_size);
+        let spec = DataSectionSpec {
+            cp_len: wiglan.cp_len,
+            ..base
+        };
+        joint_data_waveform_into(&wiglan, &wiglan_fft, &p1, a, &spec, &mut ws, &mut out);
+        let want = waveform_fresh(&wiglan, &wiglan_fft, &p1, a, &spec);
+        assert_eq!(bits(&out), bits(&want), "second numerology");
     }
 
     #[test]

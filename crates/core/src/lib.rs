@@ -52,4 +52,4 @@ pub use session::{
 };
 pub use sls::{arrival_estimate_s, probe_pair, tracking_update, DelayDatabase, ProbeOutcome};
 pub use timeline::{JointTimeline, HEADER_RATE, SIFS_S};
-pub use wire::{packet_id, SyncHeader};
+pub use wire::{packet_id, SyncHeader, WireError};

@@ -561,21 +561,27 @@ impl CosenderJoin<'_> {
         let s = self.session;
         let plan = &s.plans[self.index];
         let co = plan.node;
-        let params = ws.params.clone();
-        let params = &params;
+        let SessionWorkspace {
+            params,
+            fft,
+            rx,
+            rx_ws,
+            combine_ws,
+            ..
+        } = ws;
         let period = params.sample_period_fs();
         let timeline = &self.frame.timeline;
 
         // 1. Detect the sync header in this co-sender's own noisy capture.
         let window = CAPTURE_MARGIN * 2 + timeline.header_len + 200;
         let buf = net.medium.capture(rng, co, Time::ZERO, window);
-        let Ok(res) = ws.rx.receive_with(&buf, &mut ws.rx_ws) else {
+        let Ok(res) = rx.receive_with(&buf, rx_ws) else {
             return Err(JoinFailure::NoDetect);
         };
         if res.signal.flags & frame::FLAG_JOINT == 0 {
             return Err(JoinFailure::NotJointFlagged);
         }
-        let Some(decoded_header) = SyncHeader::from_bytes(&res.payload) else {
+        let Ok(decoded_header) = SyncHeader::from_bytes(&res.payload) else {
             return Err(JoinFailure::MalformedHeader);
         };
         if decoded_header.packet_id != self.frame.header.packet_id {
@@ -625,15 +631,15 @@ impl CosenderJoin<'_> {
         // 4. Build and transmit: training then (after any other co-senders'
         // slots) data, with a continuous CFO pre-rotation.
         let spec = s.config.data_section(timeline.data_cp);
-        let mut training = cosender_training(params, &ws.fft, timeline.data_cp);
+        let mut training = cosender_training(params, fft, timeline.data_cp);
         let mut data = Vec::new();
         crate::combiner::joint_data_waveform_into(
             params,
-            &ws.fft,
+            fft,
             &self.frame.psdu,
             codeword_for(self.index + 1),
             &spec,
-            &mut ws.combine_ws,
+            combine_ws,
             &mut data,
         );
         let data_gap_samples = (timeline.data_start() - timeline.training_slot(self.index)) as u64;
@@ -644,12 +650,13 @@ impl CosenderJoin<'_> {
             // oscillator so the receiver's single CFO correction serves
             // both. The NCO runs continuously across training and data.
             let cfo = res.diag.detection.cfo_hz;
-            apply_cfo_from(&mut training, cfo, params.sample_rate_hz, 0.0);
+            apply_cfo_from(&mut training, cfo, params.sample_rate_hz, 0.0, 0);
             apply_cfo_from(
                 &mut data,
                 cfo,
                 params.sample_rate_hz,
                 data_gap_samples as f64,
+                0,
             );
         }
         net.medium.transmit(co, tx_time, training);
@@ -788,9 +795,10 @@ impl ReceiverDecode<'_> {
 ///
 /// The header is received through `ws.rx_ws`, which CFO-corrects a copy of
 /// `buf` over the span the phy receiver reads; the training slots and the
-/// data section are then read from that same copy, completed by
-/// [`RxWorkspace::corrected_capture`], so every captured sample is copied
-/// once and rotated once.
+/// data section are then read from that same copy, its rotation extended
+/// to the end of the joint data by [`RxWorkspace::corrected_to`], so every
+/// captured sample is copied once and rotated at most once, and the
+/// capture margins no decode reads are not rotated at all.
 fn decode_capture(
     ws: &mut SessionWorkspace,
     buf: &[Complex64],
@@ -828,7 +836,7 @@ fn decode_capture(
     if res.signal.flags & frame::FLAG_JOINT == 0 {
         return empty;
     }
-    let Some(rx_header) = SyncHeader::from_bytes(&res.payload) else {
+    let Ok(rx_header) = SyncHeader::from_bytes(&res.payload) else {
         return empty;
     };
     if rx_header.packet_id != header.packet_id {
@@ -839,10 +847,21 @@ fn decode_capture(
         return empty;
     };
     let period = params.sample_period_fs();
+    let data_cp = timeline.data_cp;
+    let window = JointDataWindow {
+        data_start: base + timeline.data_start(),
+        n_syms: timeline.n_data_symbols,
+        psdu_len: rx_header.psdu_len as usize,
+        backoff,
+    };
 
-    // One correction, referenced to sample 0, for the lead channel estimate
-    // and every co-sender slot.
-    let corrected = rx_ws.corrected_capture();
+    // One correction, referenced to sample 0, for every co-sender slot and
+    // the data section: the receiver's own corrected copy, rotated on to
+    // the end of the joint data and no further. Every read below lies past
+    // the header, and every length check compares against an index at or
+    // before the data end, so each check has the outcome it would have on
+    // the whole capture.
+    let corrected = rx_ws.corrected_to(window.end(params.fft_size + data_cp));
 
     // Noise floor from the SIFS silence (time domain), for presence checks.
     let sifs_lo = base + timeline.header_len + timeline.sifs_len / 4;
@@ -854,7 +873,6 @@ fn decode_capture(
     };
 
     // Per-co-sender channel estimates + misalignment measurements.
-    let data_cp = timeline.data_cp;
     let mut co_channels: Vec<Option<ChannelEstimate>> = Vec::with_capacity(n_co);
     let mut misalign: Vec<Option<f64>> = Vec::with_capacity(n_co);
     for i in 0..n_co {
@@ -894,12 +912,6 @@ fn decode_capture(
         cp_len: data_cp,
         smart_combiner: cfg.smart_combiner,
         pilot_sharing: cfg.pilot_sharing,
-    };
-    let window = JointDataWindow {
-        data_start: base + timeline.data_start(),
-        n_syms: timeline.n_data_symbols,
-        psdu_len: rx_header.psdu_len as usize,
-        backoff,
     };
     let decode = decode_joint_data_with(params, fft, corrected, &window, &spec, &roles, combine_ws);
     let (payload, stats) = match decode {

@@ -45,21 +45,51 @@ impl SyncHeader {
         out
     }
 
-    /// Parses the wire form; `None` on truncation or an unknown rate.
-    pub fn from_bytes(bytes: &[u8]) -> Option<SyncHeader> {
+    /// Parses the wire form. Bytes past the ninth are ignored.
+    ///
+    /// # Errors
+    /// [`WireError::Truncated`] when fewer than [`SYNC_HEADER_LEN`] bytes
+    /// arrive, [`WireError::UnknownRate`] when the rate byte names no
+    /// [`RateId`].
+    pub fn from_bytes(bytes: &[u8]) -> Result<SyncHeader, WireError> {
         if bytes.len() < SYNC_HEADER_LEN {
-            return None;
+            return Err(WireError::Truncated { len: bytes.len() });
         }
-        Some(SyncHeader {
+        Ok(SyncHeader {
             lead: u16::from_le_bytes([bytes[0], bytes[1]]),
             packet_id: u16::from_le_bytes([bytes[2], bytes[3]]),
-            rate: RateId::from_index(bytes[4])?,
+            rate: RateId::from_index(bytes[4]).ok_or(WireError::UnknownRate(bytes[4]))?,
             psdu_len: u16::from_le_bytes([bytes[5], bytes[6]]),
             cp_extension: bytes[7],
             n_cosenders: bytes[8],
         })
     }
 }
+
+/// Why bytes did not parse as a [`SyncHeader`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WireError {
+    /// Fewer than [`SYNC_HEADER_LEN`] bytes.
+    Truncated {
+        /// The number of bytes that arrived.
+        len: usize,
+    },
+    /// The rate byte is not the index of any [`RateId`].
+    UnknownRate(u8),
+}
+
+impl std::fmt::Display for WireError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            WireError::Truncated { len } => {
+                write!(f, "sync header truncated: {len} of {SYNC_HEADER_LEN} bytes")
+            }
+            WireError::UnknownRate(b) => write!(f, "sync header names unknown rate index {b}"),
+        }
+    }
+}
+
+impl std::error::Error for WireError {}
 
 /// The 16-bit packet identifier used in sync headers: an FNV-1a hash folded
 /// to 16 bits (stands in for the paper's IP-header hash).
@@ -92,14 +122,17 @@ mod tests {
         let h = sample();
         let bytes = h.to_bytes();
         assert_eq!(bytes.len(), SYNC_HEADER_LEN);
-        assert_eq!(SyncHeader::from_bytes(&bytes), Some(h));
+        assert_eq!(SyncHeader::from_bytes(&bytes), Ok(h));
     }
 
     #[test]
     fn truncated_rejected() {
         let bytes = sample().to_bytes();
         for cut in 0..SYNC_HEADER_LEN {
-            assert_eq!(SyncHeader::from_bytes(&bytes[..cut]), None);
+            assert_eq!(
+                SyncHeader::from_bytes(&bytes[..cut]),
+                Err(WireError::Truncated { len: cut })
+            );
         }
     }
 
@@ -107,14 +140,17 @@ mod tests {
     fn unknown_rate_rejected() {
         let mut bytes = sample().to_bytes();
         bytes[4] = 200;
-        assert_eq!(SyncHeader::from_bytes(&bytes), None);
+        assert_eq!(
+            SyncHeader::from_bytes(&bytes),
+            Err(WireError::UnknownRate(200))
+        );
     }
 
     #[test]
     fn extra_bytes_tolerated() {
         let mut bytes = sample().to_bytes();
         bytes.push(0xFF);
-        assert_eq!(SyncHeader::from_bytes(&bytes), Some(sample()));
+        assert_eq!(SyncHeader::from_bytes(&bytes), Ok(sample()));
     }
 
     #[test]

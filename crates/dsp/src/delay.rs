@@ -144,7 +144,6 @@ pub fn fractional_delay_into(
         integer_delay_into(signal, int_part, out);
         return;
     }
-    ws.load_kernel(mu);
     // Convolve; kernel latency is SINC_HALF_WIDTH - 1 samples which we absorb
     // into the integer shift. The wanted total shift is int_part + mu and the
     // convolution already delays by latency + mu, so the output is the
@@ -159,10 +158,37 @@ pub fn fractional_delay_into(
     };
     out.clear();
     out.resize(lead + conv_len - trim, Complex64::ZERO);
-    convolve_gather(signal, &ws.kernel, trim, &mut out[lead..]);
+    fractional_delay_span(signal, mu, trim, ws, &mut out[lead..]);
 }
 
-/// Writes convolution outputs `trim..` of `signal ∗ kernel` into `out`.
+/// Fills `out` with outputs `trim..trim + out.len()` of the convolution of
+/// `signal` with the windowed-sinc kernel for `mu` in `(0, 1)`; `trim` is
+/// at most `2·SINC_HALF_WIDTH − 1`.
+///
+/// This is the kernel behind [`fractional_delay_into`], which for
+/// `0 < delay < 1` writes output `o` from convolution index
+/// `o + SINC_HALF_WIDTH − 1`. Output `o` reads `signal[o − SINC_HALF_WIDTH
+/// ..= o + SINC_HALF_WIDTH − 1]`, so outputs `[o_lo, o_hi)` of a long
+/// signal can be computed from just its span `[c_lo, c_hi)` with
+/// `c_lo = o_lo.saturating_sub(SINC_HALF_WIDTH)` and
+/// `c_hi = min(o_hi + SINC_HALF_WIDTH − 1, signal.len())`: pass that span
+/// with `trim = o_lo + SINC_HALF_WIDTH − 1 − c_lo`. Each output sums the
+/// same products in the same order either way, so the bits are those of
+/// the whole-signal delay.
+pub fn fractional_delay_span(
+    signal: &[Complex64],
+    mu: f64,
+    trim: usize,
+    ws: &mut DelayWorkspace,
+    out: &mut [Complex64],
+) {
+    assert!(trim < TAPS, "trim {trim} past the kernel");
+    ws.load_kernel(mu);
+    convolve_gather(signal, &ws.kernel, trim, out);
+}
+
+/// Writes convolution outputs `trim..trim + out.len()` of `signal ∗ kernel`
+/// into `out` (`trim ≤ TAPS − 1`).
 ///
 /// Each output sums `signal[t − j]·kernel[j]` over descending tap `j`
 /// (ascending input index) starting from `Complex64::ZERO`. That order is
@@ -181,9 +207,10 @@ fn convolve_gather(signal: &[Complex64], kernel: &[f64; TAPS], trim: usize, out:
         }
         acc
     };
-    // Full-tap outputs are t in [TAPS - 1, signal.len()); trim < TAPS - 1.
+    // Full-tap outputs are t in [TAPS - 1, signal.len()), here also capped
+    // at the last output wanted; trim ≤ TAPS - 1.
     let full_lo = TAPS - 1;
-    let full_hi = signal.len().max(full_lo);
+    let full_hi = signal.len().min(trim + out.len()).max(full_lo);
     for t in trim..full_lo.min(trim + out.len()) {
         out[t - trim] = edge(t);
     }
@@ -232,7 +259,7 @@ mod tests {
     use crate::fft::FftPlan;
     use crate::rng::ComplexGaussian;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     /// Generates a band-limited random signal (occupying the central half of
     /// the band) so that sinc interpolation is accurate.
@@ -429,6 +456,43 @@ mod tests {
                 for (t, (a, b)) in out.iter().zip(&want).enumerate() {
                     assert_eq!(a.re.to_bits(), b.re.to_bits(), "n {n} delay {d} t {t}");
                     assert_eq!(a.im.to_bits(), b.im.to_bits(), "n {n} delay {d} t {t}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn span_delay_bitwise_matches_whole_signal_delay() {
+        // Any output window, computed from only the signal span it reads,
+        // carries the bits of the whole-signal sub-sample delay: windows at
+        // both edges, narrower than the kernel, and spanning many blocks.
+        let mut rng = StdRng::seed_from_u64(33);
+        let gauss = ComplexGaussian::unit();
+        let mut ws = DelayWorkspace::new();
+        let mut out = Vec::new();
+        for &n in &[1usize, 7, 40, 300] {
+            let sig: Vec<Complex64> = (0..n).map(|_| gauss.sample(&mut rng)).collect();
+            for &mu in &[0.01, 0.37, 0.5, 0.99] {
+                let whole = fractional_delay(&sig, mu);
+                let len = whole.len();
+                let mut windows = vec![(0, len), (0, 1), (len - 1, len), (0, len.min(5))];
+                for _ in 0..12 {
+                    let a = rng.gen_range(0..len);
+                    let b = rng.gen_range(a + 1..=len.min(a + 70));
+                    windows.push((a, b));
+                }
+                for (o_lo, o_hi) in windows {
+                    let c_lo = o_lo.saturating_sub(SINC_HALF_WIDTH);
+                    let c_hi = (o_hi + SINC_HALF_WIDTH - 1).min(n);
+                    let trim = o_lo + SINC_HALF_WIDTH - 1 - c_lo;
+                    out.clear();
+                    out.resize(o_hi - o_lo, Complex64::ONE);
+                    fractional_delay_span(&sig[c_lo..c_hi], mu, trim, &mut ws, &mut out);
+                    for (o, (a, b)) in out.iter().zip(&whole[o_lo..o_hi]).enumerate() {
+                        let at = format!("n {n} mu {mu} window [{o_lo}, {o_hi}) o {o}");
+                        assert_eq!(a.re.to_bits(), b.re.to_bits(), "{at}");
+                        assert_eq!(a.im.to_bits(), b.im.to_bits(), "{at}");
+                    }
                 }
             }
         }

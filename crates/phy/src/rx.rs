@@ -178,7 +178,7 @@ impl Receiver {
     /// per-symbol scratch (demod grid, LLR pool, demap tables, detector
     /// metrics, the CFO-corrected capture copy) lives in `ws` and is reused
     /// across calls. Bit-identical to the allocating path. The corrected
-    /// capture stays readable through [`RxWorkspace::corrected_capture`].
+    /// capture stays readable through [`RxWorkspace::corrected_to`].
     pub fn receive_with(
         &self,
         samples: &[Complex64],
@@ -479,12 +479,14 @@ mod tests {
     }
 
     #[test]
-    fn corrected_capture_bitwise_matches_whole_buffer_cfo() {
+    fn corrected_to_bitwise_matches_whole_buffer_cfo() {
         // The receive chain rotates [lts_start − backoff, end of DATA) in two
-        // spans; the rest is rotated on demand. The assembled buffer must
-        // carry the bits of one whole-capture rotation. Lead pads are chosen
-        // so the first rotated index is odd and not a multiple of 4, i.e.
-        // the spans start off the 4-lane grid of the vector mixer.
+        // spans; `corrected_to` extends the rotation on demand. Every slice
+        // it returns ends at the requested sample (or the capture's end) and
+        // carries, from the LTS window on, the bits of one whole-capture
+        // rotation; the prefix before it stays raw. Lead pads are chosen so
+        // the first rotated index is odd and not a multiple of 4, i.e. the
+        // spans start off the 4-lane grid of the vector mixer.
         let params = OfdmParams::dot11a();
         let tx = Transmitter::new(params.clone());
         let rx = Receiver::new(params.clone());
@@ -504,17 +506,27 @@ mod tests {
             }
             let mut want = buf.clone();
             apply_cfo(&mut want, -det.cfo_hz, params.sample_rate_hz);
-            let have = ws.corrected_capture();
-            assert_eq!(have.len(), want.len());
-            for (i, (a, b)) in have.iter().zip(&want).enumerate() {
-                assert_eq!(a.re.to_bits(), b.re.to_bits(), "pad {pad} lo {lo} i {i}");
-                assert_eq!(a.im.to_bits(), b.im.to_bits(), "pad {pad} lo {lo} i {i}");
+            let frame_end = pad + wave.len();
+            for end in [
+                frame_end,
+                frame_end + 37,
+                frame_end + 3,
+                lo + 5,
+                buf.len() + 50,
+            ] {
+                let have = ws.corrected_to(end);
+                assert_eq!(have.len(), end.min(buf.len()), "pad {pad} end {end}");
+                for (i, (a, b)) in have.iter().zip(&want).enumerate().skip(lo) {
+                    assert_eq!(a.re.to_bits(), b.re.to_bits(), "pad {pad} lo {lo} i {i}");
+                    assert_eq!(a.im.to_bits(), b.im.to_bits(), "pad {pad} lo {lo} i {i}");
+                }
+                assert_eq!(&have[..lo.min(have.len())], &buf[..lo.min(have.len())]);
             }
         }
         assert!(odd_starts >= 2, "only {odd_starts} odd rotation starts");
         // A failed detection leaves no stale capture behind.
         assert!(rx.receive_with(&[], &mut ws).is_err());
-        assert!(ws.corrected_capture().is_empty());
+        assert!(ws.corrected_to(usize::MAX).is_empty());
     }
 
     #[test]

@@ -175,10 +175,9 @@ impl DetectScratch {
 /// The receiver's CFO-corrected copy of a capture, rotated span by span.
 ///
 /// The correction is referenced to sample 0, so sample `i` is rotated by
-/// `step·(i as f64)` whichever span it is rotated with: a span `[lo, hi)`
-/// goes through [`apply_cfo_from`] with phase origin `lo as f64`, and
-/// `(lo + k) as f64 == k as f64 + lo as f64` exactly (integer sums below
-/// 2^53). Any partition of the buffer therefore gives the bits of one
+/// the phase of its absolute index whichever span it is rotated with: a
+/// span `[lo, hi)` goes through [`apply_cfo_from`] with start index `lo`.
+/// Any partition of the buffer therefore gives the bits of one
 /// whole-buffer [`ssync_dsp::mixer::apply_cfo`].
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CorrectedCapture {
@@ -208,7 +207,7 @@ impl CorrectedCapture {
         self.hi = self.lo;
     }
 
-    /// Forgets the capture (the next [`CorrectedCapture::rotate_all`]
+    /// Forgets the capture (the next [`CorrectedCapture::rotate_to`]
     /// returns an empty buffer).
     pub(crate) fn clear(&mut self) {
         self.samples.clear();
@@ -221,27 +220,11 @@ impl CorrectedCapture {
     pub(crate) fn rotate_to(&mut self, hi: usize) -> &[Complex64] {
         let hi = hi.min(self.samples.len());
         if hi > self.hi {
-            self.rotate(self.hi, hi);
+            let span = &mut self.samples[self.hi..hi];
+            apply_cfo_from(span, self.cfo_hz, self.sample_rate_hz, 0.0, self.hi);
             self.hi = hi;
         }
         &self.samples
-    }
-
-    /// Rotates every sample not rotated yet and returns the whole
-    /// corrected buffer.
-    pub(crate) fn rotate_all(&mut self) -> &[Complex64] {
-        self.rotate(0, self.lo);
-        self.rotate(self.hi, self.samples.len());
-        self.lo = 0;
-        self.hi = self.samples.len();
-        &self.samples
-    }
-
-    fn rotate(&mut self, lo: usize, hi: usize) {
-        if lo < hi {
-            let span = &mut self.samples[lo..hi];
-            apply_cfo_from(span, self.cfo_hz, self.sample_rate_hz, lo as f64);
-        }
     }
 }
 
@@ -251,7 +234,7 @@ impl CorrectedCapture {
 #[derive(Debug, Clone)]
 pub struct RxWorkspace {
     /// CFO-corrected working copy of the capture (rotated only where the
-    /// receive chain reads, until [`RxWorkspace::corrected_capture`]).
+    /// receive chain and [`RxWorkspace::corrected_to`] read).
     pub(crate) corrected: CorrectedCapture,
     /// Per-symbol demodulated subcarrier grid.
     pub(crate) grid: Vec<Complex64>,
@@ -280,15 +263,20 @@ impl RxWorkspace {
         }
     }
 
-    /// The capture of the last receive through this workspace,
-    /// CFO-corrected over its whole length: bit-identical to
+    /// The capture of the last receive through this workspace up to sample
+    /// `end` (clamped to the capture), CFO-corrected from the first LTS
+    /// window on: those samples are bit-identical to
     /// [`ssync_dsp::mixer::apply_cfo`] with the detected offset's negative
-    /// on a copy of the capture. The receive chain rotates only the samples
-    /// it reads (LTS to end of DATA); the first call here rotates the rest,
-    /// so each sample is rotated once. Empty when the last receive detected
-    /// no packet.
-    pub fn corrected_capture(&mut self) -> &[Complex64] {
-        self.corrected.rotate_all()
+    /// on a copy of the capture. The samples before the LTS window — which
+    /// no decode reads — stay raw.
+    ///
+    /// The receive chain rotates only the samples it reads (LTS to end of
+    /// DATA); a call here extends the rotation to `end`, so each sample is
+    /// rotated at most once and none past `end` is rotated at all. Empty
+    /// when the last receive detected no packet.
+    pub fn corrected_to(&mut self, end: usize) -> &[Complex64] {
+        let buf = self.corrected.rotate_to(end);
+        &buf[..end.min(buf.len())]
     }
 }
 

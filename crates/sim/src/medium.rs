@@ -129,9 +129,14 @@ impl WaveformMedium {
     /// Each transmission's delivered extent is predicted from the link
     /// delay *before* propagating ([`Link::delivered_span`]), so
     /// transmissions that cannot overlap the window cost an integer
-    /// comparison, not a full multipath/CFO/interpolation pass — a skipped
-    /// transmission contributed exactly zero samples under the old
-    /// propagate-then-clamp path, so output bits are unchanged.
+    /// comparison, not a multipath/CFO/interpolation pass. A transmission
+    /// that overlaps the window only in part is propagated only over the
+    /// part inside it ([`Link::propagate_into`] computes just the samples
+    /// a window reads). The superposition adds the transmissions in the
+    /// order they were placed, so the output bits are those of
+    /// propagating every transmission whole and clipping it to the window.
+    /// The returned buffer is the only allocation once the medium's
+    /// propagation scratch has grown to the working size.
     pub fn capture<R: Rng + ?Sized>(
         &mut self,
         rng: &mut R,
@@ -144,8 +149,8 @@ impl WaveformMedium {
             0,
             "capture start not on the sample grid"
         );
-        let from_sample = (from.0 / self.sample_period_fs) as i64;
-        let end_sample = from_sample + n_samples as i64;
+        let from_sample = from.0 / self.sample_period_fs;
+        let end_sample = from_sample + n_samples as u64;
         let mut buf = vec![Complex64::ZERO; n_samples];
         let WaveformMedium {
             sample_period_fs,
@@ -162,21 +167,22 @@ impl WaveformMedium {
             let Some(link) = links.get(&(t.tx, rx)) else {
                 continue;
             };
-            let (base_sample, out_len) =
+            let (base, out_len) =
                 link.delivered_span(t.waveform.len(), t.start.0, *sample_period_fs);
-            let base = base_sample as i64;
-            if base >= end_sample || base + out_len as i64 <= from_sample {
+            if base >= end_sample || base + out_len as u64 <= from_sample {
                 continue; // no overlap with [from_sample, end_sample)
             }
             *propagate_calls += 1;
-            let (rx_wave, _) =
-                link.propagate_into(&t.waveform, t.start.0, *sample_period_fs, scratch);
-            debug_assert_eq!(rx_wave.len(), out_len, "delivered_span mispredicted");
-            // Overlap [base, base+len) with [from_sample, from_sample+n).
-            let lo = base.max(from_sample);
-            let hi = (base + rx_wave.len() as i64).min(end_sample);
-            for s in lo..hi {
-                buf[(s - from_sample) as usize] += rx_wave[(s - base) as usize];
+            let (rx_wave, lo) = link.propagate_into(
+                &t.waveform,
+                t.start.0,
+                *sample_period_fs,
+                from_sample..end_sample,
+                scratch,
+            );
+            let at = (lo - from_sample) as usize;
+            for (b, s) in buf[at..at + rx_wave.len()].iter_mut().zip(rx_wave) {
+                *b += *s;
             }
         }
         add_awgn(rng, &mut buf, self.noise_power);

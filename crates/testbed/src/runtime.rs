@@ -1126,12 +1126,12 @@ impl<'a, R: Rng + ?Sized> Engine<'a, R> {
                 Faulted::Corrupted(bytes) => {
                     self.out.faults.headers_corrupted += 1;
                     match SyncHeader::from_bytes(&bytes) {
-                        None => {
+                        Err(_) => {
                             let f = JoinFailure::MalformedHeader;
                             self.emit_join_failure(at, c, &frame, &f);
                             Err(f)
                         }
-                        Some(h) if h.packet_id != frame.header.packet_id => {
+                        Ok(h) if h.packet_id != frame.header.packet_id => {
                             let f = JoinFailure::WrongPacket {
                                 expected: frame.header.packet_id,
                                 heard: h.packet_id,
@@ -1146,12 +1146,12 @@ impl<'a, R: Rng + ?Sized> Engine<'a, R> {
                         // correctly, and the mangled header reads as
                         // malformed. Only a flip the parser provably
                         // ignores leaves the join intact.
-                        Some(h) if h != frame.header => {
+                        Ok(h) if h != frame.header => {
                             let f = JoinFailure::MalformedHeader;
                             self.emit_join_failure(at, c, &frame, &f);
                             Err(f)
                         }
-                        Some(_) => session.cosender_join(i, &frame).join_observed(
+                        Ok(_) => session.cosender_join(i, &frame).join_observed(
                             self.net,
                             self.rng,
                             &self.db,

@@ -12,9 +12,11 @@
 //! * a warmed full-frame `receive_with` allocates only per-frame
 //!   bookkeeping — the count does not scale with the symbol count, and at
 //!   R54 (64-QAM) it does not change at all,
-//! * and the warmed workspace-threaded frame/combiner entry points
+//! * the warmed workspace-threaded frame/combiner entry points
 //!   allocate several times less than the same calls through a fresh
-//!   workspace (the receiver's allocating twin builds one per call).
+//!   workspace (the receiver's allocating twin builds one per call),
+//! * a warmed medium capture allocates only the buffer it returns,
+//! * and a warmed joint session allocates no more than the pinned count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -315,5 +317,103 @@ fn warmed_combiner_allocates_an_order_less_than_legacy() {
     assert!(
         n_ws * 2 <= n_legacy,
         "warmed combiner allocated {n_ws} vs legacy {n_legacy} — expected >=2x reduction"
+    );
+}
+
+#[test]
+fn warmed_capture_allocates_only_its_returned_buffer() {
+    // Propagation runs in the medium's pooled scratch, so once that has
+    // grown to the working size a capture's one allocation is the buffer
+    // it returns — however many transmissions overlap the window, and
+    // whether they overlap it whole or in part.
+    use sourcesync::channel::{Link, MultipathProfile};
+    use sourcesync::sim::{NodeId, Time, WaveformMedium};
+    let params = OfdmParams::dot11a();
+    let period = params.sample_period_fs();
+    let mut rng = StdRng::seed_from_u64(50);
+    let profile = MultipathProfile::testbed(params.sample_rate_hz);
+    for n_tx in [1u64, 3, 6] {
+        let mut medium = WaveformMedium::new(period);
+        for tx in 0..n_tx {
+            let link = Link {
+                amplitude_gain: 0.5,
+                multipath: profile.draw(&mut rng),
+                delay_fs: 4 * period + 7_000_000 * tx,
+                cfo_hz: 10e3 * tx as f64,
+            };
+            medium.set_link(NodeId(tx as usize + 1), NodeId(0), link);
+            let wave = ComplexGaussian::unit().sample_vec(&mut rng, 900);
+            medium.transmit(NodeId(tx as usize + 1), Time(100 * tx * period), wave);
+        }
+        for (from, len) in [(0u64, 2_000usize), (300, 400), (50, 1_000)] {
+            let mut noise = StdRng::seed_from_u64(from);
+            let _ = medium.capture(&mut noise, NodeId(0), Time(from * period), len);
+            let (n, buf) =
+                allocations(|| medium.capture(&mut noise, NodeId(0), Time(from * period), len));
+            assert_eq!(buf.len(), len);
+            assert_eq!(
+                n, 1,
+                "{n_tx} transmissions, window ({from}, {len}): {n} allocations"
+            );
+        }
+    }
+}
+
+/// Allocation events of one warmed `JointSession::run_with` (two
+/// co-senders, one receiver, a 300-byte payload) before windowed
+/// propagation and the per-frame role waveforms landed.
+const RUN_WITH_ALLOCS_BEFORE: u64 = 677;
+
+#[test]
+fn warmed_run_with_allocates_no_more_than_before() {
+    use sourcesync::channel::Position;
+    use sourcesync::core::{
+        CosenderPlan, DelayDatabase, JointConfig, JointSession, SessionWorkspace,
+    };
+    use sourcesync::sim::{ChannelModels, Network, NodeId};
+    let params = OfdmParams::dot11a();
+    let positions = vec![
+        Position::new(0.0, 0.0),
+        Position::new(12.0, 0.0),
+        Position::new(6.0, 8.0),
+        Position::new(3.0, -7.0),
+    ];
+    let mut net = Network::build(
+        &mut StdRng::seed_from_u64(51),
+        &params,
+        &positions,
+        &ChannelModels::clean(&params),
+    );
+    let mut db = DelayDatabase::new();
+    for (a, b) in [(0, 1), (0, 3), (1, 2), (0, 2), (3, 2)] {
+        let (a, b) = (NodeId(a), NodeId(b));
+        db.set_delay(a, b, net.true_delay_s(a, b));
+    }
+    let session = |payload: Vec<u8>| {
+        JointSession::new(NodeId(0))
+            .cosender(CosenderPlan {
+                node: NodeId(1),
+                wait_s: 60e-9,
+            })
+            .cosender(CosenderPlan {
+                node: NodeId(3),
+                wait_s: 40e-9,
+            })
+            .receiver(NodeId(2))
+            .payload(payload)
+            .config(JointConfig::default())
+    };
+    let mut rng = StdRng::seed_from_u64(52);
+    let mut ws = SessionWorkspace::new(params.clone());
+    let warm: Vec<u8> = (0..300).map(|_| rng.gen()).collect();
+    let frame: Vec<u8> = (0..300).map(|_| rng.gen()).collect();
+    let _ = session(warm).run_with(&mut net, &mut rng, &db, &mut ws);
+    let next = session(frame.clone());
+    let (n, outcome) = allocations(|| next.run_with(&mut net, &mut rng, &db, &mut ws));
+    assert_eq!(outcome.reports[0].payload.as_deref(), Some(&frame[..]));
+    eprintln!("warmed run_with allocs: {n} (before: {RUN_WITH_ALLOCS_BEFORE})");
+    assert!(
+        n <= RUN_WITH_ALLOCS_BEFORE,
+        "warmed run_with allocated {n}, more than the {RUN_WITH_ALLOCS_BEFORE} before"
     );
 }

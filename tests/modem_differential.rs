@@ -367,3 +367,78 @@ fn joint_session_stages_with_shared_workspace_deliver() {
     assert_eq!(report.payload, report_b.payload);
     assert_eq!(report.measured_misalign_s, report_b.measured_misalign_s);
 }
+
+#[test]
+fn joint_session_workspace_reused_across_payloads_matches_fresh() {
+    // One workspace driven through payloads P1, P2, P1 must put the same
+    // waveforms on the air and decode the same bits as a fresh workspace
+    // per session: the per-frame role waveforms it keeps must never leak
+    // from one frame into the next. Two co-senders give the frame both
+    // Alamouti roles plus a second role-A sender.
+    use sourcesync::channel::Position;
+    let params = OfdmParams::dot11a();
+    let positions = vec![
+        Position::new(0.0, 0.0),
+        Position::new(12.0, 0.0),
+        Position::new(6.0, 8.0),
+        Position::new(3.0, -7.0),
+    ];
+    let nodes = [NodeId(0), NodeId(1), NodeId(2), NodeId(3)];
+    let build = || {
+        let mut rng = StdRng::seed_from_u64(95);
+        Network::build(
+            &mut rng,
+            &params,
+            &positions,
+            &ChannelModels::clean(&params),
+        )
+    };
+    let p1: Vec<u8> = (0..150u16).map(|i| (i * 7 % 256) as u8).collect();
+    let p2: Vec<u8> = (0..97u16).map(|i| (i * 13 % 256) as u8).collect();
+    let mut ws = SessionWorkspace::new(params.clone());
+    for (round, payload) in [&p1, &p2, &p1].into_iter().enumerate() {
+        let session = JointSession::new(NodeId(0))
+            .cosender(CosenderPlan {
+                node: NodeId(1),
+                wait_s: 60e-9,
+            })
+            .cosender(CosenderPlan {
+                node: NodeId(3),
+                wait_s: 40e-9,
+            })
+            .receiver(NodeId(2))
+            .payload(payload.clone())
+            .config(JointConfig::default());
+        let seed = 96 + round as u64;
+        let mut net_a = build();
+        let db = oracle_db(&net_a, &nodes);
+        let pooled = session.run_with(&mut net_a, &mut StdRng::seed_from_u64(seed), &db, &mut ws);
+        let mut net_b = build();
+        let mut fresh = SessionWorkspace::new(params.clone());
+        let legacy = session.run_with(
+            &mut net_b,
+            &mut StdRng::seed_from_u64(seed),
+            &db,
+            &mut fresh,
+        );
+
+        let (on_air_a, on_air_b) = (net_a.medium.transmissions(), net_b.medium.transmissions());
+        assert_eq!(
+            on_air_a.len(),
+            6,
+            "round {round}: header, lead data, 2 × (training, data)"
+        );
+        assert_eq!(on_air_a.len(), on_air_b.len(), "round {round}");
+        for (a, b) in on_air_a.iter().zip(on_air_b) {
+            assert_eq!((a.tx, a.start), (b.tx, b.start), "round {round}");
+            assert_eq!(bits_of(&a.waveform), bits_of(&b.waveform), "round {round}");
+        }
+        let (ra, rb) = (&pooled.reports[0], &legacy.reports[0]);
+        assert_eq!(ra.payload.as_deref(), Some(&payload[..]), "round {round}");
+        assert_eq!(ra.payload, rb.payload, "round {round}");
+        assert_eq!(ra.measured_misalign_s, rb.measured_misalign_s);
+        assert_eq!(ra.effective_snr_db, rb.effective_snr_db);
+        assert_eq!(ra.stats.evm_snr_db.to_bits(), rb.stats.evm_snr_db.to_bits());
+        assert_eq!(pooled.co_tx_times, legacy.co_tx_times);
+    }
+}

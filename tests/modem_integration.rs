@@ -82,10 +82,13 @@ fn capture(
         cfo_hz,
     };
     let mut scratch = PropagationScratch::default();
+    let (tx_start, period) = (300 * params.sample_period_fs(), params.sample_period_fs());
+    let (base, len) = link.delivered_span(wave.len(), tx_start, period);
     let (rxwave, start) = link.propagate_into(
         &wave,
-        300 * params.sample_period_fs(),
-        params.sample_period_fs(),
+        tx_start,
+        period,
+        base..base + len as u64,
         &mut scratch,
     );
     let mut buf = vec![Complex64::ZERO; start as usize + rxwave.len() + 400];

@@ -2,7 +2,8 @@
 //! invariants of the workspace.
 
 use proptest::prelude::*;
-use sourcesync::core::SyncHeader;
+use sourcesync::core::wire::SYNC_HEADER_LEN;
+use sourcesync::core::{SyncHeader, WireError};
 use sourcesync::dsp::{Complex64, FftPlan};
 use sourcesync::linprog::MisalignmentProblem;
 use sourcesync::mac::{AckFrame, DataFrame, MacFrame};
@@ -411,7 +412,7 @@ proptest! {
 }
 
 // The parsers that see bytes off the air: a corrupted or foreign frame
-// must come back as `None`, never as a panic.
+// must come back as `None` or a typed error, never as a panic.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -425,8 +426,17 @@ proptest! {
             let again = MacFrame::from_bytes(&frame.to_bytes()).expect("re-encoding parses");
             prop_assert_eq!(again.to_bytes(), frame.to_bytes());
         }
-        if let Some(header) = SyncHeader::from_bytes(&bytes) {
-            prop_assert_eq!(&header.to_bytes()[..], &bytes[..9]);
+        match SyncHeader::from_bytes(&bytes) {
+            Ok(header) => prop_assert_eq!(&header.to_bytes()[..], &bytes[..9]),
+            Err(WireError::Truncated { len }) => {
+                prop_assert!(bytes.len() < SYNC_HEADER_LEN);
+                prop_assert_eq!(len, bytes.len());
+            }
+            Err(WireError::UnknownRate(b)) => {
+                prop_assert!(bytes.len() >= SYNC_HEADER_LEN);
+                prop_assert_eq!(b, bytes[4]);
+                prop_assert!(RateId::from_index(b).is_none());
+            }
         }
     }
 
@@ -442,9 +452,14 @@ proptest! {
     #[test]
     fn sync_header_roundtrips_and_rejects_every_prefix(header in arb_sync_header()) {
         let bytes = header.to_bytes();
-        prop_assert_eq!(SyncHeader::from_bytes(&bytes), Some(header));
+        prop_assert_eq!(SyncHeader::from_bytes(&bytes), Ok(header));
         for len in 0..bytes.len() {
-            prop_assert_eq!(SyncHeader::from_bytes(&bytes[..len]), None, "prefix {}", len);
+            prop_assert_eq!(
+                SyncHeader::from_bytes(&bytes[..len]),
+                Err(WireError::Truncated { len }),
+                "prefix {}",
+                len
+            );
         }
     }
 }
