@@ -307,7 +307,7 @@ mod tests {
         let profile = MultipathProfile::testbed(20e6);
         let period = 50_000_000u64;
         // On-grid, off-grid, multipath and flat: the predicted span must
-        // equal the propagated output in every combination.
+        // equal the whole-waveform pipeline's output in every combination.
         for delay_fs in [0u64, 3 * period, period / 2, 7 * period + 12_345] {
             for multitap in [false, true] {
                 let link = Link {
@@ -321,7 +321,7 @@ mod tests {
                     cfo_hz: 40e3,
                 };
                 let wave = vec![Complex64::ONE; 48];
-                let (out, base) = propagate_fresh(&link, &wave, 2 * period, period);
+                let (out, base) = propagate_reference(&link, &wave, 2 * period, period);
                 let (span_base, span_len) = link.delivered_span(wave.len(), 2 * period, period);
                 assert_eq!(span_base, base, "base for delay {delay_fs}");
                 assert_eq!(span_len, out.len(), "len for delay {delay_fs}");
