@@ -26,6 +26,57 @@ const REPS: usize = 5;
 /// See the module docs.
 pub struct Fig12SyncError;
 
+impl Fig12SyncError {
+    /// One placement at SNR `3 · snr_step` dB: its repetition-averaged
+    /// `(|measured|, |true|)` misalignment in ns, or `None` when the
+    /// placement never converges. The seed is the legacy binary's
+    /// formula, a pure function of `(snr_step, p)`, so any placement count
+    /// (the fidelity gate draws more than the figure) extends the same
+    /// sample.
+    pub fn placement_errors_ns(snr_step: usize, p: usize) -> Option<(f64, f64)> {
+        let params = OfdmParams::wiglan();
+        let models = ChannelModels::testbed(&params);
+        let cfg = JointConfig {
+            rate: RateId::R6,
+            cp_extension: 16,
+            ..Default::default()
+        };
+        let snr_db = 3.0 * snr_step as f64;
+        let seed = 1000 * snr_step as u64 + p as u64;
+        let mut net = pinned_snr_network(&params, &models, snr_db, seed);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xDEAD_BEEF);
+        let payload = random_payload(&mut rng, 60);
+        // Converge (probes + tracking warmup), then measure.
+        let (_, wait) = converged_joint(&mut net, &mut rng, &payload, &cfg, 3, 3)?;
+        let mut db = DelayDatabase::new();
+        // The measurement frames reuse the converged wait; the delay
+        // database is only needed by the co-sender for d(lead, co).
+        if !db.measure(&mut net, &mut rng, crate::LEAD, crate::COSENDER, 2) {
+            return None;
+        }
+        let mut meas = Vec::new();
+        let mut truth = Vec::new();
+        for _ in 0..REPS {
+            let out = run_once(&mut net, &mut rng, &payload, &cfg, &db, wait);
+            if let Some(m) = out.reports[0].measured_misalign_s[0] {
+                meas.push(m);
+            }
+            let t = out.true_misalign_s[0][0];
+            if t.is_finite() {
+                truth.push(t);
+            }
+        }
+        if meas.is_empty() || truth.is_empty() {
+            return None;
+        }
+        // The repetition estimator: average over frames.
+        Some((
+            ssync_dsp::stats::mean(&meas).abs() * 1e9,
+            ssync_dsp::stats::mean(&truth).abs() * 1e9,
+        ))
+    }
+}
+
 impl Scenario for Fig12SyncError {
     fn name(&self) -> &'static str {
         "fig12_sync_error"
@@ -40,56 +91,15 @@ impl Scenario for Fig12SyncError {
     }
 
     fn run(&self, ctx: &Ctx, out: &mut Output) {
-        let params = OfdmParams::wiglan();
-        let models = ChannelModels::testbed(&params);
-        let cfg = JointConfig {
-            rate: RateId::R6,
-            cp_extension: 16,
-            ..Default::default()
-        };
         let placements = ctx.trials(12);
 
         out.comment("Figure 12: 95th percentile synchronization error vs SNR");
         out.comment("numerology: wiglan (128 Msps; 1 sample = 7.8125 ns)");
         out.columns(&["snr_db", "p95_measured_ns", "p95_true_ns", "n"]);
 
-        // One job per (SNR step, placement); every seed is the legacy
-        // binary's formula, a pure function of the job coordinates.
+        // One job per (SNR step, placement).
         let samples = ctx.par_map(9 * placements, |i| {
-            let (snr_step, p) = (i / placements, i % placements);
-            let snr_db = 3.0 * snr_step as f64;
-            let seed = 1000 * snr_step as u64 + p as u64;
-            let mut net = pinned_snr_network(&params, &models, snr_db, seed);
-            let mut rng = StdRng::seed_from_u64(seed ^ 0xDEAD_BEEF);
-            let payload = random_payload(&mut rng, 60);
-            // Converge (probes + tracking warmup), then measure.
-            let (_, wait) = converged_joint(&mut net, &mut rng, &payload, &cfg, 3, 3)?;
-            let mut db = DelayDatabase::new();
-            // The measurement frames reuse the converged wait; the delay
-            // database is only needed by the co-sender for d(lead, co).
-            if !db.measure(&mut net, &mut rng, crate::LEAD, crate::COSENDER, 2) {
-                return None;
-            }
-            let mut meas = Vec::new();
-            let mut truth = Vec::new();
-            for _ in 0..REPS {
-                let out = run_once(&mut net, &mut rng, &payload, &cfg, &db, wait);
-                if let Some(m) = out.reports[0].measured_misalign_s[0] {
-                    meas.push(m);
-                }
-                let t = out.true_misalign_s[0][0];
-                if t.is_finite() {
-                    truth.push(t);
-                }
-            }
-            if meas.is_empty() || truth.is_empty() {
-                return None;
-            }
-            // The repetition estimator: average over frames.
-            Some((
-                ssync_dsp::stats::mean(&meas).abs() * 1e9,
-                ssync_dsp::stats::mean(&truth).abs() * 1e9,
-            ))
+            Self::placement_errors_ns(i / placements, i % placements)
         });
 
         for (snr_step, chunk) in samples.chunks(placements).enumerate() {

@@ -1,8 +1,9 @@
 //! Aggregation of per-trial metrics, built on `ssync_dsp::stats`.
 //!
 //! Scenarios collect raw per-trial values and reduce them here: summary
-//! moments, percentiles, empirical CDFs, and confidence intervals for the
-//! mean (normal approximation or bootstrap). Everything is deterministic —
+//! moments, percentiles, empirical CDFs, confidence intervals for the
+//! mean (normal approximation or bootstrap) and bootstrap intervals for
+//! any other statistic. Everything is deterministic —
 //! the bootstrap takes an explicit seed — so aggregated output stays a
 //! pure function of the trial values.
 
@@ -126,6 +127,31 @@ pub fn mean_ci_normal(xs: &[f64], confidence: f64) -> Ci {
 /// Panics on an empty sample, zero resamples, or a confidence outside
 /// `[0.5, 1)`.
 pub fn mean_ci_bootstrap(xs: &[f64], confidence: f64, resamples: usize, seed: u64) -> Ci {
+    let n = xs.len() as f64;
+    bootstrap_ci(xs, confidence, resamples, seed, |resample| {
+        let mut sum = 0.0;
+        for x in resample {
+            sum += x;
+        }
+        sum / n
+    })
+}
+
+/// Bootstrap percentile CI for any statistic of a sample (a percentile,
+/// a median, a ratio of means): resamples `xs` with replacement
+/// `resamples` times (seeded, hence deterministic), evaluates `statistic`
+/// on each resample and takes the matching percentiles of the results.
+///
+/// # Panics
+/// Panics on an empty sample, zero resamples, or a confidence outside
+/// `[0.5, 1)`.
+pub fn bootstrap_ci(
+    xs: &[f64],
+    confidence: f64,
+    resamples: usize,
+    seed: u64,
+    statistic: impl Fn(&[f64]) -> f64,
+) -> Ci {
     assert!(!xs.is_empty(), "confidence interval of empty sample");
     assert!(resamples >= 1, "bootstrap needs at least one resample");
     assert!(
@@ -133,18 +159,18 @@ pub fn mean_ci_bootstrap(xs: &[f64], confidence: f64, resamples: usize, seed: u6
         "confidence {confidence} must be in [0.5, 1)"
     );
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut means = Vec::with_capacity(resamples);
+    let mut resample = vec![0.0; xs.len()];
+    let mut stats = Vec::with_capacity(resamples);
     for _ in 0..resamples {
-        let mut sum = 0.0;
-        for _ in 0..xs.len() {
-            sum += xs[rng.gen_range(0..xs.len())];
+        for r in resample.iter_mut() {
+            *r = xs[rng.gen_range(0..xs.len())];
         }
-        means.push(sum / xs.len() as f64);
+        stats.push(statistic(&resample));
     }
     let tail = (1.0 - confidence) / 2.0 * 100.0;
     Ci {
-        lo: stats::percentile(&means, tail),
-        hi: stats::percentile(&means, 100.0 - tail),
+        lo: stats::percentile(&stats, tail),
+        hi: stats::percentile(&stats, 100.0 - tail),
     }
 }
 
@@ -204,5 +230,14 @@ mod tests {
         let m = ssync_dsp::stats::mean(&xs);
         assert!(a.lo <= m && m <= a.hi);
         assert_ne!(a, mean_ci_bootstrap(&xs, 0.95, 200, 8));
+    }
+
+    #[test]
+    fn bootstrap_ci_of_a_percentile_brackets_it() {
+        let xs: Vec<f64> = (0..200).map(|i| ((i * 37) % 200) as f64).collect();
+        let p95 = percentile(&xs, 95.0);
+        let ci = bootstrap_ci(&xs, 0.95, 400, 3, |r| percentile(r, 95.0));
+        assert!(ci.lo <= p95 && p95 <= ci.hi, "{ci:?} vs {p95}");
+        assert!(ci.hi <= 199.0 && ci.lo >= 170.0, "{ci:?}");
     }
 }
