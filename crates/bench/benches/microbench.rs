@@ -185,9 +185,23 @@ fn bench_fractional_delay(c: &mut Criterion) {
     });
 }
 
+/// The two per-sample channel kernels every capture runs: receiver noise
+/// and the CFO mixer, over a 4096-sample buffer (divide by 4096 for the
+/// per-sample cost).
+fn bench_channel_kernels(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(8);
+    let mut buf = vec![Complex64::ZERO; 4096];
+    c.bench_function("awgn_4k_samples", |b| {
+        b.iter(|| ssync_channel::add_awgn(&mut rng, &mut buf, 1.0))
+    });
+    c.bench_function("cfo_mix_4k_samples", |b| {
+        b.iter(|| ssync_dsp::mixer::apply_cfo_from(&mut buf, 123e3, 20e6, 0.37, 1_001))
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).warm_up_time(std::time::Duration::from_millis(300)).measurement_time(std::time::Duration::from_secs(2));
-    targets = bench_fft, bench_viterbi, bench_full_frame, bench_demap, bench_detection, bench_alamouti, bench_wait_lp, bench_fractional_delay
+    targets = bench_fft, bench_viterbi, bench_full_frame, bench_demap, bench_detection, bench_alamouti, bench_wait_lp, bench_fractional_delay, bench_channel_kernels
 }
 criterion_main!(benches);

@@ -12,7 +12,7 @@ use crate::pathloss::{PathLossModel, PowerBudget};
 use rand::Rng;
 use ssync_dsp::delay::{fractional_delay_span, DelayWorkspace, SINC_HALF_WIDTH};
 use ssync_dsp::mixer::apply_cfo_from;
-use ssync_dsp::rng::ComplexGaussian;
+use ssync_dsp::rng::add_keyed_noise;
 use ssync_dsp::Complex64;
 use std::ops::Range;
 
@@ -212,14 +212,17 @@ pub struct PropagationScratch {
 }
 
 /// Adds unit-referenced AWGN of power `noise_power` to a buffer in place.
+///
+/// The call draws exactly one `u64` from `rng` (none when
+/// `noise_power ≤ 0`), whatever `buf.len()` is: the key of a counter-based
+/// noise stream ([`add_keyed_noise`]) in which sample `k` is a pure
+/// function of `(key, k)`. A longer or shorter buffer therefore moves no
+/// later draw of `rng`.
 pub fn add_awgn<R: Rng + ?Sized>(rng: &mut R, buf: &mut [Complex64], noise_power: f64) {
     if noise_power <= 0.0 {
         return;
     }
-    let g = ComplexGaussian::with_power(noise_power);
-    for s in buf.iter_mut() {
-        *s += g.sample(rng);
-    }
+    add_keyed_noise(buf, rng.gen(), noise_power);
 }
 
 #[cfg(test)]
@@ -485,6 +488,26 @@ mod tests {
     }
 
     #[test]
+    fn awgn_costs_one_rng_word_and_keeps_its_prefix() {
+        // Whatever the buffer length, one word leaves the RNG, and the same
+        // RNG state gives the same first samples.
+        let mut long = vec![Complex64::ZERO; 1_000];
+        add_awgn(&mut StdRng::seed_from_u64(11), &mut long, 1.0);
+        for n in [1, 7, 1_000, 10_000] {
+            let mut rng = StdRng::seed_from_u64(11);
+            let mut buf = vec![Complex64::ZERO; n];
+            add_awgn(&mut rng, &mut buf, 1.0);
+            let mut reference = StdRng::seed_from_u64(11);
+            reference.gen::<u64>();
+            assert_eq!(rng.gen::<u64>(), reference.gen::<u64>(), "n {n}");
+            for (a, b) in buf.iter().zip(&long) {
+                assert_eq!(a.re.to_bits(), b.re.to_bits(), "n {n}");
+                assert_eq!(a.im.to_bits(), b.im.to_bits(), "n {n}");
+            }
+        }
+    }
+
+    #[test]
     fn zero_noise_is_noop() {
         let mut rng = StdRng::seed_from_u64(10);
         let mut buf = vec![Complex64::ONE; 8];
@@ -492,5 +515,7 @@ mod tests {
         for s in &buf {
             assert_eq!(*s, Complex64::ONE);
         }
+        // No power, no key: the RNG is untouched.
+        assert_eq!(rng.gen::<u64>(), StdRng::seed_from_u64(10).gen::<u64>());
     }
 }

@@ -11,7 +11,8 @@
 //!   propagation delays on a sampled waveform,
 //! * [`stats`] — percentiles, dB conversions, EVM→SNR, empirical CDFs,
 //! * [`rng`] — deterministic Gaussian / complex-Gaussian sampling (Box-Muller
-//!   over `rand`, so experiments are reproducible from a `u64` seed),
+//!   over `rand`, so experiments are reproducible from a `u64` seed) and
+//!   the counter-based receiver-noise kernel, keyed per capture,
 //! * [`simd`] — portable 4-lane f64/complex vectors backing the hot inner
 //!   loops; the `simd` cargo feature (default on) dispatches the lane
 //!   kernels, `--no-default-features` the bit-identical scalar fallbacks.

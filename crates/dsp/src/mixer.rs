@@ -4,49 +4,91 @@
 //! appears at baseband multiplied by `e^{j2πΔf·t}`. Both the channel
 //! emulator (applying real offsets) and the receiver (correcting estimated
 //! offsets) use this one function, so conventions cannot drift apart.
+//!
+//! **Block anchors.** Evaluating `sin`/`cos` per sample is the mixer's
+//! whole cost, so the phasor is a recurrence re-anchored on a fixed grid of
+//! absolute sample indices. With `step = 2π·Δf/fs`, absolute index `i`,
+//! block start `A = i − i mod B` (`B =` [`BLOCK`]) and lane `l = i mod 4`,
+//! the phasor of `i` is the exact anchor `cis(step·((A + l) + origin))`
+//! multiplied `(i mod B)/4` times, one multiply at a time, by the exact
+//! four-sample rotor `cis(4·step)`. A span that starts inside a block
+//! replays the recurrence from that block's anchor, so a sample's bits
+//! depend only on its absolute index: every partition of a stream into
+//! spans gives the bits of rotating the whole stream. The lanes and scalar
+//! tiers do the same multiplies in the same order.
 
 use crate::complex::Complex64;
 use crate::simd::{C64x4, LANES, SIMD_ENABLED};
 use std::f64::consts::PI;
 
-/// The scalar mixing kernel: per-sample `e^{jθ}` and complex multiply,
-/// `samples[k]` taking the phase of absolute index `first + k`.
+/// Samples per anchor block: a multiple of [`LANES`]. Each block costs
+/// four `cis` evaluations; a sample inside it is at most `BLOCK/4 − 1`
+/// rotor multiplies from its anchor.
+pub const BLOCK: usize = 64;
+
+/// The recurrence state at the start of the 4-aligned group holding
+/// absolute index `at`: the block's four lane anchors stepped by the rotor
+/// once per group before `at`'s.
 #[inline]
-fn mix_scalar(samples: &mut [Complex64], step: f64, phase_origin: f64, first: usize) {
-    for (i, s) in samples.iter_mut().enumerate() {
-        *s = s.rotate(step * ((first + i) as f64 + phase_origin));
+fn phasors_at(at: usize, step: f64, origin: f64, rotor: Complex64) -> [Complex64; LANES] {
+    let anchor = at - at % BLOCK;
+    let mut p = [0, 1, 2, 3].map(|l| Complex64::cis(step * ((anchor + l) as f64 + origin)));
+    for _ in 0..(at % BLOCK) / LANES {
+        for q in p.iter_mut() {
+            *q *= rotor;
+        }
+    }
+    p
+}
+
+/// The scalar tier: `samples[k]` is absolute index `first + k`.
+#[inline]
+fn mix_scalar(samples: &mut [Complex64], step: f64, origin: f64, first: usize) {
+    let rotor = Complex64::cis(LANES as f64 * step);
+    let mut p = phasors_at(first, step, origin, rotor);
+    for (k, s) in samples.iter_mut().enumerate() {
+        let i = first + k;
+        if i % BLOCK == 0 && k > 0 {
+            p = phasors_at(i, step, origin, rotor);
+        }
+        let l = i % LANES;
+        *s *= p[l];
+        if l == LANES - 1 {
+            for q in p.iter_mut() {
+                *q *= rotor;
+            }
+        }
     }
 }
 
-/// Four samples per step: the phasors are still evaluated per sample (the
-/// per-sample `cis` is the bit-identity contract — no phasor recurrence),
-/// but the complex rotations run as lane multiplies, mirroring the scalar
-/// product formula term-for-term.
+/// The lanes tier: whole 4-aligned groups as one [`C64x4`] multiply, the
+/// partial groups at either end of the span one sample at a time with the
+/// same phasors.
 #[inline]
-fn mix_lanes(samples: &mut [Complex64], step: f64, phase_origin: f64, first: usize) {
-    let n = samples.len();
-    let mut i = 0usize;
-    while i + LANES <= n {
-        let c = first + i;
-        let w = C64x4 {
-            re: crate::simd::F64x4([
-                (step * (c as f64 + phase_origin)).cos(),
-                (step * ((c + 1) as f64 + phase_origin)).cos(),
-                (step * ((c + 2) as f64 + phase_origin)).cos(),
-                (step * ((c + 3) as f64 + phase_origin)).cos(),
-            ]),
-            im: crate::simd::F64x4([
-                (step * (c as f64 + phase_origin)).sin(),
-                (step * ((c + 1) as f64 + phase_origin)).sin(),
-                (step * ((c + 2) as f64 + phase_origin)).sin(),
-                (step * ((c + 3) as f64 + phase_origin)).sin(),
-            ]),
-        };
-        let rotated = C64x4::load(samples, i).mul(w);
-        rotated.store(samples, i);
-        i += LANES;
+fn mix_lanes(samples: &mut [Complex64], step: f64, origin: f64, first: usize) {
+    let rotor = Complex64::cis(LANES as f64 * step);
+    let rotor4 = C64x4::splat(rotor);
+    let end = first + samples.len();
+    let mut group = first - first % LANES;
+    let mut p = C64x4::load(&phasors_at(first, step, origin, rotor), 0);
+    while group < end {
+        if group % BLOCK == 0 && group > first {
+            p = C64x4::load(&phasors_at(group, step, origin, rotor), 0);
+        }
+        if group >= first && group + LANES <= end {
+            let k = group - first;
+            C64x4::load(samples, k).mul(p).store(samples, k);
+        } else {
+            for l in 0..LANES {
+                let i = group + l;
+                if (first..end).contains(&i) {
+                    samples[i - first] *= p.lane(l);
+                }
+            }
+        }
+        p = p.mul(rotor4);
+        group += LANES;
     }
-    mix_scalar(&mut samples[i..], step, phase_origin, first + i);
 }
 
 /// Rotates `samples[k]` by
@@ -83,6 +125,98 @@ pub fn apply_cfo(samples: &mut [Complex64], cfo_hz: f64, sample_rate_hz: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A mixing kernel tier.
+    type Kernel = fn(&mut [Complex64], f64, f64, usize);
+
+    /// The per-sample `cis` mixer the block-anchored kernels replaced,
+    /// kept as the accuracy oracle.
+    fn mix_exact(samples: &mut [Complex64], step: f64, origin: f64, first: usize) {
+        for (k, s) in samples.iter_mut().enumerate() {
+            *s = s.rotate(step * ((first + k) as f64 + origin));
+        }
+    }
+
+    fn assert_same_bits(a: &[Complex64], b: &[Complex64], at: &str) {
+        assert_eq!(a.len(), b.len(), "{at}");
+        for (k, (x, y)) in a.iter().zip(b).enumerate() {
+            assert_eq!(x.re.to_bits(), y.re.to_bits(), "{at} k {k}");
+            assert_eq!(x.im.to_bits(), y.im.to_bits(), "{at} k {k}");
+        }
+    }
+
+    /// The largest distance between `kernel`'s rotation of 2^20 unit
+    /// samples and the oracle's.
+    fn worst_error(kernel: Kernel, step: f64, origin: f64, first: usize) -> f64 {
+        let n = 1 << 20;
+        let mut got = vec![Complex64::ONE; n];
+        kernel(&mut got, step, origin, first);
+        let mut want = vec![Complex64::ONE; n];
+        mix_exact(&mut want, step, origin, first);
+        got.iter()
+            .zip(&want)
+            .map(|(a, b)| a.dist(*b))
+            .fold(0.0, f64::max)
+    }
+
+    #[test]
+    fn block_anchored_mixer_tracks_exact_cis() {
+        // Steps within 0.6 % of ±250 kHz (the largest CFO the channel
+        // models draw) at 20 and at 128 Msps, chosen with short mantissas
+        // and paired with dyadic fractional origins, so that the oracle's
+        // phase argument `step · (i + origin)` is exact at every one of
+        // the 2^20 indices: the bound then measures the recurrence alone.
+        let tiers: [Kernel; 2] = [mix_lanes, mix_scalar];
+        for step in [0.078_125, -0.078_125, 0.012_207_031_25, -0.012_207_031_25] {
+            for (origin, first) in [(0.0, 0), (0.375, 5), (-17.625, 1_003)] {
+                for kernel in tiers {
+                    let worst = worst_error(kernel, step, origin, first);
+                    assert!(worst <= 1e-12, "step {step} origin {origin}: {worst:e}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn block_anchored_mixer_tracks_exact_cis_at_real_offsets() {
+        // At a step with a full mantissa the oracle's own argument
+        // `step · (i + origin)` rounds to within half an ulp of the phase,
+        // and so does each anchor's: over 2^20 indices at ±250 kHz the two
+        // differ by those roundings (~1e-11 rad at 20 Msps), which no
+        // anchoring can remove. The recurrence itself adds at most 1e-12.
+        for (cfo_hz, rate_hz) in [(250e3, 20e6), (-250e3, 20e6), (250e3, 128e6)] {
+            let step = 2.0 * PI * cfo_hz / rate_hz;
+            let (origin, first) = (-17.618_033_9, 1_003);
+            let max_phase = (step * ((first + (1 << 20)) as f64 + origin)).abs();
+            let ulp = f64::from_bits(max_phase.to_bits() + 1) - max_phase;
+            let worst = worst_error(mix_lanes, step, origin, first);
+            assert!(
+                worst <= 1e-12 + 2.0 * ulp,
+                "cfo {cfo_hz} rate {rate_hz}: {worst:e} (ulp {ulp:e})"
+            );
+        }
+    }
+
+    #[test]
+    fn span_partitions_off_the_block_grid_give_whole_buffer_bits() {
+        let stream: Vec<Complex64> = (0..1_000)
+            .map(|i| Complex64::new((i as f64 * 0.37).cos(), (i as f64 * 0.21).sin()))
+            .collect();
+        let (cfo_hz, rate_hz, origin) = (173.5e3, 20e6, 0.731);
+        let mut whole = stream.clone();
+        apply_cfo_from(&mut whole, cfo_hz, rate_hz, origin, 7);
+        for cuts in [
+            vec![0, 1, 63, 65, 130, 1_000],
+            vec![0, 3, 66, 67, 258, 511, 999, 1_000],
+            vec![0, 127, 129, 1_000],
+        ] {
+            let mut parts = stream.clone();
+            for w in cuts.windows(2) {
+                apply_cfo_from(&mut parts[w[0]..w[1]], cfo_hz, rate_hz, origin, 7 + w[0]);
+            }
+            assert_same_bits(&parts, &whole, &format!("cuts {cuts:?}"));
+        }
+    }
 
     #[test]
     fn roundtrip_cancels() {
@@ -128,9 +262,14 @@ mod tests {
         let step = 2.0 * PI * 37e3 / 20e6;
         mix_lanes(&mut a, step, 3.0, 0);
         mix_scalar(&mut b, step, 3.0, 0);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.re.to_bits(), y.re.to_bits());
-            assert_eq!(x.im.to_bits(), y.im.to_bits());
+        assert_same_bits(&a, &b, "first 0");
+        // Starts inside a group and inside a block, ends in a later block.
+        for first in [1, 2, 3, 61, 64, 1_000_003] {
+            let mut a = b.clone();
+            let mut c = b.clone();
+            mix_lanes(&mut a, step, -0.25, first);
+            mix_scalar(&mut c, step, -0.25, first);
+            assert_same_bits(&a, &c, &format!("first {first}"));
         }
     }
 
@@ -148,7 +287,6 @@ mod tests {
         let step = 2.0 * PI * cfo_hz / rate_hz;
         let mut whole = stream.clone();
         apply_cfo_from(&mut whole, cfo_hz, rate_hz, origin, 0);
-        type Kernel = fn(&mut [Complex64], f64, f64, usize);
         let tiers: [(&str, Kernel); 2] = [("lanes", mix_lanes), ("scalar", mix_scalar)];
         for (lo, hi) in [(0, 203), (1, 2), (3, 70), (64, 64), (97, 203), (150, 157)] {
             let mut span = stream[lo..hi].to_vec();

@@ -12,7 +12,8 @@
 //! never reassociate a scalar reduction).
 //!
 //! The `simd` cargo feature (on by default) selects the lane kernels at the
-//! call sites in `correlate`, `mixer`, and `ssync_phy`'s Viterbi/demapper;
+//! call sites in `correlate`, `mixer`, `rng` (the keyed noise), and
+//! `ssync_phy`'s Viterbi/demapper;
 //! building with `--no-default-features` selects the scalar fallbacks. Both
 //! paths are always compiled and unit-tested against each other, which is
 //! what keeps the CI scalar job meaningful.
@@ -90,6 +91,28 @@ impl F64x4 {
         ])
     }
 
+    /// Element-wise division.
+    #[inline(always)]
+    pub fn div(self, rhs: Self) -> Self {
+        F64x4([
+            self.0[0] / rhs.0[0],
+            self.0[1] / rhs.0[1],
+            self.0[2] / rhs.0[2],
+            self.0[3] / rhs.0[3],
+        ])
+    }
+
+    /// Element-wise square root (correctly rounded, like `f64::sqrt`).
+    #[inline(always)]
+    pub fn sqrt(self) -> Self {
+        F64x4([
+            self.0[0].sqrt(),
+            self.0[1].sqrt(),
+            self.0[2].sqrt(),
+            self.0[3].sqrt(),
+        ])
+    }
+
     /// Per-lane strict greater-than comparison.
     #[inline(always)]
     pub fn gt(self, rhs: Self) -> [bool; LANES] {
@@ -110,6 +133,93 @@ impl F64x4 {
             if mask[2] { a.0[2] } else { b.0[2] },
             if mask[3] { a.0[3] } else { b.0[3] },
         ])
+    }
+}
+
+/// The real arithmetic of a kernel written once for both tiers: one `f64`
+/// (the scalar tier) or an [`F64x4`] (the lanes tier). Every operation is
+/// a single IEEE-754 operation per lane, so a kernel generic over `Real`
+/// computes the same bits in either instantiation.
+pub trait Real: Copy {
+    /// Broadcasts `v`.
+    fn splat(v: f64) -> Self;
+    /// Addition.
+    fn add(self, rhs: Self) -> Self;
+    /// Subtraction.
+    fn sub(self, rhs: Self) -> Self;
+    /// Multiplication.
+    fn mul(self, rhs: Self) -> Self;
+    /// Division.
+    fn div(self, rhs: Self) -> Self;
+    /// Square root.
+    fn sqrt(self) -> Self;
+    /// Per lane: `a` where `self > than`, else `b`.
+    fn select_gt(self, than: Self, a: Self, b: Self) -> Self;
+}
+
+impl Real for f64 {
+    #[inline(always)]
+    fn splat(v: f64) -> Self {
+        v
+    }
+    #[inline(always)]
+    fn add(self, rhs: Self) -> Self {
+        self + rhs
+    }
+    #[inline(always)]
+    fn sub(self, rhs: Self) -> Self {
+        self - rhs
+    }
+    #[inline(always)]
+    fn mul(self, rhs: Self) -> Self {
+        self * rhs
+    }
+    #[inline(always)]
+    fn div(self, rhs: Self) -> Self {
+        self / rhs
+    }
+    #[inline(always)]
+    fn sqrt(self) -> Self {
+        f64::sqrt(self)
+    }
+    #[inline(always)]
+    fn select_gt(self, than: Self, a: Self, b: Self) -> Self {
+        if self > than {
+            a
+        } else {
+            b
+        }
+    }
+}
+
+impl Real for F64x4 {
+    #[inline(always)]
+    fn splat(v: f64) -> Self {
+        F64x4::splat(v)
+    }
+    #[inline(always)]
+    fn add(self, rhs: Self) -> Self {
+        F64x4::add(self, rhs)
+    }
+    #[inline(always)]
+    fn sub(self, rhs: Self) -> Self {
+        F64x4::sub(self, rhs)
+    }
+    #[inline(always)]
+    fn mul(self, rhs: Self) -> Self {
+        F64x4::mul(self, rhs)
+    }
+    #[inline(always)]
+    fn div(self, rhs: Self) -> Self {
+        F64x4::div(self, rhs)
+    }
+    #[inline(always)]
+    fn sqrt(self) -> Self {
+        F64x4::sqrt(self)
+    }
+    #[inline(always)]
+    fn select_gt(self, than: Self, a: Self, b: Self) -> Self {
+        F64x4::select(self.gt(than), a, b)
     }
 }
 
@@ -247,6 +357,9 @@ mod tests {
                 assert_eq!(va.add(vb).0[i].to_bits(), (a[i] + b[i]).to_bits());
                 assert_eq!(va.sub(vb).0[i].to_bits(), (a[i] - b[i]).to_bits());
                 assert_eq!(va.mul(vb).0[i].to_bits(), (a[i] * b[i]).to_bits());
+                assert_eq!(va.div(vb).0[i].to_bits(), (a[i] / b[i]).to_bits());
+                let root = F64x4::load(&a, 0).mul(va).sqrt().0[i];
+                assert_eq!(root.to_bits(), (a[i] * a[i]).sqrt().to_bits());
                 assert_eq!(va.gt(vb)[i], a[i] > b[i]);
             }
         }

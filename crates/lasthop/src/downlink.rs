@@ -479,16 +479,24 @@ mod tests {
             downlink_snr_db: vec![13.0, 12.0, 11.0],
             uplink_snr_db: vec![13.0, 12.0, 11.0],
         };
-        let mut rng = StdRng::seed_from_u64(21);
         let mut ws = SessionWorkspace::new(params.clone());
-        let check = joint_session_downlink_with(&mut rng, &params, &s, &[0xC3u8; 150], &mut ws);
+        let sessions: Vec<_> = (21..37)
+            .map(|seed| {
+                let mut rng = StdRng::seed_from_u64(seed);
+                joint_session_downlink_with(&mut rng, &params, &s, &[0xC3u8; 150], &mut ws)
+            })
+            .collect();
+        let check = &sessions[0];
         assert!(check.delivered, "3-AP joint frame failed");
         let joined = check.cosenders.iter().filter(|c| c.joined()).count();
         assert_eq!(joined, 2, "co-AP failures: {:?}", check.cosenders);
+        // One frame's measured SNR spreads ~2.4 dB around its mean, so the
+        // agreement with the model is checked on the mean of 16 sessions
+        // (standard error ~0.6 dB).
+        let measured = sessions.iter().map(|c| c.measured_snr_db).sum::<f64>() / 16.0;
         assert!(
-            (check.measured_snr_db - check.model_snr_db).abs() < 2.5,
-            "measured {:.2} dB vs model {:.2} dB",
-            check.measured_snr_db,
+            (measured - check.model_snr_db).abs() < 2.5,
+            "mean measured {measured:.2} dB vs model {:.2} dB",
             check.model_snr_db
         );
     }

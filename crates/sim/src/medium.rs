@@ -136,7 +136,9 @@ impl WaveformMedium {
     /// order they were placed, so the output bits are those of
     /// propagating every transmission whole and clipping it to the window.
     /// The returned buffer is the only allocation once the medium's
-    /// propagation scratch has grown to the working size.
+    /// propagation scratch has grown to the working size. The noise costs
+    /// `rng` exactly one word, whatever `n_samples` is (see
+    /// [`add_awgn`]).
     pub fn capture<R: Rng + ?Sized>(
         &mut self,
         rng: &mut R,
@@ -194,7 +196,7 @@ impl WaveformMedium {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     const PERIOD: u64 = 50_000_000; // 20 Msps
 
@@ -343,6 +345,20 @@ mod tests {
         );
         assert_eq!(m.propagate_count(), 1, "capture cost depends on history");
         assert!(buf[0].dist(Complex64::ONE) < 1e-12);
+    }
+
+    #[test]
+    fn capture_advances_the_rng_by_one_word() {
+        let mut m = WaveformMedium::new(PERIOD);
+        m.set_link(NodeId(0), NodeId(1), Link::ideal());
+        m.transmit(NodeId(0), Time::ZERO, vec![Complex64::ONE; 300]);
+        for n in [1, 1_000, 10_000] {
+            let mut rng = StdRng::seed_from_u64(30);
+            let _ = m.capture(&mut rng, NodeId(1), Time::ZERO, n);
+            let mut reference = StdRng::seed_from_u64(30);
+            reference.gen::<u64>();
+            assert_eq!(rng.gen::<u64>(), reference.gen::<u64>(), "window {n}");
+        }
     }
 
     #[test]

@@ -153,9 +153,11 @@ impl Modem {
             }),
             "transmission extent outlived its exchange window"
         );
-        // Capture in listener order (the medium draws listener noise from
-        // `rng`, so capture order is part of the deterministic scenario)
-        // and decode each capture through the one owned workspace.
+        // Capture in listener order and decode each capture through the
+        // one owned workspace. Each capture takes exactly one word of
+        // `rng`, its noise key, whatever the window length, so capture
+        // order fixes which listener gets which key but a window change
+        // moves no later protocol draw.
         let decoded = listeners
             .iter()
             .map(|&l| {
