@@ -111,5 +111,5 @@ fn trace_and_metric_bytes_are_build_invariant() {
 
 /// Pinned by running the seeded `testbed_fault` capture on the simd
 /// build; the scalar build must reproduce them exactly.
-const PINNED_TRACE_HASH: u64 = 14440817084731324519;
-const PINNED_METRICS_HASH: u64 = 7424441211631318124;
+const PINNED_TRACE_HASH: u64 = 15384758421313271441;
+const PINNED_METRICS_HASH: u64 = 852482210097652790;

@@ -471,9 +471,9 @@ mod tests {
         assert_eq!(hash, PINNED_CAPTURE_HASH, "capture bits diverged: {hash}");
     }
 
-    /// Pinned on the propagate-then-clip capture, before windowed
-    /// propagation; identical on the simd and scalar builds.
-    const PINNED_CAPTURE_HASH: u64 = 3952607347038763601;
+    /// Re-pinned with the keyed channel noise and the block-anchored CFO
+    /// mixer; identical on the simd and scalar builds.
+    const PINNED_CAPTURE_HASH: u64 = 2340729742912649392;
 
     #[test]
     fn clear_transmissions_resets() {
