@@ -8,10 +8,10 @@
 //! **Block anchors.** Evaluating `sin`/`cos` per sample is the mixer's
 //! whole cost, so the phasor is a recurrence re-anchored on a fixed grid of
 //! absolute sample indices. With `step = 2π·Δf/fs`, absolute index `i`,
-//! block start `A = i − i mod B` (`B =` [`BLOCK`]) and lane `l = i mod 4`,
-//! the phasor of `i` is the exact anchor `cis(step·((A + l) + origin))`
-//! multiplied `(i mod B)/4` times, one multiply at a time, by the exact
-//! four-sample rotor `cis(4·step)`. A span that starts inside a block
+//! block start `A = i − i mod 64` and lane `l = i mod 4`, the phasor of
+//! `i` is the exact anchor `cis(step·((A + l) + origin))` multiplied
+//! `(i mod 64)/4` times, one multiply at a time, by the exact four-sample
+//! rotor `cis(4·step)`. A span that starts inside a block
 //! replays the recurrence from that block's anchor, so a sample's bits
 //! depend only on its absolute index: every partition of a stream into
 //! spans gives the bits of rotating the whole stream. The lanes and scalar
@@ -24,7 +24,7 @@ use std::f64::consts::PI;
 /// Samples per anchor block: a multiple of [`LANES`]. Each block costs
 /// four `cis` evaluations; a sample inside it is at most `BLOCK/4 − 1`
 /// rotor multiplies from its anchor.
-pub const BLOCK: usize = 64;
+const BLOCK: usize = 64;
 
 /// The recurrence state at the start of the 4-aligned group holding
 /// absolute index `at`: the block's four lane anchors stepped by the rotor

@@ -17,8 +17,9 @@
 //!   are plain IEEE polynomials (the exponent and mantissa come from the
 //!   bits; the angle's quadrant from two hash bits), with no libm call and
 //!   no fused multiply-add, so the noise bits do not depend on the host's
-//!   libm. The kernel is written once over [`Real`] and runs on
+//!   libm. The kernel is written once over `simd::Real` and runs on
 //!   [`F64x4`] lanes or one sample at a time with the same bits.
+
 use crate::complex::Complex64;
 use crate::simd::{F64x4, Real, LANES, SIMD_ENABLED};
 use rand::Rng;

@@ -93,7 +93,7 @@ impl F64x4 {
 
     /// Element-wise division.
     #[inline(always)]
-    pub fn div(self, rhs: Self) -> Self {
+    pub(crate) fn div(self, rhs: Self) -> Self {
         F64x4([
             self.0[0] / rhs.0[0],
             self.0[1] / rhs.0[1],
@@ -104,7 +104,7 @@ impl F64x4 {
 
     /// Element-wise square root (correctly rounded, like `f64::sqrt`).
     #[inline(always)]
-    pub fn sqrt(self) -> Self {
+    pub(crate) fn sqrt(self) -> Self {
         F64x4([
             self.0[0].sqrt(),
             self.0[1].sqrt(),
@@ -140,7 +140,7 @@ impl F64x4 {
 /// (the scalar tier) or an [`F64x4`] (the lanes tier). Every operation is
 /// a single IEEE-754 operation per lane, so a kernel generic over `Real`
 /// computes the same bits in either instantiation.
-pub trait Real: Copy {
+pub(crate) trait Real: Copy {
     /// Broadcasts `v`.
     fn splat(v: f64) -> Self;
     /// Addition.
