@@ -11,11 +11,11 @@
 //! block start `A = i − i mod 64` and lane `l = i mod 4`, the phasor of
 //! `i` is the exact anchor `cis(step·((A + l) + origin))` multiplied
 //! `(i mod 64)/4` times, one multiply at a time, by the exact four-sample
-//! rotor `cis(4·step)`. A span that starts inside a block
-//! replays the recurrence from that block's anchor, so a sample's bits
-//! depend only on its absolute index: every partition of a stream into
-//! spans gives the bits of rotating the whole stream. The lanes and scalar
-//! tiers do the same multiplies in the same order.
+//! rotor `cis(4·step)`. A span that starts inside a block replays the
+//! recurrence from that block's anchor, so a sample's bits depend only on
+//! its absolute index: every partition of a stream into spans gives the
+//! bits of rotating the whole stream. The lanes and scalar tiers do the
+//! same multiplies in the same order.
 
 use crate::complex::Complex64;
 use crate::simd::{C64x4, LANES, SIMD_ENABLED};
@@ -96,12 +96,11 @@ fn mix_lanes(samples: &mut [Complex64], step: f64, origin: f64, first: usize) {
 ///
 /// `phase_origin` (in samples) lets callers keep a consistent phase
 /// reference across buffers. `first` is the absolute index of
-/// `samples[0]` in a longer stream: the phase argument is computed as
-/// `(first + k) as f64 + phase_origin`, the very expression a rotation of
-/// the whole stream evaluates for that index, so rotating any span of a
-/// stream gives the bits the whole-stream rotation gives those samples —
-/// even for a fractional `phase_origin`, where re-basing the origin to
-/// the span start would not.
+/// `samples[0]` in a longer stream. The phasors come from the block
+/// anchors on the absolute-index grid (see the module docs), so rotating
+/// any span of a stream gives the bits the whole-stream rotation gives
+/// those samples — even for a fractional `phase_origin`, where re-basing
+/// the origin to the span start would not.
 pub fn apply_cfo_from(
     samples: &mut [Complex64],
     cfo_hz: f64,
@@ -287,6 +286,7 @@ mod tests {
         let step = 2.0 * PI * cfo_hz / rate_hz;
         let mut whole = stream.clone();
         apply_cfo_from(&mut whole, cfo_hz, rate_hz, origin, 0);
+        type Kernel = fn(&mut [Complex64], f64, f64, usize);
         let tiers: [(&str, Kernel); 2] = [("lanes", mix_lanes), ("scalar", mix_scalar)];
         for (lo, hi) in [(0, 203), (1, 2), (3, 70), (64, 64), (97, 203), (150, 157)] {
             let mut span = stream[lo..hi].to_vec();
