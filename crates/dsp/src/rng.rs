@@ -207,8 +207,8 @@ fn sincos_quarter<V: Real>(x: V) -> (V, V) {
     let sin = x.add(z.mul(x).mul(horner(z, &[S1, S2, S3, S4, S5, S6])));
     let hz = V::splat(0.5).mul(z);
     let w = one.sub(hz);
-    // (1 − w) − hz recovers the rounding error of w.
     let cr = z.mul(horner(z, &[C1, C2, C3, C4, C5, C6]));
+    // (1 − w) − hz recovers the rounding error of w.
     let cos = w.add(one.sub(w).sub(hz).add(z.mul(cr)));
     (cos, sin)
 }
