@@ -4,6 +4,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use ssync_channel::MultipathProfile;
 use ssync_dsp::rng::ComplexGaussian;
 use ssync_dsp::{Complex64, FftPlan};
 use ssync_linprog::MisalignmentProblem;
@@ -199,9 +200,44 @@ fn bench_channel_kernels(c: &mut Criterion) {
     });
 }
 
+/// The capture's multipath convolution and the detector's fine-timing
+/// search: a testbed-profile channel (40 ns RMS spread at 20 Msps) over
+/// 1500 samples, and the LTS cross-correlation over the 448-sample window
+/// `Detector::detect_with` searches (385 lags of the 64-sample LTS).
+fn bench_capture_and_detect_kernels(c: &mut Criterion) {
+    let params = OfdmParams::dot11a();
+    let mut rng = StdRng::seed_from_u64(9);
+    let gauss = ComplexGaussian::unit();
+    let channel = MultipathProfile::testbed(params.sample_rate_hz).draw(&mut rng);
+    let input = gauss.sample_vec(&mut rng, 1500);
+    let full = 0..input.len() + channel.taps.len() - 1;
+    let mut out = Vec::new();
+    c.bench_function("multipath_1500_samples", |b| {
+        b.iter(|| {
+            channel.apply_into(&input, full.clone(), &mut out);
+            out.len()
+        })
+    });
+
+    let fft = FftPlan::new(params.fft_size);
+    let lts = ssync_phy::preamble::lts_symbol(&params, &fft);
+    let mut window = ComplexGaussian::with_power(0.01).sample_vec(&mut rng, 448);
+    let pre = ssync_phy::preamble::preamble_waveform(&params, &fft);
+    for (w, s) in window[32..].iter_mut().zip(&pre) {
+        *w += *s;
+    }
+    let mut xc = Vec::new();
+    c.bench_function("lts_xcorr_448_samples", |b| {
+        b.iter(|| {
+            ssync_dsp::correlate::normalized_cross_correlate_into(&window, &lts, &mut xc);
+            xc.len()
+        })
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).warm_up_time(std::time::Duration::from_millis(300)).measurement_time(std::time::Duration::from_secs(2));
-    targets = bench_fft, bench_viterbi, bench_full_frame, bench_demap, bench_detection, bench_alamouti, bench_wait_lp, bench_fractional_delay, bench_channel_kernels
+    targets = bench_fft, bench_viterbi, bench_full_frame, bench_demap, bench_detection, bench_alamouti, bench_wait_lp, bench_fractional_delay, bench_channel_kernels, bench_capture_and_detect_kernels
 }
 criterion_main!(benches);

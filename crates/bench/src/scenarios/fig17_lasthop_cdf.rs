@@ -6,8 +6,10 @@
 //! adaptation actually has to work (≈3–16 dB — the regime the testbed's
 //! walls produced; our open floor plan cannot, so the SNRs are drawn
 //! directly and documented in DESIGN.md). SampleRate adapts the rate on
-//! the lead AP; the PER model is pinned to the sample-level modem. Paper
-//! result: median gain 1.57×, with gains at all client percentiles.
+//! the lead AP. Frame loss comes from `PerTable::analytic()`: one
+//! hand-typed logistic PER curve per rate (a mid-SNR and a slope each),
+//! not a curve measured through the sample-level modem. Paper result:
+//! median gain 1.57×, with gains at all client percentiles.
 //!
 //! Output: two CDF blocks plus the median-gain summary line.
 

@@ -13,14 +13,10 @@
 //!   region).
 
 use rand::Rng;
+use ssync_dsp::delay::convolve_gather;
 use ssync_dsp::rng::ComplexGaussian;
 use ssync_dsp::{Complex64, FftPlan};
 use std::ops::Range;
-
-/// Outputs per block of the gather convolution: one independent
-/// accumulator each, so the per-output additions of consecutive taps do
-/// not chain.
-const BLOCK: usize = 8;
 
 /// Parameters from which per-link channel realisations are drawn.
 #[derive(Debug, Clone, Copy)]
@@ -126,9 +122,9 @@ impl Multipath {
     /// Output `c` sums `input[i]·taps[c − i]` over ascending `i`, starting
     /// from `Complex64::ZERO`: the order of the per-input scatter loop
     /// this gather replaced (`tests::scatter_oracle` keeps it as the
-    /// reference), so every pinned capture keeps its bits. Outputs with
-    /// every tap inside the input run in blocks of eight independent
-    /// accumulators; the edges take a plain loop in the same order.
+    /// reference), so every pinned capture keeps its bits. The loop is
+    /// [`ssync_dsp::delay::convolve_gather`], the fractional delay's
+    /// kernel, here over complex taps.
     ///
     /// # Panics
     /// Panics if `span` reaches past the full convolution.
@@ -139,36 +135,9 @@ impl Multipath {
             "span {span:?} outside the {}-sample convolution",
             input.len() + taps.len() - 1
         );
-        let edge = |c: usize| {
-            let lo = (c + 1).saturating_sub(taps.len());
-            let hi = (c + 1).min(input.len());
-            let mut acc = Complex64::ZERO;
-            for (i, x) in input.iter().enumerate().take(hi).skip(lo) {
-                acc += *x * taps[c - i];
-            }
-            acc
-        };
-        // Full-tap outputs are c in [taps − 1, input.len()).
-        let full_lo = (taps.len() - 1).clamp(span.start, span.end);
-        let full_hi = input.len().clamp(full_lo, span.end);
         out.clear();
-        out.reserve(span.len());
-        out.extend((span.start..full_lo).map(edge));
-        let mut c = full_lo;
-        while c + BLOCK <= full_hi {
-            let mut acc = [Complex64::ZERO; BLOCK];
-            for (j, h) in taps.iter().enumerate().rev() {
-                let src: &[Complex64; BLOCK] = input[c - j..c - j + BLOCK]
-                    .try_into()
-                    .expect("block of BLOCK samples");
-                for (a, x) in acc.iter_mut().zip(src) {
-                    *a += *x * *h;
-                }
-            }
-            out.extend_from_slice(&acc);
-            c += BLOCK;
-        }
-        out.extend((c..span.end).map(edge));
+        out.resize(span.len(), Complex64::ZERO);
+        convolve_gather(input, taps, span.start, out);
     }
 
     /// Frequency response over `n` FFT bins.

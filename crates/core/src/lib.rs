@@ -29,7 +29,8 @@
 
 // No unsafe anywhere in this crate: the determinism contract is easier
 // to audit when the only unsafe in the workspace is ssync_phy's fenced
-// AVX2 tier (see DESIGN.md and ssync_lint's `undocumented-unsafe` rule).
+// AVX2 tier and ssync_dsp's runtime-checked AVX2 dispatch sites (see
+// DESIGN.md and ssync_lint's `undocumented-unsafe` rule).
 #![forbid(unsafe_code)]
 
 pub mod combiner;

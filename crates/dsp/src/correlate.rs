@@ -22,7 +22,7 @@ fn lag_correlation(signal: &[Complex64], template: &[Complex64], t: usize) -> Co
 /// Four adjacent lags at once: lanes hold lags `t..t+4`, the template walk
 /// stays sequential, so each lane accumulates exactly the scalar kernel's
 /// bits (vectorising *across* lags never reassociates a per-lag sum).
-#[inline]
+#[inline(always)]
 fn lag_correlation_x4(
     signal: &[Complex64],
     template: &[Complex64],
@@ -33,6 +33,74 @@ fn lag_correlation_x4(
         acc = acc.add(C64x4::load(signal, t + m).mul_conj(C64x4::splat(*tap)));
     }
     [acc.lane(0), acc.lane(1), acc.lane(2), acc.lane(3)]
+}
+
+/// Pushes `|c[t]|` for every lag: through the AVX2 twin when the `simd`
+/// build runs on an x86-64 host that has AVX2, else through the lanes or
+/// the scalar tier. All three give the same bits.
+fn lag_magnitudes(signal: &[Complex64], template: &[Complex64], lags: usize, out: &mut Vec<f64>) {
+    #[cfg(target_arch = "x86_64")]
+    if SIMD_ENABLED && std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 support was just verified at runtime, and the twin
+        // only compiles the portable lanes tier for it.
+        #[allow(unsafe_code)]
+        unsafe {
+            lag_magnitudes_avx2(signal, template, lags, out)
+        };
+        return;
+    }
+    if SIMD_ENABLED {
+        lag_magnitudes_lanes(signal, template, lags, out);
+    } else {
+        lag_magnitudes_scalar(signal, template, 0, lags, out);
+    }
+}
+
+/// Pushes `|c[t]|` for lags `from..lags` through [`lag_correlation`]: the
+/// scalar tier.
+#[inline(always)]
+fn lag_magnitudes_scalar(
+    signal: &[Complex64],
+    template: &[Complex64],
+    from: usize,
+    lags: usize,
+    out: &mut Vec<f64>,
+) {
+    for t in from..lags {
+        out.push(lag_correlation(signal, template, t).abs());
+    }
+}
+
+/// Pushes `|c[t]|` for every lag, four lags per step through
+/// [`lag_correlation_x4`] and the ragged tail through the scalar tier: the
+/// lanes tier.
+#[inline(always)]
+fn lag_magnitudes_lanes(
+    signal: &[Complex64],
+    template: &[Complex64],
+    lags: usize,
+    out: &mut Vec<f64>,
+) {
+    let mut t = 0;
+    while t + LANES <= lags {
+        for c in lag_correlation_x4(signal, template, t) {
+            out.push(c.abs());
+        }
+        t += LANES;
+    }
+    lag_magnitudes_scalar(signal, template, t, lags, out);
+}
+
+/// [`lag_magnitudes_lanes`] compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn lag_magnitudes_avx2(
+    signal: &[Complex64],
+    template: &[Complex64],
+    lags: usize,
+    out: &mut Vec<f64>,
+) {
+    lag_magnitudes_lanes(signal, template, lags, out);
 }
 
 /// Normalised cross-correlation magnitude in `[0, 1]`:
@@ -62,19 +130,8 @@ pub fn normalized_cross_correlate_into(
     let m = template.len();
     let lags = signal.len() - m + 1;
     // Phase 1: |c[t]| for every lag.
-    let mut t = 0usize;
-    if SIMD_ENABLED {
-        while t + LANES <= lags {
-            for c in lag_correlation_x4(signal, template, t) {
-                out.push(c.abs());
-            }
-            t += LANES;
-        }
-    }
-    while t < lags {
-        out.push(lag_correlation(signal, template, t).abs());
-        t += 1;
-    }
+    out.reserve(lags);
+    lag_magnitudes(signal, template, lags, out);
     // Phase 2: sliding window energy of the signal, normalising in place.
     let mut win_energy: f64 = signal[..m].iter().map(|v| v.norm_sqr()).sum();
     for (t, v) in out.iter_mut().enumerate() {
@@ -229,6 +286,7 @@ pub fn argmax(values: &[f64]) -> Option<usize> {
 mod tests {
     use super::*;
     use crate::rng::ComplexGaussian;
+    use crate::simd::tier_test;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -394,6 +452,47 @@ mod tests {
                 assert_eq!(lane.im.to_bits(), scalar.im.to_bits(), "lag {}", t + j);
             }
             t += 4;
+        }
+    }
+
+    #[test]
+    fn lag_magnitude_tiers_bitwise_match() {
+        // The AVX2 twin, the lanes tier and the scalar tier over the same
+        // signal: odd lengths, fewer lags than a lane group, a ragged tail,
+        // the detector's 448-sample window against a 64-sample template,
+        // and IEEE edge values in both inputs.
+        let avx2 = tier_test::host_has_avx2("lag_magnitude_tiers_bitwise_match");
+        let mut rng = StdRng::seed_from_u64(22);
+        for (n, m) in [
+            (1usize, 1usize),
+            (3, 1),
+            (7, 5),
+            (9, 9),
+            (33, 16),
+            (101, 17),
+            (448, 64),
+        ] {
+            for special in [false, true] {
+                let signal = tier_test::samples(&mut rng, n, special);
+                let template = tier_test::samples(&mut rng, m, special);
+                let lags = n - m + 1;
+                let mut scalar = Vec::new();
+                lag_magnitudes_scalar(&signal, &template, 0, lags, &mut scalar);
+                let mut lanes = Vec::new();
+                lag_magnitudes_lanes(&signal, &template, lags, &mut lanes);
+                let what = format!("n {n} m {m} special {special}");
+                tier_test::assert_same_real_bits(&lanes, &scalar, &format!("{what}: lanes"));
+                #[cfg(target_arch = "x86_64")]
+                if avx2 {
+                    let mut twin = Vec::new();
+                    // SAFETY: AVX2 was detected above.
+                    #[allow(unsafe_code)]
+                    unsafe {
+                        lag_magnitudes_avx2(&signal, &template, lags, &mut twin)
+                    };
+                    tier_test::assert_same_real_bits(&twin, &scalar, &format!("{what}: avx2"));
+                }
+            }
         }
     }
 

@@ -11,7 +11,9 @@
 //! makes the Fig. 12 sync-error experiment meaningful.
 
 use crate::complex::Complex64;
+use crate::simd::SIMD_ENABLED;
 use std::f64::consts::PI;
+use std::ops::Mul;
 
 /// Half-width (in taps) of the windowed-sinc interpolation kernel.
 /// 16 taps each side gives ≈ −90 dB interpolation error for in-band signals.
@@ -50,7 +52,7 @@ fn blackman(i: usize, n: usize) -> f64 {
 /// Number of taps in the windowed-sinc interpolation kernel.
 const TAPS: usize = 2 * SINC_HALF_WIDTH;
 
-/// Outputs per block of the gather convolution: one independent accumulator
+/// Outputs per block of [`convolve_gather`]: one independent accumulator
 /// each, so the per-output additions of consecutive taps do not chain.
 const BLOCK: usize = 8;
 
@@ -187,69 +189,95 @@ pub fn fractional_delay_span(
     convolve_gather(signal, &ws.kernel, trim, out);
 }
 
-/// Writes convolution outputs `trim..trim + out.len()` of `signal ∗ kernel`
-/// into `out` (`trim ≤ TAPS − 1`).
+/// Writes outputs `first..first + out.len()` of the linear convolution
+/// `signal ∗ taps` into `out`: the one gather convolution behind both the
+/// fractional delay (`f64` windowed-sinc taps) and
+/// `ssync_channel::Multipath::apply_into` (`Complex64` multipath taps).
 ///
-/// Each output sums `signal[t − j]·kernel[j]` over descending tap `j`
-/// (ascending input index) starting from `Complex64::ZERO`. That order is
-/// part of the bit-identity contract: every pinned capture was produced by
-/// summing in it (`tests::scatter_oracle` keeps the per-input loop as the
-/// reference). Outputs with all taps inside the signal run in blocks of
-/// [`BLOCK`] independent accumulators in the native (re, im) layout; the
-/// edges take a plain loop in the same order.
-fn convolve_gather(signal: &[Complex64], kernel: &[f64; TAPS], trim: usize, out: &mut [Complex64]) {
+/// Output `t` sums `signal[i]·taps[t − i]` over ascending input index `i`
+/// (descending tap), starting from `Complex64::ZERO`, with
+/// `Complex64 * f64` being [`Complex64::scale`]. That order is part of the
+/// bit-identity contract: every pinned capture was produced by summing in
+/// it (`tests::scatter_oracle` keeps the per-input loop as the reference).
+/// Outputs with every tap inside the signal run in blocks of eight
+/// independent accumulators in the native (re, im) layout; the edges take
+/// a plain loop in the same order. Outputs past the end of the
+/// convolution are zero.
+///
+/// On x86-64 hosts with AVX2 (and the `simd` feature) the same source runs
+/// compiled for 256-bit registers; the bits are the same either way.
+///
+/// # Panics
+/// Panics if `taps` is empty.
+pub fn convolve_gather<T>(signal: &[Complex64], taps: &[T], first: usize, out: &mut [Complex64])
+where
+    T: Copy,
+    Complex64: Mul<T, Output = Complex64>,
+{
+    assert!(!taps.is_empty(), "convolution needs at least one tap");
+    #[cfg(target_arch = "x86_64")]
+    if SIMD_ENABLED && std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 support was just verified at runtime, and the twin
+        // only compiles the portable body for it.
+        #[allow(unsafe_code)]
+        unsafe {
+            convolve_avx2(signal, taps, first, out)
+        };
+        return;
+    }
+    convolve_body(signal, taps, first, out);
+}
+
+/// [`convolve_body`] compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn convolve_avx2<T>(signal: &[Complex64], taps: &[T], first: usize, out: &mut [Complex64])
+where
+    T: Copy,
+    Complex64: Mul<T, Output = Complex64>,
+{
+    convolve_body(signal, taps, first, out);
+}
+
+/// The portable body of [`convolve_gather`].
+#[inline(always)]
+fn convolve_body<T>(signal: &[Complex64], taps: &[T], first: usize, out: &mut [Complex64])
+where
+    T: Copy,
+    Complex64: Mul<T, Output = Complex64>,
+{
+    let end = first + out.len();
     let edge = |t: usize| {
-        let lo = (t + 1).saturating_sub(TAPS);
+        let lo = (t + 1).saturating_sub(taps.len());
         let hi = (t + 1).min(signal.len());
         let mut acc = Complex64::ZERO;
         for (i, s) in signal.iter().enumerate().take(hi).skip(lo) {
-            acc += s.scale(kernel[t - i]);
+            acc += *s * taps[t - i];
         }
         acc
     };
-    // Full-tap outputs are t in [TAPS - 1, signal.len()), here also capped
-    // at the last output wanted; trim ≤ TAPS - 1.
-    let full_lo = TAPS - 1;
-    let full_hi = signal.len().min(trim + out.len()).max(full_lo);
-    for t in trim..full_lo.min(trim + out.len()) {
-        out[t - trim] = edge(t);
+    // Full-tap outputs are t in [taps − 1, signal.len()).
+    let full_lo = (taps.len() - 1).clamp(first, end);
+    let full_hi = signal.len().clamp(full_lo, end);
+    for t in first..full_lo {
+        out[t - first] = edge(t);
     }
     let mut t = full_lo;
     while t + BLOCK <= full_hi {
         let mut acc = [Complex64::ZERO; BLOCK];
-        for (j, &k) in kernel.iter().enumerate().rev() {
+        for (j, &h) in taps.iter().enumerate().rev() {
             let src: &[Complex64; BLOCK] = signal[t - j..t - j + BLOCK]
                 .try_into()
                 .expect("block of BLOCK samples");
             for (a, s) in acc.iter_mut().zip(src) {
-                *a += s.scale(k);
+                *a += *s * h;
             }
         }
-        out[t - trim..t - trim + BLOCK].copy_from_slice(&acc);
+        out[t - first..t - first + BLOCK].copy_from_slice(&acc);
         t += BLOCK;
     }
-    for t in t..trim + out.len() {
-        out[t - trim] = edge(t);
-    }
-}
-
-/// Applies a frequency-domain phase ramp corresponding to a (possibly
-/// fractional, possibly negative) circular time shift of `delay` samples to a
-/// length-N spectrum: bin `k` (in FFT order) is multiplied by
-/// `e^{−j2π·k̃·delay/N}` where `k̃` is the signed bin index.
-///
-/// This is the *definition* the SourceSync slope estimator inverts, and the
-/// test oracle for [`fractional_delay`].
-pub fn spectrum_delay(spectrum: &mut [Complex64], delay: f64) {
-    let n = spectrum.len();
-    for (k, v) in spectrum.iter_mut().enumerate() {
-        // Signed bin index: bins above N/2 represent negative frequencies.
-        let k_signed = if k <= n / 2 {
-            k as f64
-        } else {
-            k as f64 - n as f64
-        };
-        *v *= Complex64::cis(-2.0 * PI * k_signed * delay / n as f64);
+    for t in t..end {
+        out[t - first] = edge(t);
     }
 }
 
@@ -258,8 +286,29 @@ mod tests {
     use super::*;
     use crate::fft::FftPlan;
     use crate::rng::ComplexGaussian;
+    use crate::simd::tier_test;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// Applies a frequency-domain phase ramp corresponding to a (possibly
+    /// fractional, possibly negative) circular time shift of `delay` samples to a
+    /// length-N spectrum: bin `k` (in FFT order) is multiplied by
+    /// `e^{−j2π·k̃·delay/N}` where `k̃` is the signed bin index.
+    ///
+    /// This is the *definition* the SourceSync slope estimator inverts, and the
+    /// oracle for [`fractional_delay`].
+    fn spectrum_delay(spectrum: &mut [Complex64], delay: f64) {
+        let n = spectrum.len();
+        for (k, v) in spectrum.iter_mut().enumerate() {
+            // Signed bin index: bins above N/2 represent negative frequencies.
+            let k_signed = if k <= n / 2 {
+                k as f64
+            } else {
+                k as f64 - n as f64
+            };
+            *v *= Complex64::cis(-2.0 * PI * k_signed * delay / n as f64);
+        }
+    }
 
     /// Generates a band-limited random signal (occupying the central half of
     /// the band) so that sinc interpolation is accurate.
@@ -421,6 +470,146 @@ mod tests {
             }
         }
         out
+    }
+
+    /// The multipath gather loop `ssync_channel::Multipath::apply_into`
+    /// ran before it moved onto [`convolve_gather`], kept as the oracle
+    /// for complex taps: outputs `span` of `input ∗ taps`.
+    fn multipath_oracle(
+        input: &[Complex64],
+        taps: &[Complex64],
+        span: std::ops::Range<usize>,
+    ) -> Vec<Complex64> {
+        let edge = |c: usize| {
+            let lo = (c + 1).saturating_sub(taps.len());
+            let hi = (c + 1).min(input.len());
+            let mut acc = Complex64::ZERO;
+            for (i, x) in input.iter().enumerate().take(hi).skip(lo) {
+                acc += *x * taps[c - i];
+            }
+            acc
+        };
+        let full_lo = (taps.len() - 1).clamp(span.start, span.end);
+        let full_hi = input.len().clamp(full_lo, span.end);
+        let mut out: Vec<Complex64> = (span.start..full_lo).map(edge).collect();
+        let mut c = full_lo;
+        while c + BLOCK <= full_hi {
+            let mut acc = [Complex64::ZERO; BLOCK];
+            for (j, h) in taps.iter().enumerate().rev() {
+                for (k, a) in acc.iter_mut().enumerate() {
+                    *a += input[c - j + k] * *h;
+                }
+            }
+            out.extend_from_slice(&acc);
+            c += BLOCK;
+        }
+        out.extend((c..span.end).map(edge));
+        out
+    }
+
+    /// Output spans of a `len`-output convolution: the whole, each edge,
+    /// clipped at either end, narrower than `taps`, and random ones.
+    fn spans(rng: &mut StdRng, len: usize, taps: usize) -> Vec<(usize, usize)> {
+        let mut spans = vec![
+            (0, len),
+            (0, 1.min(len)),
+            (len.saturating_sub(1), len),
+            (len, len),
+            (0, (taps / 2).min(len)),
+            (len.saturating_sub(taps / 2 + 1), len),
+            (len / 3, (len / 3 + taps.saturating_sub(1)).min(len)),
+        ];
+        for _ in 0..8 {
+            let a = rng.gen_range(0..=len);
+            spans.push((a, rng.gen_range(a..=len)));
+        }
+        spans
+    }
+
+    /// Outputs `first..first + len` of `signal ∗ taps` through every tier:
+    /// the portable body, the AVX2 twin when the host has it, and the
+    /// dispatched entry point; asserts they agree and returns the body's.
+    fn convolve_tiers<T>(
+        signal: &[Complex64],
+        taps: &[T],
+        first: usize,
+        len: usize,
+        avx2: bool,
+        what: &str,
+    ) -> Vec<Complex64>
+    where
+        T: Copy,
+        Complex64: Mul<T, Output = Complex64>,
+    {
+        let mut body = vec![Complex64::J; len];
+        convolve_body(signal, taps, first, &mut body);
+        let mut dispatched = vec![Complex64::ONE; len];
+        convolve_gather(signal, taps, first, &mut dispatched);
+        tier_test::assert_same_bits(&dispatched, &body, &format!("{what}: dispatched"));
+        #[cfg(target_arch = "x86_64")]
+        if avx2 {
+            let mut twin = vec![-Complex64::ONE; len];
+            // SAFETY: the caller checked that the host has AVX2.
+            #[allow(unsafe_code)]
+            unsafe {
+                convolve_avx2(signal, taps, first, &mut twin)
+            };
+            tier_test::assert_same_bits(&twin, &body, &format!("{what}: avx2"));
+        }
+        body
+    }
+
+    #[test]
+    fn convolution_tiers_bitwise_match() {
+        // The fractional delay's windowed-sinc taps through every tier
+        // against the per-input scatter loop: odd lengths, spans clipped
+        // at either edge and narrower than the kernel, and IEEE edge
+        // values in the signal.
+        let avx2 = tier_test::host_has_avx2("convolution_tiers_bitwise_match");
+        let mut rng = StdRng::seed_from_u64(35);
+        let kernel = fractional_kernel(0.37);
+        for special in [false, true] {
+            for n in [1usize, 5, 31, 33, 67, 301] {
+                let x = tier_test::samples(&mut rng, n, special);
+                let len = n + TAPS - 1;
+                let mut whole = vec![Complex64::ZERO; len];
+                for (i, s) in x.iter().enumerate() {
+                    for (j, k) in kernel.iter().enumerate() {
+                        whole[i + j] += s.scale(*k);
+                    }
+                }
+                for (lo, hi) in spans(&mut rng, len, TAPS) {
+                    let what = format!("n {n} span [{lo}, {hi})");
+                    let got = convolve_tiers(&x, &kernel, lo, hi - lo, avx2, &what);
+                    tier_test::assert_same_bits(&got, &whole[lo..hi], &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shared_convolution_bitwise_matches_multipath_loop() {
+        // Complex taps through every tier against the loop
+        // `Multipath::apply_into` ran before it moved here: 1 to 25 taps,
+        // inputs shorter than the channel, around one block and many
+        // blocks, every span shape, with and without IEEE edge values.
+        let avx2 = tier_test::host_has_avx2("shared_convolution_bitwise_matches_multipath_loop");
+        let mut rng = StdRng::seed_from_u64(34);
+        for n_taps in [1usize, 2, 5, 9, 25] {
+            for special in [false, true] {
+                let taps = tier_test::samples(&mut rng, n_taps, special);
+                for n in [1usize, 3, 8, 13, 31, 64, 517] {
+                    let x = tier_test::samples(&mut rng, n, special);
+                    let len = n + n_taps - 1;
+                    for (lo, hi) in spans(&mut rng, len, n_taps) {
+                        let what = format!("taps {n_taps} n {n} span [{lo}, {hi})");
+                        let got = convolve_tiers(&x, &taps, lo, hi - lo, avx2, &what);
+                        let want = multipath_oracle(&x, &taps, lo..hi);
+                        tier_test::assert_same_bits(&got, &want, &what);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -196,25 +196,22 @@ pub fn dft_naive(input: &[Complex64]) -> Vec<Complex64> {
         .collect()
 }
 
-/// Circularly convolves `a` and `b` (equal lengths, power of two) via the FFT.
-///
-/// Used by tests to check the convolution theorem and by channel emulation
-/// oracles.
-pub fn circular_convolve(a: &[Complex64], b: &[Complex64]) -> Vec<Complex64> {
-    assert_eq!(a.len(), b.len());
-    let fft = FftPlan::new(a.len());
-    let fa = fft.forward_to_vec(a);
-    let fb = fft.forward_to_vec(b);
-    let prod: Vec<Complex64> = fa.iter().zip(&fb).map(|(x, y)| *x * *y).collect();
-    fft.inverse_to_vec(&prod)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::ComplexGaussian;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Circularly convolves `a` and `b` (equal lengths, power of two) via the FFT.
+    fn circular_convolve(a: &[Complex64], b: &[Complex64]) -> Vec<Complex64> {
+        assert_eq!(a.len(), b.len());
+        let fft = FftPlan::new(a.len());
+        let fa = fft.forward_to_vec(a);
+        let fb = fft.forward_to_vec(b);
+        let prod: Vec<Complex64> = fa.iter().zip(&fb).map(|(x, y)| *x * *y).collect();
+        fft.inverse_to_vec(&prod)
+    }
 
     fn max_err(a: &[Complex64], b: &[Complex64]) -> f64 {
         a.iter().zip(b).map(|(x, y)| x.dist(*y)).fold(0.0, f64::max)

@@ -15,15 +15,22 @@
 //!   the counter-based receiver-noise kernel, keyed per capture,
 //! * [`simd`] — portable 4-lane f64/complex vectors backing the hot inner
 //!   loops; the `simd` cargo feature (default on) dispatches the lane
-//!   kernels, `--no-default-features` the bit-identical scalar fallbacks.
+//!   kernels (and, on x86-64 hosts with AVX2, their AVX2 twins),
+//!   `--no-default-features` the bit-identical scalar fallbacks.
 //!
 //! Everything is pure, allocation-conscious, and deterministic; there is no
 //! interior mutability and no global state.
 
-// No unsafe anywhere in this crate: the determinism contract is easier
-// to audit when the only unsafe in the workspace is ssync_phy's fenced
-// AVX2 tier (see DESIGN.md and ssync_lint's `undocumented-unsafe` rule).
-#![forbid(unsafe_code)]
+// Unsafe is denied crate-wide. The one exception is a runtime-checked
+// AVX2 dispatch: `delay::convolve_gather`, `rng::add_keyed_noise` and
+// `correlate::normalized_cross_correlate_into` call an
+// `#[target_feature(enable = "avx2")]` twin of their portable body once
+// `is_x86_feature_detected!("avx2")` holds. Each call site carries
+// `#[allow(unsafe_code)]` and a `// SAFETY:` comment; the twins write no
+// intrinsics, so the bits are the portable body's (see DESIGN.md, "The
+// SIMD layer and kernel tiers", and ssync_lint's `undocumented-unsafe`
+// and `fma-contraction` rules).
+#![deny(unsafe_code)]
 
 pub mod complex;
 pub mod correlate;

@@ -254,7 +254,7 @@ fn noise_scalar(buf: &mut [Complex64], key: u64, sigma: f64, first: usize) {
 /// integer draws into arrays, then [`polar`] four lanes at a time, then
 /// the quadrant turns. The samples past the last whole group of four go
 /// through [`noise_scalar`].
-#[inline]
+#[inline(always)]
 fn noise_lanes(buf: &mut [Complex64], key: u64, sigma: f64) {
     let (mut e, mut m, mut t, mut q) = ([0.0; CHUNK], [0.0; CHUNK], [0.0; CHUNK], [0; CHUNK]);
     let (mut x, mut y) = ([0.0; CHUNK], [0.0; CHUNK]);
@@ -295,6 +295,16 @@ pub fn add_keyed_noise(buf: &mut [Complex64], key: u64, power: f64) {
         return;
     }
     let sigma = (power / 2.0).sqrt();
+    #[cfg(target_arch = "x86_64")]
+    if SIMD_ENABLED && std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 support was just verified at runtime, and the twin
+        // only compiles the portable lanes tier for it.
+        #[allow(unsafe_code)]
+        unsafe {
+            noise_avx2(buf, key, sigma)
+        };
+        return;
+    }
     if SIMD_ENABLED {
         noise_lanes(buf, key, sigma);
     } else {
@@ -302,9 +312,17 @@ pub fn add_keyed_noise(buf: &mut [Complex64], key: u64, power: f64) {
     }
 }
 
+/// [`noise_lanes`] compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn noise_avx2(buf: &mut [Complex64], key: u64, sigma: f64) {
+    noise_lanes(buf, key, sigma);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simd::tier_test;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -487,16 +505,33 @@ mod tests {
 
     #[test]
     fn keyed_noise_tiers_bitwise_match_with_odd_tails() {
-        for n in (0..=9).chain([63, 1_001]) {
-            let base: Vec<Complex64> = (0..n)
+        // The lanes tier, its AVX2 twin and the scalar tier on the same
+        // buffers: lengths shorter than a lane group, odd, and either side
+        // of a staging chunk, over plain values and over IEEE edge values
+        // already in the buffer.
+        let avx2 = tier_test::host_has_avx2("keyed_noise_tiers_bitwise_match_with_odd_tails");
+        let mut rng = StdRng::seed_from_u64(46);
+        for n in (0..=9).chain([63, 64, 65, 129, 1_001]) {
+            let plain: Vec<Complex64> = (0..n)
                 .map(|i| Complex64::new(i as f64 * 0.5, -(i as f64)))
                 .collect();
-            let (mut lanes, mut scalar) = (base.clone(), base);
-            noise_lanes(&mut lanes, 99, 0.7);
-            noise_scalar(&mut scalar, 99, 0.7, 0);
-            for (k, (a, b)) in lanes.iter().zip(&scalar).enumerate() {
-                assert_eq!(a.re.to_bits(), b.re.to_bits(), "n {n} k {k}");
-                assert_eq!(a.im.to_bits(), b.im.to_bits(), "n {n} k {k}");
+            let special = tier_test::samples(&mut rng, n, true);
+            for (key, sigma, base) in [(99, 0.7, plain), (u64::MAX, 3e-200, special)] {
+                let (mut lanes, mut scalar) = (base.clone(), base.clone());
+                noise_lanes(&mut lanes, key, sigma);
+                noise_scalar(&mut scalar, key, sigma, 0);
+                let what = format!("n {n} key {key}");
+                tier_test::assert_same_bits(&lanes, &scalar, &format!("{what}: lanes"));
+                #[cfg(target_arch = "x86_64")]
+                if avx2 {
+                    let mut twin = base;
+                    // SAFETY: AVX2 was detected above.
+                    #[allow(unsafe_code)]
+                    unsafe {
+                        noise_avx2(&mut twin, key, sigma)
+                    };
+                    tier_test::assert_same_bits(&twin, &scalar, &format!("{what}: avx2"));
+                }
             }
         }
     }

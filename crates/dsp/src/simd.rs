@@ -17,6 +17,13 @@
 //! building with `--no-default-features` selects the scalar fallbacks. Both
 //! paths are always compiled and unit-tested against each other, which is
 //! what keeps the CI scalar job meaningful.
+//!
+//! On x86-64 hosts that report AVX2 at runtime, the `simd` build also runs
+//! `delay::convolve_gather`, the keyed noise and the cross-correlation's
+//! lag loop through AVX2 twins: `#[target_feature(enable = "avx2")]`
+//! functions that call the kernel's `#[inline(always)]` portable body, so
+//! the same source is compiled for 256-bit registers with the same IEEE
+//! operations. The `tier_test` fixtures below serve their tier tests.
 
 use crate::complex::Complex64;
 
@@ -332,6 +339,91 @@ impl C64x4 {
     #[inline(always)]
     pub fn norm_sqr(self) -> F64x4 {
         self.re.mul(self.re).add(self.im.mul(self.im))
+    }
+}
+
+/// Fixtures shared by the per-kernel tier tests, which call each kernel's
+/// AVX2 twin, portable body and scalar tier directly and compare bits.
+#[cfg(test)]
+pub(crate) mod tier_test {
+    use crate::complex::Complex64;
+    use rand::rngs::StdRng;
+    use rand::Rng;
+
+    /// Whether this host can run the AVX2 twins. When it cannot, prints a
+    /// note naming the test so a skipped comparison is visible.
+    pub(crate) fn host_has_avx2(test: &str) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        let has = std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let has = false;
+        if !has {
+            println!("{test}: host lacks AVX2; the AVX2 twin is not compared");
+        }
+        has
+    }
+
+    /// Values that stress IEEE edge cases: both zeros, subnormals, both
+    /// infinities and NaN.
+    const SPECIAL: [f64; 7] = [
+        0.0,
+        -0.0,
+        f64::MIN_POSITIVE / 3.0,
+        -f64::MIN_POSITIVE / 5.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+    ];
+
+    /// `n` samples in `[-2, 2)²`, with one part of roughly every fifth
+    /// sample replaced by an entry of [`SPECIAL`] when `special` is set.
+    pub(crate) fn samples(rng: &mut StdRng, n: usize, special: bool) -> Vec<Complex64> {
+        (0..n)
+            .map(|i| {
+                let mut z = Complex64::new(rng.gen_range(-2.0..2.0), rng.gen_range(-2.0..2.0));
+                if special && rng.gen_range(0..5) == 0 {
+                    let v = SPECIAL[(i * 3 + n) % SPECIAL.len()];
+                    if i % 2 == 0 {
+                        z.re = v;
+                    } else {
+                        z.im = v;
+                    }
+                }
+                z
+            })
+            .collect()
+    }
+
+    /// `v`'s bits, with every NaN mapped to one canonical pattern.
+    ///
+    /// Rust leaves the sign and payload of a NaN that arithmetic produces
+    /// unspecified, and x86 returns the first operand's NaN when both are
+    /// NaN, so two compilations of one source (the AVX2 twin commutes an
+    /// addition the portable body does not) can disagree on a NaN's sign
+    /// bit. Every other value, signed zeros and subnormals included, must
+    /// match bit for bit.
+    fn canonical_bits(v: f64) -> u64 {
+        if v.is_nan() {
+            f64::NAN.to_bits()
+        } else {
+            v.to_bits()
+        }
+    }
+
+    /// Asserts two real vectors carry the same bits, element by element
+    /// (NaN matches NaN whatever its sign or payload; see
+    /// [`canonical_bits`]).
+    pub(crate) fn assert_same_real_bits(got: &[f64], want: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (k, (a, b)) in got.iter().zip(want).enumerate() {
+            assert_eq!(canonical_bits(*a), canonical_bits(*b), "{what}: {k}");
+        }
+    }
+
+    /// [`assert_same_real_bits`] for complex samples, part by part.
+    pub(crate) fn assert_same_bits(got: &[Complex64], want: &[Complex64], what: &str) {
+        let parts = |v: &[Complex64]| -> Vec<f64> { v.iter().flat_map(|z| [z.re, z.im]).collect() };
+        assert_same_real_bits(&parts(got), &parts(want), what);
     }
 }
 

@@ -18,7 +18,9 @@ pub enum Rule {
     NondetFsWalk,
     /// `Instant`/`SystemTime`: wall-clock reads in deterministic code.
     WallClock,
-    /// `mul_add`/`fma`: fused multiply-add breaks scalar/SIMD bit-identity.
+    /// `mul_add`/`fma`, or a `#[target_feature(enable = …)]` naming
+    /// anything but `avx2`: fused multiply-add (or a tier with its own
+    /// codegen) breaks scalar/SIMD bit-identity.
     FmaContraction,
     /// `.get(…)…unwrap_or(…)`: silently papers over a missing map entry.
     SilentFallback,
@@ -76,7 +78,8 @@ impl Rule {
             }
             Rule::FmaContraction => {
                 "mul_add/fma fuse the intermediate rounding, so scalar and \
-                 SIMD kernels diverge bitwise (DESIGN.md no-FMA rule)"
+                 SIMD kernels diverge bitwise (DESIGN.md no-FMA rule); \
+                 #[target_feature] may enable avx2 alone"
             }
             Rule::SilentFallback => {
                 "a map lookup chained into unwrap_or/unwrap_or_default \
@@ -147,6 +150,35 @@ const SAFETY_COMMENT_REACH: u32 = 5;
 /// wrapped onto two).
 const DETERMINISM_COMMENT_REACH: u32 = 3;
 
+/// The features named by the string literals of a `target_feature(…)`
+/// argument list, `tokens` starting just inside its `(`: each literal
+/// split at commas, trimmed, and stripped of a leading `+`.
+fn enabled_features(tokens: &[&Token]) -> Vec<String> {
+    let mut depth = 1usize;
+    let mut features = Vec::new();
+    for t in tokens {
+        if t.is_punct('(') {
+            depth += 1;
+        } else if t.is_punct(')') {
+            depth -= 1;
+            if depth == 0 {
+                break;
+            }
+        } else if t.kind == TokenKind::Str {
+            let body = t
+                .text
+                .trim_start_matches(['b', 'r', '#'])
+                .trim_end_matches('#')
+                .trim_matches('"');
+            features.extend(
+                body.split(',')
+                    .map(|f| f.trim().trim_start_matches('+').to_string()),
+            );
+        }
+    }
+    features
+}
+
 /// Lints one source file. `rel_path` must be workspace-relative with
 /// forward slashes — rule scoping (protocol crates, the criterion
 /// exemption) keys off it.
@@ -192,11 +224,26 @@ pub fn lint_source(rel_path: &str, src: &str) -> Vec<Violation> {
         .collect();
 
     // Single-identifier rules.
-    for t in &code {
+    for (i, t) in code.iter().enumerate() {
         if t.kind != TokenKind::Ident {
             continue;
         }
         match t.text.as_str() {
+            "target_feature" if code.get(i + 1).is_some_and(|n| n.is_punct('(')) => {
+                for f in enabled_features(&code[i + 2..]) {
+                    if f != "avx2" {
+                        out.push(viol(
+                            Rule::FmaContraction,
+                            t.line,
+                            format!(
+                                "`#[target_feature]` enables `{f}`; a kernel tier may \
+                                 enable only `avx2` (any other feature is a new tier \
+                                 with its own bit-identity questions)"
+                            ),
+                        ));
+                    }
+                }
+            }
             "HashMap" | "HashSet" => out.push(viol(
                 Rule::NondetIteration,
                 t.line,
@@ -450,6 +497,32 @@ mod tests {
     fn fma_quiet_on_separate_mul_and_add() {
         let src = "fn f(a: f64, b: f64, c: f64) -> f64 { a * b + c }";
         assert!(rules_fired(CODE_PATH, src).is_empty());
+    }
+
+    #[test]
+    fn target_feature_may_enable_avx2_alone() {
+        let ok = "#[target_feature(enable = \"avx2\")]\nfn f() {}\n";
+        assert!(rules_fired(CODE_PATH, ok).is_empty());
+        for bad in ["fma", "avx2,fma", "avx512f", "+avx2, avx512vl", "sse4.1"] {
+            let src = format!("#[target_feature(enable = \"{bad}\")]\nfn f() {{}}\n");
+            let v = lint_source(CODE_PATH, &src);
+            assert!(!v.is_empty(), "{bad}");
+            assert!(
+                v.iter()
+                    .all(|v| v.rule == Rule::FmaContraction && v.line == 1),
+                "{bad}"
+            );
+        }
+        let raw = "#[target_feature(enable = r#\"avx2,fma\"#)]\nfn f() {}\n";
+        assert_eq!(rules_fired(CODE_PATH, raw), ["fma-contraction"]);
+        // Only the attribute that enables features is checked: a cfg
+        // predicate, a string or a comment naming one is not.
+        let quiet = concat!(
+            "#[cfg(target_feature = \"fma\")]\n",
+            "fn f() { let _s = \"target_feature(enable = fma)\"; }\n",
+            "// #[target_feature(enable = \"avx512f\")]\n",
+        );
+        assert!(rules_fired(CODE_PATH, quiet).is_empty());
     }
 
     // ---- silent-fallback --------------------------------------------------

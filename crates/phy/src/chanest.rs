@@ -47,25 +47,6 @@ impl ChannelEstimate {
             .map(|v| ssync_dsp::stats::db_from_linear(v.norm_sqr() / grid_noise.max(1e-15)))
             .collect()
     }
-
-    /// Pointwise sum of two channel estimates (the composite channel of two
-    /// synchronized senders, paper §5). Noise adds.
-    pub fn composite_with(&self, other: &ChannelEstimate) -> ChannelEstimate {
-        assert_eq!(
-            self.carriers, other.carriers,
-            "estimates cover different carriers"
-        );
-        ChannelEstimate {
-            carriers: self.carriers.clone(),
-            values: self
-                .values
-                .iter()
-                .zip(&other.values)
-                .map(|(a, b)| *a + *b)
-                .collect(),
-            noise_power: self.noise_power + other.noise_power,
-        }
-    }
 }
 
 /// Least-squares channel estimate from `LTS_REPS` long-training repetitions
@@ -183,6 +164,22 @@ mod tests {
     use ssync_dsp::delay::fractional_delay;
     use ssync_dsp::rng::ComplexGaussian;
 
+    /// Pointwise sum of two channel estimates (the composite channel of two
+    /// synchronized senders, paper §5). Noise adds.
+    fn composite(a: &ChannelEstimate, b: &ChannelEstimate) -> ChannelEstimate {
+        assert_eq!(a.carriers, b.carriers, "estimates cover different carriers");
+        ChannelEstimate {
+            carriers: a.carriers.clone(),
+            values: a
+                .values
+                .iter()
+                .zip(&b.values)
+                .map(|(x, y)| *x + *y)
+                .collect(),
+            noise_power: a.noise_power + b.noise_power,
+        }
+    }
+
     fn flat_channel_estimate(
         params: &OfdmParams,
         delay: f64,
@@ -275,7 +272,7 @@ mod tests {
         let params = OfdmParams::dot11a();
         let a = flat_channel_estimate(&params, 0.0, 0.0, 6);
         let b = flat_channel_estimate(&params, 0.0, 0.0, 7);
-        let c = a.composite_with(&b);
+        let c = composite(&a, &b);
         for v in &c.values {
             assert!(v.dist(Complex64::new(2.0, 0.0)) < 1e-5);
         }

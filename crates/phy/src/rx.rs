@@ -10,7 +10,7 @@
 
 use crate::chanest::{self, ChannelEstimate};
 use crate::crc;
-use crate::detect::{Detection, Detector, DetectorConfig};
+use crate::detect::{Detection, Detector};
 use crate::frame::{self, SignalField};
 use crate::modulation::{self, DemapTable};
 use crate::ofdm;
@@ -156,12 +156,6 @@ impl Receiver {
             detector,
             window_backoff,
         }
-    }
-
-    /// Overrides detector thresholds.
-    pub fn with_detector_config(mut self, config: DetectorConfig) -> Self {
-        self.detector = Detector::with_config(&self.params, &self.fft, config);
-        self
     }
 
     /// The numerology in use.
