@@ -47,11 +47,30 @@ const RANGE_M: f64 = 215.0;
 /// See the module docs.
 pub struct TestbedCity;
 
-impl TestbedCity {
-    /// One body for both the plain and observed paths. Each region's
-    /// recorder/registry comes back from [`run_city_observed`] in region
-    /// order and is folded into `obs` as a `city{c}/region{k}` track.
-    fn run_with_obs(&self, ctx: &Ctx, out: &mut Output, obs: &mut Obs) {
+impl Scenario for TestbedCity {
+    fn name(&self) -> &'static str {
+        "testbed_city"
+    }
+
+    fn title(&self) -> &'static str {
+        "City-scale testbed: 504-node avenue, interference-closed regions in parallel"
+    }
+
+    fn paper_ref(&self) -> &'static str {
+        "§8 at city scale (ROADMAP north star)"
+    }
+
+    fn run(&self, ctx: &Ctx, out: &mut Output) {
+        self.run_observed(ctx, out, &mut Obs::disabled());
+    }
+}
+
+impl Observable for TestbedCity {
+    /// The one body: [`Scenario::run`] calls it with [`Obs::disabled`].
+    /// Each region's recorder/registry comes back from
+    /// [`run_city_observed`] in region order and is folded into `obs` as a
+    /// `city{c}/region{k}` track.
+    fn run_observed(&self, ctx: &Ctx, out: &mut Output, obs: &mut Obs) {
         let params = OfdmParams::dot11a();
         let plan = avenue();
         let transfer = TestbedConfig {
@@ -141,29 +160,5 @@ impl TestbedCity {
                 outcome.collisions(),
             ));
         }
-    }
-}
-
-impl Scenario for TestbedCity {
-    fn name(&self) -> &'static str {
-        "testbed_city"
-    }
-
-    fn title(&self) -> &'static str {
-        "City-scale testbed: 504-node avenue, interference-closed regions in parallel"
-    }
-
-    fn paper_ref(&self) -> &'static str {
-        "§8 at city scale (ROADMAP north star)"
-    }
-
-    fn run(&self, ctx: &Ctx, out: &mut Output) {
-        self.run_with_obs(ctx, out, &mut Obs::disabled());
-    }
-}
-
-impl Observable for TestbedCity {
-    fn run_observed(&self, ctx: &Ctx, out: &mut Output, obs: &mut Obs) {
-        self.run_with_obs(ctx, out, obs);
     }
 }

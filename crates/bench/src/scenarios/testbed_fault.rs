@@ -146,13 +146,31 @@ fn cases() -> Vec<FaultCase> {
 /// See the module docs.
 pub struct TestbedFault;
 
-impl TestbedFault {
-    /// One body for both the plain and observed paths. Each (case, trial)
-    /// run fills its own recorder/registry, folded into `obs` in case
-    /// order then trial order as a `{class}/t{trial}` track — so a fault
-    /// sweep's trace shows every injected class as its own Perfetto
-    /// process.
-    fn run_with_obs(&self, ctx: &Ctx, out: &mut Output, obs: &mut Obs) {
+impl Scenario for TestbedFault {
+    fn name(&self) -> &'static str {
+        "testbed_fault"
+    }
+
+    fn title(&self) -> &'static str {
+        "Event-driven testbed: fault-injection sweep over every protocol seam"
+    }
+
+    fn paper_ref(&self) -> &'static str {
+        "§8 robustness"
+    }
+
+    fn run(&self, ctx: &Ctx, out: &mut Output) {
+        self.run_observed(ctx, out, &mut Obs::disabled());
+    }
+}
+
+impl Observable for TestbedFault {
+    /// The one body: [`Scenario::run`] calls it with [`Obs::disabled`].
+    /// Each (case, trial) run fills its own recorder/registry, folded into
+    /// `obs` in case order then trial order as a `{class}/t{trial}` track
+    /// — so a fault sweep's trace shows every injected class as its own
+    /// Perfetto process.
+    fn run_observed(&self, ctx: &Ctx, out: &mut Output, obs: &mut Obs) {
         let cases = cases();
         let trials = ctx.trials(1);
         out.comment("Fault injection: per-class deliveries, protocol reactions, typed joins");
@@ -242,29 +260,5 @@ impl TestbedFault {
             "every FaultInjector class (drop/corrupt x data/ack/header) plus the empty \
              delay database maps to its typed outcome above",
         );
-    }
-}
-
-impl Scenario for TestbedFault {
-    fn name(&self) -> &'static str {
-        "testbed_fault"
-    }
-
-    fn title(&self) -> &'static str {
-        "Event-driven testbed: fault-injection sweep over every protocol seam"
-    }
-
-    fn paper_ref(&self) -> &'static str {
-        "§8 robustness"
-    }
-
-    fn run(&self, ctx: &Ctx, out: &mut Output) {
-        self.run_with_obs(ctx, out, &mut Obs::disabled());
-    }
-}
-
-impl Observable for TestbedFault {
-    fn run_observed(&self, ctx: &Ctx, out: &mut Output, obs: &mut Obs) {
-        self.run_with_obs(ctx, out, obs);
     }
 }

@@ -5,7 +5,7 @@
 //! Each trial draws a five-node topology (source, three relays,
 //! destination) with a healthy first hop, a marginal final hop and a dead
 //! direct link — the Fig. 10 regime — then runs one batch through
-//! `ssync_testbed::run_transfer` in each routing mode. Contention,
+//! `ssync_testbed::run_transfer_observed` in each routing mode. Contention,
 //! collisions, ACK losses, join failures and joint-frame gains all emerge
 //! from the waveform medium; the medians cross-check the analytic
 //! `fig18_opportunistic` ratios (ExOR > single path; ExOR+SourceSync ≥
@@ -153,13 +153,31 @@ fn mode_slug(mode: RoutingMode) -> &'static str {
 /// See the module docs.
 pub struct TestbedMultihop;
 
-impl TestbedMultihop {
-    /// One body for both the plain and observed paths, so the rendered
-    /// output cannot drift between them: each (topology, mode) run fills
-    /// its own per-trial recorder/registry via
+impl Scenario for TestbedMultihop {
+    fn name(&self) -> &'static str {
+        "testbed_multihop"
+    }
+
+    fn title(&self) -> &'static str {
+        "Event-driven testbed: multi-hop throughput, single path vs ExOR vs ExOR+SourceSync"
+    }
+
+    fn paper_ref(&self) -> &'static str {
+        "§8.4 / Fig. 18"
+    }
+
+    fn run(&self, ctx: &Ctx, out: &mut Output) {
+        self.run_observed(ctx, out, &mut Obs::disabled());
+    }
+}
+
+impl Observable for TestbedMultihop {
+    /// The one body: [`Scenario::run`] calls it with [`Obs::disabled`], so
+    /// the rendered output cannot drift between the two paths. Each
+    /// (topology, mode) run fills its own per-trial recorder/registry via
     /// [`run_transfer_observed`], folded into `obs` in trial-index order
     /// as a `topology{t}/{mode}` track.
-    fn run_with_obs(&self, ctx: &Ctx, out: &mut Output, obs: &mut Obs) {
+    fn run_observed(&self, ctx: &Ctx, out: &mut Output, obs: &mut Obs) {
         let modes = [
             RoutingMode::SinglePath,
             RoutingMode::Exor,
@@ -238,29 +256,5 @@ impl TestbedMultihop {
             medians[2] / medians[1].max(1e-9),
             medians[2] / medians[0].max(1e-9),
         ));
-    }
-}
-
-impl Scenario for TestbedMultihop {
-    fn name(&self) -> &'static str {
-        "testbed_multihop"
-    }
-
-    fn title(&self) -> &'static str {
-        "Event-driven testbed: multi-hop throughput, single path vs ExOR vs ExOR+SourceSync"
-    }
-
-    fn paper_ref(&self) -> &'static str {
-        "§8.4 / Fig. 18"
-    }
-
-    fn run(&self, ctx: &Ctx, out: &mut Output) {
-        self.run_with_obs(ctx, out, &mut Obs::disabled());
-    }
-}
-
-impl Observable for TestbedMultihop {
-    fn run_observed(&self, ctx: &Ctx, out: &mut Output, obs: &mut Obs) {
-        self.run_with_obs(ctx, out, obs);
     }
 }

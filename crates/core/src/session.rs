@@ -61,7 +61,7 @@ use crate::wire::{packet_id, SyncHeader};
 use rand::Rng;
 use ssync_dsp::mixer::apply_cfo_from;
 use ssync_dsp::{Complex64, FftPlan};
-use ssync_obs::{FrameClass, JoinFailureClass, JoinResult, TraceEventKind, TraceRecorder};
+use ssync_obs::JoinFailureClass;
 use ssync_phy::chanest::{delay_from_slope, phase_slope, ChannelEstimate};
 use ssync_phy::preamble::cosender_training;
 use ssync_phy::workspace::{RxWorkspace, TxWorkspace};
@@ -488,49 +488,6 @@ impl LeadTx<'_> {
             .transmit(s.lead, frame_sched.data_time, lead_data);
         frame_sched
     }
-
-    /// [`LeadTx::transmit_with`] plus trace spans for the sync header and
-    /// the lead's data section, stamped at `t_base_fs + <ether time>` so a
-    /// session embedded in a larger simulation lands at the right absolute
-    /// instant. Emission reads only the returned frame — the medium and
-    /// RNG state are untouched relative to `transmit_with`.
-    pub fn transmit_observed(
-        &self,
-        net: &mut Network,
-        ws: &mut SessionWorkspace,
-        trace: &mut TraceRecorder,
-        t_base_fs: u64,
-    ) -> LeadFrame {
-        let frame_sched = self.transmit_with(net, ws);
-        if trace.is_enabled() {
-            let lead = self.session.lead.0 as u32;
-            let period = ws.params.sample_period_fs();
-            let tl = &frame_sched.timeline;
-            trace.emit_span(
-                t_base_fs + frame_sched.t0.0,
-                tl.header_len as u64 * period,
-                lead,
-                TraceEventKind::FrameTx {
-                    class: FrameClass::SyncHeader,
-                    bytes: crate::wire::SYNC_HEADER_LEN as u32,
-                    seq: frame_sched.header.packet_id,
-                    dst: u16::MAX,
-                },
-            );
-            trace.emit_span(
-                t_base_fs + frame_sched.data_time.0,
-                (tl.total_len() - tl.data_start()) as u64 * period,
-                lead,
-                TraceEventKind::FrameTx {
-                    class: FrameClass::JointData,
-                    bytes: frame_sched.psdu.len() as u32,
-                    seq: frame_sched.header.packet_id,
-                    dst: u16::MAX,
-                },
-            );
-        }
-        frame_sched
-    }
 }
 
 /// One co-sender's stage: detect → estimate → compensate → quantise →
@@ -668,69 +625,6 @@ impl CosenderJoin<'_> {
             cfo_hz: res.diag.detection.cfo_hz,
         })
     }
-
-    /// [`CosenderJoin::join_with`] plus a [`TraceEventKind::JoinOutcome`]
-    /// event (and, on success, spans for the training slot and data
-    /// section). Failures are stamped at the end of the sync header — the
-    /// instant the co-sender knew it could not join.
-    pub fn join_observed<R: Rng + ?Sized>(
-        &self,
-        net: &mut Network,
-        rng: &mut R,
-        db: &DelayDatabase,
-        ws: &mut SessionWorkspace,
-        trace: &mut TraceRecorder,
-        t_base_fs: u64,
-    ) -> Result<CosenderTx, JoinFailure> {
-        let join = self.join_with(net, rng, db, ws);
-        if trace.is_enabled() {
-            let co = self.node().0 as u32;
-            let period = ws.params.sample_period_fs();
-            let tl = &self.frame.timeline;
-            let packet = self.frame.header.packet_id;
-            let (t_outcome, result) = match &join {
-                Ok(tx) => {
-                    trace.emit_span(
-                        t_base_fs + tx.training_time.0,
-                        tl.training_slot_len as u64 * period,
-                        co,
-                        TraceEventKind::FrameTx {
-                            class: FrameClass::Training,
-                            bytes: 0,
-                            seq: packet,
-                            dst: u16::MAX,
-                        },
-                    );
-                    trace.emit_span(
-                        t_base_fs + tx.data_time.0,
-                        (tl.total_len() - tl.data_start()) as u64 * period,
-                        co,
-                        TraceEventKind::FrameTx {
-                            class: FrameClass::JointData,
-                            bytes: self.frame.psdu.len() as u32,
-                            seq: packet,
-                            dst: u16::MAX,
-                        },
-                    );
-                    (tx.training_time.0, JoinResult::Joined { cfo_hz: tx.cfo_hz })
-                }
-                Err(failure) => (
-                    self.frame.t0.0 + tl.header_len as u64 * period,
-                    JoinResult::Failed(failure.class()),
-                ),
-            };
-            trace.emit(
-                t_base_fs + t_outcome,
-                co,
-                TraceEventKind::JoinOutcome {
-                    lead: self.frame.header.lead,
-                    packet,
-                    result,
-                },
-            );
-        }
-        join
-    }
 }
 
 /// One receiver's stage: capture, joint channel estimation, space-time
@@ -759,35 +653,6 @@ impl ReceiverDecode<'_> {
         let window = CAPTURE_MARGIN * 2 + timeline.total_len() + 400;
         let buf = net.medium.capture(rng, self.node, Time::ZERO, window);
         decode_capture(ws, &buf, self.node, self.frame, &self.session.config)
-    }
-
-    /// [`ReceiverDecode::decode_with`] plus a
-    /// [`TraceEventKind::JointDecode`] event carrying the combiner
-    /// statistics, stamped at the end of the joint frame.
-    pub fn decode_observed<R: Rng + ?Sized>(
-        &self,
-        net: &mut Network,
-        rng: &mut R,
-        ws: &mut SessionWorkspace,
-        trace: &mut TraceRecorder,
-        t_base_fs: u64,
-    ) -> ReceiverReport {
-        let report = self.decode_with(net, rng, ws);
-        if trace.is_enabled() {
-            let period = ws.params.sample_period_fs();
-            let t_end = self.frame.t0.0 + self.frame.timeline.total_len() as u64 * period;
-            trace.emit(
-                t_base_fs + t_end,
-                self.node.0 as u32,
-                TraceEventKind::JointDecode {
-                    lead: self.frame.header.lead,
-                    ok: report.payload.is_some(),
-                    evm_snr_db: report.stats.evm_snr_db,
-                    mean_gain: report.stats.mean_effective_gain,
-                },
-            );
-        }
-        report
     }
 }
 
@@ -1057,69 +922,6 @@ mod tests {
         let tx = out.cosenders[0].join.as_ref().expect("co-sender joined");
         assert_eq!(Some(tx.training_time), out.co_tx_times[0]);
         assert!(tx.data_time > tx.training_time);
-    }
-
-    #[test]
-    fn observed_stages_match_unobserved_and_emit_events() {
-        let payload = vec![0x3Au8; 120];
-        let mut net_a = test_network(71);
-        let db_a = measured_db(&mut net_a, 72);
-        let sol = db_a
-            .wait_solution(NodeId(0), &[NodeId(1)], &[NodeId(2)])
-            .unwrap();
-        let s = session(&payload, sol.waits[0]);
-        let mut ws = SessionWorkspace::new(net_a.params.clone());
-        let mut rng = StdRng::seed_from_u64(73);
-        let frame = s.lead_tx().transmit_with(&mut net_a, &mut ws);
-        let join = s
-            .cosender_join(0, &frame)
-            .join_with(&mut net_a, &mut rng, &db_a, &mut ws);
-        let report = s
-            .receiver_decode(NodeId(2), &frame)
-            .decode_with(&mut net_a, &mut rng, &mut ws);
-
-        // Same seeds through the observed wrappers: outcomes must be
-        // bit-identical (observation never consumes RNG), with the events
-        // riding alongside, offset by the caller's base time.
-        let mut net_b = test_network(71);
-        let db_b = measured_db(&mut net_b, 72);
-        let mut ws_b = SessionWorkspace::new(net_b.params.clone());
-        let mut rng = StdRng::seed_from_u64(73);
-        let mut trace = TraceRecorder::enabled();
-        let base = 5_000_000;
-        let frame_b = s
-            .lead_tx()
-            .transmit_observed(&mut net_b, &mut ws_b, &mut trace, base);
-        let join_b = s
-            .cosender_join(0, &frame_b)
-            .join_observed(&mut net_b, &mut rng, &db_b, &mut ws_b, &mut trace, base);
-        let report_b = s
-            .receiver_decode(NodeId(2), &frame_b)
-            .decode_observed(&mut net_b, &mut rng, &mut ws_b, &mut trace, base);
-
-        assert_eq!(frame_b.t0, frame.t0);
-        let tx_a = join.expect("unobserved join");
-        let tx_b = join_b.expect("observed join");
-        assert_eq!(tx_a.training_time, tx_b.training_time);
-        assert_eq!(tx_a.cfo_hz, tx_b.cfo_hz);
-        assert_eq!(report.payload, report_b.payload);
-        assert_eq!(report.stats.evm_snr_db, report_b.stats.evm_snr_db);
-
-        // 2 lead spans + 2 co-sender spans + join outcome + joint decode.
-        let events = trace.merged();
-        assert_eq!(events.len(), 6);
-        assert!(events.iter().all(|e| e.t_fs >= base));
-        assert_eq!(events[0].t_fs, base + frame.t0.0);
-        assert!(events.iter().any(|e| matches!(
-            e.kind,
-            TraceEventKind::JoinOutcome {
-                result: JoinResult::Joined { .. },
-                ..
-            }
-        )));
-        assert!(events
-            .iter()
-            .any(|e| matches!(e.kind, TraceEventKind::JointDecode { ok, .. } if ok)));
     }
 
     #[test]

@@ -107,10 +107,9 @@ impl Obs {
 
 /// A scenario that can run with observability attached.
 ///
-/// Implementations share one body between both paths — idiomatically
-/// `Scenario::run` calls `run_observed` with [`Obs::disabled`] (or both
-/// call a private `run_with_obs`) — so the observed and unobserved
-/// outputs cannot drift apart.
+/// Implementations keep one body, in `run_observed`, and
+/// `Scenario::run` calls it with [`Obs::disabled`], so the observed and
+/// unobserved outputs cannot drift apart.
 pub trait Observable: Scenario {
     /// Runs the experiment, appending records to `out` and artifacts to
     /// `obs`. With a disabled `obs` this must produce byte-identical
@@ -144,8 +143,23 @@ mod tests {
     /// A toy observable scenario exercising the whole per-trial fold.
     struct Toy;
 
-    impl Toy {
-        fn run_with_obs(&self, ctx: &Ctx, out: &mut Output, obs: &mut Obs) {
+    impl Scenario for Toy {
+        fn name(&self) -> &'static str {
+            "toy"
+        }
+        fn title(&self) -> &'static str {
+            "toy observable"
+        }
+        fn paper_ref(&self) -> &'static str {
+            ""
+        }
+        fn run(&self, ctx: &Ctx, out: &mut Output) {
+            self.run_observed(ctx, out, &mut Obs::disabled());
+        }
+    }
+
+    impl Observable for Toy {
+        fn run_observed(&self, ctx: &Ctx, out: &mut Output, obs: &mut Obs) {
             let results = ctx.par_map(3, |i| {
                 let mut rec = obs.trial_recorder();
                 let mut reg = obs.trial_registry();
@@ -163,27 +177,6 @@ mod tests {
                 obs.merge_metrics(&reg);
                 out.row(vec![Value::Int(i as i64), Value::Int(d as i64)]);
             }
-        }
-    }
-
-    impl Scenario for Toy {
-        fn name(&self) -> &'static str {
-            "toy"
-        }
-        fn title(&self) -> &'static str {
-            "toy observable"
-        }
-        fn paper_ref(&self) -> &'static str {
-            ""
-        }
-        fn run(&self, ctx: &Ctx, out: &mut Output) {
-            self.run_with_obs(ctx, out, &mut Obs::disabled());
-        }
-    }
-
-    impl Observable for Toy {
-        fn run_observed(&self, ctx: &Ctx, out: &mut Output, obs: &mut Obs) {
-            self.run_with_obs(ctx, out, obs);
         }
     }
 

@@ -21,8 +21,8 @@
 //!   fills a [`TraceRecorder`](ssync_obs::TraceRecorder) with typed,
 //!   femtosecond-stamped events and a
 //!   [`MetricRegistry`](ssync_obs::MetricRegistry) with run metrics, at
-//!   zero protocol cost (outcomes are bit-identical to the unobserved
-//!   run).
+//!   zero protocol cost (outcomes are bit-identical with a disabled
+//!   recorder).
 //!
 //! Modules:
 //!
@@ -53,6 +53,6 @@ pub use city::{run_city, run_city_observed, CityConfig, CityNetwork, CityOutcome
 pub use faults::{apply_classified, FaultCounters, FaultPlan, Faulted};
 pub use link::{Modem, BROADCAST, CAPTURE_MARGIN};
 pub use runtime::{
-    packet_payload, run_transfer, run_transfer_observed, DelaySource, JoinStats, RoutingMode,
-    TestbedConfig, TestbedOutcome,
+    packet_payload, run_transfer_observed, DelaySource, JoinStats, RoutingMode, TestbedConfig,
+    TestbedOutcome,
 };

@@ -24,10 +24,10 @@ pub const CAPTURE_MARGIN: usize = 400;
 
 /// The planned modem machinery one testbed run reuses for every frame.
 ///
-/// All receive-side scratch lives in one owned [`RxWorkspace`], so every
-/// decode — the per-listener decodes of [`Modem::exchange`] and one-off
-/// [`Modem::decode_mac`] calls — reuses warm buffers instead of
-/// re-allocating the modem workspace per frame.
+/// [`Modem::exchange`] is its one decode entry point. All receive-side
+/// scratch lives in one owned [`RxWorkspace`], so every per-listener
+/// decode reuses warm buffers instead of re-allocating the modem
+/// workspace per frame.
 pub struct Modem {
     params: Params,
     tx: Transmitter,
@@ -78,44 +78,15 @@ impl Modem {
         Duration::from_samples(n_samples as u64, self.params.sample_period_fs())
     }
 
-    /// Attempts to recover one MAC frame from a capture: detection, the
-    /// full receive chain, CRC, MAC parse. `None` on any failure.
-    pub fn decode_mac(&mut self, capture: &[Complex64]) -> Option<MacFrame> {
-        self.decode_mac_diag(capture).map(|(frame, _)| frame)
-    }
-
-    /// [`Modem::decode_mac`] keeping the receive-chain diagnostics summary
-    /// the chain measured alongside the recovered frame.
-    fn decode_mac_diag(&mut self, capture: &[Complex64]) -> Option<(MacFrame, RxDiagSummary)> {
-        let res = self.rx.receive_with(capture, &mut self.ws).ok()?;
-        let diag = res.diag.summary();
-        let bytes = crc::check_crc(&res.payload)?;
-        Some((MacFrame::from_bytes(bytes)?, diag))
-    }
-
     /// One broadcast air instance: clears the medium, places every
     /// `(sender, waveform)` at the same sample-grid start (colliders share
     /// a backoff slot — their relative arrival offsets come from the
     /// per-link propagation delays), then lets every `listener` capture
-    /// and decode the superposition. Returns, per listener, the decoded
-    /// frame if its receive chain recovered one.
+    /// and decode the superposition. Returns, per listener, the MAC frame
+    /// and the receive chain's diagnostics summary if detection, the full
+    /// receive chain, CRC and MAC parse all succeeded; `None` on any
+    /// failure.
     pub fn exchange<R: Rng + ?Sized>(
-        &mut self,
-        net: &mut Network,
-        rng: &mut R,
-        transmissions: &[(NodeId, Vec<Complex64>)],
-        listeners: &[NodeId],
-    ) -> Vec<(NodeId, Option<MacFrame>)> {
-        self.exchange_with_diag(net, rng, transmissions, listeners)
-            .into_iter()
-            .map(|(l, d)| (l, d.map(|(frame, _)| frame)))
-            .collect()
-    }
-
-    /// [`Modem::exchange`] keeping each listener's receive diagnostics.
-    /// Captures, noise draws and decodes are identical to `exchange` —
-    /// only the diagnostics summary rides along.
-    pub fn exchange_with_diag<R: Rng + ?Sized>(
         &mut self,
         net: &mut Network,
         rng: &mut R,
@@ -162,7 +133,13 @@ impl Modem {
             .iter()
             .map(|&l| {
                 let capture = net.medium.capture(rng, l, Time::ZERO, window);
-                (l, self.decode_mac_diag(&capture))
+                let decoded = match self.rx.receive_with(&capture, &mut self.ws) {
+                    Ok(res) => crc::check_crc(&res.payload)
+                        .and_then(MacFrame::from_bytes)
+                        .map(|frame| (frame, res.diag.summary())),
+                    Err(_) => None,
+                };
+                (l, decoded)
             })
             .collect();
         // The exchange epoch is over: the next one starts from an empty
@@ -220,7 +197,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let out = modem.exchange(&mut n, &mut rng, &[(NodeId(0), wave)], &[NodeId(1)]);
         assert_eq!(out.len(), 1);
-        assert_eq!(out[0].1.as_ref(), Some(&frame));
+        assert_eq!(out[0].1.as_ref().map(|(got, _)| got), Some(&frame));
     }
 
     #[test]
@@ -231,7 +208,7 @@ mod tests {
         let wave = modem.mac_waveform(&data_frame(0, 1), RateId::R12);
         let mut rng = StdRng::seed_from_u64(4);
         let out = modem.exchange(&mut n, &mut rng, &[(NodeId(0), wave)], &[NodeId(1)]);
-        assert_eq!(out[0].1, None);
+        assert!(out[0].1.is_none());
     }
 
     #[test]
@@ -255,7 +232,11 @@ mod tests {
             ],
             &[NodeId(2)],
         );
-        assert_eq!(out[0].1.as_ref(), Some(&f0), "strong frame should capture");
+        assert_eq!(
+            out[0].1.as_ref().map(|(got, _)| got),
+            Some(&f0),
+            "strong frame should capture"
+        );
 
         n.pin_snr_db(NodeId(0), NodeId(2), 15.0);
         n.pin_snr_db(NodeId(1), NodeId(2), 15.0);
@@ -268,18 +249,18 @@ mod tests {
             ],
             &[NodeId(2)],
         );
-        assert_eq!(out[0].1, None, "balanced collision should destroy both");
+        assert!(out[0].1.is_none(), "balanced collision should destroy both");
     }
 
     #[test]
-    fn exchange_with_diag_reports_link_quality() {
+    fn exchange_reports_link_quality() {
         let mut n = net(7);
         n.pin_snr_db(NodeId(0), NodeId(1), 25.0);
         let mut modem = Modem::new(n.params.clone());
         let frame = data_frame(0, 3);
         let wave = modem.mac_waveform(&frame, RateId::R12);
         let mut rng = StdRng::seed_from_u64(8);
-        let out = modem.exchange_with_diag(&mut n, &mut rng, &[(NodeId(0), wave)], &[NodeId(1)]);
+        let out = modem.exchange(&mut n, &mut rng, &[(NodeId(0), wave)], &[NodeId(1)]);
         let (got, diag) = out[0].1.as_ref().expect("clean link decodes");
         assert_eq!(got, &frame);
         assert!(diag.mean_snr_db > 10.0, "{diag:?}");
@@ -316,12 +297,16 @@ mod tests {
 
     #[test]
     fn corrupted_capture_fails_crc_not_parse() {
-        let mut modem = Modem::new(OfdmParams::dot11a());
-        // A buffer of pure noise must never yield a MAC frame.
+        // A strong transmitter sending pure noise instead of a frame must
+        // never yield a MAC frame at a listener.
+        let mut n = net(9);
+        n.pin_snr_db(NodeId(0), NodeId(1), 25.0);
+        let mut modem = Modem::new(n.params.clone());
         let mut rng = StdRng::seed_from_u64(9);
         let noise: Vec<Complex64> = (0..4000)
             .map(|_| Complex64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
             .collect();
-        assert_eq!(modem.decode_mac(&noise), None);
+        let out = modem.exchange(&mut n, &mut rng, &[(NodeId(0), noise)], &[NodeId(1)]);
+        assert!(out[0].1.is_none());
     }
 }

@@ -1,6 +1,6 @@
 //! The event-driven testbed runtime.
 //!
-//! One [`run_transfer`] call plays a whole multi-hop transfer the way the
+//! One [`run_transfer_observed`] call plays a whole multi-hop transfer the way the
 //! paper's physical testbed did (§8): every node runs a real protocol
 //! state machine — event-queue-scheduled CSMA/CA contention
 //! ([`ssync_mac::dcf`]), stop-and-wait ARQ, ExOR forwarder sets ordered
@@ -42,9 +42,10 @@
 use crate::faults::{apply_classified, FaultCounters, FaultPlan, Faulted};
 use crate::link::{Modem, BROADCAST};
 use rand::Rng;
-use ssync_core::session::JoinFailure;
+use ssync_core::wire::SYNC_HEADER_LEN;
 use ssync_core::{
-    CosenderPlan, DelayDatabase, JointConfig, JointSession, LeadFrame, SessionWorkspace, SyncHeader,
+    CosenderPlan, CosenderTx, DelayDatabase, JoinFailure, JointConfig, JointSession, LeadFrame,
+    SessionWorkspace, SyncHeader,
 };
 use ssync_dsp::Complex64;
 use ssync_mac::{ack_schedule, DataFrame, DcfContender, DcfTiming, MacFrame};
@@ -221,32 +222,13 @@ pub struct TestbedOutcome {
 /// Runs one batch transfer `src → dst` over the candidate forwarders.
 /// Returns `None` if the destination is unreachable (no ETX route for
 /// single-path; empty forwarder order for ExOR).
-pub fn run_transfer<R: Rng + ?Sized>(
-    net: &mut Network,
-    rng: &mut R,
-    src: usize,
-    dst: usize,
-    candidates: &[usize],
-    cfg: &TestbedConfig,
-) -> Option<TestbedOutcome> {
-    run_transfer_observed(
-        net,
-        rng,
-        src,
-        dst,
-        candidates,
-        cfg,
-        &mut TraceRecorder::disabled(),
-        &mut MetricRegistry::new(),
-    )
-}
-
-/// [`run_transfer`] with observability attached: typed trace events go
-/// into `trace` (stamped with absolute femtosecond exchange times) and
-/// run metrics into `metrics`. The protocol outcome is bit-identical to
-/// [`run_transfer`] — every event and metric is computed from values the
-/// engine already produced, never from extra RNG draws.
-#[allow(clippy::too_many_arguments)] // mirrors run_transfer + (trace, metrics)
+///
+/// Typed trace events go into `trace` (stamped with absolute femtosecond
+/// exchange times) and run metrics into `metrics`. Every event and metric
+/// is computed from values the engine already produced, never from extra
+/// RNG draws, so the outcome is bit-identical whether `trace` is enabled
+/// or [`TraceRecorder::disabled`].
+#[allow(clippy::too_many_arguments)] // the transfer inputs plus (trace, metrics)
 pub fn run_transfer_observed<R: Rng + ?Sized>(
     net: &mut Network,
     rng: &mut R,
@@ -333,7 +315,7 @@ pub fn packet_payload(p: usize, len: usize) -> Vec<u8> {
 }
 
 impl<'a, R: Rng + ?Sized> Engine<'a, R> {
-    #[allow(clippy::too_many_arguments)] // private ctor; params mirror run_transfer's
+    #[allow(clippy::too_many_arguments)] // private ctor; params mirror run_transfer_observed's
     fn new(
         net: &'a mut Network,
         rng: &'a mut R,
@@ -792,7 +774,7 @@ impl<'a, R: Rng + ?Sized> Engine<'a, R> {
         };
         let decoded = self
             .modem
-            .exchange_with_diag(self.net, self.rng, &transmissions, &listeners);
+            .exchange(self.net, self.rng, &transmissions, &listeners);
         let data_busy = self.modem.samples_duration(longest);
         let t_rx = at.0 + data_busy.0;
         let mut busy = data_busy;
@@ -803,17 +785,8 @@ impl<'a, R: Rng + ?Sized> Engine<'a, R> {
             let Some((MacFrame::Data(d), diag)) = got else {
                 continue;
             };
-            match apply_classified(&self.cfg.faults.data, self.rng, &d.payload) {
-                Faulted::Dropped => {
-                    self.out.faults.data_dropped += 1;
-                    continue;
-                }
-                Faulted::Corrupted(_) => {
-                    // A corrupted MPDU fails its (modelled) MAC check.
-                    self.out.faults.data_corrupted += 1;
-                    continue;
-                }
-                Faulted::Intact(_) => {}
+            if !self.data_seam(&d.payload) {
+                continue;
             }
             self.trace.emit(
                 t_rx,
@@ -909,13 +882,9 @@ impl<'a, R: Rng + ?Sized> Engine<'a, R> {
                 let out =
                     self.modem
                         .exchange(self.net, self.rng, &[(NodeId(hop), wave)], &[NodeId(v)]);
-                if let Some(MacFrame::Ack(a)) = &out[0].1 {
+                if let Some((MacFrame::Ack(a), _)) = &out[0].1 {
                     if a.dst == v as u16 && a.seq == p as u16 {
-                        match apply_classified(&self.cfg.faults.ack, self.rng, &ack.to_bytes()) {
-                            Faulted::Dropped => self.out.faults.acks_dropped += 1,
-                            Faulted::Corrupted(_) => self.out.faults.acks_corrupted += 1,
-                            Faulted::Intact(_) => ack_ok = true,
-                        }
+                        ack_ok = self.ack_seam(&ack.to_bytes()).is_some();
                     }
                 }
                 if ack_ok {
@@ -1021,26 +990,23 @@ impl<'a, R: Rng + ?Sized> Engine<'a, R> {
             self.modem
                 .exchange(self.net, self.rng, &[(NodeId(self.dst), wave)], &listeners);
         for (l, got) in &decoded {
-            let Some(MacFrame::Data(d)) = got else {
+            let Some((MacFrame::Data(d), _)) = got else {
                 continue;
             };
-            match apply_classified(&self.cfg.faults.ack, self.rng, &d.payload) {
-                Faulted::Dropped => self.out.faults.acks_dropped += 1,
-                Faulted::Corrupted(_) => self.out.faults.acks_corrupted += 1,
-                Faulted::Intact(bytes) => {
-                    self.trace.emit(
-                        t_fs + self.timing.sifs.0 + dur.0,
-                        l.0 as u32,
-                        TraceEventKind::FrameRx {
-                            class: FrameClass::BatchMap,
-                            src: self.dst as u16,
-                            seq: 0,
-                            diag: None,
-                        },
-                    );
-                    self.merge_map(l.0, &bytes)
-                }
-            }
+            let Some(bytes) = self.ack_seam(&d.payload) else {
+                continue;
+            };
+            self.trace.emit(
+                t_fs + self.timing.sifs.0 + dur.0,
+                l.0 as u32,
+                TraceEventKind::FrameRx {
+                    class: FrameClass::BatchMap,
+                    src: self.dst as u16,
+                    seq: 0,
+                    diag: None,
+                },
+            );
+            self.merge_map(l.0, &bytes)
         }
         self.timing.sifs + dur
     }
@@ -1101,9 +1067,8 @@ impl<'a, R: Rng + ?Sized> Engine<'a, R> {
                 ..JointConfig::default()
             });
 
-        let frame = session
-            .lead_tx()
-            .transmit_observed(self.net, &mut self.ws, self.trace, at.0);
+        let frame = session.lead_tx().transmit_with(self.net, &mut self.ws);
+        self.emit_lead_frame(at, lead, &frame);
 
         // Co-sender joins: a forwarder only attempts its slot when it
         // actually holds the packet (silent slots read as absent senders
@@ -1119,25 +1084,17 @@ impl<'a, R: Rng + ?Sized> Engine<'a, R> {
             let join = match apply_classified(&self.cfg.faults.header, self.rng, &header_bytes) {
                 Faulted::Dropped => {
                     self.out.faults.headers_dropped += 1;
-                    let f = JoinFailure::NoDetect;
-                    self.emit_join_failure(at, c, &frame, &f);
-                    Err(f)
+                    Err(JoinFailure::NoDetect)
                 }
                 Faulted::Corrupted(bytes) => {
                     self.out.faults.headers_corrupted += 1;
                     match SyncHeader::from_bytes(&bytes) {
-                        Err(_) => {
-                            let f = JoinFailure::MalformedHeader;
-                            self.emit_join_failure(at, c, &frame, &f);
-                            Err(f)
-                        }
+                        Err(_) => Err(JoinFailure::MalformedHeader),
                         Ok(h) if h.packet_id != frame.header.packet_id => {
-                            let f = JoinFailure::WrongPacket {
+                            Err(JoinFailure::WrongPacket {
                                 expected: frame.header.packet_id,
                                 heard: h.packet_id,
-                            };
-                            self.emit_join_failure(at, c, &frame, &f);
-                            Err(f)
+                            })
                         }
                         // Corruption in any other field the join arithmetic
                         // consumes (lead id, rate, length, CP extension,
@@ -1146,30 +1103,23 @@ impl<'a, R: Rng + ?Sized> Engine<'a, R> {
                         // correctly, and the mangled header reads as
                         // malformed. Only a flip the parser provably
                         // ignores leaves the join intact.
-                        Ok(h) if h != frame.header => {
-                            let f = JoinFailure::MalformedHeader;
-                            self.emit_join_failure(at, c, &frame, &f);
-                            Err(f)
-                        }
-                        Ok(_) => session.cosender_join(i, &frame).join_observed(
+                        Ok(h) if h != frame.header => Err(JoinFailure::MalformedHeader),
+                        Ok(_) => session.cosender_join(i, &frame).join_with(
                             self.net,
                             self.rng,
                             &self.db,
                             &mut self.ws,
-                            self.trace,
-                            at.0,
                         ),
                     }
                 }
-                Faulted::Intact(_) => session.cosender_join(i, &frame).join_observed(
+                Faulted::Intact(_) => session.cosender_join(i, &frame).join_with(
                     self.net,
                     self.rng,
                     &self.db,
                     &mut self.ws,
-                    self.trace,
-                    at.0,
                 ),
             };
+            self.emit_join_outcome(at, c, &frame, &join);
             match join {
                 Ok(_) => {
                     self.out.joins.joined += 1;
@@ -1191,6 +1141,8 @@ impl<'a, R: Rng + ?Sized> Engine<'a, R> {
             }
         }
 
+        let data_busy = self.modem.samples_duration(frame.timeline.total_len());
+        let t_decoded = at.0 + frame.t0.0 + data_busy.0;
         // Everyone who did not transmit decodes the superposed joint
         // frame (half-duplex: actual co-senders cannot hear it; planned
         // co-senders whose slot stayed silent can).
@@ -1199,12 +1151,20 @@ impl<'a, R: Rng + ?Sized> Engine<'a, R> {
             if v == lead || joined.contains(&v) {
                 continue;
             }
-            let report = session.receiver_decode(NodeId(v), &frame).decode_observed(
+            let report = session.receiver_decode(NodeId(v), &frame).decode_with(
                 self.net,
                 self.rng,
                 &mut self.ws,
-                self.trace,
-                at.0,
+            );
+            self.trace.emit(
+                t_decoded,
+                v as u32,
+                TraceEventKind::JointDecode {
+                    lead: frame.header.lead,
+                    ok: report.payload.is_some(),
+                    evm_snr_db: report.stats.evm_snr_db,
+                    mean_gain: report.stats.mean_effective_gain,
+                },
             );
             self.m_joint_evm_db.record(report.stats.evm_snr_db);
             let Some(bytes) = report.payload else {
@@ -1213,20 +1173,10 @@ impl<'a, R: Rng + ?Sized> Engine<'a, R> {
             let Some(MacFrame::Data(d)) = MacFrame::from_bytes(&bytes) else {
                 continue;
             };
-            match apply_classified(&self.cfg.faults.data, self.rng, &d.payload) {
-                Faulted::Dropped => {
-                    self.out.faults.data_dropped += 1;
-                    continue;
-                }
-                Faulted::Corrupted(_) => {
-                    self.out.faults.data_corrupted += 1;
-                    continue;
-                }
-                Faulted::Intact(_) => {}
+            if self.data_seam(&d.payload) {
+                received.push((v, d.seq as usize));
             }
-            received.push((v, d.seq as usize));
         }
-        let data_busy = self.modem.samples_duration(frame.timeline.total_len());
         for &(rx, seq) in &received {
             if rx == self.dst && !self.has[self.dst][seq] {
                 self.trace.emit(
@@ -1250,23 +1200,119 @@ impl<'a, R: Rng + ?Sized> Engine<'a, R> {
         busy
     }
 
-    /// Stamps a [`TraceEventKind::JoinOutcome`] for a join the fault seam
-    /// short-circuited before the staged session ran — same instant
-    /// convention as `join_observed` (end of the sync header).
-    fn emit_join_failure(&mut self, at: Time, co: usize, frame: &LeadFrame, f: &JoinFailure) {
-        if self.trace.is_enabled() {
-            let period = self.modem.params().sample_period_fs();
-            let t = at.0 + frame.t0.0 + frame.timeline.header_len as u64 * period;
-            self.trace.emit(
-                t,
-                co as u32,
-                TraceEventKind::JoinOutcome {
-                    lead: frame.header.lead,
-                    packet: frame.header.packet_id,
-                    result: JoinResult::Failed(f.class()),
-                },
-            );
+    /// Traces the lead's half of a joint frame: its sync header and its
+    /// data section, each a span at `at` plus the frame's ether time.
+    fn emit_lead_frame(&mut self, at: Time, lead: usize, frame: &LeadFrame) {
+        if !self.trace.is_enabled() {
+            return;
         }
+        let period = self.modem.params().sample_period_fs();
+        let tl = &frame.timeline;
+        self.trace.emit_span(
+            at.0 + frame.t0.0,
+            tl.header_len as u64 * period,
+            lead as u32,
+            TraceEventKind::FrameTx {
+                class: FrameClass::SyncHeader,
+                bytes: SYNC_HEADER_LEN as u32,
+                seq: frame.header.packet_id,
+                dst: u16::MAX,
+            },
+        );
+        self.trace.emit_span(
+            at.0 + frame.data_time.0,
+            (tl.total_len() - tl.data_start()) as u64 * period,
+            lead as u32,
+            TraceEventKind::FrameTx {
+                class: FrameClass::JointData,
+                bytes: frame.psdu.len() as u32,
+                seq: frame.header.packet_id,
+                dst: u16::MAX,
+            },
+        );
+    }
+
+    /// Traces one co-sender's join, whether the staged session ran or the
+    /// sync-header fault seam short-circuited it. A join that went on the
+    /// air gets its training and data spans and a `Joined` outcome at its
+    /// training start. A failure is stamped at the end of the sync header,
+    /// the instant the co-sender knew it could not join.
+    fn emit_join_outcome(
+        &mut self,
+        at: Time,
+        co: usize,
+        frame: &LeadFrame,
+        join: &Result<CosenderTx, JoinFailure>,
+    ) {
+        if !self.trace.is_enabled() {
+            return;
+        }
+        let period = self.modem.params().sample_period_fs();
+        let tl = &frame.timeline;
+        let packet = frame.header.packet_id;
+        let (t_outcome, result) = match join {
+            Ok(tx) => {
+                self.trace.emit_span(
+                    at.0 + tx.training_time.0,
+                    tl.training_slot_len as u64 * period,
+                    co as u32,
+                    TraceEventKind::FrameTx {
+                        class: FrameClass::Training,
+                        bytes: 0,
+                        seq: packet,
+                        dst: u16::MAX,
+                    },
+                );
+                self.trace.emit_span(
+                    at.0 + tx.data_time.0,
+                    (tl.total_len() - tl.data_start()) as u64 * period,
+                    co as u32,
+                    TraceEventKind::FrameTx {
+                        class: FrameClass::JointData,
+                        bytes: frame.psdu.len() as u32,
+                        seq: packet,
+                        dst: u16::MAX,
+                    },
+                );
+                (tx.training_time.0, JoinResult::Joined { cfo_hz: tx.cfo_hz })
+            }
+            Err(f) => (
+                frame.t0.0 + tl.header_len as u64 * period,
+                JoinResult::Failed(f.class()),
+            ),
+        };
+        self.trace.emit(
+            at.0 + t_outcome,
+            co as u32,
+            TraceEventKind::JoinOutcome {
+                lead: frame.header.lead,
+                packet,
+                result,
+            },
+        );
+    }
+
+    /// The DATA fault seam for one decoded DATA or joint-frame payload.
+    /// Counts a drop or a corruption (a corrupted MPDU fails its modelled
+    /// MAC check) and returns whether the payload arrived intact.
+    fn data_seam(&mut self, payload: &[u8]) -> bool {
+        match apply_classified(&self.cfg.faults.data, self.rng, payload) {
+            Faulted::Dropped => self.out.faults.data_dropped += 1,
+            Faulted::Corrupted(_) => self.out.faults.data_corrupted += 1,
+            Faulted::Intact(_) => return true,
+        }
+        false
+    }
+
+    /// The ACK fault seam for one decoded ACK or batch-map frame. Counts a
+    /// drop or a corruption and returns the bytes that arrived intact.
+    fn ack_seam(&mut self, bytes: &[u8]) -> Option<Vec<u8>> {
+        match apply_classified(&self.cfg.faults.ack, self.rng, bytes) {
+            Faulted::Dropped => self.out.faults.acks_dropped += 1,
+            Faulted::Corrupted(_) => self.out.faults.acks_corrupted += 1,
+            Faulted::Intact(bytes) => return Some(bytes),
+        }
+        None
     }
 
     /// ExOR's traditional-routing tail: packets the opportunistic phase
@@ -1311,7 +1357,7 @@ impl<'a, R: Rng + ?Sized> Engine<'a, R> {
                 self.metrics
                     .counter("frames_tx", Scope::Node(holder as u32))
                     .inc();
-                let decoded = self.modem.exchange_with_diag(
+                let decoded = self.modem.exchange(
                     self.net,
                     self.rng,
                     &[(NodeId(holder), wave.clone())],
@@ -1319,28 +1365,22 @@ impl<'a, R: Rng + ?Sized> Engine<'a, R> {
                 );
                 let mut got = false;
                 if let Some((MacFrame::Data(d), diag)) = &decoded[0].1 {
-                    if d.src == holder as u16 && d.seq == p as u16 {
-                        match apply_classified(&self.cfg.faults.data, self.rng, &d.payload) {
-                            Faulted::Dropped => self.out.faults.data_dropped += 1,
-                            Faulted::Corrupted(_) => self.out.faults.data_corrupted += 1,
-                            Faulted::Intact(_) => {
-                                got = true;
-                                self.trace.emit(
-                                    start.0 + data_dur.0,
-                                    self.dst as u32,
-                                    TraceEventKind::FrameRx {
-                                        class: FrameClass::Data,
-                                        src: d.src,
-                                        seq: d.seq,
-                                        diag: Some(*diag),
-                                    },
-                                );
-                                self.m_rx_snr_db.record(diag.mean_snr_db);
-                                self.metrics
-                                    .counter("rx_ok", Scope::Link(holder as u32, self.dst as u32))
-                                    .inc();
-                            }
-                        }
+                    if d.src == holder as u16 && d.seq == p as u16 && self.data_seam(&d.payload) {
+                        got = true;
+                        self.trace.emit(
+                            start.0 + data_dur.0,
+                            self.dst as u32,
+                            TraceEventKind::FrameRx {
+                                class: FrameClass::Data,
+                                src: d.src,
+                                seq: d.seq,
+                                diag: Some(*diag),
+                            },
+                        );
+                        self.m_rx_snr_db.record(diag.mean_snr_db);
+                        self.metrics
+                            .counter("rx_ok", Scope::Link(holder as u32, self.dst as u32))
+                            .inc();
                     }
                 }
                 let mut busy = data_dur;
@@ -1364,14 +1404,9 @@ impl<'a, R: Rng + ?Sized> Engine<'a, R> {
                         &[(NodeId(self.dst), ack_wave)],
                         &[NodeId(holder)],
                     );
-                    if let Some(MacFrame::Ack(a)) = &out[0].1 {
+                    if let Some((MacFrame::Ack(a), _)) = &out[0].1 {
                         if a.dst == holder as u16 && a.seq == p as u16 {
-                            match apply_classified(&self.cfg.faults.ack, self.rng, &ack.to_bytes())
-                            {
-                                Faulted::Dropped => self.out.faults.acks_dropped += 1,
-                                Faulted::Corrupted(_) => self.out.faults.acks_corrupted += 1,
-                                Faulted::Intact(_) => ack_ok = true,
-                            }
+                            ack_ok = self.ack_seam(&ack.to_bytes()).is_some();
                         }
                     }
                     if !ack_ok {
@@ -1480,6 +1515,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use ssync_channel::Position;
+    use ssync_obs::{JoinFailureClass, TraceEvent};
     use ssync_phy::OfdmParams;
     use ssync_sim::ChannelModels;
 
@@ -1520,14 +1556,34 @@ mod tests {
         }
     }
 
+    /// A transfer from node 0 through [`run_transfer_observed`], with a
+    /// disabled recorder and a throwaway registry.
+    fn run_untraced(
+        net: &mut Network,
+        rng: &mut StdRng,
+        dst: usize,
+        candidates: &[usize],
+        cfg: &TestbedConfig,
+    ) -> Option<TestbedOutcome> {
+        run_transfer_observed(
+            net,
+            rng,
+            0,
+            dst,
+            candidates,
+            cfg,
+            &mut TraceRecorder::disabled(),
+            &mut MetricRegistry::new(),
+        )
+    }
+
     #[test]
     fn single_path_delivers_on_clean_links() {
         let mut net = diamond(1, 25.0, 25.0);
         let mut rng = StdRng::seed_from_u64(2);
-        let o = run_transfer(
+        let o = run_untraced(
             &mut net,
             &mut rng,
-            0,
             3,
             &[1, 2],
             &small_cfg(RoutingMode::SinglePath),
@@ -1542,10 +1598,9 @@ mod tests {
     fn exor_delivers_on_clean_links() {
         let mut net = diamond(3, 25.0, 25.0);
         let mut rng = StdRng::seed_from_u64(4);
-        let o = run_transfer(
+        let o = run_untraced(
             &mut net,
             &mut rng,
-            0,
             3,
             &[1, 2],
             &small_cfg(RoutingMode::Exor),
@@ -1561,10 +1616,9 @@ mod tests {
         // retries escalate to joint frames.
         let mut net = diamond(5, 25.0, 5.0);
         let mut rng = StdRng::seed_from_u64(6);
-        let o = run_transfer(
+        let o = run_untraced(
             &mut net,
             &mut rng,
-            0,
             3,
             &[1, 2],
             &small_cfg(RoutingMode::ExorSourceSync),
@@ -1580,10 +1634,9 @@ mod tests {
         let run = || {
             let mut net = diamond(7, 18.0, 9.0);
             let mut rng = StdRng::seed_from_u64(8);
-            run_transfer(
+            run_untraced(
                 &mut net,
                 &mut rng,
-                0,
                 3,
                 &[1, 2],
                 &small_cfg(RoutingMode::ExorSourceSync),
@@ -1607,7 +1660,7 @@ mod tests {
             payload_len: 64,
             ..TestbedConfig::new(RateId::R12, RoutingMode::ExorSourceSync)
         };
-        let o = run_transfer(&mut net, &mut rng, 0, 3, &[1, 2], &cfg).unwrap();
+        let o = run_untraced(&mut net, &mut rng, 3, &[1, 2], &cfg).unwrap();
         assert!(o.data_frames > 40, "not a long run: {o:?}");
         assert!(
             net.medium.transmissions().is_empty(),
@@ -1651,6 +1704,7 @@ mod tests {
             "frame_rx",
             "joint_lead",
             "join_outcome",
+            "joint_decode",
         ] {
             assert!(names.contains(&expected), "missing {expected}: {names:?}");
         }
@@ -1701,6 +1755,202 @@ mod tests {
         assert_eq!(run(), run());
     }
 
+    /// Traces one ExOR+SourceSync transfer over `diamond(seed, 25, 5)` and
+    /// returns the first joint frame's `joint_lead` and every later event,
+    /// in emission order, with the frame that lead scheduled (rebuilt
+    /// from the packet and slot count its `joint_lead` announces).
+    fn first_joint_frame(seed: u64, cfg: &TestbedConfig) -> (Vec<TraceEvent>, LeadFrame) {
+        let mut net = diamond(seed, 25.0, 5.0);
+        let mut rng = StdRng::seed_from_u64(seed + 1);
+        let mut trace = TraceRecorder::enabled();
+        run_transfer_observed(
+            &mut net,
+            &mut rng,
+            0,
+            3,
+            &[1, 2],
+            cfg,
+            &mut trace,
+            &mut MetricRegistry::new(),
+        )
+        .unwrap();
+        let mut events = trace.merged();
+        events.sort_by_key(|e| e.seq);
+        let first = events
+            .iter()
+            .position(|e| matches!(e.kind, TraceEventKind::JointLead { .. }))
+            .expect("the run led a joint frame");
+        let events = events.split_off(first);
+        let TraceEventKind::JointLead { packet, cosenders } = events[0].kind else {
+            unreachable!()
+        };
+        let lead = events[0].node as usize;
+        let p = packet as usize;
+        let payload = MacFrame::Data(DataFrame {
+            src: lead as u16,
+            dst: BROADCAST,
+            seq: packet,
+            retry: false,
+            payload: packet_payload(p, cfg.payload_len),
+        })
+        .to_bytes();
+        let session = JointSession::new(NodeId(lead))
+            .cosenders((0..cosenders as usize).map(|c| CosenderPlan {
+                node: NodeId(c),
+                wait_s: 0.0,
+            }))
+            .payload(payload)
+            .config(JointConfig {
+                rate: cfg.rate,
+                ..JointConfig::default()
+            });
+        let frame = session.lead_tx().schedule(&net.params);
+        (events, frame)
+    }
+
+    /// Asserts `e` is a `frame_tx` span of `class` by `node` at `t_fs`
+    /// lasting `dur_fs`.
+    fn assert_span(e: &TraceEvent, class: FrameClass, node: u32, t_fs: u64, dur_fs: u64) {
+        assert!(
+            matches!(e.kind, TraceEventKind::FrameTx { class: c, .. } if c == class),
+            "{e:?}"
+        );
+        assert_eq!((e.node, e.t_fs, e.dur_fs), (node, t_fs, dur_fs), "{e:?}");
+    }
+
+    /// Asserts the lead's two spans open the frame and returns the index
+    /// of the first event after them.
+    fn assert_lead_spans(events: &[TraceEvent], frame: &LeadFrame, period: u64) -> usize {
+        let (at, lead) = (events[0].t_fs, events[0].node);
+        let tl = &frame.timeline;
+        let data_fs = (tl.total_len() - tl.data_start()) as u64 * period;
+        assert_span(
+            &events[1],
+            FrameClass::SyncHeader,
+            lead,
+            at + frame.t0.0,
+            tl.header_len as u64 * period,
+        );
+        assert_span(
+            &events[2],
+            FrameClass::JointData,
+            lead,
+            at + frame.data_time.0,
+            data_fs,
+        );
+        3
+    }
+
+    /// Asserts one `joint_decode` per listener (every node but the lead
+    /// and the joined co-senders, in node order) at the end of the joint
+    /// frame, starting at `events[i]`.
+    fn assert_decodes(
+        events: &[TraceEvent],
+        i: usize,
+        frame: &LeadFrame,
+        period: u64,
+        joined: &[u32],
+    ) {
+        let (at, lead) = (events[0].t_fs, events[0].node);
+        let t_end = at + frame.t0.0 + frame.timeline.total_len() as u64 * period;
+        let listeners: Vec<u32> = (0..4)
+            .filter(|v| *v != lead && !joined.contains(v))
+            .collect();
+        for (k, &v) in listeners.iter().enumerate() {
+            let e = &events[i + k];
+            assert!(
+                matches!(e.kind, TraceEventKind::JointDecode { lead: l, .. } if l as u32 == lead),
+                "{e:?}"
+            );
+            assert_eq!((e.node, e.t_fs, e.dur_fs), (v, t_end, 0), "{e:?}");
+        }
+        assert!(
+            !matches!(
+                events[i + listeners.len()].kind,
+                TraceEventKind::JointDecode { .. }
+            ),
+            "one joint_decode per listener"
+        );
+    }
+
+    #[test]
+    fn joint_frame_events_come_from_returned_outcomes() {
+        let cfg = small_cfg(RoutingMode::ExorSourceSync);
+        let (events, frame) = first_joint_frame(5, &cfg);
+        let period = OfdmParams::dot11a().sample_period_fs();
+        let tl = &frame.timeline;
+        let data_fs = (tl.total_len() - tl.data_start()) as u64 * period;
+        let at = events[0].t_fs;
+        let mut i = assert_lead_spans(&events, &frame, period);
+
+        // Per joined co-sender: its training span, its data span one slot
+        // gap later, then `Joined` at its training start.
+        let mut joined = Vec::new();
+        while let TraceEventKind::FrameTx {
+            class: FrameClass::Training,
+            ..
+        } = events[i].kind
+        {
+            let (co, t_train) = (events[i].node, events[i].t_fs);
+            assert_eq!(events[i].dur_fs, tl.training_slot_len as u64 * period);
+            let t_data = events[i + 1].t_fs;
+            assert_span(&events[i + 1], FrameClass::JointData, co, t_data, data_fs);
+            assert!(
+                (0..tl.n_cosenders).any(|k| {
+                    t_data - t_train == (tl.data_start() - tl.training_slot(k)) as u64 * period
+                }),
+                "data span one training-slot gap after the training span"
+            );
+            assert!(t_train >= at + frame.t0.0 + tl.header_len as u64 * period);
+            let e = &events[i + 2];
+            assert!(
+                matches!(
+                    e.kind,
+                    TraceEventKind::JoinOutcome {
+                        lead,
+                        packet,
+                        result: JoinResult::Joined { .. },
+                    } if lead == frame.header.lead && packet == frame.header.packet_id
+                ),
+                "{e:?}"
+            );
+            assert_eq!((e.node, e.t_fs), (co, t_train), "{e:?}");
+            joined.push(co);
+            i += 3;
+        }
+        assert!(!joined.is_empty(), "the first joint frame has a co-sender");
+        assert_decodes(&events, i, &frame, period, &joined);
+    }
+
+    #[test]
+    fn header_faults_stamp_join_failures_at_the_sync_header_end() {
+        let cfg = TestbedConfig {
+            faults: FaultPlan {
+                header: ssync_sim::FaultInjector::new(1.0, 0.0),
+                ..FaultPlan::none()
+            },
+            ..small_cfg(RoutingMode::ExorSourceSync)
+        };
+        let (events, frame) = first_joint_frame(5, &cfg);
+        let period = OfdmParams::dot11a().sample_period_fs();
+        let at = events[0].t_fs;
+        let mut i = assert_lead_spans(&events, &frame, period);
+
+        // Every attempted join fails at the seam, stamped at the end of
+        // the sync header; nothing joins, so every other node decodes.
+        let header_end = at + frame.t0.0 + frame.timeline.header_len as u64 * period;
+        let mut failed = 0;
+        while let TraceEventKind::JoinOutcome { lead, result, .. } = events[i].kind {
+            assert_eq!(lead, frame.header.lead);
+            assert_eq!(result, JoinResult::Failed(JoinFailureClass::NoDetect));
+            assert_eq!(events[i].t_fs, header_end);
+            failed += 1;
+            i += 1;
+        }
+        assert!(failed > 0, "the first joint frame attempted a join");
+        assert_decodes(&events, i, &frame, period, &[]);
+    }
+
     #[test]
     fn diagnostic_structs_share_the_snapshot_seam() {
         let stats = JoinStats {
@@ -1734,10 +1984,9 @@ mod tests {
         );
         net.pin_snr_db(NodeId(0), NodeId(1), f64::NEG_INFINITY);
         net.pin_snr_db(NodeId(1), NodeId(0), f64::NEG_INFINITY);
-        let o = run_transfer(
+        let o = run_untraced(
             &mut net,
             &mut rng,
-            0,
             1,
             &[],
             &small_cfg(RoutingMode::SinglePath),
@@ -1753,7 +2002,7 @@ mod tests {
             delays: DelaySource::Empty,
             ..small_cfg(RoutingMode::ExorSourceSync)
         };
-        let o = run_transfer(&mut net, &mut rng, 0, 3, &[1, 2], &cfg).unwrap();
+        let o = run_untraced(&mut net, &mut rng, 3, &[1, 2], &cfg).unwrap();
         assert!(o.joins.attempted > 0, "{o:?}");
         assert_eq!(o.joins.joined, 0, "{o:?}");
         assert_eq!(o.joins.missing_delay, o.joins.attempted, "{o:?}");

@@ -7,10 +7,11 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sourcesync::channel::Position;
+use sourcesync::obs::{MetricRegistry, TraceRecorder};
 use sourcesync::phy::{OfdmParams, RateId};
 use sourcesync::sim::{ChannelModels, FaultInjector, Network, NodeId};
 use sourcesync::testbed::{
-    run_transfer, DelaySource, FaultPlan, RoutingMode, TestbedConfig, TestbedOutcome,
+    run_transfer_observed, DelaySource, FaultPlan, RoutingMode, TestbedConfig, TestbedOutcome,
 };
 
 /// A small diamond — src 0, relays 1–2, dst 3 — with a clean first hop
@@ -60,7 +61,17 @@ fn run(
         delays,
         ..TestbedConfig::new(RateId::R12, mode)
     };
-    run_transfer(&mut net, &mut rng, 0, 3, &[1, 2], &cfg).expect("diamond is routable")
+    run_transfer_observed(
+        &mut net,
+        &mut rng,
+        0,
+        3,
+        &[1, 2],
+        &cfg,
+        &mut TraceRecorder::disabled(),
+        &mut MetricRegistry::new(),
+    )
+    .expect("diamond is routable")
 }
 
 /// The final hop at which plain first attempts usually fail, so retries
