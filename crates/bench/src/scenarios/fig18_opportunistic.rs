@@ -1,73 +1,62 @@
 //! Figure 18: opportunistic routing throughput CDFs at 6 and 12 Mbps —
-//! single path vs ExOR vs ExOR+SourceSync.
+//! single path vs ExOR vs ExOR+SourceSync, on the waveform testbed.
 //!
-//! Twenty random five-node topologies per rate (source, three relays,
-//! destination — the paper's §8.4 method and its Fig. 10 setting: lossy
-//! links of ≈50 % delivery at the fixed network rate, relays that can hear
-//! each other, and no usable direct source→destination link). Because the
-//! paper's loss rates come from a wall-heavy testbed at fixed bit rates,
-//! the per-link SNRs are drawn directly in the band that produces those
-//! loss rates (documented in DESIGN.md). Paper result: ExOR gains
-//! 1.26–1.4× over single path; ExOR+SourceSync adds 1.35–1.45× over ExOR
-//! (1.7–2× over single path).
+//! Twenty-four random five-node topologies per rate (source, three relays,
+//! destination — the paper's §8.4 method and its Fig. 10 setting), each
+//! run through `testbed_multihop`'s per-topology body: every link shaped
+//! to a measured-delivery band at the DATA rate, then one batch per
+//! routing mode through the event-driven testbed (CSMA/CA, ARQ, ExOR batch
+//! maps, `JointSession` joint frames over the waveform medium). Topology
+//! `t` has one seed at both rates — the same placement and multipath — and
+//! its 12 Mbps run is `testbed_multihop`'s topology `t`. Joint frames carry
+//! one co-sender (`TestbedConfig::max_cosenders`). Paper result: ExOR
+//! gains 1.26–1.4× over single path; ExOR+SourceSync adds 1.35–1.45× over
+//! ExOR (1.7–2× over single path).
 //!
-//! Output: per-rate CDF blocks plus median-ratio summary lines.
+//! Output: per rate, each mode's throughput CDF and protocol-event line,
+//! the medians, and each median ratio with its bootstrap 95 % CI.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use super::testbed_multihop::{emit_modes, run_topology, TOPOLOGY_SEED};
 use ssync_dsp::stats::median;
-use ssync_exp::scenario::emit_cdf;
+use ssync_exp::agg::{bootstrap_ci, Ci};
 use ssync_exp::{Ctx, Output, Scenario};
-use ssync_phy::ber::PerTable;
-use ssync_phy::{OfdmParams, RateId};
-use ssync_routing::{run_batch, run_transfer, BatchRoute, ExorConfig, MeshTopology, TransferSpec};
-
-/// Draws a 5-node topology: 0 = source, 1–3 = relays, 4 = destination.
-fn draw_topology(rng: &mut StdRng, rate: RateId) -> MeshTopology {
-    // The SNR at which this rate delivers ≈50 % of packets (analytic
-    // table midpoints), ±2.5 dB of per-link spread.
-    let mid = match rate {
-        RateId::R6 => 4.0,
-        RateId::R12 => 7.0,
-        _ => 9.0,
-    };
-    let inf = f64::NEG_INFINITY;
-    let mut snr = vec![vec![inf; 5]; 5];
-    // src → relay: moderately lossy (the first-hop receiver diversity
-    // ExOR exploits); relay → dst: the poor final hop where sender
-    // diversity pays (the paper's Fig. 1(b) situation). Band offsets are
-    // per-rate because the coded PER cliffs have different widths.
-    let (src_band, dst_band) = match rate {
-        RateId::R6 => ((1.0, 6.0), (0.0, 3.0)),
-        _ => ((1.5, 6.0), (-1.5, 2.5)),
-    };
-    #[allow(clippy::needless_range_loop)] // symmetric matrix entries assigned by index
-    for r in 1..=3usize {
-        let a = mid + rng.gen_range(src_band.0..src_band.1);
-        snr[0][r] = a;
-        snr[r][0] = a;
-        let b = mid + rng.gen_range(dst_band.0..dst_band.1);
-        snr[r][4] = b;
-        snr[4][r] = b;
-    }
-    // Relays hear each other well (they are clustered mid-path).
-    #[allow(clippy::needless_range_loop)] // symmetric matrix entries assigned by index
-    for i in 1..=3usize {
-        for j in 1..=3usize {
-            if i != j {
-                snr[i][j] = rng.gen_range(12.0..20.0);
-            }
-        }
-    }
-    // Direct src→dst: too weak to use.
-    let direct = rng.gen_range(-8.0..-2.0);
-    snr[0][4] = direct;
-    snr[4][0] = direct;
-    MeshTopology::from_snrs(snr)
-}
+use ssync_obs::Obs;
+use ssync_phy::RateId;
+use ssync_testbed::TestbedOutcome;
 
 /// See the module docs.
 pub struct Fig18Opportunistic;
+
+impl Fig18Opportunistic {
+    /// The figure's DATA rates.
+    pub const RATES: [RateId; 2] = [RateId::R6, RateId::R12];
+
+    /// Topologies per rate at the default trial count.
+    pub const TOPOLOGIES: usize = 24;
+
+    /// Topology `t`'s outcome at `rate` in each routing mode: single path,
+    /// ExOR, ExOR+SourceSync.
+    pub fn topology_outcomes(rate: RateId, t: usize) -> Vec<TestbedOutcome> {
+        run_topology(TOPOLOGY_SEED + t as u64, rate, &Obs::disabled())
+            .into_iter()
+            .map(|(outcome, _, _)| outcome)
+            .collect()
+    }
+
+    /// `median(num) / median(den)` and its bootstrap 95 % CI. Topologies
+    /// are resampled as pairs, so both medians see the same draw.
+    pub fn median_ratio(num: &[f64], den: &[f64]) -> (f64, Ci) {
+        assert_eq!(num.len(), den.len(), "one value per topology");
+        let ratio_over = |topologies: &[f64]| {
+            let pick =
+                |xs: &[f64]| -> Vec<f64> { topologies.iter().map(|&t| xs[t as usize]).collect() };
+            median(&pick(num)) / median(&pick(den)).max(1e-9)
+        };
+        let topologies: Vec<f64> = (0..num.len()).map(|t| t as f64).collect();
+        let ci = bootstrap_ci(&topologies, 0.95, 2000, 0x5eed, ratio_over);
+        (ratio_over(&topologies), ci)
+    }
+}
 
 impl Scenario for Fig18Opportunistic {
     fn name(&self) -> &'static str {
@@ -83,77 +72,51 @@ impl Scenario for Fig18Opportunistic {
     }
 
     fn run(&self, ctx: &Ctx, out: &mut Output) {
-        let params = OfdmParams::dot11a();
-        let per = PerTable::analytic();
-        let topologies = ctx.trials(20);
+        let n = ctx.trials(Self::TOPOLOGIES);
+        let results = ctx.par_map(Self::RATES.len() * n, |i| {
+            Self::topology_outcomes(Self::RATES[i / n], i % n)
+        });
 
-        out.comment("Figure 18: opportunistic routing throughput (Mbps)");
-        for rate in [RateId::R6, RateId::R12] {
-            let batches = 4usize;
-            let results = ctx.par_map(topologies, |t| {
-                let seed = 90_000 + 1000 * rate.to_index() as u64 + t as u64;
-                let mut rng = StdRng::seed_from_u64(seed);
-                let topo = draw_topology(&mut rng, rate);
-
-                let cfg = ExorConfig::new(rate);
-                let cfg_ss = ExorConfig::new(rate).with_sender_diversity();
-                let n_pkts = cfg.batch_size * batches;
-
-                let mut rng_s = StdRng::seed_from_u64(seed ^ 1);
-                let transfer = TransferSpec {
-                    src: 0,
-                    dst: 4,
-                    rate,
-                    payload_len: cfg.payload_len,
-                    n_packets: n_pkts,
-                    retry_limit: 7,
-                };
-                let single = run_transfer(&mut rng_s, &params, &topo, &per, &transfer)
-                    .map(|o| o.throughput_bps / 1e6)
-                    .unwrap_or(0.0);
-                let route = BatchRoute {
-                    src: 0,
-                    dst: 4,
-                    candidates: &[1, 2, 3],
-                };
-                let mut acc = (0.0, 0.0);
-                for b in 0..batches {
-                    let mut rng_e = StdRng::seed_from_u64(seed ^ (2 + b as u64));
-                    if let Some(o) = run_batch(&mut rng_e, &params, &topo, &per, &route, &cfg) {
-                        acc.0 += o.throughput_bps / 1e6 / batches as f64;
-                    }
-                    let mut rng_j = StdRng::seed_from_u64(seed ^ (100 + b as u64));
-                    if let Some(o) = run_batch(&mut rng_j, &params, &topo, &per, &route, &cfg_ss) {
-                        acc.1 += o.throughput_bps / 1e6 / batches as f64;
-                    }
-                }
-                (single, acc.0, acc.1)
-            });
-            let mut tp_single = Vec::with_capacity(topologies);
-            let mut tp_exor = Vec::with_capacity(topologies);
-            let mut tp_ssync = Vec::with_capacity(topologies);
-            for (s, e, j) in results {
-                tp_single.push(s);
-                tp_exor.push(e);
-                tp_ssync.push(j);
-            }
+        out.comment("Figure 18: opportunistic routing throughput (Mbps), waveform testbed");
+        for (rate, results) in Self::RATES.iter().zip(results.chunks(n)) {
             out.blank();
             out.comment(format!("===== bitrate {} Mbps =====", rate.nominal_mbps()));
-            emit_cdf(out, "single path", &tp_single);
+            let tp = emit_modes(out, results);
             out.blank();
-            emit_cdf(out, "ExOR", &tp_exor);
-            out.blank();
-            emit_cdf(out, "ExOR + SourceSync", &tp_ssync);
-            let (ms, me, mj) = (median(&tp_single), median(&tp_exor), median(&tp_ssync));
             out.comment(format!(
-                "medians: single {ms:.2}, ExOR {me:.2}, ExOR+SourceSync {mj:.2} Mbps"
+                "medians: single {:.3}, ExOR {:.3}, ExOR+SourceSync {:.3} Mbps",
+                median(&tp[0]),
+                median(&tp[1]),
+                median(&tp[2])
             ));
-            out.comment(format!(
-                "gains: ExOR/single {:.2}x (paper 1.26-1.4x), SourceSync/ExOR {:.2}x (paper 1.35-1.45x), SourceSync/single {:.2}x (paper 1.7-2x)",
-                me / ms.max(1e-9),
-                mj / me.max(1e-9),
-                mj / ms.max(1e-9)
-            ));
+            for (label, num, den, paper) in [
+                ("ExOR/single", 1, 0, "1.26-1.4x"),
+                ("SourceSync/ExOR", 2, 1, "1.35-1.45x"),
+                ("SourceSync/single", 2, 0, "1.7-2x"),
+            ] {
+                let (ratio, ci) = Self::median_ratio(&tp[num], &tp[den]);
+                out.comment(format!(
+                    "{label} {ratio:.2}x, 95% CI [{:.2}, {:.2}] (paper {paper})",
+                    ci.lo, ci.hi
+                ));
+            }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn median_ratio_resamples_topologies_in_pairs() {
+        // Each topology's numerator is twice its denominator, so every
+        // paired resample has a ratio of exactly 2; an unpaired bootstrap
+        // would spread it.
+        let den = [0.3, 1.1, 0.7, 2.4, 1.9, 0.2, 1.4];
+        let num = den.map(|x| 2.0 * x);
+        let (ratio, ci) = Fig18Opportunistic::median_ratio(&num, &den);
+        assert_eq!(ratio, 2.0);
+        assert_eq!((ci.lo, ci.hi), (2.0, 2.0));
     }
 }

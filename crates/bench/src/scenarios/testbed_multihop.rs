@@ -1,15 +1,15 @@
 //! Event-driven testbed, multi-hop throughput: single path vs ExOR vs
-//! ExOR+SourceSync over random lossy topologies — the §8.4 comparison
-//! re-run with the *real* protocol stack instead of the analytic MAC.
+//! ExOR+SourceSync over random lossy topologies — the §8.4 comparison on
+//! the real protocol stack, at 12 Mbps.
 //!
 //! Each trial draws a five-node topology (source, three relays,
 //! destination) with a healthy first hop, a marginal final hop and a dead
 //! direct link — the Fig. 10 regime — then runs one batch through
 //! `ssync_testbed::run_transfer_observed` in each routing mode. Contention,
 //! collisions, ACK losses, join failures and joint-frame gains all emerge
-//! from the waveform medium; the medians cross-check the analytic
-//! `fig18_opportunistic` ratios (ExOR > single path; ExOR+SourceSync ≥
-//! 1.2× ExOR).
+//! from the waveform medium. [`run_topology`] is the one per-topology body;
+//! `fig18_opportunistic` runs it at 6 and 12 Mbps over more topologies,
+//! and its first six at 12 Mbps are this scenario's.
 //!
 //! Output: per-mode throughput CDFs plus median/ratio and protocol-event
 //! summary lines.
@@ -20,7 +20,7 @@ use ssync_dsp::stats::median;
 use ssync_exp::scenario::emit_cdf;
 use ssync_exp::{Ctx, Output, Scenario};
 use ssync_mac::{DataFrame, MacFrame};
-use ssync_obs::{Obs, Observable};
+use ssync_obs::{MetricRegistry, Obs, Observable, TraceRecorder};
 use ssync_phy::{OfdmParams, RateId};
 use ssync_sim::{ChannelModels, Network, NodeId};
 use ssync_testbed::{run_transfer_observed, Modem, RoutingMode, TestbedConfig, TestbedOutcome};
@@ -29,15 +29,40 @@ use ssync_testbed::{run_transfer_observed, Modem, RoutingMode, TestbedConfig, Te
 /// excluded; see `TestbedConfig::new`).
 const PAYLOAD_LEN: usize = 384;
 
-/// Measured delivery probability of `payload`-sized R12 DATA frames over
-/// the directed link `tx → rx`, from `n` real modulate→superpose→decode
-/// rounds (the paper's own link-selection method, §8).
+/// Topology `t` is seeded `TOPOLOGY_SEED + t` in both Fig. 18 scenarios,
+/// so `fig18_opportunistic`'s first six 12 Mbps topologies are this
+/// scenario's.
+pub(crate) const TOPOLOGY_SEED: u64 = 770_000;
+
+/// The routing modes every topology runs, in output order.
+pub(crate) const MODES: [RoutingMode; 3] = [
+    RoutingMode::SinglePath,
+    RoutingMode::Exor,
+    RoutingMode::ExorSourceSync,
+];
+
+/// 802.11a minimum receiver input sensitivity per rate, R6 … R54 (dBm).
+const MIN_SENSITIVITY_DBM: [f64; 8] = [-82.0, -81.0, -79.0, -77.0, -74.0, -70.0, -66.0, -65.0];
+
+/// How far `rate`'s starting link SNRs sit from the 12 Mbps ones: the
+/// standard's sensitivity step (−3 dB at 6 Mbps). Link shaping then lands
+/// every link in the same measured-delivery band at any rate, so the rate
+/// moves where the search starts, not where it ends.
+fn start_offset_db(rate: RateId) -> f64 {
+    let sensitivity = |r: RateId| MIN_SENSITIVITY_DBM[r.to_index() as usize];
+    sensitivity(rate) - sensitivity(RateId::R12)
+}
+
+/// Measured delivery probability of `payload`-sized DATA frames at `rate`
+/// over the directed link `tx → rx`, from `n` real
+/// modulate→superpose→decode rounds (the paper's own link-selection
+/// method, §8).
 fn measured_delivery(
     net: &mut Network,
     modem: &mut Modem,
     seed: u64,
-    tx: usize,
-    rx: usize,
+    rate: RateId,
+    (tx, rx): (usize, usize),
     n: usize,
 ) -> f64 {
     let frame = MacFrame::Data(DataFrame {
@@ -47,7 +72,7 @@ fn measured_delivery(
         retry: false,
         payload: ssync_testbed::packet_payload(0, PAYLOAD_LEN + 5),
     });
-    let wave = modem.mac_waveform(&frame, RateId::R12);
+    let wave = modem.mac_waveform(&frame, rate);
     let mut ok = 0usize;
     for f in 0..n {
         let mut rng = StdRng::seed_from_u64(seed ^ (0x51D0 + f as u64));
@@ -67,15 +92,15 @@ fn shape_link(
     net: &mut Network,
     modem: &mut Modem,
     seed: u64,
-    a: usize,
-    b: usize,
+    rate: RateId,
+    (a, b): (usize, usize),
     mut snr: f64,
     (lo, hi): (f64, f64),
 ) {
     for step in 0..4 {
         net.pin_snr_db(NodeId(a), NodeId(b), snr);
         net.pin_snr_db(NodeId(b), NodeId(a), snr);
-        let d = measured_delivery(net, modem, seed ^ (step as u64) << 8, a, b, 8);
+        let d = measured_delivery(net, modem, seed ^ (step as u64) << 8, rate, (a, b), 8);
         if d > hi {
             snr -= 1.5;
         } else if d < lo {
@@ -86,23 +111,33 @@ fn shape_link(
     }
 }
 
-/// Pins one trial topology's link budget: src 0, relays 1–3, dst 4, with
-/// every protocol-relevant link shaped to a *measured* delivery band —
-/// healthy first hop, ≈50 %-lossy final hop (the Fig. 10 regime where
-/// sender diversity pays), clustered relays, dead direct link.
-fn pin_topology(rng: &mut StdRng, net: &mut Network) {
+/// Pins one trial topology's link budget at `rate`: src 0, relays 1–3,
+/// dst 4, with every protocol-relevant link shaped to a *measured*
+/// delivery band — healthy first hop, ≈50 %-lossy final hop (the Fig. 10
+/// regime where sender diversity pays), clustered relays, dead direct
+/// link.
+fn pin_topology(rng: &mut StdRng, net: &mut Network, rate: RateId) {
     let mut modem = Modem::new(net.params.clone());
     let seed = rng.gen::<u64>();
+    let offset = start_offset_db(rate);
     for r in 1..=3usize {
-        let a = rng.gen_range(7.5..9.0);
-        shape_link(net, &mut modem, seed ^ (r as u64), 0, r, a, (0.75, 1.0));
-        let b = rng.gen_range(5.0..6.5);
+        let a = rng.gen_range(7.5..9.0) + offset;
+        shape_link(
+            net,
+            &mut modem,
+            seed ^ (r as u64),
+            rate,
+            (0, r),
+            a,
+            (0.75, 1.0),
+        );
+        let b = rng.gen_range(5.0..6.5) + offset;
         shape_link(
             net,
             &mut modem,
             seed ^ (0x40 + r as u64),
-            r,
-            4,
+            rate,
+            (r, 4),
             b,
             (0.1, 0.4),
         );
@@ -119,8 +154,9 @@ fn pin_topology(rng: &mut StdRng, net: &mut Network) {
 }
 
 /// Builds the trial network: jittered diamond placement (real propagation
-/// delays for the §4.3 compensation), testbed multipath, pinned budgets.
-fn draw_network(seed: u64) -> Network {
+/// delays for the §4.3 compensation), testbed multipath, link budgets
+/// pinned for `rate`.
+fn draw_network(seed: u64, rate: RateId) -> Network {
     let params = OfdmParams::dot11a();
     let mut rng = StdRng::seed_from_u64(seed);
     let positions = super::jittered_diamond(&mut rng);
@@ -130,8 +166,68 @@ fn draw_network(seed: u64) -> Network {
         &positions,
         &ChannelModels::testbed(&params),
     );
-    pin_topology(&mut rng, &mut net);
+    pin_topology(&mut rng, &mut net, rate);
     net
+}
+
+/// One Fig. 18 topology: draws trial network `seed`, shapes its links for
+/// DATA at `rate`, and runs one batch src 0 → dst 4 over relays 1–3 in
+/// each of [`MODES`]. Returns each mode's outcome with the recorder and
+/// registry its run filled (from `obs`).
+pub(crate) fn run_topology(
+    seed: u64,
+    rate: RateId,
+    obs: &Obs,
+) -> Vec<(TestbedOutcome, TraceRecorder, MetricRegistry)> {
+    let mut net = draw_network(seed, rate);
+    MODES
+        .iter()
+        .enumerate()
+        .map(|(m, &mode)| {
+            let mut rng = StdRng::seed_from_u64(seed ^ (0xA0 + m as u64));
+            let mut rec = obs.trial_recorder();
+            let mut reg = obs.trial_registry();
+            let outcome = run_transfer_observed(
+                &mut net,
+                &mut rng,
+                0,
+                4,
+                &[1, 2, 3],
+                &TestbedConfig::new(rate, mode),
+                &mut rec,
+                &mut reg,
+            )
+            .expect("diamond is routable");
+            (outcome, rec, reg)
+        })
+        .collect()
+}
+
+/// Renders each mode's throughput CDF and protocol-event line over
+/// `results` (one row per topology, one outcome per mode in [`MODES`]
+/// order); returns each mode's throughputs in Mbps.
+pub(crate) fn emit_modes(out: &mut Output, results: &[Vec<TestbedOutcome>]) -> Vec<Vec<f64>> {
+    MODES
+        .iter()
+        .enumerate()
+        .map(|(m, &mode)| {
+            let tp: Vec<f64> = results.iter().map(|r| r[m].throughput_bps / 1e6).collect();
+            out.blank();
+            emit_cdf(out, mode_name(mode), &tp);
+            let frames: u64 = results.iter().map(|r| r[m].data_frames).sum();
+            let joint: u64 = results.iter().map(|r| r[m].joint_frames).sum();
+            let collisions: u64 = results.iter().map(|r| r[m].collisions).sum();
+            let retries: u64 = results.iter().map(|r| r[m].arq_retries).sum();
+            let joined: u64 = results.iter().map(|r| r[m].joins.joined).sum();
+            let join_fail: u64 = results.iter().map(|r| r[m].joins.failures()).sum();
+            out.comment(format!(
+                "{}: data frames {frames}, joint frames {joint} (joins ok {joined} / failed \
+                 {join_fail}), collisions {collisions}, ARQ retries {retries}",
+                mode_name(mode)
+            ));
+            tp
+        })
+        .collect()
 }
 
 fn mode_name(mode: RoutingMode) -> &'static str {
@@ -178,11 +274,6 @@ impl Observable for TestbedMultihop {
     /// [`run_transfer_observed`], folded into `obs` in trial-index order
     /// as a `topology{t}/{mode}` track.
     fn run_observed(&self, ctx: &Ctx, out: &mut Output, obs: &mut Obs) {
-        let modes = [
-            RoutingMode::SinglePath,
-            RoutingMode::Exor,
-            RoutingMode::ExorSourceSync,
-        ];
         let topologies = ctx.trials(6);
         out.comment("Event-driven testbed: one batch per topology through the real stack");
         out.comment(
@@ -191,34 +282,12 @@ impl Observable for TestbedMultihop {
         );
 
         let observed = ctx.par_map(topologies, |t| {
-            let seed = 770_000 + t as u64;
-            let mut net = draw_network(seed);
-            modes
-                .iter()
-                .enumerate()
-                .map(|(m, &mode)| {
-                    let mut rng = StdRng::seed_from_u64(seed ^ (0xA0 + m as u64));
-                    let mut rec = obs.trial_recorder();
-                    let mut reg = obs.trial_registry();
-                    let outcome = run_transfer_observed(
-                        &mut net,
-                        &mut rng,
-                        0,
-                        4,
-                        &[1, 2, 3],
-                        &TestbedConfig::new(RateId::R12, mode),
-                        &mut rec,
-                        &mut reg,
-                    )
-                    .expect("diamond is routable");
-                    (outcome, rec, reg)
-                })
-                .collect::<Vec<_>>()
+            run_topology(TOPOLOGY_SEED + t as u64, RateId::R12, obs)
         });
         let mut results: Vec<Vec<TestbedOutcome>> = Vec::with_capacity(observed.len());
         for (t, per_mode) in observed.into_iter().enumerate() {
             let mut outcomes = Vec::with_capacity(per_mode.len());
-            for ((outcome, rec, reg), &mode) in per_mode.into_iter().zip(&modes) {
+            for ((outcome, rec, reg), &mode) in per_mode.into_iter().zip(&MODES) {
                 obs.add_track(format!("topology{t}/{}", mode_slug(mode)), rec);
                 obs.merge_metrics(&reg);
                 outcomes.push(outcome);
@@ -226,24 +295,10 @@ impl Observable for TestbedMultihop {
             results.push(outcomes);
         }
 
-        let mut medians = Vec::new();
-        for (m, &mode) in modes.iter().enumerate() {
-            let tp: Vec<f64> = results.iter().map(|r| r[m].throughput_bps / 1e6).collect();
-            out.blank();
-            emit_cdf(out, mode_name(mode), &tp);
-            let frames: u64 = results.iter().map(|r| r[m].data_frames).sum();
-            let joint: u64 = results.iter().map(|r| r[m].joint_frames).sum();
-            let collisions: u64 = results.iter().map(|r| r[m].collisions).sum();
-            let retries: u64 = results.iter().map(|r| r[m].arq_retries).sum();
-            let joined: u64 = results.iter().map(|r| r[m].joins.joined).sum();
-            let join_fail: u64 = results.iter().map(|r| r[m].joins.failures()).sum();
-            out.comment(format!(
-                "{}: data frames {frames}, joint frames {joint} (joins ok {joined} / failed \
-                 {join_fail}), collisions {collisions}, ARQ retries {retries}",
-                mode_name(mode)
-            ));
-            medians.push(median(&tp));
-        }
+        let medians: Vec<f64> = emit_modes(out, &results)
+            .iter()
+            .map(|tp| median(tp))
+            .collect();
         out.blank();
         out.comment(format!(
             "medians: single {:.3}, ExOR {:.3}, ExOR+SourceSync {:.3} Mbps",

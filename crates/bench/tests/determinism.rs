@@ -36,7 +36,7 @@ fn sweep_scenario_is_byte_identical_across_thread_counts() {
 }
 
 /// The event-driven testbed: one full protocol run per fault class
-/// through `ssync_testbed::run_transfer`. Identical seeds must give
+/// through `ssync_testbed::run_transfer_observed`. Identical seeds must give
 /// byte-identical output across two renders and across 1/8 workers —
 /// the event loop, the per-exchange RNG draws, and the fault seams all
 /// sit behind the harness determinism contract.

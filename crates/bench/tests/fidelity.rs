@@ -16,12 +16,15 @@
 //!   at 117 ns sits at ~94 % of the plateau, with a CI wholly below 95 %;
 //!   SourceSync reaches 95 % by 156 ns;
 //! - Fig. 13's baseline needing ~469 ns;
-//! - Figs. 17 and 18.
+//! - Fig. 17;
+//! - Fig. 18's SourceSync/ExOR ≥ 1.35× (CI wholly below it at 6 Mbps,
+//!   straddling it at 12 Mbps) and its ExOR/single and SourceSync/single
+//!   bands (above or straddling them).
 //!
 //! The trial counts make this suite slow in the debug profile, so it runs
 //! in release only: `cargo test --release -p ssync_bench --test fidelity`.
 
-use ssync_bench::scenarios::{Fig12SyncError, Fig13CpSweep, Fig15PowerGains};
+use ssync_bench::scenarios::{Fig12SyncError, Fig13CpSweep, Fig15PowerGains, Fig18Opportunistic};
 use ssync_dsp::stats::percentile;
 use ssync_exp::agg::{bootstrap_ci, mean_ci_bootstrap, Ci};
 use ssync_exp::exec::par_map;
@@ -128,6 +131,36 @@ fn fig15_joint_gain_at_least_2db_in_every_regime() {
         assert!(
             ci.lo >= BAND_DB,
             "{name}: gain CI {ci:?} below {BAND_DB} dB"
+        );
+    }
+}
+
+/// Fig. 18: on the waveform testbed, ExOR's median throughput is above
+/// single path's at both 6 and 12 Mbps. The CI is the one the figure
+/// prints: its own 24 topologies per rate, resampled in pairs.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release only: trial counts")]
+fn fig18_exor_above_single_path_at_both_rates() {
+    let n = Fig18Opportunistic::TOPOLOGIES;
+    let rates = Fig18Opportunistic::RATES;
+    let runs = par_map(threads(), rates.len() * n, |i| {
+        Fig18Opportunistic::topology_outcomes(rates[i / n], i % n)
+    });
+    for (rate, chunk) in rates.iter().zip(runs.chunks(n)) {
+        let mbps = |mode: usize| -> Vec<f64> {
+            chunk.iter().map(|r| r[mode].throughput_bps / 1e6).collect()
+        };
+        let (ratio, ci) = Fig18Opportunistic::median_ratio(&mbps(1), &mbps(0));
+        println!(
+            "fig18 {} Mbps: ExOR/single {ratio:.2}x, CI [{:.2}, {:.2}]",
+            rate.nominal_mbps(),
+            ci.lo,
+            ci.hi
+        );
+        assert!(
+            ci.lo > 1.0,
+            "{} Mbps: ExOR/single CI {ci:?} not above 1",
+            rate.nominal_mbps()
         );
     }
 }

@@ -109,10 +109,11 @@ fn fig16_subcarrier_snr_matches_preworkspace_output() {
 /// The event-driven testbed's fault-injection sweep, pinned when the
 /// testbed landed: the whole protocol stack (CSMA/CA contention, ARQ,
 /// ExOR batch maps, joint frames, fault seams) must keep producing these
-/// exact typed outcomes. Its sibling `testbed_multihop` golden is pinned
-/// in `tests/golden/` too but replayed only by CI's release-mode
-/// `ssync-lab --check` step — its measured-delivery link shaping makes a
-/// debug-profile render too slow for the unit suite.
+/// exact typed outcomes. Its siblings `testbed_multihop` and
+/// `fig18_opportunistic` are pinned in `tests/golden/` too but replayed
+/// only by CI's release-mode `ssync-lab --check` steps — their
+/// measured-delivery link shaping makes a debug-profile render too slow
+/// for the unit suite.
 #[test]
 fn testbed_fault_matches_pinned_output() {
     let scenario = scenarios::find("testbed_fault").expect("scenario registered");

@@ -1,24 +1,92 @@
-//! Event-driven DCF contention: the per-station state machine that an
-//! event-queue-scheduled testbed drives.
+//! 802.11 DCF: the timing constants, binary-exponential backoff, and the
+//! per-station contention state machine that an event-queue-scheduled
+//! testbed drives.
 //!
-//! [`crate::csma`] provides the DCF *constants* and closed-form exchange
-//! arithmetic the analytic throughput experiments use; this module
-//! promotes them to a schedulable state machine: a [`DcfContender`] turns
-//! "the air went idle at `t`" into the absolute [`Time`] of this
-//! station's next transmission attempt (DIFS + residual backoff), freezes
-//! the unspent backoff when the air goes busy before the attempt fires
-//! (802.11's countdown-freeze, at the granularity of one deferral), and
-//! carries the binary-exponential window plus retry accounting across
-//! ACK timeouts.
+//! SourceSync keeps the 802.11 medium-access discipline unchanged — only
+//! the *lead* sender contends; co-senders join its transmission (paper
+//! §3). A [`DcfContender`] turns "the air went idle at `t`" into the
+//! absolute [`Time`] of this station's next transmission attempt (DIFS +
+//! residual backoff), freezes the unspent backoff when the air goes busy
+//! before the attempt fires (802.11's countdown-freeze, at the granularity
+//! of one deferral), and carries the binary-exponential window plus retry
+//! accounting across ACK timeouts.
 //!
 //! The contender is medium-agnostic: it owns no clock and no queue. A
 //! driver (e.g. `ssync_testbed`) pops its own events, asks the contender
 //! for attempt times, and reports outcomes back — which keeps this state
 //! machine unit-testable with plain arithmetic.
 
-use crate::csma::{Backoff, DcfTiming};
 use rand::Rng;
 use ssync_sim::{Duration, Time};
+
+/// DCF timing constants (802.11a/g OFDM PHY values).
+#[derive(Debug, Clone, Copy)]
+pub struct DcfTiming {
+    /// Short interframe space.
+    pub sifs: Duration,
+    /// Slot time.
+    pub slot: Duration,
+    /// Minimum contention window (slots).
+    pub cw_min: u32,
+    /// Maximum contention window (slots).
+    pub cw_max: u32,
+}
+
+impl Default for DcfTiming {
+    fn default() -> Self {
+        DcfTiming {
+            sifs: Duration::from_secs_f64(10e-6),
+            slot: Duration::from_secs_f64(9e-6),
+            cw_min: 15,
+            cw_max: 1023,
+        }
+    }
+}
+
+impl DcfTiming {
+    /// DIFS = SIFS + 2 slots.
+    pub fn difs(&self) -> Duration {
+        Duration(self.sifs.0 + 2 * self.slot.0)
+    }
+}
+
+/// Per-station backoff state (binary exponential).
+#[derive(Debug, Clone)]
+pub struct Backoff {
+    timing: DcfTiming,
+    cw: u32,
+}
+
+impl Backoff {
+    /// Fresh state at CWmin.
+    pub fn new(timing: DcfTiming) -> Self {
+        Backoff {
+            cw: timing.cw_min,
+            timing,
+        }
+    }
+
+    /// Draws a backoff duration for the next attempt.
+    pub fn draw<R: Rng + ?Sized>(&self, rng: &mut R) -> Duration {
+        let slots = rng.gen_range(0..=self.cw);
+        Duration(self.timing.slot.0 * slots as u64)
+    }
+
+    /// Doubles the window after a failed attempt (capped at CWmax).
+    pub fn on_failure(&mut self) {
+        self.cw = ((self.cw + 1) * 2 - 1).min(self.timing.cw_max);
+    }
+
+    /// Resets to CWmin after a success.
+    pub fn on_success(&mut self) {
+        self.cw = self.timing.cw_min;
+    }
+
+    /// Current contention window in slots.
+    pub fn cw(&self) -> u32 {
+        self.cw
+    }
+}
 
 /// Timing of one DATA→ACK turn on the event timeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,6 +215,38 @@ mod tests {
 
     fn contender() -> DcfContender {
         DcfContender::new(DcfTiming::default())
+    }
+
+    #[test]
+    fn difs_is_sifs_plus_two_slots() {
+        let t = DcfTiming::default();
+        assert_eq!(t.difs().as_secs_f64(), 10e-6 + 2.0 * 9e-6);
+    }
+
+    #[test]
+    fn backoff_draws_within_window() {
+        let mut rng = StdRng::seed_from_u64(1);
+        let b = Backoff::new(DcfTiming::default());
+        for _ in 0..100 {
+            let d = b.draw(&mut rng);
+            assert!(d.0 <= DcfTiming::default().slot.0 * 15);
+        }
+    }
+
+    #[test]
+    fn window_doubles_and_caps() {
+        let mut b = Backoff::new(DcfTiming::default());
+        assert_eq!(b.cw(), 15);
+        b.on_failure();
+        assert_eq!(b.cw(), 31);
+        b.on_failure();
+        assert_eq!(b.cw(), 63);
+        for _ in 0..10 {
+            b.on_failure();
+        }
+        assert_eq!(b.cw(), 1023);
+        b.on_success();
+        assert_eq!(b.cw(), 15);
     }
 
     #[test]

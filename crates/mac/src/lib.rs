@@ -7,14 +7,10 @@
 //!
 //! * [`frames`] — typed MAC frames, including the ACK field carrying the
 //!   §4.5 misalignment feedback,
-//! * [`csma`] — DCF timing (DIFS/SIFS/slots), binary-exponential backoff,
-//!   and exchange-duration arithmetic,
-//! * [`dcf`] — the event-driven promotion of [`csma`]: a per-station
-//!   contention state machine (DIFS + backoff scheduling, countdown
-//!   freeze, retry accounting, ACK deadlines) that an event-queue-driven
-//!   testbed schedules on the femtosecond timeline,
-//! * [`arq`] — stop-and-wait retransmission with medium-time accounting,
-//!   the building block of every throughput experiment.
+//! * [`dcf`] — DCF timing (DIFS/SIFS/slots), binary-exponential backoff,
+//!   and the per-station contention state machine (DIFS + backoff
+//!   scheduling, countdown freeze, retry accounting, ACK deadlines) that
+//!   an event-queue-driven testbed schedules on the femtosecond timeline.
 
 // No unsafe anywhere in this crate: the determinism contract is easier
 // to audit when the only unsafe in the workspace is ssync_phy's fenced
@@ -22,15 +18,8 @@
 // DESIGN.md and ssync_lint's `undocumented-unsafe` rule).
 #![forbid(unsafe_code)]
 
-pub mod arq;
-pub mod csma;
 pub mod dcf;
 pub mod frames;
 
-pub use arq::{
-    bulk_throughput_bps, expected_attempts, send_packet, ArqOutcome, ArqProfile,
-    DEFAULT_RETRY_LIMIT,
-};
-pub use csma::{exchange_duration, saturation_throughput_bps, Backoff, DcfTiming};
-pub use dcf::{ack_schedule, AckSchedule, DcfContender};
+pub use dcf::{ack_schedule, AckSchedule, Backoff, DcfContender, DcfTiming};
 pub use frames::{AckFrame, DataFrame, MacFrame};

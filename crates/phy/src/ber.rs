@@ -1,10 +1,11 @@
-//! Monte-Carlo packet-error-rate measurement and calibrated PER tables.
+//! Monte-Carlo packet-error-rate measurement and PER tables.
 //!
-//! The network-level experiments (Figs. 17–18) need thousands of packet
-//! trials; running the full sample-level modem for each is accurate but
-//! slow. This module measures PER-vs-SNR curves once through the *actual*
-//! modem, then serves interpolated lookups so the discrete-event simulator
-//! has a fast path whose behaviour is pinned to the real signal chain.
+//! Packet-level models (Fig. 17's last hop, the ETX metric behind the
+//! testbed's forwarder order, the city backhaul) read delivery off a
+//! [`PerTable`] instead of running the sample-level modem per packet. This
+//! module can measure PER-vs-SNR curves through the *actual* modem
+//! ([`PerTable::calibrate`]), but every caller today uses
+//! [`PerTable::analytic`]: hand-typed logistic curves, not measured ones.
 
 use crate::params::{Params, RateId};
 use crate::rx::Receiver;

@@ -1,16 +1,15 @@
-//! Mesh routing protocols for the SourceSync reproduction (paper §7.2).
+//! Mesh routing metrics for the SourceSync reproduction (paper §7.2).
 //!
 //! * [`topology`] — packet-level link statistics (SNR / delivery
-//!   probability) extracted from the sample-level network, plus the joint
-//!   SNR-combining rule for SourceSync transmissions,
+//!   probability) extracted from the sample-level network, with delivery
+//!   read off `PerTable::analytic()`,
 //! * [`etx`] — the ETX metric, Dijkstra shortest-ETX paths, and the ExOR
-//!   forwarder priority ordering,
-//! * [`singlepath`] — the traditional best-path + per-hop-ARQ baseline,
-//! * [`exor`] — batch-mode ExOR with the priority scheduler, with and
-//!   without SourceSync joint forwarding.
+//!   forwarder priority ordering.
 //!
-//! Together these regenerate the paper's Fig. 18 comparison: single path
-//! vs ExOR vs ExOR+SourceSync.
+//! The event-driven testbed (`ssync_testbed`) orders its ExOR forwarder
+//! set and picks its single-path route with these; the protocols
+//! themselves — and the paper's Fig. 18 comparison — run there, over the
+//! waveform medium.
 
 // No unsafe anywhere in this crate: the determinism contract is easier
 // to audit when the only unsafe in the workspace is ssync_phy's fenced
@@ -19,11 +18,7 @@
 #![forbid(unsafe_code)]
 
 pub mod etx;
-pub mod exor;
-pub mod singlepath;
 pub mod topology;
 
 pub use etx::{best_path, etx_to_destination, forwarder_priority, link_etx};
-pub use exor::{run_batch, BatchRoute, ExorConfig};
-pub use singlepath::{run_transfer, TransferOutcome, TransferSpec};
 pub use topology::MeshTopology;

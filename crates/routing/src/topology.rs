@@ -1,9 +1,10 @@
 //! Packet-level mesh topology: per-link delivery probabilities and SNRs.
 //!
-//! The routing experiments run at packet level for tractability; the
-//! per-link numbers are derived from the same channel models and the PER
-//! tables calibrated through the sample-level modem, so the abstraction is
-//! pinned to the real signal chain (see `ssync_phy::ber`).
+//! The link SNRs come from the sample-level network's channel models; the
+//! delivery probabilities read them off a PER table — in every caller the
+//! hand-typed logistic curves of `PerTable::analytic()`, not curves
+//! measured through the modem. They serve ETX and the ExOR forwarder
+//! order only: every frame the testbed sends is decoded from the waveform.
 
 use ssync_phy::ber::PerTable;
 use ssync_phy::RateId;
@@ -50,10 +51,9 @@ impl MeshTopology {
 
     /// Delivery probability of `i → j` at `rate` under `per`. A link with
     /// `−inf` SNR (no link) delivers nothing, regardless of how the PER
-    /// curve clamps. Single-sender links pay the frequency-selective
-    /// fading penalty ([`ssync_phy::ber::FADING_PENALTY_DB`]) against the
-    /// AWGN-calibrated PER table; joint transmissions do not (their
-    /// composite channel is diversity-flattened, paper Fig. 16).
+    /// curve clamps. Links pay the frequency-selective fading penalty
+    /// ([`ssync_phy::ber::FADING_PENALTY_DB`]) against the AWGN-shaped
+    /// PER table.
     pub fn delivery(&self, per: &PerTable, rate: RateId, i: usize, j: usize) -> f64 {
         let snr = self.snr_db[i][j];
         if i == j || snr == f64::NEG_INFINITY {
@@ -71,41 +71,6 @@ impl MeshTopology {
                     .collect()
             })
             .collect()
-    }
-
-    /// Effective SNR (dB) at `dst` when `senders` transmit jointly with
-    /// SourceSync: linear receive powers add (Alamouti guarantees coherent
-    /// combining never goes destructive — paper §6), so
-    /// `SNR_eff = Σᵢ SNRᵢ` in linear units.
-    pub fn joint_snr_db(&self, senders: &[usize], dst: usize) -> f64 {
-        let total: f64 = senders
-            .iter()
-            .filter(|&&s| s != dst)
-            .map(|&s| ssync_dsp::stats::linear_from_db(self.snr_db[s][dst]))
-            .sum();
-        ssync_dsp::stats::db_from_linear(total)
-    }
-
-    /// Joint delivery probability from a sender set.
-    pub fn joint_delivery(
-        &self,
-        per: &PerTable,
-        rate: RateId,
-        senders: &[usize],
-        dst: usize,
-    ) -> f64 {
-        let active: Vec<usize> = senders.iter().copied().filter(|&s| s != dst).collect();
-        if active.is_empty() {
-            return 0.0;
-        }
-        if active.len() == 1 {
-            return self.delivery(per, rate, active[0], dst);
-        }
-        let snr = self.joint_snr_db(&active, dst);
-        if snr == f64::NEG_INFINITY {
-            return 0.0;
-        }
-        1.0 - per.per(rate, snr)
     }
 }
 
@@ -128,40 +93,6 @@ mod tests {
         assert!(good.delivery(&per, RateId::R12, 0, 1) > 0.99);
         assert!(bad.delivery(&per, RateId::R12, 0, 1) < 0.05);
         assert_eq!(good.delivery(&per, RateId::R12, 0, 0), 0.0);
-    }
-
-    #[test]
-    fn joint_snr_adds_linearly() {
-        let t = MeshTopology::from_snrs(vec![
-            vec![f64::NEG_INFINITY, f64::NEG_INFINITY, 10.0],
-            vec![f64::NEG_INFINITY, f64::NEG_INFINITY, 10.0],
-            vec![f64::NEG_INFINITY, f64::NEG_INFINITY, f64::NEG_INFINITY],
-        ]);
-        // Two equal 10 dB senders → 13 dB joint.
-        let joint = t.joint_snr_db(&[0, 1], 2);
-        assert!((joint - 13.01).abs() < 0.1, "joint {joint}");
-        // A single sender leaves SNR unchanged.
-        assert!((t.joint_snr_db(&[0], 2) - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn joint_delivery_beats_single() {
-        let per = PerTable::analytic();
-        let t = MeshTopology::from_snrs(vec![
-            vec![f64::NEG_INFINITY, f64::NEG_INFINITY, 7.0],
-            vec![f64::NEG_INFINITY, f64::NEG_INFINITY, 7.0],
-            vec![f64::NEG_INFINITY, f64::NEG_INFINITY, f64::NEG_INFINITY],
-        ]);
-        let single = t.joint_delivery(&per, RateId::R12, &[0], 2);
-        let joint = t.joint_delivery(&per, RateId::R12, &[0, 1], 2);
-        assert!(joint > single, "joint {joint} single {single}");
-    }
-
-    #[test]
-    fn joint_excludes_destination_from_senders() {
-        let per = PerTable::analytic();
-        let t = two_node(10.0);
-        assert_eq!(t.joint_delivery(&per, RateId::R12, &[1], 1), 0.0);
     }
 
     #[test]

@@ -1577,56 +1577,57 @@ mod tests {
         )
     }
 
+    /// The DATA rates the delivery tests run at: Fig. 18's two.
+    const RATES: [RateId; 2] = [RateId::R6, RateId::R12];
+
     #[test]
     fn single_path_delivers_on_clean_links() {
-        let mut net = diamond(1, 25.0, 25.0);
-        let mut rng = StdRng::seed_from_u64(2);
-        let o = run_untraced(
-            &mut net,
-            &mut rng,
-            3,
-            &[1, 2],
-            &small_cfg(RoutingMode::SinglePath),
-        )
-        .unwrap();
-        assert_eq!(o.delivered, 4, "{o:?}");
-        assert!(o.throughput_bps > 0.0);
-        assert_eq!(o.joint_frames, 0);
+        for rate in RATES {
+            let mut net = diamond(1, 25.0, 25.0);
+            let mut rng = StdRng::seed_from_u64(2);
+            let cfg = TestbedConfig {
+                rate,
+                ..small_cfg(RoutingMode::SinglePath)
+            };
+            let o = run_untraced(&mut net, &mut rng, 3, &[1, 2], &cfg).unwrap();
+            assert_eq!(o.delivered, 4, "{rate:?}: {o:?}");
+            assert!(o.throughput_bps > 0.0);
+            assert_eq!(o.joint_frames, 0);
+        }
     }
 
     #[test]
     fn exor_delivers_on_clean_links() {
-        let mut net = diamond(3, 25.0, 25.0);
-        let mut rng = StdRng::seed_from_u64(4);
-        let o = run_untraced(
-            &mut net,
-            &mut rng,
-            3,
-            &[1, 2],
-            &small_cfg(RoutingMode::Exor),
-        )
-        .unwrap();
-        assert_eq!(o.delivered, 4, "{o:?}");
-        assert!(o.data_frames >= 4);
+        for rate in RATES {
+            let mut net = diamond(3, 25.0, 25.0);
+            let mut rng = StdRng::seed_from_u64(4);
+            let cfg = TestbedConfig {
+                rate,
+                ..small_cfg(RoutingMode::Exor)
+            };
+            let o = run_untraced(&mut net, &mut rng, 3, &[1, 2], &cfg).unwrap();
+            assert_eq!(o.delivered, 4, "{rate:?}: {o:?}");
+            assert!(o.data_frames >= 4);
+        }
     }
 
     #[test]
     fn sourcesync_mode_joins_cosenders() {
         // Final hop lossy enough that plain first attempts fail and the
-        // retries escalate to joint frames.
-        let mut net = diamond(5, 25.0, 5.0);
-        let mut rng = StdRng::seed_from_u64(6);
-        let o = run_untraced(
-            &mut net,
-            &mut rng,
-            3,
-            &[1, 2],
-            &small_cfg(RoutingMode::ExorSourceSync),
-        )
-        .unwrap();
-        assert!(o.delivered >= 3, "{o:?}");
-        assert!(o.joint_frames > 0, "{o:?}");
-        assert!(o.joins.joined > 0, "{o:?}");
+        // retries escalate to joint frames; 3 dB lower at 6 Mbps, 802.11a's
+        // sensitivity step between the two rates.
+        for (rate, final_hop_db) in [(RateId::R6, 2.0), (RateId::R12, 5.0)] {
+            let mut net = diamond(5, 25.0, final_hop_db);
+            let mut rng = StdRng::seed_from_u64(6);
+            let cfg = TestbedConfig {
+                rate,
+                ..small_cfg(RoutingMode::ExorSourceSync)
+            };
+            let o = run_untraced(&mut net, &mut rng, 3, &[1, 2], &cfg).unwrap();
+            assert!(o.delivered >= 3, "{rate:?}: {o:?}");
+            assert!(o.joint_frames > 0, "{rate:?}: {o:?}");
+            assert!(o.joins.joined > 0, "{rate:?}: {o:?}");
+        }
     }
 
     #[test]

@@ -1,105 +1,110 @@
-//! Opportunistic routing demo: the paper's Fig. 10 diamond.
+//! Opportunistic routing demo: the paper's Fig. 10 diamond on the
+//! event-driven testbed.
 //!
-//! A source, three lossy relays, and a destination. Compares traditional
-//! single-path routing, ExOR, and ExOR+SourceSync on the same topology,
-//! with optional extra fault injection.
+//! A source, three relays, and a destination over the waveform medium: a
+//! healthy first hop, a lossy final hop, relays that hear each other, and
+//! no usable direct link. One batch runs through single-path routing,
+//! ExOR, and ExOR+SourceSync on the same network, with an optional share
+//! of DATA frames dropped on top of the channel's own losses.
 //!
 //! Run with: `cargo run --release --example opportunistic_mesh [drop%]`
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sourcesync::phy::ber::PerTable;
+use sourcesync::channel::Position;
+use sourcesync::obs::{MetricRegistry, TraceRecorder};
 use sourcesync::phy::{OfdmParams, RateId};
-use sourcesync::routing::{
-    run_batch, run_transfer, BatchRoute, ExorConfig, MeshTopology, TransferSpec,
-};
-use sourcesync::sim::FaultInjector;
+use sourcesync::sim::{ChannelModels, FaultInjector, Network, NodeId};
+use sourcesync::testbed::{run_transfer_observed, FaultPlan, RoutingMode, TestbedConfig};
 
 fn main() {
     let drop_pct: f64 = std::env::args()
         .nth(1)
         .and_then(|v| v.trim_end_matches('%').parse().ok())
         .unwrap_or(0.0);
-    let injector = FaultInjector::new(drop_pct / 100.0, 0.0);
+    let faults = FaultPlan {
+        data: FaultInjector::new(drop_pct / 100.0, 0.0),
+        ..FaultPlan::none()
+    };
 
     let params = OfdmParams::dot11a();
-    let per = PerTable::analytic();
     let rate = RateId::R12;
-
-    // Fig. 10: every source→relay and relay→destination link is marginal
-    // (≈50 % delivery at 12 Mbps after the fading penalty); relays hear
-    // each other; no usable direct link.
-    let inf = f64::NEG_INFINITY;
-    let lossy = 9.0;
-    let topo = MeshTopology::from_snrs(vec![
-        vec![inf, lossy, lossy, lossy, -10.0],
-        vec![lossy, inf, 15.0, 15.0, lossy],
-        vec![lossy, 15.0, inf, 15.0, lossy],
-        vec![lossy, 15.0, 15.0, inf, lossy],
-        vec![-10.0, lossy, lossy, lossy, inf],
-    ]);
+    let positions = [
+        (0.0, 0.0),
+        (14.0, -8.0),
+        (14.0, 0.0),
+        (14.0, 8.0),
+        (28.0, 0.0),
+    ]
+    .map(|(x, y)| Position::new(x, y));
+    let mut rng = StdRng::seed_from_u64(99);
+    let mut net = Network::build(
+        &mut rng,
+        &params,
+        &positions,
+        &ChannelModels::testbed(&params),
+    );
+    let (first_hop, final_hop) = (12.0, 6.0);
+    let mut pin = |a: usize, b: usize, snr: f64| {
+        net.pin_snr_db(NodeId(a), NodeId(b), snr);
+        net.pin_snr_db(NodeId(b), NodeId(a), snr);
+    };
+    for r in 1..=3 {
+        pin(0, r, first_hop);
+        pin(r, 4, final_hop);
+        for j in r + 1..=3 {
+            pin(r, j, 15.0);
+        }
+    }
+    pin(0, 4, -15.0);
     println!(
-        "diamond topology: src=0, relays=1..3, dst=4; link delivery at {} Mbps ≈ {:.0}%",
-        rate.nominal_mbps(),
-        topo.delivery(&per, rate, 0, 1) * 100.0
+        "diamond topology: src=0, relays=1..3, dst=4; first hop {first_hop} dB, final hop \
+         {final_hop} dB, DATA at {} Mbps",
+        rate.nominal_mbps()
     );
     if drop_pct > 0.0 {
-        println!("extra fault injection: {drop_pct}% random drops");
+        println!("extra fault injection: {drop_pct}% of DATA frames dropped");
     }
+    println!();
 
-    // Fault injection composes with the channel: scale delivery by the
-    // keep-probability (the injector's effect on a Bernoulli link).
-    let keep = 1.0 - injector.drop_chance;
-    let scaled = MeshTopology::from_snrs(topo.snr_db.clone());
-    let _ = keep; // channel losses already dominate; injector shown for API
-
-    let mut rng = StdRng::seed_from_u64(99);
-    let cfg = ExorConfig::new(rate);
-    let cfg_ss = ExorConfig::new(rate).with_sender_diversity();
-    let n_pkts = cfg.batch_size * 4;
-
-    let transfer = TransferSpec {
-        src: 0,
-        dst: 4,
-        rate,
-        payload_len: cfg.payload_len,
-        n_packets: n_pkts,
-        retry_limit: 7,
-    };
-    let single =
-        run_transfer(&mut rng, &params, &scaled, &per, &transfer).expect("destination reachable");
-    println!(
-        "\nsingle path : {:5.2} Mbps ({} of {} packets)",
-        single.throughput_bps / 1e6,
-        single.delivered,
-        n_pkts
-    );
-
-    let route = BatchRoute {
-        src: 0,
-        dst: 4,
-        candidates: &[1, 2, 3],
-    };
-    let mut exor_tp = 0.0;
-    let mut ss_tp = 0.0;
-    for b in 0..4u64 {
-        let mut rng_e = StdRng::seed_from_u64(100 + b);
-        exor_tp += run_batch(&mut rng_e, &params, &scaled, &per, &route, &cfg)
-            .unwrap()
-            .throughput_bps
-            / 4.0;
-        let mut rng_s = StdRng::seed_from_u64(200 + b);
-        ss_tp += run_batch(&mut rng_s, &params, &scaled, &per, &route, &cfg_ss)
-            .unwrap()
-            .throughput_bps
-            / 4.0;
+    let modes = [
+        ("single path", RoutingMode::SinglePath),
+        ("ExOR", RoutingMode::Exor),
+        ("ExOR+SSync", RoutingMode::ExorSourceSync),
+    ];
+    let mut throughput = Vec::new();
+    for (m, (name, mode)) in modes.into_iter().enumerate() {
+        let cfg = TestbedConfig {
+            faults,
+            ..TestbedConfig::new(rate, mode)
+        };
+        let mut rng = StdRng::seed_from_u64(100 + m as u64);
+        let o = run_transfer_observed(
+            &mut net,
+            &mut rng,
+            0,
+            4,
+            &[1, 2, 3],
+            &cfg,
+            &mut TraceRecorder::disabled(),
+            &mut MetricRegistry::new(),
+        )
+        .expect("destination reachable");
+        println!(
+            "{name:<12}: {:5.2} Mbps ({} of {} packets, {} joint frames, {} DATA frames dropped \
+             by injection)",
+            o.throughput_bps / 1e6,
+            o.delivered,
+            cfg.batch_size,
+            o.joint_frames,
+            o.faults.data_dropped
+        );
+        throughput.push(o.throughput_bps);
     }
-    println!("ExOR        : {:5.2} Mbps", exor_tp / 1e6);
-    println!("ExOR+SSync  : {:5.2} Mbps", ss_tp / 1e6);
     println!(
         "\ngains: ExOR/single {:.2}x, +SourceSync/ExOR {:.2}x, total {:.2}x",
-        exor_tp / single.throughput_bps,
-        ss_tp / exor_tp,
-        ss_tp / single.throughput_bps
+        throughput[1] / throughput[0],
+        throughput[2] / throughput[1],
+        throughput[2] / throughput[0]
     );
 }

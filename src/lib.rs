@@ -14,12 +14,14 @@
 //! * [`stbc`] — Alamouti and quasi-orthogonal space-time block codes
 //! * [`linprog`] — simplex solver for the multi-receiver wait-time LP
 //! * [`sim`] — the femtosecond-resolution discrete-event simulator
-//! * [`mac`] — CSMA/CA and the joint-frame MAC extension
+//! * [`mac`] — 802.11 DCF contention and MAC frames (with the ACK's
+//!   misalignment feedback)
 //! * [`core`] — SourceSync itself: Symbol-Level Synchronizer, Joint Channel
 //!   Estimator, Smart Combiner, joint frame protocol
-//! * [`routing`] — ETX, single-path routing, ExOR, ExOR+SourceSync
+//! * [`routing`] — the ETX metric and ExOR forwarder priority
 //! * [`testbed`] — the event-driven testbed: the real protocol stack
-//!   (CSMA/CA, ARQ, ExOR, joint frames) over the sample-level medium
+//!   (CSMA/CA, ARQ, single path, ExOR, ExOR+SourceSync joint frames) over
+//!   the sample-level medium
 //! * [`lasthop`] — multi-AP last-hop diversity with SampleRate
 //! * [`exp`] — the declarative, parallel experiment harness behind the
 //!   `ssync-lab` runner
