@@ -172,3 +172,14 @@ fn session_matrix_matches_pinned_output() {
         &run_rendered(scenario, &cfg),
     );
 }
+
+/// The LP residual-misalignment sweep over receivers × co-senders: 18
+/// grid points × 100 seeded trials, pinned so that its per-point seeds and
+/// row order stay fixed.
+#[test]
+fn sweep_wait_residual_matches_pinned_output() {
+    check(
+        "sweep_wait_residual",
+        include_str!("golden/sweep_wait_residual.tsv"),
+    );
+}
