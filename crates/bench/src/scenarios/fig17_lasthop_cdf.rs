@@ -61,7 +61,6 @@ impl Scenario for Fig17LasthopCdf {
                 mode,
                 payload_len: payload,
                 n_packets,
-                retry_limit: 7,
             };
             let mut rng_run = StdRng::seed_from_u64(seed ^ 0xF00D);
             let o_single = run_session(

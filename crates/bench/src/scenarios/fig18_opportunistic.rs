@@ -9,7 +9,7 @@
 //! maps, `JointSession` joint frames over the waveform medium). Topology
 //! `t` has one seed at both rates — the same placement and multipath — and
 //! its 12 Mbps run is `testbed_multihop`'s topology `t`. Joint frames carry
-//! one co-sender (`TestbedConfig::max_cosenders`). Paper result: ExOR
+//! one co-sender ([`ssync_testbed::MAX_COSENDERS`]). Paper result: ExOR
 //! gains 1.26–1.4× over single path; ExOR+SourceSync adds 1.35–1.45× over
 //! ExOR (1.7–2× over single path).
 //!

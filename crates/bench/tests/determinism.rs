@@ -18,8 +18,8 @@ fn render(name: &str, threads: usize, format: Format) -> String {
     )
 }
 
-/// 18 grid points × 100 trials through the declarative `Sweep` path —
-/// enough jobs that workers genuinely interleave.
+/// 18 grid points × 100 trials on one flat `par_map` — enough jobs that
+/// workers genuinely interleave.
 #[test]
 fn sweep_scenario_is_byte_identical_across_thread_counts() {
     for format in [Format::Tsv, Format::Json] {

@@ -121,14 +121,6 @@ impl CityPlan {
         self.block_m + self.street_m
     }
 
-    /// The centre of block `(bx, by)`.
-    pub fn block_centre(&self, bx: usize, by: usize) -> Position {
-        Position::new(
-            bx as f64 * self.pitch_m() + self.block_m / 2.0,
-            by as f64 * self.pitch_m() + self.block_m / 2.0,
-        )
-    }
-
     /// Draws every node position, block-major (all of block (0,0) first,
     /// then (1,0), … row by row), uniform inside each block. Node
     /// `b·nodes_per_block + k` is the k-th radio of block `b`.
@@ -233,9 +225,6 @@ mod tests {
         let cross = positions[0].distance_m(&positions[4]);
         assert!(same < 20.0 * std::f64::consts::SQRT_2 + 1e-9);
         assert!(cross > plan.street_m - 2.0 * plan.block_m);
-        // Block centres sit on the pitch grid.
-        let c = plan.block_centre(1, 1);
-        assert_eq!((c.x, c.y), (130.0, 130.0));
     }
 
     #[test]

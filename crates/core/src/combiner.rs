@@ -243,19 +243,6 @@ pub struct CombinerStats {
     pub evm_snr_db: f64,
 }
 
-impl ssync_obs::ObsSnapshot for CombinerStats {
-    fn obs_kind(&self) -> &'static str {
-        "combiner_stats"
-    }
-    fn obs_fields(&self) -> Vec<(&'static str, ssync_obs::Value)> {
-        use ssync_obs::Value;
-        vec![
-            ("mean_effective_gain", Value::F(self.mean_effective_gain, 4)),
-            ("evm_snr_db", Value::F(self.evm_snr_db, 2)),
-        ]
-    }
-}
-
 /// Where the joint data section sits in one receiver's capture, and how
 /// to window it.
 #[derive(Debug, Clone, Copy)]

@@ -262,11 +262,6 @@ impl JointSession {
         &self.plans
     }
 
-    /// The receivers.
-    pub fn receiver_nodes(&self) -> &[NodeId] {
-        &self.receivers
-    }
-
     /// Stage 1, the lead sender's role.
     pub fn lead_tx(&self) -> LeadTx<'_> {
         LeadTx { session: self }

@@ -1,4 +1,4 @@
-//! # ssync_exp — declarative, parallel experiment harness
+//! # ssync_exp — parallel experiment harness
 //!
 //! The SourceSync evaluation (paper §7, Figs. 5–18) is reproduced by
 //! scenario definitions instead of hand-rolled binaries. This crate is the
@@ -6,13 +6,13 @@
 //!
 //! * [`scenario::Scenario`] — a named, self-describing experiment that
 //!   emits structured [`record::Record`]s into an [`record::Output`];
-//! * [`grid::Sweep`] — a declarative parameter grid (SNR, CP length,
-//!   sender count, sync error, …) with per-trial seed derivation via
-//!   SplitMix64 over `base_seed ⊕ grid_index ⊕ trial` ([`seed`]);
-//! * [`exec`] — a multi-threaded trial executor (scoped workers pulling
-//!   from a shared atomic queue) whose output is **byte-identical
-//!   regardless of thread count**: results are collected by trial index,
-//!   never by completion order;
+//! * [`seed`] — per-trial seed derivation via SplitMix64 over
+//!   `base_seed ⊕ grid_index ⊕ trial`;
+//! * [`exec`] — a multi-threaded trial executor behind
+//!   [`scenario::Ctx::par_map`] (scoped workers pulling from a shared
+//!   atomic queue) whose output is **byte-identical regardless of thread
+//!   count**: results are collected by trial index, never by completion
+//!   order;
 //! * [`agg`] — aggregation built on `ssync_dsp::stats`: summaries,
 //!   percentiles, empirical CDFs, normal-approximation and bootstrap
 //!   confidence intervals;
@@ -44,14 +44,12 @@ pub mod agg;
 pub mod config;
 pub mod exec;
 pub mod golden;
-pub mod grid;
 pub mod record;
 pub mod scenario;
 pub mod seed;
 pub mod sink;
 
 pub use config::{parse_threads, parse_trials, resolve_trials, Format, RunConfig};
-pub use grid::{Axis, GridPoint, Job, Sweep};
 pub use record::{Output, Record, Value};
 pub use scenario::{run_rendered, Ctx, Scenario};
 pub use seed::{splitmix64, trial_seed};

@@ -2,7 +2,7 @@
 //! §8.3, Fig. 17).
 //!
 //! Per packet: the lead AP's SampleRate picks a rate; the packet is sent
-//! with up to `retry_limit` attempts; each attempt succeeds with the PER at
+//! with up to [`RETRY_LIMIT`] attempts; each attempt succeeds with the PER at
 //! the (single or joint) SNR. Joint attempts pay the §4.4 synchronization
 //! overhead (SIFS + two training symbols per co-sender). The client's ACK
 //! travels the uplink where receiver diversity applies: the ACK is lost
@@ -20,7 +20,7 @@ use ssync_core::{
     CosenderOutcome, CosenderPlan, DelayDatabase, JointConfig, JointSession, SessionWorkspace,
     SIFS_S,
 };
-use ssync_mac::DcfTiming;
+use ssync_mac::{DcfTiming, RETRY_LIMIT};
 use ssync_phy::ber::PerTable;
 use ssync_phy::{Params, RateId, Transmitter};
 use ssync_sim::{ChannelModels, Network, NodeId};
@@ -98,8 +98,6 @@ pub struct SessionSpec {
     pub payload_len: usize,
     /// Packets in the session.
     pub n_packets: usize,
-    /// Attempts per packet before giving up.
-    pub retry_limit: u32,
 }
 
 /// Simulates one downlink session described by `spec`.
@@ -114,7 +112,6 @@ pub fn run_session<R: Rng + ?Sized>(
         mode,
         payload_len,
         n_packets,
-        retry_limit,
     } = *spec;
     let timing = DcfTiming::default();
     let tx = Transmitter::new(params.clone());
@@ -147,7 +144,7 @@ pub fn run_session<R: Rng + ?Sized>(
         let p = p_data * p_ack;
         let mut attempts = 0u32;
         let mut ok = false;
-        while attempts < retry_limit.max(1) {
+        while attempts < RETRY_LIMIT {
             attempts += 1;
             medium_s += timing.difs().as_secs_f64()
                 + joint_overhead_s
@@ -318,7 +315,6 @@ mod tests {
             mode,
             payload_len,
             n_packets,
-            retry_limit: 7,
         }
     }
 

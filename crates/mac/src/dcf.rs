@@ -19,6 +19,10 @@
 use rand::Rng;
 use ssync_sim::{Duration, Time};
 
+/// Transmission attempts per frame, the initial one included: 802.11's
+/// default short retry limit. Every ARQ loop in the workspace uses it.
+pub const RETRY_LIMIT: u32 = 7;
+
 /// DCF timing constants (802.11a/g OFDM PHY values).
 #[derive(Debug, Clone, Copy)]
 pub struct DcfTiming {
@@ -189,14 +193,14 @@ impl DcfContender {
 
     /// The attempt transmitted but the exchange failed (no ACK, collision):
     /// double the window and count the retry. Returns `true` while the
-    /// station should retry, `false` once `retry_limit` attempts (the
+    /// station should retry, `false` once [`RETRY_LIMIT`] attempts (the
     /// initial one included) are exhausted — at which point the state is
     /// reset for the next frame, as 802.11 discards the MPDU.
-    pub fn on_failure(&mut self, retry_limit: u32) -> bool {
+    pub fn on_failure(&mut self) -> bool {
         self.pending = None;
         self.frozen = None;
         self.retries += 1;
-        if self.retries >= retry_limit.max(1) {
+        if self.retries >= RETRY_LIMIT {
             self.backoff.on_success();
             self.retries = 0;
             false
@@ -292,15 +296,15 @@ mod tests {
     fn failure_doubles_window_until_limit_then_resets() {
         let mut c = contender();
         assert_eq!(c.cw(), 15);
-        assert!(c.on_failure(7));
+        assert!(c.on_failure());
         assert_eq!(c.cw(), 31);
         assert_eq!(c.retries(), 1);
         for _ in 0..5 {
-            assert!(c.on_failure(7));
+            assert!(c.on_failure());
         }
         assert_eq!(c.retries(), 6);
         // The 7th failure exhausts the budget and resets for the next frame.
-        assert!(!c.on_failure(7));
+        assert!(!c.on_failure());
         assert_eq!(c.retries(), 0);
         assert_eq!(c.cw(), 15);
     }
@@ -308,8 +312,8 @@ mod tests {
     #[test]
     fn success_resets_window_and_retries() {
         let mut c = contender();
-        c.on_failure(7);
-        c.on_failure(7);
+        c.on_failure();
+        c.on_failure();
         assert!(c.cw() > 15);
         c.on_success();
         assert_eq!(c.cw(), 15);
@@ -323,12 +327,5 @@ mod tests {
         assert_eq!(s.ack_start, Time(1_000_000_000_000) + t.sifs);
         assert_eq!(s.ack_end, s.ack_start + Duration(44_000_000_000));
         assert_eq!(s.timeout, s.ack_end + t.slot);
-    }
-
-    #[test]
-    fn zero_retry_limit_behaves_as_one_attempt() {
-        let mut c = contender();
-        assert!(!c.on_failure(0));
-        assert_eq!(c.retries(), 0);
     }
 }

@@ -21,5 +21,5 @@
 pub mod dcf;
 pub mod frames;
 
-pub use dcf::{ack_schedule, AckSchedule, Backoff, DcfContender, DcfTiming};
+pub use dcf::{ack_schedule, AckSchedule, Backoff, DcfContender, DcfTiming, RETRY_LIMIT};
 pub use frames::{AckFrame, DataFrame, MacFrame};

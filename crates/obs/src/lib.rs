@@ -21,9 +21,9 @@
 //!   scoping, a deterministic snapshot API, and order-preserving merge so
 //!   per-trial registries fold together byte-identically at any thread
 //!   count.
-//! * exporters — [`snapshot`] serialises any [`snapshot::ObsSnapshot`]
-//!   through the same [`ssync_exp::sink`] machinery the scenario outputs
-//!   use (TSV and JSON), and [`chrome`] renders a whole
+//! * exporters — a metric snapshot is an [`ssync_exp::record::Output`],
+//!   so it renders through the same [`ssync_exp::sink`] machinery the
+//!   scenario outputs use (TSV and JSON), and [`chrome`] renders a whole
 //!   [`trace::TraceSet`] as Chrome trace-event JSON, so a testbed run
 //!   opens in Perfetto as a per-node timeline.
 //!
@@ -57,18 +57,10 @@ pub mod chrome;
 pub mod event;
 pub mod metrics;
 pub mod observe;
-pub mod snapshot;
 pub mod trace;
 
 pub use chrome::chrome_trace_json;
-// Re-exported so `ObsSnapshot` implementors and consumers can name the
-// field-value type and render snapshots without a direct `ssync_exp`
-// dependency.
-pub use ssync_exp::record::Value;
-pub use ssync_exp::sink::{render_json, render_tsv};
-
 pub use event::{FrameClass, JoinFailureClass, JoinResult, RxDiagSummary, TraceEventKind};
 pub use metrics::{Counter, Gauge, Histogram, MetricRegistry, Scope};
 pub use observe::{run_observed_rendered, Obs, Observable};
-pub use snapshot::{snapshot_output, ObsSnapshot};
 pub use trace::{TraceEvent, TraceRecorder, TraceSet};

@@ -219,34 +219,6 @@ impl PerTable {
             .map(|c| c.per_at(snr_db))
             .unwrap_or(1.0)
     }
-
-    /// Expected throughput (bits/s) at `snr_db` using `rate`, for frames of
-    /// `payload_len` bytes over a numerology (no MAC overhead).
-    pub fn expected_throughput_bps(
-        &self,
-        params: &Params,
-        rate: RateId,
-        snr_db: f64,
-        payload_len: usize,
-    ) -> f64 {
-        let tx = Transmitter::new(params.clone());
-        let duration = tx.frame_duration_s(payload_len, rate);
-        let success = 1.0 - self.per(rate, snr_db);
-        success * (payload_len * 8) as f64 / duration
-    }
-
-    /// The rate maximising expected throughput at `snr_db` (an oracle rate
-    /// controller, used as a baseline against SampleRate).
-    pub fn best_rate(&self, params: &Params, snr_db: f64, payload_len: usize) -> RateId {
-        *RateId::ALL
-            .iter()
-            .max_by(|a, b| {
-                self.expected_throughput_bps(params, **a, snr_db, payload_len)
-                    .partial_cmp(&self.expected_throughput_bps(params, **b, snr_db, payload_len))
-                    .unwrap()
-            })
-            .unwrap()
-    }
 }
 
 #[cfg(test)]
@@ -290,19 +262,6 @@ mod tests {
     }
 
     #[test]
-    fn best_rate_increases_with_snr() {
-        let t = PerTable::analytic();
-        let params = OfdmParams::dot11a();
-        let low = t.best_rate(&params, 5.0, 1000);
-        let high = t.best_rate(&params, 30.0, 1000);
-        assert!(
-            high.nominal_mbps() > low.nominal_mbps(),
-            "{low:?} !< {high:?}"
-        );
-        assert_eq!(high, RateId::R54);
-    }
-
-    #[test]
     fn measured_per_extremes() {
         // Small trial counts keep this test fast; extremes are unambiguous.
         let params = OfdmParams::dot11a();
@@ -321,13 +280,5 @@ mod tests {
         assert_eq!(c.per_at(20.0), 1.0);
         let t = PerTable::new(vec![]);
         assert_eq!(t.per(RateId::R6, 20.0), 1.0);
-    }
-
-    #[test]
-    fn throughput_zero_when_per_one() {
-        let t = PerTable::analytic();
-        let params = OfdmParams::dot11a();
-        let tp = t.expected_throughput_bps(&params, RateId::R54, -5.0, 1000);
-        assert!(tp < 1e5, "throughput {tp} not ~0 at hopeless SNR");
     }
 }

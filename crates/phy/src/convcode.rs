@@ -91,15 +91,6 @@ pub fn depuncture_llr_into(llrs: &[f64], rate: CodeRate, mother_len: usize, out:
     }
 }
 
-/// Number of punctured (transmitted) bits produced from `n_info` information
-/// bits at `rate`, assuming the encoder input length makes the pattern come
-/// out even (callers pad to puncturing-period multiples).
-pub fn coded_len(n_info: usize, rate: CodeRate) -> usize {
-    let mother = n_info * 2;
-    let pat = puncture_pattern(rate);
-    (0..mother).filter(|i| pat[i % pat.len()]).count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,13 +122,6 @@ mod tests {
         for i in 0..ca.len() {
             assert_eq!(cx[i], ca[i] ^ cb[i]);
         }
-    }
-
-    #[test]
-    fn puncture_lengths() {
-        assert_eq!(coded_len(12, CodeRate::Half), 24);
-        assert_eq!(coded_len(12, CodeRate::TwoThirds), 18);
-        assert_eq!(coded_len(12, CodeRate::ThreeQuarters), 16);
     }
 
     #[test]

@@ -66,14 +66,6 @@ pub struct Detection {
     pub lts_quality: f64,
 }
 
-impl Detection {
-    /// Where the packet's first sample is implied to start, given the fine
-    /// timing (preamble layout is fixed).
-    pub fn packet_start(&self, params: &OfdmParams) -> isize {
-        self.lts_start as isize - PreambleLayout::of(params).lts_start() as isize
-    }
-}
-
 /// A packet detector for one numerology.
 #[derive(Debug, Clone)]
 pub struct Detector {
@@ -279,7 +271,6 @@ mod tests {
         assert_eq!(d.lts_start, offset + layout.lts_start(), "fine timing off");
         assert!(d.detect_idx >= offset && d.detect_idx < offset + layout.sts_len);
         assert!(d.lts_quality > 0.9);
-        assert_eq!(d.packet_start(&params), offset as isize);
     }
 
     #[test]

@@ -62,21 +62,15 @@ impl CodeRate {
             CodeRate::ThreeQuarters => (3, 4),
         }
     }
-
-    /// Code rate as a float.
-    #[inline]
-    pub fn as_f64(self) -> f64 {
-        let (num, den) = self.ratio();
-        num as f64 / den as f64
-    }
 }
 
 /// An 802.11a transmission rate: a (modulation, code-rate) pair.
 ///
 /// The `Mbps` numbers are the familiar 802.11a values for the `dot11a`
 /// numerology; for other numerologies the enum still identifies the
-/// modulation/coding pair and the true bit rate follows from
-/// [`OfdmParams::data_rate_bps`].
+/// modulation/coding pair and the true bit rate is
+/// [`OfdmParams::data_bits_per_symbol`] over
+/// [`OfdmParams::symbol_duration_s`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum RateId {
     /// BPSK 1/2 — 6 Mbps in 802.11a.
@@ -295,11 +289,6 @@ impl OfdmParams {
         let (num, den) = rate.code_rate().ratio();
         cbps * num / den
     }
-
-    /// The true data rate in bits/s for this numerology at `rate`.
-    pub fn data_rate_bps(&self, rate: RateId) -> f64 {
-        self.data_bits_per_symbol(rate) as f64 / self.symbol_duration_s()
-    }
 }
 
 #[cfg(test)]
@@ -318,8 +307,6 @@ mod tests {
         // 802.11a data rates: N_DBPS for 6 Mbps is 24 bits.
         assert_eq!(p.data_bits_per_symbol(RateId::R6), 24);
         assert_eq!(p.data_bits_per_symbol(RateId::R54), 216);
-        assert!((p.data_rate_bps(RateId::R6) - 6e6).abs() < 1.0);
-        assert!((p.data_rate_bps(RateId::R54) - 54e6).abs() < 1.0);
     }
 
     #[test]
@@ -390,6 +377,5 @@ mod tests {
         assert_eq!(CodeRate::Half.ratio(), (1, 2));
         assert_eq!(CodeRate::TwoThirds.ratio(), (2, 3));
         assert_eq!(CodeRate::ThreeQuarters.ratio(), (3, 4));
-        assert!((CodeRate::ThreeQuarters.as_f64() - 0.75).abs() < 1e-12);
     }
 }

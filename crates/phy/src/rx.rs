@@ -85,28 +85,6 @@ impl From<&RxDiagnostics> for ssync_obs::RxDiagSummary {
     }
 }
 
-impl ssync_obs::ObsSnapshot for RxDiagnostics {
-    fn obs_kind(&self) -> &'static str {
-        "rx_diagnostics"
-    }
-    fn obs_fields(&self) -> Vec<(&'static str, ssync_obs::Value)> {
-        use ssync_obs::Value;
-        vec![
-            ("detect_idx", Value::Int(self.detection.detect_idx as i64)),
-            ("lts_start", Value::Int(self.detection.lts_start as i64)),
-            ("cfo_hz", Value::F(self.detection.cfo_hz, 1)),
-            ("lts_quality", Value::F(self.detection.lts_quality, 4)),
-            (
-                "n_carriers",
-                Value::Int(self.per_carrier_snr_db.len() as i64),
-            ),
-            ("mean_snr_db", Value::F(self.mean_snr_db, 2)),
-            ("evm_snr_db", Value::F(self.evm_snr_db, 2)),
-            ("timing_samples", Value::F(self.timing_offset_samples, 3)),
-        ]
-    }
-}
-
 /// A successfully received frame.
 #[derive(Debug, Clone)]
 pub struct RxResult {
@@ -441,7 +419,6 @@ mod tests {
 
     #[test]
     fn diagnostics_summarise_and_snapshot() {
-        use ssync_obs::{ObsSnapshot, Value};
         let params = OfdmParams::dot11a();
         let tx = Transmitter::new(params.clone());
         let rx = Receiver::new(params);
@@ -451,11 +428,6 @@ mod tests {
         assert_eq!(sum.mean_snr_db, got.diag.mean_snr_db);
         assert_eq!(sum.cfo_hz, got.diag.detection.cfo_hz);
         assert_eq!(sum, ssync_obs::RxDiagSummary::from(&got.diag));
-        assert_eq!(got.diag.obs_kind(), "rx_diagnostics");
-        let fields = got.diag.obs_fields();
-        assert_eq!(fields.len(), 8);
-        assert_eq!(fields[0].0, "detect_idx");
-        assert!(matches!(fields[5], ("mean_snr_db", Value::F(_, 2))));
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! protocol simulations reproducible run-to-run.
 
 use crate::time::Time;
-use ssync_obs::{ObsSnapshot, Value};
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 /// A scheduled event.
@@ -18,39 +17,39 @@ pub struct Scheduled<E> {
     pub event: E,
 }
 
-/// Lifetime statistics of an [`EventQueue`] — how much scheduling work a
-/// run did and how deep the queue got. Kept as plain integers updated
-/// inline (no atomics: the queue is single-owner by design).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QueueStats {
-    /// Events ever scheduled.
-    pub scheduled: u64,
-    /// Events ever popped.
-    pub popped: u64,
-    /// Maximum simultaneous pending events.
-    pub peak_len: u64,
+/// A heap entry: the payload rides with its `(at, seq)` key and is
+/// ordered by the key alone. `seq` is unique, so no two entries tie.
+#[derive(Debug)]
+struct Entry<E> {
+    key: (Time, u64),
+    event: E,
 }
 
-impl ObsSnapshot for QueueStats {
-    fn obs_kind(&self) -> &'static str {
-        "event_queue"
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
     }
-    fn obs_fields(&self) -> Vec<(&'static str, Value)> {
-        vec![
-            ("scheduled", Value::Int(self.scheduled as i64)),
-            ("popped", Value::Int(self.popped as i64)),
-            ("peak_len", Value::Int(self.peak_len as i64)),
-        ]
+}
+
+impl<E> Eq for Entry<E> {}
+
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> Ord for Entry<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key.cmp(&other.key)
     }
 }
 
 /// Min-heap event queue with FIFO tie-breaking.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Reverse<(Time, u64, usize)>>,
-    payloads: Vec<Option<E>>,
+    heap: BinaryHeap<Reverse<Entry<E>>>,
     seq: u64,
-    stats: QueueStats,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -64,33 +63,31 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            payloads: Vec::new(),
             seq: 0,
-            stats: QueueStats::default(),
         }
     }
 
     /// Schedules `event` at absolute time `at`.
     pub fn schedule(&mut self, at: Time, event: E) {
-        let slot = self.payloads.len();
-        self.payloads.push(Some(event));
-        self.heap.push(Reverse((at, self.seq, slot)));
+        self.heap.push(Reverse(Entry {
+            key: (at, self.seq),
+            event,
+        }));
         self.seq += 1;
-        self.stats.scheduled += 1;
-        self.stats.peak_len = self.stats.peak_len.max(self.heap.len() as u64);
     }
 
     /// Pops the earliest event, or `None` when empty.
     pub fn pop(&mut self) -> Option<Scheduled<E>> {
-        let Reverse((at, _, slot)) = self.heap.pop()?;
-        let event = self.payloads[slot].take().expect("payload popped twice");
-        self.stats.popped += 1;
+        let Reverse(Entry {
+            key: (at, _),
+            event,
+        }) = self.heap.pop()?;
         Some(Scheduled { at, event })
     }
 
     /// The firing time of the next event without popping it.
     pub fn peek_time(&self) -> Option<Time> {
-        self.heap.peek().map(|Reverse((t, _, _))| *t)
+        self.heap.peek().map(|Reverse(e)| e.key.0)
     }
 
     /// Number of pending events.
@@ -101,11 +98,6 @@ impl<E> EventQueue<E> {
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Lifetime scheduling statistics.
-    pub fn stats(&self) -> QueueStats {
-        self.stats
     }
 }
 
@@ -147,23 +139,6 @@ mod tests {
         assert_eq!(q.pop().unwrap().event, "y");
         assert_eq!(q.pop().unwrap().event, "z");
         assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn stats_track_volume_and_peak() {
-        let mut q = EventQueue::new();
-        q.schedule(Time(1), "a");
-        q.schedule(Time(2), "b");
-        q.pop();
-        q.schedule(Time(3), "c");
-        let s = q.stats();
-        assert_eq!(s.scheduled, 3);
-        assert_eq!(s.popped, 1);
-        assert_eq!(s.peak_len, 2);
-        assert_eq!(s.obs_kind(), "event_queue");
-        let fields = s.obs_fields();
-        assert_eq!(fields[0], ("scheduled", Value::Int(3)));
-        assert_eq!(fields[2], ("peak_len", Value::Int(2)));
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub mod network;
 pub mod node;
 pub mod time;
 
-pub use event::{EventQueue, QueueStats};
+pub use event::EventQueue;
 pub use fault::FaultInjector;
 pub use medium::{Transmission, WaveformMedium};
 pub use network::{ChannelModels, Network};

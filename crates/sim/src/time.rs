@@ -34,11 +34,6 @@ impl Time {
         self.0 as f64 * 1e-15
     }
 
-    /// This instant in nanoseconds.
-    pub fn as_nanos_f64(&self) -> f64 {
-        self.0 as f64 * 1e-6
-    }
-
     /// Saturating difference: `self − earlier`, zero if `earlier` is later.
     pub fn saturating_since(&self, earlier: Time) -> Duration {
         Duration(self.0.saturating_sub(earlier.0))
@@ -84,11 +79,6 @@ impl Duration {
         Duration((s * 1e15).round() as u64)
     }
 
-    /// Builds from nanoseconds.
-    pub fn from_nanos_f64(ns: f64) -> Duration {
-        Self::from_secs_f64(ns * 1e-9)
-    }
-
     /// Builds from a whole number of samples.
     pub fn from_samples(n: u64, sample_period_fs: u64) -> Duration {
         Duration(n * sample_period_fs)
@@ -97,11 +87,6 @@ impl Duration {
     /// This span in seconds.
     pub fn as_secs_f64(&self) -> f64 {
         self.0 as f64 * 1e-15
-    }
-
-    /// This span in nanoseconds.
-    pub fn as_nanos_f64(&self) -> f64 {
-        self.0 as f64 * 1e-6
     }
 
     /// This span in (possibly fractional) samples.
@@ -167,8 +152,7 @@ mod tests {
         let t = Time::from_secs_f64(1e-6);
         assert_eq!(t.0, 1_000_000_000);
         assert!((t.as_secs_f64() - 1e-6).abs() < 1e-20);
-        assert!((t.as_nanos_f64() - 1000.0).abs() < 1e-9);
-        let d = Duration::from_nanos_f64(117.1875);
+        let d = Duration::from_secs_f64(117.1875e-9);
         assert_eq!(d.0, 117_187_500);
     }
 
@@ -229,7 +213,7 @@ mod tests {
     #[test]
     fn samples_f64() {
         let d = Duration::from_samples(15, 7_812_500);
-        assert!((d.as_nanos_f64() - 117.1875).abs() < 1e-9);
+        assert_eq!(d, Duration(117_187_500));
         assert!((d.as_samples_f64(7_812_500) - 15.0).abs() < 1e-12);
     }
 

@@ -22,7 +22,8 @@
 //!    Beyond the range the medium carries nothing; far-field delivery to
 //!    the city sink is modelled analytically with the PR-1-era logistic
 //!    PER curves ([`PerTable::analytic`]) over a directional backhaul
-//!    chain between region centroids.
+//!    chain between region centroids: 6 Mbps hops with 20 dB of antenna
+//!    gain and up to [`RETRY_LIMIT`] attempts each.
 //!
 //! Every region seeds its own RNG from the city seed and its region index
 //! ([`ssync_exp::trial_seed`]), so regional results never depend on
@@ -36,10 +37,17 @@ use rand::{Rng, SeedableRng};
 use ssync_channel::{CityPlan, Position};
 use ssync_exp::exec::par_map;
 use ssync_exp::trial_seed;
+use ssync_mac::RETRY_LIMIT;
 use ssync_obs::{MetricRegistry, TraceRecorder};
 use ssync_phy::ber::PerTable;
 use ssync_phy::{Params, RateId};
 use ssync_sim::{ChannelModels, Network};
+
+/// Rate the analytic backhaul hops are scored at.
+const BACKHAUL_RATE: RateId = RateId::R6;
+/// Directional-antenna gain of the gateway backhaul, dB (street-scale hops
+/// are far beyond the omni budget; gateways get real antennas).
+const BACKHAUL_ANTENNA_GAIN_DB: f64 = 20.0;
 
 /// A built city: the ranged network plus its interference-closed region
 /// partition and the channel models (kept for the analytic far field).
@@ -105,13 +113,6 @@ pub struct CityConfig {
     /// Worker threads for the per-region fan-out (output is identical at
     /// any value, per the workspace determinism contract).
     pub threads: usize,
-    /// Rate the analytic backhaul hops are scored at.
-    pub backhaul_rate: RateId,
-    /// Attempts per backhaul hop before a packet is dropped.
-    pub backhaul_retry_limit: u32,
-    /// Directional-antenna gain of the gateway backhaul, dB (street-scale
-    /// hops are far beyond the omni budget; gateways get real antennas).
-    pub backhaul_antenna_gain_db: f64,
 }
 
 impl CityConfig {
@@ -120,9 +121,6 @@ impl CityConfig {
         CityConfig {
             transfer,
             threads: 1,
-            backhaul_rate: RateId::R6,
-            backhaul_retry_limit: 7,
-            backhaul_antenna_gain_db: 20.0,
         }
     }
 }
@@ -267,8 +265,8 @@ pub fn run_city_observed(
                         .models
                         .budget
                         .snr_db(city.models.pathloss.median_loss_db(d))
-                        + cfg.backhaul_antenna_gain_db;
-                    per_table.per(cfg.backhaul_rate, snr_db)
+                        + BACKHAUL_ANTENNA_GAIN_DB;
+                    per_table.per(BACKHAUL_RATE, snr_db)
                 })
                 .collect()
         };
@@ -279,7 +277,7 @@ pub fn run_city_observed(
                 let mut survives = true;
                 for per in &hop_pers {
                     let mut hop_ok = false;
-                    for _ in 0..cfg.backhaul_retry_limit {
+                    for _ in 0..RETRY_LIMIT {
                         backhaul_attempts += 1;
                         if rng.gen::<f64>() >= *per {
                             hop_ok = true;

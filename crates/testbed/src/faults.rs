@@ -9,7 +9,6 @@
 //! [`ssync_core::session::JoinFailure`]).
 
 use rand::Rng;
-use ssync_obs::{ObsSnapshot, Value};
 use ssync_sim::FaultInjector;
 
 /// What the injector did to one packet.
@@ -92,27 +91,6 @@ impl FaultCounters {
             + self.acks_corrupted
             + self.headers_dropped
             + self.headers_corrupted
-    }
-}
-
-impl ObsSnapshot for FaultCounters {
-    fn obs_kind(&self) -> &'static str {
-        "fault_counters"
-    }
-
-    fn obs_fields(&self) -> Vec<(&'static str, Value)> {
-        vec![
-            ("data_dropped", Value::Int(self.data_dropped as i64)),
-            ("data_corrupted", Value::Int(self.data_corrupted as i64)),
-            ("acks_dropped", Value::Int(self.acks_dropped as i64)),
-            ("acks_corrupted", Value::Int(self.acks_corrupted as i64)),
-            ("headers_dropped", Value::Int(self.headers_dropped as i64)),
-            (
-                "headers_corrupted",
-                Value::Int(self.headers_corrupted as i64),
-            ),
-            ("total", Value::Int(self.total() as i64)),
-        ]
     }
 }
 

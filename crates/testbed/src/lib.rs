@@ -54,5 +54,5 @@ pub use faults::{apply_classified, FaultCounters, FaultPlan, Faulted};
 pub use link::{Modem, BROADCAST, CAPTURE_MARGIN};
 pub use runtime::{
     packet_payload, run_transfer_observed, DelaySource, JoinStats, RoutingMode, TestbedConfig,
-    TestbedOutcome,
+    TestbedOutcome, MAX_COSENDERS,
 };

@@ -48,10 +48,9 @@ use ssync_core::{
     SessionWorkspace, SyncHeader,
 };
 use ssync_dsp::Complex64;
-use ssync_mac::{ack_schedule, DataFrame, DcfContender, DcfTiming, MacFrame};
+use ssync_mac::{ack_schedule, DataFrame, DcfContender, DcfTiming, MacFrame, RETRY_LIMIT};
 use ssync_obs::{
-    FrameClass, Histogram, JoinResult, MetricRegistry, ObsSnapshot, Scope, TraceEventKind,
-    TraceRecorder, Value,
+    FrameClass, Histogram, JoinResult, MetricRegistry, Scope, TraceEventKind, TraceRecorder,
 };
 use ssync_phy::ber::PerTable;
 use ssync_phy::RateId;
@@ -71,16 +70,22 @@ pub enum RoutingMode {
     ExorSourceSync,
 }
 
+/// SourceSync co-senders per joint frame. Two senders on one Alamouti
+/// role sum like multipath and can null subcarriers, so every joint frame
+/// is a lead plus at most one co-sender: the pure-Alamouti regime that
+/// §6 proves non-destructive.
+pub const MAX_COSENDERS: usize = 1;
+
+/// Resolved exchanges per batch packet before a run stops: a generous
+/// livelock guard.
+const EXCHANGES_PER_PACKET: usize = 50;
+
 /// Where the §4.3 delay database comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DelaySource {
     /// Ground-truth propagation delays from the simulator (the probe
     /// protocol is validated separately in `ssync_core::sls`).
     Oracle,
-    /// Run the real probe/response protocol, `n` probes per pair; pairs
-    /// whose probes all fail stay unmeasured (joins on them fail with the
-    /// typed `MissingDelay`).
-    Measured(usize),
     /// No measurements at all: every delay-compensated join fails
     /// `MissingDelay` and joint frames degrade to lead-only.
     Empty,
@@ -93,22 +98,16 @@ pub struct TestbedConfig {
     pub rate: RateId,
     /// User payload bytes per packet.
     pub payload_len: usize,
-    /// Packets in the batch.
+    /// Packets in the batch. Each packet gets [`RETRY_LIMIT`] ARQ attempts
+    /// (single-path hops and the cleanup phase) and, at each forwarder, as
+    /// many opportunistic transmissions.
     pub batch_size: usize,
-    /// ARQ attempts per packet (single-path hops and the cleanup phase),
-    /// and the per-packet opportunistic transmission budget of each
-    /// forwarder.
-    pub retry_limit: u32,
-    /// Cap on SourceSync co-senders per joint frame.
-    pub max_cosenders: usize,
     /// Routing scheme under test.
     pub mode: RoutingMode,
     /// Fault injection at the protocol seams.
     pub faults: FaultPlan,
     /// Delay-database provenance.
     pub delays: DelaySource,
-    /// Safety cap on resolved exchanges (livelock guard; generous).
-    pub max_exchanges: usize,
 }
 
 impl TestbedConfig {
@@ -118,12 +117,9 @@ impl TestbedConfig {
             rate,
             payload_len: 384,
             batch_size: 8,
-            retry_limit: 7,
-            max_cosenders: 1,
             mode,
             faults: FaultPlan::none(),
             delays: DelaySource::Oracle,
-            max_exchanges: 0, // resolved to 50 × batch at run time
         }
     }
 }
@@ -166,27 +162,6 @@ impl JoinStats {
             + self.malformed_header
             + self.wrong_packet
             + self.missing_delay
-    }
-}
-
-impl ObsSnapshot for JoinStats {
-    fn obs_kind(&self) -> &'static str {
-        "join_stats"
-    }
-
-    fn obs_fields(&self) -> Vec<(&'static str, Value)> {
-        vec![
-            ("attempted", Value::Int(self.attempted as i64)),
-            ("joined", Value::Int(self.joined as i64)),
-            ("no_detect", Value::Int(self.no_detect as i64)),
-            (
-                "not_joint_flagged",
-                Value::Int(self.not_joint_flagged as i64),
-            ),
-            ("malformed_header", Value::Int(self.malformed_header as i64)),
-            ("wrong_packet", Value::Int(self.wrong_packet as i64)),
-            ("missing_delay", Value::Int(self.missing_delay as i64)),
-        ]
     }
 }
 
@@ -290,7 +265,6 @@ struct Engine<'a, R: Rng + ?Sized> {
     now: Time,
     air_busy_until: Time,
     exchanges: usize,
-    max_exchanges: usize,
     map_len: usize,
     timing: DcfTiming,
     out: TestbedOutcome,
@@ -367,21 +341,11 @@ impl<'a, R: Rng + ?Sized> Engine<'a, R> {
                     }
                 }
             }
-            DelaySource::Measured(probes) => {
-                let nodes: Vec<NodeId> = (0..n).map(NodeId).collect();
-                // Failed pairs simply stay unmeasured.
-                let _ = db.measure_all(net, rng, &nodes, probes.max(1));
-            }
             DelaySource::Empty => {}
         }
 
         let params = net.params.clone();
         let b = cfg.batch_size;
-        let mut cfg = cfg.clone();
-        if cfg.max_exchanges == 0 {
-            cfg.max_exchanges = 50 * b;
-        }
-        let max_exchanges = cfg.max_exchanges;
         let map_len = if cfg.mode == RoutingMode::SinglePath {
             0
         } else {
@@ -416,7 +380,7 @@ impl<'a, R: Rng + ?Sized> Engine<'a, R> {
             db,
             net,
             rng,
-            cfg,
+            cfg: cfg.clone(),
             src,
             dst,
             n,
@@ -431,7 +395,6 @@ impl<'a, R: Rng + ?Sized> Engine<'a, R> {
             now: Time::ZERO,
             air_busy_until: Time::ZERO,
             exchanges: 0,
-            max_exchanges,
             map_len,
             timing,
             out: TestbedOutcome {
@@ -505,7 +468,7 @@ impl<'a, R: Rng + ?Sized> Engine<'a, R> {
         }
         (0..self.cfg.batch_size).find(|&p| {
             self.has[v][p]
-                && self.tx_count[v][p] < self.cfg.retry_limit.max(1)
+                && self.tx_count[v][p] < RETRY_LIMIT
                 && !self.know[v][self.dst][p]
                 && !self
                     .order
@@ -593,7 +556,7 @@ impl<'a, R: Rng + ?Sized> Engine<'a, R> {
                 continue; // deferred or superseded after scheduling
             }
             self.stations[node].scheduled = None;
-            if self.exchanges >= self.max_exchanges {
+            if self.exchanges >= EXCHANGES_PER_PACKET * self.cfg.batch_size {
                 break;
             }
             // Same-instant attempts collide on the air.
@@ -637,7 +600,7 @@ impl<'a, R: Rng + ?Sized> Engine<'a, R> {
                     return Some((p, vec![]));
                 }
                 let mut cos: Vec<usize> = self.order.iter().copied().filter(|&u| u != v).collect();
-                cos.truncate(self.cfg.max_cosenders);
+                cos.truncate(MAX_COSENDERS);
                 Some((p, cos))
             }
         }
@@ -932,7 +895,7 @@ impl<'a, R: Rng + ?Sized> Engine<'a, R> {
             if ack_ok {
                 self.stations[v].dcf.on_success();
                 self.stations[v].queue.pop_front();
-            } else if self.stations[v].dcf.on_failure(self.cfg.retry_limit) {
+            } else if self.stations[v].dcf.on_failure() {
                 self.out.arq_retries += 1;
                 self.trace.emit(
                     t_fs,
@@ -1338,7 +1301,7 @@ impl<'a, R: Rng + ?Sized> Engine<'a, R> {
             });
             let wave = self.modem.mac_waveform(&frame, self.cfg.rate);
             let data_dur = self.modem.samples_duration(wave.len());
-            for _attempt in 0..self.cfg.retry_limit.max(1) {
+            for _attempt in 0..RETRY_LIMIT {
                 let start = self.stations[holder]
                     .dcf
                     .attempt_at(self.rng, self.air_busy_until);
@@ -1437,7 +1400,7 @@ impl<'a, R: Rng + ?Sized> Engine<'a, R> {
                     );
                     break;
                 }
-                if self.stations[holder].dcf.on_failure(self.cfg.retry_limit) {
+                if self.stations[holder].dcf.on_failure() {
                     self.out.arq_retries += 1;
                     self.trace.emit(
                         self.air_busy_until.0,
@@ -1751,7 +1714,10 @@ mod tests {
                 &mut metrics,
             )
             .unwrap();
-            (trace.merged(), ssync_obs::render_tsv(&metrics.snapshot()))
+            (
+                trace.merged(),
+                ssync_exp::sink::render_tsv(&metrics.snapshot()),
+            )
         };
         assert_eq!(run(), run());
     }
@@ -1950,26 +1916,6 @@ mod tests {
         }
         assert!(failed > 0, "the first joint frame attempted a join");
         assert_decodes(&events, i, &frame, period, &[]);
-    }
-
-    #[test]
-    fn diagnostic_structs_share_the_snapshot_seam() {
-        let stats = JoinStats {
-            attempted: 4,
-            joined: 3,
-            missing_delay: 1,
-            ..JoinStats::default()
-        };
-        let faults = FaultCounters {
-            data_dropped: 2,
-            ..FaultCounters::default()
-        };
-        let out = ssync_obs::snapshot_output(&[&stats, &faults]);
-        let tsv = ssync_obs::render_tsv(&out);
-        assert!(tsv.contains("join_stats\tattempted\t4\n"));
-        assert!(tsv.contains("join_stats\tmissing_delay\t1\n"));
-        assert!(tsv.contains("fault_counters\tdata_dropped\t2\n"));
-        assert!(tsv.contains("fault_counters\ttotal\t2\n"));
     }
 
     #[test]

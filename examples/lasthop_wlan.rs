@@ -55,7 +55,6 @@ fn main() {
         mode,
         payload_len: 1460,
         n_packets,
-        retry_limit: 7,
     };
     let mut rng = StdRng::seed_from_u64(5);
     let single = run_session(

@@ -23,7 +23,7 @@
 //!   (CSMA/CA, ARQ, single path, ExOR, ExOR+SourceSync joint frames) over
 //!   the sample-level medium
 //! * [`lasthop`] — multi-AP last-hop diversity with SampleRate
-//! * [`exp`] — the declarative, parallel experiment harness behind the
+//! * [`exp`] — the parallel experiment harness behind the
 //!   `ssync-lab` runner
 //! * [`obs`] — deterministic observability: structured sim-time tracing,
 //!   the metric registry, and the Perfetto/Chrome trace exporter
