@@ -81,6 +81,18 @@ fn bench_full_frame(c: &mut Criterion) {
     c.bench_function("rx_frame_1460B_r54", |b| {
         b.iter(|| rx.receive(&buf).expect("decodes"))
     });
+
+    // BPSK and QPSK frames carry most of the benchmark's receive symbols.
+    let wave = tx.frame_waveform(&payload, RateId::R6, 0);
+    let mut buf: Vec<Complex64> = noise.sample_vec(&mut rng, 200);
+    buf.extend(wave);
+    buf.extend(noise.sample_vec(&mut rng, 200));
+    for s in buf.iter_mut().skip(200) {
+        *s += noise.sample(&mut rng);
+    }
+    c.bench_function("rx_frame_1460B_r6", |b| {
+        b.iter(|| rx.receive(&buf).expect("decodes"))
+    });
 }
 
 /// Noisy received symbols over random channels: one OFDM symbol's worth
@@ -118,17 +130,29 @@ fn bench_demap(c: &mut Criterion) {
             })
         });
     }
-    let inputs = demap_inputs(Modulation::Qam64, &mut rng);
-    let mut table = DemapTable::new(Modulation::Qam64);
-    c.bench_function("evm_nearest_qam64", |b| {
-        b.iter(|| {
-            let mut acc = Complex64::ZERO;
-            for &(y, h) in &inputs {
-                acc += table.nearest(y / h, Complex64::ONE);
-            }
-            acc
-        })
-    });
+    // The decision-directed EVM's slicing: symbols already equalised, as
+    // the receiver and the combiner pass them (`h = 1`).
+    for (m, name) in [
+        (Modulation::Bpsk, "bpsk"),
+        (Modulation::Qpsk, "qpsk"),
+        (Modulation::Qam16, "qam16"),
+        (Modulation::Qam64, "qam64"),
+    ] {
+        let equalised: Vec<Complex64> = demap_inputs(m, &mut rng)
+            .into_iter()
+            .map(|(y, h)| y / h)
+            .collect();
+        let mut table = DemapTable::new(m);
+        c.bench_function(&format!("evm_nearest_{name}"), |b| {
+            b.iter(|| {
+                let mut acc = Complex64::ZERO;
+                for &y in &equalised {
+                    acc += table.nearest(y, Complex64::ONE);
+                }
+                acc
+            })
+        });
+    }
 }
 
 fn bench_detection(c: &mut Criterion) {

@@ -6,7 +6,7 @@
 //! training sequence. Both stages are built from the primitives here.
 
 use crate::complex::Complex64;
-use crate::simd::{C64x4, LANES, SIMD_ENABLED};
+use crate::simd::{C64x4, F64x4, LANES, SIMD_ENABLED};
 
 /// One lag of the sliding correlation: `Σ_m signal[t+m]·conj(template[m])`,
 /// accumulated in template order. The scalar reference kernel.
@@ -33,6 +33,58 @@ fn lag_correlation_x4(
         acc = acc.add(C64x4::load(signal, t + m).mul_conj(C64x4::splat(*tap)));
     }
     [acc.lane(0), acc.lane(1), acc.lane(2), acc.lane(3)]
+}
+
+/// Lags per register block: four [`C64x4`] accumulators side by side.
+const BLOCK: usize = 4 * LANES;
+
+/// Samples one block stages at a time, so a pass covers up to
+/// `STAGE − BLOCK + 1` taps.
+const STAGE: usize = 128;
+
+/// A block's window of the signal in split re/im form, so each tap's
+/// loads are four consecutive reals rather than a deinterleave.
+struct Stage {
+    re: [f64; STAGE],
+    im: [f64; STAGE],
+}
+
+/// Sixteen adjacent lags at once: four independent [`C64x4`]
+/// accumulators hold lags `t..t+4`, `t+4..t+8`, `t+8..t+12` and
+/// `t+12..t+16`, and each tap is broadcast once for all four. The
+/// template is walked in passes of up to `STAGE − BLOCK + 1` taps, each
+/// over its window staged into `stage`; the accumulators carry across
+/// passes. Every lane still sums its own lag's products in template order
+/// from zero, so each holds exactly the bits of [`lag_correlation`]; the
+/// block only keeps four independent add chains in flight instead of one.
+#[inline(always)]
+fn lag_correlation_x16(
+    signal: &[Complex64],
+    template: &[Complex64],
+    t: usize,
+    stage: &mut Stage,
+) -> [C64x4; BLOCK / LANES] {
+    let mut acc = [C64x4::ZERO; BLOCK / LANES];
+    let mut m0 = 0;
+    for taps in template.chunks(STAGE - BLOCK + 1) {
+        let window = &signal[t + m0..t + m0 + taps.len() + BLOCK - 1];
+        for ((re, im), v) in stage.re.iter_mut().zip(&mut stage.im).zip(window) {
+            *re = v.re;
+            *im = v.im;
+        }
+        for (m, tap) in taps.iter().enumerate() {
+            let tap = C64x4::splat(*tap);
+            for (j, a) in acc.iter_mut().enumerate() {
+                let x = C64x4 {
+                    re: F64x4::load(&stage.re, m + j * LANES),
+                    im: F64x4::load(&stage.im, m + j * LANES),
+                };
+                *a = a.add(x.mul_conj(tap));
+            }
+        }
+        m0 += taps.len();
+    }
+    acc
 }
 
 /// Pushes `|c[t]|` for every lag: through the AVX2 twin when the `simd`
@@ -71,7 +123,8 @@ fn lag_magnitudes_scalar(
     }
 }
 
-/// Pushes `|c[t]|` for every lag, four lags per step through
+/// Pushes `|c[t]|` for every lag, sixteen lags per step through
+/// [`lag_correlation_x16`], then four per step through
 /// [`lag_correlation_x4`] and the ragged tail through the scalar tier: the
 /// lanes tier.
 #[inline(always)]
@@ -82,6 +135,18 @@ fn lag_magnitudes_lanes(
     out: &mut Vec<f64>,
 ) {
     let mut t = 0;
+    let mut stage = Stage {
+        re: [0.0; STAGE],
+        im: [0.0; STAGE],
+    };
+    while t + BLOCK <= lags {
+        for acc in lag_correlation_x16(signal, template, t, &mut stage) {
+            for i in 0..LANES {
+                out.push(acc.lane(i).abs());
+            }
+        }
+        t += BLOCK;
+    }
     while t + LANES <= lags {
         for c in lag_correlation_x4(signal, template, t) {
             out.push(c.abs());
@@ -456,22 +521,49 @@ mod tests {
     }
 
     #[test]
+    fn register_block_and_scalar_lag_kernels_bitwise_match() {
+        // Each lane of each of the block's four accumulators holds exactly
+        // the scalar kernel's bits for its lag, for templates shorter than
+        // one staging pass, exactly one, and spanning several.
+        let mut rng = StdRng::seed_from_u64(23);
+        let gauss = ComplexGaussian::unit();
+        for m in [1usize, 17, 64, STAGE - BLOCK, STAGE - BLOCK + 1, 300] {
+            let signal = gauss.sample_vec(&mut rng, m + 3 * BLOCK + 5);
+            let template = gauss.sample_vec(&mut rng, m);
+            let mut stage = Stage {
+                re: [0.0; STAGE],
+                im: [0.0; STAGE],
+            };
+            for t in [0, 1, BLOCK + 3, 2 * BLOCK + 5] {
+                let block = lag_correlation_x16(&signal, &template, t, &mut stage);
+                for (j, acc) in block.iter().enumerate() {
+                    for i in 0..LANES {
+                        let lag = t + j * LANES + i;
+                        let scalar = lag_correlation(&signal, &template, lag);
+                        let lane = acc.lane(i);
+                        assert_eq!(lane.re.to_bits(), scalar.re.to_bits(), "m {m} lag {lag}");
+                        assert_eq!(lane.im.to_bits(), scalar.im.to_bits(), "m {m} lag {lag}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn lag_magnitude_tiers_bitwise_match() {
         // The AVX2 twin, the lanes tier and the scalar tier over the same
-        // signal: odd lengths, fewer lags than a lane group, a ragged tail,
-        // the detector's 448-sample window against a 64-sample template,
-        // and IEEE edge values in both inputs.
+        // signal: every lag count 1..=40 (under, at and past one register
+        // block and its lane groups) against every template length 1..=64,
+        // longer templates that take several staging passes, the
+        // detector's 448-sample window against a 64-sample template, and
+        // IEEE edge values in both inputs.
         let avx2 = tier_test::host_has_avx2("lag_magnitude_tiers_bitwise_match");
         let mut rng = StdRng::seed_from_u64(22);
-        for (n, m) in [
-            (1usize, 1usize),
-            (3, 1),
-            (7, 5),
-            (9, 9),
-            (33, 16),
-            (101, 17),
-            (448, 64),
-        ] {
+        let mut shapes: Vec<(usize, usize)> = (1..=64usize)
+            .flat_map(|m| (1..=40usize).map(move |lags| (m + lags - 1, m)))
+            .collect();
+        shapes.extend([(150, 113), (160, 114), (301, 240), (448, 64)]);
+        for (n, m) in shapes {
             for special in [false, true] {
                 let signal = tier_test::samples(&mut rng, n, special);
                 let template = tier_test::samples(&mut rng, m, special);

@@ -137,6 +137,28 @@ pub struct DecodeScratch {
     viterbi: viterbi::ViterbiDecoder,
     /// Decoded bit buffer (info + tail, pre-descramble).
     bits: Vec<u8>,
+    /// De-interleavers built so far.
+    interleavers: Interleavers,
+}
+
+/// One de-interleaver per modulation, each kept with the data-carrier
+/// count it was built for and rebuilt only when the numerology changes.
+#[derive(Debug, Clone, Default)]
+struct Interleavers([Option<(usize, Interleaver)>; 4]);
+
+impl Interleavers {
+    /// The interleaver for `m` under `params`.
+    fn get(&mut self, params: &OfdmParams, m: Modulation) -> &Interleaver {
+        let slot = &mut self.0[m.index()];
+        let n_data = params.n_data();
+        if !matches!(slot, Some((n, _)) if *n == n_data) {
+            *slot = Some((n_data, Interleaver::new(params, m)));
+        }
+        match slot {
+            Some((_, il)) => il,
+            None => unreachable!("filled above"),
+        }
+    }
 }
 
 impl DecodeScratch {
@@ -153,7 +175,7 @@ pub fn decode_signal_with(
     llrs_per_symbol: &[Vec<f64>],
     scratch: &mut DecodeScratch,
 ) -> Option<SignalField> {
-    let il = Interleaver::new(params, Modulation::Bpsk);
+    let il = scratch.interleavers.get(params, Modulation::Bpsk);
     scratch.mother.clear();
     for sym_llrs in llrs_per_symbol {
         // Appending the de-interleaved block in place (rather than
@@ -221,7 +243,7 @@ pub fn decode_data_with(
     scratch: &mut DecodeScratch,
 ) -> Option<Vec<u8>> {
     let m = rate.modulation();
-    let il = Interleaver::new(params, m);
+    let il = scratch.interleavers.get(params, m);
     scratch.punctured.clear();
     for sym in llrs_per_symbol {
         if sym.len() != params.coded_bits_per_symbol(m) {

@@ -161,6 +161,62 @@ struct BitSplit {
     one: [u8; 4],
 }
 
+/// Half-width of the band around a decision midpoint where
+/// [`DemapTable::nearest`]'s per-axis slicer defers to the full scan.
+const SLICE_GUARD: f64 = 1e-6;
+
+/// Largest `|y.re|`, `|y.im|` the per-axis slicer decides; anything larger
+/// (or non-finite) takes the full scan.
+const SLICE_LIMIT: f64 = 1e3;
+
+/// One axis of the constellation grid as a hard slicer sees it: the
+/// decision midpoints between its sorted levels, and the grid line (row or
+/// column) of each sorted level.
+#[derive(Debug, Clone, Copy)]
+struct AxisSlicer {
+    /// Midpoints between consecutive sorted levels, ascending; one less
+    /// than the level count are in use.
+    mids: [f64; 7],
+    /// The line of the `i`-th smallest level.
+    line: [u8; 8],
+}
+
+impl AxisSlicer {
+    /// The slicer for `levels[line]`, one level per grid line.
+    fn new(levels: &[f64]) -> Self {
+        let mut order: Vec<usize> = (0..levels.len()).collect();
+        order.sort_by(|&a, &b| levels[a].total_cmp(&levels[b]));
+        let mut slicer = AxisSlicer {
+            mids: [0.0; 7],
+            line: [0; 8],
+        };
+        for (i, &l) in order.iter().enumerate() {
+            slicer.line[i] = l as u8;
+        }
+        for (mid, w) in slicer.mids.iter_mut().zip(order.windows(2)) {
+            *mid = 0.5 * (levels[w[0]] + levels[w[1]]);
+        }
+        slicer
+    }
+
+    /// The line whose level is nearest `v`, by counting the `N` midpoints
+    /// below it; `None` when `v` lies within [`SLICE_GUARD`] of a
+    /// midpoint, or outside `±`[`SLICE_LIMIT`] (NaN included).
+    #[inline(always)]
+    fn slice<const N: usize>(&self, v: f64) -> Option<usize> {
+        if v.is_nan() || v.abs() > SLICE_LIMIT {
+            return None;
+        }
+        let mut idx = 0;
+        let mut near = false;
+        for &m in &self.mids[..N] {
+            idx += (v > m) as usize;
+            near |= (v - m).abs() < SLICE_GUARD;
+        }
+        (!near).then_some(self.line[idx] as usize)
+    }
+}
+
 /// A precomputed constellation plus demap scratch: the allocation-free,
 /// sqrt-free counterpart of [`demap_llrs`] / [`demap_hard`].
 ///
@@ -186,7 +242,10 @@ struct BitSplit {
 /// [`DemapTable::nearest`] keeps [`demap_hard`]'s *unsquared* first-index
 /// argmin: squaring can merge distinct distances at the ulp level, so it
 /// takes the first point whose `√s` equals `√(min s)`, and only points
-/// with `s ≤ 2·min s` can qualify, so only those pay for a `sqrt`.
+/// with `s ≤ 2·min s` can qualify, so only those pay for a `sqrt`. With
+/// `h = 1` (every equalised caller) it first tries a per-axis slicer,
+/// which picks the same point without touching the grid; see
+/// [`DemapTable::nearest`].
 #[derive(Debug, Clone)]
 pub struct DemapTable {
     m: Modulation,
@@ -198,6 +257,8 @@ pub struct DemapTable {
     xs_im: Vec<f64>,
     /// Per bit position, its row or column partition.
     splits: [BitSplit; MAX_BPS],
+    /// Hard slicers for the I axis (rows) and the Q axis (columns).
+    slicers: [AxisSlicer; 2],
     /// Squared-distance scratch, one slot per constellation point.
     sq: Vec<f64>,
 }
@@ -244,8 +305,11 @@ impl DemapTable {
             );
         }
         let xs: Vec<Complex64> = points.iter().map(|(_, x)| *x).collect();
+        let row_levels: Vec<f64> = (0..rows).map(|r| xs[r * cols].re).collect();
+        let col_levels: Vec<f64> = xs[..cols].iter().map(|x| x.im).collect();
         DemapTable {
             m,
+            slicers: [AxisSlicer::new(&row_levels), AxisSlicer::new(&col_levels)],
             xs_re: xs.iter().map(|x| x.re).collect(),
             xs_im: xs.iter().map(|x| x.im).collect(),
             sq: vec![0.0; xs.len()],
@@ -437,7 +501,42 @@ impl DemapTable {
     /// round-trip. Ties break toward the point scanned first, matching
     /// [`demap_hard`]'s `Iterator::min_by` convention. The decision-
     /// directed EVM loops want the point, not its label.
+    ///
+    /// With `h = 1` the squared distance separates per axis, so each
+    /// axis's nearest level, found by counting decision midpoints, names
+    /// the scan's unique winner whenever `y` is clear of every midpoint
+    /// (DESIGN.md, "Exact per-axis slicing"). Inputs near a midpoint,
+    /// large or non-finite ones, and every other `h` take the full scan.
     pub fn nearest(&mut self, y: Complex64, h: Complex64) -> Complex64 {
+        if h == Complex64::ONE {
+            // One monomorphised slicer per grid shape: `R` row and `C`
+            // column midpoints.
+            let sliced = match self.m {
+                Modulation::Bpsk => self.slice::<1, 0>(y),
+                Modulation::Qpsk => self.slice::<1, 1>(y),
+                Modulation::Qam16 => self.slice::<3, 3>(y),
+                Modulation::Qam64 => self.slice::<7, 7>(y),
+            };
+            if let Some(x) = sliced {
+                return x;
+            }
+        }
+        self.nearest_scan(y, h)
+    }
+
+    /// The point on row `y.re`'s and column `y.im`'s nearest level, on a
+    /// grid with `R` row and `C` column midpoints; `None` when either axis
+    /// declines.
+    #[inline(always)]
+    fn slice<const R: usize, const C: usize>(&self, y: Complex64) -> Option<Complex64> {
+        let r = self.slicers[0].slice::<R>(y.re)?;
+        let c = self.slicers[1].slice::<C>(y.im)?;
+        Some(self.xs[r * (C + 1) + c])
+    }
+
+    /// [`DemapTable::nearest`] by the full scan: every point's squared
+    /// distance, then the first point at the minimum distance.
+    fn nearest_scan(&mut self, y: Complex64, h: Complex64) -> Complex64 {
         let min = self.fill_sq::<true>(y, h);
         // No finite distance: a strict `<` scan from `+∞` never moves off
         // the first point.
@@ -770,6 +869,84 @@ mod tests {
                     assert!(same_bits(near, map_symbol(m, &hard)), "{m:?} y={y:?}");
                 }
             }
+        }
+    }
+
+    /// Inputs for the `h = 1` slicer: random points around the
+    /// constellation, each decision midpoint exactly and a few ulps and
+    /// guard-widths either side of it (on each axis, the other axis
+    /// random), the edges of the decided range, and IEEE edge values.
+    fn slicer_inputs(m: Modulation, rng: &mut StdRng) -> Vec<Complex64> {
+        let table = DemapTable::new(m);
+        let noise = ComplexGaussian::with_power(0.2);
+        let points = constellation(m);
+        let mut vs = vec![
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE / 8.0,
+            -f64::MIN_POSITIVE / 3.0,
+            999.9,
+            -SLICE_LIMIT,
+            SLICE_LIMIT,
+            1000.0001,
+            -1e300,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for slicer in &table.slicers {
+            for &mid in &slicer.mids {
+                for d in [0.0, 0.5, 0.9, 1.0, 1.1, 2.0] {
+                    for sign in [-1.0, 1.0] {
+                        vs.push(mid + sign * d * SLICE_GUARD);
+                    }
+                }
+                vs.push(f64::from_bits(mid.to_bits() + 1));
+                vs.push(f64::from_bits(mid.to_bits().wrapping_sub(1)));
+            }
+        }
+        let mut ys: Vec<Complex64> = (0..400)
+            .map(|_| points[rng.gen_range(0..points.len())].1 + noise.sample(rng))
+            .collect();
+        for &v in &vs {
+            let other = rng.gen_range(-1.5..1.5);
+            ys.push(Complex64::new(v, other));
+            ys.push(Complex64::new(other, v));
+            ys.push(Complex64::new(v, v));
+        }
+        ys
+    }
+
+    #[test]
+    fn slicer_bitwise_matches_scan_and_hard_demap() {
+        let mut rng = StdRng::seed_from_u64(31);
+        for m in ALL {
+            let mut table = DemapTable::new(m);
+            let mut sliced = 0;
+            let inputs = slicer_inputs(m, &mut rng);
+            for &y in &inputs {
+                let h = Complex64::ONE;
+                let near = table.nearest(y, h);
+                let scan = table.nearest_scan(y, h);
+                assert!(same_bits(near, scan), "{m:?} y={y:?}: {near:?} vs {scan:?}");
+                assert!(same_bits(near, reference_nearest(m, y, h)), "{m:?} y={y:?}");
+                if y.re.is_finite() && y.im.is_finite() {
+                    let hard = map_symbol(m, &demap_hard(m, y, h));
+                    assert!(same_bits(near, hard), "{m:?} y={y:?}");
+                }
+                let fast = match m {
+                    Modulation::Bpsk => table.slice::<1, 0>(y),
+                    Modulation::Qpsk => table.slice::<1, 1>(y),
+                    Modulation::Qam16 => table.slice::<3, 3>(y),
+                    Modulation::Qam64 => table.slice::<7, 7>(y),
+                };
+                if let Some(x) = fast {
+                    assert!(same_bits(x, scan), "{m:?} y={y:?}");
+                    sliced += 1;
+                }
+            }
+            // The fast path decides the typical received symbol.
+            assert!(sliced >= 380, "{m:?}: only {sliced} sliced");
         }
     }
 

@@ -39,6 +39,13 @@ impl Modulation {
             Modulation::Qam64 => 6,
         }
     }
+
+    /// A dense index in `0..4`, in order of size: the slot of per-modulation
+    /// tables.
+    #[inline]
+    pub(crate) fn index(self) -> usize {
+        self as usize
+    }
 }
 
 /// Convolutional code rate after puncturing.

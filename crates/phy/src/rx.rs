@@ -112,6 +112,18 @@ struct SymbolSpan {
     first_symbol_index: usize,
 }
 
+/// One frame's channel, resolved per carrier: what the symbol loops read
+/// instead of searching the [`ChannelEstimate`] on every carrier.
+#[derive(Debug, Clone, Copy)]
+struct ChannelTable<'a> {
+    /// Gain per data carrier, in `data_carriers` order.
+    data: &'a [Complex64],
+    /// Gain per pilot carrier, in `pilot_carriers` order.
+    pilots: &'a [Complex64],
+    /// The estimate's noise power, for LLR scaling.
+    noise_power: f64,
+}
+
 /// A planned receiver for one numerology.
 #[derive(Debug, Clone)]
 pub struct Receiver {
@@ -180,6 +192,7 @@ impl Receiver {
             grid,
             llrs,
             tables,
+            gains,
             decode,
             ..
         } = ws;
@@ -199,6 +212,22 @@ impl Receiver {
         // Channel estimate with the common window backoff.
         let est = chanest::estimate_from_lts(&self.params, &self.fft, buf, det.lts_start - b);
         let timing_offset = chanest::detection_delay_samples(&self.params, &est, 3e6) - b as f64;
+        // Each carrier's gain, looked up once per frame (an unoccupied
+        // carrier equalises with 1): data carriers, then pilots.
+        let data_carriers = &self.params.data_carriers;
+        gains.clear();
+        gains.extend(
+            data_carriers
+                .iter()
+                .chain(&self.params.pilot_carriers)
+                .map(|&k| est.gain(k).unwrap_or(Complex64::ONE)),
+        );
+        let (data, pilots) = gains.split_at(data_carriers.len());
+        let chan = ChannelTable {
+            data,
+            pilots,
+            noise_power: est.noise_power,
+        };
 
         // SIGNAL field.
         if buf.len() < data_start {
@@ -211,7 +240,7 @@ impl Receiver {
             first_symbol_index: 0,
         };
         let bpsk = modulation::Modulation::Bpsk;
-        self.symbol_llrs_into(buf, &sig_span, &est, grid, tables.get_mut(bpsk), llrs);
+        self.symbol_llrs_into(buf, &sig_span, chan, grid, tables.get_mut(bpsk), llrs);
         let signal = frame::decode_signal_with(&self.params, llrs.symbols(), decode)
             .ok_or(RxError::BadSignal(det))?;
 
@@ -233,7 +262,7 @@ impl Receiver {
         // decision-directed EVM sums (the EVM reuses the grid/phase/channel
         // values the demap just computed, replacing a second demod pass).
         let (evm_sig, evm_err) =
-            self.symbol_llrs_evm_into(buf, &data_span, &est, grid, tables.get_mut(m), llrs);
+            self.symbol_llrs_evm_into(buf, &data_span, chan, grid, tables.get_mut(m), llrs);
         let psdu = frame::decode_data_with(
             &self.params,
             llrs.symbols(),
@@ -275,7 +304,7 @@ impl Receiver {
         &self,
         buf: &[Complex64],
         span: &SymbolSpan,
-        est: &ChannelEstimate,
+        chan: ChannelTable<'_>,
         grid: &mut Vec<Complex64>,
         table: &mut DemapTable,
         out: &mut SymbolLlrs,
@@ -292,14 +321,14 @@ impl Receiver {
                 sym_start + span.cp_len - b,
                 grid,
             );
-            let theta = self.pilot_phase(grid, est, span.first_symbol_index + s);
+            let theta = self.pilot_phase(grid, chan.pilots, span.first_symbol_index + s);
             let rot = Complex64::cis(theta);
             let llrs = out.next_symbol();
             llrs.reserve(self.params.n_data() * table.modulation().bits_per_symbol());
-            for &k in &self.params.data_carriers {
+            for (&k, &g) in self.params.data_carriers.iter().zip(chan.data) {
                 let y = grid[self.params.bin(k)];
-                let h = est.gain(k).unwrap_or(Complex64::ONE) * rot;
-                table.demap_llrs_into(y, h, est.noise_power, llrs);
+                let h = g * rot;
+                table.demap_llrs_into(y, h, chan.noise_power, llrs);
             }
         }
     }
@@ -316,7 +345,7 @@ impl Receiver {
         &self,
         buf: &[Complex64],
         span: &SymbolSpan,
-        est: &ChannelEstimate,
+        chan: ChannelTable<'_>,
         grid: &mut Vec<Complex64>,
         table: &mut DemapTable,
         out: &mut SymbolLlrs,
@@ -335,14 +364,14 @@ impl Receiver {
                 sym_start + span.cp_len - b,
                 grid,
             );
-            let theta = self.pilot_phase(grid, est, span.first_symbol_index + s);
+            let theta = self.pilot_phase(grid, chan.pilots, span.first_symbol_index + s);
             let rot = Complex64::cis(theta);
             let llrs = out.next_symbol();
             llrs.reserve(self.params.n_data() * table.modulation().bits_per_symbol());
-            for &k in &self.params.data_carriers {
+            for (&k, &g) in self.params.data_carriers.iter().zip(chan.data) {
                 let y = grid[self.params.bin(k)];
-                let h = est.gain(k).unwrap_or(Complex64::ONE) * rot;
-                table.demap_llrs_into(y, h, est.noise_power, llrs);
+                let h = g * rot;
+                table.demap_llrs_into(y, h, chan.noise_power, llrs);
                 if h.norm_sqr() < 1e-12 {
                     continue;
                 }
@@ -355,13 +384,13 @@ impl Receiver {
         (sig, err)
     }
 
-    /// Common phase error of one symbol, from its pilots.
-    fn pilot_phase(&self, grid: &[Complex64], est: &ChannelEstimate, symbol_index: usize) -> f64 {
+    /// Common phase error of one symbol, from its pilots and their gains
+    /// (in `pilot_carriers` order).
+    fn pilot_phase(&self, grid: &[Complex64], gains: &[Complex64], symbol_index: usize) -> f64 {
         let pol = crate::scramble::pilot_polarity(symbol_index);
         let mut acc = Complex64::ZERO;
-        for &k in &self.params.pilot_carriers {
+        for (&k, &h) in self.params.pilot_carriers.iter().zip(gains) {
             let y = grid[self.params.bin(k)];
-            let h = est.gain(k).unwrap_or(Complex64::ONE);
             acc += y * (h * Complex64::real(pol)).conj();
         }
         acc.arg()

@@ -18,6 +18,59 @@ pub const DEFAULT_SEED: u8 = 0b101_1101;
 /// Seed producing the 802.11 pilot polarity sequence.
 pub const PILOT_SEED: u8 = 0b111_1111;
 
+/// The sequence's period: a maximal-length 7-bit LFSR visits all 127
+/// non-zero states once per cycle.
+const PERIOD: usize = 127;
+
+/// One LFSR step from `state`: `(output bit, next state)`.
+const fn step(state: u8) -> (u8, u8) {
+    let bit = ((state >> 6) ^ (state >> 3)) & 1;
+    (bit, ((state << 1) | bit) & 0x7F)
+}
+
+/// The register over one cycle from [`PILOT_SEED`]: `STATES[i]` is the
+/// state before output bit `i`, `PRBS[i]` that bit (repeated once more, so
+/// any phase can read `PERIOD` bits without wrapping), and `PHASE[s]` the
+/// `i` at which the register holds `s`.
+struct Cycle {
+    states: [u8; PERIOD],
+    prbs: [u8; 2 * PERIOD],
+    phase: [u8; 128],
+}
+
+const CYCLE: Cycle = {
+    let mut c = Cycle {
+        states: [0; PERIOD],
+        prbs: [0; 2 * PERIOD],
+        phase: [0; 128],
+    };
+    let mut state = PILOT_SEED;
+    let mut i = 0;
+    while i < PERIOD {
+        let (bit, next) = step(state);
+        c.states[i] = state;
+        c.phase[state as usize] = i as u8;
+        c.prbs[i] = bit;
+        c.prbs[i + PERIOD] = bit;
+        state = next;
+        i += 1;
+    }
+    assert!(state == PILOT_SEED, "the LFSR is not maximal-length");
+    c
+};
+
+/// 802.11's pilot polarity `p_n` for `n` in `0..127`: `+1` for a PRBS
+/// zero, `−1` for a one.
+const POLARITY: [f64; PERIOD] = {
+    let mut p = [0.0; PERIOD];
+    let mut i = 0;
+    while i < PERIOD {
+        p[i] = if CYCLE.prbs[i] == 0 { 1.0 } else { -1.0 };
+        i += 1;
+    }
+    p
+};
+
 impl Scrambler {
     /// Creates a scrambler with the given 7-bit seed.
     ///
@@ -34,17 +87,26 @@ impl Scrambler {
 
     /// Produces the next PRBS bit and advances the register.
     pub fn next_bit(&mut self) -> u8 {
-        let bit = ((self.state >> 6) ^ (self.state >> 3)) & 1;
-        self.state = ((self.state << 1) | bit) & 0x7F;
+        let (bit, next) = step(self.state);
+        self.state = next;
         bit
     }
 
     /// Scrambles (or descrambles — the operation is an involution) a bit
-    /// slice in place.
+    /// slice in place: the bits [`Scrambler::next_bit`] would produce,
+    /// read from the cycle table at the register's phase, leaving the
+    /// register where stepping once per bit would.
     pub fn scramble_in_place(&mut self, bits: &mut [u8]) {
-        for b in bits.iter_mut() {
-            *b ^= self.next_bit();
+        let phase = CYCLE.phase[self.state as usize] as usize;
+        // The sequence repeats every PERIOD bits, so every chunk starts
+        // at the same phase.
+        let prbs = &CYCLE.prbs[phase..phase + PERIOD];
+        for chunk in bits.chunks_mut(PERIOD) {
+            for (b, p) in chunk.iter_mut().zip(prbs) {
+                *b ^= p;
+            }
         }
+        self.state = CYCLE.states[(phase + bits.len()) % PERIOD];
     }
 
     /// Scrambles into a fresh vector.
@@ -57,17 +119,9 @@ impl Scrambler {
 
 /// The pilot polarity for OFDM symbol `n` (+1.0 or −1.0): 802.11's
 /// `p_{n mod 127}` sequence from the all-ones-seeded PRBS.
+#[inline]
 pub fn pilot_polarity(symbol_index: usize) -> f64 {
-    let mut s = Scrambler::new(PILOT_SEED);
-    let mut bit = 0;
-    for _ in 0..=(symbol_index % 127) {
-        bit = s.next_bit();
-    }
-    if bit == 0 {
-        1.0
-    } else {
-        -1.0
-    }
+    POLARITY[symbol_index % PERIOD]
 }
 
 #[cfg(test)]
@@ -112,6 +166,59 @@ mod tests {
     fn pilot_polarity_periodic() {
         for n in 0..10 {
             assert_eq!(pilot_polarity(n), pilot_polarity(n + 127));
+        }
+    }
+
+    /// The LFSR the tables replaced: pilot polarity by stepping a fresh
+    /// register, kept as their oracle.
+    fn stepped_polarity(symbol_index: usize) -> f64 {
+        let mut s = Scrambler::new(PILOT_SEED);
+        let mut bit = 0;
+        for _ in 0..=(symbol_index % 127) {
+            bit = s.next_bit();
+        }
+        if bit == 0 {
+            1.0
+        } else {
+            -1.0
+        }
+    }
+
+    #[test]
+    fn polarity_table_matches_lfsr() {
+        for n in 0..=300 {
+            assert_eq!(
+                pilot_polarity(n).to_bits(),
+                stepped_polarity(n).to_bits(),
+                "n {n}"
+            );
+        }
+    }
+
+    #[test]
+    fn table_scrambler_matches_bit_loop() {
+        // Every length 0..=400 from a few seeds, and a few lengths from
+        // every seed: the same bits out, and the register left where one
+        // `next_bit` per bit leaves it.
+        let check = |seed: u8, len: usize| {
+            let bits: Vec<u8> = (0..len).map(|i| (i * 5 % 7 < 3) as u8).collect();
+            let mut table = Scrambler::new(seed);
+            let mut got = bits.clone();
+            table.scramble_in_place(&mut got);
+            let mut stepped = Scrambler::new(seed);
+            let want: Vec<u8> = bits.iter().map(|b| b ^ stepped.next_bit()).collect();
+            assert_eq!(got, want, "seed {seed} len {len}");
+            assert_eq!(table.state, stepped.state, "seed {seed} len {len}");
+        };
+        for seed in [DEFAULT_SEED, PILOT_SEED, 1, 0x40] {
+            for len in 0..=400 {
+                check(seed, len);
+            }
+        }
+        for seed in 1..0x80 {
+            for len in [0, 1, 126, 127, 128, 254, 381, 400] {
+                check(seed, len);
+            }
         }
     }
 

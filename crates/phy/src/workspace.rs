@@ -16,8 +16,17 @@
 //! * Buffers are **keyed** by the numerology's FFT size: calling a
 //!   workspace entry point with different [`OfdmParams`] transparently
 //!   re-plans (resizes the keyed buffers) on the spot. Re-planning is the
-//!   only allocating transition; steady state on a fixed numerology is
-//!   allocation-free.
+//!   only allocating transition inside the per-symbol loops: on a fixed
+//!   numerology they are allocation-free once warm.
+//! * Per frame, a warm [`crate::Receiver::receive_with`] still allocates
+//!   (30 allocations for an R12 frame on `dot11a`, whatever its length):
+//!   the channel estimate (its LTS reference table, the two LTS grids and
+//!   the carrier and gain vectors it returns), the phase-slope
+//!   regression's per-window scratch behind the timing offset, the
+//!   per-carrier SNR vector, the decoded PSDU and the returned payload.
+//!   The estimate, the SNR vector and the payload leave the call in
+//!   [`crate::RxResult`]; the rest is frame-level scratch no workspace
+//!   owns yet.
 //! * The few allocating signatures that remain ([`crate::Receiver::receive`],
 //!   [`crate::Transmitter::frame_waveform`], …) are thin wrappers that
 //!   build a throwaway workspace, and a reused workspace decodes exactly
@@ -139,13 +148,7 @@ impl DemapTables {
 
     /// The table for a modulation.
     pub fn get_mut(&mut self, m: Modulation) -> &mut DemapTable {
-        let idx = match m {
-            Modulation::Bpsk => 0,
-            Modulation::Qpsk => 1,
-            Modulation::Qam16 => 2,
-            Modulation::Qam64 => 3,
-        };
-        &mut self.0[idx]
+        &mut self.0[m.index()]
     }
 }
 
@@ -242,6 +245,8 @@ pub struct RxWorkspace {
     pub(crate) llrs: SymbolLlrs,
     /// Demap tables for every modulation, built once.
     pub(crate) tables: DemapTables,
+    /// The frame's channel gain per data carrier, then per pilot carrier.
+    pub(crate) gains: Vec<Complex64>,
     /// Packet-detector scratch.
     pub(crate) detect: DetectScratch,
     /// Bit-pipeline scratch (de-interleave/de-puncture buffers + planned
@@ -258,6 +263,7 @@ impl RxWorkspace {
             grid: Vec::with_capacity(params.fft_size),
             llrs: SymbolLlrs::new(),
             tables: DemapTables::new(),
+            gains: Vec::new(),
             detect: DetectScratch::new(),
             decode: DecodeScratch::new(),
         }
