@@ -177,8 +177,9 @@ fn lag_magnitudes_avx2(
 /// is empty or longer than the signal.
 ///
 /// `out` is a caller-owned buffer, cleared and refilled. The raw correlation
-/// magnitudes `|Σ_m signal[t+m]·conj(template[m])|` are computed first (four
-/// lags per step on the SIMD path), then a sequential pass applies the
+/// magnitudes `|Σ_m signal[t+m]·conj(template[m])|` are computed first
+/// (sixteen lags per template pass, then four, then one, on the SIMD path;
+/// see `lag_magnitudes_lanes`), then a sequential pass applies the
 /// sliding-window-energy normalisation — the same divisions on the same
 /// operands as the original interleaved loop, so the output is bit-identical
 /// in both builds.

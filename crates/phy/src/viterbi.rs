@@ -7,12 +7,10 @@
 //! is fine for packet-sized messages.
 //!
 //! Viterbi decoding is the largest single stage of the benchmark's
-//! receive chain (the `rx` workload: all rates, 14–1500 B frames): about
-//! 28 % of its time, against 18 % before the per-frame channel table and
-//! the per-axis EVM slicer shrank the stages around it (stage timers on a
-//! 2-core x86-64 host, avx2 tier). So the add-compare-select is
-//! organised for throughput while staying
-//! bit-identical to the straightforward reference recursion
+//! receive chain (the `rx` workload: all rates, 14–1500 B frames): 24–28 %
+//! of its time (stage timers, three runs on a 2-core x86-64 host, avx2
+//! tier). So the add-compare-select is organised for throughput while
+//! staying bit-identical to the straightforward reference recursion
 //! ([`decode_terminated_reference`], kept as the differential-test oracle):
 //!
 //! * **Butterfly order.** Next-states are visited directly: state `ns` has

@@ -14,22 +14,15 @@
 # value unit. `source` is `scenario` (setting `threads=N`, metric
 # `wall_s`) or `benchmark` (setting `trace=0|1`, `name` the workload).
 #
-# Usage: scripts/ledger.sh [--seconds S] [--seed N] [--out FILE]
-#        (defaults: 30 s per benchmark run, seed 1, LEDGER.tsv)
+# Usage: scripts/ledger.sh
+# Every benchmark run is 30 s at seed 1, and rows go to LEDGER.tsv: the
+# stamp records neither, so rows stay comparable only at these values.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 seconds=30
 seed=1
 out=LEDGER.tsv
-while (($#)); do
-    case "$1" in
-        --seconds) seconds="$2"; shift 2 ;;
-        --seed) seed="$2"; shift 2 ;;
-        --out) out="$2"; shift 2 ;;
-        *) echo "usage: scripts/ledger.sh [--seconds S] [--seed N] [--out FILE]" >&2; exit 2 ;;
-    esac
-done
 
 cargo build --quiet --release -p ssync_bench --bin ssync-lab
 cargo build --quiet --offline --release --manifest-path benchmark/Cargo.toml
