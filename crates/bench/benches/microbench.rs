@@ -96,8 +96,8 @@ fn bench_full_frame(c: &mut Criterion) {
 }
 
 /// Noisy received symbols over random channels: one OFDM symbol's worth
-/// of `(y, h)` pairs (48 data carriers).
-fn demap_inputs(m: Modulation, rng: &mut StdRng) -> Vec<(Complex64, Complex64)> {
+/// of received values and channels (48 data carriers).
+fn demap_inputs(m: Modulation, rng: &mut StdRng) -> (Vec<Complex64>, Vec<Complex64>) {
     let noise = ComplexGaussian::with_power(0.05);
     let points = ssync_phy::modulation::constellation(m);
     (0..48)
@@ -106,7 +106,7 @@ fn demap_inputs(m: Modulation, rng: &mut StdRng) -> Vec<(Complex64, Complex64)> 
             let x = points[rng.gen_range(0..points.len())].1;
             (h * x + noise.sample(rng), h)
         })
-        .collect()
+        .unzip()
 }
 
 fn bench_demap(c: &mut Criterion) {
@@ -117,39 +117,34 @@ fn bench_demap(c: &mut Criterion) {
         (Modulation::Qam16, "qam16"),
         (Modulation::Qam64, "qam64"),
     ] {
-        let inputs = demap_inputs(m, &mut rng);
-        let mut table = DemapTable::new(m);
-        let mut llrs = Vec::with_capacity(inputs.len() * m.bits_per_symbol());
+        let (ys, hs) = demap_inputs(m, &mut rng);
+        let table = DemapTable::new(m);
+        let n0 = vec![0.05; ys.len()];
+        let place: Vec<u32> = (0..(ys.len() * m.bits_per_symbol()) as u32).collect();
+        let mut llrs = vec![0.0; place.len()];
         c.bench_function(&format!("demap_llrs_{name}"), |b| {
             b.iter(|| {
-                llrs.clear();
-                for &(y, h) in &inputs {
-                    table.demap_llrs_into(y, h, 0.05, &mut llrs);
-                }
-                llrs.len()
+                table.demap_symbol(&ys, &hs, &n0, &place, &mut llrs);
+                llrs[0]
             })
         });
     }
-    // The decision-directed EVM's slicing: symbols already equalised, as
-    // the receiver and the combiner pass them (`h = 1`).
+    // The decision-directed EVM of one symbol: carriers already equalised,
+    // as the receiver and the combiner pass them.
     for (m, name) in [
         (Modulation::Bpsk, "bpsk"),
         (Modulation::Qpsk, "qpsk"),
         (Modulation::Qam16, "qam16"),
         (Modulation::Qam64, "qam64"),
     ] {
-        let equalised: Vec<Complex64> = demap_inputs(m, &mut rng)
-            .into_iter()
-            .map(|(y, h)| y / h)
-            .collect();
+        let (ys, hs) = demap_inputs(m, &mut rng);
+        let equalised: Vec<Complex64> = ys.iter().zip(&hs).map(|(y, h)| *y / *h).collect();
         let mut table = DemapTable::new(m);
         c.bench_function(&format!("evm_nearest_{name}"), |b| {
             b.iter(|| {
-                let mut acc = Complex64::ZERO;
-                for &y in &equalised {
-                    acc += table.nearest(y, Complex64::ONE);
-                }
-                acc
+                let (mut err, mut sig) = (0.0, 0.0);
+                table.evm_into(&equalised, &mut err, &mut sig);
+                (err, sig)
             })
         });
     }

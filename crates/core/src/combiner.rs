@@ -12,14 +12,14 @@
 use crate::jce::{role_pilot_phase, RoleChannels};
 use ssync_dsp::{Complex64, FftPlan};
 use ssync_phy::frame::DecodeScratch;
-use ssync_phy::workspace::{DemapTables, SymbolLlrs, TxWorkspace};
+use ssync_phy::workspace::{DemapTables, TxWorkspace};
 use ssync_phy::{frame, ofdm, Params, RateId};
 use ssync_stbc::{encode_pair, Codeword};
 use std::sync::Arc;
 
 /// Reusable scratch for the joint data section, transmit and receive side:
 /// the space-time-coded symbol pair, the two demodulated grids, the
-/// per-symbol LLR pool, and the demap tables. One workspace per driving
+/// combined carriers, and the demap tables. One workspace per driving
 /// loop (a `JointSession` stage, a bench iteration); buffers are reused
 /// across frames so the per-symbol-pair loop is allocation-free at steady
 /// state.
@@ -42,11 +42,19 @@ pub struct CombineWorkspace {
     g1: Vec<Complex64>,
     /// Composite pilot channel (the no-pilot-sharing ablation path).
     composite: Vec<Complex64>,
-    /// Per-symbol LLR pool.
-    llrs: SymbolLlrs,
+    /// The pair's combined estimates per data carrier, even and odd symbol.
+    x0: Vec<Complex64>,
+    x1: Vec<Complex64>,
+    /// The channel the combined estimates are demapped through: 1 on
+    /// every data carrier.
+    ones: Vec<Complex64>,
+    /// Effective noise per data carrier, `n0 / gain`.
+    n_eff: Vec<f64>,
+    /// Both estimates per carrier, interleaved, for the EVM.
+    eq: Vec<Complex64>,
     /// Demap tables for every modulation, built once.
     tables: DemapTables,
-    /// Bit-pipeline scratch (de-interleave/de-puncture + planned Viterbi).
+    /// Bit-pipeline scratch (mother-code stream + planned Viterbi).
     decode: DecodeScratch,
 }
 
@@ -58,7 +66,11 @@ impl CombineWorkspace {
             g0: Vec::with_capacity(params.fft_size),
             g1: Vec::with_capacity(params.fft_size),
             composite: Vec::with_capacity(params.pilot_carriers.len()),
-            llrs: SymbolLlrs::new(),
+            x0: Vec::with_capacity(params.n_data()),
+            x1: Vec::with_capacity(params.n_data()),
+            ones: Vec::with_capacity(params.n_data()),
+            n_eff: Vec::with_capacity(params.n_data()),
+            eq: Vec::with_capacity(2 * params.n_data()),
             tables: DemapTables::new(),
             decode: DecodeScratch::new(),
         }
@@ -268,9 +280,11 @@ impl JointDataWindow {
 
 /// Decodes the joint data section from a receiver buffer: `window` says
 /// where the data sits, `spec` how it was coded, `roles` the per-role
-/// channels from the JCE. The per-pair grids, LLR pool, and demap scratch
-/// live in the reusable [`CombineWorkspace`] `ws`, so the symbol-pair loop
-/// is allocation-free at steady state.
+/// channels from the JCE. Each symbol's combined estimates are demapped
+/// straight into the frame's mother-code stream. The per-pair grids,
+/// carrier buffers and demap scratch live in the reusable
+/// [`CombineWorkspace`] `ws`, so the symbol-pair loop is allocation-free
+/// at steady state.
 ///
 /// Returns the PSDU candidate (before CRC checking) and combiner stats, or
 /// `None` if the buffer is too short.
@@ -308,13 +322,21 @@ pub fn decode_joint_data_with(
         g0,
         g1,
         composite,
-        llrs,
+        x0,
+        x1,
+        ones,
+        n_eff,
+        eq,
         tables,
         decode,
         ..
     } = ws;
     let table = tables.get_mut(m);
-    llrs.reset();
+    ones.clear();
+    ones.resize(params.n_data(), Complex64::ONE);
+    // The STBC pad symbol (odd `n_syms`) gets no block: it is demodulated
+    // and counted in the EVM, never decoded.
+    let mut stream = decode.mother_stream(params, rate, n_syms);
     let mut gain_acc = 0.0;
     let mut gain_count = 0usize;
     let mut evm_err = 0.0;
@@ -346,9 +368,10 @@ pub fn decode_joint_data_with(
         };
         let rot_a = Complex64::cis(theta_a);
         let rot_b = Complex64::cis(theta_b);
-        let (llrs0, llrs1) = llrs.next_symbol_pair();
-        llrs0.reserve(params.n_data() * m.bits_per_symbol());
-        llrs1.reserve(params.n_data() * m.bits_per_symbol());
+        x0.clear();
+        x1.clear();
+        n_eff.clear();
+        eq.clear();
         for (j, &k) in params.data_carriers.iter().enumerate() {
             let y0 = g0[params.bin(k)];
             let y1 = g1[params.bin(k)];
@@ -358,18 +381,20 @@ pub fn decode_joint_data_with(
             let gain = d.gain.max(1e-15);
             gain_acc += d.gain;
             gain_count += 1;
-            let n_eff = n0 / gain;
-            table.demap_llrs_into(d.x0, Complex64::ONE, n_eff, llrs0);
-            table.demap_llrs_into(d.x1, Complex64::ONE, n_eff, llrs1);
-            // Decision-directed EVM on the combined estimates.
-            for xhat in [d.x0, d.x1] {
-                let nearest = table.nearest(xhat, Complex64::ONE);
-                evm_err += xhat.dist(nearest).powi(2);
-                evm_sig += nearest.norm_sqr();
+            x0.push(d.x0);
+            x1.push(d.x1);
+            n_eff.push(n0 / gain);
+            eq.extend([d.x0, d.x1]);
+        }
+        for x in [&*x0, &*x1] {
+            if let Some(block) = stream.blocks.next() {
+                table.demap_symbol(x, ones, n_eff, stream.place, block);
             }
         }
+        // Decision-directed EVM on the combined estimates.
+        table.evm_into(eq, &mut evm_err, &mut evm_sig);
     }
-    let psdu = frame::decode_data_with(params, &llrs.symbols()[..n_syms], rate, psdu_len, decode);
+    let psdu = frame::decode_data_with(decode, psdu_len);
     let stats = CombinerStats {
         mean_effective_gain: if gain_count > 0 {
             gain_acc / gain_count as f64

@@ -100,7 +100,7 @@ impl F64x4 {
 
     /// Element-wise division.
     #[inline(always)]
-    pub(crate) fn div(self, rhs: Self) -> Self {
+    pub fn div(self, rhs: Self) -> Self {
         F64x4([
             self.0[0] / rhs.0[0],
             self.0[1] / rhs.0[1],
@@ -109,9 +109,15 @@ impl F64x4 {
         ])
     }
 
+    /// Element-wise negation (a sign flip, like `-x`).
+    #[inline(always)]
+    pub fn neg(self) -> Self {
+        F64x4([-self.0[0], -self.0[1], -self.0[2], -self.0[3]])
+    }
+
     /// Element-wise square root (correctly rounded, like `f64::sqrt`).
     #[inline(always)]
-    pub(crate) fn sqrt(self) -> Self {
+    pub fn sqrt(self) -> Self {
         F64x4([
             self.0[0].sqrt(),
             self.0[1].sqrt(),
@@ -147,7 +153,7 @@ impl F64x4 {
 /// (the scalar tier) or an [`F64x4`] (the lanes tier). Every operation is
 /// a single IEEE-754 operation per lane, so a kernel generic over `Real`
 /// computes the same bits in either instantiation.
-pub(crate) trait Real: Copy {
+pub trait Real: Copy {
     /// Broadcasts `v`.
     fn splat(v: f64) -> Self;
     /// Addition.
@@ -158,6 +164,8 @@ pub(crate) trait Real: Copy {
     fn mul(self, rhs: Self) -> Self;
     /// Division.
     fn div(self, rhs: Self) -> Self;
+    /// Negation.
+    fn neg(self) -> Self;
     /// Square root.
     fn sqrt(self) -> Self;
     /// Per lane: `a` where `self > than`, else `b`.
@@ -184,6 +192,10 @@ impl Real for f64 {
     #[inline(always)]
     fn div(self, rhs: Self) -> Self {
         self / rhs
+    }
+    #[inline(always)]
+    fn neg(self) -> Self {
+        -self
     }
     #[inline(always)]
     fn sqrt(self) -> Self {
@@ -219,6 +231,10 @@ impl Real for F64x4 {
     #[inline(always)]
     fn div(self, rhs: Self) -> Self {
         F64x4::div(self, rhs)
+    }
+    #[inline(always)]
+    fn neg(self) -> Self {
+        F64x4::neg(self)
     }
     #[inline(always)]
     fn sqrt(self) -> Self {
@@ -450,6 +466,7 @@ mod tests {
                 assert_eq!(va.sub(vb).0[i].to_bits(), (a[i] - b[i]).to_bits());
                 assert_eq!(va.mul(vb).0[i].to_bits(), (a[i] * b[i]).to_bits());
                 assert_eq!(va.div(vb).0[i].to_bits(), (a[i] / b[i]).to_bits());
+                assert_eq!(va.neg().0[i].to_bits(), (-a[i]).to_bits());
                 let root = F64x4::load(&a, 0).mul(va).sqrt().0[i];
                 assert_eq!(root.to_bits(), (a[i] * a[i]).sqrt().to_bits());
                 assert_eq!(va.gt(vb)[i], a[i] > b[i]);

@@ -111,6 +111,14 @@ pub fn snr_db_from_evm(signal_power: f64, error_power: f64) -> f64 {
 /// channel phase" plots and the slope estimator.
 pub fn unwrap_phases(phases: &[f64]) -> Vec<f64> {
     let mut out = Vec::with_capacity(phases.len());
+    unwrap_phases_into(phases, &mut out);
+    out
+}
+
+/// [`unwrap_phases`] into a caller-owned buffer (cleared and refilled), so
+/// a per-frame caller reuses its capacity.
+pub fn unwrap_phases_into(phases: &[f64], out: &mut Vec<f64>) {
+    out.clear();
     let mut offset = 0.0;
     for (i, &p) in phases.iter().enumerate() {
         if i > 0 {
@@ -127,7 +135,6 @@ pub fn unwrap_phases(phases: &[f64]) -> Vec<f64> {
         }
         out.push(p + offset);
     }
-    out
 }
 
 /// Ordinary least-squares slope of `y` against `x`.

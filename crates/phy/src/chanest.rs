@@ -5,7 +5,7 @@
 use crate::ofdm;
 use crate::params::OfdmParams;
 use crate::preamble::{lts_values, LTS_REPS};
-use ssync_dsp::stats::{linear_regression_slope, unwrap_phases};
+use ssync_dsp::stats::{linear_regression_slope, unwrap_phases_into};
 use ssync_dsp::{Complex64, FftPlan};
 use std::f64::consts::PI;
 
@@ -49,6 +49,34 @@ impl ChannelEstimate {
     }
 }
 
+/// Frame-level scratch of [`estimate_from_lts_with`] and
+/// [`phase_slope_with`]: the LTS reference table (kept with the numerology
+/// it was built for), the LTS grids and the slope regression's per-window
+/// buffers, so a warm receive allocates only the estimate it returns.
+#[derive(Debug, Clone, Default)]
+pub struct ChanestScratch {
+    /// The data and pilot carriers `lts` was built for.
+    lts_for: (Vec<i32>, Vec<i32>),
+    /// [`lts_values`] of that numerology.
+    lts: Vec<(i32, f64)>,
+    /// The demodulated LTS repetitions.
+    grids: [Vec<Complex64>; LTS_REPS],
+    /// One regression window's carrier indices, phases and unwrapped
+    /// phases.
+    xs: Vec<f64>,
+    phases: Vec<f64>,
+    unwrapped: Vec<f64>,
+    /// Per window, its `(slope, weight)`.
+    slopes: Vec<(f64, f64)>,
+}
+
+impl ChanestScratch {
+    /// An empty scratch; buffers grow on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
 /// Least-squares channel estimate from `LTS_REPS` long-training repetitions
 /// starting at `lts_start` in `samples`.
 ///
@@ -61,16 +89,36 @@ pub fn estimate_from_lts(
     samples: &[Complex64],
     lts_start: usize,
 ) -> ChannelEstimate {
+    estimate_from_lts_with(params, fft, samples, lts_start, &mut ChanestScratch::new())
+}
+
+/// [`estimate_from_lts`] through a reusable [`ChanestScratch`];
+/// bit-identical.
+pub fn estimate_from_lts_with(
+    params: &OfdmParams,
+    fft: &FftPlan,
+    samples: &[Complex64],
+    lts_start: usize,
+    scratch: &mut ChanestScratch,
+) -> ChannelEstimate {
     let n = params.fft_size;
-    let refs = lts_values(params);
-    let mut grids = Vec::with_capacity(LTS_REPS);
-    for rep in 0..LTS_REPS {
-        let grid = ofdm::demodulate_window(params, fft, samples, lts_start + rep * n);
-        grids.push(grid);
+    let ChanestScratch {
+        lts_for,
+        lts,
+        grids,
+        ..
+    } = scratch;
+    if lts_for.0 != params.data_carriers || lts_for.1 != params.pilot_carriers {
+        *lts = lts_values(params);
+        lts_for.0.clone_from(&params.data_carriers);
+        lts_for.1.clone_from(&params.pilot_carriers);
     }
-    let mut carriers = Vec::with_capacity(refs.len());
-    let mut values = Vec::with_capacity(refs.len());
-    for &(k, x) in &refs {
+    for (rep, grid) in grids.iter_mut().enumerate() {
+        ofdm::demodulate_window_into(params, fft, samples, lts_start + rep * n, grid);
+    }
+    let mut carriers = Vec::with_capacity(lts.len());
+    let mut values = Vec::with_capacity(lts.len());
+    for &(k, x) in lts.iter() {
         let bin = params.bin(k);
         let avg: Complex64 = grids.iter().map(|g| g[bin]).sum::<Complex64>() / (LTS_REPS as f64);
         carriers.push(k);
@@ -81,7 +129,7 @@ pub fn estimate_from_lts(
     let mut acc = 0.0;
     let mut count = 0usize;
     if grids.len() >= 2 {
-        for &(k, _) in &refs {
+        for &(k, _) in lts.iter() {
             let bin = params.bin(k);
             acc += (grids[0][bin] - grids[1][bin]).norm_sqr();
             count += 1;
@@ -108,9 +156,26 @@ pub fn estimate_from_lts(
 /// Windows are energy-weighted so deeply faded subcarriers (whose phase is
 /// noise) do not dominate.
 pub fn phase_slope(params: &OfdmParams, est: &ChannelEstimate, window_hz: f64) -> f64 {
+    phase_slope_with(params, est, window_hz, &mut ChanestScratch::new())
+}
+
+/// [`phase_slope`] through a reusable [`ChanestScratch`]; bit-identical.
+pub fn phase_slope_with(
+    params: &OfdmParams,
+    est: &ChannelEstimate,
+    window_hz: f64,
+    scratch: &mut ChanestScratch,
+) -> f64 {
     let spacing = params.subcarrier_spacing_hz();
     let per_window = ((window_hz / spacing).round() as usize).max(2);
-    let mut slopes: Vec<(f64, f64)> = Vec::new(); // (slope, weight)
+    let ChanestScratch {
+        xs,
+        phases,
+        unwrapped,
+        slopes,
+        ..
+    } = scratch;
+    slopes.clear();
     let mut idx = 0;
     while idx + 1 < est.carriers.len() {
         // Collect a run of consecutive carriers (gaps — e.g. across DC —
@@ -123,10 +188,12 @@ pub fn phase_slope(params: &OfdmParams, est: &ChannelEstimate, window_hz: f64) -
             end += 1;
         }
         if end - idx >= 2 {
-            let xs: Vec<f64> = est.carriers[idx..end].iter().map(|k| *k as f64).collect();
-            let phases: Vec<f64> = est.values[idx..end].iter().map(|v| v.arg()).collect();
-            let unwrapped = unwrap_phases(&phases);
-            let slope = linear_regression_slope(&xs, &unwrapped);
+            xs.clear();
+            xs.extend(est.carriers[idx..end].iter().map(|k| *k as f64));
+            phases.clear();
+            phases.extend(est.values[idx..end].iter().map(|v| v.arg()));
+            unwrap_phases_into(phases, unwrapped);
+            let slope = linear_regression_slope(xs, unwrapped);
             let weight: f64 = est.values[idx..end].iter().map(|v| v.norm_sqr()).sum();
             slopes.push((slope, weight));
         }

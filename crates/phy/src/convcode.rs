@@ -64,7 +64,9 @@ pub fn puncture(coded: &[u8], rate: CodeRate) -> Vec<u8> {
 /// Expands a punctured *LLR* stream back to the mother-code positions,
 /// inserting `0.0` (erasure) where bits were dropped. `mother_len` is the
 /// length of the original rate-1/2 stream; `out` is a caller-owned buffer
-/// (cleared and refilled; capacity reused across calls).
+/// (cleared and refilled; capacity reused across calls). The reference
+/// for the receive chain's placement table (see
+/// [`crate::interleave::Interleaver::deinterleave_llrs_append`]).
 ///
 /// # Panics
 /// Panics if the punctured stream length does not match what the pattern

@@ -123,42 +123,83 @@ pub fn encode_signal(params: &OfdmParams, sig: &SignalField) -> Vec<Vec<Complex6
         .collect()
 }
 
-/// Reusable scratch for the receive-side bit pipelines: de-interleave and
-/// de-puncture buffers plus a planned [`viterbi::ViterbiDecoder`], so the
-/// per-frame [`decode_signal_with`] / [`decode_data_with`] hot paths reuse
-/// every buffer (workspaces embed one; see `crate::workspace::RxWorkspace`).
+/// Reusable scratch for the receive-side bit pipelines: the mother-code
+/// LLR stream, the placement tables that fill it and a planned
+/// [`viterbi::ViterbiDecoder`], so the per-frame [`decode_signal_with`] /
+/// [`decode_data_with`] hot paths reuse every buffer (workspaces embed one;
+/// see `crate::workspace::RxWorkspace`).
+///
+/// A frame is decoded in two steps. [`DecodeScratch::mother_stream`] zeroes
+/// the frame's rate-1/2 stream and hands out its per-symbol blocks with the
+/// rate's placement table; the demapper
+/// ([`crate::modulation::DemapTable::demap_symbol`]) writes each soft bit
+/// once, at its final position, and the punctured positions keep their
+/// zero (erasure). Then a decode call runs the Viterbi over the stream.
 #[derive(Debug, Clone, Default)]
 pub struct DecodeScratch {
-    /// De-interleaved (still punctured) LLR stream.
-    punctured: Vec<f64>,
-    /// Mother-code LLR stream after de-puncturing.
+    /// Mother-code LLR stream of the frame being decoded.
     mother: Vec<f64>,
     /// Planned Viterbi decoder (path metrics + survivor store).
     viterbi: viterbi::ViterbiDecoder,
     /// Decoded bit buffer (info + tail, pre-descramble).
     bits: Vec<u8>,
-    /// De-interleavers built so far.
-    interleavers: Interleavers,
+    /// Placement tables built so far.
+    placements: Placements,
 }
 
-/// One de-interleaver per modulation, each kept with the data-carrier
-/// count it was built for and rebuilt only when the numerology changes.
+/// One placement table per rate, each kept with the data-carrier count it
+/// was built for and rebuilt only when the numerology changes.
 #[derive(Debug, Clone, Default)]
-struct Interleavers([Option<(usize, Interleaver)>; 4]);
+struct Placements([Option<(usize, Vec<u32>)>; 8]);
 
-impl Interleavers {
-    /// The interleaver for `m` under `params`.
-    fn get(&mut self, params: &OfdmParams, m: Modulation) -> &Interleaver {
-        let slot = &mut self.0[m.index()];
+impl Placements {
+    /// The placement table for `rate` under `params`.
+    fn get(&mut self, params: &OfdmParams, rate: RateId) -> &[u32] {
+        let slot = &mut self.0[rate.to_index() as usize];
         let n_data = params.n_data();
         if !matches!(slot, Some((n, _)) if *n == n_data) {
-            *slot = Some((n_data, Interleaver::new(params, m)));
+            *slot = Some((n_data, placement(params, rate)));
         }
         match slot {
-            Some((_, il)) => il,
+            Some((_, place)) => place,
             None => unreachable!("filled above"),
         }
     }
+}
+
+/// Where each coded bit of one OFDM symbol at `rate` lands in the
+/// symbol's block of the mother-code stream: entry `carrier·bps + bit` (the
+/// demapper's order) is the de-interleaver's position for it, composed with
+/// the puncture pattern's map from kept bits to mother positions.
+///
+/// # Panics
+/// Panics if a symbol does not cover whole puncture periods (every 802.11a
+/// and WiGLAN rate does), since then the blocks would not tile the stream.
+fn placement(params: &OfdmParams, rate: RateId) -> Vec<u32> {
+    let il = Interleaver::new(params, rate.modulation());
+    let pattern = convcode::puncture_pattern(rate.code_rate());
+    let kept: Vec<usize> = (0..pattern.len()).filter(|&i| pattern[i]).collect();
+    assert!(
+        il.block_len() % kept.len() == 0,
+        "{} at {rate:?}: {} coded bits per symbol are not whole puncture periods",
+        params.name,
+        il.block_len()
+    );
+    il.sources()
+        .iter()
+        .map(|&p| (p / kept.len() * pattern.len() + kept[p % kept.len()]) as u32)
+        .collect()
+}
+
+/// A frame's mother-code LLR stream, opened by
+/// [`DecodeScratch::mother_stream`].
+#[derive(Debug)]
+pub struct MotherStream<'a> {
+    /// Per coded bit of a symbol, in demapper order (carrier ·
+    /// bits per carrier + bit), its offset in the symbol's block.
+    pub place: &'a [u32],
+    /// The stream's blocks, zeroed, one per OFDM symbol in symbol order.
+    pub blocks: std::slice::ChunksExactMut<'a, f64>,
 }
 
 impl DecodeScratch {
@@ -166,23 +207,31 @@ impl DecodeScratch {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// Opens the mother-code stream of a frame of `n_syms` OFDM symbols at
+    /// `rate` (the SIGNAL field is `R6`'s BPSK rate 1/2): the stream is
+    /// zeroed and sized to `n_syms` blocks of `2·N_DBPS` LLRs, ready for
+    /// [`decode_signal_with`] or [`decode_data_with`] once filled.
+    pub fn mother_stream(
+        &mut self,
+        params: &OfdmParams,
+        rate: RateId,
+        n_syms: usize,
+    ) -> MotherStream<'_> {
+        let block = 2 * params.data_bits_per_symbol(rate);
+        self.mother.clear();
+        self.mother.resize(n_syms * block, 0.0);
+        MotherStream {
+            place: self.placements.get(params, rate),
+            blocks: self.mother.chunks_exact_mut(block),
+        }
+    }
 }
 
-/// Decodes SIGNAL-field LLRs (raw per-symbol LLRs in subcarrier order)
-/// through caller-owned scratch, with zero steady-state allocation.
-pub fn decode_signal_with(
-    params: &OfdmParams,
-    llrs_per_symbol: &[Vec<f64>],
-    scratch: &mut DecodeScratch,
-) -> Option<SignalField> {
-    let il = scratch.interleavers.get(params, Modulation::Bpsk);
-    scratch.mother.clear();
-    for sym_llrs in llrs_per_symbol {
-        // Appending the de-interleaved block in place (rather than
-        // extending from a fresh per-symbol vector) keeps the receive
-        // chain's per-symbol allocation count at zero.
-        il.deinterleave_llrs_append(sym_llrs, &mut scratch.mother);
-    }
+/// Decodes the SIGNAL field from the mother-code stream filled through
+/// [`DecodeScratch::mother_stream`] at `R6`, with zero steady-state
+/// allocation.
+pub fn decode_signal_with(scratch: &mut DecodeScratch) -> Option<SignalField> {
     if !scratch
         .viterbi
         .decode_terminated_into(&scratch.mother, &mut scratch.bits)
@@ -230,36 +279,12 @@ pub fn n_data_symbols(params: &OfdmParams, len: usize, rate: RateId) -> usize {
     (16 + len * 8 + TAIL_BITS).div_ceil(params.data_bits_per_symbol(rate))
 }
 
-/// Receive side of the DATA pipeline: takes per-symbol LLR vectors (subcarrier
-/// order), de-interleaves, de-punctures, Viterbi-decodes, descrambles, and
-/// returns the PSDU bytes (length from the SIGNAL field). Runs through
-/// caller-owned scratch, with zero steady-state allocation beyond the
-/// returned PSDU bytes.
-pub fn decode_data_with(
-    params: &OfdmParams,
-    llrs_per_symbol: &[Vec<f64>],
-    rate: RateId,
-    psdu_len: usize,
-    scratch: &mut DecodeScratch,
-) -> Option<Vec<u8>> {
-    let m = rate.modulation();
-    let il = scratch.interleavers.get(params, m);
-    scratch.punctured.clear();
-    for sym in llrs_per_symbol {
-        if sym.len() != params.coded_bits_per_symbol(m) {
-            return None;
-        }
-        il.deinterleave_llrs_append(sym, &mut scratch.punctured);
-    }
-    let n_syms = llrs_per_symbol.len();
-    let n_info = n_syms * params.data_bits_per_symbol(rate);
-    let mother_len = n_info * 2;
-    convcode::depuncture_llr_into(
-        &scratch.punctured,
-        rate.code_rate(),
-        mother_len,
-        &mut scratch.mother,
-    );
+/// Receive side of the DATA pipeline: Viterbi-decodes the mother-code
+/// stream filled through [`DecodeScratch::mother_stream`] at the frame's
+/// rate, descrambles, and returns the PSDU bytes (length from the SIGNAL
+/// field). Runs through caller-owned scratch, with zero steady-state
+/// allocation beyond the returned PSDU bytes.
+pub fn decode_data_with(scratch: &mut DecodeScratch, psdu_len: usize) -> Option<Vec<u8>> {
     if !scratch
         .viterbi
         .decode_terminated_into(&scratch.mother, &mut scratch.bits)
@@ -308,6 +333,73 @@ mod tests {
     use crate::params::OfdmParams;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// Opens `scratch`'s stream for `llrs.len()` symbols at `rate` and
+    /// places each symbol's LLRs (demapper order) through the table.
+    fn place_llrs(
+        params: &OfdmParams,
+        rate: RateId,
+        llrs: &[Vec<f64>],
+        scratch: &mut DecodeScratch,
+    ) {
+        let stream = scratch.mother_stream(params, rate, llrs.len());
+        for (sym, block) in llrs.iter().zip(stream.blocks) {
+            assert_eq!(sym.len(), stream.place.len());
+            for (&p, &l) in stream.place.iter().zip(sym) {
+                block[p as usize] = l;
+            }
+        }
+    }
+
+    /// Per-symbol LLRs through [`decode_data_with`].
+    fn decode_llrs(
+        params: &OfdmParams,
+        llrs: &[Vec<f64>],
+        rate: RateId,
+        len: usize,
+    ) -> Option<Vec<u8>> {
+        let mut scratch = DecodeScratch::new();
+        place_llrs(params, rate, llrs, &mut scratch);
+        decode_data_with(&mut scratch, len)
+    }
+
+    #[test]
+    fn placement_matches_deinterleave_then_depuncture() {
+        // For every rate on both numerologies, the placement table puts
+        // each LLR where de-interleaving each symbol and de-puncturing the
+        // frame puts it, and leaves every punctured position a zero
+        // erasure — through a scratch reused across numerologies and rates.
+        let mut rng = StdRng::seed_from_u64(13);
+        let mut scratch = DecodeScratch::new();
+        for params in [
+            OfdmParams::dot11a(),
+            OfdmParams::wiglan(),
+            OfdmParams::dot11a(),
+        ] {
+            for rate in RateId::ALL {
+                let il = Interleaver::new(&params, rate.modulation());
+                let n_syms = 3;
+                let llrs: Vec<Vec<f64>> = (0..n_syms)
+                    .map(|_| {
+                        (0..il.block_len())
+                            .map(|_| rng.gen_range(0.5..9.0))
+                            .collect()
+                    })
+                    .collect();
+                let mut punctured = Vec::new();
+                for sym in &llrs {
+                    il.deinterleave_llrs_append(sym, &mut punctured);
+                }
+                let mother_len = n_syms * 2 * params.data_bits_per_symbol(rate);
+                let mut want = Vec::new();
+                convcode::depuncture_llr_into(&punctured, rate.code_rate(), mother_len, &mut want);
+                place_llrs(&params, rate, &llrs, &mut scratch);
+                let got: Vec<u64> = scratch.mother.iter().map(|v| v.to_bits()).collect();
+                let want: Vec<u64> = want.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "{} {rate:?}", params.name);
+            }
+        }
+    }
 
     #[test]
     fn signal_field_roundtrip() {
@@ -371,8 +463,10 @@ mod tests {
                         .collect()
                 })
                 .collect();
+            let mut scratch = DecodeScratch::new();
+            place_llrs(&params, RateId::R6, &llrs, &mut scratch);
             assert_eq!(
-                decode_signal_with(&params, &llrs, &mut DecodeScratch::new()),
+                decode_signal_with(&mut scratch),
                 Some(sig),
                 "{}",
                 params.name
@@ -397,8 +491,7 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            let decoded =
-                decode_data_with(&params, &llrs, rate, psdu.len(), &mut DecodeScratch::new());
+            let decoded = decode_llrs(&params, &llrs, rate, psdu.len());
             assert_eq!(decoded.as_deref(), Some(&psdu[..]), "rate {rate:?}");
         }
     }
@@ -420,8 +513,7 @@ mod tests {
                 })
                 .collect();
             assert_eq!(
-                decode_data_with(&params, &llrs, rate, psdu.len(), &mut DecodeScratch::new())
-                    .as_deref(),
+                decode_llrs(&params, &llrs, rate, psdu.len()).as_deref(),
                 Some(&psdu[..])
             );
         }
@@ -441,7 +533,7 @@ mod tests {
             })
             .collect();
         assert_eq!(
-            decode_data_with(&params, &llrs, RateId::R6, 0, &mut DecodeScratch::new()).as_deref(),
+            decode_llrs(&params, &llrs, RateId::R6, 0).as_deref(),
             Some(&[][..])
         );
     }

@@ -82,10 +82,19 @@ impl Interleaver {
         out
     }
 
+    /// Per interleaved (on-air) position, the index of the coded bit it
+    /// carries within the block: the de-interleaver's permutation.
+    #[inline]
+    pub fn sources(&self) -> &[usize] {
+        &self.inv
+    }
+
     /// De-interleaves one block of LLRs (receiver side), *appending* the
-    /// de-interleaved block to `out` (the frame decoder concatenates
-    /// per-symbol blocks into one punctured-stream vector, so append is the
-    /// composable shape).
+    /// de-interleaved block to `out`. The receive chain does not call it:
+    /// it scatters each LLR straight to its mother-code position through
+    /// `crate::frame::DecodeScratch`'s placement table, which this
+    /// composed with [`crate::convcode::depuncture_llr_into`] is the
+    /// reference for.
     ///
     /// # Panics
     /// Panics if `llrs.len() != block_len()`.

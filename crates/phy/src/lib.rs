@@ -48,4 +48,4 @@ pub use frame::SignalField;
 pub use params::{Modulation, OfdmParams, Params, RateId};
 pub use rx::{Receiver, RxDiagnostics, RxError, RxResult};
 pub use tx::Transmitter;
-pub use workspace::{DetectScratch, RxWorkspace, SymbolLlrs, TxWorkspace};
+pub use workspace::{DetectScratch, RxWorkspace, TxWorkspace};

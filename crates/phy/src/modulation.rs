@@ -9,7 +9,7 @@
 //! of the squared distances with one square root per bit minimum.
 
 pub use crate::params::Modulation;
-use ssync_dsp::simd::{F64x4, LANES, SIMD_ENABLED};
+use ssync_dsp::simd::{C64x4, F64x4, Real, LANES, SIMD_ENABLED};
 use ssync_dsp::Complex64;
 
 /// Per-axis Gray-coded PAM levels for `bits_per_axis` bits, in 802.11 order.
@@ -133,20 +133,16 @@ const MAX_BPS: usize = 6;
 /// `min f(s) = f(min s)` — the sqrt-free demap applies `f` to the
 /// minima alone and gets [`demap_llrs`]'s minima bit for bit.
 #[inline(always)]
-fn resquare(m: f64) -> f64 {
+fn resquare<T: Real>(m: T) -> T {
     let d = m.sqrt();
-    d * d
+    d.mul(d)
 }
 
 /// `v < acc ? v : acc`: one step of a strict running minimum from `+∞`,
 /// which never takes a NaN.
 #[inline(always)]
-fn strict_min(acc: f64, v: f64) -> f64 {
-    if v < acc {
-        v
-    } else {
-        acc
-    }
+fn strict_min<T: Real>(acc: T, v: T) -> T {
+    acc.select_gt(v, v, acc)
 }
 
 /// One bit's partition of the constellation grid: its 0-set and 1-set are
@@ -223,13 +219,17 @@ impl AxisSlicer {
 /// The points are stored I-major on a `rows × cols` grid (the 802.11
 /// label is the I bits followed by the Q bits), so each bit's 0-set and
 /// 1-set is a union of whole rows or whole columns. [`DemapTable::new`]
-/// derives those partitions from the labels and asserts them. One call
-/// then runs three phases, all producing [`demap_llrs`]'s exact bits:
+/// derives those partitions from the labels and asserts them.
 ///
-/// 1. **Squared distances.** `s = |y − h·x|²` per point into a flat
-///    scratch array, four points per step through [`ssync_dsp::simd`]
-///    lanes — the operations of `y.dist(h·x)` in the same order, minus its
-///    `sqrt`.
+/// [`DemapTable::demap_symbol`] demaps every data carrier of one OFDM
+/// symbol, four carriers per [`ssync_dsp::simd`] lane group (DESIGN.md,
+/// "Carrier-lane demap and the placement table"). Each lane runs three
+/// phases, all producing [`demap_llrs`]'s exact bits:
+///
+/// 1. **Squared distances.** `s = |y − h·x|²` per point — the operations
+///    of `y.dist(h·x)` in the same order, minus its `sqrt`. The products
+///    `h.re·a`, `h.im·a` of a row level `a` and `h.im·b`, `h.re·b` of a
+///    column level `b` are formed once per grid line, not once per point.
 /// 2. **Row and column minima.** Each row's and each column's minimum `s`,
 ///    then each bit's two minima from its lines. Every minimum is a strict
 ///    `<` scan from `+∞`, so NaN is skipped as in [`demap_llrs`], and
@@ -245,7 +245,8 @@ impl AxisSlicer {
 /// with `s ≤ 2·min s` can qualify, so only those pay for a `sqrt`. With
 /// `h = 1` (every equalised caller) it first tries a per-axis slicer,
 /// which picks the same point without touching the grid; see
-/// [`DemapTable::nearest`].
+/// [`DemapTable::nearest`]. [`DemapTable::evm_into`] runs it per carrier
+/// for the decision-directed EVM.
 #[derive(Debug, Clone)]
 pub struct DemapTable {
     m: Modulation,
@@ -255,6 +256,10 @@ pub struct DemapTable {
     /// consecutive reals instead of deinterleaving on every call.
     xs_re: Vec<f64>,
     xs_im: Vec<f64>,
+    /// The real part of each row's points and the imaginary part of each
+    /// column's points (every point of a grid line shares it).
+    row_levels: [f64; 8],
+    col_levels: [f64; 8],
     /// Per bit position, its row or column partition.
     splits: [BitSplit; MAX_BPS],
     /// Hard slicers for the I axis (rows) and the Q axis (columns).
@@ -307,9 +312,22 @@ impl DemapTable {
         let xs: Vec<Complex64> = points.iter().map(|(_, x)| *x).collect();
         let row_levels: Vec<f64> = (0..rows).map(|r| xs[r * cols].re).collect();
         let col_levels: Vec<f64> = xs[..cols].iter().map(|x| x.im).collect();
+        for (p, x) in xs.iter().enumerate() {
+            let (r, c) = (p / cols, p % cols);
+            assert!(
+                x.re.to_bits() == row_levels[r].to_bits()
+                    && x.im.to_bits() == col_levels[c].to_bits(),
+                "{m:?} point {p}: not on its grid lines"
+            );
+        }
+        let mut levels = [[0.0; 8]; 2];
+        levels[0][..rows].copy_from_slice(&row_levels);
+        levels[1][..cols].copy_from_slice(&col_levels);
         DemapTable {
             m,
             slicers: [AxisSlicer::new(&row_levels), AxisSlicer::new(&col_levels)],
+            row_levels: levels[0],
+            col_levels: levels[1],
             xs_re: xs.iter().map(|x| x.re).collect(),
             xs_im: xs.iter().map(|x| x.im).collect(),
             sq: vec![0.0; xs.len()],
@@ -324,183 +342,225 @@ impl DemapTable {
         self.m
     }
 
-    /// Fills `self.sq` with `|y − h·x|²` per point. With `MIN`, also
-    /// returns their minimum (a strict `<` from `+∞`, so NaN is skipped);
-    /// without, returns `+∞` and spends nothing on it. All three tiers are
-    /// bitwise identical.
-    #[inline]
-    fn fill_sq<const MIN: bool>(&mut self, y: Complex64, h: Complex64) -> f64 {
+    /// Demaps one OFDM symbol: carrier `j` received `y[j]` through channel
+    /// `h[j]` with noise variance `n0[j]`, and its `bits_per_symbol` LLRs
+    /// — [`demap_llrs`]'s bits — go to `out[place[j·bps + b]]` for bit `b`.
+    /// `place` maps the demapper's order onto the caller's layout: the
+    /// frame decoder passes a placement table that lands each LLR at its
+    /// mother-code position (see `crate::frame::DecodeScratch`), and the
+    /// identity keeps demapper order. Slots of `out` that `place` does not
+    /// name are left as they are.
+    ///
+    /// # Panics
+    /// Panics if `h` or `n0` is not as long as `y`, if `place` does not
+    /// hold `bits_per_symbol` entries per carrier, or if a `place` entry
+    /// is outside `out`.
+    pub fn demap_symbol(
+        &self,
+        y: &[Complex64],
+        h: &[Complex64],
+        n0: &[f64],
+        place: &[u32],
+        out: &mut [f64],
+    ) {
+        assert!(
+            h.len() == y.len() && n0.len() == y.len(),
+            "demap_symbol: {} received values, {} channels, {} noise values",
+            y.len(),
+            h.len(),
+            n0.len()
+        );
+        assert_eq!(
+            place.len(),
+            y.len() * self.m.bits_per_symbol(),
+            "demap_symbol: placement table size"
+        );
+        // The tier is picked once per symbol, not once per carrier.
         #[cfg(target_arch = "x86_64")]
         if SIMD_ENABLED && std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was just verified at runtime.
-            return unsafe { self.fill_sq_avx2::<MIN>(y, h) };
+            // SAFETY: AVX2 support was just verified at runtime, and the
+            // twin only compiles the lanes tier for it.
+            unsafe { self.demap_symbol_avx2(y, h, n0, place, out) };
+            return;
         }
-        if SIMD_ENABLED {
-            self.fill_sq_lanes::<MIN>(y, h)
-        } else {
-            self.fill_sq_scalar::<MIN>(y, h)
-        }
+        self.demap_by_grid::<SIMD_ENABLED>(y, h, n0, place, out);
     }
 
-    /// [`DemapTable::fill_sq_lanes`] as explicit 256-bit intrinsics — the
-    /// same IEEE operations in the same order (no multiply-add fusion
-    /// anywhere), so the squared distances are bit-identical to both
-    /// portable kernels. `vminpd(s, m)` is `s < m ? s : m`, the strict
-    /// running minimum.
-    ///
-    /// # Safety
-    /// The host CPU must support AVX2.
+    /// [`DemapTable::demap_by_grid`]'s lanes tier compiled for AVX2.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    unsafe fn fill_sq_avx2<const MIN: bool>(&mut self, y: Complex64, h: Complex64) -> f64 {
-        use std::arch::x86_64::*;
-        let n = self.xs.len();
-        let mut p = 0usize;
-        let mut lanes = [f64::INFINITY; LANES];
-        // SAFETY (for all intrinsics below): p ≤ n−4 inside the loop, and
-        // xs_re/xs_im/sq all hold exactly n elements.
-        unsafe {
-            let mut vmin = _mm256_set1_pd(f64::INFINITY);
-            let vyre = _mm256_set1_pd(y.re);
-            let vyim = _mm256_set1_pd(y.im);
-            let vhre = _mm256_set1_pd(h.re);
-            let vhim = _mm256_set1_pd(h.im);
-            while p + LANES <= n {
-                let xre = _mm256_loadu_pd(self.xs_re.as_ptr().add(p));
-                let xim = _mm256_loadu_pd(self.xs_im.as_ptr().add(p));
-                let dre = _mm256_sub_pd(
-                    vyre,
-                    _mm256_sub_pd(_mm256_mul_pd(vhre, xre), _mm256_mul_pd(vhim, xim)),
-                );
-                let dim = _mm256_sub_pd(
-                    vyim,
-                    _mm256_add_pd(_mm256_mul_pd(vhre, xim), _mm256_mul_pd(vhim, xre)),
-                );
-                let s = _mm256_add_pd(_mm256_mul_pd(dre, dre), _mm256_mul_pd(dim, dim));
-                _mm256_storeu_pd(self.sq.as_mut_ptr().add(p), s);
-                if MIN {
-                    vmin = _mm256_min_pd(s, vmin);
-                }
-                p += LANES;
-            }
-            _mm256_storeu_pd(lanes.as_mut_ptr(), vmin);
-        }
-        self.fill_sq_tail::<MIN>(y, h, p, lanes)
-    }
-
-    /// The points from `p` on, one at a time, folded into the per-lane
-    /// running minima `lanes`: the shared tail of every tier.
-    #[inline(always)]
-    fn fill_sq_tail<const MIN: bool>(
-        &mut self,
-        y: Complex64,
-        h: Complex64,
-        p: usize,
-        lanes: [f64; LANES],
-    ) -> f64 {
-        let mut min = f64::INFINITY;
-        for (s, x) in self.sq[p..].iter_mut().zip(&self.xs[p..]) {
-            *s = (y - h * *x).norm_sqr();
-            if MIN {
-                min = strict_min(min, *s);
-            }
-        }
-        if MIN {
-            for v in lanes {
-                min = strict_min(min, v);
-            }
-        }
-        min
-    }
-
-    /// Lane kernel of [`DemapTable::fill_sq`]: four points per step from
-    /// the split-form constellation.
-    #[inline]
-    fn fill_sq_lanes<const MIN: bool>(&mut self, y: Complex64, h: Complex64) -> f64 {
-        let n = self.xs.len();
-        let mut p = 0usize;
-        let mut vmin = F64x4::splat(f64::INFINITY);
-        let vyre = F64x4::splat(y.re);
-        let vyim = F64x4::splat(y.im);
-        let vhre = F64x4::splat(h.re);
-        let vhim = F64x4::splat(h.im);
-        while p + LANES <= n {
-            let xre = F64x4::load(&self.xs_re, p);
-            let xim = F64x4::load(&self.xs_im, p);
-            // h·x term-for-term as `Complex64::mul`, then |y − h·x|².
-            let dre = vyre.sub(vhre.mul(xre).sub(vhim.mul(xim)));
-            let dim = vyim.sub(vhre.mul(xim).add(vhim.mul(xre)));
-            let s = dre.mul(dre).add(dim.mul(dim));
-            s.store(&mut self.sq, p);
-            if MIN {
-                vmin = F64x4::select(vmin.gt(s), s, vmin);
-            }
-            p += LANES;
-        }
-        self.fill_sq_tail::<MIN>(y, h, p, vmin.0)
-    }
-
-    /// Scalar kernel of [`DemapTable::fill_sq`].
-    #[inline]
-    fn fill_sq_scalar<const MIN: bool>(&mut self, y: Complex64, h: Complex64) -> f64 {
-        self.fill_sq_tail::<MIN>(y, h, 0, [f64::INFINITY; LANES])
-    }
-
-    /// [`demap_llrs`], *appending* `bits_per_symbol` LLRs to `out` (the
-    /// receive chain accumulates per-carrier LLRs into one per-symbol
-    /// vector, so append — not clear-and-fill — is the composable shape).
-    pub fn demap_llrs_into(&mut self, y: Complex64, h: Complex64, n0: f64, out: &mut Vec<f64>) {
-        self.fill_sq::<false>(y, h);
-        let scale = 1.0 / n0.max(1e-12);
-        // One monomorphised reduction per grid shape, so the line loops
-        // unroll and the small constellations pay no generic overhead.
-        match self.m {
-            Modulation::Bpsk => self.llrs_from_sq::<2, 1, 1>(scale, out),
-            Modulation::Qpsk => self.llrs_from_sq::<2, 2, 2>(scale, out),
-            Modulation::Qam16 => self.llrs_from_sq::<4, 4, 4>(scale, out),
-            Modulation::Qam64 => self.llrs_from_sq::<8, 8, 6>(scale, out),
-        }
-    }
-
-    /// Phases 2 and 3 of the demap on the `R × C` grid in `self.sq`, for
-    /// `B` bits per symbol.
-    #[inline(always)]
-    fn llrs_from_sq<const R: usize, const C: usize, const B: usize>(
+    fn demap_symbol_avx2(
         &self,
-        scale: f64,
-        out: &mut Vec<f64>,
+        y: &[Complex64],
+        h: &[Complex64],
+        n0: &[f64],
+        place: &[u32],
+        out: &mut [f64],
     ) {
-        let mut row_min = [f64::INFINITY; R];
-        let mut col_min = [f64::INFINITY; C];
-        for (row, rm) in self.sq.chunks_exact(C).zip(row_min.iter_mut()) {
-            for (cm, &v) in col_min.iter_mut().zip(row) {
-                *cm = strict_min(*cm, v);
-            }
-            *rm = row.iter().fold(f64::INFINITY, |m, &v| strict_min(m, v));
+        self.demap_by_grid::<true>(y, h, n0, place, out);
+    }
+
+    /// [`DemapTable::demap_symbol`] in the lanes tier (`V`) or the scalar
+    /// one, monomorphised per grid shape so the line loops unroll and the
+    /// small constellations pay no generic overhead.
+    #[inline(always)]
+    fn demap_by_grid<const V: bool>(
+        &self,
+        y: &[Complex64],
+        h: &[Complex64],
+        n0: &[f64],
+        place: &[u32],
+        out: &mut [f64],
+    ) {
+        match self.m {
+            Modulation::Bpsk => self.demap_grid::<V, 2, 1, 1>(y, h, n0, place, out),
+            Modulation::Qpsk => self.demap_grid::<V, 2, 2, 2>(y, h, n0, place, out),
+            Modulation::Qam16 => self.demap_grid::<V, 4, 4, 4>(y, h, n0, place, out),
+            Modulation::Qam64 => self.demap_grid::<V, 8, 8, 6>(y, h, n0, place, out),
         }
-        // Per bit, the (√m)² of its 0-set and 1-set minima.
-        let mut mins = [[0.0f64; 2]; B];
-        for (bit, split) in mins.iter_mut().zip(&self.splits) {
-            let (lines, half): (&[f64], usize) = if split.rows {
+    }
+
+    /// The carriers of one symbol on the `R × C` grid (`B` bits each):
+    /// four per lane group in the lanes tier (`V`), the rest one at a time.
+    #[inline(always)]
+    fn demap_grid<const V: bool, const R: usize, const C: usize, const B: usize>(
+        &self,
+        y: &[Complex64],
+        h: &[Complex64],
+        n0: &[f64],
+        place: &[u32],
+        out: &mut [f64],
+    ) {
+        let whole = if V { y.len() - y.len() % LANES } else { 0 };
+        for j in (0..whole).step_by(LANES) {
+            let (yv, hv) = (C64x4::load(y, j), C64x4::load(h, j));
+            let llrs = self.llrs::<F64x4, R, C, B>(yv.re, yv.im, hv.re, hv.im, F64x4::load(n0, j));
+            for (lane, at) in place[j * B..(j + LANES) * B].chunks_exact(B).enumerate() {
+                for (&p, llr) in at.iter().zip(&llrs) {
+                    out[p as usize] = llr.0[lane];
+                }
+            }
+        }
+        let carriers = y[whole..].iter().zip(&h[whole..]).zip(&n0[whole..]);
+        for (((y, h), &n0), at) in carriers.zip(place[whole * B..].chunks_exact(B)) {
+            let llrs = self.llrs::<f64, R, C, B>(y.re, y.im, h.re, h.im, n0);
+            for (&p, llr) in at.iter().zip(llrs) {
+                out[p as usize] = llr;
+            }
+        }
+    }
+
+    /// Phases 1–3 of the demap for one carrier per lane of `T` on the
+    /// `R × C` grid: the `B` LLRs `(m1 − m0)·(1 / max(n0, 10⁻¹²))`, every
+    /// operation [`demap_llrs`]'s own.
+    #[inline(always)]
+    fn llrs<T: Real, const R: usize, const C: usize, const B: usize>(
+        &self,
+        y_re: T,
+        y_im: T,
+        h_re: T,
+        h_im: T,
+        n0: T,
+    ) -> [T; B] {
+        let inf = T::splat(f64::INFINITY);
+        // h·x = (h.re·a − h.im·b, h.re·b + h.im·a) for the point on row
+        // level `a` and column level `b`: each product is a line's.
+        let mut row_re = [inf; R];
+        let mut row_im = [inf; R];
+        for ((re, im), &a) in row_re.iter_mut().zip(&mut row_im).zip(&self.row_levels) {
+            *re = h_re.mul(T::splat(a));
+            *im = h_im.mul(T::splat(a));
+        }
+        let mut col_re = [inf; C];
+        let mut col_im = [inf; C];
+        for ((re, im), &b) in col_re.iter_mut().zip(&mut col_im).zip(&self.col_levels) {
+            *re = h_im.mul(T::splat(b));
+            *im = h_re.mul(T::splat(b));
+        }
+        let mut row_min = [inf; R];
+        let mut col_min = [inf; C];
+        for ((&a_re, &a_im), rm) in row_re.iter().zip(&row_im).zip(&mut row_min) {
+            for ((&b_re, &b_im), cm) in col_re.iter().zip(&col_im).zip(&mut col_min) {
+                let d_re = y_re.sub(a_re.sub(b_re));
+                let d_im = y_im.sub(b_im.add(a_im));
+                let s = d_re.mul(d_re).add(d_im.mul(d_im));
+                *rm = strict_min(*rm, s);
+                *cm = strict_min(*cm, s);
+            }
+        }
+        let floor = T::splat(1e-12);
+        let scale = T::splat(1.0).div(n0.select_gt(floor, n0, floor));
+        let mut out = [inf; B];
+        for (llr, split) in out.iter_mut().zip(&self.splits) {
+            let (lines, half): (&[T], usize) = if split.rows {
                 (&row_min, R / 2)
             } else {
                 (&col_min, C / 2)
             };
-            for (m, set) in bit.iter_mut().zip([&split.zero, &split.one]) {
-                let min = set[..half]
+            let min = |set: &[u8; 4]| {
+                set[..half]
                     .iter()
-                    .fold(f64::INFINITY, |acc, &l| strict_min(acc, lines[l as usize]));
-                *m = resquare(min);
+                    .fold(inf, |acc, &l| strict_min(acc, lines[l as usize]))
+            };
+            let (m0, m1) = (resquare(min(&split.zero)), resquare(min(&split.one)));
+            *llr = m1.sub(m0).mul(scale);
+        }
+        out
+    }
+
+    /// The decision-directed EVM of equalised carriers: for each `eq[j]`
+    /// in order, with `x` its [`DemapTable::nearest`] point under `h = 1`,
+    /// adds `dist(eq, x)²` to `err` and `|x|²` to `sig`. The squared
+    /// distances and powers are formed four carriers per lane group, the
+    /// sums stay scalar and in carrier order, so every tier adds the same
+    /// terms in the same order as the per-carrier loop.
+    pub fn evm_into(&mut self, eq: &[Complex64], err: &mut f64, sig: &mut f64) {
+        #[cfg(target_arch = "x86_64")]
+        if SIMD_ENABLED && std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 support was just verified at runtime, and the
+            // twin only compiles the lanes tier for it.
+            unsafe { self.evm_avx2(eq, err, sig) };
+            return;
+        }
+        self.evm_tier::<SIMD_ENABLED>(eq, err, sig);
+    }
+
+    /// [`DemapTable::evm_tier`]'s lanes tier compiled for AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn evm_avx2(&mut self, eq: &[Complex64], err: &mut f64, sig: &mut f64) {
+        self.evm_tier::<true>(eq, err, sig);
+    }
+
+    /// [`DemapTable::evm_into`] in the lanes tier (`V`) or the scalar one.
+    #[inline(always)]
+    fn evm_tier<const V: bool>(&mut self, eq: &[Complex64], err: &mut f64, sig: &mut f64) {
+        let whole = if V { eq.len() - eq.len() % LANES } else { 0 };
+        let mut near = [Complex64::ZERO; LANES];
+        for group in eq[..whole].chunks_exact(LANES) {
+            for (x, &e) in near.iter_mut().zip(group) {
+                *x = self.nearest(e, Complex64::ONE);
+            }
+            let x = C64x4::load(&near, 0);
+            let d = C64x4::load(group, 0).sub(x).norm_sqr().sqrt();
+            let (d2, p) = (d.mul(d), x.norm_sqr());
+            for (d2, p) in d2.0.into_iter().zip(p.0) {
+                *err += d2;
+                *sig += p;
             }
         }
-        out.extend(mins.iter().map(|[m0, m1]| (m1 - m0) * scale));
+        for &e in &eq[whole..] {
+            let x = self.nearest(e, Complex64::ONE);
+            *err += e.dist(x).powi(2);
+            *sig += x.norm_sqr();
+        }
     }
 
     /// The nearest constellation point to `y` after equalising with `h`:
     /// the point whose label [`demap_hard`] returns, without the bit
     /// round-trip. Ties break toward the point scanned first, matching
     /// [`demap_hard`]'s `Iterator::min_by` convention. The decision-
-    /// directed EVM loops want the point, not its label.
+    /// directed EVM wants the point, not its label.
     ///
     /// With `h = 1` the squared distance separates per axis, so each
     /// axis's nearest level, found by counting decision midpoints, names
@@ -537,7 +597,7 @@ impl DemapTable {
     /// [`DemapTable::nearest`] by the full scan: every point's squared
     /// distance, then the first point at the minimum distance.
     fn nearest_scan(&mut self, y: Complex64, h: Complex64) -> Complex64 {
-        let min = self.fill_sq::<true>(y, h);
+        let min = self.fill_sq(y, h);
         // No finite distance: a strict `<` scan from `+∞` never moves off
         // the first point.
         if min == f64::INFINITY {
@@ -549,6 +609,113 @@ impl DemapTable {
             return self.xs[unsafe { self.first_at_min_avx2(min) }];
         }
         self.xs[self.first_at_min(min, 0)]
+    }
+
+    /// Fills `self.sq` with `|y − h·x|²` per point and returns their
+    /// minimum (a strict `<` from `+∞`, so NaN is skipped). All three
+    /// tiers are bitwise identical.
+    #[inline]
+    fn fill_sq(&mut self, y: Complex64, h: Complex64) -> f64 {
+        #[cfg(target_arch = "x86_64")]
+        if SIMD_ENABLED && std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 support was just verified at runtime.
+            return unsafe { self.fill_sq_avx2(y, h) };
+        }
+        if SIMD_ENABLED {
+            self.fill_sq_lanes(y, h)
+        } else {
+            self.fill_sq_scalar(y, h)
+        }
+    }
+
+    /// [`DemapTable::fill_sq_lanes`] as explicit 256-bit intrinsics — the
+    /// same IEEE operations in the same order (no multiply-add fusion
+    /// anywhere), so the squared distances are bit-identical to both
+    /// portable kernels. `vminpd(s, m)` is `s < m ? s : m`, the strict
+    /// running minimum.
+    ///
+    /// # Safety
+    /// The host CPU must support AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn fill_sq_avx2(&mut self, y: Complex64, h: Complex64) -> f64 {
+        use std::arch::x86_64::*;
+        let n = self.xs.len();
+        let mut p = 0usize;
+        let mut lanes = [f64::INFINITY; LANES];
+        // SAFETY (for all intrinsics below): p ≤ n−4 inside the loop, and
+        // xs_re/xs_im/sq all hold exactly n elements.
+        unsafe {
+            let mut vmin = _mm256_set1_pd(f64::INFINITY);
+            let vyre = _mm256_set1_pd(y.re);
+            let vyim = _mm256_set1_pd(y.im);
+            let vhre = _mm256_set1_pd(h.re);
+            let vhim = _mm256_set1_pd(h.im);
+            while p + LANES <= n {
+                let xre = _mm256_loadu_pd(self.xs_re.as_ptr().add(p));
+                let xim = _mm256_loadu_pd(self.xs_im.as_ptr().add(p));
+                let dre = _mm256_sub_pd(
+                    vyre,
+                    _mm256_sub_pd(_mm256_mul_pd(vhre, xre), _mm256_mul_pd(vhim, xim)),
+                );
+                let dim = _mm256_sub_pd(
+                    vyim,
+                    _mm256_add_pd(_mm256_mul_pd(vhre, xim), _mm256_mul_pd(vhim, xre)),
+                );
+                let s = _mm256_add_pd(_mm256_mul_pd(dre, dre), _mm256_mul_pd(dim, dim));
+                _mm256_storeu_pd(self.sq.as_mut_ptr().add(p), s);
+                vmin = _mm256_min_pd(s, vmin);
+                p += LANES;
+            }
+            _mm256_storeu_pd(lanes.as_mut_ptr(), vmin);
+        }
+        self.fill_sq_tail(y, h, p, lanes)
+    }
+
+    /// The points from `p` on, one at a time, folded into the per-lane
+    /// running minima `lanes`: the shared tail of every tier.
+    #[inline(always)]
+    fn fill_sq_tail(&mut self, y: Complex64, h: Complex64, p: usize, lanes: [f64; LANES]) -> f64 {
+        let mut min = f64::INFINITY;
+        for (s, x) in self.sq[p..].iter_mut().zip(&self.xs[p..]) {
+            *s = (y - h * *x).norm_sqr();
+            min = strict_min(min, *s);
+        }
+        for v in lanes {
+            min = strict_min(min, v);
+        }
+        min
+    }
+
+    /// Lane kernel of [`DemapTable::fill_sq`]: four points per step from
+    /// the split-form constellation.
+    #[inline]
+    fn fill_sq_lanes(&mut self, y: Complex64, h: Complex64) -> f64 {
+        let n = self.xs.len();
+        let mut p = 0usize;
+        let mut vmin = F64x4::splat(f64::INFINITY);
+        let vyre = F64x4::splat(y.re);
+        let vyim = F64x4::splat(y.im);
+        let vhre = F64x4::splat(h.re);
+        let vhim = F64x4::splat(h.im);
+        while p + LANES <= n {
+            let xre = F64x4::load(&self.xs_re, p);
+            let xim = F64x4::load(&self.xs_im, p);
+            // h·x term-for-term as `Complex64::mul`, then |y − h·x|².
+            let dre = vyre.sub(vhre.mul(xre).sub(vhim.mul(xim)));
+            let dim = vyim.sub(vhre.mul(xim).add(vhim.mul(xre)));
+            let s = dre.mul(dre).add(dim.mul(dim));
+            s.store(&mut self.sq, p);
+            vmin = strict_min(vmin, s);
+            p += LANES;
+        }
+        self.fill_sq_tail(y, h, p, vmin.0)
+    }
+
+    /// Scalar kernel of [`DemapTable::fill_sq`].
+    #[inline]
+    fn fill_sq_scalar(&mut self, y: Complex64, h: Complex64) -> f64 {
+        self.fill_sq_tail(y, h, 0, [f64::INFINITY; LANES])
     }
 
     /// The first point from `from` on whose distance `√s` equals `√min`:
@@ -758,13 +925,32 @@ mod tests {
         a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits()
     }
 
+    /// One carrier through [`DemapTable::demap_symbol`], in demapper order.
+    fn demap_one(table: &DemapTable, y: Complex64, h: Complex64, n0: f64) -> Vec<f64> {
+        let bps = table.modulation().bits_per_symbol();
+        let place: Vec<u32> = (0..bps as u32).collect();
+        let mut out = vec![0.0; bps];
+        table.demap_symbol(&[y], &[h], &[n0], &place, &mut out);
+        out
+    }
+
+    /// `v`'s bits, every NaN mapped to one pattern: Rust leaves the sign
+    /// and payload of a NaN that arithmetic produces unspecified, and every
+    /// reduction skips NaN whatever its bits.
+    fn canonical(v: f64) -> u64 {
+        if v.is_nan() {
+            f64::NAN.to_bits()
+        } else {
+            v.to_bits()
+        }
+    }
+
     #[test]
     fn demap_table_bitwise_matches_allocating_demappers() {
         let mut rng = StdRng::seed_from_u64(8);
         let noise = ComplexGaussian::with_power(0.1);
         for m in ALL {
             let mut table = DemapTable::new(m);
-            let mut llrs = Vec::new();
             for _ in 0..40 {
                 let bits: Vec<u8> = (0..m.bits_per_symbol())
                     .map(|_| rng.gen_range(0..2u8))
@@ -774,9 +960,11 @@ mod tests {
                     rng.gen_range(0.0..std::f64::consts::TAU),
                 );
                 let y = h * map_symbol(m, &bits) + noise.sample(&mut rng);
-                llrs.clear();
-                table.demap_llrs_into(y, h, 0.1, &mut llrs);
-                assert_eq!(llrs, demap_llrs(m, y, h, 0.1), "{m:?}");
+                assert_eq!(
+                    demap_one(&table, y, h, 0.1),
+                    demap_llrs(m, y, h, 0.1),
+                    "{m:?}"
+                );
                 // The nearest point is exactly the point of demap_hard's label.
                 let near = table.nearest(y, h);
                 assert!(
@@ -846,11 +1034,9 @@ mod tests {
     fn demap_table_matches_scans_on_adversarial_inputs() {
         for m in ALL {
             let mut table = DemapTable::new(m);
-            let mut llrs = Vec::new();
             for (y, h) in adversarial_inputs(m) {
                 for n0 in [0.1, 0.0, 1e-300] {
-                    llrs.clear();
-                    table.demap_llrs_into(y, h, n0, &mut llrs);
+                    let llrs = demap_one(&table, y, h, n0);
                     let oracle = demap_llrs(m, y, h, n0);
                     let got: Vec<u64> = llrs.iter().map(|v| v.to_bits()).collect();
                     let want: Vec<u64> = oracle.iter().map(|v| v.to_bits()).collect();
@@ -973,8 +1159,8 @@ mod tests {
                 inputs.push((h * noise.sample(&mut rng), h));
             }
             for (y, h) in inputs {
-                let min_lanes = lanes.fill_sq_lanes::<true>(y, h);
-                let min = scalar.fill_sq_scalar::<true>(y, h);
+                let min_lanes = lanes.fill_sq_lanes(y, h);
+                let min = scalar.fill_sq_scalar(y, h);
                 assert_eq!(min_lanes.to_bits(), min.to_bits(), "{m:?} y={y:?} h={h:?}");
                 for (a, b) in lanes.sq.iter().zip(&scalar.sq) {
                     assert!(same(a, b), "{m:?} y={y:?} h={h:?}: {a} vs {b}");
@@ -983,7 +1169,7 @@ mod tests {
                 #[cfg(target_arch = "x86_64")]
                 if std::arch::is_x86_feature_detected!("avx2") {
                     // SAFETY: AVX2 detected above.
-                    let min_avx2 = unsafe { lanes.fill_sq_avx2::<true>(y, h) };
+                    let min_avx2 = unsafe { lanes.fill_sq_avx2(y, h) };
                     assert_eq!(
                         min_avx2.to_bits(),
                         min.to_bits(),
@@ -1002,6 +1188,155 @@ mod tests {
         }
     }
 
+    /// Values that stress the per-symbol kernels: signed zeros, a
+    /// subnormal, huge and tiny magnitudes, both infinities and NaN.
+    const SPECIAL: [f64; 10] = [
+        0.0,
+        -0.0,
+        f64::MIN_POSITIVE / 8.0,
+        1e300,
+        -1e300,
+        1e-300,
+        -1e-300,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+    ];
+
+    /// `v`, replaced by an entry of [`SPECIAL`] about one time in six.
+    fn maybe_special(rng: &mut StdRng, v: f64) -> f64 {
+        if rng.gen_range(0..6) == 0 {
+            SPECIAL[rng.gen_range(0..SPECIAL.len())]
+        } else {
+            v
+        }
+    }
+
+    /// `n` carriers of one symbol: noisy points over random channels with
+    /// per-carrier noise, every part sometimes an IEEE edge value, and
+    /// about one carrier in four through `h = 1`.
+    fn symbol_inputs(
+        m: Modulation,
+        n: usize,
+        rng: &mut StdRng,
+    ) -> (Vec<Complex64>, Vec<Complex64>, Vec<f64>) {
+        let noise = ComplexGaussian::with_power(0.1);
+        let points = constellation(m);
+        let (mut ys, mut hs, mut n0s) = (Vec::new(), Vec::new(), Vec::new());
+        for _ in 0..n {
+            let h = if rng.gen_range(0..4) == 0 {
+                Complex64::ONE
+            } else {
+                Complex64::from_polar(rng.gen_range(0.05..3.0), rng.gen_range(-3.2..3.2))
+            };
+            let y = h * points[rng.gen_range(0..points.len())].1 + noise.sample(rng);
+            ys.push(Complex64::new(
+                maybe_special(rng, y.re),
+                maybe_special(rng, y.im),
+            ));
+            hs.push(Complex64::new(
+                maybe_special(rng, h.re),
+                maybe_special(rng, h.im),
+            ));
+            let n0 = [1e-3, 0.05, 0.7, 0.0][rng.gen_range(0..4usize)];
+            n0s.push(maybe_special(rng, n0));
+        }
+        (ys, hs, n0s)
+    }
+
+    #[test]
+    fn symbol_demap_tiers_match_per_carrier_oracle() {
+        // Every tier of the per-symbol demap, at every carrier count from
+        // one to 52 (whole lane groups and every tail length), scatters
+        // the free demapper's LLR bits through a shuffled placement and
+        // leaves the slots it does not name untouched.
+        let mut rng = StdRng::seed_from_u64(40);
+        let avx2 = cfg!(target_arch = "x86_64") && std::arch::is_x86_feature_detected!("avx2");
+        for m in ALL {
+            let table = DemapTable::new(m);
+            let bps = m.bits_per_symbol();
+            for n in 1..=52 {
+                let (ys, hs, n0s) = symbol_inputs(m, n, &mut rng);
+                // A shuffled placement into a block with two spare slots.
+                let mut place: Vec<u32> = (0..(n * bps) as u32).collect();
+                for i in (1..place.len()).rev() {
+                    place.swap(i, rng.gen_range(0..i + 1));
+                }
+                let mut want = vec![-7.5; n * bps + 2];
+                for (j, ((&y, &h), &n0)) in ys.iter().zip(&hs).zip(&n0s).enumerate() {
+                    for (b, l) in demap_llrs(m, y, h, n0).into_iter().enumerate() {
+                        want[place[j * bps + b] as usize] = l;
+                    }
+                }
+                let want: Vec<u64> = want.iter().map(|&v| canonical(v)).collect();
+                let mut tiers: Vec<(&str, Vec<f64>)> = Vec::new();
+                let mut out = vec![-7.5; n * bps + 2];
+                table.demap_by_grid::<false>(&ys, &hs, &n0s, &place, &mut out);
+                tiers.push(("scalar", out.clone()));
+                table.demap_by_grid::<true>(&ys, &hs, &n0s, &place, &mut out);
+                tiers.push(("lanes", out.clone()));
+                #[cfg(target_arch = "x86_64")]
+                if avx2 {
+                    // SAFETY: AVX2 detected above.
+                    unsafe { table.demap_symbol_avx2(&ys, &hs, &n0s, &place, &mut out) };
+                    tiers.push(("avx2", out.clone()));
+                }
+                table.demap_symbol(&ys, &hs, &n0s, &place, &mut out);
+                tiers.push(("dispatched", out.clone()));
+                for (tier, got) in tiers {
+                    let got: Vec<u64> = got.iter().map(|&v| canonical(v)).collect();
+                    assert_eq!(got, want, "{tier} {m:?} n={n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn symbol_evm_tiers_match_per_carrier_loop() {
+        // The per-symbol EVM adds the per-carrier loop's terms in the same
+        // order in every tier: same sums, bit for bit, at every carrier
+        // count, on top of running sums, for noisy, midpoint and IEEE edge
+        // carriers (NaN sums only have to stay NaN).
+        let mut rng = StdRng::seed_from_u64(41);
+        let avx2 = cfg!(target_arch = "x86_64") && std::arch::is_x86_feature_detected!("avx2");
+        for m in ALL {
+            let mut table = DemapTable::new(m);
+            let mut pool = slicer_inputs(m, &mut rng);
+            pool.extend(adversarial_inputs(m).into_iter().map(|(y, _)| y));
+            for n in 1..=52 {
+                let eq: Vec<Complex64> =
+                    (0..n).map(|_| pool[rng.gen_range(0..pool.len())]).collect();
+                let (mut err, mut sig) = (0.25, 1.5);
+                for &e in &eq {
+                    let x = table.nearest(e, Complex64::ONE);
+                    err += e.dist(x).powi(2);
+                    sig += x.norm_sqr();
+                }
+                let want = (canonical(err), canonical(sig));
+                let mut tiers: Vec<(&str, (f64, f64))> = Vec::new();
+                let (mut err, mut sig) = (0.25, 1.5);
+                table.evm_tier::<false>(&eq, &mut err, &mut sig);
+                tiers.push(("scalar", (err, sig)));
+                let (mut err, mut sig) = (0.25, 1.5);
+                table.evm_tier::<true>(&eq, &mut err, &mut sig);
+                tiers.push(("lanes", (err, sig)));
+                #[cfg(target_arch = "x86_64")]
+                if avx2 {
+                    let (mut err, mut sig) = (0.25, 1.5);
+                    // SAFETY: AVX2 detected above.
+                    unsafe { table.evm_avx2(&eq, &mut err, &mut sig) };
+                    tiers.push(("avx2", (err, sig)));
+                }
+                let (mut err, mut sig) = (0.25, 1.5);
+                table.evm_into(&eq, &mut err, &mut sig);
+                tiers.push(("dispatched", (err, sig)));
+                for (tier, (err, sig)) in tiers {
+                    assert_eq!((canonical(err), canonical(sig)), want, "{tier} {m:?} n={n}");
+                }
+            }
+        }
+    }
+
     #[test]
     #[ignore] // timing probe: cargo test -p ssync_phy --release profile_demap -- --ignored --nocapture
     fn profile_demap() {
@@ -1013,36 +1348,37 @@ mod tests {
         for m in ALL {
             let mut table = DemapTable::new(m);
             let points = constellation(m);
-            let inputs: Vec<(Complex64, Complex64)> = (0..48)
+            let (ys, hs): (Vec<Complex64>, Vec<Complex64>) = (0..48)
                 .map(|_| {
                     let h =
                         Complex64::from_polar(rng.gen_range(0.3..2.0), rng.gen_range(-3.1..3.1));
                     let x = points[rng.gen_range(0..points.len())].1;
                     (h * x + noise.sample(&mut rng), h)
                 })
-                .collect();
-            let mut llrs = Vec::with_capacity(6 * inputs.len());
+                .unzip();
+            let n0 = vec![0.1; ys.len()];
+            let eq: Vec<Complex64> = ys.iter().zip(&hs).map(|(y, h)| *y / *h).collect();
+            let place: Vec<u32> = (0..(ys.len() * m.bits_per_symbol()) as u32).collect();
+            let mut llrs = vec![0.0; place.len()];
             let mut demap = std::time::Duration::MAX;
-            let mut nearest = std::time::Duration::MAX;
+            let mut evm = std::time::Duration::MAX;
             for _ in 0..7 {
                 let t0 = std::time::Instant::now();
                 for _ in 0..iters {
-                    llrs.clear();
-                    for &(y, h) in std::hint::black_box(&inputs) {
-                        table.demap_llrs_into(y, h, 0.1, &mut llrs);
-                    }
+                    let (ys, hs) = std::hint::black_box((&ys, &hs));
+                    table.demap_symbol(ys, hs, &n0, &place, &mut llrs);
                     std::hint::black_box(&llrs);
                 }
                 demap = demap.min(t0.elapsed() / (iters * 48));
                 let t0 = std::time::Instant::now();
                 for _ in 0..iters {
-                    for &(y, h) in std::hint::black_box(&inputs) {
-                        std::hint::black_box(table.nearest(y / h, Complex64::ONE));
-                    }
+                    let (mut err, mut sig) = (0.0, 0.0);
+                    table.evm_into(std::hint::black_box(&eq), &mut err, &mut sig);
+                    std::hint::black_box((err, sig));
                 }
-                nearest = nearest.min(t0.elapsed() / (iters * 48));
+                evm = evm.min(t0.elapsed() / (iters * 48));
             }
-            println!("{m:?}: demap_llrs_into {demap:?} nearest {nearest:?}");
+            println!("{m:?} per carrier: demap_symbol {demap:?} evm_into {evm:?}");
         }
     }
 }

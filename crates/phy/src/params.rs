@@ -277,10 +277,18 @@ impl OfdmParams {
         self.sample_rate_hz / self.fft_size as f64
     }
 
-    /// Maps a signed subcarrier index to its FFT bin.
+    /// Maps a signed subcarrier index to its FFT bin: `carrier` modulo the
+    /// FFT size, as a mask when the size is a power of two (every size an
+    /// `FftPlan` accepts), which spares the symbol loops a division per
+    /// carrier.
     #[inline]
     pub fn bin(&self, carrier: i32) -> usize {
-        carrier.rem_euclid(self.fft_size as i32) as usize
+        let n = self.fft_size;
+        if n.is_power_of_two() {
+            carrier as usize & (n - 1)
+        } else {
+            carrier.rem_euclid(n as i32) as usize
+        }
     }
 
     /// Coded bits per OFDM symbol (`N_CBPS`) for a modulation.
@@ -338,6 +346,17 @@ mod tests {
         assert_eq!(p.bin(1), 1);
         assert_eq!(p.bin(-1), 63);
         assert_eq!(p.bin(-26), 38);
+        // The power-of-two mask is `rem_euclid`, and other sizes keep it.
+        let odd = OfdmParams {
+            fft_size: 48,
+            ..(*p).clone()
+        };
+        for params in [&*p, &*OfdmParams::wiglan(), &odd] {
+            for k in -300i32..300 {
+                let want = k.rem_euclid(params.fft_size as i32) as usize;
+                assert_eq!(params.bin(k), want, "{} carrier {k}", params.fft_size);
+            }
+        }
     }
 
     #[test]

@@ -11,12 +11,13 @@
 use crate::chanest::{self, ChannelEstimate};
 use crate::crc;
 use crate::detect::{Detection, Detector};
-use crate::frame::{self, SignalField};
+use crate::frame::{self, MotherStream, SignalField};
 use crate::modulation::{self, DemapTable};
 use crate::ofdm;
-use crate::params::Params;
+use crate::params::{Params, RateId};
 use crate::preamble::LTS_REPS;
-use crate::workspace::{RxWorkspace, SymbolLlrs};
+use crate::workspace::{RxWorkspace, SymbolCarriers};
+use ssync_dsp::simd::{C64x4, Real, LANES, SIMD_ENABLED};
 use ssync_dsp::stats;
 use ssync_dsp::{Complex64, FftPlan};
 
@@ -97,14 +98,12 @@ pub struct RxResult {
 }
 
 /// One contiguous run of OFDM symbols inside a capture: where it starts,
-/// how many symbols, at which CP, and where its pilot-polarity sequence
-/// begins.
+/// at which CP, and where its pilot-polarity sequence begins (the run's
+/// length is its mother-code stream's block count).
 #[derive(Debug, Clone, Copy)]
 struct SymbolSpan {
     /// Buffer index of the run's first sample.
     start: usize,
-    /// Number of symbols.
-    n_syms: usize,
     /// Cyclic-prefix length per symbol, samples.
     cp_len: usize,
     /// Pilot symbol index of the first symbol (DATA continues the
@@ -120,8 +119,8 @@ struct ChannelTable<'a> {
     data: &'a [Complex64],
     /// Gain per pilot carrier, in `pilot_carriers` order.
     pilots: &'a [Complex64],
-    /// The estimate's noise power, for LLR scaling.
-    noise_power: f64,
+    /// The estimate's noise power, once per data carrier, for LLR scaling.
+    noise: &'a [f64],
 }
 
 /// A planned receiver for one numerology.
@@ -159,8 +158,10 @@ impl Receiver {
     }
 
     /// [`Receiver::receive`] through a reusable [`RxWorkspace`]: all
-    /// per-symbol scratch (demod grid, LLR pool, demap tables, detector
-    /// metrics, the CFO-corrected capture copy) lives in `ws` and is reused
+    /// per-symbol and per-frame scratch (demod grid and carrier buffers,
+    /// demap tables, the mother-code LLR stream, channel-estimation and
+    /// detector buffers, the CFO-corrected capture copy) lives in `ws` and
+    /// is reused
     /// across calls. Bit-identical to the allocating path. The corrected
     /// capture stays readable through [`RxWorkspace::corrected_to`].
     pub fn receive_with(
@@ -189,10 +190,11 @@ impl Receiver {
         let n = self.params.fft_size;
         let RxWorkspace {
             corrected,
-            grid,
-            llrs,
+            carriers,
             tables,
             gains,
+            noise,
+            chanest: chanest_scratch,
             decode,
             ..
         } = ws;
@@ -210,8 +212,15 @@ impl Receiver {
         let buf = corrected.rotate_to(data_start);
 
         // Channel estimate with the common window backoff.
-        let est = chanest::estimate_from_lts(&self.params, &self.fft, buf, det.lts_start - b);
-        let timing_offset = chanest::detection_delay_samples(&self.params, &est, 3e6) - b as f64;
+        let est = chanest::estimate_from_lts_with(
+            &self.params,
+            &self.fft,
+            buf,
+            det.lts_start - b,
+            chanest_scratch,
+        );
+        let slope = chanest::phase_slope_with(&self.params, &est, 3e6, chanest_scratch);
+        let timing_offset = chanest::delay_from_slope(&self.params, slope) - b as f64;
         // Each carrier's gain, looked up once per frame (an unoccupied
         // carrier equalises with 1): data carriers, then pilots.
         let data_carriers = &self.params.data_carriers;
@@ -223,10 +232,12 @@ impl Receiver {
                 .map(|&k| est.gain(k).unwrap_or(Complex64::ONE)),
         );
         let (data, pilots) = gains.split_at(data_carriers.len());
+        noise.clear();
+        noise.resize(data_carriers.len(), est.noise_power);
         let chan = ChannelTable {
             data,
             pilots,
-            noise_power: est.noise_power,
+            noise,
         };
 
         // SIGNAL field.
@@ -235,14 +246,13 @@ impl Receiver {
         }
         let sig_span = SymbolSpan {
             start: sig_start,
-            n_syms: n_sig,
             cp_len: self.params.cp_len,
             first_symbol_index: 0,
         };
-        let bpsk = modulation::Modulation::Bpsk;
-        self.symbol_llrs_into(buf, &sig_span, chan, grid, tables.get_mut(bpsk), llrs);
-        let signal = frame::decode_signal_with(&self.params, llrs.symbols(), decode)
-            .ok_or(RxError::BadSignal(det))?;
+        let bpsk = tables.get_mut(modulation::Modulation::Bpsk);
+        let stream = decode.mother_stream(&self.params, RateId::R6, n_sig);
+        self.demap_span::<false>(buf, &sig_span, chan, carriers, bpsk, stream);
+        let signal = frame::decode_signal_with(decode).ok_or(RxError::BadSignal(det))?;
 
         // DATA field.
         let n_data = frame::n_data_symbols(&self.params, signal.length as usize, signal.rate);
@@ -251,25 +261,16 @@ impl Receiver {
             return Err(RxError::Truncated(det));
         }
         let buf = corrected.rotate_to(data_end);
-        let m = signal.rate.modulation();
         let data_span = SymbolSpan {
             start: data_start,
-            n_syms: n_data,
             cp_len: self.params.cp_len,
             first_symbol_index: n_sig,
         };
-        // One pass over the data symbols produces both the soft bits and the
-        // decision-directed EVM sums (the EVM reuses the grid/phase/channel
-        // values the demap just computed, replacing a second demod pass).
+        let table = tables.get_mut(signal.rate.modulation());
+        let stream = decode.mother_stream(&self.params, signal.rate, n_data);
         let (evm_sig, evm_err) =
-            self.symbol_llrs_evm_into(buf, &data_span, chan, grid, tables.get_mut(m), llrs);
-        let psdu = frame::decode_data_with(
-            &self.params,
-            llrs.symbols(),
-            signal.rate,
-            signal.length as usize,
-            decode,
-        );
+            self.demap_span::<true>(buf, &data_span, chan, carriers, table, stream);
+        let psdu = frame::decode_data_with(decode, signal.length as usize);
 
         // Diagnostics.
         let per_carrier = est.per_carrier_snr_db(est.noise_power);
@@ -294,68 +295,31 @@ impl Receiver {
         }
     }
 
-    /// Demodulates the symbol run described by `span` into the per-symbol
-    /// LLR pool (reset first; read back via [`SymbolLlrs::symbols`]). Pilot
-    /// phase tracking is applied per symbol; pilot symbol indices begin at
-    /// `span.first_symbol_index` (so DATA pilots continue the SIGNAL-field
-    /// polarity sequence, as in the transmitter). The symbol loop performs
-    /// no heap allocation once the pool and grid have warmed up.
-    fn symbol_llrs_into(
+    /// Demodulates the symbol run described by `span` and demaps each
+    /// symbol's data carriers into its block of the mother-code `stream`
+    /// (one block per symbol). Pilot phase tracking is applied per symbol;
+    /// pilot symbol indices begin at `span.first_symbol_index` (so DATA
+    /// pilots continue the SIGNAL-field polarity sequence, as in the
+    /// transmitter). With `EVM`, the same loop also sums the
+    /// decision-directed EVM over the carriers whose channel is not
+    /// vanishing, returned as `(signal, error)` power sums for
+    /// [`ssync_dsp::stats::snr_db_from_evm`]; without, it returns zeros.
+    /// The loop performs no heap allocation once the buffers have warmed
+    /// up.
+    fn demap_span<const EVM: bool>(
         &self,
         buf: &[Complex64],
         span: &SymbolSpan,
         chan: ChannelTable<'_>,
-        grid: &mut Vec<Complex64>,
+        carriers: &mut SymbolCarriers,
         table: &mut DemapTable,
-        out: &mut SymbolLlrs,
-    ) {
-        let sym_len = self.params.fft_size + span.cp_len;
-        let b = self.window_backoff.min(span.cp_len);
-        out.reset();
-        for s in 0..span.n_syms {
-            let sym_start = span.start + s * sym_len;
-            ofdm::demodulate_window_into(
-                &self.params,
-                &self.fft,
-                buf,
-                sym_start + span.cp_len - b,
-                grid,
-            );
-            let theta = self.pilot_phase(grid, chan.pilots, span.first_symbol_index + s);
-            let rot = Complex64::cis(theta);
-            let llrs = out.next_symbol();
-            llrs.reserve(self.params.n_data() * table.modulation().bits_per_symbol());
-            for (&k, &g) in self.params.data_carriers.iter().zip(chan.data) {
-                let y = grid[self.params.bin(k)];
-                let h = g * rot;
-                table.demap_llrs_into(y, h, chan.noise_power, llrs);
-            }
-        }
-    }
-
-    /// [`Receiver::symbol_llrs_into`] for the DATA span, with the
-    /// decision-directed EVM fused into the same symbol loop: each carrier's
-    /// `(y, h)` feeds the soft demap and, equalised, the
-    /// nearest-constellation-point error sums. Returns `(signal, error)`
-    /// power sums for [`ssync_dsp::stats::snr_db_from_evm`]. Every
-    /// expression matches the former standalone EVM pass, so the fusion
-    /// changes no reported value — it only removes the second demodulation
-    /// of every data symbol.
-    fn symbol_llrs_evm_into(
-        &self,
-        buf: &[Complex64],
-        span: &SymbolSpan,
-        chan: ChannelTable<'_>,
-        grid: &mut Vec<Complex64>,
-        table: &mut DemapTable,
-        out: &mut SymbolLlrs,
+        stream: MotherStream<'_>,
     ) -> (f64, f64) {
         let sym_len = self.params.fft_size + span.cp_len;
         let b = self.window_backoff.min(span.cp_len);
-        let mut err = 0.0;
-        let mut sig = 0.0;
-        out.reset();
-        for s in 0..span.n_syms {
+        let (mut err, mut sig) = (0.0, 0.0);
+        let SymbolCarriers { grid, y, h, eq } = carriers;
+        for (s, block) in stream.blocks.enumerate() {
             let sym_start = span.start + s * sym_len;
             ofdm::demodulate_window_into(
                 &self.params,
@@ -366,19 +330,16 @@ impl Receiver {
             );
             let theta = self.pilot_phase(grid, chan.pilots, span.first_symbol_index + s);
             let rot = Complex64::cis(theta);
-            let llrs = out.next_symbol();
-            llrs.reserve(self.params.n_data() * table.modulation().bits_per_symbol());
+            y.clear();
+            h.clear();
             for (&k, &g) in self.params.data_carriers.iter().zip(chan.data) {
-                let y = grid[self.params.bin(k)];
-                let h = g * rot;
-                table.demap_llrs_into(y, h, chan.noise_power, llrs);
-                if h.norm_sqr() < 1e-12 {
-                    continue;
-                }
-                let eq = y / h;
-                let nearest = table.nearest(eq, Complex64::ONE);
-                err += eq.dist(nearest).powi(2);
-                sig += nearest.norm_sqr();
+                y.push(grid[self.params.bin(k)]);
+                h.push(g * rot);
+            }
+            table.demap_symbol(y, h, chan.noise, stream.place, block);
+            if EVM {
+                equalise_into(y, h, eq);
+                table.evm_into(eq, &mut err, &mut sig);
             }
         }
         (sig, err)
@@ -394,6 +355,48 @@ impl Receiver {
             acc += y * (h * Complex64::real(pol)).conj();
         }
         acc.arg()
+    }
+}
+
+/// `y / h` for one carrier per lane of `T`, as `Complex64`'s division
+/// (`y · h.inv()`, `h.inv() = (h.re / d, −h.im / d)` with `d = |h|²`),
+/// returned with `d`.
+#[inline(always)]
+fn equalise<T: Real>(y_re: T, y_im: T, h_re: T, h_im: T) -> (T, T, T) {
+    let d = h_re.mul(h_re).add(h_im.mul(h_im));
+    let (i_re, i_im) = (h_re.div(d), h_im.neg().div(d));
+    let re = y_re.mul(i_re).sub(y_im.mul(i_im));
+    let im = y_re.mul(i_im).add(y_im.mul(i_re));
+    (re, im, d)
+}
+
+/// Refills `eq` with `y[j] / h[j]` for every carrier whose `|h[j]|²` is not
+/// below `10⁻¹²` (a vanishing channel carries no EVM sample), in carrier
+/// order: four carriers per lane group in the lanes tier, the rest one at
+/// a time.
+fn equalise_into(y: &[Complex64], h: &[Complex64], eq: &mut Vec<Complex64>) {
+    eq.clear();
+    let whole = if SIMD_ENABLED {
+        y.len() - y.len() % LANES
+    } else {
+        0
+    };
+    for j in (0..whole).step_by(LANES) {
+        let (yv, hv) = (C64x4::load(y, j), C64x4::load(h, j));
+        let (re, im, d) = equalise(yv.re, yv.im, hv.re, hv.im);
+        for l in 0..LANES {
+            if d.0[l] < 1e-12 {
+                continue;
+            }
+            eq.push(Complex64::new(re.0[l], im.0[l]));
+        }
+    }
+    for (y, h) in y[whole..].iter().zip(&h[whole..]) {
+        let (re, im, d) = equalise(y.re, y.im, h.re, h.im);
+        if d < 1e-12 {
+            continue;
+        }
+        eq.push(Complex64::new(re, im));
     }
 }
 

@@ -19,19 +19,20 @@
 //!   only allocating transition inside the per-symbol loops: on a fixed
 //!   numerology they are allocation-free once warm.
 //! * Per frame, a warm [`crate::Receiver::receive_with`] still allocates
-//!   (30 allocations for an R12 frame on `dot11a`, whatever its length):
-//!   the channel estimate (its LTS reference table, the two LTS grids and
-//!   the carrier and gain vectors it returns), the phase-slope
-//!   regression's per-window scratch behind the timing offset, the
+//!   (5 allocations for an R12 frame on `dot11a`, whatever its length):
+//!   the carrier and gain vectors of the channel estimate, the
 //!   per-carrier SNR vector, the decoded PSDU and the returned payload.
 //!   The estimate, the SNR vector and the payload leave the call in
-//!   [`crate::RxResult`]; the rest is frame-level scratch no workspace
-//!   owns yet.
+//!   [`crate::RxResult`]; the PSDU is the payload before its CRC is
+//!   stripped. The estimator's LTS table and grids and the phase-slope
+//!   regression's buffers live in the workspace's
+//!   [`crate::chanest::ChanestScratch`].
 //! * The few allocating signatures that remain ([`crate::Receiver::receive`],
 //!   [`crate::Transmitter::frame_waveform`], …) are thin wrappers that
 //!   build a throwaway workspace, and a reused workspace decodes exactly
 //!   like a fresh one (enforced by the differential test suite).
 
+use crate::chanest::ChanestScratch;
 use crate::frame::DecodeScratch;
 use crate::modulation::DemapTable;
 use crate::params::{Modulation, OfdmParams};
@@ -75,57 +76,6 @@ impl TxWorkspace {
             self.time.resize(params.fft_size, Complex64::ZERO);
         }
         (&mut self.grid, &mut self.time)
-    }
-}
-
-/// A pool of per-symbol LLR vectors: the outer list and every inner buffer
-/// are reused across frames, so pushing one vector per OFDM symbol stops
-/// allocating once the pool has grown to the longest frame seen.
-#[derive(Debug, Clone, Default)]
-pub struct SymbolLlrs {
-    bufs: Vec<Vec<f64>>,
-    used: usize,
-}
-
-impl SymbolLlrs {
-    /// An empty pool.
-    pub fn new() -> Self {
-        SymbolLlrs::default()
-    }
-
-    /// Drops all symbols (buffers are retained for reuse).
-    pub fn reset(&mut self) {
-        self.used = 0;
-    }
-
-    /// Hands out the next per-symbol buffer, cleared.
-    pub fn next_symbol(&mut self) -> &mut Vec<f64> {
-        if self.used == self.bufs.len() {
-            self.bufs.push(Vec::new());
-        }
-        let buf = &mut self.bufs[self.used];
-        self.used += 1;
-        buf.clear();
-        buf
-    }
-
-    /// Hands out the next *two* per-symbol buffers at once, cleared — the
-    /// shape the Alamouti pair decoder needs, which fills the even and odd
-    /// symbol's LLRs interleaved per subcarrier.
-    pub fn next_symbol_pair(&mut self) -> (&mut Vec<f64>, &mut Vec<f64>) {
-        while self.bufs.len() < self.used + 2 {
-            self.bufs.push(Vec::new());
-        }
-        let (a, b) = self.bufs[self.used..self.used + 2].split_at_mut(1);
-        self.used += 2;
-        a[0].clear();
-        b[0].clear();
-        (&mut a[0], &mut b[0])
-    }
-
-    /// The filled per-symbol LLR vectors, in push order.
-    pub fn symbols(&self) -> &[Vec<f64>] {
-        &self.bufs[..self.used]
     }
 }
 
@@ -231,6 +181,21 @@ impl CorrectedCapture {
     }
 }
 
+/// The per-symbol buffers of the receiver's symbol loop: the demodulated
+/// grid and the data carriers as the demapper and the EVM read them.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SymbolCarriers {
+    /// Demodulated subcarrier grid.
+    pub(crate) grid: Vec<Complex64>,
+    /// Received value per data carrier.
+    pub(crate) y: Vec<Complex64>,
+    /// Channel per data carrier: the frame's gain turned by the symbol's
+    /// pilot phase.
+    pub(crate) h: Vec<Complex64>,
+    /// The equalised carriers the decision-directed EVM slices.
+    pub(crate) eq: Vec<Complex64>,
+}
+
 /// Receive-side scratch: everything `Receiver::receive_with` needs to run
 /// the detection → channel-estimation → equalisation → soft-bit chain
 /// without per-symbol allocation.
@@ -239,18 +204,20 @@ pub struct RxWorkspace {
     /// CFO-corrected working copy of the capture (rotated only where the
     /// receive chain and [`RxWorkspace::corrected_to`] read).
     pub(crate) corrected: CorrectedCapture,
-    /// Per-symbol demodulated subcarrier grid.
-    pub(crate) grid: Vec<Complex64>,
-    /// Per-symbol LLR pool (SIGNAL and DATA spans reuse it in turn).
-    pub(crate) llrs: SymbolLlrs,
+    /// Per-symbol grid and carrier buffers.
+    pub(crate) carriers: SymbolCarriers,
     /// Demap tables for every modulation, built once.
     pub(crate) tables: DemapTables,
     /// The frame's channel gain per data carrier, then per pilot carrier.
     pub(crate) gains: Vec<Complex64>,
+    /// The frame's noise power, once per data carrier.
+    pub(crate) noise: Vec<f64>,
+    /// Channel-estimation and phase-slope scratch.
+    pub(crate) chanest: ChanestScratch,
     /// Packet-detector scratch.
     pub(crate) detect: DetectScratch,
-    /// Bit-pipeline scratch (de-interleave/de-puncture buffers + planned
-    /// Viterbi decoder).
+    /// Bit-pipeline scratch (mother-code stream, placement tables and
+    /// planned Viterbi decoder).
     pub(crate) decode: DecodeScratch,
 }
 
@@ -260,10 +227,14 @@ impl RxWorkspace {
     pub fn new(params: &OfdmParams) -> Self {
         RxWorkspace {
             corrected: CorrectedCapture::default(),
-            grid: Vec::with_capacity(params.fft_size),
-            llrs: SymbolLlrs::new(),
+            carriers: SymbolCarriers {
+                grid: Vec::with_capacity(params.fft_size),
+                ..SymbolCarriers::default()
+            },
             tables: DemapTables::new(),
             gains: Vec::new(),
+            noise: Vec::new(),
+            chanest: ChanestScratch::new(),
             detect: DetectScratch::new(),
             decode: DecodeScratch::new(),
         }
@@ -300,17 +271,5 @@ mod tests {
         assert_eq!(grid.len(), 128);
         assert_eq!(time.len(), 128);
         assert_eq!(ws.fft_size(), 128);
-    }
-
-    #[test]
-    fn llr_pool_reuses_buffers() {
-        let mut pool = SymbolLlrs::new();
-        pool.next_symbol().extend([1.0, 2.0]);
-        pool.next_symbol().extend([3.0]);
-        assert_eq!(pool.symbols(), &[vec![1.0, 2.0], vec![3.0]]);
-        pool.reset();
-        assert!(pool.symbols().is_empty());
-        pool.next_symbol().extend([4.0]);
-        assert_eq!(pool.symbols(), &[vec![4.0]]);
     }
 }

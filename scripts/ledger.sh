@@ -25,6 +25,12 @@ seed=1
 out=LEDGER.tsv
 
 cargo build --quiet --release -p ssync_bench --bin ssync-lab
+# Building benchmark/ may rewrite its committed Cargo.lock; put the
+# committed file back however the script ends, so a ledger run leaves the
+# tree as it found it (LEDGER.tsv aside).
+lock_copy=$(mktemp)
+cp benchmark/Cargo.lock "$lock_copy"
+trap 'cp "$lock_copy" benchmark/Cargo.lock; rm -f "$lock_copy"' EXIT
 cargo build --quiet --offline --release --manifest-path benchmark/Cargo.toml
 lab=target/release/ssync-lab
 bench=benchmark/target/release/ssync-perfbench

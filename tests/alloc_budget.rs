@@ -9,9 +9,9 @@
 //! * the steady-state per-symbol receive loop (window demod → equalise →
 //!   LLR demap) performs **zero** heap allocations after warm-up,
 //! * so does the per-symbol transmit loop,
-//! * a warmed full-frame `receive_with` allocates only per-frame
-//!   bookkeeping — the count does not scale with the symbol count, and at
-//!   R54 (64-QAM) it does not change at all,
+//! * a warmed full-frame `receive_with` allocates only what it returns —
+//!   at most [`WARM_R12_RX_ALLOCS`] at R12, however long the frame, and
+//!   at R54 (64-QAM) the count does not change with the length either,
 //! * the warmed workspace-threaded frame/combiner entry points
 //!   allocate several times less than the same calls through a fresh
 //!   workspace (the receiver's allocating twin builds one per call),
@@ -107,30 +107,31 @@ fn per_symbol_rx_loop_is_allocation_free_after_warmup() {
     let wave = tx.frame_waveform(&payload, RateId::R24, 0);
 
     let mut grid: Vec<Complex64> = Vec::new();
-    let mut llrs: Vec<f64> = Vec::new();
-    let mut table = DemapTable::new(Modulation::Qam16);
+    let mut ys: Vec<Complex64> = Vec::new();
+    let table = DemapTable::new(Modulation::Qam16);
     let sym_len = params.symbol_len();
     let n_syms = wave.len() / sym_len;
-    let h = Complex64::from_polar(0.9, 0.3);
+    let hs = vec![Complex64::from_polar(0.9, 0.3); params.n_data()];
+    let n0 = vec![1e-2; params.n_data()];
+    let place: Vec<u32> = (0..params.coded_bits_per_symbol(Modulation::Qam16) as u32).collect();
+    let mut llrs = vec![0.0; place.len()];
 
-    let pass = |grid: &mut Vec<Complex64>, llrs: &mut Vec<f64>, table: &mut DemapTable| {
+    let pass = |grid: &mut Vec<Complex64>, ys: &mut Vec<Complex64>, llrs: &mut [f64]| {
         let mut acc = 0.0f64;
         for s in 0..n_syms {
             ofdm::demodulate_window_into(&params, &fft, &wave, s * sym_len + params.cp_len, grid);
-            llrs.clear();
-            for &k in &params.data_carriers {
-                let y = grid[params.bin(k)];
-                table.demap_llrs_into(y, h, 1e-2, llrs);
-            }
+            ys.clear();
+            ys.extend(params.data_carriers.iter().map(|&k| grid[params.bin(k)]));
+            table.demap_symbol(ys, &hs, &n0, &place, llrs);
             acc += llrs[0];
         }
         acc
     };
 
     // Warm-up grows every buffer to its working size...
-    let warm = pass(&mut grid, &mut llrs, &mut table);
+    let warm = pass(&mut grid, &mut ys, &mut llrs);
     // ...after which the identical loop must not allocate at all.
-    let (n, steady) = allocations(|| pass(&mut grid, &mut llrs, &mut table));
+    let (n, steady) = allocations(|| pass(&mut grid, &mut ys, &mut llrs));
     assert_eq!(
         n, 0,
         "steady-state per-symbol rx loop performed {n} heap allocations"
@@ -254,7 +255,20 @@ fn warmed_receive_with_allocates_an_order_less_than_legacy() {
         n_ws_long < n_ws + n_ws / 2 + 25,
         "per-frame allocations scale with symbol count: {n_ws} -> {n_ws_long}"
     );
+    // ...and the ceiling: what a warm frame allocates is what it returns.
+    for n in [n_ws, n_ws_long] {
+        assert!(
+            n <= WARM_R12_RX_ALLOCS,
+            "warmed R12 receive_with allocated {n}, above the ceiling of {WARM_R12_RX_ALLOCS}"
+        );
+    }
 }
+
+/// Allocation events of one warmed R12 `receive_with` on `dot11a`,
+/// whatever the frame's length: the channel estimate's carrier and gain
+/// vectors, the per-carrier SNR vector, the decoded PSDU and the returned
+/// payload.
+const WARM_R12_RX_ALLOCS: u64 = 5;
 
 #[test]
 fn warmed_combiner_allocates_an_order_less_than_legacy() {

@@ -330,11 +330,16 @@ fn demap_grid() -> Vec<(Complex64, Complex64, f64)> {
 }
 
 /// The `DemapTable` kernels pinned to exact bits: every LLR and every
-/// nearest point over [`demap_grid`] for all four modulations.
+/// nearest point over [`demap_grid`] for all four modulations. The whole
+/// grid is one symbol through the per-symbol demap, each carrier with its
+/// own channel and noise, in demapper order (identity placement).
 #[test]
 fn demap_table_bits_are_build_invariant() {
     let mut hash = Fnv::new();
-    let mut llrs = Vec::new();
+    let grid = demap_grid();
+    let y: Vec<Complex64> = grid.iter().map(|g| g.0).collect();
+    let h: Vec<Complex64> = grid.iter().map(|g| g.1).collect();
+    let n0: Vec<f64> = grid.iter().map(|g| g.2).collect();
     for m in [
         Modulation::Bpsk,
         Modulation::Qpsk,
@@ -342,10 +347,12 @@ fn demap_table_bits_are_build_invariant() {
         Modulation::Qam64,
     ] {
         let mut table = DemapTable::new(m);
-        for (y, h, n0) in demap_grid() {
-            llrs.clear();
-            table.demap_llrs_into(y, h, n0, &mut llrs);
-            for v in &llrs {
+        let bps = m.bits_per_symbol();
+        let place: Vec<u32> = (0..(grid.len() * bps) as u32).collect();
+        let mut llrs = vec![0.0; place.len()];
+        table.demap_symbol(&y, &h, &n0, &place, &mut llrs);
+        for (carrier, (&y, &h)) in llrs.chunks_exact(bps).zip(y.iter().zip(&h)) {
+            for v in carrier {
                 hash.f64(*v);
             }
             hash.complex(table.nearest(y, h));

@@ -169,25 +169,16 @@ proptest! {
     ) {
         let params = OfdmParams::dot11a();
         let rate = RateId::from_index(rate_idx).unwrap();
-        let m = rate.modulation();
+        let table = DemapTable::new(rate.modulation());
         let syms = frame::encode_data(&params, &payload, rate);
-        let llrs: Vec<Vec<f64>> = syms
-            .iter()
-            .map(|s| {
-                s.iter()
-                    .flat_map(|p| {
-                        sourcesync::phy::modulation::demap_llrs(
-                            m,
-                            *p,
-                            Complex64::ONE,
-                            1e-3,
-                        )
-                    })
-                    .collect()
-            })
-            .collect();
+        let ones = vec![Complex64::ONE; params.n_data()];
+        let n0 = vec![1e-3; params.n_data()];
         let mut scratch = frame::DecodeScratch::new();
-        let decoded = frame::decode_data_with(&params, &llrs, rate, payload.len(), &mut scratch);
+        let stream = scratch.mother_stream(&params, rate, syms.len());
+        for (sym, block) in syms.iter().zip(stream.blocks) {
+            table.demap_symbol(sym, &ones, &n0, stream.place, block);
+        }
+        let decoded = frame::decode_data_with(&mut scratch, payload.len());
         prop_assert_eq!(decoded.as_deref(), Some(&payload[..]));
     }
 
@@ -300,15 +291,15 @@ proptest! {
         // Hard demap through the channel recovers every bit group, and the
         // table agrees with the allocating demappers bit for bit.
         let mut table = DemapTable::new(modulation);
-        let mut llrs = Vec::new();
         for (g, x) in points.iter().enumerate() {
             let y = h * *x;
             let hard = sourcesync::phy::modulation::demap_hard(modulation, y, h);
             prop_assert_eq!(&hard, &bits[g * bps..(g + 1) * bps]);
             let near = table.nearest(y, h);
             prop_assert_eq!((near.re.to_bits(), near.im.to_bits()), (x.re.to_bits(), x.im.to_bits()));
-            llrs.clear();
-            table.demap_llrs_into(y, h, 1e-3, &mut llrs);
+            let place: Vec<u32> = (0..bps as u32).collect();
+            let mut llrs = vec![0.0; bps];
+            table.demap_symbol(&[y], &[h], &[1e-3], &place, &mut llrs);
             prop_assert_eq!(&llrs, &sourcesync::phy::modulation::demap_llrs(modulation, y, h, 1e-3));
             for (i, &b) in bits[g * bps..(g + 1) * bps].iter().enumerate() {
                 prop_assert!(if b == 0 { llrs[i] > 0.0 } else { llrs[i] < 0.0 });
