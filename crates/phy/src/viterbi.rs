@@ -7,7 +7,7 @@
 //! is fine for packet-sized messages.
 //!
 //! Viterbi decoding is the largest single stage of the benchmark's
-//! receive chain (the `rx` workload: all rates, 14–1500 B frames): 24–28 %
+//! receive chain (the `rx` workload: all rates, 14–1500 B frames): 29–31 %
 //! of its time (stage timers, three runs on a 2-core x86-64 host, avx2
 //! tier). So the add-compare-select is organised for throughput while
 //! staying bit-identical to the straightforward reference recursion
