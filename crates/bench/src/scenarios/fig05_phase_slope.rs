@@ -11,7 +11,7 @@ use ssync_dsp::delay::fractional_delay;
 use ssync_dsp::stats::unwrap_phases;
 use ssync_dsp::FftPlan;
 use ssync_exp::{Ctx, Output, Scenario, Value};
-use ssync_phy::chanest::estimate_from_lts;
+use ssync_phy::chanest::{estimate_from_lts, ChanestScratch};
 use ssync_phy::preamble::{preamble_waveform, PreambleLayout};
 use ssync_phy::OfdmParams;
 
@@ -43,12 +43,14 @@ impl Scenario for Fig05PhaseSlope {
         // ∆ samples later (the paper's "Initial Detection + ∆" curve).
         let guard = 16usize;
         let rx = fractional_delay(&pre, guard as f64);
-        let est0 = estimate_from_lts(&params, &fft, &rx, guard + layout.lts_start());
+        let mut scratch = ChanestScratch::new();
+        let est0 = estimate_from_lts(&params, &fft, &rx, guard + layout.lts_start(), &mut scratch);
         let est_delta = estimate_from_lts(
             &params,
             &fft,
             &rx,
             guard + layout.lts_start() - delta as usize,
+            &mut scratch,
         );
 
         let phases0: Vec<f64> = est0.values.iter().map(|v| v.arg()).collect();

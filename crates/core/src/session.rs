@@ -62,7 +62,7 @@ use rand::Rng;
 use ssync_dsp::mixer::apply_cfo_from;
 use ssync_dsp::{Complex64, FftPlan};
 use ssync_obs::JoinFailureClass;
-use ssync_phy::chanest::{delay_from_slope, phase_slope, ChannelEstimate};
+use ssync_phy::chanest::{delay_from_slope, phase_slope, ChanestScratch, ChannelEstimate};
 use ssync_phy::preamble::cosender_training;
 use ssync_phy::workspace::{RxWorkspace, TxWorkspace};
 use ssync_phy::{crc, frame, Params, Receiver, Transmitter};
@@ -735,6 +735,7 @@ fn decode_capture(
     // Per-co-sender channel estimates + misalignment measurements.
     let mut co_channels: Vec<Option<ChannelEstimate>> = Vec::with_capacity(n_co);
     let mut misalign: Vec<Option<f64>> = Vec::with_capacity(n_co);
+    let mut slope_scratch = ChanestScratch::new();
     for i in 0..n_co {
         let slot = base + timeline.training_slot(i);
         // Presence is measured on the central 60 % of the slot: adjacent
@@ -755,8 +756,8 @@ fn decode_capture(
         }
         let est = estimate_from_training_slot(params, fft, corrected, slot, data_cp, backoff);
         // Misalignment: co-sender's sub-sample offset minus the lead's.
-        let delta_co =
-            delay_from_slope(params, phase_slope(params, &est, 3e6)) - backoff.min(data_cp) as f64;
+        let slope = phase_slope(params, &est, 3e6, &mut slope_scratch);
+        let delta_co = delay_from_slope(params, slope) - backoff.min(data_cp) as f64;
         let delta_lead = res.diag.timing_offset_samples;
         misalign.push(Some((delta_co - delta_lead) * period as f64 * 1e-15));
         co_channels.push(Some(est));

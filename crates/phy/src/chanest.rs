@@ -49,8 +49,7 @@ impl ChannelEstimate {
     }
 }
 
-/// Frame-level scratch of [`estimate_from_lts_with`] and
-/// [`phase_slope_with`]: the LTS reference table (kept with the numerology
+/// Frame-level scratch of [`estimate_from_lts`] and [`phase_slope`]: the LTS reference table (kept with the numerology
 /// it was built for), the LTS grids and the slope regression's per-window
 /// buffers, so a warm receive allocates only the estimate it returns.
 #[derive(Debug, Clone, Default)]
@@ -78,23 +77,13 @@ impl ChanestScratch {
 }
 
 /// Least-squares channel estimate from `LTS_REPS` long-training repetitions
-/// starting at `lts_start` in `samples`.
+/// starting at `lts_start` in `samples`, through a reusable
+/// [`ChanestScratch`].
 ///
 /// Estimates the channel as the average over repetitions of
 /// `Y_k / X_k` on every occupied carrier, and the noise power from the
 /// difference between consecutive repetitions (which cancels the signal).
 pub fn estimate_from_lts(
-    params: &OfdmParams,
-    fft: &FftPlan,
-    samples: &[Complex64],
-    lts_start: usize,
-) -> ChannelEstimate {
-    estimate_from_lts_with(params, fft, samples, lts_start, &mut ChanestScratch::new())
-}
-
-/// [`estimate_from_lts`] through a reusable [`ChanestScratch`];
-/// bit-identical.
-pub fn estimate_from_lts_with(
     params: &OfdmParams,
     fft: &FftPlan,
     samples: &[Complex64],
@@ -151,16 +140,11 @@ pub fn estimate_from_lts_with(
 /// computed the way the paper prescribes: linear regression of unwrapped
 /// phase within windows of consecutive subcarriers spanning `window_hz`
 /// (3 MHz in the paper — smaller than indoor coherence bandwidth), averaged
-/// across windows.
+/// across windows. The regression's buffers live in `scratch`.
 ///
 /// Windows are energy-weighted so deeply faded subcarriers (whose phase is
 /// noise) do not dominate.
-pub fn phase_slope(params: &OfdmParams, est: &ChannelEstimate, window_hz: f64) -> f64 {
-    phase_slope_with(params, est, window_hz, &mut ChanestScratch::new())
-}
-
-/// [`phase_slope`] through a reusable [`ChanestScratch`]; bit-identical.
-pub fn phase_slope_with(
+pub fn phase_slope(
     params: &OfdmParams,
     est: &ChannelEstimate,
     window_hz: f64,
@@ -217,8 +201,13 @@ pub fn delay_from_slope(params: &OfdmParams, slope: f64) -> f64 {
 /// Convenience: the detection-delay estimate (in samples, possibly
 /// fractional and negative) of a channel estimate, using `window_hz`
 /// averaging windows.
-pub fn detection_delay_samples(params: &OfdmParams, est: &ChannelEstimate, window_hz: f64) -> f64 {
-    delay_from_slope(params, phase_slope(params, est, window_hz))
+pub fn detection_delay_samples(
+    params: &OfdmParams,
+    est: &ChannelEstimate,
+    window_hz: f64,
+    scratch: &mut ChanestScratch,
+) -> f64 {
+    delay_from_slope(params, phase_slope(params, est, window_hz, scratch))
 }
 
 #[cfg(test)]
@@ -265,7 +254,13 @@ mod tests {
         let layout = PreambleLayout::of(params);
         // Receiver believes the LTS starts where it would with the 8-sample
         // guard but *without* the extra delay — so the estimate sees `delay`.
-        estimate_from_lts(params, &fft, &rx, 8 + layout.lts_start())
+        estimate_from_lts(
+            params,
+            &fft,
+            &rx,
+            8 + layout.lts_start(),
+            &mut ChanestScratch::new(),
+        )
     }
 
     #[test]
@@ -300,7 +295,7 @@ mod tests {
         let params = OfdmParams::dot11a();
         for delay in [0.0, 1.0, 2.0, 3.0] {
             let est = flat_channel_estimate(&params, delay, 0.0, 3);
-            let measured = detection_delay_samples(&params, &est, 3e6);
+            let measured = detection_delay_samples(&params, &est, 3e6, &mut ChanestScratch::new());
             assert!(
                 (measured - delay).abs() < 0.02,
                 "true {delay}, measured {measured}"
@@ -313,7 +308,7 @@ mod tests {
         let params = OfdmParams::wiglan();
         for delay in [0.25, 0.5, 1.75, 2.5] {
             let est = flat_channel_estimate(&params, delay, 0.0, 4);
-            let measured = detection_delay_samples(&params, &est, 3e6);
+            let measured = detection_delay_samples(&params, &est, 3e6, &mut ChanestScratch::new());
             assert!(
                 (measured - delay).abs() < 0.05,
                 "true {delay}, measured {measured}"
@@ -327,7 +322,7 @@ mod tests {
         let delay = 1.5;
         // 10 dB SNR on air.
         let est = flat_channel_estimate(&params, delay, 0.1, 5);
-        let measured = detection_delay_samples(&params, &est, 3e6);
+        let measured = detection_delay_samples(&params, &est, 3e6, &mut ChanestScratch::new());
         assert!(
             (measured - delay).abs() < 0.5,
             "true {delay}, measured {measured} at 10 dB"
@@ -368,8 +363,14 @@ mod tests {
             rx[i + 1] += *s * Complex64::new(0.0, 0.3);
         }
         let layout = PreambleLayout::of(&params);
-        let est = estimate_from_lts(&params, &fft, &rx, layout.lts_start());
-        let measured = detection_delay_samples(&params, &est, 3e6);
+        let est = estimate_from_lts(
+            &params,
+            &fft,
+            &rx,
+            layout.lts_start(),
+            &mut ChanestScratch::new(),
+        );
+        let measured = detection_delay_samples(&params, &est, 3e6, &mut ChanestScratch::new());
         // The energy-weighted "centre of mass" of h is at ~0.09 samples;
         // the estimate should be small and positive.
         assert!(measured.abs() < 0.5, "measured {measured}");

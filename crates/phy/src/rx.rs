@@ -212,14 +212,14 @@ impl Receiver {
         let buf = corrected.rotate_to(data_start);
 
         // Channel estimate with the common window backoff.
-        let est = chanest::estimate_from_lts_with(
+        let est = chanest::estimate_from_lts(
             &self.params,
             &self.fft,
             buf,
             det.lts_start - b,
             chanest_scratch,
         );
-        let slope = chanest::phase_slope_with(&self.params, &est, 3e6, chanest_scratch);
+        let slope = chanest::phase_slope(&self.params, &est, 3e6, chanest_scratch);
         let timing_offset = chanest::delay_from_slope(&self.params, slope) - b as f64;
         // Each carrier's gain, looked up once per frame (an unoccupied
         // carrier equalises with 1): data carriers, then pilots.

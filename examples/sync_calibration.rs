@@ -13,6 +13,7 @@ use sourcesync::channel::Position;
 use sourcesync::core::probe_pair;
 use sourcesync::dsp::rng::ComplexGaussian;
 use sourcesync::dsp::FftPlan;
+use sourcesync::phy::chanest::{self, ChanestScratch};
 use sourcesync::phy::preamble::{preamble_waveform, PreambleLayout};
 use sourcesync::phy::{DetectScratch, Detector, OfdmParams};
 use sourcesync::sim::{ChannelModels, Network, NodeId};
@@ -55,6 +56,7 @@ fn main() {
     for snr_db in [6.0, 12.0, 25.0] {
         let noise_p = sourcesync::dsp::stats::linear_from_db(-snr_db);
         let mut errors = Vec::new();
+        let scratch = &mut ChanestScratch::new();
         for seed in 100..130 {
             let mut rng = StdRng::seed_from_u64(seed);
             let offset = 500usize;
@@ -68,9 +70,8 @@ fn main() {
             if let Some(d) = det.detect_with(&params, &buf, 0, &mut DetectScratch::new()) {
                 // Build the arrival estimate the SLS uses.
                 let _ = &rx;
-                let est =
-                    sourcesync::phy::chanest::estimate_from_lts(&params, &fft, &buf, d.lts_start);
-                let frac = sourcesync::phy::chanest::detection_delay_samples(&params, &est, 3e6);
+                let est = chanest::estimate_from_lts(&params, &fft, &buf, d.lts_start, scratch);
+                let frac = chanest::detection_delay_samples(&params, &est, 3e6, scratch);
                 let arrival = d.lts_start as f64 + frac - layout.lts_start() as f64;
                 errors.push((arrival - offset as f64 - 0.25) * ns_per_sample);
             }
