@@ -3,7 +3,7 @@
 //! (paper §4.2, Fig. 5, Eq. 1).
 
 use crate::ofdm;
-use crate::params::OfdmParams;
+use crate::params::{LayoutKey, OfdmParams};
 use crate::preamble::{lts_values, LTS_REPS};
 use ssync_dsp::stats::{linear_regression_slope, unwrap_phases_into};
 use ssync_dsp::{Complex64, FftPlan};
@@ -49,13 +49,14 @@ impl ChannelEstimate {
     }
 }
 
-/// Frame-level scratch of [`estimate_from_lts`] and [`phase_slope`]: the LTS reference table (kept with the numerology
-/// it was built for), the LTS grids and the slope regression's per-window
-/// buffers, so a warm receive allocates only the estimate it returns.
+/// Frame-level scratch of [`estimate_from_lts`] and [`phase_slope`]: the
+/// LTS reference table (kept with the carrier layout it was built for),
+/// the LTS grids and the slope regression's per-window buffers, so a warm
+/// receive allocates only the estimate it returns.
 #[derive(Debug, Clone, Default)]
 pub struct ChanestScratch {
-    /// The data and pilot carriers `lts` was built for.
-    lts_for: (Vec<i32>, Vec<i32>),
+    /// The carrier layout `lts` was built for.
+    lts_for: LayoutKey,
     /// [`lts_values`] of that numerology.
     lts: Vec<(i32, f64)>,
     /// The demodulated LTS repetitions.
@@ -97,10 +98,8 @@ pub fn estimate_from_lts(
         grids,
         ..
     } = scratch;
-    if lts_for.0 != params.data_carriers || lts_for.1 != params.pilot_carriers {
+    if lts_for.rekey(params) {
         *lts = lts_values(params);
-        lts_for.0.clone_from(&params.data_carriers);
-        lts_for.1.clone_from(&params.pilot_carriers);
     }
     for (rep, grid) in grids.iter_mut().enumerate() {
         ofdm::demodulate_window_into(params, fft, samples, lts_start + rep * n, grid);

@@ -12,7 +12,7 @@
 use crate::convcode::{self, TAIL_BITS};
 use crate::interleave::Interleaver;
 use crate::modulation::{self, Modulation};
-use crate::params::{OfdmParams, RateId};
+use crate::params::{LayoutKey, OfdmParams, RateId};
 use crate::scramble::{Scrambler, DEFAULT_SEED};
 use crate::viterbi;
 use ssync_dsp::Complex64;
@@ -147,23 +147,21 @@ pub struct DecodeScratch {
     placements: Placements,
 }
 
-/// One placement table per rate, each kept with the data-carrier count it
-/// was built for and rebuilt only when the numerology changes.
+/// One placement table per rate, built on first use and all dropped when
+/// the numerology's carrier layout changes.
 #[derive(Debug, Clone, Default)]
-struct Placements([Option<(usize, Vec<u32>)>; 8]);
+struct Placements {
+    layout: LayoutKey,
+    tables: [Option<Vec<u32>>; 8],
+}
 
 impl Placements {
     /// The placement table for `rate` under `params`.
     fn get(&mut self, params: &OfdmParams, rate: RateId) -> &[u32] {
-        let slot = &mut self.0[rate.to_index() as usize];
-        let n_data = params.n_data();
-        if !matches!(slot, Some((n, _)) if *n == n_data) {
-            *slot = Some((n_data, placement(params, rate)));
+        if self.layout.rekey(params) {
+            self.tables = Default::default();
         }
-        match slot {
-            Some((_, place)) => place,
-            None => unreachable!("filled above"),
-        }
+        self.tables[rate.to_index() as usize].get_or_insert_with(|| placement(params, rate))
     }
 }
 

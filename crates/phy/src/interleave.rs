@@ -85,7 +85,7 @@ impl Interleaver {
     /// Per interleaved (on-air) position, the index of the coded bit it
     /// carries within the block: the de-interleaver's permutation.
     #[inline]
-    pub fn sources(&self) -> &[usize] {
+    pub(crate) fn sources(&self) -> &[usize] {
         &self.inv
     }
 

@@ -277,18 +277,10 @@ impl OfdmParams {
         self.sample_rate_hz / self.fft_size as f64
     }
 
-    /// Maps a signed subcarrier index to its FFT bin: `carrier` modulo the
-    /// FFT size, as a mask when the size is a power of two (every size an
-    /// `FftPlan` accepts), which spares the symbol loops a division per
-    /// carrier.
+    /// Maps a signed subcarrier index to its FFT bin.
     #[inline]
     pub fn bin(&self, carrier: i32) -> usize {
-        let n = self.fft_size;
-        if n.is_power_of_two() {
-            carrier as usize & (n - 1)
-        } else {
-            carrier.rem_euclid(n as i32) as usize
-        }
+        carrier.rem_euclid(self.fft_size as i32) as usize
     }
 
     /// Coded bits per OFDM symbol (`N_CBPS`) for a modulation.
@@ -303,6 +295,29 @@ impl OfdmParams {
         let cbps = self.coded_bits_per_symbol(rate.modulation());
         let (num, den) = rate.code_rate().ratio();
         cbps * num / den
+    }
+}
+
+/// The carrier layout a numerology-dependent receive-side cache (the
+/// placement tables, the LTS reference table) was built for. Every such
+/// cache follows the one rule this key states: rebuild when `params`'
+/// layout differs from the one it was built for.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LayoutKey {
+    data: Vec<i32>,
+    pilots: Vec<i32>,
+}
+
+impl LayoutKey {
+    /// Re-keys to `params`' layout; `true` when it changed, so the cache
+    /// must be rebuilt.
+    pub(crate) fn rekey(&mut self, params: &OfdmParams) -> bool {
+        if self.data == params.data_carriers && self.pilots == params.pilot_carriers {
+            return false;
+        }
+        self.data.clone_from(&params.data_carriers);
+        self.pilots.clone_from(&params.pilot_carriers);
+        true
     }
 }
 
@@ -346,17 +361,6 @@ mod tests {
         assert_eq!(p.bin(1), 1);
         assert_eq!(p.bin(-1), 63);
         assert_eq!(p.bin(-26), 38);
-        // The power-of-two mask is `rem_euclid`, and other sizes keep it.
-        let odd = OfdmParams {
-            fft_size: 48,
-            ..(*p).clone()
-        };
-        for params in [&*p, &*OfdmParams::wiglan(), &odd] {
-            for k in -300i32..300 {
-                let want = k.rem_euclid(params.fft_size as i32) as usize;
-                assert_eq!(params.bin(k), want, "{} carrier {k}", params.fft_size);
-            }
-        }
     }
 
     #[test]

@@ -219,8 +219,8 @@ impl Receiver {
             det.lts_start - b,
             chanest_scratch,
         );
-        let slope = chanest::phase_slope(&self.params, &est, 3e6, chanest_scratch);
-        let timing_offset = chanest::delay_from_slope(&self.params, slope) - b as f64;
+        let timing_offset =
+            chanest::detection_delay_samples(&self.params, &est, 3e6, chanest_scratch) - b as f64;
         // Each carrier's gain, looked up once per frame (an unoccupied
         // carrier equalises with 1): data carriers, then pilots.
         let data_carriers = &self.params.data_carriers;
@@ -375,12 +375,14 @@ fn equalise<T: Real>(y_re: T, y_im: T, h_re: T, h_im: T) -> (T, T, T) {
 /// order: four carriers per lane group in the lanes tier, the rest one at
 /// a time.
 fn equalise_into(y: &[Complex64], h: &[Complex64], eq: &mut Vec<Complex64>) {
+    equalise_tier::<SIMD_ENABLED>(y, h, eq);
+}
+
+/// [`equalise_into`] in the lanes tier (`V`) or the scalar one.
+#[inline(always)]
+fn equalise_tier<const V: bool>(y: &[Complex64], h: &[Complex64], eq: &mut Vec<Complex64>) {
     eq.clear();
-    let whole = if SIMD_ENABLED {
-        y.len() - y.len() % LANES
-    } else {
-        0
-    };
+    let whole = if V { y.len() - y.len() % LANES } else { 0 };
     for j in (0..whole).step_by(LANES) {
         let (yv, hv) = (C64x4::load(y, j), C64x4::load(h, j));
         let (re, im, d) = equalise(yv.re, yv.im, hv.re, hv.im);
@@ -419,6 +421,89 @@ mod tests {
             buf[lead_pad + i] += *s;
         }
         buf
+    }
+
+    #[test]
+    fn equalise_tiers_match_per_carrier_division() {
+        // Both tiers, at every carrier count from one to 52, keep exactly
+        // the carriers the per-carrier loop keeps and give `y / h` bit for
+        // bit (any NaN matches any NaN): channels at, just below and just
+        // above the `|h|² = 1e-12` cut, and IEEE edge parts in `y` and `h`.
+        const SPECIAL: [f64; 9] = [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE / 8.0,
+            1e300,
+            1e-300,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -1.0,
+        ];
+        let cut = 1e-6f64;
+        let edge = [
+            Complex64::new(cut, 0.0),
+            Complex64::new(0.0, -cut),
+            Complex64::new(cut * (1.0 - 1e-9), 0.0),
+            Complex64::new(cut * (1.0 + 1e-9), 0.0),
+            Complex64::new(f64::from_bits(cut.to_bits() - 1), 0.0),
+            Complex64::new(f64::from_bits(cut.to_bits() + 1), 0.0),
+        ];
+        let canonical = |z: Complex64| {
+            let bits = |v: f64| {
+                if v.is_nan() {
+                    f64::NAN.to_bits()
+                } else {
+                    v.to_bits()
+                }
+            };
+            (bits(z.re), bits(z.im))
+        };
+        let mut rng = StdRng::seed_from_u64(43);
+        let part = |rng: &mut StdRng| {
+            if rng.gen_range(0..5) == 0 {
+                SPECIAL[rng.gen_range(0..SPECIAL.len())]
+            } else {
+                rng.gen_range(-3.0..3.0)
+            }
+        };
+        for round in 0..20 {
+            for n in 1..=52 {
+                let y: Vec<Complex64> = (0..n)
+                    .map(|_| Complex64::new(part(&mut rng), part(&mut rng)))
+                    .collect();
+                let h: Vec<Complex64> = (0..n)
+                    .map(|_| match rng.gen_range(0..4) {
+                        0 => edge[rng.gen_range(0..edge.len())],
+                        _ => Complex64::new(part(&mut rng), part(&mut rng)),
+                    })
+                    .collect();
+                let want: Vec<(u64, u64)> = y
+                    .iter()
+                    .zip(&h)
+                    .filter(|(_, h)| h.norm_sqr() >= 1e-12 || h.norm_sqr().is_nan())
+                    .map(|(&y, &h)| canonical(y / h))
+                    .collect();
+                let mut eq = vec![Complex64::ONE; 3];
+                for (tier, got) in [
+                    ("scalar", {
+                        equalise_tier::<false>(&y, &h, &mut eq);
+                        eq.clone()
+                    }),
+                    ("lanes", {
+                        equalise_tier::<true>(&y, &h, &mut eq);
+                        eq.clone()
+                    }),
+                    ("dispatched", {
+                        equalise_into(&y, &h, &mut eq);
+                        eq.clone()
+                    }),
+                ] {
+                    let got: Vec<(u64, u64)> = got.into_iter().map(canonical).collect();
+                    assert_eq!(got, want, "{tier} round {round} n={n}");
+                }
+            }
+        }
     }
 
     #[test]
