@@ -25,6 +25,16 @@ fn bench_fft(c: &mut Criterion) {
             )
         });
     }
+    // The transmitter's per-symbol transform.
+    let fft = FftPlan::new(64);
+    let input = gauss.sample_vec(&mut rng, 64);
+    c.bench_function("fft_inverse_64", |b| {
+        b.iter_batched(
+            || input.clone(),
+            |mut buf| fft.inverse(&mut buf),
+            BatchSize::SmallInput,
+        )
+    });
 }
 
 fn bench_viterbi(c: &mut Criterion) {
@@ -41,6 +51,30 @@ fn bench_viterbi(c: &mut Criterion) {
                 ssync_phy::viterbi::ViterbiDecoder::new().decode_terminated_into(&llrs, &mut out)
             );
             out
+        })
+    });
+    // Noisy soft LLRs over the trellis steps of a 1500 B frame's DATA field
+    // (16 SERVICE bits, the PSDU, 6 tail bits), through one reused decoder
+    // as the receiver's workspace holds it.
+    let info: Vec<u8> = (0..16 + 8 * 1500).map(|_| rng.gen_range(0..2u8)).collect();
+    let mut bits = info.clone();
+    bits.extend([0u8; 6]);
+    let coded = ssync_phy::convcode::encode_half(&bits);
+    let gauss = ssync_dsp::rng::Gaussian::standard();
+    let sigma = 0.8;
+    let llrs: Vec<f64> = coded
+        .iter()
+        .map(|&c| {
+            let tx = if c == 0 { 1.0 } else { -1.0 };
+            2.0 * (tx + sigma * gauss.sample(&mut rng)) / (sigma * sigma)
+        })
+        .collect();
+    let mut decoder = ssync_phy::viterbi::ViterbiDecoder::new();
+    let mut out = Vec::new();
+    c.bench_function("viterbi_decode_soft_12k", |b| {
+        b.iter(|| {
+            assert!(decoder.decode_terminated_into(&llrs, &mut out));
+            out.len()
         })
     });
 }

@@ -9,10 +9,9 @@
 //! frequency offset through the packet via the shared pilots.
 
 use ssync_dsp::{Complex64, FftPlan};
-use ssync_phy::chanest::ChannelEstimate;
-use ssync_phy::preamble::lts_values;
+use ssync_phy::chanest::{ChanestScratch, ChannelEstimate};
 use ssync_phy::scramble::pilot_polarity;
-use ssync_phy::{ofdm, Params};
+use ssync_phy::Params;
 use ssync_stbc::codebook::codeword_for;
 use ssync_stbc::Codeword;
 
@@ -21,7 +20,8 @@ use ssync_stbc::Codeword;
 ///
 /// `slot_start` is the receiver-buffer index where the slot begins. Returns
 /// the estimate plus the measured noise power, exactly like the preamble
-/// path in `ssync_phy::chanest`.
+/// path in `ssync_phy::chanest`. The two training symbols are demodulated
+/// into `scratch`'s LTS grids, so only the returned estimate allocates.
 pub fn estimate_from_training_slot(
     params: &Params,
     fft: &FftPlan,
@@ -29,26 +29,24 @@ pub fn estimate_from_training_slot(
     slot_start: usize,
     cp_len: usize,
     backoff: usize,
+    scratch: &mut ChanestScratch,
 ) -> ChannelEstimate {
     let n = params.fft_size;
-    let refs = lts_values(params);
     let sym_len = n + cp_len;
     let b = backoff.min(cp_len);
-    let mut grids = Vec::with_capacity(2);
-    for rep in 0..2 {
-        let offset = slot_start + rep * sym_len + cp_len - b;
-        grids.push(ofdm::demodulate_window(params, fft, buf, offset));
-    }
+    // The slot carries the LTS twice, each copy behind its own prefix.
+    let offsets = std::array::from_fn(|rep| slot_start + rep * sym_len + cp_len - b);
+    let (refs, grids) = scratch.lts_grids(params, fft, buf, offsets);
     let mut carriers = Vec::with_capacity(refs.len());
     let mut values = Vec::with_capacity(refs.len());
-    for &(k, x) in &refs {
+    for &(k, x) in refs {
         let bin = params.bin(k);
         let avg = (grids[0][bin] + grids[1][bin]).scale(0.5);
         carriers.push(k);
         values.push(avg / Complex64::real(x));
     }
     let mut acc = 0.0;
-    for &(k, _) in &refs {
+    for &(k, _) in refs {
         let bin = params.bin(k);
         acc += (grids[0][bin] - grids[1][bin]).norm_sqr();
     }
@@ -196,7 +194,8 @@ mod tests {
         let mut buf = vec![Complex64::ZERO; 40];
         buf.extend_from_slice(&slot);
         buf.extend(vec![Complex64::ZERO; 40]);
-        let est = estimate_from_training_slot(&params, &fft, &buf, 40, cp, 4);
+        let est =
+            estimate_from_training_slot(&params, &fft, &buf, 40, cp, 4, &mut ChanestScratch::new());
         for v in &est.values {
             // The backoff (4 samples inside the CP) appears as a known phase
             // ramp; magnitudes must be unity.
@@ -216,7 +215,8 @@ mod tests {
         for (i, s) in slot.iter().enumerate() {
             buf[40 + i] += *s;
         }
-        let est = estimate_from_training_slot(&params, &fft, &buf, 40, cp, 4);
+        let est =
+            estimate_from_training_slot(&params, &fft, &buf, 40, cp, 4, &mut ChanestScratch::new());
         // 20 dB SNR: estimates should be within ~0.2 of unit magnitude.
         for v in &est.values {
             assert!((v.abs() - 1.0).abs() < 0.3, "{v:?}");

@@ -383,6 +383,8 @@ pub struct SessionWorkspace {
     rx_ws: RxWorkspace,
     /// Joint data-section scratch (space-time coding and combining).
     combine_ws: CombineWorkspace,
+    /// Co-sender training-slot estimates and phase slopes.
+    chanest: ChanestScratch,
 }
 
 impl SessionWorkspace {
@@ -395,6 +397,7 @@ impl SessionWorkspace {
             tx_ws: TxWorkspace::new(&params),
             rx_ws: RxWorkspace::new(&params),
             combine_ws: CombineWorkspace::new(&params),
+            chanest: ChanestScratch::new(),
             params,
         }
     }
@@ -672,6 +675,7 @@ fn decode_capture(
         rx,
         rx_ws,
         combine_ws,
+        chanest,
         ..
     } = ws;
     // The receiver's common early-window offset (same convention as the
@@ -735,7 +739,6 @@ fn decode_capture(
     // Per-co-sender channel estimates + misalignment measurements.
     let mut co_channels: Vec<Option<ChannelEstimate>> = Vec::with_capacity(n_co);
     let mut misalign: Vec<Option<f64>> = Vec::with_capacity(n_co);
-    let mut slope_scratch = ChanestScratch::new();
     for i in 0..n_co {
         let slot = base + timeline.training_slot(i);
         // Presence is measured on the central 60 % of the slot: adjacent
@@ -754,9 +757,10 @@ fn decode_capture(
             misalign.push(None);
             continue;
         }
-        let est = estimate_from_training_slot(params, fft, corrected, slot, data_cp, backoff);
+        let est =
+            estimate_from_training_slot(params, fft, corrected, slot, data_cp, backoff, chanest);
         // Misalignment: co-sender's sub-sample offset minus the lead's.
-        let slope = phase_slope(params, &est, 3e6, &mut slope_scratch);
+        let slope = phase_slope(params, &est, 3e6, chanest);
         let delta_co = delay_from_slope(params, slope) - backoff.min(data_cp) as f64;
         let delta_lead = res.diag.timing_offset_samples;
         misalign.push(Some((delta_co - delta_lead) * period as f64 * 1e-15));

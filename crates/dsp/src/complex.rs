@@ -9,7 +9,11 @@ use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
 /// A double-precision complex number `re + j·im`.
+///
+/// `repr(C)` fixes the layout at `re` then `im`, so a slice of samples is
+/// interleaved `f64` pairs, which the FFT's AVX2 path loads directly.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[repr(C)]
 pub struct Complex64 {
     /// Real (in-phase) part.
     pub re: f64,

@@ -14,6 +14,14 @@
 //! butterfly arithmetic is unchanged, so the planned transform is
 //! bit-identical to its predecessor.
 //!
+//! On x86-64 hosts with AVX2 (and the `simd` feature), sizes 4–128 run the
+//! same butterflies in 256-bit registers, two interleaved complex samples
+//! per register, with the first two stages fused and read straight from
+//! the bit-reversed positions ([`FftPlan`]'s private `transform_avx2`).
+//! Every output keeps the portable body's operations, so both paths give
+//! the same bits; every other size, and the `--no-default-features`
+//! build, runs the portable body.
+//!
 //! Sizes must be powers of two (64 and 128 in this workspace). The
 //! convention is the signal-processing one:
 //!
@@ -23,7 +31,13 @@
 //! so `inverse(forward(x)) == x` to floating-point precision.
 
 use crate::complex::Complex64;
+use crate::simd::SIMD_ENABLED;
 use std::f64::consts::PI;
+
+/// The sizes the AVX2 path serves (on `simd` x86-64 builds): from 4, the
+/// smallest with the fused first two stages, to 128, whose staged input
+/// copy still fits comfortably on the stack.
+const AVX2_SIZES: std::ops::RangeInclusive<usize> = 4..=128;
 
 /// A planned FFT of a fixed power-of-two size: the cached twiddle/permutation
 /// handle the whole workspace shares.
@@ -44,6 +58,34 @@ pub struct FftPlan {
     // per butterfly).
     stages_inv: Vec<Complex64>,
     bitrev: Vec<u32>,
+    // The AVX2 path's twiddle pairs; empty where that path is not taken.
+    pairs: TwiddlePairs,
+}
+
+/// The stage twiddles laid out for the AVX2 butterflies, which hold two
+/// interleaved complex samples per 256-bit register. Each twiddle of
+/// `stages`, in order, contributes its real part twice to `re`, and its
+/// imaginary part twice to `im` and (from `stages_inv`) to `im_inv`. One
+/// load at `2·(off + k)` then reads a stage's twiddles `k` and `k + 1` as
+/// `[wr_k, wr_k, wr_k+1, wr_k+1]`.
+#[derive(Debug, Clone, Default)]
+struct TwiddlePairs {
+    re: Vec<f64>,
+    im: Vec<f64>,
+    im_inv: Vec<f64>,
+}
+
+impl TwiddlePairs {
+    fn new(stages: &[Complex64], stages_inv: &[Complex64]) -> Self {
+        let dup = |part: fn(&Complex64) -> f64, tab: &[Complex64]| -> Vec<f64> {
+            tab.iter().flat_map(|w| [part(w), part(w)]).collect()
+        };
+        TwiddlePairs {
+            re: dup(|w| w.re, stages),
+            im: dup(|w| w.im, stages),
+            im_inv: dup(|w| w.im, stages_inv),
+        }
+    }
 }
 
 impl FftPlan {
@@ -70,15 +112,21 @@ impl FftPlan {
             }
             len <<= 1;
         }
-        let stages_inv = stages.iter().map(|w| w.conj()).collect();
+        let stages_inv: Vec<Complex64> = stages.iter().map(|w| w.conj()).collect();
         let bitrev = (0..n as u32)
             .map(|i| i.reverse_bits() >> (32 - log2n))
             .collect();
+        let pairs = if SIMD_ENABLED && cfg!(target_arch = "x86_64") && AVX2_SIZES.contains(&n) {
+            TwiddlePairs::new(&stages, &stages_inv)
+        } else {
+            TwiddlePairs::default()
+        };
         FftPlan {
             n,
             stages,
             stages_inv,
             bitrev,
+            pairs,
         }
     }
 
@@ -94,6 +142,9 @@ impl FftPlan {
         false
     }
 
+    /// The transform, through the AVX2 path where the plan holds its
+    /// twiddle pairs and the host has AVX2, else through
+    /// [`FftPlan::transform_body`]; both give the same bits.
     fn transform(&self, buf: &mut [Complex64], inverse: bool) {
         assert_eq!(
             buf.len(),
@@ -102,6 +153,21 @@ impl FftPlan {
             buf.len(),
             self.n
         );
+        #[cfg(target_arch = "x86_64")]
+        if !self.pairs.re.is_empty() && std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 support was just verified at runtime.
+            #[allow(unsafe_code)]
+            unsafe {
+                self.transform_avx2(buf, inverse)
+            };
+            return;
+        }
+        self.transform_body(buf, inverse);
+    }
+
+    /// The portable transform: the bit-reversal permutation, then the
+    /// radix-2 butterflies stage by stage, then the inverse's `1/N` scale.
+    fn transform_body(&self, buf: &mut [Complex64], inverse: bool) {
         // Bit-reversal permutation.
         for (i, &j) in self.bitrev.iter().enumerate() {
             let j = j as usize;
@@ -138,6 +204,103 @@ impl FftPlan {
             let inv_n = 1.0 / self.n as f64;
             for s in buf.iter_mut() {
                 *s = s.scale(inv_n);
+            }
+        }
+    }
+
+    /// [`FftPlan::transform_body`]'s butterflies in 256-bit registers, two
+    /// interleaved complex samples per register, for the sizes in
+    /// [`AVX2_SIZES`].
+    ///
+    /// Every output is the portable body's expression. `t = b·w` is formed
+    /// as `b·[wr, wr]` and `swap(b)·[wi, wi]` joined by `vaddsubpd`, giving
+    /// `br·wr − bi·wi` and `bi·wr + br·wi`: the second is the portable
+    /// `br·wi + bi·wr` with its addends commuted, which IEEE addition
+    /// allows bit for bit. The first two stages run fused per block of four
+    /// outputs, reading the block's inputs straight from their bit-reversed
+    /// positions in a staged copy of `buf`; the later stages take two
+    /// butterflies per iteration with the twiddle pairs built with the plan.
+    /// The inverse scales by the same `1/N`.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    // The raw-pointer loads and stores below; each carries its bounds
+    // argument in a SAFETY comment.
+    #[allow(unsafe_code)]
+    fn transform_avx2(&self, buf: &mut [Complex64], inverse: bool) {
+        use std::arch::x86_64::*;
+        let n = self.n;
+        assert!(AVX2_SIZES.contains(&n) && buf.len() == n && self.pairs.re.len() == 2 * (n - 1));
+        let mut staged = [Complex64::ZERO; *AVX2_SIZES.end()];
+        staged[..n].copy_from_slice(buf);
+        // `Complex64` is `repr(C)`: `re` then `im`.
+        let src = staged.as_ptr().cast::<f64>();
+        let out = buf.as_mut_ptr().cast::<f64>();
+        let im = if inverse {
+            &self.pairs.im_inv
+        } else {
+            &self.pairs.im
+        };
+        let (wr, wi) = (self.pairs.re.as_ptr(), im.as_ptr());
+        // Stage 1's one twiddle, and stage 2's two (table entries 1 and 2).
+        let (w1r, w1i) = (_mm256_set1_pd(self.pairs.re[0]), _mm256_set1_pd(im[0]));
+        // SAFETY: the tables hold 2·(n − 1) ≥ 6 values.
+        let (w2r, w2i) = unsafe { (_mm256_loadu_pd(wr.add(2)), _mm256_loadu_pd(wi.add(2))) };
+        for (block, rev) in self.bitrev.chunks_exact(4).enumerate() {
+            let at = |k: usize| 2 * rev[k] as usize;
+            // SAFETY: every bit-reversed index is below n, so each 128-bit
+            // load reads one staged sample.
+            let (x02, x13) = unsafe {
+                (
+                    _mm256_loadu2_m128d(src.add(at(2)), src.add(at(0))),
+                    _mm256_loadu2_m128d(src.add(at(3)), src.add(at(1))),
+                )
+            };
+            let t = cmul(x13, w1r, w1i);
+            let y02 = _mm256_add_pd(x02, t);
+            let y13 = _mm256_sub_pd(x02, t);
+            let y01 = _mm256_permute2f128_pd::<0x20>(y02, y13);
+            let y23 = _mm256_permute2f128_pd::<0x31>(y02, y13);
+            let t = cmul(y23, w2r, w2i);
+            // SAFETY: the block's four outputs 4·block .. 4·block + 3 are
+            // below n.
+            unsafe {
+                _mm256_storeu_pd(out.add(8 * block), _mm256_add_pd(y01, t));
+                _mm256_storeu_pd(out.add(8 * block + 4), _mm256_sub_pd(y01, t));
+            }
+        }
+        let mut half = 4usize;
+        while half < n {
+            // The stage's twiddles start at entry half − 1 of `stages`.
+            let off = 2 * (half - 1);
+            for span in (0..n).step_by(2 * half) {
+                for k in (0..half).step_by(2) {
+                    // SAFETY: span + half + k + 2 ≤ n, and the last pair
+                    // load ends at off + 2·k + 4 ≤ 2·(n − 1), the table
+                    // length.
+                    unsafe {
+                        let pa = out.add(2 * (span + k));
+                        let pb = out.add(2 * (span + half + k));
+                        let a = _mm256_loadu_pd(pa);
+                        let t = cmul(
+                            _mm256_loadu_pd(pb),
+                            _mm256_loadu_pd(wr.add(off + 2 * k)),
+                            _mm256_loadu_pd(wi.add(off + 2 * k)),
+                        );
+                        _mm256_storeu_pd(pa, _mm256_add_pd(a, t));
+                        _mm256_storeu_pd(pb, _mm256_sub_pd(a, t));
+                    }
+                }
+            }
+            half <<= 1;
+        }
+        if inverse {
+            let inv_n = _mm256_set1_pd(1.0 / n as f64);
+            for i in (0..2 * n).step_by(4) {
+                // SAFETY: i + 4 ≤ 2·n, the buffer's length in `f64`s.
+                unsafe {
+                    let p = out.add(i);
+                    _mm256_storeu_pd(p, _mm256_mul_pd(_mm256_loadu_pd(p), inv_n));
+                }
             }
         }
     }
@@ -184,6 +347,24 @@ impl FftPlan {
     }
 }
 
+/// `b·w` for the two interleaved complex samples of `b`, with `w`'s real
+/// and imaginary parts each duplicated per sample: `[br·wr − bi·wi,
+/// bi·wr + br·wi]` per sample (see [`FftPlan::transform_avx2`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+fn cmul(
+    b: std::arch::x86_64::__m256d,
+    wr: std::arch::x86_64::__m256d,
+    wi: std::arch::x86_64::__m256d,
+) -> std::arch::x86_64::__m256d {
+    use std::arch::x86_64::*;
+    _mm256_addsub_pd(
+        _mm256_mul_pd(b, wr),
+        _mm256_mul_pd(_mm256_permute_pd::<0b0101>(b), wi),
+    )
+}
+
 /// Direct O(N²) DFT, used as a test oracle for the fast transform.
 pub fn dft_naive(input: &[Complex64]) -> Vec<Complex64> {
     let n = input.len();
@@ -200,6 +381,7 @@ pub fn dft_naive(input: &[Complex64]) -> Vec<Complex64> {
 mod tests {
     use super::*;
     use crate::rng::ComplexGaussian;
+    use crate::simd::tier_test;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -397,6 +579,51 @@ mod tests {
                             same(a.re, b.re) && same(a.im, b.im),
                             "n={n} inverse={inverse}: {a:?} vs {b:?}"
                         );
+                    }
+                }
+            }
+            n <<= 1;
+        }
+    }
+
+    #[test]
+    fn avx2_path_matches_portable_body_bitwise() {
+        // Every size 2…1024 through one reused plan each, forward and
+        // inverse: the dispatched transform (the AVX2 path at its sizes on
+        // AVX2 hosts, the portable body elsewhere) and the AVX2 path called
+        // directly against the portable body. Inputs: random, random with
+        // ±0, subnormals, ±∞ and NaN mixed in, and ±1e300, which overflow
+        // inside the butterflies. NaN matches any NaN.
+        let avx2 = tier_test::host_has_avx2("avx2_path_matches_portable_body_bitwise");
+        let mut rng = StdRng::seed_from_u64(14);
+        let mut n = 2usize;
+        while n <= 1024 {
+            let plan = FftPlan::new(n);
+            let huge = |i: usize| if i % 3 == 0 { -1e300 } else { 1e300 };
+            let inputs = [
+                tier_test::samples(&mut rng, n, false),
+                tier_test::samples(&mut rng, n, true),
+                (0..n)
+                    .map(|i| Complex64::new(huge(i), huge(i + 1)))
+                    .collect(),
+            ];
+            for (which, x) in inputs.iter().enumerate() {
+                for inverse in [false, true] {
+                    let what = format!("n={n} input {which} inverse={inverse}");
+                    let mut want = x.clone();
+                    plan.transform_body(&mut want, inverse);
+                    let mut got = x.clone();
+                    plan.transform(&mut got, inverse);
+                    tier_test::assert_same_bits(&got, &want, &what);
+                    #[cfg(target_arch = "x86_64")]
+                    if avx2 && !plan.pairs.re.is_empty() {
+                        let mut twin = x.clone();
+                        // SAFETY: AVX2 detected above.
+                        #[allow(unsafe_code)]
+                        unsafe {
+                            plan.transform_avx2(&mut twin, inverse)
+                        };
+                        tier_test::assert_same_bits(&twin, &want, &format!("{what}: avx2"));
                     }
                 }
             }

@@ -4,7 +4,9 @@
 //!
 //! * [`Complex64`] — complex baseband samples (implemented from scratch so the
 //!   entire signal path is auditable without external numeric crates),
-//! * [`fft`] — an iterative radix-2 FFT/IFFT with a twiddle-caching planner,
+//! * [`fft`] — an iterative radix-2 FFT/IFFT with a twiddle-caching planner
+//!   (and, for sizes 4–128 on AVX2 hosts, an intrinsics path with the same
+//!   bits),
 //! * [`correlate`] — sliding cross-/auto-correlation used by packet detection,
 //! * [`delay`] — integer and fractional (windowed-sinc) sample delays, the
 //!   mechanism by which the simulator realises femtosecond-resolution
@@ -21,15 +23,17 @@
 //! Everything is pure, allocation-conscious, and deterministic; there is no
 //! interior mutability and no global state.
 
-// Unsafe is denied crate-wide. The one exception is a runtime-checked
-// AVX2 dispatch: `delay::convolve_gather`, `rng::add_keyed_noise` and
+// Unsafe is denied crate-wide. The exceptions are the runtime-checked
+// AVX2 tier. `delay::convolve_gather`, `rng::add_keyed_noise` and
 // `correlate::normalized_cross_correlate_into` call an
 // `#[target_feature(enable = "avx2")]` twin of their portable body once
-// `is_x86_feature_detected!("avx2")` holds. Each call site carries
-// `#[allow(unsafe_code)]` and a `// SAFETY:` comment; the twins write no
-// intrinsics, so the bits are the portable body's (see DESIGN.md, "The
-// SIMD layer and kernel tiers", and ssync_lint's `undocumented-unsafe`
-// and `fma-contraction` rules).
+// `is_x86_feature_detected!("avx2")` holds; the twins write no
+// intrinsics, so the bits are the portable body's. `FftPlan` dispatches
+// the same way to its one intrinsics kernel, `fft::FftPlan::transform_avx2`,
+// whose raw-pointer loads and stores each carry their bounds argument.
+// Every such site carries `#[allow(unsafe_code)]` and a `// SAFETY:`
+// comment (see DESIGN.md, "The SIMD layer and kernel tiers", and
+// ssync_lint's `undocumented-unsafe` and `fma-contraction` rules).
 #![deny(unsafe_code)]
 
 pub mod complex;

@@ -75,6 +75,27 @@ impl ChanestScratch {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// Demodulates the [`LTS_REPS`] long-training symbols whose FFT windows
+    /// start at `offsets` into the scratch's grids, and returns the LTS
+    /// reference table (rebuilt only when the carrier layout changes) with
+    /// them. The one training demodulation of [`estimate_from_lts`] and of
+    /// a joint frame's co-sender training slots.
+    pub fn lts_grids(
+        &mut self,
+        params: &OfdmParams,
+        fft: &FftPlan,
+        samples: &[Complex64],
+        offsets: [usize; LTS_REPS],
+    ) -> (&[(i32, f64)], &[Vec<Complex64>; LTS_REPS]) {
+        if self.lts_for.rekey(params) {
+            self.lts = lts_values(params);
+        }
+        for (grid, offset) in self.grids.iter_mut().zip(offsets) {
+            ofdm::demodulate_window_into(params, fft, samples, offset, grid);
+        }
+        (&self.lts, &self.grids)
+    }
 }
 
 /// Least-squares channel estimate from `LTS_REPS` long-training repetitions
@@ -92,18 +113,8 @@ pub fn estimate_from_lts(
     scratch: &mut ChanestScratch,
 ) -> ChannelEstimate {
     let n = params.fft_size;
-    let ChanestScratch {
-        lts_for,
-        lts,
-        grids,
-        ..
-    } = scratch;
-    if lts_for.rekey(params) {
-        *lts = lts_values(params);
-    }
-    for (rep, grid) in grids.iter_mut().enumerate() {
-        ofdm::demodulate_window_into(params, fft, samples, lts_start + rep * n, grid);
-    }
+    let offsets = std::array::from_fn(|rep| lts_start + rep * n);
+    let (lts, grids) = scratch.lts_grids(params, fft, samples, offsets);
     let mut carriers = Vec::with_capacity(lts.len());
     let mut values = Vec::with_capacity(lts.len());
     for &(k, x) in lts.iter() {

@@ -18,19 +18,40 @@
 //!   reference scans `(state, input)` ascending with a strict `>` update, so
 //!   ties go to the even predecessor — the butterfly replicates that by
 //!   taking the odd candidate only on strictly greater metric.
-//! * **Batched branch metrics.** Both generators tap the newest register
-//!   bit, so `branch(s, 1) = −branch(s, 0)` exactly (IEEE negation is exact
-//!   and `m + (−b) ≡ m − b`), and the per-state metric is a ±1.0-weighted
-//!   sum `σ₀·l0 + σ₁·l1` with constant sign tables — the whole step is 32
-//!   butterfly lanes of identical arithmetic, dispatched through
-//!   [`ssync_dsp::simd`] lanes (or the scalar twin without the `simd`
-//!   feature; both paths compute the same bits).
+//! * **Branch metrics from two vectors.** Both generators tap the newest
+//!   and the oldest register bit, so the input-1 branch and the odd
+//!   predecessor's branch are the input-0 branch of the even predecessor
+//!   negated: each butterfly runs on one value `±be`. With `s = l0 + l1`
+//!   and `t = l0 − l1`, the 32 values of a step, in groups of four
+//!   butterflies, are `+A −A −A +A +B −B −B +B` with `A = [s, −t, s, −t]`
+//!   and `B = [t, −s, t, −s]` (a compile-time assertion derives this from
+//!   the generator taps). A negated group is never negated: IEEE `m + (−b)`
+//!   is `m − b` by definition, so its input-0 candidates are the un-negated
+//!   group's input-1 candidates, and it only exchanges its two targets.
+//!   Against the reference's direct sum `(±l0) + (±l1)` these values differ
+//!   only in the sign of an exact zero: for `l0 == l1` the reference forms
+//!   `(−l0) + l1 = +0` where `−t = −(+0) = −0` (and likewise `−s` against
+//!   `(−l0) + (−l1)` when `l0 == −l1`). That is harmless because a path
+//!   metric is never `−0`: metrics start at `+0` or `−∞`, and a
+//!   round-to-nearest sum or difference is `−0` only when its left operand
+//!   is `−0`, so `m ± 0` has the same bits whichever zero is added.
 //! * **Ping-pong metrics.** Two path-metric buffers alternate as source
 //!   and destination, so a step never copies a metric array.
 //! * **Bit-parallel survivors.** A survivor decision is one bit
 //!   (even/odd predecessor), so a whole step packs into a single `u64`
 //!   instead of 64 `(state, input)` records — 16× less survivor memory and
 //!   a pointer-free traceback `state ← 2·(state&31) + bit`.
+//!
+//! The AVX2 tier keeps the metrics in two layouts that alternate step by
+//! step: *natural* (state `s` in slot `s`) and *σ* (slots 1 and 2 of every
+//! aligned block of four swapped). Forming the (even, odd) predecessor
+//! pairs of four butterflies from a natural column takes one `unpacklo` and
+//! one `unpackhi`, whose lanes come out in butterfly order `0 2 1 3`, so
+//! the stored outputs are in σ; from a σ column one `permute2f128` each
+//! gives butterfly order `0 1 2 3`, so the outputs land natural again. That
+//! is two shuffles per group of four butterflies. The σ steps' survivor
+//! bits are put back in state order as the word is stored, and state 0
+//! sits in slot 0 in both layouts, so the traceback is unchanged.
 //!
 //! Unreachable states carry `−∞` metrics through the same arithmetic; the
 //! traceback never visits one (state 0 is always reachable via the all-zeros
@@ -43,75 +64,90 @@ use ssync_dsp::simd::{F64x4, LANES, SIMD_ENABLED};
 
 const HALF: usize = N_STATES / 2;
 const NEG_INF: f64 = f64::NEG_INFINITY;
+/// Groups of four butterflies per trellis step.
+const GROUPS: usize = HALF / LANES;
 
-/// ±1.0 sign of an LLR's contribution to the input-0 branch metric of
-/// predecessor `2·lo + odd`: +1.0 where the expected coded bit is 0.
-const fn branch_signs(odd: bool, g: u8) -> [f64; HALF] {
-    let mut t = [0.0; HALF];
-    let mut lo = 0;
-    while lo < HALF {
-        let state = 2 * lo + if odd { 1 } else { 0 };
-        t[lo] = if ((state as u8) & g).count_ones() % 2 == 0 {
-            1.0
-        } else {
-            -1.0
-        };
-        lo += 1;
-    }
-    t
+/// Which butterfly groups take their base vector negated: the signs of
+/// `+A −A −A +A +B −B −B +B`.
+const NEGATED: [bool; GROUPS] = [false, true, true, false, false, true, true, false];
+
+/// The two base vectors of one step's input-0 branch metrics, in butterfly
+/// order: `A = [s, −t, s, −t]` for groups 0–3 and `B = [t, −s, t, −s]` for
+/// groups 4–7, with `s = l0 + l1` and `t = l0 − l1`.
+#[inline(always)]
+fn base_vectors(l0: f64, l1: f64) -> ([f64; LANES], [f64; LANES]) {
+    let s = l0 + l1;
+    let t = l0 - l1;
+    ([s, -t, s, -t], [t, -s, t, -s])
 }
 
-// Sign tables in butterfly (deinterleaved-predecessor) order, for the EVEN
-// predecessor `2·lo`. The odd predecessor's tables are not needed: both
-// generators also tap the oldest register bit (bit 0 of the state), so
-// flipping even→odd predecessor flips both coded bits and
-// `branch(2·lo+1, 0) = −branch(2·lo, 0)` exactly — the whole butterfly runs
-// on ±be (IEEE negation is exact and `m + (−b) ≡ m − b`).
-const SE0: [f64; HALF] = branch_signs(false, G0);
-const SE1: [f64; HALF] = branch_signs(false, G1);
+/// The next-state slots of butterfly group `group`'s first lane, for its
+/// candidate pairs `(me + be, mo − be)` and `(me − be, mo + be)` formed on
+/// the base value `be`. An un-negated group sends the first pair to input
+/// 0 (`ns = lo`) and the second to input 1 (`ns = lo + 32`). A negated
+/// group's input-0 pair is `(me + (−be), mo − (−be))`, which is bit for bit
+/// `(me − be, mo + be)`, so it only exchanges the two targets.
+#[inline(always)]
+const fn targets(group: usize) -> (usize, usize) {
+    let lo = LANES * group;
+    if NEGATED[group] {
+        (lo + HALF, lo)
+    } else {
+        (lo, lo + HALF)
+    }
+}
 
-/// Compile-time proof of the `bo = −be` identity used by the step kernels.
+/// Compile-time proof of the branch-metric layout the step kernels use.
 const _: () = {
+    // Tapping the newest bit makes the input-1 branch the input-0 branch
+    // negated; tapping the oldest does the same for the odd predecessor.
     assert!(G0 & 1 == 1 && G1 & 1 == 1, "both generators must tap bit 0");
-    let so0 = branch_signs(true, G0);
-    let so1 = branch_signs(true, G1);
+    assert!(
+        G0 & 0x40 != 0 && G1 & 0x40 != 0,
+        "both generators must tap bit 6"
+    );
     let mut lo = 0;
     while lo < HALF {
-        assert!(so0[lo] == -SE0[lo] && so1[lo] == -SE1[lo]);
-        lo += 1;
-    }
-};
-
-/// Per-butterfly index into the per-step branch-value table
-/// `[l0+l1, l0−l1, −(l0−l1), −(l0+l1)]`. The sign-weighted sum
-/// `σ₀·l0 + σ₁·l1` can only take those four values, and each equals the
-/// directly-computed sum bit-for-bit: multiplying by ±1.0 is exact, and IEEE
-/// rounding commutes with negation, so e.g. `(−l0) + l1 ≡ −(l0 − l1)`.
-const BE_IDX: [usize; HALF] = {
-    let mut t = [0usize; HALF];
-    let mut lo = 0;
-    while lo < HALF {
-        t[lo] = match (SE0[lo] < 0.0, SE1[lo] < 0.0) {
-            (false, false) => 0,
-            (false, true) => 1,
-            (true, false) => 2,
-            (true, true) => 3,
+        let (group, lane) = (lo / LANES, lo % LANES);
+        // Which LLRs the base value negates: s = l0 + l1, −t = −l0 + l1,
+        // t = l0 − l1, −s = −l0 − l1.
+        let (neg0, neg1) = match (group < GROUPS / 2, lane % 2 == 0) {
+            (true, true) => (false, false),
+            (true, false) => (true, false),
+            (false, true) => (false, true),
+            (false, false) => (true, true),
         };
+        // The reference negates an LLR where the coded bit of the input-0
+        // branch out of the even predecessor `2·lo` is 1.
+        let state = (2 * lo) as u8;
+        let c0 = (state & G0).count_ones() % 2 == 1;
+        let c1 = (state & G1).count_ones() % 2 == 1;
+        assert!((neg0 != NEGATED[group]) == c0 && (neg1 != NEGATED[group]) == c1);
         lo += 1;
     }
-    t
 };
 
 /// One trellis column of path metrics, indexed by state.
 type Metrics = [f64; N_STATES];
+
+/// A survivor word of a step whose metrics the AVX2 tier stored in σ
+/// layout, put back in state order: bits 1 and 2 of every nibble swapped.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn unsigma_word(w: u64) -> u64 {
+    const KEEP: u64 = 0x9999_9999_9999_9999;
+    const LANE1: u64 = 0x2222_2222_2222_2222;
+    const LANE2: u64 = 0x4444_4444_4444_4444;
+    (w & KEEP) | ((w & LANE1) << 1) | ((w & LANE2) >> 1)
+}
 
 /// A reusable planned decoder: two path-metric buffers plus the
 /// bit-parallel survivor store, so steady-state decoding (one frame after
 /// another through an `RxWorkspace`) allocates nothing.
 ///
 /// The two buffers ping-pong: each step reads one and writes every state
-/// of the other, then the two swap roles by swapping references, so no
-/// step copies a metric array.
+/// of the other, then the two swap roles, so no step copies a metric
+/// array.
 #[derive(Debug, Clone)]
 pub struct ViterbiDecoder {
     metrics: [Metrics; 2],
@@ -139,26 +175,27 @@ impl ViterbiDecoder {
     /// kernel. Returns the survivor word.
     #[inline]
     fn step_scalar(metric: &Metrics, next: &mut Metrics, l0: f64, l1: f64) -> u64 {
-        let s = l0 + l1;
-        let t = l0 - l1;
-        let vals = [s, t, -t, -s];
+        let (a, b) = base_vectors(l0, l1);
         let mut word = 0u64;
-        for lo in 0..HALF {
-            let me = metric[2 * lo];
-            let mo = metric[2 * lo + 1];
-            let be = vals[BE_IDX[lo]];
-            // Input 0 target: ns = lo (odd predecessor's metric is −be).
-            let c0 = me + be;
-            let c1 = mo - be;
-            let odd = c1 > c0;
-            next[lo] = if odd { c1 } else { c0 };
-            word |= (odd as u64) << lo;
-            // Input 1 target: ns = lo + 32, branch metric negated.
-            let d0 = me - be;
-            let d1 = mo + be;
-            let odd1 = d1 > d0;
-            next[lo + HALF] = if odd1 { d1 } else { d0 };
-            word |= (odd1 as u64) << (lo + HALF);
+        for group in 0..GROUPS {
+            let be = if group < GROUPS / 2 { a } else { b };
+            let (plus_at, minus_at) = targets(group);
+            for (j, be) in be.into_iter().enumerate() {
+                let lo = LANES * group + j;
+                // The odd predecessor's branch metric is the even's negated.
+                let me = metric[2 * lo];
+                let mo = metric[2 * lo + 1];
+                let c0 = me + be;
+                let c1 = mo - be;
+                let odd = c1 > c0;
+                next[plus_at + j] = if odd { c1 } else { c0 };
+                word |= (odd as u64) << (plus_at + j);
+                let d0 = me - be;
+                let d1 = mo + be;
+                let odd1 = d1 > d0;
+                next[minus_at + j] = if odd1 { d1 } else { d0 };
+                word |= (odd1 as u64) << (minus_at + j);
+            }
         }
         word
     }
@@ -168,16 +205,11 @@ impl ViterbiDecoder {
     /// word and metrics are bit-identical to [`ViterbiDecoder::step_scalar`].
     #[inline]
     fn step_lanes(metric: &Metrics, next: &mut Metrics, l0: f64, l1: f64) -> u64 {
-        let s = l0 + l1;
-        let t = l0 - l1;
-        let vals = [s, t, -t, -s];
-        let mut bes = [0.0f64; HALF];
-        for lo in 0..HALF {
-            bes[lo] = vals[BE_IDX[lo]];
-        }
+        let (a, b) = base_vectors(l0, l1);
+        let (a, b) = (F64x4(a), F64x4(b));
         let mut word = 0u64;
-        let mut lo = 0usize;
-        while lo < HALF {
+        for group in 0..GROUPS {
+            let lo = LANES * group;
             let me = F64x4([
                 metric[2 * lo],
                 metric[2 * lo + 2],
@@ -190,20 +222,20 @@ impl ViterbiDecoder {
                 metric[2 * lo + 5],
                 metric[2 * lo + 7],
             ]);
-            let be = F64x4::load(&bes, lo);
+            let be = if group < GROUPS / 2 { a } else { b };
+            let (plus_at, minus_at) = targets(group);
             let c0 = me.add(be);
             let c1 = mo.sub(be);
             let odd = c1.gt(c0);
-            F64x4::select(odd, c1, c0).store(next, lo);
+            F64x4::select(odd, c1, c0).store(next, plus_at);
             let d0 = me.sub(be);
             let d1 = mo.add(be);
             let odd1 = d1.gt(d0);
-            F64x4::select(odd1, d1, d0).store(next, lo + HALF);
+            F64x4::select(odd1, d1, d0).store(next, minus_at);
             for j in 0..LANES {
-                word |= (odd[j] as u64) << (lo + j);
-                word |= (odd1[j] as u64) << (lo + j + HALF);
+                word |= (odd[j] as u64) << (plus_at + j);
+                word |= (odd1[j] as u64) << (minus_at + j);
             }
-            lo += LANES;
         }
         word
     }
@@ -212,13 +244,14 @@ impl ViterbiDecoder {
     /// survivor word per step.
     ///
     /// The `simd` build adds a third tier above the portable lanes: on
-    /// x86-64 hosts whose CPU reports AVX2 at runtime, the step runs through
-    /// explicit 256-bit intrinsics ([`ViterbiDecoder::step_avx2`]). Every
-    /// instruction it uses is the same IEEE-754 operation the portable
-    /// kernels perform (`vaddpd`/`vmulpd`/`vsubpd`, an ordered `>` compare,
-    /// a select), and nothing fuses a multiply-add, so all three tiers are
-    /// bit-identical — the in-module differential tests drive them over the
-    /// same metric evolutions and compare exact bits.
+    /// x86-64 hosts whose CPU reports AVX2 at runtime, the steps run in
+    /// natural/σ pairs through explicit 256-bit intrinsics
+    /// ([`ViterbiDecoder::step_avx2`]). Every arithmetic instruction it uses
+    /// is the IEEE-754 operation the portable kernels perform
+    /// (`vaddpd`/`vsubpd`, an ordered `>` compare, and `vmaxpd`, which is
+    /// exactly the select), and nothing fuses a multiply-add, so all three
+    /// tiers are bit-identical — the in-module differential tests drive
+    /// them over the same metric evolutions and compare exact bits.
     #[inline]
     fn run_steps(&mut self, llrs: &[f64]) {
         #[cfg(target_arch = "x86_64")]
@@ -240,7 +273,11 @@ impl ViterbiDecoder {
         }
     }
 
-    /// The step loop over [`ViterbiDecoder::step_avx2`].
+    /// The step loop over [`ViterbiDecoder::step_avx2`]: two steps per
+    /// iteration, natural → σ into the second buffer and σ → natural back
+    /// into the first; an odd last step leaves its column in σ, which the
+    /// traceback never reads (it starts at state 0, slot 0 in both
+    /// layouts).
     ///
     /// # Safety
     /// The host CPU must support AVX2.
@@ -248,63 +285,92 @@ impl ViterbiDecoder {
     #[target_feature(enable = "avx2")]
     unsafe fn run_steps_avx2(&mut self, llrs: &[f64]) {
         let [a, b] = &mut self.metrics;
-        let (mut cur, mut next) = (a, b);
-        for pair in llrs.chunks_exact(2) {
+        let mut quads = llrs.chunks_exact(4);
+        for q in &mut quads {
             // SAFETY: caller guarantees AVX2.
-            let word = unsafe { Self::step_avx2(cur, next, pair[0], pair[1]) };
-            self.survivors.push(word);
-            std::mem::swap(&mut cur, &mut next);
+            let w0 = unsafe { Self::step_avx2::<false>(a, b, q[0], q[1]) };
+            self.survivors.push(unsigma_word(w0));
+            // SAFETY: caller guarantees AVX2.
+            let w1 = unsafe { Self::step_avx2::<true>(b, a, q[2], q[3]) };
+            self.survivors.push(w1);
+        }
+        if let [l0, l1] = *quads.remainder() {
+            // SAFETY: caller guarantees AVX2.
+            let w = unsafe { Self::step_avx2::<false>(a, b, l0, l1) };
+            self.survivors.push(unsigma_word(w));
         }
     }
 
-    /// One add-compare-select step as eight 256-bit butterfly groups.
+    /// One add-compare-select step as eight 256-bit butterfly groups,
+    /// reading `metric` in σ layout when `FROM_SIGMA` (writing `next`
+    /// natural) and in natural layout otherwise (writing `next` in σ, its
+    /// survivor bits in σ order too: see [`unsigma_word`]).
     ///
-    /// Lane-for-lane the arithmetic is [`ViterbiDecoder::step_scalar`]'s:
-    /// the branch metric is the ±1.0-weighted sum (`vmulpd`+`vaddpd` on the
-    /// sign tables — bit-equal to the scalar value-table lookup, see
-    /// [`BE_IDX`]), the compare is the ordered strict `>` (`_CMP_GT_OQ`,
-    /// false on ties like the scalar `>`), `vblendvpd` is the two-way
-    /// select, and `vmovmskpd` packs the four decisions straight into the
-    /// survivor word.
+    /// Lane for lane the arithmetic is [`ViterbiDecoder::step_scalar`]'s:
+    /// the base vectors are built in the lane order of the predecessor
+    /// pairs, each group stores its candidate pairs at [`targets`], the compare is the ordered strict `>` (`_CMP_GT_OQ`, false on
+    /// ties like the scalar `>`), `vmaxpd` is the select (`max(c1, c0)`
+    /// returns `c1` exactly when `c1 > c0`, and `c0` on ties, on either
+    /// zero and on NaN), and `vmovmskpd` packs the four decisions straight
+    /// into the survivor word.
     ///
     /// # Safety
     /// The host CPU must support AVX2.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    unsafe fn step_avx2(metric: &Metrics, next: &mut Metrics, l0: f64, l1: f64) -> u64 {
+    unsafe fn step_avx2<const FROM_SIGMA: bool>(
+        metric: &Metrics,
+        next: &mut Metrics,
+        l0: f64,
+        l1: f64,
+    ) -> u64 {
         use std::arch::x86_64::*;
-        let vl0 = _mm256_set1_pd(l0);
-        let vl1 = _mm256_set1_pd(l1);
+        let s = l0 + l1;
+        let t = l0 - l1;
+        // [s, −t, s, −t] and [t, −s, t, −s] in butterfly order 0 1 2 3 from
+        // σ, in order 0 2 1 3 from natural.
+        let (a, b) = if FROM_SIGMA {
+            (_mm256_setr_pd(s, -t, s, -t), _mm256_setr_pd(t, -s, t, -s))
+        } else {
+            (_mm256_setr_pd(s, s, -t, -t), _mm256_setr_pd(t, t, -s, -s))
+        };
+        let src = metric.as_ptr();
+        let dst = next.as_mut_ptr();
         let mut word = 0u64;
-        let mut lo = 0usize;
-        while lo < HALF {
-            // SAFETY: lo ≤ HALF−4, so every load/store below stays inside
-            // the fixed-size metric/next/sign-table arrays.
+        for group in 0..GROUPS {
+            let lo = LANES * group;
+            // SAFETY: 2·lo + 8 ≤ N_STATES, and both targets are at most
+            // N_STATES − 4, so every load and store stays inside the
+            // fixed-size arrays.
+            let (x, y) = unsafe {
+                (
+                    _mm256_loadu_pd(src.add(2 * lo)),
+                    _mm256_loadu_pd(src.add(2 * lo + 4)),
+                )
+            };
+            let (me, mo) = if FROM_SIGMA {
+                (
+                    _mm256_permute2f128_pd::<0x20>(x, y),
+                    _mm256_permute2f128_pd::<0x31>(x, y),
+                )
+            } else {
+                (_mm256_unpacklo_pd(x, y), _mm256_unpackhi_pd(x, y))
+            };
+            let be = if group < GROUPS / 2 { a } else { b };
+            let (plus_at, minus_at) = targets(group);
+            let c0 = _mm256_add_pd(me, be);
+            let c1 = _mm256_sub_pd(mo, be);
+            let d0 = _mm256_sub_pd(me, be);
+            let d1 = _mm256_add_pd(mo, be);
+            let odd = _mm256_cmp_pd::<_CMP_GT_OQ>(c1, c0);
+            let odd1 = _mm256_cmp_pd::<_CMP_GT_OQ>(d1, d0);
+            // SAFETY: as above.
             unsafe {
-                let a = _mm256_loadu_pd(metric.as_ptr().add(2 * lo));
-                let b = _mm256_loadu_pd(metric.as_ptr().add(2 * lo + 4));
-                // Deinterleave four (even, odd) predecessor metric pairs.
-                let t0 = _mm256_unpacklo_pd(a, b); // m0 m4 m2 m6
-                let t1 = _mm256_unpackhi_pd(a, b); // m1 m5 m3 m7
-                let me = _mm256_permute4x64_pd::<0b11011000>(t0); // m0 m2 m4 m6
-                let mo = _mm256_permute4x64_pd::<0b11011000>(t1); // m1 m3 m5 m7
-                let be = _mm256_add_pd(
-                    _mm256_mul_pd(_mm256_loadu_pd(SE0.as_ptr().add(lo)), vl0),
-                    _mm256_mul_pd(_mm256_loadu_pd(SE1.as_ptr().add(lo)), vl1),
-                );
-                let c0 = _mm256_add_pd(me, be);
-                let c1 = _mm256_sub_pd(mo, be);
-                let gt = _mm256_cmp_pd::<_CMP_GT_OQ>(c1, c0);
-                let next = next.as_mut_ptr();
-                _mm256_storeu_pd(next.add(lo), _mm256_blendv_pd(c0, c1, gt));
-                word |= (_mm256_movemask_pd(gt) as u64) << lo;
-                let d0 = _mm256_sub_pd(me, be);
-                let d1 = _mm256_add_pd(mo, be);
-                let gt1 = _mm256_cmp_pd::<_CMP_GT_OQ>(d1, d0);
-                _mm256_storeu_pd(next.add(lo + HALF), _mm256_blendv_pd(d0, d1, gt1));
-                word |= (_mm256_movemask_pd(gt1) as u64) << (lo + HALF);
+                _mm256_storeu_pd(dst.add(plus_at), _mm256_max_pd(c1, c0));
+                _mm256_storeu_pd(dst.add(minus_at), _mm256_max_pd(d1, d0));
             }
-            lo += 4;
+            word |= (_mm256_movemask_pd(odd) as u64) << plus_at;
+            word |= (_mm256_movemask_pd(odd1) as u64) << minus_at;
         }
         word
     }
@@ -556,63 +622,174 @@ mod tests {
         assert_eq!(bits, decode_terminated_reference(&llrs).unwrap());
     }
 
-    #[test]
-    fn lane_and_scalar_steps_bitwise_match() {
-        // Drive every compiled kernel over the same metric evolution and
-        // compare survivor words and metric arrays exactly. Each kernel
-        // ping-pongs its own pair of buffers, as the decoder does.
-        let mut rng = StdRng::seed_from_u64(7);
+    type Step = fn(&Metrics, &mut Metrics, f64, f64) -> u64;
+
+    /// The slot of state `s` in the σ layout: slots 1 and 2 of every
+    /// aligned block of four swapped.
+    fn sigma(s: usize) -> usize {
+        match s % 4 {
+            1 => s + 1,
+            2 => s - 1,
+            _ => s,
+        }
+    }
+
+    /// A metric's bits, every NaN mapped to one pattern: Rust leaves the
+    /// sign and payload of an arithmetic NaN unspecified, and x86 returns
+    /// the first NaN operand, so `m − b` and `m + (−b)` may disagree on a
+    /// NaN's sign.
+    fn bits(v: f64) -> u64 {
+        if v.is_nan() {
+            f64::NAN.to_bits()
+        } else {
+            v.to_bits()
+        }
+    }
+
+    /// Runs `step` from buffer `src` of `m` into the other one.
+    fn step_in(m: &mut [Metrics; 2], src: usize, step: Step, l0: f64, l1: f64) -> u64 {
+        let [m0, m1] = m;
+        if src == 0 {
+            step(m0, m1, l0, l1)
+        } else {
+            step(m1, m0, l0, l1)
+        }
+    }
+
+    /// Drives every compiled step kernel over the same LLR pairs from the
+    /// decoder's start column, ping-ponging its own two buffers as the
+    /// decoder does, and asserts that each step's survivor word and metric
+    /// column equal the scalar kernel's bit for bit. The AVX2 tier
+    /// alternates natural → σ and σ → natural steps as
+    /// `run_steps_avx2` does; its σ columns are read through [`sigma`] and
+    /// its σ survivor words through [`unsigma_word`]. NaN matches any NaN.
+    fn assert_step_tiers_match(pairs: &[(f64, f64)], what: &str) {
         let mut start = [NEG_INF; N_STATES];
         start[0] = 0.0;
-        let mut a = [start, [NEG_INF; N_STATES]];
-        let mut b = a;
+        let mut scalar = [start, [NEG_INF; N_STATES]];
+        let mut lanes = scalar;
         #[cfg(target_arch = "x86_64")]
-        let (avx2, mut c) = (std::arch::is_x86_feature_detected!("avx2"), a);
-        for step in 0..200 {
-            let l0 = rng.gen_range(-3.0..3.0);
-            let l1 = rng.gen_range(-3.0..3.0);
+        let (avx2, mut wide) = (std::arch::is_x86_feature_detected!("avx2"), scalar);
+        for (step, &(l0, l1)) in pairs.iter().enumerate() {
             let (src, dst) = (step % 2, 1 - step % 2);
-            let [a0, a1] = &mut a;
-            let [b0, b1] = &mut b;
-            let (wa, wb) = if src == 0 {
-                (
-                    ViterbiDecoder::step_lanes(a0, a1, l0, l1),
-                    ViterbiDecoder::step_scalar(b0, b1, l0, l1),
-                )
-            } else {
-                (
-                    ViterbiDecoder::step_lanes(a1, a0, l0, l1),
-                    ViterbiDecoder::step_scalar(b1, b0, l0, l1),
-                )
-            };
-            assert_eq!(wa, wb, "survivor word, step {step}");
+            let want = step_in(&mut scalar, src, ViterbiDecoder::step_scalar, l0, l1);
+            let got = step_in(&mut lanes, src, ViterbiDecoder::step_lanes, l0, l1);
+            assert_eq!(got, want, "{what}: lanes survivor word, step {step}");
             for s in 0..N_STATES {
                 assert_eq!(
-                    a[dst][s].to_bits(),
-                    b[dst][s].to_bits(),
-                    "metric {s}, step {step}"
+                    bits(lanes[dst][s]),
+                    bits(scalar[dst][s]),
+                    "{what}: lanes metric {s}, step {step}"
                 );
             }
             #[cfg(target_arch = "x86_64")]
             if avx2 {
-                let [c0, c1] = &mut c;
-                // SAFETY: AVX2 detected above.
-                let wc = unsafe {
-                    if src == 0 {
-                        ViterbiDecoder::step_avx2(c0, c1, l0, l1)
-                    } else {
-                        ViterbiDecoder::step_avx2(c1, c0, l0, l1)
-                    }
+                let to_sigma = step % 2 == 0;
+                let kernel: Step = if to_sigma {
+                    // SAFETY: AVX2 detected above.
+                    |m, n, l0, l1| unsafe { ViterbiDecoder::step_avx2::<false>(m, n, l0, l1) }
+                } else {
+                    // SAFETY: AVX2 detected above.
+                    |m, n, l0, l1| unsafe { ViterbiDecoder::step_avx2::<true>(m, n, l0, l1) }
                 };
-                assert_eq!(wc, wb, "avx2 survivor word, step {step}");
-                for s in 0..N_STATES {
+                let word = step_in(&mut wide, src, kernel, l0, l1);
+                let word = if to_sigma { unsigma_word(word) } else { word };
+                assert_eq!(word, want, "{what}: avx2 survivor word, step {step}");
+                for (s, &m) in scalar[dst].iter().enumerate() {
+                    let slot = if to_sigma { sigma(s) } else { s };
                     assert_eq!(
-                        c[dst][s].to_bits(),
-                        b[dst][s].to_bits(),
-                        "avx2 metric {s}, step {step}"
+                        bits(wide[dst][slot]),
+                        bits(m),
+                        "{what}: avx2 metric {s}, step {step}"
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn lane_and_scalar_steps_bitwise_match() {
+        // Every compiled kernel over one random metric evolution, odd and
+        // even step counts alike.
+        let mut rng = StdRng::seed_from_u64(7);
+        let pairs: Vec<(f64, f64)> = (0..201)
+            .map(|_| (rng.gen_range(-3.0..3.0), rng.gen_range(-3.0..3.0)))
+            .collect();
+        assert_step_tiers_match(&pairs, "random");
+    }
+
+    #[test]
+    fn step_tiers_match_on_ieee_edge_llrs() {
+        // Equal pairs (t = +0, so −t = −0) and both erasure zeros, then each
+        // IEEE edge value mixed with ordinary LLRs: subnormals, ±1e300,
+        // ±∞ (which turn metrics into ±∞ and then NaN) and NaN, each run
+        // from a fresh start column.
+        let mut rng = StdRng::seed_from_u64(10);
+        let mut ties: Vec<(f64, f64)> = Vec::new();
+        for k in 0..120 {
+            let r: f64 = rng.gen_range(-3.0..3.0);
+            ties.push(match k % 6 {
+                0 => (r, r),
+                1 => (0.0, 0.0),
+                2 => (-0.0, -0.0),
+                3 => (0.0, -0.0),
+                4 => (r, -r),
+                _ => (-0.0, r),
+            });
+        }
+        assert_step_tiers_match(&ties, "equal pairs and erasures");
+        let edges = [
+            f64::MIN_POSITIVE / 8.0,
+            -f64::MIN_POSITIVE * 3.0,
+            1e300,
+            -1e300,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for e in edges {
+            let pairs: Vec<(f64, f64)> = (0..64)
+                .map(|k| {
+                    let r: f64 = rng.gen_range(-3.0..3.0);
+                    match k % 5 {
+                        0 => (e, e),
+                        1 => (e, -e),
+                        2 => (r, e),
+                        3 => (-e, r),
+                        _ => (r, rng.gen_range(-3.0..3.0)),
+                    }
+                })
+                .collect();
+            assert_step_tiers_match(&pairs, &format!("edge {e:e}"));
+        }
+    }
+
+    #[test]
+    fn matches_reference_on_equal_llr_pairs() {
+        // Equal LLRs make `t = +0`, and the decoder's `−t = −0` meets the
+        // reference's `(−l0) + l1 = +0`: the decode still agrees, because
+        // no path metric is ever −0.
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut dec = ViterbiDecoder::new();
+        let mut bits = Vec::new();
+        for trial in 0..20 {
+            let n_steps = 40 + trial;
+            let llrs: Vec<f64> = (0..n_steps)
+                .flat_map(|k| {
+                    let r: f64 = rng.gen_range(-2.0..2.0);
+                    if k % 3 == 0 {
+                        [r, -r]
+                    } else {
+                        [r, r]
+                    }
+                })
+                .collect();
+            assert!(dec.decode_terminated_into(&llrs, &mut bits));
+            assert_eq!(
+                bits,
+                decode_terminated_reference(&llrs).unwrap(),
+                "trial {trial}"
+            );
         }
     }
 
@@ -625,33 +802,40 @@ mod tests {
         let steps: Vec<(f64, f64)> = (0..12_000)
             .map(|_| (rng.gen_range(-3.0..3.0), rng.gen_range(-3.0..3.0)))
             .collect();
-        type Step = fn(&Metrics, &mut Metrics, f64, f64) -> u64;
-        let mut time = |step: Step| {
+        // Even steps run `even`, odd steps `odd`, ping-ponging two buffers.
+        let mut time = |even: Step, odd: Step| {
             let t0 = std::time::Instant::now();
             let [a, b] = &mut metrics;
-            let (mut cur, mut next) = (a, b);
-            for &(l0, l1) in &steps {
-                std::hint::black_box(step(cur, next, l0, l1));
-                std::mem::swap(&mut cur, &mut next);
+            for pair in steps.chunks_exact(2) {
+                let (l0, l1) = pair[0];
+                std::hint::black_box(even(a, b, l0, l1));
+                let (l0, l1) = pair[1];
+                std::hint::black_box(odd(b, a, l0, l1));
             }
             t0.elapsed()
         };
+        let per_step = |d: std::time::Duration| d.as_nanos() as f64 / steps.len() as f64;
         for rep in 0..3 {
-            let scalar = time(ViterbiDecoder::step_scalar);
-            let lanes = time(ViterbiDecoder::step_lanes);
+            let scalar = per_step(time(
+                ViterbiDecoder::step_scalar,
+                ViterbiDecoder::step_scalar,
+            ));
+            let lanes = per_step(time(ViterbiDecoder::step_lanes, ViterbiDecoder::step_lanes));
             #[cfg(target_arch = "x86_64")]
             let avx2 = if std::arch::is_x86_feature_detected!("avx2") {
-                let step: Step = |m, n, l0, l1| {
-                    // SAFETY: AVX2 detected above.
-                    unsafe { ViterbiDecoder::step_avx2(m, n, l0, l1) }
-                };
-                format!("{:?}", time(step))
+                // SAFETY: AVX2 detected above.
+                let to_sigma: Step =
+                    |m, n, l0, l1| unsafe { ViterbiDecoder::step_avx2::<false>(m, n, l0, l1) };
+                // SAFETY: AVX2 detected above.
+                let to_natural: Step =
+                    |m, n, l0, l1| unsafe { ViterbiDecoder::step_avx2::<true>(m, n, l0, l1) };
+                format!("{:.1} ns", per_step(time(to_sigma, to_natural)))
             } else {
                 "n/a".into()
             };
             #[cfg(not(target_arch = "x86_64"))]
             let avx2 = "n/a";
-            println!("rep {rep}: scalar {scalar:?} lanes {lanes:?} avx2 {avx2}");
+            println!("rep {rep}: per step scalar {scalar:.1} ns, lanes {lanes:.1} ns, avx2 {avx2}");
         }
     }
 

@@ -12,9 +12,9 @@
 //! tracking that make that possible live in `ssync-core`.
 
 // No unsafe anywhere in this crate: the determinism contract is easier
-// to audit when the only unsafe in the workspace is ssync_phy's fenced
-// AVX2 tier and ssync_dsp's runtime-checked AVX2 dispatch sites (see
-// DESIGN.md and ssync_lint's `undocumented-unsafe` rule).
+// to audit when all of the workspace's unsafe code sits in the fenced AVX2
+// tiers of ssync_dsp and ssync_phy (see DESIGN.md, "The SIMD layer and
+// kernel tiers", and ssync_lint's `undocumented-unsafe` rule).
 #![forbid(unsafe_code)]
 
 pub mod alamouti;

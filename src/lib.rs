@@ -32,8 +32,9 @@
 //! paper-vs-measured results for every evaluation figure.
 
 // No unsafe anywhere in this crate: the determinism contract is easier
-// to audit when the only unsafe in the workspace is ssync_phy's fenced
-// AVX2 tier (see DESIGN.md and ssync_lint's `undocumented-unsafe` rule).
+// to audit when all of the workspace's unsafe code sits in the fenced AVX2
+// tiers of ssync_dsp and ssync_phy (see DESIGN.md, "The SIMD layer and
+// kernel tiers", and ssync_lint's `undocumented-unsafe` rule).
 #![forbid(unsafe_code)]
 
 pub use ssync_channel as channel;
