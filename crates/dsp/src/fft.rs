@@ -230,8 +230,12 @@ impl FftPlan {
         use std::arch::x86_64::*;
         let n = self.n;
         assert!(AVX2_SIZES.contains(&n) && buf.len() == n && self.pairs.re.len() == 2 * (n - 1));
-        let mut staged = [Complex64::ZERO; *AVX2_SIZES.end()];
-        staged[..n].copy_from_slice(buf);
+        // The input, staged unzeroed: only its first n samples are
+        // written, and only those are read.
+        let mut staged = [std::mem::MaybeUninit::<Complex64>::uninit(); *AVX2_SIZES.end()];
+        for (slot, &x) in staged.iter_mut().zip(buf.iter()) {
+            slot.write(x);
+        }
         // `Complex64` is `repr(C)`: `re` then `im`.
         let src = staged.as_ptr().cast::<f64>();
         let out = buf.as_mut_ptr().cast::<f64>();
@@ -248,7 +252,7 @@ impl FftPlan {
         for (block, rev) in self.bitrev.chunks_exact(4).enumerate() {
             let at = |k: usize| 2 * rev[k] as usize;
             // SAFETY: every bit-reversed index is below n, so each 128-bit
-            // load reads one staged sample.
+            // load reads one staged sample, written above.
             let (x02, x13) = unsafe {
                 (
                     _mm256_loadu2_m128d(src.add(at(2)), src.add(at(0))),
