@@ -7,9 +7,10 @@
 //! is fine for packet-sized messages.
 //!
 //! Viterbi decoding is the largest single stage of the benchmark's
-//! receive chain (the `rx` workload: all rates, 14–1500 B frames): 29–31 %
-//! of its time (stage timers, three runs on a 2-core x86-64 host, avx2
-//! tier). So the add-compare-select is organised for throughput while
+//! receive chain (the `rx` workload: all rates, 14–1500 B frames): 28–30 %
+//! of its time with the alternating-layout AVX2 step below, 30–31 % with
+//! the one-layout step before it (stage timers, three runs per side on a
+//! 2-core x86-64 host, avx2 tier). So the add-compare-select is organised for throughput while
 //! staying bit-identical to the straightforward reference recursion
 //! ([`decode_terminated_reference`], kept as the differential-test oracle):
 //!
