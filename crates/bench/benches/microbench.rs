@@ -5,11 +5,15 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ssync_channel::MultipathProfile;
+use ssync_core::{joint_data_waveform_into, CombineWorkspace, DataSectionSpec};
 use ssync_dsp::rng::ComplexGaussian;
 use ssync_dsp::{Complex64, FftPlan};
 use ssync_linprog::MisalignmentProblem;
 use ssync_phy::modulation::DemapTable;
-use ssync_phy::{DetectScratch, Modulation, OfdmParams, RateId, Receiver, Transmitter};
+use ssync_phy::{
+    DetectScratch, Modulation, OfdmParams, RateId, Receiver, Transmitter, TxWorkspace,
+};
+use ssync_stbc::Codeword;
 
 fn bench_fft(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(1);
@@ -88,6 +92,17 @@ fn bench_full_frame(c: &mut Criterion) {
 
     c.bench_function("tx_frame_1460B_r24", |b| {
         b.iter(|| tx.frame_waveform(&payload, RateId::R24, 0))
+    });
+
+    // The transmitter as every sender drives it: through a warm workspace
+    // into a reused waveform buffer.
+    let mut tx_ws = TxWorkspace::new(&params);
+    let mut wave = Vec::new();
+    c.bench_function("tx_frame_1460B_r12", |b| {
+        b.iter(|| {
+            tx.frame_waveform_into(&payload, RateId::R12, 0, &mut tx_ws, &mut wave);
+            wave.len()
+        })
     });
 
     let wave = tx.frame_waveform(&payload, RateId::R24, 0);
@@ -220,6 +235,33 @@ fn bench_alamouti(c: &mut Criterion) {
     });
 }
 
+/// Both Alamouti roles of a joint frame's data section, 260 B at R12,
+/// through one warm workspace: the PSDU changes every iteration, so each
+/// one codes a fresh frame and modulates both roles.
+fn bench_joint_data(c: &mut Criterion) {
+    let params = OfdmParams::dot11a();
+    let fft = FftPlan::new(params.fft_size);
+    let mut rng = StdRng::seed_from_u64(10);
+    let mut psdu: Vec<u8> = (0..260).map(|_| rng.gen()).collect();
+    let spec = DataSectionSpec {
+        rate: RateId::R12,
+        cp_len: params.cp_len,
+        smart_combiner: true,
+        pilot_sharing: true,
+    };
+    let mut ws = CombineWorkspace::new(&params);
+    let mut wave = Vec::new();
+    c.bench_function("tx_joint_data_260B_r12", |b| {
+        b.iter(|| {
+            psdu[0] = psdu[0].wrapping_add(1);
+            for role in [Codeword::A, Codeword::B] {
+                joint_data_waveform_into(&params, &fft, &psdu, role, &spec, &mut ws, &mut wave);
+            }
+            wave.len()
+        })
+    });
+}
+
 fn bench_wait_lp(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(6);
     let problem = MisalignmentProblem {
@@ -291,6 +333,6 @@ fn bench_capture_and_detect_kernels(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).warm_up_time(std::time::Duration::from_millis(300)).measurement_time(std::time::Duration::from_secs(2));
-    targets = bench_fft, bench_viterbi, bench_full_frame, bench_demap, bench_detection, bench_alamouti, bench_wait_lp, bench_fractional_delay, bench_channel_kernels, bench_capture_and_detect_kernels
+    targets = bench_fft, bench_viterbi, bench_full_frame, bench_demap, bench_detection, bench_alamouti, bench_joint_data, bench_wait_lp, bench_fractional_delay, bench_channel_kernels, bench_capture_and_detect_kernels
 }
 criterion_main!(benches);

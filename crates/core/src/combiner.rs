@@ -11,7 +11,7 @@
 
 use crate::jce::{role_pilot_phase, RoleChannels};
 use ssync_dsp::{Complex64, FftPlan};
-use ssync_phy::frame::DecodeScratch;
+use ssync_phy::frame::{DecodeScratch, EncodeScratch};
 use ssync_phy::workspace::{DemapTables, TxWorkspace};
 use ssync_phy::{frame, ofdm, Params, RateId};
 use ssync_stbc::{encode_pair, Codeword};
@@ -78,14 +78,19 @@ impl CombineWorkspace {
 }
 
 /// The transmit side of a [`CombineWorkspace`]: the frame the section was
-/// built for, its encoding (padded to whole Alamouti pairs), each role's
-/// waveform once built, and the modulator scratch that builds them.
+/// built for, its constellation points (padded to whole Alamouti pairs),
+/// each role's waveform once built, and the encoder and modulator scratch
+/// that builds them.
 #[derive(Debug, Clone)]
 struct DataSection {
     /// `None` until the first frame.
     key: Option<(Params, DataSectionSpec)>,
     psdu: Vec<u8>,
-    symbols: Vec<Vec<Complex64>>,
+    /// The frame's points, `n_data` per OFDM symbol, symbol after symbol;
+    /// an odd count gets a zero symbol.
+    points: Vec<Complex64>,
+    /// Bit-pipeline scratch behind `points`.
+    encode: EncodeScratch,
     /// Waveforms of roles A and B; `built[r]` says whether `waves[r]`
     /// belongs to the keyed frame.
     waves: [Vec<Complex64>; 2],
@@ -102,7 +107,8 @@ impl DataSection {
         DataSection {
             key: None,
             psdu: Vec::new(),
-            symbols: Vec::new(),
+            points: Vec::new(),
+            encode: EncodeScratch::new(),
             waves: [Vec::new(), Vec::new()],
             built: [false; 2],
             tx: TxWorkspace::new(params),
@@ -129,9 +135,14 @@ impl DataSection {
             self.key = Some((Arc::clone(params), *spec));
             self.psdu.clear();
             self.psdu.extend_from_slice(psdu);
-            self.symbols = frame::encode_data(params, psdu, spec.rate);
-            if self.symbols.len() % 2 == 1 {
-                self.symbols.push(vec![Complex64::ZERO; params.n_data()]);
+            let coded = frame::encode_data_with(params, psdu, spec.rate, &mut self.encode);
+            self.points.clear();
+            for s in 0..coded.len() {
+                self.points.extend(coded.points(s));
+            }
+            if coded.len() % 2 == 1 {
+                self.points
+                    .resize(self.points.len() + params.n_data(), Complex64::ZERO);
             }
             self.built = [false; 2];
         }
@@ -157,7 +168,7 @@ impl DataSection {
         r: usize,
     ) {
         let DataSection {
-            symbols,
+            points,
             waves,
             tx,
             s0,
@@ -172,20 +183,21 @@ impl DataSection {
         } = *spec;
         let out = &mut waves[r];
         out.clear();
-        for (pair_idx, pair) in symbols.chunks(2).enumerate() {
-            let (x0, x1) = (&pair[0], &pair[1]);
-            s0.clear();
-            s1.clear();
-            if smart_combiner {
-                for k in 0..params.n_data() {
-                    let (a, b) = encode_pair(role, x0[k], x1[k]);
+        let n_data = params.n_data();
+        for (pair_idx, pair) in points.chunks_exact(2 * n_data).enumerate() {
+            let (x0, x1) = pair.split_at(n_data);
+            let (d0, d1) = if smart_combiner {
+                s0.clear();
+                s1.clear();
+                for (&a, &b) in x0.iter().zip(x1) {
+                    let (a, b) = encode_pair(role, a, b);
                     s0.push(a);
                     s1.push(b);
                 }
+                (&s0[..], &s1[..])
             } else {
-                s0.extend_from_slice(x0);
-                s1.extend_from_slice(x1);
-            }
+                (x0, x1)
+            };
             let even_idx = 2 * pair_idx;
             let odd_idx = 2 * pair_idx + 1;
             // Shared pilots: role A on even symbols, role B on odd. Without
@@ -198,8 +210,8 @@ impl DataSection {
             } else {
                 (true, true)
             };
-            ofdm::modulate_symbol_append(params, fft, s0, even_idx, cp_len, pilots_even, tx, out);
-            ofdm::modulate_symbol_append(params, fft, s1, odd_idx, cp_len, pilots_odd, tx, out);
+            ofdm::modulate_symbol_append(params, fft, d0, even_idx, cp_len, pilots_even, tx, out);
+            ofdm::modulate_symbol_append(params, fft, d1, odd_idx, cp_len, pilots_odd, tx, out);
         }
     }
 }

@@ -9,6 +9,11 @@
 //! detection-delay estimator (paper §4.2) recovers precisely this fractional
 //! shift from the channel phase slope, so the fidelity of this module is what
 //! makes the Fig. 12 sync-error experiment meaningful.
+//!
+//! The interpolation and the channel's multipath taps run through one
+//! gather convolution, [`convolve_gather`]: each output summed from zero
+//! over ascending input, in blocks of independent accumulators whose width
+//! is fixed per tap type ([`GatherTap`]) by measurement on the AVX2 tier.
 
 use crate::complex::Complex64;
 use crate::simd::SIMD_ENABLED;
@@ -51,10 +56,6 @@ fn blackman(i: usize, n: usize) -> f64 {
 
 /// Number of taps in the windowed-sinc interpolation kernel.
 const TAPS: usize = 2 * SINC_HALF_WIDTH;
-
-/// Outputs per block of [`convolve_gather`]: one independent accumulator
-/// each, so the per-output additions of consecutive taps do not chain.
-const BLOCK: usize = 8;
 
 /// The windowed-sinc kernel for a fractional delay `mu` in `[0, 1)`.
 ///
@@ -199,50 +200,104 @@ pub fn fractional_delay_span(
 /// `Complex64 * f64` being [`Complex64::scale`]. That order is part of the
 /// bit-identity contract: every pinned capture was produced by summing in
 /// it (`tests::scatter_oracle` keeps the per-input loop as the reference).
-/// Outputs with every tap inside the signal run in blocks of eight
-/// independent accumulators in the native (re, im) layout; the edges take
-/// a plain loop in the same order. Outputs past the end of the
-/// convolution are zero.
+/// Outputs with every tap inside the signal run in blocks of independent
+/// accumulators in the native (re, im) layout, as many per block as the
+/// tap type's [`GatherTap`] width; the edges take a plain loop in the
+/// same order. Outputs past the end of the convolution are zero. The
+/// block width changes only which outputs are summed side by side, never
+/// an output's sum, so every width gives the same bits.
 ///
 /// On x86-64 hosts with AVX2 (and the `simd` feature) the same source runs
 /// compiled for 256-bit registers; the bits are the same either way.
 ///
 /// # Panics
 /// Panics if `taps` is empty.
-pub fn convolve_gather<T>(signal: &[Complex64], taps: &[T], first: usize, out: &mut [Complex64])
-where
+pub fn convolve_gather<T: GatherTap>(
+    signal: &[Complex64],
+    taps: &[T],
+    first: usize,
+    out: &mut [Complex64],
+) {
+    assert!(!taps.is_empty(), "convolution needs at least one tap");
+    T::convolve(signal, taps, first, out);
+}
+
+/// A tap type of [`convolve_gather`], with the block width measured for
+/// it on the AVX2 tier: the 32-tap windowed sinc runs 24 outputs per
+/// block (8 leave it bound by the latency of four accumulator chains,
+/// 32 spill registers), the few-tap complex multipath 16 (8, 24 and 32
+/// are slower).
+pub trait GatherTap: Copy {
+    /// [`convolve_gather`] at this tap type's block width.
+    #[doc(hidden)]
+    fn convolve(signal: &[Complex64], taps: &[Self], first: usize, out: &mut [Complex64]);
+}
+
+/// Outputs per block for `f64` (windowed-sinc) taps.
+const REAL_TAP_BLOCK: usize = 24;
+
+/// Outputs per block for `Complex64` (multipath) taps.
+const COMPLEX_TAP_BLOCK: usize = 16;
+
+impl GatherTap for f64 {
+    fn convolve(signal: &[Complex64], taps: &[f64], first: usize, out: &mut [Complex64]) {
+        convolve_dispatch::<f64, REAL_TAP_BLOCK>(signal, taps, first, out);
+    }
+}
+
+impl GatherTap for Complex64 {
+    fn convolve(signal: &[Complex64], taps: &[Complex64], first: usize, out: &mut [Complex64]) {
+        convolve_dispatch::<Complex64, COMPLEX_TAP_BLOCK>(signal, taps, first, out);
+    }
+}
+
+/// Dispatches to the AVX2 twin or the portable body.
+#[inline]
+fn convolve_dispatch<T, const B: usize>(
+    signal: &[Complex64],
+    taps: &[T],
+    first: usize,
+    out: &mut [Complex64],
+) where
     T: Copy,
     Complex64: Mul<T, Output = Complex64>,
 {
-    assert!(!taps.is_empty(), "convolution needs at least one tap");
     #[cfg(target_arch = "x86_64")]
     if SIMD_ENABLED && std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: AVX2 support was just verified at runtime, and the twin
         // only compiles the portable body for it.
         #[allow(unsafe_code)]
         unsafe {
-            convolve_avx2(signal, taps, first, out)
+            convolve_avx2::<T, B>(signal, taps, first, out)
         };
         return;
     }
-    convolve_body(signal, taps, first, out);
+    convolve_body::<T, B>(signal, taps, first, out);
 }
 
 /// [`convolve_body`] compiled for AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn convolve_avx2<T>(signal: &[Complex64], taps: &[T], first: usize, out: &mut [Complex64])
-where
+fn convolve_avx2<T, const B: usize>(
+    signal: &[Complex64],
+    taps: &[T],
+    first: usize,
+    out: &mut [Complex64],
+) where
     T: Copy,
     Complex64: Mul<T, Output = Complex64>,
 {
-    convolve_body(signal, taps, first, out);
+    convolve_body::<T, B>(signal, taps, first, out);
 }
 
-/// The portable body of [`convolve_gather`].
+/// The portable body of [`convolve_gather`], `B` outputs per block.
 #[inline(always)]
-fn convolve_body<T>(signal: &[Complex64], taps: &[T], first: usize, out: &mut [Complex64])
-where
+fn convolve_body<T, const B: usize>(
+    signal: &[Complex64],
+    taps: &[T],
+    first: usize,
+    out: &mut [Complex64],
+) where
     T: Copy,
     Complex64: Mul<T, Output = Complex64>,
 {
@@ -263,18 +318,18 @@ where
         out[t - first] = edge(t);
     }
     let mut t = full_lo;
-    while t + BLOCK <= full_hi {
-        let mut acc = [Complex64::ZERO; BLOCK];
+    while t + B <= full_hi {
+        let mut acc = [Complex64::ZERO; B];
         for (j, &h) in taps.iter().enumerate().rev() {
-            let src: &[Complex64; BLOCK] = signal[t - j..t - j + BLOCK]
+            let src: &[Complex64; B] = signal[t - j..t - j + B]
                 .try_into()
-                .expect("block of BLOCK samples");
+                .expect("block of B samples");
             for (a, s) in acc.iter_mut().zip(src) {
                 *a += *s * h;
             }
         }
-        out[t - first..t - first + BLOCK].copy_from_slice(&acc);
-        t += BLOCK;
+        out[t - first..t - first + B].copy_from_slice(&acc);
+        t += B;
     }
     for t in t..end {
         out[t - first] = edge(t);
@@ -489,6 +544,8 @@ mod tests {
             }
             acc
         };
+        // The block width it ran with.
+        const BLOCK: usize = 8;
         let full_lo = (taps.len() - 1).clamp(span.start, span.end);
         let full_hi = input.len().clamp(full_lo, span.end);
         let mut out: Vec<Complex64> = (span.start..full_lo).map(edge).collect();
@@ -529,7 +586,8 @@ mod tests {
     /// Outputs `first..first + len` of `signal ∗ taps` through every tier:
     /// the portable body, the AVX2 twin when the host has it, and the
     /// dispatched entry point; asserts they agree and returns the body's.
-    fn convolve_tiers<T>(
+    /// `B` is the production block width of `T`.
+    fn convolve_tiers<T, const B: usize>(
         signal: &[Complex64],
         taps: &[T],
         first: usize,
@@ -538,11 +596,11 @@ mod tests {
         what: &str,
     ) -> Vec<Complex64>
     where
-        T: Copy,
+        T: GatherTap,
         Complex64: Mul<T, Output = Complex64>,
     {
         let mut body = vec![Complex64::J; len];
-        convolve_body(signal, taps, first, &mut body);
+        convolve_body::<T, B>(signal, taps, first, &mut body);
         let mut dispatched = vec![Complex64::ONE; len];
         convolve_gather(signal, taps, first, &mut dispatched);
         tier_test::assert_same_bits(&dispatched, &body, &format!("{what}: dispatched"));
@@ -552,7 +610,7 @@ mod tests {
             // SAFETY: the caller checked that the host has AVX2.
             #[allow(unsafe_code)]
             unsafe {
-                convolve_avx2(signal, taps, first, &mut twin)
+                convolve_avx2::<T, B>(signal, taps, first, &mut twin)
             };
             tier_test::assert_same_bits(&twin, &body, &format!("{what}: avx2"));
         }
@@ -580,8 +638,75 @@ mod tests {
                 }
                 for (lo, hi) in spans(&mut rng, len, TAPS) {
                     let what = format!("n {n} span [{lo}, {hi})");
-                    let got = convolve_tiers(&x, &kernel, lo, hi - lo, avx2, &what);
+                    let got = convolve_tiers::<f64, REAL_TAP_BLOCK>(
+                        &x,
+                        &kernel,
+                        lo,
+                        hi - lo,
+                        avx2,
+                        &what,
+                    );
                     tier_test::assert_same_bits(&got, &whole[lo..hi], &what);
+                }
+            }
+        }
+        // Spans and full-tap runs of b − 1, b, b + 1 and 2b + 3 outputs
+        // for each tap type's block width b, starting at either edge, at
+        // the first full-tap output and inside the full-tap run.
+        let block_spans = |len: usize, n_taps: usize, b: usize| {
+            let mut spans = Vec::new();
+            for w in [b - 1, b, b + 1, 2 * b + 3] {
+                for lo in [0, n_taps - 1, n_taps, n_taps + b / 2, len.saturating_sub(w)] {
+                    if lo + w <= len {
+                        spans.push((lo, lo + w));
+                    }
+                }
+            }
+            spans
+        };
+        let (b, taps) = (REAL_TAP_BLOCK, &kernel);
+        for n in [
+            TAPS - 1 + b - 1,
+            TAPS - 1 + b,
+            TAPS - 1 + b + 1,
+            TAPS - 1 + 2 * b + 3,
+        ] {
+            let x = tier_test::samples(&mut rng, n, false);
+            let len = n + TAPS - 1;
+            let mut whole = vec![Complex64::ZERO; len];
+            for (i, s) in x.iter().enumerate() {
+                for (j, k) in taps.iter().enumerate() {
+                    whole[i + j] += s.scale(*k);
+                }
+            }
+            for (lo, hi) in block_spans(len, TAPS, b) {
+                let what = format!("real n {n} span [{lo}, {hi})");
+                let got = convolve_tiers::<f64, REAL_TAP_BLOCK>(&x, taps, lo, hi - lo, avx2, &what);
+                tier_test::assert_same_bits(&got, &whole[lo..hi], &what);
+            }
+        }
+        let b = COMPLEX_TAP_BLOCK;
+        for n_taps in [1usize, 5, 9] {
+            let taps = tier_test::samples(&mut rng, n_taps, false);
+            for n in [
+                n_taps - 1 + b - 1,
+                n_taps - 1 + b,
+                n_taps + b,
+                n_taps + 2 * b + 2,
+            ] {
+                let x = tier_test::samples(&mut rng, n, false);
+                let len = n + n_taps - 1;
+                for (lo, hi) in block_spans(len, n_taps, b) {
+                    let what = format!("complex taps {n_taps} n {n} span [{lo}, {hi})");
+                    let got = convolve_tiers::<Complex64, COMPLEX_TAP_BLOCK>(
+                        &x,
+                        &taps,
+                        lo,
+                        hi - lo,
+                        avx2,
+                        &what,
+                    );
+                    tier_test::assert_same_bits(&got, &multipath_oracle(&x, &taps, lo..hi), &what);
                 }
             }
         }
@@ -603,7 +728,14 @@ mod tests {
                     let len = n + n_taps - 1;
                     for (lo, hi) in spans(&mut rng, len, n_taps) {
                         let what = format!("taps {n_taps} n {n} span [{lo}, {hi})");
-                        let got = convolve_tiers(&x, &taps, lo, hi - lo, avx2, &what);
+                        let got = convolve_tiers::<Complex64, COMPLEX_TAP_BLOCK>(
+                            &x,
+                            &taps,
+                            lo,
+                            hi - lo,
+                            avx2,
+                            &what,
+                        );
                         let want = multipath_oracle(&x, &taps, lo..hi);
                         tier_test::assert_same_bits(&got, &want, &what);
                     }

@@ -357,7 +357,7 @@ impl FftPlan {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[inline]
-fn cmul(
+pub(crate) fn cmul(
     b: std::arch::x86_64::__m256d,
     wr: std::arch::x86_64::__m256d,
     wi: std::arch::x86_64::__m256d,

@@ -28,8 +28,9 @@
 // `correlate::normalized_cross_correlate_into` call an
 // `#[target_feature(enable = "avx2")]` twin of their portable body once
 // `is_x86_feature_detected!("avx2")` holds; the twins write no
-// intrinsics, so the bits are the portable body's. `FftPlan` dispatches
-// the same way to its one intrinsics kernel, `fft::FftPlan::transform_avx2`,
+// intrinsics, so the bits are the portable body's. `FftPlan` and
+// `mixer::apply_cfo_from` dispatch the same way to their intrinsics
+// kernels, `fft::FftPlan::transform_avx2` and `mixer::mix_blocks_avx2`,
 // whose raw-pointer loads and stores each carry their bounds argument.
 // Every such site carries `#[allow(unsafe_code)]` and a `// SAFETY:`
 // comment (see DESIGN.md, "The SIMD layer and kernel tiers", and

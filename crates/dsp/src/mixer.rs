@@ -14,8 +14,16 @@
 //! rotor `cis(4·step)`. A span that starts inside a block replays the
 //! recurrence from that block's anchor, so a sample's bits depend only on
 //! its absolute index: every partition of a stream into spans gives the
-//! bits of rotating the whole stream. The lanes and scalar tiers do the
-//! same multiplies in the same order.
+//! bits of rotating the whole stream.
+//!
+//! **Tiers.** Three kernels do the same multiplies in the same order, so
+//! each sample gets the same bits from any of them: the scalar tier (the
+//! `--no-default-features` build), the lanes tier (four lanes of one
+//! block as a `C64x4`), and, on x86-64 hosts with AVX2, an intrinsics
+//! kernel on the interleaved samples that advances the rotor chains of
+//! four whole blocks side by side and forms each product with
+//! `vaddsubpd` (the span's partial blocks at either end go through the
+//! lanes tier).
 
 use crate::complex::Complex64;
 use crate::simd::{C64x4, LANES, SIMD_ENABLED};
@@ -91,6 +99,85 @@ fn mix_lanes(samples: &mut [Complex64], step: f64, origin: f64, first: usize) {
     }
 }
 
+/// The AVX2 tier: the whole blocks of the span through
+/// [`mix_blocks_avx2`], four at a time, and the partial blocks at either
+/// end through [`mix_lanes`]. Every sample is rotated by the phasor the
+/// other tiers give it, so the split changes no bit.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn mix_avx2(samples: &mut [Complex64], step: f64, origin: f64, first: usize) {
+    let end = first + samples.len();
+    let lo = first.next_multiple_of(BLOCK).min(end);
+    let hi = (end - end % BLOCK).max(lo);
+    let rotor = Complex64::cis(LANES as f64 * step);
+    let (head, rest) = samples.split_at_mut(lo - first);
+    let (whole, tail) = rest.split_at_mut(hi - lo);
+    mix_lanes(head, step, origin, first);
+    let mut quads = whole.chunks_exact_mut(4 * BLOCK);
+    let mut at = lo;
+    for quad in &mut quads {
+        mix_blocks_avx2::<4>(quad, step, origin, at, rotor);
+        at += 4 * BLOCK;
+    }
+    for block in quads.into_remainder().chunks_exact_mut(BLOCK) {
+        mix_blocks_avx2::<1>(block, step, origin, at, rotor);
+        at += BLOCK;
+    }
+    mix_lanes(tail, step, origin, hi);
+}
+
+/// Rotates `N` consecutive whole blocks starting at absolute index
+/// `anchor` (a multiple of [`BLOCK`]) on interleaved samples: two samples
+/// per 256-bit register, the rotor chains of the `N` blocks advanced side
+/// by side so their multiplies overlap. Each product is
+/// [`crate::fft::cmul`]'s `vaddsubpd` form of `Complex64`'s `*`, its
+/// imaginary addends commuted, which IEEE addition allows bit for bit;
+/// each sample gets its block's anchor and the same rotor multiplies, in
+/// the same order, as in [`mix_scalar`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+// The raw-pointer loads and stores below; each carries its bounds
+// argument in a SAFETY comment.
+#[allow(unsafe_code)]
+fn mix_blocks_avx2<const N: usize>(
+    samples: &mut [Complex64],
+    step: f64,
+    origin: f64,
+    anchor: usize,
+    rotor: Complex64,
+) {
+    use crate::fft::cmul;
+    use std::arch::x86_64::*;
+    assert!(samples.len() == N * BLOCK && anchor % BLOCK == 0);
+    let (rr, ri) = (_mm256_set1_pd(rotor.re), _mm256_set1_pd(rotor.im));
+    // Lanes 0–1 and 2–3 of each block's phasors, one register each.
+    let mut p = [[_mm256_setzero_pd(); 2]; N];
+    for (n, pn) in p.iter_mut().enumerate() {
+        let a = phasors_at(anchor + n * BLOCK, step, origin, rotor);
+        *pn = [
+            _mm256_setr_pd(a[0].re, a[0].im, a[1].re, a[1].im),
+            _mm256_setr_pd(a[2].re, a[2].im, a[3].re, a[3].im),
+        ];
+    }
+    // `Complex64` is `repr(C)`: `re` then `im`.
+    let buf = samples.as_mut_ptr().cast::<f64>();
+    for group in 0..BLOCK / LANES {
+        for (n, pn) in p.iter_mut().enumerate() {
+            for (half, ph) in pn.iter_mut().enumerate() {
+                let at = 2 * (n * BLOCK + group * LANES + 2 * half);
+                let (pr, pi) = (_mm256_movedup_pd(*ph), _mm256_permute_pd::<0b1111>(*ph));
+                // SAFETY: `at + 4 ≤ 2·N·BLOCK`, the buffer's length in
+                // `f64`s (asserted above): the two samples at `at / 2`.
+                unsafe {
+                    let x = buf.add(at);
+                    _mm256_storeu_pd(x, cmul(_mm256_loadu_pd(x), pr, pi));
+                }
+                *ph = cmul(*ph, rr, ri);
+            }
+        }
+    }
+}
+
 /// Rotates `samples[k]` by
 /// `e^{j2π·cfo_hz·((first + k) + phase_origin)/sample_rate_hz}` in place.
 ///
@@ -109,6 +196,15 @@ pub fn apply_cfo_from(
     first: usize,
 ) {
     let step = 2.0 * PI * cfo_hz / sample_rate_hz;
+    #[cfg(target_arch = "x86_64")]
+    if SIMD_ENABLED && std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 support was just verified at runtime.
+        #[allow(unsafe_code)]
+        unsafe {
+            mix_avx2(samples, step, phase_origin, first)
+        };
+        return;
+    }
     if SIMD_ENABLED {
         mix_lanes(samples, step, phase_origin, first);
     } else {
@@ -124,6 +220,9 @@ pub fn apply_cfo(samples: &mut [Complex64], cfo_hz: f64, sample_rate_hz: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simd::tier_test;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     /// A mixing kernel tier.
     type Kernel = fn(&mut [Complex64], f64, f64, usize);
@@ -301,6 +400,75 @@ mod tests {
                 for (k, (a, b)) in span.iter().zip(&whole[lo..hi]).enumerate() {
                     assert_eq!(a.re.to_bits(), b.re.to_bits(), "{name} [{lo}, {hi}) k {k}");
                     assert_eq!(a.im.to_bits(), b.im.to_bits(), "{name} [{lo}, {hi}) k {k}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn avx2_mixer_bitwise_matches_lanes_and_scalar() {
+        // Every span start 0–130 (inside a group, on and off the block
+        // grid) through the AVX2 kernel, against the scalar tier's
+        // rotation of the whole stream (which the lanes tier matches):
+        // integer and fractional origins, ±CFO and zero CFO, and IEEE
+        // edge values in the samples. The first two cases take every
+        // length 0–300 (partial blocks, one to four whole blocks, both
+        // ends unaligned), the others the lengths around the block sizes;
+        // at those, the lanes and scalar tiers and the dispatched entry
+        // point also rotate each span on its own.
+        let avx2 = tier_test::host_has_avx2("avx2_mixer_bitwise_matches_lanes_and_scalar");
+        let mut rng = StdRng::seed_from_u64(36);
+        let rate_hz = 20e6;
+        let around_blocks = [0, 1, 3, 4, 5, 63, 64, 65, 127, 128, 191, 255, 256, 257, 300];
+        for (case, (cfo_hz, origin)) in [
+            (173.5e3, 0.731),
+            (-211.9e3, -3.0),
+            (173.5e3, 5.0),
+            (-211.9e3, 0.731),
+            (0.0, 0.731),
+            (0.0, 0.0),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let stream = tier_test::samples(&mut rng, 431, true);
+            let step = 2.0 * PI * cfo_hz / rate_hz;
+            let mut whole = stream.clone();
+            mix_scalar(&mut whole, step, origin, 0);
+            let mut lanes = stream.clone();
+            mix_lanes(&mut lanes, step, origin, 0);
+            tier_test::assert_same_bits(&lanes, &whole, "whole stream: lanes");
+            for first in 0..=130 {
+                for len in 0..=300 {
+                    let every_length = case < 2;
+                    if !every_length && !around_blocks.contains(&len) {
+                        continue;
+                    }
+                    let what = format!("cfo {cfo_hz} origin {origin} [{first}, +{len})");
+                    let span = &stream[first..first + len];
+                    let want = &whole[first..first + len];
+                    #[cfg(target_arch = "x86_64")]
+                    if avx2 {
+                        let mut twin = span.to_vec();
+                        // SAFETY: AVX2 detected above.
+                        #[allow(unsafe_code)]
+                        unsafe {
+                            mix_avx2(&mut twin, step, origin, first)
+                        };
+                        tier_test::assert_same_bits(&twin, want, &format!("{what}: avx2"));
+                    }
+                    if !around_blocks.contains(&len) {
+                        continue;
+                    }
+                    let tiers: [(&str, Kernel); 2] = [("lanes", mix_lanes), ("scalar", mix_scalar)];
+                    for (name, kernel) in tiers {
+                        let mut got = span.to_vec();
+                        kernel(&mut got, step, origin, first);
+                        tier_test::assert_same_bits(&got, want, &format!("{what}: {name}"));
+                    }
+                    let mut api = span.to_vec();
+                    apply_cfo_from(&mut api, cfo_hz, rate_hz, origin, first);
+                    tier_test::assert_same_bits(&api, want, &format!("{what}: dispatched"));
                 }
             }
         }

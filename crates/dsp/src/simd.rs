@@ -23,8 +23,9 @@
 //! lag loop through AVX2 twins: `#[target_feature(enable = "avx2")]`
 //! functions that call the kernel's `#[inline(always)]` portable body, so
 //! the same source is compiled for 256-bit registers with the same IEEE
-//! operations. The FFT's AVX2 path is written in intrinsics instead
-//! (`fft.rs`). The `tier_test` fixtures below serve their tier tests.
+//! operations. The FFT's AVX2 path and the CFO mixer's AVX2 kernel are
+//! written in intrinsics instead (`fft.rs`, `mixer.rs`). The `tier_test`
+//! fixtures below serve their tier tests.
 
 use crate::complex::Complex64;
 

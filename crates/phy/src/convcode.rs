@@ -38,6 +38,60 @@ pub fn encode_half(bits: &[u8]) -> Vec<u8> {
     out
 }
 
+/// The rate-1/2 outputs of four input bits from each encoder state:
+/// entry `state << 4 | nibble` holds, from bit 0 up, the (g0, g1) pair of
+/// the nibble's bit 0, then of its bit 1, 2 and 3 — [`encode_half`]'s
+/// order.
+const NIBBLE_OUT: [u8; N_STATES * 16] = {
+    let mut t = [0u8; N_STATES * 16];
+    let mut e = 0;
+    while e < t.len() {
+        let (mut state, nibble) = ((e >> 4) as u8, e as u8 & 15);
+        let mut i = 0;
+        while i < 4 {
+            let b = (nibble >> i) & 1;
+            let reg = (b << 6) | state;
+            t[e] |= ((reg & G0).count_ones() as u8 & 1) << (2 * i);
+            t[e] |= ((reg & G1).count_ones() as u8 & 1) << (2 * i + 1);
+            state = ((state >> 1) | (b << 5)) & 0x3F;
+            i += 1;
+        }
+        e += 1;
+    }
+    t
+};
+
+/// The eight bits of each byte, bit 0 first, one per `u8`.
+const UNPACKED: [[u8; 8]; 256] = {
+    let mut t = [[0u8; 8]; 256];
+    let mut v = 0;
+    while v < 256 {
+        let mut k = 0;
+        while k < 8 {
+            t[v][k] = (v >> k) as u8 & 1;
+            k += 1;
+        }
+        v += 1;
+    }
+    t
+};
+
+/// [`encode_half`] on a packed input, four input bits per table lookup:
+/// bit `k` of `bytes[j]` is input bit `8j + k`, and `out` (cleared and
+/// refilled) gets [`encode_half`]'s 16 coded bits per input byte, one per
+/// `u8`. The encoder starts in state 0.
+pub(crate) fn encode_half_bytes(bytes: &[u8], out: &mut Vec<u8>) {
+    out.clear();
+    let mut state = 0usize;
+    for &byte in bytes {
+        for nibble in [byte & 15, byte >> 4] {
+            out.extend_from_slice(&UNPACKED[NIBBLE_OUT[(state << 4) | nibble as usize] as usize]);
+            // Four bits shifted in: the state's top two bits and the nibble.
+            state = (state >> 4) | ((nibble as usize) << 2);
+        }
+    }
+}
+
 /// The puncturing pattern for a code rate: `true` = transmit, `false` = drop.
 /// Patterns follow 802.11a §17.3.5.6 over the (A,B) interleaved stream.
 pub fn puncture_pattern(rate: CodeRate) -> &'static [bool] {
@@ -123,6 +177,31 @@ mod tests {
         let cx = encode_half(&xor);
         for i in 0..ca.len() {
             assert_eq!(cx[i], ca[i] ^ cb[i]);
+        }
+    }
+
+    #[test]
+    fn byte_encoder_matches_bit_encoder() {
+        // Every state transition shows up in a long random stream; the
+        // short lengths cover the first bytes from state 0.
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for len in [0usize, 1, 2, 3, 17, 600] {
+            let bytes: Vec<u8> = (0..len)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    x as u8
+                })
+                .collect();
+            let bits: Vec<u8> = bytes
+                .iter()
+                .flat_map(|b| (0..8).map(move |k| (b >> k) & 1))
+                .collect();
+            let want = encode_half(&bits);
+            let mut got = Vec::new();
+            encode_half_bytes(&bytes, &mut got);
+            assert_eq!(got, want, "len {len}");
         }
     }
 

@@ -38,7 +38,8 @@ pub fn crc32(data: &[u8]) -> u32 {
 
 /// Appends the CRC-32 of `data` (little-endian) and returns the framed copy.
 pub fn append_crc(data: &[u8]) -> Vec<u8> {
-    let mut out = data.to_vec();
+    let mut out = Vec::with_capacity(data.len() + 4);
+    out.extend_from_slice(data);
     out.extend_from_slice(&crc32(data).to_le_bytes());
     out
 }

@@ -34,13 +34,19 @@ pub const FLAG_JOINT: u8 = 0b001;
 impl SignalField {
     /// Serialises to the 24 SIGNAL bits (before coding).
     pub fn to_bits(&self) -> Vec<u8> {
-        let mut bits = Vec::with_capacity(24);
-        push_bits(&mut bits, self.rate.to_index() as u32, 4);
-        push_bits(&mut bits, self.length as u32, 16);
-        push_bits(&mut bits, (self.flags & 0b111) as u32, 3);
-        let ones: u32 = bits.iter().map(|b| *b as u32).sum();
-        bits.push((ones % 2) as u8); // even parity over the whole word
-        bits
+        let word = self.air_word();
+        (0..24).map(|i| ((word >> i) & 1) as u8).collect()
+    }
+
+    /// The 24 SIGNAL bits packed in transmit order, bit `i` of the word
+    /// being bit `i` on the air: rate (4 bits), length (16) and flags (3),
+    /// each most significant bit first, then even parity over the word.
+    fn air_word(self) -> u32 {
+        let fields = ((self.rate.to_index() as u32) << 19)
+            | ((self.length as u32) << 3)
+            | (self.flags & 0b111) as u32;
+        let msb_first = (fields << 1) | (fields.count_ones() % 2);
+        (0..24).fold(0, |w, i| w | (((msb_first >> (23 - i)) & 1) << i))
     }
 
     /// Parses 24 SIGNAL bits; `None` on bad parity or unknown rate.
@@ -60,12 +66,6 @@ impl SignalField {
             length,
             flags,
         })
-    }
-}
-
-fn push_bits(out: &mut Vec<u8>, value: u32, n: usize) {
-    for i in (0..n).rev() {
-        out.push(((value >> i) & 1) as u8);
     }
 }
 
@@ -105,7 +105,9 @@ pub fn n_signal_symbols(params: &OfdmParams) -> usize {
 }
 
 /// Encodes the SIGNAL field into constellation points, one `Vec` per OFDM
-/// symbol (each of length `n_data()`).
+/// symbol (each of length `n_data()`), one bit per `u8` through every
+/// stage. The reference [`encode_signal_with`] is tested against; no
+/// production path calls it.
 pub fn encode_signal(params: &OfdmParams, sig: &SignalField) -> Vec<Vec<Complex64>> {
     let cbps = params.coded_bits_per_symbol(Modulation::Bpsk);
     let n_syms = n_signal_symbols(params);
@@ -239,10 +241,13 @@ pub fn decode_signal_with(scratch: &mut DecodeScratch) -> Option<SignalField> {
     SignalField::from_bits(&scratch.bits)
 }
 
-/// The DATA-field bit pipeline of one frame, transmit side.
+/// The DATA-field bit pipeline of one frame, transmit side, one bit per
+/// `u8` through every stage.
 ///
 /// Returns constellation points grouped per OFDM symbol. `psdu` is the MAC
 /// frame (the PHY does not add a CRC here; the MAC/[`crate::tx`] helpers do).
+/// The reference [`encode_data_with`] is tested against; no production
+/// path calls it.
 pub fn encode_data(params: &OfdmParams, psdu: &[u8], rate: RateId) -> Vec<Vec<Complex64>> {
     let m = rate.modulation();
     let cbps = params.coded_bits_per_symbol(m);
@@ -270,6 +275,155 @@ pub fn encode_data(params: &OfdmParams, psdu: &[u8], rate: RateId) -> Vec<Vec<Co
         .chunks(cbps)
         .map(|chunk| modulation::map_bits(m, &il.interleave(chunk)))
         .collect()
+}
+
+/// Reusable scratch for the transmit-side bit pipelines: the frame's
+/// packed data bits and rate-1/2 mother-code stream, the per-rate gather
+/// tables and the constellation tables, so [`encode_signal_with`] and
+/// [`encode_data_with`] allocate nothing once warm (workspaces embed one;
+/// see [`crate::workspace::TxWorkspace`]).
+///
+/// A frame is coded in one pass per stage: the SERVICE + PSDU bytes are
+/// scrambled a byte at a time from the constant PRBS, the convolutional
+/// code runs four bits per table lookup into a packed mother-code stream,
+/// and [`CodedSymbols::points`] gathers each carrier's bits straight from
+/// that stream — through the receiver's placement table for the rate, read
+/// as a gather (interleaved position `carrier·bps + bit` → the mother-code
+/// bit it carries) — and looks its point up in a table that
+/// [`modulation::map_symbol`] built. Puncturing and interleaving are that
+/// table; no intermediate bit vector is formed.
+#[derive(Debug, Clone, Default)]
+pub struct EncodeScratch {
+    /// The frame's scrambled data bits, packed LSB first.
+    data: Vec<u8>,
+    /// The frame's mother-code stream, one coded bit per `u8`.
+    mother: Vec<u8>,
+    /// Gather tables built so far (the receive side's placement tables).
+    placements: Placements,
+    /// Per modulation, the point of each `bps`-bit label (first bit most
+    /// significant), built on first use.
+    points: [Vec<Complex64>; 4],
+}
+
+/// A frame's coded OFDM symbols, held packed in an [`EncodeScratch`] and
+/// read out symbol by symbol as constellation points.
+#[derive(Debug, Clone, Copy)]
+pub struct CodedSymbols<'a> {
+    mother: &'a [u8],
+    /// Per interleaved position, its bit's offset in the symbol's block.
+    place: &'a [u32],
+    /// The constellation point of each label.
+    points: &'a [Complex64],
+    bps: usize,
+    /// Mother-code bits per OFDM symbol (`2·N_DBPS`).
+    block: usize,
+    n_syms: usize,
+}
+
+impl CodedSymbols<'_> {
+    /// Number of OFDM symbols.
+    pub fn len(&self) -> usize {
+        self.n_syms
+    }
+
+    /// Whether there are no symbols (never, for a coded field).
+    pub fn is_empty(&self) -> bool {
+        self.n_syms == 0
+    }
+
+    /// The constellation points of symbol `s`, one per data carrier in
+    /// the order of `params.data_carriers`: the points [`encode_data`] /
+    /// [`encode_signal`] return for it, bit for bit.
+    ///
+    /// # Panics
+    /// Panics if `s >= self.len()`.
+    pub fn points(&self, s: usize) -> impl ExactSizeIterator<Item = Complex64> + '_ {
+        assert!(s < self.n_syms, "symbol {s} of {}", self.n_syms);
+        let block = &self.mother[s * self.block..(s + 1) * self.block];
+        (0..self.place.len() / self.bps).map(move |j| {
+            self.points[match self.bps {
+                1 => label::<1>(block, &self.place[j..]),
+                2 => label::<2>(block, &self.place[2 * j..]),
+                4 => label::<4>(block, &self.place[4 * j..]),
+                _ => label::<6>(block, &self.place[6 * j..]),
+            }]
+        })
+    }
+}
+
+/// The label of the carrier whose bits sit at `place[..B]` in `block`,
+/// its first bit most significant.
+#[inline(always)]
+fn label<const B: usize>(block: &[u8], place: &[u32]) -> usize {
+    place[..B]
+        .iter()
+        .fold(0, |label, &p| (label << 1) | block[p as usize] as usize)
+}
+
+impl EncodeScratch {
+    /// Creates an empty scratch (buffers and tables grow on first use).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Codes the packed bits in `self.data` (zero-padded here to
+    /// `n_syms` symbols at `rate`) and returns the symbols' view.
+    fn code(&mut self, params: &OfdmParams, rate: RateId, n_syms: usize) -> CodedSymbols<'_> {
+        let dbps = params.data_bits_per_symbol(rate);
+        self.data.resize((n_syms * dbps).div_ceil(8), 0);
+        convcode::encode_half_bytes(&self.data, &mut self.mother);
+        let m = rate.modulation();
+        let points = &mut self.points[m.index()];
+        if points.is_empty() {
+            let bps = m.bits_per_symbol();
+            *points = (0..1usize << bps)
+                .map(|v| {
+                    let bits: Vec<u8> = (0..bps).map(|b| (v >> (bps - 1 - b)) as u8 & 1).collect();
+                    modulation::map_symbol(m, &bits)
+                })
+                .collect();
+        }
+        CodedSymbols {
+            mother: &self.mother,
+            place: self.placements.get(params, rate),
+            points: &self.points[m.index()],
+            bps: m.bits_per_symbol(),
+            block: 2 * dbps,
+            n_syms,
+        }
+    }
+}
+
+/// [`encode_signal`] through a reusable [`EncodeScratch`]: the SIGNAL
+/// word and its tail at rate 1/2, BPSK, through `R6`'s table. Bit-identical
+/// to the reference.
+pub fn encode_signal_with<'a>(
+    params: &OfdmParams,
+    sig: &SignalField,
+    scratch: &'a mut EncodeScratch,
+) -> CodedSymbols<'a> {
+    scratch.data.clear();
+    scratch
+        .data
+        .extend_from_slice(&sig.air_word().to_le_bytes()[..3]);
+    scratch.code(params, RateId::R6, n_signal_symbols(params))
+}
+
+/// [`encode_data`] through a reusable [`EncodeScratch`]: SERVICE + PSDU
+/// scrambled, the tail and pad zero, coded, punctured, interleaved and
+/// mapped as the reference does, bit for bit.
+pub fn encode_data_with<'a>(
+    params: &OfdmParams,
+    psdu: &[u8],
+    rate: RateId,
+    scratch: &'a mut EncodeScratch,
+) -> CodedSymbols<'a> {
+    scratch.data.clear();
+    scratch.data.extend_from_slice(&[0, 0]); // SERVICE
+    scratch.data.extend_from_slice(psdu);
+    Scrambler::new(DEFAULT_SEED).scramble_bytes(&mut scratch.data);
+    // `code` pads with zero bytes: the tail and pad are not scrambled.
+    scratch.code(params, rate, n_data_symbols(params, psdu.len(), rate))
 }
 
 /// Number of DATA OFDM symbols for a PSDU of `len` bytes at `rate`.

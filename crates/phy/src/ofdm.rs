@@ -9,7 +9,7 @@
 
 use crate::params::OfdmParams;
 use crate::scramble::pilot_polarity;
-use crate::workspace::TxWorkspace;
+use crate::workspace::{SymbolBuffers, TxWorkspace};
 use ssync_dsp::{Complex64, FftPlan};
 
 /// Builds one OFDM symbol: maps `data` onto the data subcarriers (in the
@@ -42,6 +42,35 @@ pub fn modulate_symbol_append(
     ws: &mut TxWorkspace,
     out: &mut Vec<Complex64>,
 ) {
+    modulate_points_append(
+        params,
+        fft,
+        data.iter().copied(),
+        symbol_index,
+        cp_len,
+        pilots_enabled,
+        &mut ws.symbol,
+        out,
+    );
+}
+
+/// [`modulate_symbol_append`] with the data carriers' points from an
+/// iterator, each written straight into its IFFT bin (the transmitter
+/// feeds [`crate::frame::CodedSymbols::points`] here).
+///
+/// # Panics
+/// Panics if `data.len() != params.n_data()` or `cp_len >= fft_size`.
+#[allow(clippy::too_many_arguments)] // symbol spec + (scratch, sink)
+pub(crate) fn modulate_points_append(
+    params: &OfdmParams,
+    fft: &FftPlan,
+    data: impl ExactSizeIterator<Item = Complex64>,
+    symbol_index: usize,
+    cp_len: usize,
+    pilots_enabled: bool,
+    buffers: &mut SymbolBuffers,
+    out: &mut Vec<Complex64>,
+) {
     assert_eq!(
         data.len(),
         params.n_data(),
@@ -52,27 +81,24 @@ pub fn modulate_symbol_append(
         "cyclic prefix must be shorter than the FFT"
     );
     let n = params.fft_size;
-    let (grid, time) = ws.grid_and_time(params);
+    let (grid, data_bins, pilot_bins) = buffers.keyed(params);
     grid.fill(Complex64::ZERO);
-    for (i, &k) in params.data_carriers.iter().enumerate() {
-        grid[params.bin(k)] = data[i];
+    for (&bin, x) in data_bins.iter().zip(data) {
+        grid[bin] = x;
     }
     if pilots_enabled {
-        let pol = pilot_polarity(symbol_index);
-        for &k in &params.pilot_carriers {
-            grid[params.bin(k)] = Complex64::real(pol);
+        let pol = Complex64::real(pilot_polarity(symbol_index));
+        for &bin in pilot_bins {
+            grid[bin] = pol;
         }
     }
-    fft.inverse_into(grid, time);
+    fft.inverse(grid);
     // The IFFT of n_occ unit-power bins has mean time-domain power n_occ/N²;
     // scaling by N/√n_occ makes the on-air mean power 1 for every
     // numerology, so channel SNR definitions are numerology-independent.
     let scale = symbol_scale(params);
-    for s in time.iter_mut() {
-        *s = s.scale(scale);
-    }
-    out.extend_from_slice(&time[n - cp_len..]);
-    out.extend_from_slice(time);
+    out.extend(grid[n - cp_len..].iter().map(|s| s.scale(scale)));
+    out.extend(grid.iter().map(|s| s.scale(scale)));
 }
 
 /// The time-domain gain applied by [`modulate_symbol_append`] (`N/√n_occ`); the

@@ -71,6 +71,23 @@ const POLARITY: [f64; PERIOD] = {
     p
 };
 
+/// The cycle's bits `i..i + 8` packed into one byte for `i` in
+/// `0..127`, bit `k` holding bit `i + k` (the LSB-first order of
+/// [`crate::frame::bytes_to_bits`]).
+const PRBS_BYTES: [u8; PERIOD] = {
+    let mut t = [0u8; PERIOD];
+    let mut i = 0;
+    while i < PERIOD {
+        let mut k = 0;
+        while k < 8 {
+            t[i] |= CYCLE.prbs[i + k] << k;
+            k += 1;
+        }
+        i += 1;
+    }
+    t
+};
+
 impl Scrambler {
     /// Creates a scrambler with the given 7-bit seed.
     ///
@@ -107,6 +124,18 @@ impl Scrambler {
             }
         }
         self.state = CYCLE.states[(phase + bits.len()) % PERIOD];
+    }
+
+    /// [`Scrambler::scramble_in_place`] on a packed stream: bit `k` of
+    /// `bytes[j]` is stream bit `8j + k`. The bytes get the bits the
+    /// unpacked stream gets, and the register is left where it would be.
+    pub(crate) fn scramble_bytes(&mut self, bytes: &mut [u8]) {
+        let mut phase = CYCLE.phase[self.state as usize] as usize;
+        for b in bytes.iter_mut() {
+            *b ^= PRBS_BYTES[phase];
+            phase = (phase + 8) % PERIOD;
+        }
+        self.state = CYCLE.states[phase];
     }
 
     /// Scrambles into a fresh vector.
@@ -218,6 +247,29 @@ mod tests {
         for seed in 1..0x80 {
             for len in [0, 1, 126, 127, 128, 254, 381, 400] {
                 check(seed, len);
+            }
+        }
+    }
+
+    #[test]
+    fn byte_scrambler_matches_bit_scrambler() {
+        // Every length 0..=300 bytes from a few seeds: the packed bits
+        // of the bit-wise scramble, and the same register afterwards.
+        for seed in [DEFAULT_SEED, PILOT_SEED, 1, 0x40] {
+            for len in 0..=300usize {
+                let bytes: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
+                let mut packed = Scrambler::new(seed);
+                let mut got = bytes.clone();
+                packed.scramble_bytes(&mut got);
+                let mut bitwise = Scrambler::new(seed);
+                let mut bits = crate::frame::bytes_to_bits(&bytes);
+                bitwise.scramble_in_place(&mut bits);
+                assert_eq!(
+                    got,
+                    crate::frame::bits_to_bytes(&bits),
+                    "seed {seed} len {len}"
+                );
+                assert_eq!(packed.state, bitwise.state, "seed {seed} len {len}");
             }
         }
     }

@@ -1,11 +1,11 @@
 //! The transmitter: assembles complete PHY frames into baseband waveforms.
 
 use crate::crc;
-use crate::frame::{self, SignalField};
+use crate::frame::{self, CodedSymbols, SignalField};
 use crate::ofdm;
 use crate::params::{Params, RateId};
 use crate::preamble;
-use crate::workspace::TxWorkspace;
+use crate::workspace::{SymbolBuffers, TxWorkspace};
 use ssync_dsp::{Complex64, FftPlan};
 
 /// A planned transmitter for one numerology.
@@ -73,23 +73,14 @@ impl Transmitter {
             flags,
         };
         out.clear();
+        out.reserve(self.frame_len(payload.len(), rate));
         out.extend_from_slice(&self.preamble);
         // SIGNAL field: BPSK 1/2 at the base CP.
-        for (i, points) in frame::encode_signal(&self.params, &sig).iter().enumerate() {
-            ofdm::modulate_symbol_append(
-                &self.params,
-                &self.fft,
-                points,
-                i,
-                self.params.cp_len,
-                true,
-                ws,
-                out,
-            );
-        }
+        let signal = frame::encode_signal_with(&self.params, &sig, &mut ws.encode);
+        self.symbols_append(&signal, self.params.cp_len, 0, &mut ws.symbol, out);
         // Data pilot polarities continue the sequence after the SIGNAL
         // symbols — the receiver indexes pilots the same way.
-        let n_sig = frame::n_signal_symbols(&self.params);
+        let n_sig = signal.len();
         self.data_waveform_append(&psdu, rate, self.params.cp_len, n_sig, ws, out);
     }
 
@@ -108,18 +99,29 @@ impl Transmitter {
         ws: &mut TxWorkspace,
         out: &mut Vec<Complex64>,
     ) {
-        for (i, points) in frame::encode_data(&self.params, psdu, rate)
-            .iter()
-            .enumerate()
-        {
-            ofdm::modulate_symbol_append(
+        let data = frame::encode_data_with(&self.params, psdu, rate, &mut ws.encode);
+        self.symbols_append(&data, cp_len, first_symbol_index, &mut ws.symbol, out);
+    }
+
+    /// Modulates every symbol of `coded`, pilots on, the first with
+    /// pilot index `first_symbol_index`.
+    fn symbols_append(
+        &self,
+        coded: &CodedSymbols,
+        cp_len: usize,
+        first_symbol_index: usize,
+        buffers: &mut SymbolBuffers,
+        out: &mut Vec<Complex64>,
+    ) {
+        for s in 0..coded.len() {
+            ofdm::modulate_points_append(
                 &self.params,
                 &self.fft,
-                points,
-                first_symbol_index + i,
+                coded.points(s),
+                first_symbol_index + s,
                 cp_len,
                 true,
-                ws,
+                buffers,
                 out,
             );
         }

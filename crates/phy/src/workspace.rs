@@ -27,55 +27,83 @@
 //!   stripped. The estimator's LTS table and grids and the phase-slope
 //!   regression's buffers live in the workspace's
 //!   [`crate::chanest::ChanestScratch`].
+//! * Per frame, a warm [`crate::Transmitter::frame_waveform_into`]
+//!   allocates once, at every rate and length: the PSDU with its CRC
+//!   appended. The packed data bits, the mother-code stream, the per-rate
+//!   gather tables, the constellation tables and the carrier bins live in
+//!   the [`TxWorkspace`] (its [`crate::frame::EncodeScratch`]).
 //! * The few allocating signatures that remain ([`crate::Receiver::receive`],
 //!   [`crate::Transmitter::frame_waveform`], …) are thin wrappers that
 //!   build a throwaway workspace, and a reused workspace decodes exactly
 //!   like a fresh one (enforced by the differential test suite).
 
 use crate::chanest::ChanestScratch;
-use crate::frame::DecodeScratch;
+use crate::frame::{DecodeScratch, EncodeScratch};
 use crate::modulation::DemapTable;
-use crate::params::{Modulation, OfdmParams};
+use crate::params::{LayoutKey, Modulation, OfdmParams};
 use ssync_dsp::mixer::apply_cfo_from;
 use ssync_dsp::Complex64;
 
-/// Transmit-side scratch: the subcarrier grid and time-domain symbol
-/// buffers behind [`crate::ofdm::modulate_symbol_append`].
+/// Transmit-side scratch: the bit pipeline's [`EncodeScratch`] and the
+/// subcarrier grid behind [`crate::ofdm::modulate_symbol_append`].
 #[derive(Debug, Clone)]
 pub struct TxWorkspace {
-    fft_size: usize,
-    grid: Vec<Complex64>,
-    time: Vec<Complex64>,
+    /// Packed bits, mother-code stream, gather and constellation tables.
+    pub(crate) encode: EncodeScratch,
+    /// The OFDM modulator's grid and carrier bins.
+    pub(crate) symbol: SymbolBuffers,
 }
 
 impl TxWorkspace {
-    /// A workspace keyed to `params` (buffers preallocated to its FFT size).
+    /// A workspace keyed to `params` (the grid preallocated to its FFT
+    /// size; the bit pipeline's buffers and tables grow on first use).
     pub fn new(params: &OfdmParams) -> Self {
         TxWorkspace {
-            fft_size: params.fft_size,
-            grid: vec![Complex64::ZERO; params.fft_size],
-            time: vec![Complex64::ZERO; params.fft_size],
+            encode: EncodeScratch::new(),
+            symbol: SymbolBuffers {
+                fft_size: params.fft_size,
+                grid: vec![Complex64::ZERO; params.fft_size],
+                layout: LayoutKey::default(),
+                data_bins: Vec::new(),
+                pilot_bins: Vec::new(),
+            },
         }
     }
 
     /// The FFT size the buffers are currently keyed to.
     #[inline]
     pub fn fft_size(&self) -> usize {
-        self.fft_size
+        self.symbol.fft_size
     }
+}
 
-    /// The grid and time buffers, re-keyed to `params` if the numerology
-    /// changed since the last call.
-    pub(crate) fn grid_and_time(
-        &mut self,
-        params: &OfdmParams,
-    ) -> (&mut [Complex64], &mut [Complex64]) {
-        if self.fft_size != params.fft_size {
+/// The OFDM modulator's scratch: the subcarrier grid, transformed in
+/// place, and the FFT bin of every data and pilot carrier.
+#[derive(Debug, Clone)]
+pub(crate) struct SymbolBuffers {
+    fft_size: usize,
+    grid: Vec<Complex64>,
+    layout: LayoutKey,
+    data_bins: Vec<usize>,
+    pilot_bins: Vec<usize>,
+}
+
+impl SymbolBuffers {
+    /// The grid and the data and pilot carriers' bins, re-keyed to
+    /// `params` if the numerology changed since the last call.
+    pub(crate) fn keyed(&mut self, params: &OfdmParams) -> (&mut [Complex64], &[usize], &[usize]) {
+        let resized = self.fft_size != params.fft_size;
+        if self.layout.rekey(params) || resized {
             self.fft_size = params.fft_size;
             self.grid.resize(params.fft_size, Complex64::ZERO);
-            self.time.resize(params.fft_size, Complex64::ZERO);
+            let bins = |carriers: &[i32], out: &mut Vec<usize>| {
+                out.clear();
+                out.extend(carriers.iter().map(|&k| params.bin(k)));
+            };
+            bins(&params.data_carriers, &mut self.data_bins);
+            bins(&params.pilot_carriers, &mut self.pilot_bins);
         }
-        (&mut self.grid, &mut self.time)
+        (&mut self.grid, &self.data_bins, &self.pilot_bins)
     }
 }
 
@@ -267,9 +295,13 @@ mod tests {
         let wiglan = OfdmParams::wiglan();
         let mut ws = TxWorkspace::new(&dot11a);
         assert_eq!(ws.fft_size(), 64);
-        let (grid, time) = ws.grid_and_time(&wiglan);
+        let (grid, data_bins, pilot_bins) = ws.symbol.keyed(&wiglan);
         assert_eq!(grid.len(), 128);
-        assert_eq!(time.len(), 128);
+        assert_eq!(data_bins.len(), wiglan.n_data());
+        assert_eq!(pilot_bins.len(), wiglan.pilot_carriers.len());
         assert_eq!(ws.fft_size(), 128);
+        let (grid, data_bins, _) = ws.symbol.keyed(&dot11a);
+        assert_eq!(grid.len(), 64);
+        assert_eq!(data_bins[0], dot11a.bin(dot11a.data_carriers[0]));
     }
 }

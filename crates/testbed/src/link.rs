@@ -12,7 +12,7 @@ use rand::Rng;
 use ssync_dsp::Complex64;
 use ssync_mac::MacFrame;
 use ssync_obs::{Counter, RxDiagSummary};
-use ssync_phy::workspace::RxWorkspace;
+use ssync_phy::workspace::{RxWorkspace, TxWorkspace};
 use ssync_phy::{crc, Params, RateId, Receiver, Transmitter};
 use ssync_sim::{Duration, Network, NodeId, Time};
 
@@ -25,7 +25,8 @@ pub const CAPTURE_MARGIN: usize = 400;
 /// The planned modem machinery one testbed run reuses for every frame.
 ///
 /// [`Modem::exchange`] is its one decode entry point. All receive-side
-/// scratch lives in one owned [`RxWorkspace`], so every per-listener
+/// scratch lives in one owned [`RxWorkspace`], and the transmit side's in
+/// one [`TxWorkspace`], so every frame built and every per-listener
 /// decode reuses warm buffers instead of re-allocating the modem
 /// workspace per frame.
 pub struct Modem {
@@ -33,6 +34,7 @@ pub struct Modem {
     tx: Transmitter,
     rx: Receiver,
     ws: RxWorkspace,
+    tx_ws: TxWorkspace,
     /// Counts [`Modem::exchange`] calls with an empty transmission set —
     /// an upstream scheduling bug this layer used to zero out silently.
     empty_tx_batches: Counter,
@@ -45,6 +47,7 @@ impl Modem {
             tx: Transmitter::new(params.clone()),
             rx: Receiver::new(params.clone()),
             ws: RxWorkspace::new(&params),
+            tx_ws: TxWorkspace::new(&params),
             params,
             empty_tx_batches: Counter::default(),
         }
@@ -68,9 +71,16 @@ impl Modem {
     }
 
     /// Serialises a MAC frame into a CRC-protected PHY waveform.
-    pub fn mac_waveform(&self, frame: &MacFrame, rate: RateId) -> Vec<Complex64> {
-        self.tx
-            .frame_waveform(&crc::append_crc(&frame.to_bytes()), rate, 0)
+    pub fn mac_waveform(&mut self, frame: &MacFrame, rate: RateId) -> Vec<Complex64> {
+        let mut wave = Vec::new();
+        self.tx.frame_waveform_into(
+            &crc::append_crc(&frame.to_bytes()),
+            rate,
+            0,
+            &mut self.tx_ws,
+            &mut wave,
+        );
+        wave
     }
 
     /// On-air duration of `n_samples` at this numerology.
@@ -221,17 +231,14 @@ mod tests {
         let f1 = data_frame(1, 2);
         let mut rng = StdRng::seed_from_u64(6);
 
+        let both = [
+            (NodeId(0), modem.mac_waveform(&f0, RateId::R12)),
+            (NodeId(1), modem.mac_waveform(&f1, RateId::R12)),
+        ];
+
         n.pin_snr_db(NodeId(0), NodeId(2), 30.0);
         n.pin_snr_db(NodeId(1), NodeId(2), 0.0);
-        let out = modem.exchange(
-            &mut n,
-            &mut rng,
-            &[
-                (NodeId(0), modem.mac_waveform(&f0, RateId::R12)),
-                (NodeId(1), modem.mac_waveform(&f1, RateId::R12)),
-            ],
-            &[NodeId(2)],
-        );
+        let out = modem.exchange(&mut n, &mut rng, &both, &[NodeId(2)]);
         assert_eq!(
             out[0].1.as_ref().map(|(got, _)| got),
             Some(&f0),
@@ -240,15 +247,7 @@ mod tests {
 
         n.pin_snr_db(NodeId(0), NodeId(2), 15.0);
         n.pin_snr_db(NodeId(1), NodeId(2), 15.0);
-        let out = modem.exchange(
-            &mut n,
-            &mut rng,
-            &[
-                (NodeId(0), modem.mac_waveform(&f0, RateId::R12)),
-                (NodeId(1), modem.mac_waveform(&f1, RateId::R12)),
-            ],
-            &[NodeId(2)],
-        );
+        let out = modem.exchange(&mut n, &mut rng, &both, &[NodeId(2)]);
         assert!(out[0].1.is_none(), "balanced collision should destroy both");
     }
 

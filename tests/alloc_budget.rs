@@ -9,6 +9,8 @@
 //! * the steady-state per-symbol receive loop (window demod → equalise →
 //!   LLR demap) performs **zero** heap allocations after warm-up,
 //! * so does the per-symbol transmit loop,
+//! * a warmed `frame_waveform_into` allocates only the CRC-appended PSDU
+//!   ([`WARM_TX_ALLOCS`]), at every rate and length,
 //! * a warmed full-frame `receive_with` allocates only what it returns —
 //!   at most [`WARM_R12_RX_ALLOCS`] at R12, however long the frame, and
 //!   at R54 (64-QAM) the count does not change with the length either,
@@ -204,6 +206,41 @@ fn per_symbol_tx_loop_is_allocation_free_after_warmup() {
     );
 }
 
+/// Allocation events of one warmed `Transmitter::frame_waveform_into`,
+/// whatever the rate and the frame's length: the CRC-appended PSDU.
+const WARM_TX_ALLOCS: u64 = 1;
+
+#[test]
+fn warmed_frame_waveform_into_allocates_only_the_crc_psdu() {
+    // The one-pass encoder's buffers and tables live in the workspace, so
+    // once every frame shape has been built through it a frame allocates
+    // only the PSDU with its CRC — the same count for a 14-byte and a
+    // 1500-byte frame at every rate.
+    let params = OfdmParams::dot11a();
+    let tx = Transmitter::new(params.clone());
+    let mut rng = StdRng::seed_from_u64(5);
+    let mut ws = TxWorkspace::new(&params);
+    let mut wave = Vec::new();
+    let shapes: Vec<(RateId, Vec<u8>)> = [RateId::R6, RateId::R12, RateId::R54]
+        .into_iter()
+        .flat_map(|rate| [14usize, 1500].map(|len| (rate, (0..len).map(|_| rng.gen()).collect())))
+        .collect();
+    for (rate, payload) in &shapes {
+        tx.frame_waveform_into(payload, *rate, 0, &mut ws, &mut wave);
+    }
+    for (rate, payload) in &shapes {
+        let (n, ()) = allocations(|| tx.frame_waveform_into(payload, *rate, 0, &mut ws, &mut wave));
+        eprintln!("tx allocs {rate:?} {} B: {n}", payload.len());
+        assert_eq!(
+            n,
+            WARM_TX_ALLOCS,
+            "warmed frame_waveform_into at {rate:?}, {} B allocated {n}",
+            payload.len()
+        );
+        assert_eq!(wave, tx.frame_waveform(payload, *rate, 0));
+    }
+}
+
 #[test]
 fn warmed_receive_with_allocates_an_order_less_than_legacy() {
     let params = OfdmParams::dot11a();
@@ -375,10 +412,12 @@ fn warmed_capture_allocates_only_its_returned_buffer() {
 
 /// Allocation events of one warmed `JointSession::run_with` (two
 /// co-senders, one receiver, a 300-byte payload), as measured once the
-/// co-sender training slots are demodulated into the session workspace's
-/// channel-estimation scratch (677 before windowed propagation and the
-/// per-frame role waveforms landed, 268 before that scratch).
-const RUN_WITH_ALLOCS_BEFORE: u64 = 251;
+/// transmit side codes every frame through workspace-held buffers and
+/// tables (677 before windowed propagation and the per-frame role
+/// waveforms landed, 268 before the co-sender training slots were
+/// demodulated into the session workspace's channel-estimation scratch,
+/// 251 before the one-pass encoder).
+const RUN_WITH_ALLOCS_BEFORE: u64 = 67;
 
 #[test]
 fn warmed_run_with_allocates_no_more_than_before() {

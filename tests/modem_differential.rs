@@ -442,3 +442,177 @@ fn joint_session_workspace_reused_across_payloads_matches_fresh() {
         assert_eq!(pooled.co_tx_times, legacy.co_tx_times);
     }
 }
+
+/// The PSDU lengths the one-pass transmitter is checked at: empty, one
+/// and two bytes, odd, and up to a full-size frame.
+const ONE_PASS_LENGTHS: [usize; 6] = [0, 1, 2, 17, 100, 1500];
+
+#[test]
+fn one_pass_encoders_match_reference_encoders() {
+    // Every rate on both numerologies (WiGLAN's interleaver has fewer
+    // than 16 rows) through one reused scratch: each symbol's points
+    // from the one-pass encoder against the one-bit-per-`u8` reference,
+    // for the DATA field and for the SIGNAL field with every flag value.
+    let mut rng = StdRng::seed_from_u64(21);
+    let mut scratch = frame::EncodeScratch::new();
+    for params in [
+        OfdmParams::dot11a(),
+        OfdmParams::wiglan(),
+        OfdmParams::dot11a(),
+    ] {
+        for rate in RateId::ALL {
+            for len in ONE_PASS_LENGTHS {
+                let psdu: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+                let want = frame::encode_data(&params, &psdu, rate);
+                let got = frame::encode_data_with(&params, &psdu, rate, &mut scratch);
+                assert_eq!(got.len(), want.len(), "{} {rate:?} len {len}", params.name);
+                for (s, want) in want.iter().enumerate() {
+                    let got: Vec<Complex64> = got.points(s).collect();
+                    let what = format!("{} {rate:?} len {len} symbol {s}", params.name);
+                    assert_eq!(bits_of(&got), bits_of(want), "{what}");
+                }
+            }
+            for (flags, length) in (0..8u8).zip([0u16, 1, 17, 100, 1504, 4095, 40_000, u16::MAX]) {
+                let sig = frame::SignalField {
+                    rate,
+                    length,
+                    flags,
+                };
+                let want = frame::encode_signal(&params, &sig);
+                let got = frame::encode_signal_with(&params, &sig, &mut scratch);
+                assert_eq!(got.len(), want.len());
+                for (s, want) in want.iter().enumerate() {
+                    let got: Vec<Complex64> = got.points(s).collect();
+                    assert_eq!(bits_of(&got), bits_of(want), "{} {sig:?}", params.name);
+                }
+            }
+        }
+    }
+}
+
+/// A frame the way the transmitter built it before the one-pass encoder:
+/// the reference encoders' points, each symbol scattered through
+/// `modulate_symbol_append`.
+fn reference_frame(tx: &Transmitter, payload: &[u8], rate: RateId, flags: u8) -> Vec<Complex64> {
+    let params = tx.params();
+    let fft = FftPlan::new(params.fft_size);
+    let mut ws = TxWorkspace::new(params);
+    let psdu = sourcesync::phy::crc::append_crc(payload);
+    let sig = frame::SignalField {
+        rate,
+        length: psdu.len() as u16,
+        flags,
+    };
+    let mut out = sourcesync::phy::preamble::preamble_waveform(params, &fft);
+    let symbols = frame::encode_signal(params, &sig)
+        .into_iter()
+        .chain(frame::encode_data(params, &psdu, rate));
+    for (i, points) in symbols.enumerate() {
+        ofdm::modulate_symbol_append(
+            params,
+            &fft,
+            &points,
+            i,
+            params.cp_len,
+            true,
+            &mut ws,
+            &mut out,
+        );
+    }
+    out
+}
+
+#[test]
+fn one_pass_frames_match_reference_modulation() {
+    // Whole frames through one reused workspace per numerology: every
+    // rate, every payload length of the encoder check and every flag.
+    let mut rng = StdRng::seed_from_u64(22);
+    for params in [OfdmParams::dot11a(), OfdmParams::wiglan()] {
+        let tx = Transmitter::new(params.clone());
+        let mut ws = TxWorkspace::new(&params);
+        let mut wave = Vec::new();
+        for (i, rate) in RateId::ALL.into_iter().enumerate() {
+            for (j, len) in ONE_PASS_LENGTHS.into_iter().enumerate() {
+                let payload: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+                let flags = ((i + j) % 8) as u8;
+                tx.frame_waveform_into(&payload, rate, flags, &mut ws, &mut wave);
+                let want = reference_frame(&tx, &payload, rate, flags);
+                let what = format!("{} {rate:?} len {len}", params.name);
+                assert_eq!(bits_of(&wave), bits_of(&want), "{what}");
+            }
+        }
+    }
+}
+
+#[test]
+fn joint_data_section_matches_reference_encoder() {
+    // Both Alamouti roles with the space-time code on and off and pilot
+    // sharing on and off (so pilots are driven on every symbol, or on
+    // alternate ones), against the reference encoder's points coded per
+    // pair and modulated symbol by symbol; odd and even symbol counts.
+    let mut rng = StdRng::seed_from_u64(23);
+    for params in [OfdmParams::dot11a(), OfdmParams::wiglan()] {
+        let fft = FftPlan::new(params.fft_size);
+        let mut ws = CombineWorkspace::new(&params);
+        let mut wave = Vec::new();
+        for rate in RateId::ALL {
+            for len in [1usize, 17, 260] {
+                let psdu: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+                let mut symbols = frame::encode_data(&params, &psdu, rate);
+                if symbols.len() % 2 == 1 {
+                    symbols.push(vec![Complex64::ZERO; params.n_data()]);
+                }
+                for (smart, sharing) in [(true, true), (true, false), (false, true), (false, false)]
+                {
+                    let spec = DataSectionSpec {
+                        rate,
+                        cp_len: params.cp_len + 3,
+                        smart_combiner: smart,
+                        pilot_sharing: sharing,
+                    };
+                    for role in [Codeword::A, Codeword::B] {
+                        let mut want = Vec::new();
+                        let mut tx_ws = TxWorkspace::new(&params);
+                        for (p, pair) in symbols.chunks(2).enumerate() {
+                            let (s0, s1): (Vec<_>, Vec<_>) = if smart {
+                                pair[0]
+                                    .iter()
+                                    .zip(&pair[1])
+                                    .map(|(&a, &b)| sourcesync::stbc::encode_pair(role, a, b))
+                                    .unzip()
+                            } else {
+                                (pair[0].clone(), pair[1].clone())
+                            };
+                            let (even, odd) = match (sharing, role) {
+                                (false, _) => (true, true),
+                                (true, Codeword::A) => (true, false),
+                                (true, Codeword::B) => (false, true),
+                            };
+                            for (k, (s, pilots)) in [(s0, even), (s1, odd)].into_iter().enumerate()
+                            {
+                                ofdm::modulate_symbol_append(
+                                    &params,
+                                    &fft,
+                                    &s,
+                                    2 * p + k,
+                                    spec.cp_len,
+                                    pilots,
+                                    &mut tx_ws,
+                                    &mut want,
+                                );
+                            }
+                        }
+                        joint_data_waveform_into(
+                            &params, &fft, &psdu, role, &spec, &mut ws, &mut wave,
+                        );
+                        let what = format!(
+                            "{} {rate:?} len {len} smart {smart} sharing {sharing} {role:?}",
+                            params.name
+                        );
+                        assert_eq!(bits_of(&wave), bits_of(&want), "{what}");
+                    }
+                }
+            }
+        }
+    }
+}
