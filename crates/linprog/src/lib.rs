@@ -12,8 +12,9 @@
 
 // No unsafe anywhere in this crate: the determinism contract is easier
 // to audit when all of the workspace's unsafe code sits in the fenced AVX2
-// tiers of ssync_dsp and ssync_phy (see DESIGN.md, "The SIMD layer and
-// kernel tiers", and ssync_lint's `undocumented-unsafe` rule).
+// tiers: ssync_dsp's FFT and CFO-mixer kernels and compiled twins, and
+// ssync_phy's Viterbi and demap kernels (see DESIGN.md, "The SIMD layer
+// and kernel tiers", and ssync_lint's `undocumented-unsafe` rule).
 #![forbid(unsafe_code)]
 
 pub mod minimax;

@@ -285,13 +285,13 @@ pub fn encode_data(params: &OfdmParams, psdu: &[u8], rate: RateId) -> Vec<Vec<Co
 ///
 /// A frame is coded in one pass per stage: the SERVICE + PSDU bytes are
 /// scrambled a byte at a time from the constant PRBS, the convolutional
-/// code runs four bits per table lookup into a packed mother-code stream,
-/// and [`CodedSymbols::points`] gathers each carrier's bits straight from
-/// that stream — through the receiver's placement table for the rate, read
-/// as a gather (interleaved position `carrier·bps + bit` → the mother-code
-/// bit it carries) — and looks its point up in a table that
-/// [`modulation::map_symbol`] built. Puncturing and interleaving are that
-/// table; no intermediate bit vector is formed.
+/// code runs four input bits per table lookup into the mother-code
+/// stream, and [`CodedSymbols::points`] gathers each carrier's bits
+/// straight from that stream — through the receiver's placement table for
+/// the rate, read as a gather (interleaved position `carrier·bps + bit` →
+/// the mother-code bit it carries) — and looks its point up in a table
+/// that [`modulation::map_symbol`] built. Puncturing and interleaving are
+/// that table; no punctured or interleaved bit vector is formed.
 #[derive(Debug, Clone, Default)]
 pub struct EncodeScratch {
     /// The frame's scrambled data bits, packed LSB first.
@@ -305,8 +305,8 @@ pub struct EncodeScratch {
     points: [Vec<Complex64>; 4],
 }
 
-/// A frame's coded OFDM symbols, held packed in an [`EncodeScratch`] and
-/// read out symbol by symbol as constellation points.
+/// A frame's coded OFDM symbols, held in an [`EncodeScratch`] and read
+/// out symbol by symbol as constellation points.
 #[derive(Debug, Clone, Copy)]
 pub struct CodedSymbols<'a> {
     mother: &'a [u8],

@@ -73,7 +73,6 @@ impl Transmitter {
             flags,
         };
         out.clear();
-        out.reserve(self.frame_len(payload.len(), rate));
         out.extend_from_slice(&self.preamble);
         // SIGNAL field: BPSK 1/2 at the base CP.
         let signal = frame::encode_signal_with(&self.params, &sig, &mut ws.encode);
