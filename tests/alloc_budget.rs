@@ -417,7 +417,7 @@ fn warmed_capture_allocates_only_its_returned_buffer() {
 /// waveforms landed, 268 before the co-sender training slots were
 /// demodulated into the session workspace's channel-estimation scratch,
 /// 251 before the one-pass encoder).
-const RUN_WITH_ALLOCS_BEFORE: u64 = 67;
+const RUN_WITH_ALLOCS_BEFORE: u64 = 69;
 
 #[test]
 fn warmed_run_with_allocates_no_more_than_before() {
