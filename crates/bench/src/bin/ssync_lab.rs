@@ -6,7 +6,11 @@
 //! ssync-lab list
 //! ssync-lab run fig12_sync_error --threads 8 --trials 4 --format json
 //! ssync-lab run fig08_wait_lp --check golden/fig08.tsv
+//! ssync-lab tier
 //! ```
+//!
+//! `tier` prints the kernel tier this build dispatches on this host
+//! (`avx512`, `avx2`, `lanes` or `scalar`; see `ssync_dsp::simd::tier`).
 //!
 //! Flags for `run`:
 //!
@@ -33,7 +37,7 @@ use ssync_obs::run_observed_rendered;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  ssync-lab list\n  ssync-lab run <scenario> [--threads N] [--trials K] \
+        "usage:\n  ssync-lab list\n  ssync-lab tier\n  ssync-lab run <scenario> [--threads N] [--trials K] \
          [--format tsv|json] [--out FILE] [--check FILE] [--trace FILE] [--metrics FILE]\n\n\
          run `ssync-lab list` for scenario names"
     );
@@ -54,6 +58,7 @@ fn main() {
                 println!("{:<22} {:<18} {}", s.name(), s.paper_ref(), s.title());
             }
         }
+        Some("tier") => println!("{}", ssync_dsp::simd::tier().name()),
         Some("run") => run(&args[1..]),
         _ => usage(),
     }

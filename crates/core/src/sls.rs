@@ -17,9 +17,10 @@
 
 use crate::timeline::SIFS_S;
 use rand::Rng;
+use ssync_dsp::Complex64;
 use ssync_linprog::{MisalignmentProblem, WaitSolution};
 use ssync_phy::preamble::PreambleLayout;
-use ssync_phy::{Receiver, RxDiagnostics, RxResult, Transmitter};
+use ssync_phy::{Receiver, RxDiagnostics, RxWorkspace, Transmitter, TxWorkspace};
 use ssync_sim::{Network, NodeId, Time};
 use std::collections::BTreeMap;
 
@@ -55,6 +56,38 @@ pub struct ProbeOutcome {
 /// Margin of noise-only samples captured before an expected packet.
 const CAPTURE_MARGIN: usize = 400;
 
+/// The modem every probe of a measurement runs through: one planned
+/// transmitter and receiver and their workspaces, held across probes, so
+/// a probe plans nothing and allocates little beyond its two waveforms.
+/// Bit-identical to a fresh modem per probe.
+struct ProbeModem {
+    tx: Transmitter,
+    rx: Receiver,
+    tx_ws: TxWorkspace,
+    rx_ws: RxWorkspace,
+}
+
+impl ProbeModem {
+    fn new(params: &ssync_phy::Params) -> Self {
+        ProbeModem {
+            tx: Transmitter::new(params.clone()),
+            rx: Receiver::new(params.clone()),
+            tx_ws: TxWorkspace::new(params),
+            rx_ws: RxWorkspace::new(params),
+        }
+    }
+
+    /// `payload`'s frame at the header rate, in a buffer of its own (the
+    /// medium takes the waveform).
+    fn frame(&mut self, payload: &[u8]) -> Vec<Complex64> {
+        let rate = crate::timeline::HEADER_RATE;
+        let mut wave = Vec::with_capacity(self.tx.frame_len(payload.len(), rate));
+        self.tx
+            .frame_waveform_into(payload, rate, 0, &mut self.tx_ws, &mut wave);
+        wave
+    }
+}
+
 /// Runs one probe/response exchange `a → b → a` on the sample-level medium
 /// and estimates the one-way delay per Eq. 2. Returns `None` if either
 /// frame fails to decode (the caller retries — probes are cheap).
@@ -64,15 +97,25 @@ pub fn probe_pair<R: Rng + ?Sized>(
     a: NodeId,
     b: NodeId,
 ) -> Option<ProbeOutcome> {
-    let params = net.params.clone();
+    let mut modem = ProbeModem::new(&net.params);
+    probe_with(&mut modem, net, rng, a, b)
+}
+
+/// [`probe_pair`] through a held [`ProbeModem`].
+fn probe_with<R: Rng + ?Sized>(
+    modem: &mut ProbeModem,
+    net: &mut Network,
+    rng: &mut R,
+    a: NodeId,
+    b: NodeId,
+) -> Option<ProbeOutcome> {
+    let params = &net.params;
     let period = params.sample_period_fs();
-    let tx = Transmitter::new(params.clone());
-    let rx = Receiver::new(params.clone());
     net.medium.clear_transmissions();
 
     // A transmits a probe.
     let probe_payload = [0xA5u8; 16];
-    let probe_wave = tx.frame_waveform(&probe_payload, crate::timeline::HEADER_RATE, 0);
+    let probe_wave = modem.frame(&probe_payload);
     let probe_len = probe_wave.len();
     let t0 = Time((CAPTURE_MARGIN as u64) * period);
     net.medium.transmit(a, t0, probe_wave);
@@ -80,11 +123,11 @@ pub fn probe_pair<R: Rng + ?Sized>(
     // B captures and decodes.
     let b_window = CAPTURE_MARGIN * 2 + probe_len + 200;
     let b_buf = net.medium.capture(rng, b, Time::ZERO, b_window);
-    let b_res: RxResult = rx.receive(&b_buf).ok()?;
+    let b_res = modem.rx.receive_with(&b_buf, &mut modem.rx_ws).ok()?;
     if b_res.payload != probe_payload {
         return None;
     }
-    let b_arrival_s = arrival_estimate_s(&params, &b_res.diag, Time::ZERO);
+    let b_arrival_s = arrival_estimate_s(params, &b_res.diag, Time::ZERO);
     let b_detect = Time((b_res.diag.detection.detect_idx as u64) * period);
 
     // B responds after the probe ends plus its hardware turnaround plus a
@@ -100,7 +143,7 @@ pub fn probe_pair<R: Rng + ?Sized>(
     let mut resp_payload = Vec::with_capacity(16);
     resp_payload.extend_from_slice(&rx_to_tx_s.to_le_bytes());
     resp_payload.extend_from_slice(&b_res.diag.detection.cfo_hz.to_le_bytes());
-    let resp_wave = tx.frame_waveform(&resp_payload, crate::timeline::HEADER_RATE, 0);
+    let resp_wave = modem.frame(&resp_payload);
     let resp_len = resp_wave.len();
     net.medium.transmit(b, resp_time, resp_wave);
 
@@ -109,10 +152,10 @@ pub fn probe_pair<R: Rng + ?Sized>(
     let a_window =
         resp_time.saturating_since(a_from).0 as usize / period as usize + resp_len + CAPTURE_MARGIN;
     let a_buf = net.medium.capture(rng, a, a_from, a_window);
-    let a_res = rx.receive(&a_buf).ok()?;
+    let a_res = modem.rx.receive_with(&a_buf, &mut modem.rx_ws).ok()?;
     let reported_rx_to_tx = f64::from_le_bytes(a_res.payload.get(0..8)?.try_into().ok()?);
     let reported_cfo = f64::from_le_bytes(a_res.payload.get(8..16)?.try_into().ok()?);
-    let a_arrival_s = arrival_estimate_s(&params, &a_res.diag, a_from);
+    let a_arrival_s = arrival_estimate_s(params, &a_res.diag, a_from);
 
     // Eq. 2 rearranged: RTT = 2·d + (responder's rx→tx interval).
     let rtt_s = a_arrival_s - t0.as_secs_f64();
@@ -152,10 +195,24 @@ impl DelayDatabase {
         b: NodeId,
         n_probes: usize,
     ) -> bool {
+        let mut modem = ProbeModem::new(&net.params);
+        self.measure_with(&mut modem, net, rng, a, b, n_probes)
+    }
+
+    /// [`DelayDatabase::measure`] through a held [`ProbeModem`].
+    fn measure_with<R: Rng + ?Sized>(
+        &mut self,
+        modem: &mut ProbeModem,
+        net: &mut Network,
+        rng: &mut R,
+        a: NodeId,
+        b: NodeId,
+        n_probes: usize,
+    ) -> bool {
         let mut delays = Vec::new();
         let mut cfos = Vec::new();
         for _ in 0..n_probes {
-            if let Some(p) = probe_pair(net, rng, a, b) {
+            if let Some(p) = probe_with(modem, net, rng, a, b) {
                 delays.push(p.delay_s);
                 cfos.push(p.cfo_hz);
             }
@@ -171,7 +228,7 @@ impl DelayDatabase {
         true
     }
 
-    /// Measures every pair among `nodes`.
+    /// Measures every pair among `nodes`, every probe through one modem.
     pub fn measure_all<R: Rng + ?Sized>(
         &mut self,
         net: &mut Network,
@@ -179,10 +236,11 @@ impl DelayDatabase {
         nodes: &[NodeId],
         n_probes: usize,
     ) -> bool {
+        let mut modem = ProbeModem::new(&net.params);
         let mut ok = true;
         for i in 0..nodes.len() {
             for j in i + 1..nodes.len() {
-                ok &= self.measure(net, rng, nodes[i], nodes[j], n_probes);
+                ok &= self.measure_with(&mut modem, net, rng, nodes[i], nodes[j], n_probes);
             }
         }
         ok

@@ -6,7 +6,7 @@
 //! training sequence. Both stages are built from the primitives here.
 
 use crate::complex::Complex64;
-use crate::simd::{C64x4, F64x4, LANES, SIMD_ENABLED};
+use crate::simd::{tier, C64x4, F64x4, Tier, LANES};
 
 /// One lag of the sliding correlation: `Σ_m signal[t+m]·conj(template[m])`,
 /// accumulated in template order. The scalar reference kernel.
@@ -87,24 +87,23 @@ fn lag_correlation_x16(
     acc
 }
 
-/// Pushes `|c[t]|` for every lag: through the AVX2 twin when the `simd`
-/// build runs on an x86-64 host that has AVX2, else through the lanes or
-/// the scalar tier. All three give the same bits.
+/// Pushes `|c[t]|` for every lag through the tier [`tier`] picks: the
+/// AVX-512 or AVX2 twin, the lanes or the scalar tier. All four give the
+/// same bits.
 fn lag_magnitudes(signal: &[Complex64], template: &[Complex64], lags: usize, out: &mut Vec<f64>) {
-    #[cfg(target_arch = "x86_64")]
-    if SIMD_ENABLED && std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 support was just verified at runtime, and the twin
-        // only compiles the portable lanes tier for it.
+    match tier() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `tier()` reported AVX2 and AVX-512F/DQ/VL at runtime, and
+        // the twin only compiles the portable lanes tier for them.
         #[allow(unsafe_code)]
-        unsafe {
-            lag_magnitudes_avx2(signal, template, lags, out)
-        };
-        return;
-    }
-    if SIMD_ENABLED {
-        lag_magnitudes_lanes(signal, template, lags, out);
-    } else {
-        lag_magnitudes_scalar(signal, template, 0, lags, out);
+        Tier::Avx512 => unsafe { lag_magnitudes_avx512(signal, template, lags, out) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `tier()` reported AVX2 at runtime, and the twin only
+        // compiles the portable lanes tier for it.
+        #[allow(unsafe_code)]
+        Tier::Avx2 => unsafe { lag_magnitudes_avx2(signal, template, lags, out) },
+        Tier::Scalar => lag_magnitudes_scalar(signal, template, 0, lags, out),
+        _ => lag_magnitudes_lanes(signal, template, lags, out),
     }
 }
 
@@ -160,6 +159,18 @@ fn lag_magnitudes_lanes(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn lag_magnitudes_avx2(
+    signal: &[Complex64],
+    template: &[Complex64],
+    lags: usize,
+    out: &mut Vec<f64>,
+) {
+    lag_magnitudes_lanes(signal, template, lags, out);
+}
+
+/// [`lag_magnitudes_lanes`] compiled for AVX-512F/DQ/VL.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,avx512f,avx512dq,avx512vl")]
+fn lag_magnitudes_avx512(
     signal: &[Complex64],
     template: &[Complex64],
     lags: usize,
@@ -552,13 +563,15 @@ mod tests {
 
     #[test]
     fn lag_magnitude_tiers_bitwise_match() {
-        // The AVX2 twin, the lanes tier and the scalar tier over the same
+        // The AVX2 and AVX-512 twins, the lanes tier and the scalar tier
+        // over the same
         // signal: every lag count 1..=40 (under, at and past one register
         // block and its lane groups) against every template length 1..=64,
         // longer templates that take several staging passes, the
         // detector's 448-sample window against a 64-sample template, and
         // IEEE edge values in both inputs.
         let avx2 = tier_test::host_has_avx2("lag_magnitude_tiers_bitwise_match");
+        let avx512 = tier_test::host_has_avx512("lag_magnitude_tiers_bitwise_match");
         let mut rng = StdRng::seed_from_u64(22);
         let mut shapes: Vec<(usize, usize)> = (1..=64usize)
             .flat_map(|m| (1..=40usize).map(move |lags| (m + lags - 1, m)))
@@ -584,6 +597,16 @@ mod tests {
                         lag_magnitudes_avx2(&signal, &template, lags, &mut twin)
                     };
                     tier_test::assert_same_real_bits(&twin, &scalar, &format!("{what}: avx2"));
+                }
+                #[cfg(target_arch = "x86_64")]
+                if avx512 {
+                    let mut twin = Vec::new();
+                    // SAFETY: AVX2 and AVX-512F/DQ/VL were detected above.
+                    #[allow(unsafe_code)]
+                    unsafe {
+                        lag_magnitudes_avx512(&signal, &template, lags, &mut twin)
+                    };
+                    tier_test::assert_same_real_bits(&twin, &scalar, &format!("{what}: avx512"));
                 }
             }
         }

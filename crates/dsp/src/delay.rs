@@ -13,10 +13,10 @@
 //! The interpolation and the channel's multipath taps run through one
 //! gather convolution, [`convolve_gather`]: each output summed from zero
 //! over ascending input, in blocks of independent accumulators whose width
-//! is fixed per tap type ([`GatherTap`]) by measurement on the AVX2 tier.
+//! is fixed per tap type and kernel tier ([`GatherTap`]) by measurement.
 
 use crate::complex::Complex64;
-use crate::simd::SIMD_ENABLED;
+use crate::simd::{tier, Tier};
 use std::f64::consts::PI;
 use std::ops::Mul;
 
@@ -207,8 +207,9 @@ pub fn fractional_delay_span(
 /// block width changes only which outputs are summed side by side, never
 /// an output's sum, so every width gives the same bits.
 ///
-/// On x86-64 hosts with AVX2 (and the `simd` feature) the same source runs
-/// compiled for 256-bit registers; the bits are the same either way.
+/// On x86-64 hosts with AVX2 or AVX-512 (and the `simd` feature) the same
+/// source runs compiled for those registers; the bits are the same either
+/// way.
 ///
 /// # Panics
 /// Panics if `taps` is empty.
@@ -222,38 +223,47 @@ pub fn convolve_gather<T: GatherTap>(
     T::convolve(signal, taps, first, out);
 }
 
-/// A tap type of [`convolve_gather`], with the block width measured for
-/// it on the AVX2 tier: the 32-tap windowed sinc runs 24 outputs per
-/// block (8 leave it bound by the latency of four accumulator chains,
-/// 32 spill registers), the few-tap complex multipath 16 (8, 24 and 32
-/// are slower).
+/// A tap type of [`convolve_gather`], with its block widths measured per
+/// tier. On the AVX2 tier the 32-tap windowed sinc runs 24 outputs per
+/// block (8 leave it bound by the latency of four accumulator chains, 32
+/// spill registers) and the few-tap complex multipath 16 (8, 24 and 32 are
+/// slower); the portable body keeps the AVX2 widths. On the AVX-512 tier,
+/// whose 32 vector registers hold wider blocks, the multipath runs 24 and
+/// the sinc stays at 24.
 pub trait GatherTap: Copy {
-    /// [`convolve_gather`] at this tap type's block width.
+    /// [`convolve_gather`] at this tap type's block widths.
     #[doc(hidden)]
     fn convolve(signal: &[Complex64], taps: &[Self], first: usize, out: &mut [Complex64]);
 }
 
-/// Outputs per block for `f64` (windowed-sinc) taps.
+/// Outputs per block for `f64` (windowed-sinc) taps: the AVX2 and
+/// portable tiers, and the AVX-512 tier.
 const REAL_TAP_BLOCK: usize = 24;
+const REAL_TAP_BLOCK_AVX512: usize = 24;
 
-/// Outputs per block for `Complex64` (multipath) taps.
+/// Outputs per block for `Complex64` (multipath) taps: the AVX2 and
+/// portable tiers, and the AVX-512 tier.
 const COMPLEX_TAP_BLOCK: usize = 16;
+const COMPLEX_TAP_BLOCK_AVX512: usize = 24;
 
 impl GatherTap for f64 {
     fn convolve(signal: &[Complex64], taps: &[f64], first: usize, out: &mut [Complex64]) {
-        convolve_dispatch::<f64, REAL_TAP_BLOCK>(signal, taps, first, out);
+        convolve_dispatch::<f64, REAL_TAP_BLOCK, REAL_TAP_BLOCK_AVX512>(signal, taps, first, out);
     }
 }
 
 impl GatherTap for Complex64 {
     fn convolve(signal: &[Complex64], taps: &[Complex64], first: usize, out: &mut [Complex64]) {
-        convolve_dispatch::<Complex64, COMPLEX_TAP_BLOCK>(signal, taps, first, out);
+        convolve_dispatch::<Complex64, COMPLEX_TAP_BLOCK, COMPLEX_TAP_BLOCK_AVX512>(
+            signal, taps, first, out,
+        );
     }
 }
 
-/// Dispatches to the AVX2 twin or the portable body.
+/// Dispatches to a twin or the portable body: `B` outputs per block on the
+/// AVX2 and portable tiers, `B512` on the AVX-512 tier.
 #[inline]
-fn convolve_dispatch<T, const B: usize>(
+fn convolve_dispatch<T, const B: usize, const B512: usize>(
     signal: &[Complex64],
     taps: &[T],
     first: usize,
@@ -262,23 +272,40 @@ fn convolve_dispatch<T, const B: usize>(
     T: Copy,
     Complex64: Mul<T, Output = Complex64>,
 {
-    #[cfg(target_arch = "x86_64")]
-    if SIMD_ENABLED && std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 support was just verified at runtime, and the twin
-        // only compiles the portable body for it.
+    match tier() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `tier()` reported AVX2 and AVX-512F/DQ/VL at runtime, and
+        // the twin only compiles the portable body for them.
         #[allow(unsafe_code)]
-        unsafe {
-            convolve_avx2::<T, B>(signal, taps, first, out)
-        };
-        return;
+        Tier::Avx512 => unsafe { convolve_avx512::<T, B512>(signal, taps, first, out) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `tier()` reported AVX2 at runtime, and the twin only
+        // compiles the portable body for it.
+        #[allow(unsafe_code)]
+        Tier::Avx2 => unsafe { convolve_avx2::<T, B>(signal, taps, first, out) },
+        _ => convolve_body::<T, B>(signal, taps, first, out),
     }
-    convolve_body::<T, B>(signal, taps, first, out);
 }
 
 /// [`convolve_body`] compiled for AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn convolve_avx2<T, const B: usize>(
+    signal: &[Complex64],
+    taps: &[T],
+    first: usize,
+    out: &mut [Complex64],
+) where
+    T: Copy,
+    Complex64: Mul<T, Output = Complex64>,
+{
+    convolve_body::<T, B>(signal, taps, first, out);
+}
+
+/// [`convolve_body`] compiled for AVX-512F/DQ/VL.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,avx512f,avx512dq,avx512vl")]
+fn convolve_avx512<T, const B: usize>(
     signal: &[Complex64],
     taps: &[T],
     first: usize,
@@ -583,16 +610,33 @@ mod tests {
         spans
     }
 
-    /// Outputs `first..first + len` of `signal ∗ taps` through every tier:
-    /// the portable body, the AVX2 twin when the host has it, and the
-    /// dispatched entry point; asserts they agree and returns the body's.
-    /// `B` is the production block width of `T`.
-    fn convolve_tiers<T, const B: usize>(
+    /// Which compiled twins this host can run.
+    #[derive(Clone, Copy)]
+    struct Twins {
+        avx2: bool,
+        avx512: bool,
+    }
+
+    impl Twins {
+        fn probe(test: &str) -> Self {
+            Twins {
+                avx2: tier_test::host_has_avx2(test),
+                avx512: tier_test::host_has_avx512(test),
+            }
+        }
+    }
+
+    /// Outputs `first..first + len` of `signal ∗ taps` through every tier
+    /// at every block width: the portable body and each twin the host has,
+    /// at `B` (the AVX2 and portable width of `T`) and at `B512` (its
+    /// AVX-512 width), and the dispatched entry point; asserts they all
+    /// agree and returns the body's.
+    fn convolve_tiers<T, const B: usize, const B512: usize>(
         signal: &[Complex64],
         taps: &[T],
         first: usize,
         len: usize,
-        avx2: bool,
+        twins: Twins,
         what: &str,
     ) -> Vec<Complex64>
     where
@@ -601,18 +645,40 @@ mod tests {
     {
         let mut body = vec![Complex64::J; len];
         convolve_body::<T, B>(signal, taps, first, &mut body);
+        let mut wide = vec![Complex64::J; len];
+        convolve_body::<T, B512>(signal, taps, first, &mut wide);
+        tier_test::assert_same_bits(&wide, &body, &format!("{what}: body at {B512}"));
         let mut dispatched = vec![Complex64::ONE; len];
         convolve_gather(signal, taps, first, &mut dispatched);
         tier_test::assert_same_bits(&dispatched, &body, &format!("{what}: dispatched"));
         #[cfg(target_arch = "x86_64")]
-        if avx2 {
+        for width in [B, B512] {
             let mut twin = vec![-Complex64::ONE; len];
-            // SAFETY: the caller checked that the host has AVX2.
-            #[allow(unsafe_code)]
-            unsafe {
-                convolve_avx2::<T, B>(signal, taps, first, &mut twin)
-            };
-            tier_test::assert_same_bits(&twin, &body, &format!("{what}: avx2"));
+            if twins.avx2 {
+                // SAFETY: the caller checked that the host has AVX2.
+                #[allow(unsafe_code)]
+                unsafe {
+                    if width == B {
+                        convolve_avx2::<T, B>(signal, taps, first, &mut twin)
+                    } else {
+                        convolve_avx2::<T, B512>(signal, taps, first, &mut twin)
+                    }
+                };
+                tier_test::assert_same_bits(&twin, &body, &format!("{what}: avx2 at {width}"));
+            }
+            if twins.avx512 {
+                // SAFETY: the caller checked that the host has AVX2 and
+                // AVX-512F/DQ/VL.
+                #[allow(unsafe_code)]
+                unsafe {
+                    if width == B {
+                        convolve_avx512::<T, B>(signal, taps, first, &mut twin)
+                    } else {
+                        convolve_avx512::<T, B512>(signal, taps, first, &mut twin)
+                    }
+                };
+                tier_test::assert_same_bits(&twin, &body, &format!("{what}: avx512 at {width}"));
+            }
         }
         body
     }
@@ -623,7 +689,7 @@ mod tests {
         // against the per-input scatter loop: odd lengths, spans clipped
         // at either edge and narrower than the kernel, and IEEE edge
         // values in the signal.
-        let avx2 = tier_test::host_has_avx2("convolution_tiers_bitwise_match");
+        let twins = Twins::probe("convolution_tiers_bitwise_match");
         let mut rng = StdRng::seed_from_u64(35);
         let kernel = fractional_kernel(0.37);
         for special in [false, true] {
@@ -638,12 +704,12 @@ mod tests {
                 }
                 for (lo, hi) in spans(&mut rng, len, TAPS) {
                     let what = format!("n {n} span [{lo}, {hi})");
-                    let got = convolve_tiers::<f64, REAL_TAP_BLOCK>(
+                    let got = convolve_tiers::<f64, REAL_TAP_BLOCK, REAL_TAP_BLOCK_AVX512>(
                         &x,
                         &kernel,
                         lo,
                         hi - lo,
-                        avx2,
+                        twins,
                         &what,
                     );
                     tier_test::assert_same_bits(&got, &whole[lo..hi], &what);
@@ -651,8 +717,9 @@ mod tests {
             }
         }
         // Spans and full-tap runs of b − 1, b, b + 1 and 2b + 3 outputs
-        // for each tap type's block width b, starting at either edge, at
-        // the first full-tap output and inside the full-tap run.
+        // for each of each tap type's block widths b (every tier runs at
+        // every width), starting at either edge, at the first full-tap
+        // output and inside the full-tap run.
         let block_spans = |len: usize, n_taps: usize, b: usize| {
             let mut spans = Vec::new();
             for w in [b - 1, b, b + 1, 2 * b + 3] {
@@ -664,49 +731,58 @@ mod tests {
             }
             spans
         };
-        let (b, taps) = (REAL_TAP_BLOCK, &kernel);
-        for n in [
-            TAPS - 1 + b - 1,
-            TAPS - 1 + b,
-            TAPS - 1 + b + 1,
-            TAPS - 1 + 2 * b + 3,
-        ] {
-            let x = tier_test::samples(&mut rng, n, false);
-            let len = n + TAPS - 1;
-            let mut whole = vec![Complex64::ZERO; len];
-            for (i, s) in x.iter().enumerate() {
-                for (j, k) in taps.iter().enumerate() {
-                    whole[i + j] += s.scale(*k);
-                }
-            }
-            for (lo, hi) in block_spans(len, TAPS, b) {
-                let what = format!("real n {n} span [{lo}, {hi})");
-                let got = convolve_tiers::<f64, REAL_TAP_BLOCK>(&x, taps, lo, hi - lo, avx2, &what);
-                tier_test::assert_same_bits(&got, &whole[lo..hi], &what);
-            }
-        }
-        let b = COMPLEX_TAP_BLOCK;
-        for n_taps in [1usize, 5, 9] {
-            let taps = tier_test::samples(&mut rng, n_taps, false);
+        let widths = |a: usize, b: usize| if a == b { vec![a] } else { vec![a, b] };
+        let taps = &kernel;
+        for b in widths(REAL_TAP_BLOCK, REAL_TAP_BLOCK_AVX512) {
             for n in [
-                n_taps - 1 + b - 1,
-                n_taps - 1 + b,
-                n_taps + b,
-                n_taps + 2 * b + 2,
+                TAPS - 1 + b - 1,
+                TAPS - 1 + b,
+                TAPS - 1 + b + 1,
+                TAPS - 1 + 2 * b + 3,
             ] {
                 let x = tier_test::samples(&mut rng, n, false);
-                let len = n + n_taps - 1;
-                for (lo, hi) in block_spans(len, n_taps, b) {
-                    let what = format!("complex taps {n_taps} n {n} span [{lo}, {hi})");
-                    let got = convolve_tiers::<Complex64, COMPLEX_TAP_BLOCK>(
+                let len = n + TAPS - 1;
+                let mut whole = vec![Complex64::ZERO; len];
+                for (i, s) in x.iter().enumerate() {
+                    for (j, k) in taps.iter().enumerate() {
+                        whole[i + j] += s.scale(*k);
+                    }
+                }
+                for (lo, hi) in block_spans(len, TAPS, b) {
+                    let what = format!("real b {b} n {n} span [{lo}, {hi})");
+                    let got = convolve_tiers::<f64, REAL_TAP_BLOCK, REAL_TAP_BLOCK_AVX512>(
                         &x,
-                        &taps,
+                        taps,
                         lo,
                         hi - lo,
-                        avx2,
+                        twins,
                         &what,
                     );
-                    tier_test::assert_same_bits(&got, &multipath_oracle(&x, &taps, lo..hi), &what);
+                    tier_test::assert_same_bits(&got, &whole[lo..hi], &what);
+                }
+            }
+        }
+        for b in widths(COMPLEX_TAP_BLOCK, COMPLEX_TAP_BLOCK_AVX512) {
+            for n_taps in [1usize, 5, 9] {
+                let taps = tier_test::samples(&mut rng, n_taps, false);
+                for n in [
+                    n_taps - 1 + b - 1,
+                    n_taps - 1 + b,
+                    n_taps + b,
+                    n_taps + 2 * b + 2,
+                ] {
+                    let x = tier_test::samples(&mut rng, n, false);
+                    let len = n + n_taps - 1;
+                    for (lo, hi) in block_spans(len, n_taps, b) {
+                        let what = format!("complex b {b} taps {n_taps} n {n} span [{lo}, {hi})");
+                        let got = convolve_tiers::<
+                            Complex64,
+                            COMPLEX_TAP_BLOCK,
+                            COMPLEX_TAP_BLOCK_AVX512,
+                        >(&x, &taps, lo, hi - lo, twins, &what);
+                        let want = multipath_oracle(&x, &taps, lo..hi);
+                        tier_test::assert_same_bits(&got, &want, &what);
+                    }
                 }
             }
         }
@@ -718,7 +794,7 @@ mod tests {
         // `Multipath::apply_into` ran before it moved here: 1 to 25 taps,
         // inputs shorter than the channel, around one block and many
         // blocks, every span shape, with and without IEEE edge values.
-        let avx2 = tier_test::host_has_avx2("shared_convolution_bitwise_matches_multipath_loop");
+        let twins = Twins::probe("shared_convolution_bitwise_matches_multipath_loop");
         let mut rng = StdRng::seed_from_u64(34);
         for n_taps in [1usize, 2, 5, 9, 25] {
             for special in [false, true] {
@@ -728,14 +804,11 @@ mod tests {
                     let len = n + n_taps - 1;
                     for (lo, hi) in spans(&mut rng, len, n_taps) {
                         let what = format!("taps {n_taps} n {n} span [{lo}, {hi})");
-                        let got = convolve_tiers::<Complex64, COMPLEX_TAP_BLOCK>(
-                            &x,
-                            &taps,
-                            lo,
-                            hi - lo,
-                            avx2,
-                            &what,
-                        );
+                        let got = convolve_tiers::<
+                            Complex64,
+                            COMPLEX_TAP_BLOCK,
+                            COMPLEX_TAP_BLOCK_AVX512,
+                        >(&x, &taps, lo, hi - lo, twins, &what);
                         let want = multipath_oracle(&x, &taps, lo..hi);
                         tier_test::assert_same_bits(&got, &want, &what);
                     }

@@ -31,7 +31,7 @@
 //! so `inverse(forward(x)) == x` to floating-point precision.
 
 use crate::complex::Complex64;
-use crate::simd::SIMD_ENABLED;
+use crate::simd::{tier, Tier};
 use std::f64::consts::PI;
 
 /// The sizes the AVX2 path serves (on `simd` x86-64 builds): from 4, the
@@ -116,7 +116,7 @@ impl FftPlan {
         let bitrev = (0..n as u32)
             .map(|i| i.reverse_bits() >> (32 - log2n))
             .collect();
-        let pairs = if SIMD_ENABLED && cfg!(target_arch = "x86_64") && AVX2_SIZES.contains(&n) {
+        let pairs = if tier() >= Tier::Avx2 && AVX2_SIZES.contains(&n) {
             TwiddlePairs::new(&stages, &stages_inv)
         } else {
             TwiddlePairs::default()
@@ -154,8 +154,8 @@ impl FftPlan {
             self.n
         );
         #[cfg(target_arch = "x86_64")]
-        if !self.pairs.re.is_empty() && std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was just verified at runtime.
+        if !self.pairs.re.is_empty() && tier() >= Tier::Avx2 {
+            // SAFETY: `tier()` reported AVX2 support at runtime.
             #[allow(unsafe_code)]
             unsafe {
                 self.transform_avx2(buf, inverse)
@@ -603,7 +603,7 @@ mod tests {
         let mut n = 2usize;
         while n <= 1024 {
             let plan = FftPlan::new(n);
-            let huge = |i: usize| if i % 3 == 0 { -1e300 } else { 1e300 };
+            let huge = |i: usize| if i.is_multiple_of(3) { -1e300 } else { 1e300 };
             let inputs = [
                 tier_test::samples(&mut rng, n, false),
                 tier_test::samples(&mut rng, n, true),

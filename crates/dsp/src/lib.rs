@@ -16,25 +16,29 @@
 //!   over `rand`, so experiments are reproducible from a `u64` seed) and
 //!   the counter-based receiver-noise kernel, keyed per capture,
 //! * [`simd`] — portable 4-lane f64/complex vectors backing the hot inner
-//!   loops; the `simd` cargo feature (default on) dispatches the lane
-//!   kernels (and, on x86-64 hosts with AVX2, their AVX2 twins),
+//!   loops, and [`simd::tier`], the one probe every kernel dispatches on:
+//!   the `simd` cargo feature (default on) selects the lane kernels (and,
+//!   on x86-64 hosts with AVX2 or AVX-512, their compiled twins),
 //!   `--no-default-features` the bit-identical scalar fallbacks.
 //!
 //! Everything is pure, allocation-conscious, and deterministic; there is no
 //! interior mutability and no global state.
 
 // Unsafe is denied crate-wide. The exceptions are the runtime-checked
-// AVX2 tier. `delay::convolve_gather`, `rng::add_keyed_noise` and
-// `correlate::normalized_cross_correlate_into` call an
-// `#[target_feature(enable = "avx2")]` twin of their portable body once
-// `is_x86_feature_detected!("avx2")` holds; the twins write no
-// intrinsics, so the bits are the portable body's. `FftPlan` and
-// `mixer::apply_cfo_from` dispatch the same way to their intrinsics
-// kernels, `fft::FftPlan::transform_avx2` and `mixer::mix_blocks_avx2`,
-// whose raw-pointer loads and stores each carry their bounds argument.
-// Every such site carries `#[allow(unsafe_code)]` and a `// SAFETY:`
-// comment (see DESIGN.md, "The SIMD layer and kernel tiers", and
-// ssync_lint's `undocumented-unsafe` and `fma-contraction` rules).
+// kernel tiers, all dispatched on `simd::tier()`, the one probe of the
+// build and the CPU. `delay::convolve_gather`, `rng::add_keyed_noise` and
+// `correlate::normalized_cross_correlate_into` call a twin of their
+// portable body compiled with `#[target_feature(enable = "avx2")]` when
+// the tier is `Avx2`, or with
+// `#[target_feature(enable = "avx2,avx512f,avx512dq,avx512vl")]` when it
+// is `Avx512`; the twins write no intrinsics, so the bits are the portable
+// body's. `FftPlan` and `mixer::apply_cfo_from` dispatch to their AVX2
+// intrinsics kernels, `fft::FftPlan::transform_avx2` and
+// `mixer::mix_blocks_avx2`, on either x86 tier; their raw-pointer loads
+// and stores each carry their bounds argument. Every such site carries
+// `#[allow(unsafe_code)]` and a `// SAFETY:` comment (see DESIGN.md, "The
+// SIMD layer and kernel tiers", and ssync_lint's `undocumented-unsafe` and
+// `fma-contraction` rules).
 #![deny(unsafe_code)]
 
 pub mod complex;

@@ -26,7 +26,7 @@
 //! lanes tier).
 
 use crate::complex::Complex64;
-use crate::simd::{C64x4, LANES, SIMD_ENABLED};
+use crate::simd::{tier, C64x4, Tier, LANES};
 use std::f64::consts::PI;
 
 /// Samples per anchor block: a multiple of [`LANES`]. Each block costs
@@ -56,7 +56,7 @@ fn mix_scalar(samples: &mut [Complex64], step: f64, origin: f64, first: usize) {
     let mut p = phasors_at(first, step, origin, rotor);
     for (k, s) in samples.iter_mut().enumerate() {
         let i = first + k;
-        if i % BLOCK == 0 && k > 0 {
+        if i.is_multiple_of(BLOCK) && k > 0 {
             p = phasors_at(i, step, origin, rotor);
         }
         let l = i % LANES;
@@ -80,7 +80,7 @@ fn mix_lanes(samples: &mut [Complex64], step: f64, origin: f64, first: usize) {
     let mut group = first - first % LANES;
     let mut p = C64x4::load(&phasors_at(first, step, origin, rotor), 0);
     while group < end {
-        if group % BLOCK == 0 && group > first {
+        if group.is_multiple_of(BLOCK) && group > first {
             p = C64x4::load(&phasors_at(group, step, origin, rotor), 0);
         }
         if group >= first && group + LANES <= end {
@@ -148,7 +148,7 @@ fn mix_blocks_avx2<const N: usize>(
 ) {
     use crate::fft::cmul;
     use std::arch::x86_64::*;
-    assert!(samples.len() == N * BLOCK && anchor % BLOCK == 0);
+    assert!(samples.len() == N * BLOCK && anchor.is_multiple_of(BLOCK));
     let (rr, ri) = (_mm256_set1_pd(rotor.re), _mm256_set1_pd(rotor.im));
     // Lanes 0–1 and 2–3 of each block's phasors, one register each.
     let mut p = [[_mm256_setzero_pd(); 2]; N];
@@ -196,19 +196,20 @@ pub fn apply_cfo_from(
     first: usize,
 ) {
     let step = 2.0 * PI * cfo_hz / sample_rate_hz;
+    let tier = tier();
     #[cfg(target_arch = "x86_64")]
-    if SIMD_ENABLED && std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 support was just verified at runtime.
+    if tier >= Tier::Avx2 {
+        // SAFETY: `tier()` reported AVX2 support at runtime.
         #[allow(unsafe_code)]
         unsafe {
             mix_avx2(samples, step, phase_origin, first)
         };
         return;
     }
-    if SIMD_ENABLED {
-        mix_lanes(samples, step, phase_origin, first);
-    } else {
+    if tier == Tier::Scalar {
         mix_scalar(samples, step, phase_origin, first);
+    } else {
+        mix_lanes(samples, step, phase_origin, first);
     }
 }
 

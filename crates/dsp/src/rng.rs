@@ -21,7 +21,7 @@
 //!   [`F64x4`] lanes or one sample at a time with the same bits.
 
 use crate::complex::Complex64;
-use crate::simd::{F64x4, Real, LANES, SIMD_ENABLED};
+use crate::simd::{tier, F64x4, Real, Tier, LANES};
 use rand::Rng;
 
 /// A real Gaussian distribution `N(mean, std²)`.
@@ -295,20 +295,19 @@ pub fn add_keyed_noise(buf: &mut [Complex64], key: u64, power: f64) {
         return;
     }
     let sigma = (power / 2.0).sqrt();
-    #[cfg(target_arch = "x86_64")]
-    if SIMD_ENABLED && std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 support was just verified at runtime, and the twin
-        // only compiles the portable lanes tier for it.
+    match tier() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `tier()` reported AVX2 and AVX-512F/DQ/VL at runtime, and
+        // the twin only compiles the portable lanes tier for them.
         #[allow(unsafe_code)]
-        unsafe {
-            noise_avx2(buf, key, sigma)
-        };
-        return;
-    }
-    if SIMD_ENABLED {
-        noise_lanes(buf, key, sigma);
-    } else {
-        noise_scalar(buf, key, sigma, 0);
+        Tier::Avx512 => unsafe { noise_avx512(buf, key, sigma) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `tier()` reported AVX2 at runtime, and the twin only
+        // compiles the portable lanes tier for it.
+        #[allow(unsafe_code)]
+        Tier::Avx2 => unsafe { noise_avx2(buf, key, sigma) },
+        Tier::Scalar => noise_scalar(buf, key, sigma, 0),
+        _ => noise_lanes(buf, key, sigma),
     }
 }
 
@@ -316,6 +315,15 @@ pub fn add_keyed_noise(buf: &mut [Complex64], key: u64, power: f64) {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn noise_avx2(buf: &mut [Complex64], key: u64, sigma: f64) {
+    noise_lanes(buf, key, sigma);
+}
+
+/// [`noise_lanes`] compiled for AVX-512F/DQ/VL, which have the 64-bit
+/// multiply and the integer-to-double conversion the SplitMix64 half
+/// needs.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,avx512f,avx512dq,avx512vl")]
+fn noise_avx512(buf: &mut [Complex64], key: u64, sigma: f64) {
     noise_lanes(buf, key, sigma);
 }
 
@@ -505,11 +513,12 @@ mod tests {
 
     #[test]
     fn keyed_noise_tiers_bitwise_match_with_odd_tails() {
-        // The lanes tier, its AVX2 twin and the scalar tier on the same
-        // buffers: lengths shorter than a lane group, odd, and either side
-        // of a staging chunk, over plain values and over IEEE edge values
-        // already in the buffer.
+        // The lanes tier, its AVX2 and AVX-512 twins and the scalar tier on
+        // the same buffers: lengths shorter than a lane group, odd, and
+        // either side of a staging chunk, over plain values and over IEEE
+        // edge values already in the buffer.
         let avx2 = tier_test::host_has_avx2("keyed_noise_tiers_bitwise_match_with_odd_tails");
+        let avx512 = tier_test::host_has_avx512("keyed_noise_tiers_bitwise_match_with_odd_tails");
         let mut rng = StdRng::seed_from_u64(46);
         for n in (0..=9).chain([63, 64, 65, 129, 1_001]) {
             let plain: Vec<Complex64> = (0..n)
@@ -524,13 +533,23 @@ mod tests {
                 tier_test::assert_same_bits(&lanes, &scalar, &format!("{what}: lanes"));
                 #[cfg(target_arch = "x86_64")]
                 if avx2 {
-                    let mut twin = base;
+                    let mut twin = base.clone();
                     // SAFETY: AVX2 was detected above.
                     #[allow(unsafe_code)]
                     unsafe {
                         noise_avx2(&mut twin, key, sigma)
                     };
                     tier_test::assert_same_bits(&twin, &scalar, &format!("{what}: avx2"));
+                }
+                #[cfg(target_arch = "x86_64")]
+                if avx512 {
+                    let mut twin = base;
+                    // SAFETY: AVX2 and AVX-512F/DQ/VL were detected above.
+                    #[allow(unsafe_code)]
+                    unsafe {
+                        noise_avx512(&mut twin, key, sigma)
+                    };
+                    tier_test::assert_same_bits(&twin, &scalar, &format!("{what}: avx512"));
                 }
             }
         }

@@ -1,4 +1,5 @@
-//! Portable 4-lane f64 vectors for the modem's inner loops.
+//! Portable 4-lane f64 vectors for the modem's inner loops, and the one
+//! probe that picks a kernel tier.
 //!
 //! The workspace has no external SIMD dependency and no nightly features, so
 //! the "vectors" here are plain `[f64; 4]` wrappers whose lane operations are
@@ -11,21 +12,25 @@
 //! construction (IEEE-754 arithmetic is deterministic per operation; lanes
 //! never reassociate a scalar reduction).
 //!
-//! The `simd` cargo feature (on by default) selects the lane kernels at the
-//! call sites in `correlate`, `mixer`, `rng` (the keyed noise), and
-//! `ssync_phy`'s Viterbi/demapper;
-//! building with `--no-default-features` selects the scalar fallbacks. Both
-//! paths are always compiled and unit-tested against each other, which is
-//! what keeps the CI scalar job meaningful.
+//! Every kernel with more than one tier dispatches on [`tier`], the only
+//! place that reads the `simd` cargo feature ([`SIMD_ENABLED`]) and the
+//! host CPU's features. The feature (on by default) selects the lane
+//! kernels in `correlate`, `mixer`, `rng` (the keyed noise), and
+//! `ssync_phy`'s Viterbi/demapper; building with `--no-default-features`
+//! makes [`tier`] return [`Tier::Scalar`], which selects the scalar
+//! fallbacks. Both paths are always compiled and unit-tested against each
+//! other, which is what keeps the CI scalar job meaningful.
 //!
-//! On x86-64 hosts that report AVX2 at runtime, the `simd` build also runs
-//! `delay::convolve_gather`, the keyed noise and the cross-correlation's
-//! lag loop through AVX2 twins: `#[target_feature(enable = "avx2")]`
-//! functions that call the kernel's `#[inline(always)]` portable body, so
-//! the same source is compiled for 256-bit registers with the same IEEE
-//! operations. The FFT's AVX2 path and the CFO mixer's AVX2 kernel are
-//! written in intrinsics instead (`fft.rs`, `mixer.rs`). The `tier_test`
-//! fixtures below serve their tier tests.
+//! On x86-64 hosts the `simd` build goes further. `delay::convolve_gather`,
+//! the keyed noise and the cross-correlation's lag loop have compiled
+//! twins: `#[target_feature]` functions that call the kernel's
+//! `#[inline(always)]` portable body, so the same source is compiled for
+//! wider registers with the same IEEE operations — an AVX2 twin, and an
+//! AVX-512 twin (`avx2,avx512f,avx512dq,avx512vl`) for hosts that report
+//! those. The FFT's AVX2 path, the CFO mixer's AVX2 kernel and
+//! `ssync_phy`'s Viterbi and demap kernels are written in AVX2
+//! intrinsics instead (`fft.rs`, `mixer.rs`) and run on either x86 tier.
+//! The `tier_test` fixtures below serve their tier tests.
 
 use crate::complex::Complex64;
 
@@ -35,6 +40,52 @@ pub const LANES: usize = 4;
 /// `true` when the `simd` feature is enabled, i.e. when the lane kernels are
 /// the ones dispatched by this build.
 pub const SIMD_ENABLED: bool = cfg!(feature = "simd");
+
+/// A kernel tier, from the slowest to the fastest. Tiers are ordered, so a
+/// kernel written for AVX2 runs on `tier() >= Tier::Avx2`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Tier {
+    /// The scalar reference loops: the `--no-default-features` build.
+    Scalar,
+    /// The portable [`F64x4`]/[`C64x4`] kernels.
+    Lanes,
+    /// x86-64 with AVX2: the intrinsics kernels and the AVX2 twins.
+    Avx2,
+    /// x86-64 with AVX2, AVX-512F, AVX-512DQ and AVX-512VL: the AVX-512
+    /// twins, and the AVX2 intrinsics kernels.
+    Avx512,
+}
+
+impl Tier {
+    /// The tier's name as the ledger and `ssync-lab tier` print it.
+    pub fn name(self) -> &'static str {
+        match self {
+            Tier::Scalar => "scalar",
+            Tier::Lanes => "lanes",
+            Tier::Avx2 => "avx2",
+            Tier::Avx512 => "avx512",
+        }
+    }
+}
+
+/// The kernel tier this build dispatches on this host: [`Tier::Scalar`]
+/// without the `simd` feature, else the widest tier the CPU reports.
+/// Chosen from the build and the CPU alone; nothing else selects it. Every
+/// tier gives the same bits.
+#[inline]
+pub fn tier() -> Tier {
+    if !SIMD_ENABLED {
+        return Tier::Scalar;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        let v4 = std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512dq")
+            && std::arch::is_x86_feature_detected!("avx512vl");
+        return if v4 { Tier::Avx512 } else { Tier::Avx2 };
+    }
+    Tier::Lanes
+}
 
 /// Four f64 lanes operated on element-wise.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -369,7 +420,9 @@ pub(crate) mod tier_test {
     use rand::Rng;
 
     /// Whether this host can run the AVX2 twins. When it cannot, prints a
-    /// note naming the test so a skipped comparison is visible.
+    /// note naming the test so a skipped comparison is visible. Reads the
+    /// CPU, not [`super::tier`], so the scalar build compares the twins
+    /// too.
     pub(crate) fn host_has_avx2(test: &str) -> bool {
         #[cfg(target_arch = "x86_64")]
         let has = std::arch::is_x86_feature_detected!("avx2");
@@ -377,6 +430,23 @@ pub(crate) mod tier_test {
         let has = false;
         if !has {
             println!("{test}: host lacks AVX2; the AVX2 twin is not compared");
+        }
+        has
+    }
+
+    /// Whether this host can run the AVX-512 twins (AVX2, AVX-512F,
+    /// AVX-512DQ and AVX-512VL). When it cannot, prints a note naming the
+    /// test so a skipped comparison is visible.
+    pub(crate) fn host_has_avx512(test: &str) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        let has = std::arch::is_x86_feature_detected!("avx2")
+            && std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512dq")
+            && std::arch::is_x86_feature_detected!("avx512vl");
+        #[cfg(not(target_arch = "x86_64"))]
+        let has = false;
+        if !has {
+            println!("{test}: host lacks AVX-512F/DQ/VL; the AVX-512 twin is not compared");
         }
         has
     }
@@ -504,6 +574,28 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn tier_is_scalar_without_simd_else_the_widest_the_host_reports() {
+        let want = if !SIMD_ENABLED {
+            Tier::Scalar
+        } else if tier_test::host_has_avx512("tier") {
+            Tier::Avx512
+        } else if tier_test::host_has_avx2("tier") {
+            Tier::Avx2
+        } else {
+            Tier::Lanes
+        };
+        assert_eq!(tier(), want);
+    }
+
+    #[test]
+    fn tiers_are_ordered_and_named() {
+        let all = [Tier::Scalar, Tier::Lanes, Tier::Avx2, Tier::Avx512];
+        assert!(all.windows(2).all(|w| w[0] < w[1]));
+        let names: Vec<&str> = all.iter().map(|t| t.name()).collect();
+        assert_eq!(names, ["scalar", "lanes", "avx2", "avx512"]);
     }
 
     #[test]

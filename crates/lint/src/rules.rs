@@ -18,9 +18,10 @@ pub enum Rule {
     NondetFsWalk,
     /// `Instant`/`SystemTime`: wall-clock reads in deterministic code.
     WallClock,
-    /// `mul_add`/`fma`, or a `#[target_feature(enable = …)]` naming
-    /// anything but `avx2`: fused multiply-add (or a tier with its own
-    /// codegen) breaks scalar/SIMD bit-identity.
+    /// `mul_add`/`fma`, or a `#[target_feature(enable = …)]` naming any
+    /// set but the two kernel tiers' ([`KERNEL_TIER_FEATURES`]): fused
+    /// multiply-add (or a tier with its own codegen) breaks scalar/SIMD
+    /// bit-identity.
     FmaContraction,
     /// `.get(…)…unwrap_or(…)`: silently papers over a missing map entry.
     SilentFallback,
@@ -79,7 +80,8 @@ impl Rule {
             Rule::FmaContraction => {
                 "mul_add/fma fuse the intermediate rounding, so scalar and \
                  SIMD kernels diverge bitwise (DESIGN.md no-FMA rule); \
-                 #[target_feature] may enable avx2 alone"
+                 #[target_feature] may enable avx2 alone, or exactly \
+                 avx2,avx512f,avx512dq,avx512vl"
             }
             Rule::SilentFallback => {
                 "a map lookup chained into unwrap_or/unwrap_or_default \
@@ -149,6 +151,13 @@ const SAFETY_COMMENT_REACH: u32 = 5;
 /// may sit (the comment is usually the line directly above, sometimes
 /// wrapped onto two).
 const DETERMINISM_COMMENT_REACH: u32 = 3;
+
+/// The feature sets a `#[target_feature(enable = …)]` may name, one per
+/// compiled kernel tier: AVX2, and AVX-512 (AVX2 with AVX-512F/DQ/VL). Each
+/// brings its own bit-identity argument (DESIGN.md, "The SIMD layer and
+/// kernel tiers"); any other set is a new tier and needs one of its own.
+pub const KERNEL_TIER_FEATURES: [&[&str]; 2] =
+    [&["avx2"], &["avx2", "avx512f", "avx512dq", "avx512vl"]];
 
 /// The features named by the string literals of a `target_feature(…)`
 /// argument list, `tokens` starting just inside its `(`: each literal
@@ -230,18 +239,26 @@ pub fn lint_source(rel_path: &str, src: &str) -> Vec<Violation> {
         }
         match t.text.as_str() {
             "target_feature" if code.get(i + 1).is_some_and(|n| n.is_punct('(')) => {
-                for f in enabled_features(&code[i + 2..]) {
-                    if f != "avx2" {
-                        out.push(viol(
-                            Rule::FmaContraction,
-                            t.line,
-                            format!(
-                                "`#[target_feature]` enables `{f}`; a kernel tier may \
-                                 enable only `avx2` (any other feature is a new tier \
-                                 with its own bit-identity questions)"
-                            ),
-                        ));
-                    }
+                let mut features = enabled_features(&code[i + 2..]);
+                features.sort();
+                features.dedup();
+                let allowed = KERNEL_TIER_FEATURES.iter().any(|set| {
+                    let mut set = set.to_vec();
+                    set.sort_unstable();
+                    set == features
+                });
+                if !allowed {
+                    out.push(viol(
+                        Rule::FmaContraction,
+                        t.line,
+                        format!(
+                            "`#[target_feature]` enables `{}`; a kernel tier may enable \
+                             only `avx2` or exactly `avx2,avx512f,avx512dq,avx512vl` \
+                             (any other set is a new tier with its own bit-identity \
+                             questions)",
+                            features.join(",")
+                        ),
+                    ));
                 }
             }
             "HashMap" | "HashSet" => out.push(viol(
@@ -500,18 +517,31 @@ mod tests {
     }
 
     #[test]
-    fn target_feature_may_enable_avx2_alone() {
-        let ok = "#[target_feature(enable = \"avx2\")]\nfn f() {}\n";
-        assert!(rules_fired(CODE_PATH, ok).is_empty());
-        for bad in ["fma", "avx2,fma", "avx512f", "+avx2, avx512vl", "sse4.1"] {
+    fn target_feature_may_enable_only_the_two_tier_sets() {
+        for ok in [
+            "avx2",
+            "+avx2",
+            "avx2,avx512f,avx512dq,avx512vl",
+            "avx512vl, avx2, +avx512dq, avx512f",
+        ] {
+            let src = format!("#[target_feature(enable = \"{ok}\")]\nfn f() {{}}\n");
+            assert!(rules_fired(CODE_PATH, &src).is_empty(), "{ok}");
+        }
+        for bad in [
+            "fma",
+            "avx2,fma",
+            "avx512f",
+            "+avx2, avx512vl",
+            "sse4.1",
+            "avx2,avx512f",
+            "avx512f,avx512dq,avx512vl",
+            "avx2,avx512f,avx512dq,avx512vl,fma",
+            "avx2,avx512f,avx512dq,avx512vl,avx512bw",
+        ] {
             let src = format!("#[target_feature(enable = \"{bad}\")]\nfn f() {{}}\n");
             let v = lint_source(CODE_PATH, &src);
-            assert!(!v.is_empty(), "{bad}");
-            assert!(
-                v.iter()
-                    .all(|v| v.rule == Rule::FmaContraction && v.line == 1),
-                "{bad}"
-            );
+            assert_eq!(v.len(), 1, "{bad}");
+            assert!(v[0].rule == Rule::FmaContraction && v[0].line == 1, "{bad}");
         }
         let raw = "#[target_feature(enable = r#\"avx2,fma\"#)]\nfn f() {}\n";
         assert_eq!(rules_fired(CODE_PATH, raw), ["fma-contraction"]);

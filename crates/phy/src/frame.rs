@@ -55,7 +55,7 @@ impl SignalField {
             return None;
         }
         let ones: u32 = bits[..24].iter().map(|b| *b as u32).sum();
-        if ones % 2 != 0 {
+        if !ones.is_multiple_of(2) {
             return None;
         }
         let rate = RateId::from_index(read_bits(&bits[0..4]) as u8)?;
@@ -180,7 +180,7 @@ fn placement(params: &OfdmParams, rate: RateId) -> Vec<u32> {
     let pattern = convcode::puncture_pattern(rate.code_rate());
     let kept: Vec<usize> = (0..pattern.len()).filter(|&i| pattern[i]).collect();
     assert!(
-        il.block_len() % kept.len() == 0,
+        il.block_len().is_multiple_of(kept.len()),
         "{} at {rate:?}: {} coded bits per symbol are not whole puncture periods",
         params.name,
         il.block_len()

@@ -24,7 +24,10 @@ pub struct Interleaver {
 }
 
 fn rows_for(n_cbps: usize) -> usize {
-    (1..=16).rev().find(|r| n_cbps % r == 0).unwrap_or(1)
+    (1..=16)
+        .rev()
+        .find(|r| n_cbps.is_multiple_of(*r))
+        .unwrap_or(1)
 }
 
 impl Interleaver {
@@ -45,7 +48,7 @@ impl Interleaver {
             // one column block (cols divisible by s — true for all dot11a
             // cases); otherwise rotate within the group by the group index,
             // which serves the same purpose and is always bijective.
-            let j = if cols % s == 0 {
+            let j = if cols.is_multiple_of(s) {
                 s * g + (i + n_cbps - (rows * i) / n_cbps) % s
             } else {
                 s * g + (i % s + g) % s

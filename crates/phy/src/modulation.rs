@@ -9,7 +9,7 @@
 //! of the squared distances with one square root per bit minimum.
 
 pub use crate::params::Modulation;
-use ssync_dsp::simd::{C64x4, F64x4, Real, LANES, SIMD_ENABLED};
+use ssync_dsp::simd::{tier, C64x4, F64x4, Real, Tier, LANES};
 use ssync_dsp::Complex64;
 
 /// Per-axis Gray-coded PAM levels for `bits_per_axis` bits, in 802.11 order.
@@ -376,14 +376,14 @@ impl DemapTable {
             "demap_symbol: placement table size"
         );
         // The tier is picked once per symbol, not once per carrier.
-        #[cfg(target_arch = "x86_64")]
-        if SIMD_ENABLED && std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was just verified at runtime, and the
+        match tier() {
+            // SAFETY: `tier()` reported AVX2 support at runtime, and the
             // twin only compiles the lanes tier for it.
-            unsafe { self.demap_symbol_avx2(y, h, n0, place, out) };
-            return;
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx2 | Tier::Avx512 => unsafe { self.demap_symbol_avx2(y, h, n0, place, out) },
+            Tier::Scalar => self.demap_by_grid::<false>(y, h, n0, place, out),
+            _ => self.demap_by_grid::<true>(y, h, n0, place, out),
         }
-        self.demap_by_grid::<SIMD_ENABLED>(y, h, n0, place, out);
     }
 
     /// [`DemapTable::demap_by_grid`]'s lanes tier compiled for AVX2.
@@ -515,14 +515,14 @@ impl DemapTable {
     /// sums stay scalar and in carrier order, so every tier adds the same
     /// terms in the same order as the per-carrier loop.
     pub fn evm_into(&mut self, eq: &[Complex64], err: &mut f64, sig: &mut f64) {
-        #[cfg(target_arch = "x86_64")]
-        if SIMD_ENABLED && std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was just verified at runtime, and the
+        match tier() {
+            // SAFETY: `tier()` reported AVX2 support at runtime, and the
             // twin only compiles the lanes tier for it.
-            unsafe { self.evm_avx2(eq, err, sig) };
-            return;
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx2 | Tier::Avx512 => unsafe { self.evm_avx2(eq, err, sig) },
+            Tier::Scalar => self.evm_tier::<false>(eq, err, sig),
+            _ => self.evm_tier::<true>(eq, err, sig),
         }
-        self.evm_tier::<SIMD_ENABLED>(eq, err, sig);
     }
 
     /// [`DemapTable::evm_tier`]'s lanes tier compiled for AVX2.
@@ -604,8 +604,8 @@ impl DemapTable {
             return self.xs[0];
         }
         #[cfg(target_arch = "x86_64")]
-        if SIMD_ENABLED && std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was just verified at runtime.
+        if tier() >= Tier::Avx2 {
+            // SAFETY: `tier()` reported AVX2 support at runtime.
             return self.xs[unsafe { self.first_at_min_avx2(min) }];
         }
         self.xs[self.first_at_min(min, 0)]
@@ -616,15 +616,16 @@ impl DemapTable {
     /// tiers are bitwise identical.
     #[inline]
     fn fill_sq(&mut self, y: Complex64, h: Complex64) -> f64 {
+        let tier = tier();
         #[cfg(target_arch = "x86_64")]
-        if SIMD_ENABLED && std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was just verified at runtime.
+        if tier >= Tier::Avx2 {
+            // SAFETY: `tier()` reported AVX2 support at runtime.
             return unsafe { self.fill_sq_avx2(y, h) };
         }
-        if SIMD_ENABLED {
-            self.fill_sq_lanes(y, h)
-        } else {
+        if tier == Tier::Scalar {
             self.fill_sq_scalar(y, h)
+        } else {
+            self.fill_sq_lanes(y, h)
         }
     }
 

@@ -17,7 +17,7 @@ use crate::ofdm;
 use crate::params::{Params, RateId};
 use crate::preamble::LTS_REPS;
 use crate::workspace::{RxWorkspace, SymbolCarriers};
-use ssync_dsp::simd::{C64x4, Real, LANES, SIMD_ENABLED};
+use ssync_dsp::simd::{tier, C64x4, Real, Tier, LANES};
 use ssync_dsp::stats;
 use ssync_dsp::{Complex64, FftPlan};
 
@@ -375,7 +375,11 @@ fn equalise<T: Real>(y_re: T, y_im: T, h_re: T, h_im: T) -> (T, T, T) {
 /// order: four carriers per lane group in the lanes tier, the rest one at
 /// a time.
 fn equalise_into(y: &[Complex64], h: &[Complex64], eq: &mut Vec<Complex64>) {
-    equalise_tier::<SIMD_ENABLED>(y, h, eq);
+    if tier() == Tier::Scalar {
+        equalise_tier::<false>(y, h, eq);
+    } else {
+        equalise_tier::<true>(y, h, eq);
+    }
 }
 
 /// [`equalise_into`] in the lanes tier (`V`) or the scalar one.

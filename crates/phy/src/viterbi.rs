@@ -61,7 +61,7 @@
 //! decoded output is bit-identical to the reference.
 
 use crate::convcode::{G0, G1, N_STATES};
-use ssync_dsp::simd::{F64x4, LANES, SIMD_ENABLED};
+use ssync_dsp::simd::{tier, F64x4, Tier, LANES};
 
 const HALF: usize = N_STATES / 2;
 const NEG_INF: f64 = f64::NEG_INFINITY;
@@ -255,19 +255,20 @@ impl ViterbiDecoder {
     /// them over the same metric evolutions and compare exact bits.
     #[inline]
     fn run_steps(&mut self, llrs: &[f64]) {
+        let tier = tier();
         #[cfg(target_arch = "x86_64")]
-        if SIMD_ENABLED && std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was just verified at runtime.
+        if tier >= Tier::Avx2 {
+            // SAFETY: `tier()` reported AVX2 support at runtime.
             unsafe { self.run_steps_avx2(llrs) };
             return;
         }
         let [a, b] = &mut self.metrics;
         let (mut cur, mut next) = (a, b);
         for pair in llrs.chunks_exact(2) {
-            let word = if SIMD_ENABLED {
-                Self::step_lanes(cur, next, pair[0], pair[1])
-            } else {
+            let word = if tier == Tier::Scalar {
                 Self::step_scalar(cur, next, pair[0], pair[1])
+            } else {
+                Self::step_lanes(cur, next, pair[0], pair[1])
             };
             self.survivors.push(word);
             std::mem::swap(&mut cur, &mut next);
@@ -383,7 +384,7 @@ impl ViterbiDecoder {
     /// odd-length input, leaving `bits` empty.
     pub fn decode_terminated_into(&mut self, llrs: &[f64], bits: &mut Vec<u8>) -> bool {
         bits.clear();
-        if llrs.is_empty() || llrs.len() % 2 != 0 {
+        if llrs.is_empty() || !llrs.len().is_multiple_of(2) {
             return false;
         }
         let n_steps = llrs.len() / 2;
@@ -417,7 +418,7 @@ pub fn decode_terminated_reference(llrs: &[f64]) -> Option<Vec<u8>> {
     fn next_state(state: usize, input: u8) -> usize {
         ((state >> 1) | ((input as usize) << 5)) & (N_STATES - 1)
     }
-    if llrs.is_empty() || llrs.len() % 2 != 0 {
+    if llrs.is_empty() || !llrs.len().is_multiple_of(2) {
         return None;
     }
     let mut outputs = [[(0u8, 0u8); 2]; N_STATES];

@@ -77,7 +77,10 @@ pub fn decode_pair(y0: Complex64, y1: Complex64, h_a: Complex64, h_b: Complex64)
 
 /// Decodes a received slot stream; `ys.len()` must be even.
 pub fn decode_stream(ys: &[Complex64], h_a: Complex64, h_b: Complex64) -> Vec<DecodedPair> {
-    assert!(ys.len() % 2 == 0, "slot stream must contain whole pairs");
+    assert!(
+        ys.len().is_multiple_of(2),
+        "slot stream must contain whole pairs"
+    );
     ys.chunks_exact(2)
         .map(|p| decode_pair(p[0], p[1], h_a, h_b))
         .collect()

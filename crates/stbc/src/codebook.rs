@@ -17,7 +17,7 @@ use ssync_dsp::Complex64;
 /// The codeword assigned to the sender with index `i` in the precomputed
 /// forwarder/AP ordering (`0` = lead sender).
 pub fn codeword_for(sender_index: usize) -> Codeword {
-    if sender_index % 2 == 0 {
+    if sender_index.is_multiple_of(2) {
         Codeword::A
     } else {
         Codeword::B

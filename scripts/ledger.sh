@@ -6,9 +6,11 @@
 # `--threads $(nproc)` (output discarded, wall time measured here), then
 # each benchmark workload (rx, joint, city) at `--trace 0` (end-to-end
 # metrics) and `--trace 1` (per-layer metrics). Every row is stamped with
-# the benchmark's own `# meta` fields: git_rev, nproc, kernel_tier and
-# features. Rows are appended, so a perf change regenerates the rows it
-# moved next to the ones it is compared with.
+# the benchmark's own `# meta` fields git_rev, nproc and features, and with
+# the kernel tier `ssync-lab tier` reports (the meta field's own probe
+# knows only avx2, lanes and scalar, not avx512). Rows are appended, so a
+# perf change regenerates the rows it moved next to the ones it is
+# compared with.
 #
 # Columns: git_rev nproc kernel_tier features source name setting metric
 # value unit. `source` is `scenario` (setting `threads=N`, metric
@@ -42,7 +44,7 @@ field() {
     grep -oE "\"$1\":(\"[^\"]*\"|\[[^]]*\]|[0-9]+)" <<<"$meta" | cut -d: -f2- | tr -d '"[]'
 }
 features=$(field features)
-stamp=$(printf '%s\t%s\t%s\t%s' "$(field git_rev)" "$(field nproc)" "$(field kernel_tier)" "${features:--}")
+stamp=$(printf '%s\t%s\t%s\t%s' "$(field git_rev)" "$(field nproc)" "$("$lab" tier)" "${features:--}")
 
 if [[ ! -s "$out" ]]; then
     printf 'git_rev\tnproc\tkernel_tier\tfeatures\tsource\tname\tsetting\tmetric\tvalue\tunit\n' >"$out"

@@ -258,7 +258,7 @@ proptest! {
         // the receive side through stale reused buffers.
         let (num, _) = rate.ratio();
         let mut bits = info.clone();
-        while (bits.len() + convcode::TAIL_BITS) % (num * 2) != 0 {
+        while !(bits.len() + convcode::TAIL_BITS).is_multiple_of(num * 2) {
             bits.push(0);
         }
         bits.extend(std::iter::repeat_n(0, convcode::TAIL_BITS));
