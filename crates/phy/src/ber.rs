@@ -10,6 +10,7 @@
 use crate::params::{Params, RateId};
 use crate::rx::Receiver;
 use crate::tx::Transmitter;
+use crate::workspace::{RxWorkspace, TxWorkspace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ssync_dsp::rng::ComplexGaussian;
@@ -92,18 +93,20 @@ pub fn measure_per_awgn(
 ) -> PerPoint {
     let tx = Transmitter::new(params.clone());
     let rx = Receiver::new(params.clone());
+    let (mut tx_ws, mut rx_ws) = (TxWorkspace::new(params), RxWorkspace::new(params));
+    let mut wave = Vec::new();
     let mut rng = StdRng::seed_from_u64(seed);
     let noise = ComplexGaussian::with_power(linear_from_db(-snr_db));
     let mut failures = 0usize;
     for _ in 0..trials {
         let payload: Vec<u8> = (0..payload_len).map(|_| rng.gen()).collect();
-        let wave = tx.frame_waveform(&payload, rate, 0);
+        tx.frame_waveform_into(&payload, rate, 0, &mut tx_ws, &mut wave);
         let pad = 120usize;
         let mut buf: Vec<Complex64> = noise.sample_vec(&mut rng, pad + wave.len() + 200);
         for (i, s) in wave.iter().enumerate() {
             buf[pad + i] += *s;
         }
-        match rx.receive(&buf) {
+        match rx.receive_with(&buf, &mut rx_ws) {
             Ok(res) if res.payload == payload => {}
             _ => failures += 1,
         }
