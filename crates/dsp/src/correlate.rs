@@ -564,12 +564,11 @@ mod tests {
     #[test]
     fn lag_magnitude_tiers_bitwise_match() {
         // The AVX2 and AVX-512 twins, the lanes tier and the scalar tier
-        // over the same
-        // signal: every lag count 1..=40 (under, at and past one register
-        // block and its lane groups) against every template length 1..=64,
-        // longer templates that take several staging passes, the
-        // detector's 448-sample window against a 64-sample template, and
-        // IEEE edge values in both inputs.
+        // over the same signal: every lag count 1..=40 (under, at and past
+        // one register block and its lane groups) against every template
+        // length 1..=64, longer templates that take several staging
+        // passes, the detector's 448-sample window against a 64-sample
+        // template, and IEEE edge values in both inputs.
         let avx2 = tier_test::host_has_avx2("lag_magnitude_tiers_bitwise_match");
         let avx512 = tier_test::host_has_avx512("lag_magnitude_tiers_bitwise_match");
         let mut rng = StdRng::seed_from_u64(22);

@@ -38,7 +38,7 @@ use crate::complex::Complex64;
 pub const LANES: usize = 4;
 
 /// `true` when the `simd` feature is enabled, i.e. when the lane kernels are
-/// the ones dispatched by this build.
+/// the ones dispatched by this build. Kernels read it through [`tier`].
 pub const SIMD_ENABLED: bool = cfg!(feature = "simd");
 
 /// A kernel tier, from the slowest to the fastest. Tiers are ordered, so a
