@@ -62,6 +62,8 @@
 
 use crate::convcode::{G0, G1, N_STATES};
 use ssync_dsp::simd::{tier, F64x4, Tier, LANES};
+#[cfg(target_arch = "x86_64")]
+use std::arch::x86_64::*;
 
 const HALF: usize = N_STATES / 2;
 const NEG_INF: f64 = f64::NEG_INFINITY;
@@ -253,14 +255,29 @@ impl ViterbiDecoder {
     /// exactly the select), and nothing fuses a multiply-add, so all three
     /// tiers are bit-identical — the in-module differential tests drive
     /// them over the same metric evolutions and compare exact bits.
+    ///
+    /// On hosts that also report AVX-512F/DQ/VL the steps run through
+    /// [`ViterbiDecoder::step_avx512`] instead, with every path metric held
+    /// in registers from the first step to the last.
+    ///
+    /// # Safety
+    /// The host CPU must support `tier`: AVX2 for [`Tier::Avx2`], and AVX2,
+    /// AVX-512F, AVX-512DQ and AVX-512VL for [`Tier::Avx512`].
     #[inline]
-    fn run_steps(&mut self, llrs: &[f64]) {
-        let tier = tier();
+    unsafe fn run_steps(&mut self, llrs: &[f64], tier: Tier) {
         #[cfg(target_arch = "x86_64")]
-        if tier >= Tier::Avx2 {
-            // SAFETY: `tier()` reported AVX2 support at runtime.
-            unsafe { self.run_steps_avx2(llrs) };
-            return;
+        match tier {
+            Tier::Avx512 => {
+                // SAFETY: the caller guarantees the AVX-512 set.
+                unsafe { self.run_steps_avx512(llrs) };
+                return;
+            }
+            Tier::Avx2 => {
+                // SAFETY: the caller guarantees AVX2.
+                unsafe { self.run_steps_avx2(llrs) };
+                return;
+            }
+            Tier::Lanes | Tier::Scalar => {}
         }
         let [a, b] = &mut self.metrics;
         let (mut cur, mut next) = (a, b);
@@ -326,7 +343,6 @@ impl ViterbiDecoder {
         l0: f64,
         l1: f64,
     ) -> u64 {
-        use std::arch::x86_64::*;
         let s = l0 + l1;
         let t = l0 - l1;
         // [s, −t, s, −t] and [t, −s, t, −s] in butterfly order 0 1 2 3 from
@@ -377,12 +393,136 @@ impl ViterbiDecoder {
         word
     }
 
+    /// The step loop over [`ViterbiDecoder::step_avx512`]. The start
+    /// column is loaded into eight registers once and the metrics stay
+    /// there for the whole trellis; the last column is written back where
+    /// the ping-pong tiers leave it, `self.metrics[steps % 2]`. Each step's
+    /// decision masks are stored straight into the bytes of its survivor
+    /// word, in the vector's spare capacity.
+    ///
+    /// # Safety
+    /// The host CPU must support AVX2, AVX-512F, AVX-512DQ and AVX-512VL.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2,avx512f,avx512dq,avx512vl")]
+    unsafe fn run_steps_avx512(&mut self, llrs: &[f64]) {
+        let steps = llrs.len() / 2;
+        let done = self.survivors.len();
+        self.survivors.reserve(steps);
+        let mut m = Self::load_avx512(&self.metrics[0]);
+        let words = self.survivors.spare_capacity_mut();
+        for (word, pair) in words.iter_mut().zip(llrs.chunks_exact(2)) {
+            // SAFETY: the caller guarantees the AVX-512 set, and `word` is
+            // one u64 of the vector's spare capacity, eight writable bytes.
+            m = unsafe { Self::step_avx512(m, pair[0], pair[1], word.as_mut_ptr().cast()) };
+        }
+        // SAFETY: `reserve` made room for `steps` more words, and the loop
+        // wrote all eight bytes of each of them.
+        unsafe { self.survivors.set_len(done + steps) };
+        Self::store_avx512(m, &mut self.metrics[steps % 2]);
+    }
+
+    /// A metric column in eight 512-bit registers, `m[k]` holding states
+    /// `8k..8k + 8` in order.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2,avx512f,avx512dq,avx512vl")]
+    fn load_avx512(column: &Metrics) -> [__m512d; 8] {
+        let mut m = [_mm512_setzero_pd(); 8];
+        for (reg, states) in m.iter_mut().zip(column.chunks_exact(8)) {
+            // SAFETY: `states` is eight consecutive f64s of the column.
+            *reg = unsafe { _mm512_loadu_pd(states.as_ptr()) };
+        }
+        m
+    }
+
+    /// Writes the registers of [`ViterbiDecoder::load_avx512`]'s layout
+    /// back to a metric column.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2,avx512f,avx512dq,avx512vl")]
+    fn store_avx512(m: [__m512d; 8], column: &mut Metrics) {
+        for (reg, states) in m.into_iter().zip(column.chunks_exact_mut(8)) {
+            // SAFETY: `states` is eight consecutive f64s of the column.
+            unsafe { _mm512_storeu_pd(states.as_mut_ptr(), reg) };
+        }
+    }
+
+    /// One add-compare-select step on the 64 path metrics held in eight
+    /// 512-bit registers ([`ViterbiDecoder::load_avx512`]'s layout),
+    /// returning the next column in the same layout. Eight butterflies per
+    /// block: block `g` reads the predecessors `16g..16g + 16` from
+    /// `m[2g]` and `m[2g + 1]`, split into even and odd states by two
+    /// `vpermt2pd`, and writes next states `8g..8g + 8` (input 0) to
+    /// register `g` and `32 + 8g..` (input 1) to register `4 + g`.
+    ///
+    /// The branch vectors carry each lane's true input-0 branch, the
+    /// groups `+A −A −A +A +B −B −B +B` of the scalar kernel with their
+    /// signs applied by an exact sign flip (an XOR of the sign bit), so
+    /// every candidate lands at its own next state. A negated group's
+    /// `m + (−b)` is bit for bit the scalar kernel's `m − b`, the exchange
+    /// of targets it makes. The compare is the ordered strict `>`
+    /// (`_CMP_GT_OQ`), `vmaxpd` is the select as in
+    /// [`ViterbiDecoder::step_avx2`], and each block's two decision masks
+    /// are stored as bytes `g` and `4 + g` of the survivor word at `word`
+    /// (x86-64 is little-endian, so byte `k` holds states `8k..8k + 8`).
+    ///
+    /// # Safety
+    /// The host CPU must support AVX2, AVX-512F, AVX-512DQ and AVX-512VL,
+    /// and `word` must be valid for writes of eight bytes.
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    unsafe fn step_avx512(m: [__m512d; 8], l0: f64, l1: f64, word: *mut u8) -> [__m512d; 8] {
+        const SIGN: i64 = i64::MIN;
+        // SAFETY: the caller guarantees the AVX-512 set, and every mask
+        // store writes byte `g` or `4 + g < 8` of the eight at `word`.
+        unsafe {
+            let s = _mm512_set1_pd(l0 + l1);
+            let t = _mm512_set1_pd(l0 - l1);
+            // [s, t, s, t, …] and [t, s, t, s, …], then the signs of
+            // `+A −A` and `+B −B`; blocks 1 and 3 are blocks 0 and 2
+            // negated.
+            let flip = _mm512_castsi512_pd(_mm512_setr_epi64(0, SIGN, 0, SIGN, SIGN, 0, SIGN, 0));
+            let all = _mm512_set1_pd(-0.0);
+            let a = _mm512_xor_pd(_mm512_unpacklo_pd(s, t), flip);
+            let b = _mm512_xor_pd(_mm512_unpacklo_pd(t, s), flip);
+            let branch = [a, _mm512_xor_pd(a, all), b, _mm512_xor_pd(b, all)];
+            let even = _mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14);
+            let odd = _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15);
+            let mut next = m;
+            for (g, be) in branch.into_iter().enumerate() {
+                let me = _mm512_permutex2var_pd(m[2 * g], even, m[2 * g + 1]);
+                let mo = _mm512_permutex2var_pd(m[2 * g], odd, m[2 * g + 1]);
+                let c0 = _mm512_add_pd(me, be);
+                let c1 = _mm512_sub_pd(mo, be);
+                let d0 = _mm512_sub_pd(me, be);
+                let d1 = _mm512_add_pd(mo, be);
+                _store_mask8(word.add(g), _mm512_cmp_pd_mask::<_CMP_GT_OQ>(c1, c0));
+                _store_mask8(word.add(4 + g), _mm512_cmp_pd_mask::<_CMP_GT_OQ>(d1, d0));
+                next[g] = _mm512_max_pd(c1, c0);
+                next[4 + g] = _mm512_max_pd(d1, d0);
+            }
+            next
+        }
+    }
+
     /// Decodes a terminated mother-code LLR stream (`2` LLRs per trellis
     /// step, erasures as `0.0`) into `bits` (cleared and refilled), the
     /// information bits *including* the tail — callers strip the final
     /// [`crate::convcode::TAIL_BITS`]. Returns `false` for empty or
     /// odd-length input, leaving `bits` empty.
     pub fn decode_terminated_into(&mut self, llrs: &[f64], bits: &mut Vec<u8>) -> bool {
+        // SAFETY: `tier()` reports only what the host CPU supports.
+        unsafe { self.decode_terminated_on(tier(), llrs, bits) }
+    }
+
+    /// [`ViterbiDecoder::decode_terminated_into`] on the kernel tier `tier`.
+    ///
+    /// # Safety
+    /// The host CPU must support `tier` (see [`ViterbiDecoder::run_steps`]).
+    unsafe fn decode_terminated_on(
+        &mut self,
+        tier: Tier,
+        llrs: &[f64],
+        bits: &mut Vec<u8>,
+    ) -> bool {
         bits.clear();
         if llrs.is_empty() || !llrs.len().is_multiple_of(2) {
             return false;
@@ -394,7 +534,8 @@ impl ViterbiDecoder {
         self.metrics[0][0] = 0.0; // encoder starts in state 0
         self.survivors.clear();
         self.survivors.reserve(n_steps);
-        self.run_steps(llrs);
+        // SAFETY: the caller guarantees the host supports `tier`.
+        unsafe { self.run_steps(llrs, tier) };
         bits.resize(n_steps, 0);
         let mut state = 0usize; // terminated trellis ends in state 0
         for step in (0..n_steps).rev() {
@@ -665,6 +806,42 @@ mod tests {
         }
     }
 
+    /// Whether this host can run the AVX-512 kernel (AVX2, AVX-512F,
+    /// AVX-512DQ and AVX-512VL). When it cannot, prints a note naming the
+    /// test so a skipped comparison is visible. Reads the CPU, not
+    /// [`tier`], so the scalar build compares the kernel too.
+    fn host_has_avx512(test: &str) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        let has = std::arch::is_x86_feature_detected!("avx2")
+            && std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512dq")
+            && std::arch::is_x86_feature_detected!("avx512vl");
+        #[cfg(not(target_arch = "x86_64"))]
+        let has = false;
+        if !has {
+            println!("{test}: host lacks AVX-512F/DQ/VL; the AVX-512 kernel is not compared");
+        }
+        has
+    }
+
+    /// [`ViterbiDecoder::step_avx512`] as a [`Step`]: loads `metric` into
+    /// registers, runs one step, stores the result to `next` and returns
+    /// the survivor word.
+    ///
+    /// # Safety
+    /// The host CPU must support AVX2, AVX-512F, AVX-512DQ and AVX-512VL.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2,avx512f,avx512dq,avx512vl")]
+    unsafe fn step_avx512_columns(metric: &Metrics, next: &mut Metrics, l0: f64, l1: f64) -> u64 {
+        let mut word = 0u64;
+        let m = ViterbiDecoder::load_avx512(metric);
+        // SAFETY: the caller guarantees the AVX-512 set; `word` is eight
+        // writable bytes.
+        let m = unsafe { ViterbiDecoder::step_avx512(m, l0, l1, (&mut word as *mut u64).cast()) };
+        ViterbiDecoder::store_avx512(m, next);
+        word
+    }
+
     /// Runs `step` from buffer `src` of `m` into the other one.
     fn step_in(m: &mut [Metrics; 2], src: usize, step: Step, l0: f64, l1: f64) -> u64 {
         let [m0, m1] = m;
@@ -681,7 +858,9 @@ mod tests {
     /// column equal the scalar kernel's bit for bit. The AVX2 tier
     /// alternates natural → σ and σ → natural steps as
     /// `run_steps_avx2` does; its σ columns are read through [`sigma`] and
-    /// its σ survivor words through [`unsigma_word`]. NaN matches any NaN.
+    /// its σ survivor words through [`unsigma_word`]. The AVX-512 kernel,
+    /// on hosts that have it, runs one step at a time from a metric column
+    /// in natural layout. NaN matches any NaN.
     fn assert_step_tiers_match(pairs: &[(f64, f64)], what: &str) {
         let mut start = [NEG_INF; N_STATES];
         start[0] = 0.0;
@@ -689,6 +868,8 @@ mod tests {
         let mut lanes = scalar;
         #[cfg(target_arch = "x86_64")]
         let (avx2, mut wide) = (std::arch::is_x86_feature_detected!("avx2"), scalar);
+        #[cfg(target_arch = "x86_64")]
+        let (avx512, mut widest) = (host_has_avx512(what), scalar);
         for (step, &(l0, l1)) in pairs.iter().enumerate() {
             let (src, dst) = (step % 2, 1 - step % 2);
             let want = step_in(&mut scalar, src, ViterbiDecoder::step_scalar, l0, l1);
@@ -720,6 +901,20 @@ mod tests {
                         bits(wide[dst][slot]),
                         bits(m),
                         "{what}: avx2 metric {s}, step {step}"
+                    );
+                }
+            }
+            #[cfg(target_arch = "x86_64")]
+            if avx512 {
+                // SAFETY: the AVX-512 set detected above.
+                let kernel: Step = |m, n, l0, l1| unsafe { step_avx512_columns(m, n, l0, l1) };
+                let word = step_in(&mut widest, src, kernel, l0, l1);
+                assert_eq!(word, want, "{what}: avx512 survivor word, step {step}");
+                for s in 0..N_STATES {
+                    assert_eq!(
+                        bits(widest[dst][s]),
+                        bits(scalar[dst][s]),
+                        "{what}: avx512 metric {s}, step {step}"
                     );
                 }
             }
@@ -784,6 +979,49 @@ mod tests {
     }
 
     #[test]
+    fn avx512_decodes_match_reference() {
+        // Whole decodes through `decode_terminated_into`'s body on the
+        // AVX-512 tier, one decoder throughout: odd and even step counts,
+        // 1-step streams, and a 12k-step noisy stream with erasures and
+        // equal pairs (ties), against the reference decoder.
+        if !host_has_avx512("avx512_decodes_match_reference") {
+            return;
+        }
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut dec = ViterbiDecoder::new();
+        let mut bits = Vec::new();
+        let mut check = |llrs: &[f64], what: &str| {
+            // SAFETY: the AVX-512 set detected above.
+            assert!(unsafe { dec.decode_terminated_on(Tier::Avx512, llrs, &mut bits) });
+            assert_eq!(bits, decode_terminated_reference(llrs).unwrap(), "{what}");
+        };
+        check(&[0.5, -1.5], "1 step");
+        check(&[0.0, 0.0], "1 erased step");
+        for n_steps in [2usize, 3, 64, 65, 199, 200] {
+            let llrs: Vec<f64> = (0..2 * n_steps).map(|_| rng.gen_range(-4.0..4.0)).collect();
+            check(&llrs, &format!("{n_steps} random steps"));
+        }
+        let info: Vec<u8> = (0..12_000 - TAIL_BITS)
+            .map(|_| rng.gen_range(0..2u8))
+            .collect();
+        let gauss = ssync_dsp::rng::Gaussian::standard();
+        let mut llrs: Vec<f64> = encode_with_tail(&info)
+            .iter()
+            .map(|b| if *b == 0 { 2.0 } else { -2.0 } + 1.5 * gauss.sample(&mut rng))
+            .collect();
+        for (k, pair) in llrs.chunks_exact_mut(2).enumerate() {
+            match k % 7 {
+                0 => pair[1] = 0.0,
+                3 => pair[1] = pair[0],
+                5 => pair[1] = -pair[0],
+                _ => {}
+            }
+        }
+        check(&llrs, "12k noisy steps");
+        check(&llrs[..llrs.len() - 2], "12k - 1 noisy steps");
+    }
+
+    #[test]
     #[ignore] // timing probe: cargo test -p ssync_phy --release profile_step_kernels -- --ignored --nocapture
     fn profile_step_kernels() {
         let mut rng = StdRng::seed_from_u64(9);
@@ -823,9 +1061,28 @@ mod tests {
             } else {
                 "n/a".into()
             };
+            #[cfg(target_arch = "x86_64")]
+            let avx512 = if host_has_avx512("profile_step_kernels") {
+                // The run loop itself: the metrics stay in registers
+                // between steps, as they do in a decode.
+                let llrs: Vec<f64> = steps.iter().flat_map(|&(l0, l1)| [l0, l1]).collect();
+                let mut dec = ViterbiDecoder::new();
+                dec.metrics[0][0] = 0.0;
+                dec.survivors.reserve(steps.len());
+                let t0 = std::time::Instant::now();
+                // SAFETY: the AVX-512 set detected above.
+                unsafe { dec.run_steps_avx512(&llrs) };
+                std::hint::black_box(&dec.survivors);
+                format!("{:.1} ns", per_step(t0.elapsed()))
+            } else {
+                "n/a".into()
+            };
             #[cfg(not(target_arch = "x86_64"))]
-            let avx2 = "n/a";
-            println!("rep {rep}: per step scalar {scalar:.1} ns, lanes {lanes:.1} ns, avx2 {avx2}");
+            let (avx2, avx512) = ("n/a", "n/a");
+            println!(
+                "rep {rep}: per step scalar {scalar:.1} ns, lanes {lanes:.1} ns, \
+                 avx2 {avx2}, avx512 {avx512}"
+            );
         }
     }
 
