@@ -24,6 +24,7 @@ use ssync_obs::{MetricRegistry, Obs, Observable, TraceRecorder};
 use ssync_phy::{OfdmParams, RateId};
 use ssync_sim::{ChannelModels, Network, NodeId};
 use ssync_testbed::{run_transfer_observed, Modem, RoutingMode, TestbedConfig, TestbedOutcome};
+use std::sync::Arc;
 
 /// The data-frame payload both testbed scenarios run (map overhead
 /// excluded; see `TestbedConfig::new`).
@@ -76,7 +77,12 @@ fn measured_delivery(
     let mut ok = 0usize;
     for f in 0..n {
         let mut rng = StdRng::seed_from_u64(seed ^ (0x51D0 + f as u64));
-        let got = modem.exchange(net, &mut rng, &[(NodeId(tx), wave.clone())], &[NodeId(rx)]);
+        let got = modem.exchange(
+            net,
+            &mut rng,
+            &[(NodeId(tx), Arc::clone(&wave))],
+            &[NodeId(rx)],
+        );
         if got[0].1.is_some() {
             ok += 1;
         }

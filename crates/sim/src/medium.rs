@@ -87,12 +87,14 @@ impl WaveformMedium {
         self.links.iter()
     }
 
-    /// Places a waveform on the ether.
+    /// Places a waveform on the ether. A shared waveform
+    /// (`Arc<Vec<Complex64>>`) is placed without a copy, so a frame sent
+    /// to several exchanges or retried is built once.
     ///
     /// # Panics
     /// Panics if `start` is not on the sample grid (transmitters can only
     /// start on their clock ticks; callers use [`Time::ceil_to_sample`]).
-    pub fn transmit(&mut self, tx: NodeId, start: Time, waveform: Vec<Complex64>) {
+    pub fn transmit(&mut self, tx: NodeId, start: Time, waveform: impl Into<Arc<Vec<Complex64>>>) {
         assert_eq!(
             start.0 % self.sample_period_fs,
             0,
@@ -101,7 +103,7 @@ impl WaveformMedium {
         self.transmissions.push(Transmission {
             tx,
             start,
-            waveform: Arc::new(waveform),
+            waveform: waveform.into(),
         });
     }
 

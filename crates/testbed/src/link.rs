@@ -15,6 +15,7 @@ use ssync_obs::{Counter, RxDiagSummary};
 use ssync_phy::workspace::{RxWorkspace, TxWorkspace};
 use ssync_phy::{crc, Params, RateId, Receiver, Transmitter};
 use ssync_sim::{Duration, Network, NodeId, Time};
+use std::sync::Arc;
 
 /// Broadcast MAC address (ExOR data frames, batch maps).
 pub const BROADCAST: u16 = 0xFFFF;
@@ -70,8 +71,9 @@ impl Modem {
         self.empty_tx_batches.get()
     }
 
-    /// Serialises a MAC frame into a CRC-protected PHY waveform.
-    pub fn mac_waveform(&mut self, frame: &MacFrame, rate: RateId) -> Vec<Complex64> {
+    /// Serialises a MAC frame into a CRC-protected PHY waveform, shared so
+    /// that retries and exchanges place it on the medium without a copy.
+    pub fn mac_waveform(&mut self, frame: &MacFrame, rate: RateId) -> Arc<Vec<Complex64>> {
         let mut wave = Vec::new();
         self.tx.frame_waveform_into(
             &crc::append_crc(&frame.to_bytes()),
@@ -80,7 +82,7 @@ impl Modem {
             &mut self.tx_ws,
             &mut wave,
         );
-        wave
+        Arc::new(wave)
     }
 
     /// On-air duration of `n_samples` at this numerology.
@@ -100,7 +102,7 @@ impl Modem {
         &mut self,
         net: &mut Network,
         rng: &mut R,
-        transmissions: &[(NodeId, Vec<Complex64>)],
+        transmissions: &[(NodeId, Arc<Vec<Complex64>>)],
         listeners: &[NodeId],
     ) -> Vec<(NodeId, Option<(MacFrame, RxDiagSummary)>)> {
         let period = self.params.sample_period_fs();
@@ -117,7 +119,7 @@ impl Modem {
         };
         net.medium.clear_transmissions();
         for (tx, wave) in transmissions {
-            net.medium.transmit(*tx, t0, wave.clone());
+            net.medium.transmit(*tx, t0, Arc::clone(wave));
         }
         let window = CAPTURE_MARGIN * 2 + longest + 200;
         // Every delivered extent (t0 + frame + multipath and interpolator
@@ -305,7 +307,7 @@ mod tests {
         let noise: Vec<Complex64> = (0..4000)
             .map(|_| Complex64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
             .collect();
-        let out = modem.exchange(&mut n, &mut rng, &[(NodeId(0), noise)], &[NodeId(1)]);
+        let out = modem.exchange(&mut n, &mut rng, &[(NodeId(0), noise.into())], &[NodeId(1)]);
         assert!(out[0].1.is_none());
     }
 }

@@ -57,6 +57,7 @@ use ssync_phy::RateId;
 use ssync_routing::{best_path, forwarder_priority, MeshTopology};
 use ssync_sim::{Duration, EventQueue, Network, NodeId, Time};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// How packets travel from source to destination.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -643,7 +644,7 @@ impl<'a, R: Rng + ?Sized> Engine<'a, R> {
     /// the total busy duration.
     fn resolve_plain(&mut self, at: Time, active: &[(usize, (usize, Vec<usize>))]) -> Duration {
         let single_path = self.cfg.mode == RoutingMode::SinglePath;
-        let transmissions: Vec<(NodeId, Vec<Complex64>)> = active
+        let transmissions: Vec<(NodeId, Arc<Vec<Complex64>>)> = active
             .iter()
             .map(|&(v, (p, _))| {
                 let mut payload = self.encode_map(v);
@@ -1323,7 +1324,7 @@ impl<'a, R: Rng + ?Sized> Engine<'a, R> {
                 let decoded = self.modem.exchange(
                     self.net,
                     self.rng,
-                    &[(NodeId(holder), wave.clone())],
+                    &[(NodeId(holder), Arc::clone(&wave))],
                     &[NodeId(self.dst)],
                 );
                 let mut got = false;
