@@ -28,8 +28,10 @@
 //! wider registers with the same IEEE operations — an AVX2 twin, and an
 //! AVX-512 twin (`avx2,avx512f,avx512dq,avx512vl`) for hosts that report
 //! those. The FFT's AVX2 path, the CFO mixer's AVX2 kernel and
-//! `ssync_phy`'s Viterbi and demap kernels are written in AVX2
-//! intrinsics instead (`fft.rs`, `mixer.rs`) and run on either x86 tier.
+//! `ssync_phy`'s demap kernel are written in AVX2 intrinsics instead
+//! (`fft.rs`, `mixer.rs`) and run on either x86 tier. `ssync_phy`'s
+//! Viterbi add-compare-select has one intrinsics kernel per x86 tier: an
+//! AVX2 one, and an AVX-512 one that keeps every path metric in registers.
 //! The `tier_test` fixtures below serve their tier tests.
 
 use crate::complex::Complex64;
@@ -52,7 +54,8 @@ pub enum Tier {
     /// x86-64 with AVX2: the intrinsics kernels and the AVX2 twins.
     Avx2,
     /// x86-64 with AVX2, AVX-512F, AVX-512DQ and AVX-512VL: the AVX-512
-    /// twins, and the AVX2 intrinsics kernels.
+    /// twins, `ssync_phy`'s AVX-512 Viterbi kernel, and the other AVX2
+    /// intrinsics kernels.
     Avx512,
 }
 

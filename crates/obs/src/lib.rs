@@ -51,8 +51,9 @@
 // to audit when all of the workspace's unsafe code sits in the fenced
 // kernel tiers that `ssync_dsp::simd::tier()` dispatches: ssync_dsp's AVX2
 // FFT and CFO-mixer kernels and its AVX2 and AVX-512 compiled twins, and
-// ssync_phy's AVX2 Viterbi and demap kernels (see DESIGN.md, "The SIMD
-// layer and kernel tiers", and ssync_lint's `undocumented-unsafe` rule).
+// ssync_phy's AVX2 and AVX-512 Viterbi kernels and AVX2 demap kernel (see
+// DESIGN.md, "The SIMD layer and kernel tiers", and ssync_lint's
+// `undocumented-unsafe` rule).
 #![forbid(unsafe_code)]
 
 pub mod chrome;

@@ -7,12 +7,18 @@
 //! is fine for packet-sized messages.
 //!
 //! Viterbi decoding is the largest single stage of the benchmark's
-//! receive chain (the `rx` workload: all rates, 14–1500 B frames): 28–30 %
-//! of its time with the alternating-layout AVX2 step below, 30–31 % with
-//! the one-layout step before it (stage timers, three runs per side on a
-//! 2-core x86-64 host, avx2 tier). So the add-compare-select is organised for throughput while
-//! staying bit-identical to the straightforward reference recursion
-//! ([`decode_terminated_reference`], kept as the differential-test oracle):
+//! receive chain (the `rx` workload: all rates, 14–1500 B frames). Timers
+//! around the whole decode, traceback included, put it at 32–33 % of
+//! `Receiver::receive_with`'s time with the alternating-layout AVX2 step
+//! below, and at 22 % with the register-resident AVX-512 step (three 30 s
+//! runs per build at seed 1 on a 2-core x86-64 host with AVX-512; the
+//! mean receive fell from 148–164 µs to 122–127 µs). So the
+//! add-compare-select is organised for throughput while staying
+//! bit-identical to the straightforward reference recursion
+//! ([`decode_terminated_reference`], kept as the differential-test
+//! oracle). Four tiers run the same step, picked by [`tier`]: the scalar
+//! kernel, the portable lanes, an AVX2 kernel and an AVX-512 kernel. They
+//! share:
 //!
 //! * **Butterfly order.** Next-states are visited directly: state `ns` has
 //!   predecessors `2·(ns&31)` and `2·(ns&31)+1` and input `ns>>5`. The
@@ -37,7 +43,8 @@
 //!   round-to-nearest sum or difference is `−0` only when its left operand
 //!   is `−0`, so `m ± 0` has the same bits whichever zero is added.
 //! * **Ping-pong metrics.** Two path-metric buffers alternate as source
-//!   and destination, so a step never copies a metric array.
+//!   and destination, so a step never copies a metric array (the
+//!   AVX-512 tier keeps its metrics in registers instead).
 //! * **Bit-parallel survivors.** A survivor decision is one bit
 //!   (even/odd predecessor), so a whole step packs into a single `u64`
 //!   instead of 64 `(state, input)` records — 16× less survivor memory and
@@ -53,6 +60,17 @@
 //! is two shuffles per group of four butterflies. The σ steps' survivor
 //! bits are put back in state order as the word is stored, and state 0
 //! sits in slot 0 in both layouts, so the traceback is unchanged.
+//!
+//! The AVX-512 tier needs no second layout. The 64 path metrics fit in
+//! eight 512-bit registers, and they stay there from the first step to the
+//! last. Each block of eight butterflies gathers its even and odd
+//! predecessors with one `vpermt2pd` each and adds the true branch
+//! values: unlike the other tiers it does negate the negated groups, by
+//! an exact sign-bit flip, because one register spans a negated and an
+//! un-negated group, and `m + (−b)` is bit for bit `m − b`. So every
+//! candidate lands at its own next state, and each block stores its two
+//! 8-bit decision masks as bytes of the survivor word. The last column
+//! is written back to the metric buffer.
 //!
 //! Unreachable states carry `−∞` metrics through the same arithmetic; the
 //! traceback never visits one (state 0 is always reachable via the all-zeros
