@@ -1086,7 +1086,6 @@ mod tests {
                 let llrs: Vec<f64> = steps.iter().flat_map(|&(l0, l1)| [l0, l1]).collect();
                 let mut dec = ViterbiDecoder::new();
                 dec.metrics[0][0] = 0.0;
-                dec.survivors.reserve(steps.len());
                 let t0 = std::time::Instant::now();
                 // SAFETY: the AVX-512 set detected above.
                 unsafe { dec.run_steps_avx512(&llrs) };
