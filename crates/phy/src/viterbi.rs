@@ -69,8 +69,9 @@
 //! an exact sign-bit flip, because one register spans a negated and an
 //! un-negated group, and `m + (−b)` is bit for bit `m − b`. So every
 //! candidate lands at its own next state, and each block stores its two
-//! 8-bit decision masks as bytes of the survivor word. The last column
-//! is written back to the metric buffer.
+//! 8-bit decision masks as bytes of the survivor word. The traceback
+//! reads only the survivor words, so the last column stays in the
+//! registers.
 //!
 //! Unreachable states carry `−∞` metrics through the same arithmetic; the
 //! traceback never visits one (state 0 is always reachable via the all-zeros
@@ -413,10 +414,10 @@ impl ViterbiDecoder {
 
     /// The step loop over [`ViterbiDecoder::step_avx512`]. The start
     /// column is loaded into eight registers once and the metrics stay
-    /// there for the whole trellis; the last column is written back where
-    /// the ping-pong tiers leave it, `self.metrics[steps % 2]`. Each step's
-    /// decision masks are stored straight into the bytes of its survivor
-    /// word, in the vector's spare capacity.
+    /// there for the whole trellis; the traceback reads only the survivor
+    /// words, so the last column is not stored. Each step's decision masks
+    /// are stored straight into the bytes of its survivor word, in the
+    /// vector's spare capacity.
     ///
     /// # Safety
     /// The host CPU must support AVX2, AVX-512F, AVX-512DQ and AVX-512VL.
@@ -436,7 +437,6 @@ impl ViterbiDecoder {
         // SAFETY: `reserve` made room for `steps` more words, and the loop
         // wrote all eight bytes of each of them.
         unsafe { self.survivors.set_len(done + steps) };
-        Self::store_avx512(m, &mut self.metrics[steps % 2]);
     }
 
     /// A metric column in eight 512-bit registers, `m[k]` holding states
@@ -450,17 +450,6 @@ impl ViterbiDecoder {
             *reg = unsafe { _mm512_loadu_pd(states.as_ptr()) };
         }
         m
-    }
-
-    /// Writes the registers of [`ViterbiDecoder::load_avx512`]'s layout
-    /// back to a metric column.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2,avx512f,avx512dq,avx512vl")]
-    fn store_avx512(m: [__m512d; 8], column: &mut Metrics) {
-        for (reg, states) in m.into_iter().zip(column.chunks_exact_mut(8)) {
-            // SAFETY: `states` is eight consecutive f64s of the column.
-            unsafe { _mm512_storeu_pd(states.as_mut_ptr(), reg) };
-        }
     }
 
     /// One add-compare-select step on the 64 path metrics held in eight
@@ -856,7 +845,10 @@ mod tests {
         // SAFETY: the caller guarantees the AVX-512 set; `word` is eight
         // writable bytes.
         let m = unsafe { ViterbiDecoder::step_avx512(m, l0, l1, (&mut word as *mut u64).cast()) };
-        ViterbiDecoder::store_avx512(m, next);
+        for (reg, states) in m.into_iter().zip(next.chunks_exact_mut(8)) {
+            // SAFETY: `states` is eight consecutive f64s of the column.
+            unsafe { std::arch::x86_64::_mm512_storeu_pd(states.as_mut_ptr(), reg) };
+        }
         word
     }
 
